@@ -1,9 +1,9 @@
 //! Criterion benchmarks of the `chiplet-dse` fast path: what one design
-//! costs to score analytically, what the frontier extraction costs at
-//! search scale, and — as the ratio-gate denominator — what escalating
-//! that same design to the event engine costs. The committed baseline
-//! (`BENCH_engine.json`) carries a `dse fast-path exchange rate` ratio
-//! pinning the estimator at ≤ 1/1000 of the DES run.
+//! costs to build and hash and to score analytically, what the frontier
+//! extraction costs at search scale, and — as the ratio-gate denominator —
+//! what escalating that same design to the event engine costs. The
+//! committed baseline (`BENCH_engine.json`) carries a `dse fast-path
+//! exchange rate` ratio pinning the estimator at ≤ 1/1000 of the DES run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,6 +15,17 @@ fn bench_estimator(c: &mut Criterion) {
     let spec = dse_epyc().base;
     c.bench_function("dse/estimator_per_design", |b| {
         b.iter(|| black_box(estimate_design(black_box(&spec)).expect("stock design estimates")))
+    });
+}
+
+fn bench_candidate(c: &mut Criterion) {
+    // The middle candidate of the flagship search (an EPYC 9634 variant):
+    // axis decoding, platform mutation, spec build, seed derivation and
+    // content hash — everything a search pays per design besides scoring.
+    let search = dse_epyc();
+    let space = search.candidates().expect("dse_epyc is valid");
+    c.bench_function("dse/candidate_per_design", |b| {
+        b.iter(|| black_box(space.point(black_box(5_400))))
     });
 }
 
@@ -51,6 +62,7 @@ fn bench_des_reference(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_estimator,
+    bench_candidate,
     bench_frontier,
     bench_des_reference
 );

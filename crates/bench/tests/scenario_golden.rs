@@ -3,17 +3,22 @@
 //!
 //! The `tests/golden/*.txt` files are the exact stdout of the pre-refactor
 //! `fig3`/`fig5` binaries (default seed); the registry-driven renderers
-//! must reproduce them byte for byte. The `examples/scenarios/*.json`
-//! files are the user-facing custom-scenario examples from the README —
-//! they must parse, run on their backend, and be seed-stable.
+//! must reproduce them byte for byte. `tests/golden/dse_smoke.json` is the
+//! exact stdout of `chiplet-scenario dse dse_smoke --json --no-cache`. The
+//! `examples/scenarios/*.json` files are the user-facing custom-scenario
+//! examples from the README — they must parse, run on their backend, and
+//! be seed-stable.
 
+use chiplet_bench::scenarios::dse::dse_smoke;
 use chiplet_bench::scenarios::{render_named, render_named_with_metrics};
+use chiplet_net::dse::DseRunner;
 use chiplet_net::metrics::MetricsRegistry;
-use chiplet_net::scenario::{BackendKind, ScenarioSpec};
+use chiplet_net::scenario::{BackendKind, ScenarioSpec, SweepPoint, SweepRunner};
 
 const FIG3_GOLDEN: &str = include_str!("../../../tests/golden/fig3.txt");
 const FIG5_GOLDEN: &str = include_str!("../../../tests/golden/fig5.txt");
 const FIG5_METRICS_GOLDEN: &str = include_str!("../../../tests/golden/fig5_metrics.txt");
+const DSE_SMOKE_GOLDEN: &str = include_str!("../../../tests/golden/dse_smoke.json");
 const EVENT_EXAMPLE: &str = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
 const FLUID_EXAMPLE: &str = include_str!("../../../examples/scenarios/link_share.json");
 
@@ -40,6 +45,53 @@ fn fig3_matches_the_pre_refactor_binary() {
     // The slowest snapshot (~20 s unoptimized): the full loaded-latency
     // sweep of Figure 3 on both platforms.
     assert_eq!(render_named("fig3"), FIG3_GOLDEN);
+}
+
+#[test]
+fn dse_smoke_matches_the_pinned_report() {
+    // Pins every candidate hash and derived seed on the frontier plus the
+    // escalated reports: a change that moved them all alike at every job
+    // count would still pass a jobs-1-vs-jobs-N diff, but not this.
+    for jobs in [1, 4] {
+        let (outcome, _) = DseRunner::with_jobs(jobs)
+            .run(&dse_smoke())
+            .expect("dse_smoke runs");
+        assert_eq!(
+            format!("{}\n", outcome.to_json()),
+            DSE_SMOKE_GOLDEN,
+            "jobs {jobs}"
+        );
+    }
+}
+
+#[test]
+fn dse_smoke_frontier_rebuilds_expand_points_by_index() {
+    // The search keeps only hashes and scores per candidate and rebuilds the
+    // frontier's labels and specs by index: each must be `expand()`'s
+    // candidate with that hash, and rerunning those candidates must
+    // reproduce the escalation.
+    let search = dse_smoke();
+    let (outcome, _) = DseRunner::with_jobs(2)
+        .run(&search)
+        .expect("dse_smoke runs");
+    let points = search.expand().expect("dse_smoke expands");
+    let frontier: Vec<SweepPoint> = outcome
+        .frontier
+        .iter()
+        .map(|f| {
+            let p = points
+                .iter()
+                .find(|p| p.hash == f.hash)
+                .expect("a candidate");
+            assert_eq!(p.label, f.label);
+            p.clone()
+        })
+        .collect();
+    let escalated = frontier.into_iter().take(outcome.escalation.points.len());
+    let (rerun, _) = SweepRunner::default()
+        .run_points(&outcome.escalation.sweep, escalated.collect())
+        .expect("escalation reruns");
+    assert_eq!(rerun, outcome.escalation);
 }
 
 #[test]

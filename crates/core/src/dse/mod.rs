@@ -12,6 +12,12 @@
 //! and only that frontier escalates to full event-engine runs through the
 //! content-cached parallel [`SweepRunner`].
 //!
+//! [`DseRunner`] never materialises the candidate list: each worker takes a
+//! flat candidate index, decodes its axis settings, builds and seals the
+//! spec, scores it, and keeps only the score and content hash. Labels and
+//! full specs are rebuilt by index for the frontier and the escalated
+//! designs alone.
+//!
 //! Determinism end to end: candidates carry the sweep layer's
 //! content-hash-derived seeds, the estimator is pure arithmetic, frontier
 //! order is a total order over (metrics, hash), and the escalation reuses
@@ -32,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::metrics::{MetricKind, MetricsRegistry};
 use crate::scenario::{
-    fnv1a64, parallel_ordered, splitmix64, ScenarioError, ScenarioSpec, SweepOutcome, SweepPoint,
+    parallel_ordered, seal_spec, ScenarioError, ScenarioSpec, SweepOutcome, SweepPoint,
     SweepRunner, SweepStats, TopologyChoice,
 };
 
@@ -142,42 +148,53 @@ impl DseAxis {
         }
     }
 
-    /// Applies setting `idx` to a platform under construction.
-    fn apply(&self, idx: usize, p: &mut PlatformSpec) -> Result<(), ScenarioError> {
+    /// Rejects setting `idx` when it cannot apply to any platform.
+    fn check(&self, idx: usize) -> Result<(), ScenarioError> {
+        let multiplier = |axis: &str, s: f64| {
+            if s.is_finite() && s > 0.0 {
+                Ok(())
+            } else {
+                invalid(format!("{axis} axis: invalid multiplier {s}"))
+            }
+        };
+        match self {
+            DseAxis::Platform { values } => TopologyChoice::Named(values[idx].clone())
+                .platform()
+                .map(drop),
+            DseAxis::GmiScale { values } => multiplier("gmi_scale", values[idx]),
+            DseAxis::NocScale { values } => multiplier("noc_scale", values[idx]),
+            DseAxis::UmcScale { values } => multiplier("umc_scale", values[idx]),
+            _ => Ok(()),
+        }
+    }
+
+    /// Applies setting `idx`, already passed by [`DseAxis::check`], to a
+    /// platform under construction.
+    fn apply(&self, idx: usize, p: &mut PlatformSpec) {
         fn scale(b: &mut Bandwidth, s: f64) {
             *b = Bandwidth::from_gb_per_s(b.as_gb_per_s() * s);
         }
         match self {
             DseAxis::Platform { values } => {
-                *p = TopologyChoice::Named(values[idx].clone()).platform()?;
+                *p = TopologyChoice::Named(values[idx].clone())
+                    .platform()
+                    .expect("presets are checked before expansion");
             }
             DseAxis::CcdCount { values } => p.ccd_count = values[idx],
             DseAxis::QuadrantGrid { values } => p.quadrant_grid = values[idx],
             DseAxis::DiagonalExpress { values } => p.noc.diagonal_express = values[idx],
             DseAxis::GmiScale { values } => {
-                let s = values[idx];
-                if !(s.is_finite() && s > 0.0) {
-                    return invalid(format!("gmi_scale axis: invalid multiplier {s}"));
-                }
-                scale(&mut p.caps.gmi_read, s);
-                scale(&mut p.caps.gmi_write, s);
+                scale(&mut p.caps.gmi_read, values[idx]);
+                scale(&mut p.caps.gmi_write, values[idx]);
             }
             DseAxis::NocScale { values } => {
-                let s = values[idx];
-                if !(s.is_finite() && s > 0.0) {
-                    return invalid(format!("noc_scale axis: invalid multiplier {s}"));
-                }
-                scale(&mut p.caps.noc_read, s);
-                scale(&mut p.caps.noc_write, s);
+                scale(&mut p.caps.noc_read, values[idx]);
+                scale(&mut p.caps.noc_write, values[idx]);
             }
             DseAxis::UmcCount { values } => p.mem.umc_count = values[idx],
             DseAxis::UmcScale { values } => {
-                let s = values[idx];
-                if !(s.is_finite() && s > 0.0) {
-                    return invalid(format!("umc_scale axis: invalid multiplier {s}"));
-                }
-                scale(&mut p.mem.umc_read_bw, s);
-                scale(&mut p.mem.umc_write_bw, s);
+                scale(&mut p.mem.umc_read_bw, values[idx]);
+                scale(&mut p.mem.umc_write_bw, values[idx]);
             }
             DseAxis::CxlDevices { values } => {
                 let n = values[idx];
@@ -198,7 +215,6 @@ impl DseAxis {
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -241,64 +257,115 @@ impl DseSpec {
     /// are [`SweepPoint`]s — same content-hash and derived-seed scheme as
     /// sweep expansion — so the escalation path shares the sweep cache
     /// namespace and results never depend on execution order.
+    /// [`DseRunner::run`] builds the same candidates one index at a time.
     pub fn expand(&self) -> Result<Vec<SweepPoint>, ScenarioError> {
-        if self.axes.is_empty() {
-            return invalid(format!("search '{}' has no axes", self.name));
+        let space = self.candidates()?;
+        Ok((0..space.len).map(|i| space.point(i)).collect())
+    }
+
+    /// Validates the search and returns its per-index candidate builder.
+    /// An invalid axis setting fails the whole search, whatever budget a
+    /// run sets, with the error the expansion order meets first.
+    pub fn candidates(&self) -> Result<Candidates<'_>, ScenarioError> {
+        Candidates::new(self)
+    }
+}
+
+/// A validated search that builds any candidate from its flat index in the
+/// expansion order, so no caller has to hold every candidate at once.
+#[derive(Debug)]
+pub struct Candidates<'a> {
+    search: &'a DseSpec,
+    base_platform: PlatformSpec,
+    base_seed: u64,
+    /// Number of candidates: the product of the axis lengths.
+    len: usize,
+}
+
+impl<'a> Candidates<'a> {
+    /// Checks the search shape, its size limit, the base platform, and
+    /// every axis setting once.
+    fn new(search: &'a DseSpec) -> Result<Self, ScenarioError> {
+        if search.axes.is_empty() {
+            return invalid(format!("search '{}' has no axes", search.name));
         }
-        let mut total = 1usize;
-        for (a, axis) in self.axes.iter().enumerate() {
+        let mut len = 1usize;
+        for (a, axis) in search.axes.iter().enumerate() {
             if axis.is_empty() {
-                return invalid(format!("search '{}': axis {a} has no values", self.name));
+                return invalid(format!("search '{}': axis {a} has no values", search.name));
             }
-            total = total.saturating_mul(axis.len());
+            len = len.saturating_mul(axis.len());
         }
-        let max_candidates = self.max_candidates.unwrap_or(MAX_CANDIDATES);
-        if total > max_candidates {
+        let max_candidates = search.max_candidates.unwrap_or(MAX_CANDIDATES);
+        if len > max_candidates {
             return invalid(format!(
-                "search '{}' expands to {total} candidates (max_candidates limit \
+                "search '{}' expands to {len} candidates (max_candidates limit \
                  {max_candidates}); raise `max_candidates` on the search to allow more",
-                self.name
+                search.name
             ));
         }
-        let base_platform = self.base.topology.platform()?;
-        let base_seed = self.base.seed_or_default();
-        let mut points = Vec::with_capacity(total);
-        let mut idx = vec![0usize; self.axes.len()];
-        loop {
-            let mut platform = base_platform.clone();
-            let mut labels = Vec::with_capacity(self.axes.len());
-            for (axis, &i) in self.axes.iter().zip(&idx) {
-                axis.apply(i, &mut platform)?;
-                labels.push(axis.label(i));
-            }
-            let label = labels.join(" ");
-            let mut spec = self.base.clone();
-            spec.topology = TopologyChoice::Inline(platform);
-            spec.name = format!("{} [{label}]", self.name);
-            // Same two-pass scheme as sweep expansion: hash the content
-            // before the derived seed is written, then hash the final spec.
-            let key_hash = fnv1a64(spec.to_json().as_bytes());
-            spec.seed = Some(splitmix64(base_seed ^ key_hash));
-            let hash = format!("{:016x}", fnv1a64(spec.to_json().as_bytes()));
-            points.push(SweepPoint { label, spec, hash });
-
-            // Odometer increment, last axis fastest.
-            let mut carry = true;
-            for (i, axis) in self.axes.iter().enumerate().rev() {
-                if !carry {
-                    break;
-                }
-                idx[i] += 1;
-                carry = idx[i] == axis.len();
-                if carry {
-                    idx[i] = 0;
-                }
-            }
-            if carry {
-                break;
-            }
+        let base_platform = search.base.topology.platform()?;
+        // The first failing candidate is candidate 0 when some axis fails
+        // at its first setting (the first such axis reports); otherwise it
+        // varies only the innermost axis with a failing setting.
+        let first_bad: Vec<(usize, ScenarioError)> = search
+            .axes
+            .iter()
+            .filter_map(|axis| (0..axis.len()).find_map(|i| Some((i, axis.check(i).err()?))))
+            .collect();
+        if let Some((_, e)) = first_bad.iter().find(|(i, _)| *i == 0).or(first_bad.last()) {
+            return Err(e.clone());
         }
-        Ok(points)
+        Ok(Candidates {
+            search,
+            base_platform,
+            base_seed: search.base.seed_or_default(),
+            len,
+        })
+    }
+
+    /// Axis setting indices of candidate `i`: mixed radix, last axis fastest.
+    fn settings(&self, mut i: usize) -> Vec<usize> {
+        assert!(i < self.len, "candidate {i} of {}", self.len);
+        let mut idx = vec![0; self.search.axes.len()];
+        for (slot, axis) in idx.iter_mut().zip(&self.search.axes).rev() {
+            *slot = i % axis.len();
+            i /= axis.len();
+        }
+        idx
+    }
+
+    /// The `key=value` label of candidate `i`.
+    fn label(&self, i: usize) -> String {
+        let axes = self.search.axes.iter().zip(self.settings(i));
+        axes.map(|(axis, k)| axis.label(k))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// Builds candidate `i`: its label, its spec with the derived seed
+    /// written, and its content hash.
+    fn build(&self, i: usize) -> (String, ScenarioSpec, u64) {
+        let mut platform = self.base_platform.clone();
+        for (axis, k) in self.search.axes.iter().zip(self.settings(i)) {
+            axis.apply(k, &mut platform);
+        }
+        let label = self.label(i);
+        let mut spec = self.search.base.clone();
+        spec.topology = TopologyChoice::Inline(platform);
+        spec.name = format!("{} [{label}]", self.search.name);
+        let hash = seal_spec(&mut spec, self.base_seed);
+        (label, spec, hash)
+    }
+
+    /// Candidate `i` as a sweep point: `expand()[i]`.
+    pub fn point(&self, i: usize) -> SweepPoint {
+        let (label, spec, hash) = self.build(i);
+        SweepPoint {
+            label,
+            spec,
+            hash: format!("{hash:016x}"),
+        }
     }
 }
 
@@ -393,35 +460,32 @@ impl DseRunner {
     /// Expands, scores, extracts the frontier, and escalates. The outcome
     /// is byte-identical for any worker count.
     pub fn run(&self, spec: &DseSpec) -> Result<(DseOutcome, DseStats), ScenarioError> {
-        let mut points = spec.expand()?;
-        if let Some(budget) = self.budget {
-            points.truncate(budget);
-        }
-        let candidates = points.len();
+        let space = spec.candidates()?;
+        let candidates = self.budget.map_or(space.len, |b| b.min(space.len));
 
-        // Score every candidate in parallel. Estimator failures mean the
-        // workload does not map onto that design (e.g. a flow pinned to
-        // CCD 7 on a 4-CCD candidate) — count them, don't fail the search.
+        // Build, hash and score every candidate in one parallel pass, keeping
+        // only its scores and hash. Estimator failures mean the workload
+        // does not map onto that design (e.g. a flow pinned to CCD 7 on a
+        // 4-CCD candidate) — count them, don't fail the search.
         let spent_ns = AtomicU64::new(0);
-        let estimates = parallel_ordered(&points, self.jobs, |_, point| {
+        let indices: Vec<usize> = (0..candidates).collect();
+        let scores = parallel_ordered(&indices, self.jobs, |_, &i| {
+            let (_, design, hash) = space.build(i);
             let started = std::time::Instant::now();
-            let est = estimate_design(&point.spec);
+            let est = estimate_design(&design);
             spent_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            est.ok()
-        });
-
-        let mut scored_idx: Vec<usize> = Vec::with_capacity(points.len());
-        let mut pareto_points: Vec<ParetoPoint> = Vec::with_capacity(points.len());
-        for (i, est) in estimates.iter().enumerate() {
-            let Some(est) = est else { continue };
-            scored_idx.push(i);
-            pareto_points.push(ParetoPoint {
+            est.ok().map(|est| ParetoPoint {
                 latency_ns: est.latency_ns,
                 bandwidth_gb_s: est.bandwidth_gb_s,
                 cost: est.cost,
-                hash: u64::from_str_radix(&points[i].hash, 16).expect("hashes are 16 hex digits"),
-            });
-        }
+                hash,
+            })
+        });
+        let (scored_idx, pareto_points): (Vec<usize>, Vec<ParetoPoint>) = scores
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, p)| Some((i, p?)))
+            .unzip();
         let scored = scored_idx.len();
         let infeasible = candidates - scored;
 
@@ -429,13 +493,13 @@ impl DseRunner {
         let frontier: Vec<FrontierEntry> = frontier_local
             .iter()
             .map(|&k| {
-                let i = scored_idx[k];
+                let p = &pareto_points[k];
                 FrontierEntry {
-                    label: points[i].label.clone(),
-                    hash: points[i].hash.clone(),
-                    latency_ns: pareto_points[k].latency_ns,
-                    bandwidth_gb_s: pareto_points[k].bandwidth_gb_s,
-                    cost: pareto_points[k].cost,
+                    label: space.label(scored_idx[k]),
+                    hash: format!("{:016x}", p.hash),
+                    latency_ns: p.latency_ns,
+                    bandwidth_gb_s: p.bandwidth_gb_s,
+                    cost: p.cost,
                 }
             })
             .collect();
@@ -445,7 +509,7 @@ impl DseRunner {
         let escalated: Vec<SweepPoint> = frontier_local
             .iter()
             .take(escalate)
-            .map(|&k| points[scored_idx[k]].clone())
+            .map(|&k| space.point(scored_idx[k]))
             .collect();
         let sweep_runner = SweepRunner {
             jobs: self.jobs,
@@ -589,10 +653,21 @@ mod tests {
         let search = small_search();
         let a = search.expand().unwrap();
         let b = search.expand().unwrap();
-        assert_eq!(a.len(), 6);
         assert_eq!(a, b);
-        assert_eq!(a[0].label, "ccd=2 gmi_scale=0.5");
-        assert_eq!(a[5].label, "ccd=12 gmi_scale=1");
+        // First axis outermost, last fastest.
+        let labels: Vec<&str> = a.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "ccd=2 gmi_scale=0.5",
+                "ccd=2 gmi_scale=1",
+                "ccd=4 gmi_scale=0.5",
+                "ccd=4 gmi_scale=1",
+                "ccd=12 gmi_scale=0.5",
+                "ccd=12 gmi_scale=1",
+            ]
+        );
+        assert_eq!(a[5].spec.name, "unit_search [ccd=12 gmi_scale=1]");
         // Distinct designs hash (and therefore seed) differently.
         let hashes: std::collections::BTreeSet<_> = a.iter().map(|p| p.hash.clone()).collect();
         assert_eq!(hashes.len(), 6);
@@ -662,6 +737,103 @@ mod tests {
         let budget_hashes: Vec<_> = outcome.frontier.iter().map(|f| f.hash.clone()).collect();
         for h in &budget_hashes {
             assert!(full[..3].iter().any(|p| &p.hash == h));
+        }
+    }
+
+    #[test]
+    fn frontier_and_escalation_rebuild_expand_points_by_index() {
+        // Each frontier entry names `expand()`'s candidate with the same
+        // hash and label, and rerunning those candidates reproduces the
+        // escalation, so the rebuilt specs match too.
+        let search = small_search();
+        let points = search.expand().unwrap();
+        for jobs in [1, 4] {
+            let (outcome, _) = DseRunner::with_jobs(jobs).run(&search).unwrap();
+            let frontier: Vec<SweepPoint> = outcome
+                .frontier
+                .iter()
+                .map(|f| {
+                    let p = points.iter().find(|p| p.hash == f.hash).unwrap();
+                    assert_eq!(p.label, f.label);
+                    p.clone()
+                })
+                .collect();
+            let escalated = frontier.into_iter().take(2).collect();
+            let (rerun, _) = SweepRunner::default()
+                .run_points(&outcome.escalation.sweep, escalated)
+                .unwrap();
+            assert_eq!(outcome.escalation.points.len(), 2);
+            assert_eq!(rerun, outcome.escalation);
+        }
+    }
+
+    #[test]
+    fn invalid_axis_settings_fail_the_search_whatever_the_budget() {
+        let unknown = "unknown platform 'epyc_9999' (expected epyc_7302, epyc_9634, \
+                       dual_epyc_7302, monolithic, or epyc_9634_nic)";
+        let platforms = |v: &[&str]| DseAxis::Platform {
+            values: v.iter().map(|s| s.to_string()).collect(),
+        };
+        // The expected messages are the ones the expansion order meets
+        // first: candidate 0 when any axis fails at its first setting,
+        // else the candidate varying only the innermost failing axis.
+        let cases = [
+            (
+                vec![
+                    DseAxis::CcdCount { values: vec![2, 4] },
+                    DseAxis::GmiScale {
+                        values: vec![1.0, 0.0],
+                    },
+                ],
+                "gmi_scale axis: invalid multiplier 0",
+            ),
+            (
+                vec![
+                    DseAxis::GmiScale {
+                        values: vec![1.0, f64::NAN],
+                    },
+                    DseAxis::NocScale {
+                        values: vec![1.0, -1.0],
+                    },
+                ],
+                "noc_scale axis: invalid multiplier -1",
+            ),
+            (vec![platforms(&["epyc_9634", "epyc_9999"])], unknown),
+            (
+                vec![
+                    platforms(&["epyc_9999"]),
+                    DseAxis::UmcScale { values: vec![0.0] },
+                ],
+                unknown,
+            ),
+            (
+                vec![
+                    platforms(&["epyc_7302", "epyc_9999"]),
+                    DseAxis::UmcScale {
+                        values: vec![f64::NAN],
+                    },
+                ],
+                "umc_scale axis: invalid multiplier NaN",
+            ),
+        ];
+        for (axes, want) in cases {
+            let search = DseSpec {
+                axes,
+                ..small_search()
+            };
+            let want = ScenarioError::Invalid(want.into());
+            assert_eq!(search.expand().unwrap_err(), want);
+            for jobs in [1, 4] {
+                for budget in [None, Some(1)] {
+                    let runner = DseRunner {
+                        jobs,
+                        cache_dir: None,
+                        budget,
+                    };
+                    let err = runner.run(&search).unwrap_err();
+                    assert_eq!(err, want, "jobs {jobs}, budget {budget:?}");
+                }
+            }
         }
     }
 

@@ -267,12 +267,7 @@ impl SweepSpec {
             }
             let label = labels.join(" ");
             spec.name = format!("{} [{label}]", self.name);
-            // Derive the point seed from the base seed and the point's
-            // content (hashed before the derived seed is written, to avoid
-            // the fixed point chasing itself).
-            let key_hash = fnv1a64(spec.to_json().as_bytes());
-            spec.seed = Some(splitmix64(base_seed ^ key_hash));
-            let hash = format!("{:016x}", fnv1a64(spec.to_json().as_bytes()));
+            let hash = format!("{:016x}", seal_spec(&mut spec, base_seed));
             points.push(SweepPoint { label, spec, hash });
 
             // Odometer increment, last axis fastest.
@@ -297,12 +292,45 @@ impl SweepSpec {
 
 /// FNV-1a 64-bit — stable across platforms and runs, unlike `DefaultHasher`.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64-bit hash whose state after the earlier bytes is `h`.
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Seals an expanded point: writes its derived seed and returns its content
+/// hash — the one derivation sweep and DSE expansion share.
+///
+/// The seed is mixed from `base_seed` and the FNV-1a hash of the spec's
+/// JSON as it stands (hashed before the derived seed is written, so the
+/// fixed point does not chase itself); the content hash is FNV-1a over the
+/// JSON with the derived seed in place, so `spec_hash(spec)` equals the
+/// result. Both texts differ only in the top-level `"seed"` value, so one
+/// serialization serves both: the hash state after the shared prefix is
+/// continued once with the old value and once with the new.
+pub(crate) fn seal_spec(spec: &mut ScenarioSpec, base_seed: u64) -> u64 {
+    let json = spec.to_json();
+    // A real newline plus two spaces only starts a top-level field: string
+    // contents escape their newlines, and nested fields indent deeper.
+    const FIELD: &str = "\n  \"seed\": ";
+    let start = json
+        .find(FIELD)
+        .expect("specs always serialize a top-level seed")
+        + FIELD.len();
+    // The value is `null` or an integer, and later fields follow it.
+    let end = start + json[start..].find(',').expect("seed is not the last field");
+    let bytes = json.as_bytes();
+    let prefix = fnv1a64(&bytes[..start]);
+    let seed = splitmix64(base_seed ^ fnv1a64_from(prefix, &bytes[start..]));
+    spec.seed = Some(seed);
+    let h = fnv1a64_from(prefix, seed.to_string().as_bytes());
+    fnv1a64_from(h, &bytes[end..])
 }
 
 /// SplitMix64 finalizer: turns structured hash input into a well-mixed seed.

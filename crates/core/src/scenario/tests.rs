@@ -197,7 +197,7 @@ mod json_roundtrip_props {
     use crate::traffic::TrafficPolicy;
 
     fn arb_name() -> impl Strategy<Value = String> {
-        (0usize..6).prop_map(|i| {
+        (0usize..8).prop_map(|i| {
             [
                 "probe",
                 "rx burst",
@@ -205,6 +205,9 @@ mod json_roundtrip_props {
                 "λ-flow",
                 "",
                 "with \"quotes\"\n",
+                // Look like the top-level seed field the hash splits at.
+                "\n  \"seed\": 7,\n  \"seed\": null,",
+                "\"seed\": ",
             ][i]
                 .to_string()
         })
@@ -434,6 +437,30 @@ mod json_roundtrip_props {
             prop_assert_eq!(&back, &spec);
             prop_assert_eq!(back.to_json(), json);
         }
+
+        /// The one-serialization seal derives the same seed and content
+        /// hash as the two-pass reference, whatever the spec holds.
+        #[test]
+        fn sealing_matches_the_two_pass_derivation(
+            spec in arb_spec(),
+            base_seed in 0u64..=u64::MAX,
+        ) {
+            let mut sealed = spec.clone();
+            let mut reference = spec;
+            let hash = seal_spec(&mut sealed, base_seed);
+            prop_assert_eq!(hash, two_pass_seal(&mut reference, base_seed));
+            prop_assert_eq!(&sealed, &reference);
+            prop_assert_eq!(spec_hash(&sealed), format!("{hash:016x}"));
+        }
+    }
+
+    /// The derivation [`seal_spec`] replaces, kept as its reference: hash
+    /// the JSON before the derived seed is written, mix the seed in, then
+    /// hash the final JSON.
+    fn two_pass_seal(spec: &mut ScenarioSpec, base_seed: u64) -> u64 {
+        let key_hash = fnv1a64(spec.to_json().as_bytes());
+        spec.seed = Some(splitmix64(base_seed ^ key_hash));
+        fnv1a64(spec.to_json().as_bytes())
     }
 }
 

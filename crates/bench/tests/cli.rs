@@ -67,6 +67,35 @@ fn run_invalid_spec_fails_cleanly() {
 }
 
 #[test]
+fn run_horizon_within_warmup_fails_cleanly() {
+    // A horizon at or below the statistics warmup is a typed spec error
+    // (exit 1), never the engine's horizon assertion (exit 101).
+    let example = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
+    for (name, from, to) in [
+        (
+            "short-horizon.json",
+            "\"horizon\": 40000",
+            "\"horizon\": 1000",
+        ),
+        (
+            "long-warmup.json",
+            "\"policy\"",
+            "\"engine\": {\"warmup\": 50000}, \"policy\"",
+        ),
+    ] {
+        let path = scratch(name);
+        assert!(example.contains(from));
+        std::fs::write(&path, example.replacen(from, to, 1)).unwrap();
+        let out = scenario_cli(&["run", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = stderr_of(&out);
+        assert!(err.contains("must exceed the statistics warmup"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
 fn run_unknown_name_fails_cleanly() {
     let out = scenario_cli(&["run", "fig99"]);
     assert!(!out.status.success());

@@ -4,21 +4,27 @@
 //! The `tests/golden/*.txt` files are the exact stdout of the pre-refactor
 //! `fig3`/`fig5` binaries (default seed); the registry-driven renderers
 //! must reproduce them byte for byte. `tests/golden/dse_smoke.json` is the
-//! exact stdout of `chiplet-scenario dse dse_smoke --json --no-cache`. The
+//! exact stdout of `chiplet-scenario dse dse_smoke --json --no-cache`.
+//! `tests/golden/fig3_sweep.json` and `tests/golden/ccd_vs_cxl.json` pin
+//! the event engine's bytes: the exact stdout of `chiplet-scenario sweep
+//! fig3_sweep --json --no-cache` and of `chiplet-scenario run
+//! examples/scenarios/ccd_vs_cxl.json --json`. The
 //! `examples/scenarios/*.json` files are the user-facing custom-scenario
 //! examples from the README — they must parse, run on their backend, and
 //! be seed-stable.
 
 use chiplet_bench::scenarios::dse::dse_smoke;
-use chiplet_bench::scenarios::{render_named, render_named_with_metrics};
+use chiplet_bench::scenarios::{paper_registry, render_named, render_named_with_metrics};
 use chiplet_net::dse::DseRunner;
 use chiplet_net::metrics::MetricsRegistry;
-use chiplet_net::scenario::{BackendKind, ScenarioSpec, SweepPoint, SweepRunner};
+use chiplet_net::scenario::{BackendKind, ScenarioKind, ScenarioSpec, SweepPoint, SweepRunner};
 
 const FIG3_GOLDEN: &str = include_str!("../../../tests/golden/fig3.txt");
 const FIG5_GOLDEN: &str = include_str!("../../../tests/golden/fig5.txt");
 const FIG5_METRICS_GOLDEN: &str = include_str!("../../../tests/golden/fig5_metrics.txt");
 const DSE_SMOKE_GOLDEN: &str = include_str!("../../../tests/golden/dse_smoke.json");
+const FIG3_SWEEP_GOLDEN: &str = include_str!("../../../tests/golden/fig3_sweep.json");
+const CCD_VS_CXL_GOLDEN: &str = include_str!("../../../tests/golden/ccd_vs_cxl.json");
 const EVENT_EXAMPLE: &str = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
 const FLUID_EXAMPLE: &str = include_str!("../../../examples/scenarios/link_share.json");
 
@@ -45,6 +51,41 @@ fn fig3_matches_the_pre_refactor_binary() {
     // The slowest snapshot (~20 s unoptimized): the full loaded-latency
     // sweep of Figure 3 on both platforms.
     assert_eq!(render_named("fig3"), FIG3_GOLDEN);
+}
+
+#[test]
+fn fig3_sweep_matches_the_pinned_report() {
+    // 24 event-engine points: every queue push and rounded timestamp of the
+    // sequential loop feeds these bytes.
+    let ScenarioKind::Sweep(sweep) = (paper_registry()
+        .get("fig3_sweep")
+        .expect("registered")
+        .build)()
+    else {
+        panic!("fig3_sweep is a sweep");
+    };
+    let (outcome, _) = SweepRunner::with_jobs(2)
+        .run(&sweep)
+        .expect("fig3_sweep runs");
+    assert_eq!(format!("{}\n", outcome.to_json()), FIG3_SWEEP_GOLDEN);
+}
+
+#[test]
+fn ccd_vs_cxl_matches_the_pinned_report_and_metrics_digest() {
+    // RNG device jitter, exponential pacing and MaxMinFair on one run. The
+    // OpenMetrics dump (`run … --metrics F`) is ~1 MB, so it is pinned by
+    // length and FNV-1a 64 rather than committed.
+    let spec = ScenarioSpec::from_json(EVENT_EXAMPLE).expect("example parses");
+    let report = spec.run().expect("example runs");
+    assert_eq!(format!("{}\n", report.to_json()), CCD_VS_CXL_GOLDEN);
+    let mut metrics = MetricsRegistry::new();
+    let with_metrics = spec.run_with_metrics(&mut metrics).expect("example runs");
+    assert_eq!(with_metrics, report, "report is metrics-invariant");
+    let dump = metrics.to_openmetrics();
+    let fnv = dump.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!((dump.len(), fnv), (985_495, 0xd41b_f68a_a495_4ed6));
 }
 
 #[test]

@@ -189,6 +189,41 @@ fn bad_submissions_fail_cleanly() {
     server.shutdown();
 }
 
+#[test]
+fn hostile_horizon_gets_a_400_and_every_worker_survives() {
+    // A horizon inside the statistics warmup is a 400 every time, and no
+    // worker dies for it: a panicking worker answers 500 and leaves its
+    // single-flight entry behind, so a resubmission hangs. One hostile spec
+    // per worker (distinct seeds, so single-flight cannot fold them), each
+    // submitted twice, then four valid specs at once must all be served.
+    let server = spawn(None, 4096, 4096);
+    let addr = server.addr().to_string();
+    let example = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
+    let with_seed =
+        |spec: &str, seed: u64| spec.replacen("\"seed\": 7", &format!("\"seed\": {seed}"), 1);
+    let hostile = example.replacen("\"horizon\": 40000", "\"horizon\": 1000", 1);
+    for seed in 0..4 {
+        for _ in 0..2 {
+            let (status, text) =
+                http::fetch(&addr, "POST", "/v1/run", Some(&with_seed(&hostile, seed)))
+                    .expect("request");
+            assert_eq!(status, 400, "{text}");
+            assert!(text.contains("must exceed the statistics warmup"), "{text}");
+        }
+    }
+    let valid: Vec<_> = (0..4)
+        .map(|seed| {
+            let (addr, spec) = (addr.clone(), with_seed(example, seed));
+            std::thread::spawn(move || http::fetch(&addr, "POST", "/v1/run", Some(&spec)))
+        })
+        .collect();
+    for handle in valid {
+        let (status, text) = handle.join().expect("client thread").expect("request");
+        assert_eq!(status, 200, "{text}");
+    }
+    server.shutdown();
+}
+
 /// Reads the access log once it holds at least `want` lines (the daemon
 /// appends each line just after the response bytes reach the client, so a
 /// fresh reader can race the final append) and lints it.

@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 use chiplet_fabric::{Dir, DirectionalChannel, SlotLimiter};
 use chiplet_mem::{AccessOutcome, CacheHierarchy, DramServiceModel, Pattern};
 use chiplet_sim::stats::{BandwidthTrace, GaugeTrace, LatencyHistogram, SpanCollector};
+use chiplet_sim::time::ceil_to_u64;
 use chiplet_sim::{
     Bandwidth, ByteSize, DepthHistogram, DetRng, PhaseProfiler, SeriesHandle, SeriesKind,
     SimDuration, SimTime, WheelQueue,
@@ -216,7 +217,7 @@ enum Event {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Txn {
     flow: u32,
     core: u32,
@@ -1124,8 +1125,13 @@ impl<'t> Engine<'t> {
         }
     }
 
-    fn schedule_at(&mut self, ns: f64, now_ns: f64, ev: Event) {
-        let at = ns.max(now_ns).ceil() as u64;
+    /// Schedules `ev` at `ns` rounded up to the next whole nanosecond,
+    /// never before the event being handled (the queue's watermark).
+    /// Clamping after rounding lands on the same nanosecond as clamping
+    /// first, as the parallel engine does: ceil is monotone, `now` is
+    /// integral, and a NaN `ns` lands on `now` either way.
+    fn schedule_at(&mut self, ns: f64, ev: Event) {
+        let at = ceil_to_u64(ns).max(self.queue.now().as_nanos());
         self.queue.push(SimTime::from_nanos(at), ev);
     }
 
@@ -1150,7 +1156,7 @@ impl<'t> Engine<'t> {
             } else {
                 self.horizon_ns
             };
-            self.schedule_at(at, now_ns, Event::Issue { core });
+            self.schedule_at(at, Event::Issue { core });
             return;
         }
 
@@ -1265,7 +1271,7 @@ impl<'t> Engine<'t> {
         } else {
             self.horizon_ns
         };
-        self.schedule_at(at, now_ns, Event::Issue { core });
+        self.schedule_at(at, Event::Issue { core });
 
         self.advance_limiters(txn, now_ns);
     }
@@ -1321,7 +1327,7 @@ impl<'t> Engine<'t> {
                             now_ns,
                         );
                     }
-                    self.schedule_at(now_ns, now_ns, Event::Stage { txn });
+                    self.schedule_at(now_ns, Event::Stage { txn });
                     return;
                 }
             }
@@ -1465,10 +1471,10 @@ impl<'t> Engine<'t> {
         }
         if (stage_idx as usize) + 1 < n_stages {
             self.txns[txn as usize].stage += 1;
-            self.schedule_at(adm.depart_ns + extra, now_ns, Event::Stage { txn });
+            self.schedule_at(adm.depart_ns + extra, Event::Stage { txn });
         } else {
             let done = (issue_ns + unloaded_ns + waits_ns + extra_ns).max(adm.depart_ns);
-            self.schedule_at(done, now_ns, Event::Complete { txn });
+            self.schedule_at(done, Event::Complete { txn });
         }
     }
 
@@ -1487,11 +1493,11 @@ impl<'t> Engine<'t> {
         if has_limiters {
             if let Some(lims) = self.ccd_limiters.as_mut() {
                 if let Some(next) = lims[ccd as usize].release() {
-                    self.schedule_at(now_ns, now_ns, Event::Granted { txn: next });
+                    self.schedule_at(now_ns, Event::Granted { txn: next });
                 }
             }
             if let Some(next) = self.ccx_limiters[ccx as usize].release() {
-                self.schedule_at(now_ns, now_ns, Event::Granted { txn: next });
+                self.schedule_at(now_ns, Event::Granted { txn: next });
             }
         }
 
@@ -1605,12 +1611,12 @@ impl<'t> Engine<'t> {
             {
                 self.cores[core as usize].blocked_on_core = false;
                 self.cores[core as usize].attempt_scheduled = true;
-                self.schedule_at(now_ns, now_ns, Event::Issue { core });
+                self.schedule_at(now_ns, Event::Issue { core });
             }
             if let Some(waiter) = self.flow_hot[flow as usize].budget_blocked.pop() {
                 if !self.cores[waiter as usize].attempt_scheduled {
                     self.cores[waiter as usize].attempt_scheduled = true;
-                    self.schedule_at(now_ns, now_ns, Event::Issue { core: waiter });
+                    self.schedule_at(now_ns, Event::Issue { core: waiter });
                 }
             }
         }
@@ -1779,7 +1785,7 @@ impl<'t> Engine<'t> {
                 rekick
             };
             if rekick {
-                self.schedule_at(now_ns, now_ns, Event::Issue { core: issuer });
+                self.schedule_at(now_ns, Event::Issue { core: issuer });
             }
         }
     }

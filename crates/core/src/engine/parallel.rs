@@ -33,6 +33,7 @@ use std::sync::{Barrier, Mutex};
 
 use chiplet_fabric::{Dir, DirectionalChannel, SlotLimiter};
 use chiplet_mem::{DramServiceModel, OpKind, Pattern};
+use chiplet_sim::time::ceil_to_u64;
 use chiplet_sim::{DetRng, DomainScheduler, EventLog, LoggedPush, SimDuration, SimTime};
 use chiplet_topology::{Domain, LinkId};
 
@@ -137,7 +138,7 @@ impl Engine<'_> {
 /// transaction's record travels with it across domain boundaries, and only
 /// limiter-parked transactions occupy a slab slot (in their issuing CCD's
 /// shard, referenced by the slot id a [`PEvent::Granted`] wake carries).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum PEvent {
     Issue { core: u32 },
     Stage { txn: Txn },
@@ -274,7 +275,7 @@ impl Emitter<'_> {
     /// every event lands on the same integral nanosecond it would have in
     /// the sequential engine.
     fn schedule_at(&mut self, ns: f64, now_ns: f64, dest: u32, ev: PEvent) {
-        let at = ns.max(now_ns).ceil() as u64;
+        let at = ceil_to_u64(ns.max(now_ns));
         if at <= self.batch_t {
             assert_eq!(
                 dest, self.domain,

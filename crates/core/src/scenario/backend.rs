@@ -70,6 +70,12 @@ impl EventEngineBackend {
         cfg: EngineConfig,
     ) -> Result<(RunResult, Topology), ScenarioError> {
         let topo = spec.topology.resolve()?;
+        if spec.horizon.as_nanos() <= cfg.warmup.as_nanos() {
+            return Err(ScenarioError::Invalid(format!(
+                "horizon {} must exceed the statistics warmup {}",
+                spec.horizon, cfg.warmup
+            )));
+        }
         let mut engine = Engine::new(&topo, cfg);
         for flow in &spec.flows {
             engine.add_flow(spec.compile_flow(flow, &topo)?);

@@ -158,6 +158,24 @@ fn bad_specs_are_rejected_with_reasons() {
     let err = spec.run().unwrap_err();
     assert!(err.to_string().contains("no engine mapping"), "{err}");
 
+    // A horizon not past the statistics warmup (the default 2 µs, or an
+    // explicit one) — with and without metrics, which set their own config.
+    for (horizon_ns, warmup_ns) in [(1_000, None), (2_000, None), (40_000, Some(50_000))] {
+        let mut spec = event_spec();
+        spec.horizon = SimTime::from_nanos(horizon_ns);
+        spec.engine.as_mut().unwrap().warmup = warmup_ns.map(SimDuration::from_nanos);
+        let err = spec.run().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("must exceed the statistics warmup"),
+            "{err}"
+        );
+        let err = spec
+            .run_with_metrics(&mut crate::metrics::MetricsRegistry::new())
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+    }
+
     // CXL target on a platform without CXL.
     let mut spec = event_spec();
     spec.flows[0].engine.as_mut().unwrap().target = TargetSpec::Cxl(0);

@@ -69,7 +69,7 @@ pub struct DomainScheduler<E> {
     next_seq: u64,
 }
 
-impl<E> DomainScheduler<E> {
+impl<E: Copy> DomainScheduler<E> {
     /// A scheduler with `domains` lanes.
     pub fn new(domains: usize) -> Self {
         assert!(domains > 0, "at least one domain");

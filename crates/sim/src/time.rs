@@ -104,11 +104,7 @@ impl SimDuration {
     /// Constructs a duration from fractional nanoseconds, rounding to the
     /// nearest whole nanosecond. Negative inputs clamp to zero.
     pub fn from_nanos_f64(ns: f64) -> Self {
-        if ns <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration(ns.round() as u64)
-        }
+        SimDuration(round_to_u64(ns))
     }
 
     /// Raw nanoseconds.
@@ -135,6 +131,44 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
+}
+
+/// Exactly `x.ceil() as u64`, including its saturation (NaN and negatives
+/// → 0, +inf and values ≥ 2⁶⁴ → `u64::MAX`), without the floating-point
+/// `ceil`: on targets without SSE4.1 that is a library call, and the
+/// event engine rounds every scheduled timestamp through it.
+#[inline]
+pub fn ceil_to_u64(x: f64) -> u64 {
+    match nearest_even(x) {
+        Some((r, r_f64)) => r + u64::from(r_f64 < x),
+        // Negative, NaN, or already integral: truncation is the answer.
+        None => x as u64,
+    }
+}
+
+/// Exactly `x.round() as u64` (ties away from zero, saturating like
+/// [`ceil_to_u64`]) without the floating-point `round`.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    match nearest_even(x) {
+        // `x - r` is exact, so a tie shows as exactly one half.
+        Some((r, r_f64)) => r + u64::from(x - r_f64 == 0.5),
+        None => x as u64,
+    }
+}
+
+/// For `0 ≤ x < 2⁵²`, `x` rounded to the nearest integer (ties to even),
+/// as a `u64` and as an `f64`; `None` outside that range. Adding 2⁵² leaves
+/// the sum no fraction bits, so the addition itself rounds, and the integer
+/// is the difference of the bit patterns.
+#[inline]
+fn nearest_even(x: f64) -> Option<(u64, f64)> {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if !(0.0..TWO_POW_52).contains(&x) {
+        return None;
+    }
+    let y = x + TWO_POW_52;
+    Some((y.to_bits() - TWO_POW_52.to_bits(), y - TWO_POW_52))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -274,6 +308,39 @@ mod tests {
         assert_eq!(SimDuration::from_nanos_f64(1.4), SimDuration::from_nanos(1));
         assert_eq!(SimDuration::from_nanos_f64(1.6), SimDuration::from_nanos(2));
         assert_eq!(SimDuration::from_nanos_f64(-5.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_nanos_f64(2.5), SimDuration::from_nanos(3));
+        assert_eq!(SimDuration::from_nanos_f64(f64::NAN), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_nanos_f64(f64::INFINITY), SimDuration::MAX);
+    }
+
+    #[test]
+    fn integer_rounding_matches_float_rounding_at_the_edges() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            0.49999999999999994,
+            0.5,
+            1.5,
+            -0.5,
+            -1.5,
+            4503599627370495.5,     // 2^52 - 0.5
+            4503599627370497.0,     // 2^52 + 1
+            9007199254740993.0,     // 2^53 + 1 (rounds to 2^53)
+            18446744073709549568.0, // largest f64 below 2^64
+            18446744073709551616.0, // 2^64
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(ceil_to_u64(x), x.ceil() as u64, "ceil {x:e}");
+            assert_eq!(round_to_u64(x), x.round() as u64, "round {x:e}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the discrete-event core.
 
 use chiplet_sim::stats::{LatencyHistogram, Summary};
+use chiplet_sim::time::{ceil_to_u64, round_to_u64};
 use chiplet_sim::{Bandwidth, ByteSize, EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -131,5 +132,53 @@ proptest! {
         let tolerance = gb * 1.0 / t.as_nanos_f64() + 1e-9;
         prop_assert!((recovered - gb).abs() <= gb * tolerance + 0.01,
             "recovered {recovered} vs {gb}");
+    }
+}
+
+/// Both integer rounding helpers against the float operations they
+/// replace, reported with the input's bit pattern.
+fn assert_rounds_like_float(x: f64) {
+    let bits = x.to_bits();
+    assert_eq!(ceil_to_u64(x), x.ceil() as u64, "ceil of {x:e} ({bits:#x})");
+    assert_eq!(
+        round_to_u64(x),
+        x.round() as u64,
+        "round of {x:e} ({bits:#x})"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// Any bit pattern: NaNs of both signs, ±inf, ±0, subnormals, and the
+    /// half of all positive values that lie at or above 2⁶⁴.
+    #[test]
+    fn rounding_helpers_match_float_on_any_bits(bits in 0u64..=u64::MAX) {
+        assert_rounds_like_float(f64::from_bits(bits));
+    }
+
+    /// Every binade from 2⁻²⁴ to 2⁷⁶, both signs: fractions below one,
+    /// the 2⁵²–2⁵³ band where the fast path ends, and the 2⁶³–2⁶⁵
+    /// saturation edge.
+    #[test]
+    fn rounding_helpers_match_float_per_binade(
+        exp in 999u64..1100,
+        mantissa in 0u64..(1 << 52),
+        negative in prop::bool::ANY,
+    ) {
+        let sign = u64::from(negative) << 63;
+        assert_rounds_like_float(f64::from_bits(sign | exp << 52 | mantissa));
+    }
+
+    /// Integers, exact `.5` ties and their nearest neighbours up to 2⁵³ —
+    /// where ties-to-even and ties-away-from-zero disagree.
+    #[test]
+    fn rounding_helpers_match_float_at_ties(
+        k in 0u64..(1 << 53),
+        tie in prop::bool::ANY,
+        ulps in -2i64..=2,
+    ) {
+        let x = k as f64 + if tie { 0.5 } else { 0.0 };
+        assert_rounds_like_float(f64::from_bits(x.to_bits().wrapping_add_signed(ulps)));
     }
 }

@@ -58,23 +58,6 @@ fn bench_socket_wide(c: &mut Criterion) {
     });
 }
 
-fn bench_socket_wide_parallel(c: &mut Criterion) {
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    c.bench_function("engine/table3_socket_read_10us_9634_w4", |b| {
-        b.iter(|| {
-            // Four engine workers; on hosts without spare cores the engine
-            // clamps to the sequential path, so the bench stays honest.
-            let mut engine = Engine::new(&topo, EngineConfig::deterministic().with_workers(4));
-            engine.add_flow(
-                FlowSpec::reads("bw", topo.core_ids().collect(), Target::all_dimms(&topo))
-                    .working_set(ByteSize::from_gib(1))
-                    .build(&topo),
-            );
-            black_box(engine.run(SimTime::from_micros(10)))
-        })
-    });
-}
-
 fn bench_competing_flows(c: &mut Criterion) {
     let topo = Topology::build(&PlatformSpec::epyc_7302());
     c.bench_function("engine/fig4_two_flows_20us", |b| {
@@ -146,7 +129,6 @@ criterion_group!(
     bench_pointer_chase,
     bench_ccd_bandwidth,
     bench_socket_wide,
-    bench_socket_wide_parallel,
     bench_competing_flows,
     bench_bdp_adaptive,
     bench_profiled_run

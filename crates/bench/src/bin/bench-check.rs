@@ -97,8 +97,8 @@ fn main() -> ExitCode {
         }
         // Optional second envelope: a bench may pin `max_vs_before`, capping
         // the fresh mean against `before_mean_ns` — the mean recorded before
-        // the change the baseline documents. Used to bound the sequential
-        // path's overhead from the domain-parallel engine refactor.
+        // the change the baseline documents, so an engine row can never
+        // quietly fall back past the engine it replaced.
         let entry = benches.get(id);
         if let (Some(cap), Some(before)) = (
             entry

@@ -51,11 +51,8 @@ commands:
       [--metrics-all]      include volatile execution metrics in the dump
       [--profile]          print a wall-time phase breakdown to stderr
                            (file specs also get engine-level phase timers)
-      [--engine-workers N] event-engine worker threads (domain-parallel
-                           execution; output is byte-identical for any N)
   sweep <name|file.json>   expand and run a SweepSpec across worker threads
       [--jobs N]           worker threads (default: one per core)
-      [--engine-workers N] per-scenario engine threads, composed with --jobs
       [--no-cache]         skip the on-disk result cache
       [--cache-dir DIR]    cache directory (default: results/cache)
       [--json]             print the aggregate SweepOutcome as JSON
@@ -67,7 +64,6 @@ commands:
       [--jobs N]           scoring/escalation threads (default: one per core)
       [--budget N]         score only the first N candidates of the
                            deterministic expansion order
-      [--engine-workers N] engine threads for the escalated runs
       [--no-cache]         skip the on-disk cache for escalated runs
       [--cache-dir DIR]    cache directory (default: results/cache)
       [--json]             print the DseOutcome as JSON
@@ -270,27 +266,6 @@ fn emit_profile(opts: &Opts, prof: &PhaseProfiler) {
     }
 }
 
-/// Warns on stderr about every distinct parallel→sequential engine
-/// downgrade the run recorded: `--engine-workers N` (or a spec's
-/// `engine.workers`) asked for parallelism the engine could not soundly
-/// provide. Results are byte-identical either way — the warning is about
-/// lost speed, so it must not pass silently.
-fn warn_engine_fallbacks() {
-    let mut grouped: std::collections::BTreeMap<(usize, &'static str), usize> =
-        std::collections::BTreeMap::new();
-    for fb in chiplet_net::take_parallel_fallbacks() {
-        *grouped
-            .entry((fb.requested_workers, fb.reason))
-            .or_insert(0) += 1;
-    }
-    for ((workers, reason), runs) in grouped {
-        eprintln!(
-            "warning: {runs} engine run(s) requested {workers} workers but fell back \
-             to the sequential loop (reason: {reason}); output is identical, just not parallel"
-        );
-    }
-}
-
 fn sweep(target: &str, opts: &Opts) -> Result<(), String> {
     let mut prof = if opts.profile {
         PhaseProfiler::enabled()
@@ -486,15 +461,6 @@ fn dispatch() -> Result<(), String> {
             }
             "--metrics-all" => opts.metrics_all = true,
             "--profile" => opts.profile = true,
-            "--engine-workers" => {
-                let v = it.next().ok_or("--engine-workers needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--engine-workers needs a number, got '{v}'"))?;
-                // The engine reads this per run, so one env var covers every
-                // dispatch path (registry names, file specs, sweep points).
-                std::env::set_var("CHIPLET_ENGINE_WORKERS", n.max(1).to_string());
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             s if s.starts_with('-') && s != "-" => {
                 return Err(format!("unknown flag {s}\n{USAGE}"))
@@ -508,21 +474,9 @@ fn dispatch() -> Result<(), String> {
             Ok(())
         }
         ["show", name] => show(name),
-        ["run", target] => {
-            let result = run(target, &opts);
-            warn_engine_fallbacks();
-            result
-        }
-        ["sweep", target] => {
-            let result = sweep(target, &opts);
-            warn_engine_fallbacks();
-            result
-        }
-        ["dse", target] => {
-            let result = dse(target, &opts);
-            warn_engine_fallbacks();
-            result
-        }
+        ["run", target] => run(target, &opts),
+        ["sweep", target] => sweep(target, &opts),
+        ["dse", target] => dse(target, &opts),
         ["lint-metrics", path] => lint_metrics(path),
         _ => Err(USAGE.to_string()),
     }

@@ -336,13 +336,9 @@ fn run() -> Result<(), String> {
         horizon: SimTime::from_micros(args.horizon_us.max(5)),
         policy: Default::default(),
         engine: Some(EngineOptions {
-            warmup: None,
-            deterministic_memory: false,
             trace_window: Some(SimDuration::from_micros(args.window_us.max(1))),
             trace_sampling: Some(args.sampling.max(1)),
-            metrics_window: None,
-            profile_phases: None,
-            workers: None,
+            ..Default::default()
         }),
         fluid: None,
         flows: flows(&platform, &topo, &args.scenario)?,

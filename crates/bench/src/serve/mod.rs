@@ -112,9 +112,6 @@ struct Served {
     cached: bool,
     /// `executed`, `cache_hit`, or `dedup` — the span's disposition.
     disposition: &'static str,
-    /// The engine's parallel→sequential downgrade reason, when the
-    /// execution behind this point recorded one.
-    fallback: Option<String>,
 }
 
 /// The worker-side phase timestamps a point's reply carries back to the
@@ -276,7 +273,6 @@ impl ServeState {
                             json: Arc::new(report.to_json()),
                             cached: true,
                             disposition: "cache_hit",
-                            fallback: None,
                         }),
                     );
                     return;
@@ -304,11 +300,8 @@ impl ServeState {
         }
         let probed_ns = self.obs.now_ns();
         let hash = item.hash.clone();
-        // Engine fallbacks surface on the thread that called `run`, so a
-        // thread-local capture attributes them to exactly this point.
-        let (outcome, fallbacks) = chiplet_net::capture_parallel_fallbacks(|| item.spec.run());
+        let outcome = item.spec.run();
         let executed_ns = self.obs.now_ns();
-        let fallback = fallbacks.first().map(|f| f.reason.to_string());
         let served = match outcome {
             Ok(report) => {
                 let json = report.to_json();
@@ -320,7 +313,6 @@ impl ServeState {
                     json: Arc::new(json),
                     cached: false,
                     disposition: "executed",
-                    fallback: fallback.clone(),
                 })
             }
             Err(e) => Err(e.to_string()),
@@ -356,7 +348,6 @@ impl ServeState {
                             json: json.clone(),
                             cached: true,
                             disposition: "dedup",
-                            fallback: fallback.clone(),
                         }),
                     );
                 }
@@ -810,7 +801,6 @@ impl SpanDraft {
             status,
             outcome,
             "none",
-            None,
             now,
             PointTiming {
                 dequeued_ns: now,
@@ -824,14 +814,12 @@ impl SpanDraft {
     /// Seals the span — `done` stamped now, after the response bytes went
     /// out — and hands it to the observability plane. Timestamps are
     /// clamped monotone so the tiling invariant holds unconditionally.
-    #[allow(clippy::too_many_arguments)]
     fn finish(
         self,
         state: &ServeState,
         status: u16,
         outcome: &'static str,
         disposition: &'static str,
-        fallback: Option<String>,
         admitted_ns: u64,
         timing: PointTiming,
     ) {
@@ -857,7 +845,6 @@ impl SpanDraft {
             status,
             outcome,
             disposition,
-            fallback,
             accept_ns: t[0],
             parsed_ns: t[1],
             admitted_ns: t[2],
@@ -906,15 +893,7 @@ fn handle_run(
                 &format!("{}\n", served.json),
                 &[("X-Request-Id", &rid)],
             );
-            draft.finish(
-                state,
-                200,
-                "ok",
-                served.disposition,
-                served.fallback,
-                admitted_ns,
-                timing,
-            );
+            draft.finish(state, 200, "ok", served.disposition, admitted_ns, timing);
             r
         }
         Ok((timing, Err(msg))) => {
@@ -925,7 +904,7 @@ fn handle_run(
                 &json_error(&msg),
                 &[("X-Request-Id", &rid)],
             );
-            draft.finish(state, 400, "error", "none", None, admitted_ns, timing);
+            draft.finish(state, 400, "error", "none", admitted_ns, timing);
             r
         }
         Err(_) => {
@@ -942,7 +921,6 @@ fn handle_run(
                 500,
                 "error",
                 "none",
-                None,
                 admitted_ns,
                 PointTiming {
                     dequeued_ns: now,
@@ -1051,7 +1029,6 @@ fn collect_sweep(
     };
     let mut results = Vec::with_capacity(points.len());
     let (mut executed_n, mut cached_n) = (0usize, 0usize);
-    let mut fallback: Option<String> = None;
     for (point, rx) in points.iter().zip(receivers) {
         let served = match rx.recv() {
             Ok((_, Ok(s))) => s,
@@ -1069,7 +1046,6 @@ fn collect_sweep(
                     400,
                     "error",
                     sweep_disposition(executed_n, cached_n),
-                    fallback,
                     admitted_ns,
                     t,
                 );
@@ -1089,7 +1065,6 @@ fn collect_sweep(
                     500,
                     "error",
                     sweep_disposition(executed_n, cached_n),
-                    fallback,
                     admitted_ns,
                     t,
                 );
@@ -1100,9 +1075,6 @@ fn collect_sweep(
             cached_n += 1;
         } else {
             executed_n += 1;
-        }
-        if fallback.is_none() {
-            fallback = served.fallback.clone();
         }
         let report = match ScenarioReport::from_json(&served.json) {
             Ok(r) => r,
@@ -1120,7 +1092,6 @@ fn collect_sweep(
                     500,
                     "error",
                     sweep_disposition(executed_n, cached_n),
-                    fallback,
                     admitted_ns,
                     t,
                 );
@@ -1150,7 +1121,6 @@ fn collect_sweep(
         200,
         "ok",
         sweep_disposition(executed_n, cached_n),
-        fallback,
         admitted_ns,
         timing,
     );
@@ -1172,7 +1142,6 @@ fn stream_sweep(
     let rid = draft.request_id();
     let total = points.len();
     let (mut cached, mut executed, mut failed) = (0usize, 0usize, 0usize);
-    let mut fallback: Option<String> = None;
     let mut executed_ns = admitted_ns;
     // The response interleaves with execution; completing the span even
     // when the client hangs up mid-stream is why the body writes live in
@@ -1198,9 +1167,6 @@ fn stream_sweep(
                         cached += 1;
                     } else {
                         executed += 1;
-                    }
-                    if fallback.is_none() {
-                        fallback = s.fallback.clone();
                     }
                     let mut fields = head;
                     fields.push(("cached", jbool(s.cached)));
@@ -1249,7 +1215,6 @@ fn stream_sweep(
         200,
         outcome,
         sweep_disposition(executed, cached),
-        fallback,
         admitted_ns,
         PointTiming {
             dequeued_ns: admitted_ns,

@@ -109,9 +109,6 @@ pub struct ServeSpan {
     /// (served by the single-flight leader), `mixed` (sweep with differing
     /// point dispositions), or `none` (no result was produced).
     pub disposition: &'static str,
-    /// The engine's parallel→sequential downgrade reason, when the
-    /// execution behind this request recorded one.
-    pub fallback: Option<String>,
     /// Connection accepted.
     pub accept_ns: u64,
     /// Submission parsed and resolved.
@@ -186,13 +183,6 @@ impl ServeSpan {
             ("status", jnum(self.status as u64)),
             ("outcome", jstr(self.outcome)),
             ("disposition", jstr(self.disposition)),
-            (
-                "fallback",
-                match &self.fallback {
-                    Some(r) => jstr(r),
-                    None => serde_json::Value::Null,
-                },
-            ),
             ("accept_ns", jnum(self.accept_ns)),
         ];
         fields.push((
@@ -232,8 +222,8 @@ fn jnum(n: u64) -> serde_json::Value {
 ///
 /// Line shape (field order fixed):
 /// `{"seq":…,"t_ns":…,"id":"r-…","client":…,"route":…,"point":…,
-/// "points":…,"status":…,"outcome":…,"disposition":…,"fallback":…,
-/// "accept_ns":…,"phases":{"parse":…,…},"e2e_ns":…}`.
+/// "points":…,"status":…,"outcome":…,"disposition":…,"accept_ns":…,
+/// "phases":{"parse":…,…},"e2e_ns":…}`.
 /// `seq` increments by one per line and `t_ns` (daemon clock at append,
 /// taken under the lock) is non-decreasing — [`lint_access_log`] enforces
 /// both, plus phase tiling.
@@ -299,8 +289,6 @@ pub struct AccessRecord {
     pub outcome: String,
     /// Result disposition.
     pub disposition: String,
-    /// Engine fallback reason, when one was recorded.
-    pub fallback: Option<String>,
     /// `(phase, duration ns)` in [`PHASES`] order.
     pub phases: Vec<(String, u64)>,
     /// End-to-end wall time, ns.
@@ -387,11 +375,6 @@ fn parse_record(v: &serde_json::Value) -> Result<AccessRecord, String> {
             .map(str::to_string)
             .ok_or_else(|| format!("missing string field '{k}'"))
     };
-    let fallback = match v.get("fallback") {
-        Some(serde_json::Value::Null) | None => None,
-        Some(serde_json::Value::Str(s)) => Some(s.clone()),
-        Some(_) => return Err("field 'fallback' must be a string or null".into()),
-    };
     let phases_v = v
         .get("phases")
         .and_then(|p| p.as_map())
@@ -414,7 +397,6 @@ fn parse_record(v: &serde_json::Value) -> Result<AccessRecord, String> {
         status: num("status")?,
         outcome: text("outcome")?,
         disposition: text("disposition")?,
-        fallback,
         phases,
         e2e_ns: num("e2e_ns")?,
     })
@@ -489,8 +471,8 @@ pub fn slowest(spans: &[Arc<ServeSpan>], k: usize) -> Vec<Arc<ServeSpan>> {
 /// open in `chrome://tracing` / Perfetto exactly like sim traces: one
 /// *process* per client, one *track* (tid = request id) per request, an
 /// umbrella `request` slice spanning e2e, and one nested slice per
-/// non-empty phase. Args carry the request id, point, disposition,
-/// outcome, and fallback reason.
+/// non-empty phase. Args carry the request id, point, disposition and
+/// outcome.
 pub fn chrome_trace(spans: &[Arc<ServeSpan>]) -> String {
     use serde_json::Value;
 
@@ -510,16 +492,13 @@ pub fn chrome_trace(spans: &[Arc<ServeSpan>]) -> String {
     for span in spans {
         let pid = pid_of(&span.client);
         let tid = span.id;
-        let mut args = vec![
+        let args = vec![
             ("id", jstr(&span.request_id())),
             ("point", jstr(&span.point)),
             ("points", Value::U64(span.points as u64)),
             ("outcome", jstr(span.outcome)),
             ("disposition", jstr(span.disposition)),
         ];
-        if let Some(reason) = &span.fallback {
-            args.push(("fallback", jstr(reason)));
-        }
         trace.complete(
             "request",
             "serve",
@@ -584,7 +563,7 @@ impl Obs {
 
     /// Completes a span: append to the access log, push into the flight
     /// recorder, and record the request-level metric series (per-phase
-    /// histograms, per-client e2e, request/fallback counters) into the
+    /// histograms, per-client e2e, request counters) into the
     /// daemon registry. Returns the shared span.
     pub fn complete(&self, span: ServeSpan, metrics: &mut MetricsRegistry) -> Arc<ServeSpan> {
         debug_assert!(span.tiles_exactly(), "span phases must tile e2e: {span:?}");
@@ -603,9 +582,6 @@ impl Obs {
             &[("route", span.route), ("outcome", span.outcome)],
             1.0,
         );
-        if let Some(reason) = &span.fallback {
-            metrics.counter_add("chiplet_serve_fallback", &[("reason", reason)], 1.0);
-        }
         if let Some(log) = &self.access_log {
             if log.append(&span, &self.clock) {
                 metrics.counter_add("chiplet_serve_access_log_lines", &[], 1.0);
@@ -638,11 +614,6 @@ mod tests {
             status: 200,
             outcome: "ok",
             disposition: "executed",
-            fallback: if id.is_multiple_of(2) {
-                Some("metrics".into())
-            } else {
-                None
-            },
             accept_ns: t[0],
             parsed_ns: t[1],
             admitted_ns: t[2],
@@ -705,7 +676,6 @@ mod tests {
         assert_eq!(records[0].id, "r-00000001");
         assert_eq!(records[3].seq, 4);
         assert_eq!(records[0].e2e_ns, 21);
-        assert_eq!(records[1].fallback.as_deref(), Some("metrics"));
 
         // A broken line, a bad seq, and a tiling violation all surface.
         let broken = format!("{}\nnot json\n", text.trim_end());
@@ -758,10 +728,6 @@ mod tests {
                 "chiplet_serve_requests",
                 &[("route", "/v1/run"), ("outcome", "ok")]
             ),
-            Some(1.0)
-        );
-        assert_eq!(
-            metrics.counter_value("chiplet_serve_fallback", &[("reason", "metrics")]),
             Some(1.0)
         );
         assert_eq!(

@@ -68,28 +68,66 @@ fn run_invalid_spec_fails_cleanly() {
 
 #[test]
 fn run_horizon_within_warmup_fails_cleanly() {
-    // A horizon at or below the statistics warmup is a typed spec error
-    // (exit 1), never the engine's horizon assertion (exit 101).
-    let example = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
-    for (name, from, to) in [
+    // A horizon at or below the statistics warmup, or a zero-width engine
+    // window or fluid step, is a typed spec error (exit 1), never an engine
+    // or time-series assertion (exit 101).
+    let event = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
+    let fluid = include_str!("../../../examples/scenarios/link_share.json");
+    let fluid_links = "\"fluid\": {\"links\": [{\"Named\": \"if_9634\"}]";
+    for (name, example, from, to, want) in [
         (
             "short-horizon.json",
+            event,
             "\"horizon\": 40000",
-            "\"horizon\": 1000",
+            "\"horizon\": 1000".to_string(),
+            "must exceed the statistics warmup",
         ),
         (
             "long-warmup.json",
+            event,
             "\"policy\"",
-            "\"engine\": {\"warmup\": 50000}, \"policy\"",
+            "\"engine\": {\"warmup\": 50000}, \"policy\"".to_string(),
+            "must exceed the statistics warmup",
+        ),
+        (
+            "zero-trace-window.json",
+            event,
+            "\"policy\"",
+            "\"engine\": {\"trace_window\": 0}, \"policy\"".to_string(),
+            "engine.trace_window must be positive",
+        ),
+        (
+            "zero-metrics-window.json",
+            event,
+            "\"policy\"",
+            "\"engine\": {\"metrics_window\": 0}, \"policy\"".to_string(),
+            "engine.metrics_window must be positive",
+        ),
+        (
+            "zero-dt.json",
+            fluid,
+            fluid_links,
+            format!("{fluid_links}, \"dt\": 0"),
+            "fluid.dt must be positive",
+        ),
+        (
+            "zero-sample.json",
+            fluid,
+            fluid_links,
+            format!("{fluid_links}, \"sample\": 0"),
+            "fluid.sample must be positive",
         ),
     ] {
         let path = scratch(name);
-        assert!(example.contains(from));
-        std::fs::write(&path, example.replacen(from, to, 1)).unwrap();
+        assert!(example.contains(from), "{name}");
+        std::fs::write(&path, example.replacen(from, &to, 1)).unwrap();
         let out = scenario_cli(&["run", path.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(1), "{name}");
         let err = stderr_of(&out);
-        assert!(err.contains("must exceed the statistics warmup"), "{err}");
+        assert!(
+            err.contains("invalid scenario") && err.contains(want),
+            "{err}"
+        );
         assert!(!err.contains("panicked"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -180,50 +218,11 @@ fn bad_flags_fail_cleanly() {
     assert!(!out.status.success());
     assert!(stderr_of(&out).contains("--jobs needs a number"));
 
-    let out = scenario_cli(&["run", "fig5_if_9634", "--frobnicate"]);
-    assert!(!out.status.success());
-    assert!(stderr_of(&out).contains("unknown flag --frobnicate"));
-}
-
-#[test]
-fn engine_workers_on_ineligible_spec_warns_on_stderr() {
-    // A tracing-enabled spec cannot run the parallel engine; asking for
-    // workers must produce a loud stderr warning, not a silent downgrade.
-    let path = scratch("traced.json");
-    let spec = r#"{
-      "name": "traced",
-      "description": "",
-      "topology": { "Named": "epyc_7302" },
-      "backend": "Event",
-      "seed": 1,
-      "horizon": 10000,
-      "policy": "HardwareDefault",
-      "engine": { "warmup": 2000, "deterministic_memory": false,
-                  "trace_window": null, "trace_sampling": 8 },
-      "fluid": null,
-      "flows": [ { "name": "probe", "demand": null,
-                   "engine": { "cores": { "Ccd": 0 },
-                               "target": "AllDimms" },
-                   "links": [] } ]
-    }"#;
-    std::fs::write(&path, spec).unwrap();
-    let out = scenario_cli(&["run", path.to_str().unwrap(), "--engine-workers", "4"]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert!(
-        err.contains("fell back") && err.contains("trace_sampling"),
-        "expected a loud fallback warning, got: {err}"
-    );
-
-    // The same spec without --engine-workers is not a downgrade: silent.
-    let out = scenario_cli(&["run", path.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    assert!(
-        !stderr_of(&out).contains("fell back"),
-        "{}",
-        stderr_of(&out)
-    );
-    let _ = std::fs::remove_file(&path);
+    for flag in ["--frobnicate", "--engine-workers"] {
+        let out = scenario_cli(&["run", "fig5_if_9634", flag, "4"]);
+        assert!(!out.status.success());
+        assert!(stderr_of(&out).contains(&format!("unknown flag {flag}")));
+    }
 }
 
 #[test]

@@ -8,16 +8,21 @@
 //! `tests/golden/fig3_sweep.json` and `tests/golden/ccd_vs_cxl.json` pin
 //! the event engine's bytes: the exact stdout of `chiplet-scenario sweep
 //! fig3_sweep --json --no-cache` and of `chiplet-scenario run
-//! examples/scenarios/ccd_vs_cxl.json --json`. The
-//! `examples/scenarios/*.json` files are the user-facing custom-scenario
-//! examples from the README — they must parse, run on their backend, and
-//! be seed-stable.
+//! examples/scenarios/ccd_vs_cxl.json --json`. `tests/golden/{table2,
+//! table3,flit_study,fig4}.txt` are the exact stdout of `chiplet-scenario
+//! run <name>` for the engine studies that sweep the most configurations
+//! (pointer chases, every bandwidth scope, both CXL FLIT formats, the four
+//! partitioning cases). The `examples/scenarios/*.json` files are the
+//! user-facing custom-scenario examples from the README — they must parse,
+//! run on their backend, and be seed-stable.
 
 use chiplet_bench::scenarios::dse::dse_smoke;
 use chiplet_bench::scenarios::{paper_registry, render_named, render_named_with_metrics};
 use chiplet_net::dse::DseRunner;
 use chiplet_net::metrics::MetricsRegistry;
-use chiplet_net::scenario::{BackendKind, ScenarioKind, ScenarioSpec, SweepPoint, SweepRunner};
+use chiplet_net::scenario::{
+    spec_hash, BackendKind, ScenarioKind, ScenarioSpec, SweepPoint, SweepRunner,
+};
 
 const FIG3_GOLDEN: &str = include_str!("../../../tests/golden/fig3.txt");
 const FIG5_GOLDEN: &str = include_str!("../../../tests/golden/fig5.txt");
@@ -25,6 +30,15 @@ const FIG5_METRICS_GOLDEN: &str = include_str!("../../../tests/golden/fig5_metri
 const DSE_SMOKE_GOLDEN: &str = include_str!("../../../tests/golden/dse_smoke.json");
 const FIG3_SWEEP_GOLDEN: &str = include_str!("../../../tests/golden/fig3_sweep.json");
 const CCD_VS_CXL_GOLDEN: &str = include_str!("../../../tests/golden/ccd_vs_cxl.json");
+const STUDY_GOLDENS: [(&str, &str); 4] = [
+    ("table2", include_str!("../../../tests/golden/table2.txt")),
+    ("table3", include_str!("../../../tests/golden/table3.txt")),
+    (
+        "flit_study",
+        include_str!("../../../tests/golden/flit_study.txt"),
+    ),
+    ("fig4", include_str!("../../../tests/golden/fig4.txt")),
+];
 const EVENT_EXAMPLE: &str = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
 const FLUID_EXAMPLE: &str = include_str!("../../../examples/scenarios/link_share.json");
 
@@ -51,6 +65,13 @@ fn fig3_matches_the_pre_refactor_binary() {
     // The slowest snapshot (~20 s unoptimized): the full loaded-latency
     // sweep of Figure 3 on both platforms.
     assert_eq!(render_named("fig3"), FIG3_GOLDEN);
+}
+
+#[test]
+fn engine_studies_match_their_pinned_reports() {
+    for (name, golden) in STUDY_GOLDENS {
+        assert_eq!(render_named(name), golden, "{name}");
+    }
 }
 
 #[test]
@@ -150,6 +171,23 @@ fn json_examples_run_on_both_backends_and_are_seed_stable() {
             .expect("example runs");
         assert_eq!(a, b, "same spec + seed ⇒ identical report");
         assert_eq!(a.to_json(), b.to_json(), "…and identical report bytes");
+
+        // A spec that still names the removed `engine.workers` knob parses
+        // (unknown fields are ignored), hashes like one that never set it,
+        // and yields the same report bytes.
+        if backend == BackendKind::Event {
+            let with = |engine: &str| {
+                ScenarioSpec::from_json(&text.replacen("\"policy\"", engine, 1))
+                    .expect("example parses")
+            };
+            let plain = with("\"engine\": {}, \"policy\"");
+            let legacy = with("\"engine\": {\"workers\": 4}, \"policy\"");
+            assert_eq!(spec_hash(&legacy), spec_hash(&plain));
+            assert_eq!(
+                legacy.run().expect("legacy spec runs").to_json(),
+                plain.run().expect("example runs").to_json()
+            );
+        }
 
         let outcome = a.outcome().expect("example completes");
         assert_eq!(outcome.flows.len(), 2);

@@ -191,24 +191,63 @@ fn bad_submissions_fail_cleanly() {
 
 #[test]
 fn hostile_horizon_gets_a_400_and_every_worker_survives() {
-    // A horizon inside the statistics warmup is a 400 every time, and no
-    // worker dies for it: a panicking worker answers 500 and leaves its
-    // single-flight entry behind, so a resubmission hangs. One hostile spec
-    // per worker (distinct seeds, so single-flight cannot fold them), each
-    // submitted twice, then four valid specs at once must all be served.
+    // A horizon inside the statistics warmup, or a zero-width engine window
+    // or fluid step, is a 400 every time, and no worker dies for it: a
+    // panicking worker answers 500 and leaves its single-flight entry
+    // behind, so a resubmission hangs. One hostile spec per worker
+    // (distinct seeds, so single-flight cannot fold them), each submitted
+    // twice, then four valid specs at once must all be served.
     let server = spawn(None, 4096, 4096);
     let addr = server.addr().to_string();
     let example = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
+    let fluid = include_str!("../../../examples/scenarios/link_share.json").replacen(
+        "\"horizon\"",
+        "\"seed\": 7, \"horizon\"",
+        1,
+    );
+    let fluid_links = "\"fluid\": {\"links\": [{\"Named\": \"if_9634\"}]";
     let with_seed =
         |spec: &str, seed: u64| spec.replacen("\"seed\": 7", &format!("\"seed\": {seed}"), 1);
-    let hostile = example.replacen("\"horizon\": 40000", "\"horizon\": 1000", 1);
-    for seed in 0..4 {
-        for _ in 0..2 {
-            let (status, text) =
-                http::fetch(&addr, "POST", "/v1/run", Some(&with_seed(&hostile, seed)))
-                    .expect("request");
-            assert_eq!(status, 400, "{text}");
-            assert!(text.contains("must exceed the statistics warmup"), "{text}");
+    let hostile = [
+        (
+            example.replacen("\"horizon\": 40000", "\"horizon\": 1000", 1),
+            "must exceed the statistics warmup",
+        ),
+        (
+            example.replacen(
+                "\"policy\"",
+                "\"engine\": {\"trace_window\": 0}, \"policy\"",
+                1,
+            ),
+            "engine.trace_window must be positive",
+        ),
+        (
+            example.replacen(
+                "\"policy\"",
+                "\"engine\": {\"metrics_window\": 0}, \"policy\"",
+                1,
+            ),
+            "engine.metrics_window must be positive",
+        ),
+        (
+            fluid.replacen(fluid_links, &format!("{fluid_links}, \"dt\": 0"), 1),
+            "fluid.dt must be positive",
+        ),
+        (
+            fluid.replacen(fluid_links, &format!("{fluid_links}, \"sample\": 0"), 1),
+            "fluid.sample must be positive",
+        ),
+    ];
+    for (spec, want) in &hostile {
+        assert!(spec.contains("\"seed\": 7"), "{spec}");
+        for seed in 0..4 {
+            for _ in 0..2 {
+                let (status, text) =
+                    http::fetch(&addr, "POST", "/v1/run", Some(&with_seed(spec, seed)))
+                        .expect("request");
+                assert_eq!(status, 400, "{text}");
+                assert!(text.contains(want), "{text}");
+            }
         }
     }
     let valid: Vec<_> = (0..4)
@@ -236,76 +275,6 @@ fn read_access_log(path: &Path, want: usize) -> Vec<obs::AccessRecord> {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     panic!("access log never reached {want} lines");
-}
-
-#[test]
-fn forced_parallel_fallback_is_attributed_end_to_end() {
-    // An event-backend spec that asks for parallel execution (workers: 2)
-    // while also sampling every span forces the engine's
-    // parallel→sequential downgrade with reason "trace_sampling". That
-    // reason must surface in the access log, the /v1/status flight
-    // recorder, and the fallback counter — the full attribution chain.
-    let dir = scratch_dir("fallback");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let log = dir.join("access.jsonl");
-    let server = spawn_with_log(None, 4096, 4096, Some(log.clone()));
-    let addr = server.addr().to_string();
-
-    let mut spec = registered_sweep("fig3_sweep").expand().expect("expand")[0]
-        .spec
-        .clone();
-    let mut opts = spec.engine.clone().unwrap_or_default();
-    opts.workers = Some(2);
-    opts.trace_sampling = Some(1);
-    spec.engine = Some(opts);
-
-    let (status, headers, body) =
-        http::fetch_with_headers(&addr, "POST", "/v1/run?client=fb", Some(&spec.to_json()))
-            .expect("POST /v1/run");
-    assert_eq!(status, 200, "{body}");
-    let rid = http::header(&headers, "X-Request-Id")
-        .expect("X-Request-Id header")
-        .to_string();
-
-    // Access log: the request's line names the downgrade reason.
-    let records = read_access_log(&log, 1);
-    let rec = records
-        .iter()
-        .find(|r| r.id == rid)
-        .expect("logged request id");
-    assert_eq!(rec.fallback.as_deref(), Some("trace_sampling"), "{rec:?}");
-    assert_eq!(rec.disposition, "executed");
-    assert_eq!(rec.outcome, "ok");
-
-    // /v1/status: recent and slow entries carry the same attribution.
-    let (status, doc) = http::fetch(&addr, "GET", "/v1/status", None).expect("GET /v1/status");
-    assert_eq!(status, 200);
-    let v: serde_json::Value = serde_json::from_str(&doc).expect("status is JSON");
-    for section in ["recent", "slow"] {
-        let entries = v
-            .get(section)
-            .and_then(|s| s.as_seq())
-            .unwrap_or_else(|| panic!("{section} missing:\n{doc}"));
-        assert!(
-            entries.iter().any(|e| {
-                e.get("id").and_then(|x| x.as_str()) == Some(rid.as_str())
-                    && e.get("fallback").and_then(|x| x.as_str()) == Some("trace_sampling")
-            }),
-            "{section} lacks the fallback-attributed request:\n{doc}"
-        );
-    }
-
-    // /metrics: the per-reason counter ticked.
-    let (status, metrics) = http::fetch(&addr, "GET", "/metrics", None).expect("GET /metrics");
-    assert_eq!(status, 200);
-    lint_openmetrics(&metrics).expect("metrics lint");
-    assert!(
-        metrics.contains("chiplet_serve_fallback_total{reason=\"trace_sampling\"} 1"),
-        "{metrics}"
-    );
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -472,11 +441,6 @@ fn serve_metric_families_stay_out_of_default_dumps() {
         &[("route", "/v1/run"), ("outcome", "ok")],
         1.0,
     );
-    m.counter_add(
-        "chiplet_serve_fallback",
-        &[("reason", "trace_sampling")],
-        1.0,
-    );
     assert_eq!(
         m.to_openmetrics(),
         "# EOF\n",
@@ -489,7 +453,6 @@ fn serve_metric_families_stay_out_of_default_dumps() {
         "chiplet_serve_phase_ns",
         "chiplet_serve_queue_wait_ns",
         "chiplet_serve_requests_total",
-        "chiplet_serve_fallback_total",
     ] {
         assert!(
             vol.contains(fam),

@@ -21,7 +21,6 @@
 //! device variability. Nothing in Figures 3–6 is scripted: knees, tails,
 //! proportional shares, and interference onsets emerge from this loop.
 
-mod parallel;
 pub mod plan;
 
 use std::collections::BTreeMap;
@@ -102,14 +101,6 @@ pub struct EngineConfig {
     /// measure host wall-clock, so they are excluded from deterministic
     /// dumps). Off by default: the disabled path reads no clocks.
     pub profile_phases: bool,
-    /// Worker threads for the domain-partitioned parallel engine. `1`
-    /// (the default) runs the sequential loop; `> 1` runs eligible
-    /// configurations on per-chiplet scheduling domains synchronized at
-    /// nanosecond batches — byte-identical output for every worker count,
-    /// including 1 (see [`parallel`]). Capped to the host's available
-    /// parallelism; ineligible configurations silently run sequentially.
-    /// The `CHIPLET_ENGINE_WORKERS` environment variable overrides this.
-    pub workers: usize,
 }
 
 impl Default for EngineConfig {
@@ -126,7 +117,6 @@ impl Default for EngineConfig {
             trace_sampling: None,
             metrics_window: None,
             profile_phases: false,
-            workers: 1,
         }
     }
 }
@@ -186,13 +176,6 @@ impl EngineConfig {
         self.profile_phases = true;
         self
     }
-
-    /// Sets the parallel-engine worker count (builder style); clamped to
-    /// at least 1.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -217,7 +200,7 @@ enum Event {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Txn {
     flow: u32,
     core: u32,
@@ -275,11 +258,8 @@ struct FlowRuntime {
 
 /// Hot per-flow state: one compact struct per flow holding exactly the
 /// fields the issue/complete handlers read and write, so the steady-state
-/// loop touches one cache line instead of walking [`FlowRuntime`]. Under
-/// parallel execution this is the flow's per-domain *shard*: every field
-/// is either immutable during the run or an exactly-mergeable accumulator
-/// (integer counters, an all-integer histogram, windowed byte sums).
-#[derive(Debug, Clone)]
+/// loop touches one cache line instead of walking [`FlowRuntime`].
+#[derive(Debug)]
 struct FlowHot {
     /// Effective stop time (ns, clamped to the horizon); set in `run`.
     stop_ns: f64,
@@ -323,79 +303,6 @@ struct PlanInfo {
     unloaded_ns: f64,
 }
 
-/// One recorded parallel→sequential downgrade: the run asked for more
-/// than one engine worker but the engine took the sequential loop anyway.
-/// The output is byte-identical either way — the downgrade only costs
-/// speed — but it used to happen *silently*, which made `--engine-workers`
-/// look like a no-op. It is now recorded here, in a volatile
-/// `chiplet_engine_fallback_total{reason=…}` counter when metrics are
-/// attached, and in the process-wide log behind
-/// [`take_parallel_fallbacks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelFallback {
-    /// The worker count the configuration asked for.
-    pub requested_workers: usize,
-    /// Why the parallel path was unsound (stable snake_case token:
-    /// `policy`, `profiler`, `phase_profiler`, `trace_window`,
-    /// `trace_sampling`, `metrics`, `paced_flow`, `nic_dma`,
-    /// `temporal_write`, `paced_issue`, `random_pattern`,
-    /// `uncapped_stage`, `partition`, or `single_thread_host`).
-    pub reason: &'static str,
-}
-
-/// Process-wide fallback log: engines are constructed deep inside backends
-/// and studies, so CLIs drain this after a run to warn on stderr instead
-/// of threading the downgrade through every report type (whose serialized
-/// bytes are pinned by goldens). Bounded; oldest entries win.
-static FALLBACK_LOG: std::sync::Mutex<Vec<ParallelFallback>> = std::sync::Mutex::new(Vec::new());
-const FALLBACK_LOG_CAP: usize = 1024;
-
-/// Drains every parallel→sequential downgrade recorded since the last
-/// call (any thread, any engine). The `chiplet-scenario` CLI uses this to
-/// print a loud stderr warning when `--engine-workers N` had no effect.
-pub fn take_parallel_fallbacks() -> Vec<ParallelFallback> {
-    std::mem::take(&mut *FALLBACK_LOG.lock().expect("fallback log poisoned"))
-}
-
-std::thread_local! {
-    /// Per-thread capture sink for [`capture_parallel_fallbacks`]. `None`
-    /// outside a capture scope.
-    static FALLBACK_CAPTURE: std::cell::RefCell<Option<Vec<ParallelFallback>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Runs `f` with a **thread-local** fallback capture active and returns its
-/// result together with every parallel→sequential downgrade recorded *by
-/// this thread* during the call. Unlike [`take_parallel_fallbacks`] (a
-/// process-wide drain that mixes concurrent runs), this attributes each
-/// downgrade to the exact run that caused it — the serving daemon uses it
-/// to stamp per-request fallback reasons into its access log and flight
-/// recorder. The engine records the downgrade on the thread that calls
-/// [`Engine::run`] (before any worker threads spawn), so a capture around
-/// the run sees every downgrade of that run and no other's. The
-/// process-wide log still receives the entries; capture only observes.
-/// Nested captures are not supported — the inner scope wins.
-pub fn capture_parallel_fallbacks<T>(f: impl FnOnce() -> T) -> (T, Vec<ParallelFallback>) {
-    FALLBACK_CAPTURE.with(|c| *c.borrow_mut() = Some(Vec::new()));
-    let out = f();
-    let captured = FALLBACK_CAPTURE
-        .with(|c| c.borrow_mut().take())
-        .unwrap_or_default();
-    (out, captured)
-}
-
-fn record_parallel_fallback(fb: ParallelFallback) {
-    FALLBACK_CAPTURE.with(|c| {
-        if let Some(captured) = c.borrow_mut().as_mut() {
-            captured.push(fb);
-        }
-    });
-    let mut log = FALLBACK_LOG.lock().expect("fallback log poisoned");
-    if log.len() < FALLBACK_LOG_CAP {
-        log.push(fb);
-    }
-}
-
 /// Per-flow and per-link results of one run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -415,11 +322,6 @@ pub struct RunResult {
     /// [`EngineConfig::profile_phases`] was set. Wall-clock values —
     /// execution-dependent, never part of deterministic output.
     pub phases: Option<chiplet_sim::PhaseReport>,
-    /// Set when more than one engine worker was requested but the run took
-    /// the sequential loop anyway (ineligible dynamics, a non-domain-local
-    /// partition, or a single-thread host). `None` when the parallel path
-    /// ran, or when the run never asked for parallelism.
-    pub parallel_fallback: Option<ParallelFallback>,
 }
 
 impl RunResult {
@@ -443,7 +345,7 @@ pub struct Engine<'t> {
     ccx_limiters: Vec<SlotLimiter<u32>>,
     ccd_limiters: Option<Vec<SlotLimiter<u32>>>,
     flows: Vec<FlowRuntime>,
-    /// Hot per-flow shards, indexed like `flows`.
+    /// Hot per-flow state, indexed like `flows`.
     flow_hot: Vec<FlowHot>,
     /// Flattened plan table (one entry per flow × plan), built in `run`.
     plan_infos: Vec<PlanInfo>,
@@ -484,9 +386,6 @@ pub struct Engine<'t> {
     /// Lazily resolved `(bytes, wait)` series handles per capacity point ×
     /// direction (`[read, write]`); empty when metrics are off.
     link_handles: Vec<[Option<(SeriesHandle, SeriesHandle)>; 2]>,
-    /// The parallel→sequential downgrade of this run, if any; moved into
-    /// [`RunResult::parallel_fallback`] by `finish`.
-    fallback: Option<ParallelFallback>,
 }
 
 /// Reusable buffers for the traffic-manager recomputation path plus the
@@ -673,7 +572,6 @@ impl<'t> Engine<'t> {
             metrics,
             point_labels,
             link_handles,
-            fallback: None,
         }
     }
 
@@ -894,69 +792,6 @@ impl<'t> Engine<'t> {
             }
         }
 
-        // Domain-partitioned parallel path: taken only when requested
-        // (`workers > 1`), the configuration's dynamics are provably
-        // domain-local, and either real hardware parallelism exists or the
-        // batch machinery was explicitly forced (determinism tests). The
-        // fallback — and every other configuration — is the sequential
-        // loop below; both produce byte-identical results. A requested-
-        // but-downgraded run is recorded LOUDLY: in the result, in a
-        // volatile counter when metrics are attached, and in the
-        // process-wide log CLIs drain for stderr warnings.
-        let workers = parallel::requested_workers(&self.cfg);
-        if workers > 1 {
-            let downgrade = match self.parallel_ineligible_reason() {
-                Some(reason) => Some(reason),
-                None => {
-                    let avail = std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1);
-                    // Forcing skips the hardware clamp too, so single-CPU
-                    // hosts exercise the threaded barrier protocol in tests.
-                    let threads = if parallel::force_parallel() {
-                        workers
-                    } else {
-                        workers.min(avail)
-                    };
-                    if threads <= 1 {
-                        Some("single_thread_host")
-                    } else if parallel::run_parallel(&mut self, horizon, threads) {
-                        let prof = PhaseProfiler::disabled();
-                        return self.finish(
-                            horizon,
-                            &prof,
-                            &DepthHistogram::new(),
-                            &DepthHistogram::new(),
-                        );
-                    } else {
-                        // The topology's stage routing is not domain-local
-                        // (e.g. the monolithic baseline's uncapped egress).
-                        Some("partition")
-                    }
-                }
-            };
-            if let Some(reason) = downgrade {
-                let fb = ParallelFallback {
-                    requested_workers: workers,
-                    reason,
-                };
-                self.fallback = Some(fb);
-                record_parallel_fallback(fb);
-                if let Some(m) = self.metrics.as_mut() {
-                    // Volatile: fallback depends on the host and requested
-                    // worker count, never on simulated dynamics, so it must
-                    // stay out of the deterministic default dumps.
-                    m.describe_volatile(
-                        "chiplet_engine_fallback",
-                        crate::metrics::MetricKind::Counter,
-                        "Runs that requested parallel engine workers but fell \
-                         back to the sequential loop, by reason.",
-                    );
-                    m.counter_add("chiplet_engine_fallback", &[("reason", reason)], 1.0);
-                }
-            }
-        }
-
         self.queue.push(
             SimTime::from_nanos(self.cfg.warmup.as_nanos()),
             Event::ResetStats,
@@ -1128,8 +963,8 @@ impl<'t> Engine<'t> {
     /// Schedules `ev` at `ns` rounded up to the next whole nanosecond,
     /// never before the event being handled (the queue's watermark).
     /// Clamping after rounding lands on the same nanosecond as clamping
-    /// first, as the parallel engine does: ceil is monotone, `now` is
-    /// integral, and a NaN `ns` lands on `now` either way.
+    /// first: ceil is monotone, `now` is integral, and a NaN `ns` lands on
+    /// `now` either way.
     fn schedule_at(&mut self, ns: f64, ev: Event) {
         let at = ceil_to_u64(ns).max(self.queue.now().as_nanos());
         self.queue.push(SimTime::from_nanos(at), ev);
@@ -2005,7 +1840,6 @@ impl<'t> Engine<'t> {
             profile,
             trace,
             metrics,
-            parallel_fallback: self.fallback,
             phases: self.cfg.profile_phases.then_some(phases),
             telemetry: TelemetryReport {
                 platform: self.topo.spec().name.clone(),

@@ -95,10 +95,7 @@ pub mod traffic;
 pub use bdp::BdpMonitor;
 pub use critpath::{BlameMatrix, CritPathReport, FlowCritPath};
 pub use dse::{DseAxis, DseOutcome, DseRunner, DseSpec, DseStats, FrontierEntry};
-pub use engine::{
-    capture_parallel_fallbacks, take_parallel_fallbacks, Engine, EngineConfig, ParallelFallback,
-    RunResult,
-};
+pub use engine::{Engine, EngineConfig, RunResult};
 pub use export::export_sysfs;
 pub use flow::{FlowId, FlowSpec, Target};
 pub use matrix::TrafficMatrix;

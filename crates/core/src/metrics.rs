@@ -1160,12 +1160,6 @@ pub fn describe_serve_metrics(m: &mut MetricsRegistry) {
         "Completed HTTP submissions, by route and outcome.",
     );
     m.describe_volatile(
-        "chiplet_serve_fallback",
-        MetricKind::Counter,
-        "Served points whose engine execution fell back to the sequential \
-         loop, by reason.",
-    );
-    m.describe_volatile(
         "chiplet_serve_phase_ns",
         MetricKind::Histogram,
         "Wall-clock request phase durations (ns), by phase.",

@@ -76,6 +76,16 @@ impl EventEngineBackend {
                 spec.horizon, cfg.warmup
             )));
         }
+        for (field, window) in [
+            ("trace_window", cfg.trace_window),
+            ("metrics_window", cfg.metrics_window),
+        ] {
+            if window.is_some_and(|w| w.is_zero()) {
+                return Err(ScenarioError::Invalid(format!(
+                    "engine.{field} must be positive"
+                )));
+            }
+        }
         let mut engine = Engine::new(&topo, cfg);
         for flow in &spec.flows {
             engine.add_flow(spec.compile_flow(flow, &topo)?);
@@ -191,6 +201,13 @@ impl FluidBackend {
         let opts = spec.fluid.as_ref().expect("links() checked presence");
         let dt = opts.dt.unwrap_or(Self::DEFAULT_DT);
         let sample = opts.sample.unwrap_or(Self::DEFAULT_SAMPLE);
+        for (field, step) in [("dt", dt), ("sample", sample)] {
+            if step.is_zero() {
+                return Err(ScenarioError::Invalid(format!(
+                    "fluid.{field} must be positive"
+                )));
+            }
+        }
         Ok((sim, dt, sample))
     }
 

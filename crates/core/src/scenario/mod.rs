@@ -38,8 +38,8 @@ pub use backend::{describe_fluid_metrics, Backend, EventEngineBackend, FluidBack
 pub use registry::{ScenarioEntry, ScenarioKind, ScenarioRegistry, ScenarioRun};
 pub use report::{FlowReport, ScenarioOutcome, ScenarioReport};
 pub use spec::{
-    BackendKind, CoreSelect, EngineFlow, EngineOptions, FluidLinkSpec, FluidOptions, ScenarioError,
-    ScenarioFlow, ScenarioSpec, TargetSpec, TopologyChoice,
+    BackendKind, CoreSelect, EngineFlow, EngineOptions, FluidLinkSpec, FluidOptions, RetiredField,
+    ScenarioError, ScenarioFlow, ScenarioSpec, TargetSpec, TopologyChoice,
 };
 pub(crate) use sweep::seal_spec;
 pub use sweep::{

@@ -243,11 +243,30 @@ pub struct EngineOptions {
     /// off; skipped when absent so older specs keep their bytes.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub profile_phases: Option<bool>,
-    /// Event-engine worker threads (domain-parallel execution). Absent = 1
-    /// (sequential); skipped when absent so older specs keep their bytes.
-    /// Results are byte-identical for any worker count.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub workers: Option<usize>,
+    /// The slot of a removed engine-worker setting. The vendored serializer
+    /// writes every field (`None` as `null`), so every spec with engine
+    /// options has always hashed `"workers": null`; keeping the slot keeps
+    /// those content hashes and the seeds derived from them.
+    #[serde(default)]
+    pub workers: RetiredField,
+}
+
+/// A spec field that no longer means anything: it always serializes as
+/// `null`, and any value it is given parses and is dropped. A spec that
+/// still sets it runs and hashes exactly like one that does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RetiredField;
+
+impl Serialize for RetiredField {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl Deserialize for RetiredField {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(RetiredField)
+    }
 }
 
 /// A fluid link: a preset name or an inline description.
@@ -350,7 +369,6 @@ impl ScenarioSpec {
             cfg.trace_sampling = opts.trace_sampling;
             cfg.metrics_window = opts.metrics_window;
             cfg.profile_phases = opts.profile_phases.unwrap_or(false);
-            cfg.workers = opts.workers.unwrap_or(1).max(1);
         }
         cfg
     }

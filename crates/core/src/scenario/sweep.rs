@@ -792,38 +792,19 @@ pub fn run_specs_with_metrics(
 }
 
 /// Worker count a runner with `jobs` actually uses on `items` work items.
-/// `jobs == 0` auto-sizes from the host's available parallelism and the
-/// engine-worker hint; the result is always ≥ 1 and never exceeds the item
-/// count, so the pool neither deadlocks on zero workers nor spawns idle
-/// threads.
+/// `jobs == 0` auto-sizes from the host's available parallelism; the
+/// result is always ≥ 1 and never exceeds the item count, so the pool
+/// neither deadlocks on zero workers nor spawns idle threads.
 pub fn effective_jobs(jobs: usize, items: usize) -> usize {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    effective_jobs_with(jobs, items, avail, engine_workers_hint())
+    effective_jobs_with(jobs, items, avail)
 }
 
 /// Pure core of [`effective_jobs`]: `avail` is the host's available
-/// parallelism, `hint` the per-point engine worker count. Each point may
-/// itself run the event engine across `--engine-workers` threads, so
-/// auto-sizing divides the host's cores between the two layers and
-/// `jobs × hint` never oversubscribes. An explicit `jobs` value is taken
-/// as-is (the engine clamps its own workers to the host separately).
-pub fn effective_jobs_with(jobs: usize, items: usize, avail: usize, hint: usize) -> usize {
-    let jobs = if jobs == 0 {
-        (avail.max(1) / hint.max(1)).max(1)
-    } else {
-        jobs
-    };
+/// parallelism. An explicit `jobs` value is taken as-is.
+pub fn effective_jobs_with(jobs: usize, items: usize, avail: usize) -> usize {
+    let jobs = if jobs == 0 { avail.max(1) } else { jobs };
     jobs.min(items.max(1))
-}
-
-/// The per-scenario engine worker count requested through the environment
-/// (the CLI's `--engine-workers`); only used to auto-size the sweep pool.
-fn engine_workers_hint() -> usize {
-    std::env::var("CHIPLET_ENGINE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
 }

@@ -176,6 +176,35 @@ fn bad_specs_are_rejected_with_reasons() {
         assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
     }
 
+    // Zero-width engine windows and fluid steps are typed errors, not the
+    // time-series or registry constructors' assertions.
+    let zero = Some(SimDuration::ZERO);
+    let mut trace = event_spec();
+    trace.engine.as_mut().unwrap().trace_window = zero;
+    let mut metrics = event_spec();
+    metrics.engine.as_mut().unwrap().metrics_window = zero;
+    let mut dt = fluid_spec();
+    dt.fluid.as_mut().unwrap().dt = zero;
+    let mut sample = fluid_spec();
+    sample.fluid.as_mut().unwrap().sample = zero;
+    for (field, spec) in [
+        ("engine.trace_window", trace),
+        ("engine.metrics_window", metrics),
+        ("fluid.dt", dt),
+        ("fluid.sample", sample),
+    ] {
+        let err = spec.run().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("{field} must be positive")),
+            "{err}"
+        );
+        let err = spec
+            .run_with_metrics(&mut crate::metrics::MetricsRegistry::new())
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{field}: {err}");
+    }
+
     // CXL target on a platform without CXL.
     let mut spec = event_spec();
     spec.flows[0].engine.as_mut().unwrap().target = TargetSpec::Cxl(0);
@@ -354,16 +383,15 @@ mod json_roundtrip_props {
             prop::option::of(1u64..100_000),
             prop::option::of(1u32..64),
             prop::option::of(1u64..100_000),
-            prop::option::of(1usize..8),
         )
-            .prop_map(|(warmup, det, tw, ts, mw, workers)| EngineOptions {
+            .prop_map(|(warmup, det, tw, ts, mw)| EngineOptions {
                 warmup: warmup.map(SimDuration::from_nanos),
                 deterministic_memory: det,
                 trace_window: tw.map(SimDuration::from_nanos),
                 trace_sampling: ts,
                 metrics_window: mw.map(SimDuration::from_nanos),
                 profile_phases: None,
-                workers,
+                ..Default::default()
             })
     }
 
@@ -651,33 +679,24 @@ mod sweeps {
     #[test]
     fn effective_jobs_never_zero_and_never_oversubscribes() {
         let cores = 8;
-        for hint in [0, 1, cores, 2 * cores] {
-            for items in [0, 1, 5, 100] {
-                // Auto-sized (jobs = 0): stays within the host's cores even
-                // after dividing by the engine-worker hint, and never hits 0.
-                let auto = effective_jobs_with(0, items, cores, hint);
-                assert!(auto >= 1, "hint={hint} items={items}");
-                assert!(auto <= cores, "hint={hint} items={items}");
-                assert!(auto <= items.max(1), "hint={hint} items={items}");
-                if hint >= 1 {
-                    assert!(
-                        auto.saturating_mul(hint) <= cores.max(hint),
-                        "jobs × engine workers must not oversubscribe: \
-                         hint={hint} items={items} auto={auto}"
-                    );
-                }
-                // Explicit jobs: taken as-is, but still clamped to the work
-                // and never 0.
-                for jobs in [1, 3, cores] {
-                    let got = effective_jobs_with(jobs, items, cores, hint);
-                    assert!(got >= 1);
-                    assert_eq!(got, jobs.min(items.max(1)));
-                }
+        for items in [0, 1, 5, 100] {
+            // Auto-sized (jobs = 0): stays within the host's cores and the
+            // work, and never hits 0.
+            let auto = effective_jobs_with(0, items, cores);
+            assert!(auto >= 1, "items={items}");
+            assert!(auto <= cores, "items={items}");
+            assert!(auto <= items.max(1), "items={items}");
+            // Explicit jobs: taken as-is, but still clamped to the work
+            // and never 0.
+            for jobs in [1, 3, cores] {
+                let got = effective_jobs_with(jobs, items, cores);
+                assert!(got >= 1);
+                assert_eq!(got, jobs.min(items.max(1)));
             }
         }
         // Degenerate hosts: zero/unknown parallelism still yields one job.
-        assert_eq!(effective_jobs_with(0, 10, 0, 0), 1);
-        assert_eq!(effective_jobs_with(0, 10, 1, 16), 1);
+        assert_eq!(effective_jobs_with(0, 10, 0), 1);
+        assert_eq!(effective_jobs_with(0, 10, 1), 1);
     }
 
     #[test]

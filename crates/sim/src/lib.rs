@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod domain;
 pub mod event;
 pub mod metrics;
 pub mod profile;
@@ -35,7 +34,6 @@ pub mod time;
 pub mod units;
 pub mod wheel;
 
-pub use domain::{DomainScheduler, EventLog, LoggedPush};
 pub use event::{EventQueue, ScheduledEvent};
 pub use metrics::{MetricsSink, NullSink, SeriesHandle, SeriesKind};
 pub use profile::{DepthHistogram, PhaseId, PhaseProfiler, PhaseReport, PhaseStat};

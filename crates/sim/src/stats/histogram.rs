@@ -185,7 +185,7 @@ impl LatencyHistogram {
     }
 
     /// Merges another histogram into this one. All fields are integral,
-    /// so merging per-domain shards in any order yields exactly the
+    /// so merging partial histograms in any order yields exactly the
     /// histogram a single sequential recorder would have produced.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {

@@ -163,35 +163,6 @@ impl<E: Copy> WheelQueue<E> {
     /// [`crate::EventQueue::push`].
     #[inline]
     pub fn push(&mut self, at: SimTime, payload: E) {
-        let t = self.check_not_past(at);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.enqueue(t, seq, payload);
-    }
-
-    /// Schedules `payload` with an explicit, caller-assigned sequence
-    /// number instead of the queue's internal counter. Used by
-    /// [`crate::DomainScheduler`], which assigns one *global* sequence
-    /// across many lanes so that per-lane pop order matches the
-    /// single-queue order exactly.
-    ///
-    /// Callers must push in strictly increasing `seq` order per queue
-    /// (bucket FIFO order is the sort); the internal counter is bumped
-    /// past `seq` so mixed use stays monotone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the last popped event's time.
-    #[inline]
-    pub fn push_at_seq(&mut self, at: SimTime, seq: u64, payload: E) {
-        let t = self.check_not_past(at);
-        debug_assert!(seq >= self.next_seq, "per-queue seq order must be monotone");
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.enqueue(t, seq, payload);
-    }
-
-    #[inline]
-    fn check_not_past(&self, at: SimTime) -> u64 {
         let t = at.as_nanos();
         assert!(
             t >= self.watermark,
@@ -199,12 +170,8 @@ impl<E: Copy> WheelQueue<E> {
             at,
             SimTime::from_nanos(self.watermark)
         );
-        t
-    }
-
-    /// Files a validated push into the ring or the overflow heap.
-    #[inline]
-    fn enqueue(&mut self, t: u64, seq: u64, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.len += 1;
         if t - self.watermark < RING as u64 {
             self.insert_ring(t, seq, payload);
@@ -553,55 +520,6 @@ mod tests {
                     }
                 });
                 assert_eq!(popped as u64, next_id, "{name} seed {seed}");
-            }
-        }
-    }
-
-    /// `push_at_seq` with caller-assigned, gapped sequence numbers (the
-    /// [`crate::DomainScheduler`] lane pattern), interleaved with plain
-    /// pushes, pops in the same order as the heap queue fed the same
-    /// events, and every explicit seq comes back verbatim.
-    #[test]
-    fn push_at_seq_matches_event_queue() {
-        let ring = RING as u64;
-        for seed in 0..10u64 {
-            let mut rng = DetRng::seed_from_u64(mix(seed));
-            let mut wheel = WheelQueue::new();
-            let mut heap = EventQueue::new();
-            // `explicit[id]` is the seq handed to `push_at_seq`, if any.
-            let mut explicit: Vec<Option<u64>> = Vec::new();
-            let mut pending: Vec<u64> = (0..200).map(|_| rng.next_below(3 * ring)).collect();
-            let mut last = None;
-            loop {
-                for t in pending.drain(..) {
-                    let (id, at) = (explicit.len(), SimTime::from_nanos(t));
-                    if rng.next_below(3) == 0 {
-                        explicit.push(None);
-                        wheel.push(at, id);
-                    } else {
-                        let seq = wheel.next_seq + rng.next_below(4);
-                        explicit.push(Some(seq));
-                        wheel.push_at_seq(at, seq, id);
-                    }
-                    heap.push(at, id);
-                }
-                match (wheel.pop(), heap.pop()) {
-                    (None, None) => break,
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.at, x.payload), (y.at, y.payload), "seed {seed}");
-                        assert!(last < Some((x.at, x.seq)), "seed {seed}: order");
-                        last = Some((x.at, x.seq));
-                        if let Some(seq) = explicit[x.payload] {
-                            assert_eq!(x.seq, seq, "seed {seed}");
-                        }
-                        if explicit.len() < 1000 {
-                            for _ in 0..rng.next_below(3) {
-                                pending.push(x.at.as_nanos() + rng.next_below(2 * ring));
-                            }
-                        }
-                    }
-                    (a, b) => panic!("streams diverged at seed {seed}: {a:?} vs {b:?}"),
-                }
             }
         }
     }

@@ -35,14 +35,12 @@
 pub mod descriptor;
 pub mod graph;
 pub mod ids;
-pub mod partition;
 pub mod path;
 pub mod position;
 pub mod spec;
 
 pub use graph::{LinkKind, LinkSpec, Node, NodeKind, Topology};
 pub use ids::{CcdId, CoreId, DimmId, LinkId, NodeId, UmcId};
-pub use partition::{Cut, Domain, Partition, EVENT_QUANTUM_NS};
 pub use path::{Hop, RoutePath};
 pub use position::{DimmPosition, NpsMode, Quadrant};
 pub use spec::{

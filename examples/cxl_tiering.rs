@@ -15,7 +15,7 @@ use server_chiplet_networking::topology::{CcdId, CoreId, PlatformSpec, Topology}
 /// returns (total GB/s, DRAM mean ns, CXL mean ns).
 fn run_split(topo: &Topology, cxl_fraction: f64) -> (f64, f64, Option<f64>) {
     let cores: Vec<CoreId> = topo.cores_of_ccd(CcdId(0)).collect();
-    // Partition the chiplet's cores between the two tiers in proportion to
+    // Split the chiplet's cores between the two tiers in proportion to
     // the access split (a page-placement policy would interleave; core
     // partitioning gives the same steady-state mix here).
     let cxl_cores = ((cores.len() as f64 * cxl_fraction).round() as usize).min(cores.len());

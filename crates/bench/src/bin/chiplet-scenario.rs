@@ -3,20 +3,24 @@
 //! ```text
 //! chiplet-scenario list
 //! chiplet-scenario show <name>
-//! chiplet-scenario run <name|file.json> [--json]
+//! chiplet-scenario run <name|file.json> [--jobs N] [--no-cache] [--cache-dir DIR] [--json]
 //! chiplet-scenario sweep <name|file.json> [--jobs N] [--no-cache] [--cache-dir DIR] [--json]
 //! chiplet-scenario dse <name|file.json> [--jobs N] [--budget N] [--json]
 //! ```
 //!
 //! `list` prints the registry of the paper's built-in scenarios; `run`
-//! executes a built-in by name or any [`ScenarioSpec`] JSON file on its
-//! configured backend and prints the report (`--json` emits the structured
-//! [`ScenarioReport`] instead); `show` prints a built-in declarative spec
-//! or sweep as JSON — a starting point for custom scenario files; `sweep`
-//! expands a [`SweepSpec`] (built-in or JSON file) and executes its points
-//! across worker threads with an on-disk result cache (`results/cache` by
+//! executes any built-in by name or a [`ScenarioSpec`] JSON file and
+//! prints its output (`--json` emits the structured [`ScenarioReport`]
+//! instead); `show` prints a built-in declarative spec, sweep or search as
+//! JSON — a starting point for custom scenario files; `sweep` expands a
+//! [`SweepSpec`] (built-in or JSON file) and executes its points across
+//! worker threads with an on-disk result cache (`results/cache` by
 //! default). Sweep output is byte-identical for any `--jobs` value and for
 //! cached vs fresh runs; execution stats go to stderr.
+//!
+//! `run`, `sweep` and `dse` share one path: the verb only picks how a JSON
+//! file parses and which registry kinds a name may be, so `run fig5_sweep`
+//! and `sweep fig5_sweep` execute, cache and print alike.
 //!
 //! `dse` runs a [`DseSpec`] design-space search: the candidate designs are
 //! expanded deterministically, scored with the analytical estimator across
@@ -32,25 +36,26 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use chiplet_bench::scenarios::dse::render_dse;
-use chiplet_bench::scenarios::{paper_registry, render_report, render_sweep};
+use chiplet_bench::scenarios::{paper_registry, render, resolve, resolve_name, Verb};
 use chiplet_bench::TextTable;
-use chiplet_net::dse::{DseRunner, DseSpec};
+use chiplet_net::dse::DseRunner;
 use chiplet_net::metrics::MetricsRegistry;
-use chiplet_net::scenario::{ScenarioKind, ScenarioRun, ScenarioSpec, SweepRunner, SweepSpec};
+use chiplet_net::scenario::{ScenarioKind, ScenarioRun};
 use chiplet_sim::PhaseProfiler;
 
 const USAGE: &str = "usage: chiplet-scenario <COMMAND>
 commands:
   list                     print the built-in scenario registry
-  show <name>              print a built-in spec or sweep as JSON
-  run <name|file.json>     run a built-in or a ScenarioSpec JSON file
+  show <name>              print a built-in spec, sweep or search as JSON
+  run <name|file.json>     run any built-in or a ScenarioSpec JSON file;
+                           sweep and dse built-ins take the options of
+                           `sweep` and `dse` below and print their tally
       [--json]             print the structured report instead of text
       [--metrics PATH|-]   dump OpenMetrics telemetry (with -, the human
                            report moves to stderr so stdout stays pure)
       [--metrics-all]      include volatile execution metrics in the dump
       [--profile]          print a wall-time phase breakdown to stderr
-                           (file specs also get engine-level phase timers)
+                           (specs also get engine-level phase timers)
   sweep <name|file.json>   expand and run a SweepSpec across worker threads
       [--jobs N]           worker threads (default: one per core)
       [--no-cache]         skip the on-disk result cache
@@ -120,15 +125,9 @@ fn list() {
     let reg = paper_registry();
     let mut t = TextTable::new(vec!["name", "kind", "summary"]);
     for e in reg.entries() {
-        let kind = match (e.build)() {
-            ScenarioKind::Spec(_) => "spec",
-            ScenarioKind::Study(_) => "study",
-            ScenarioKind::Sweep(_) => "sweep",
-            ScenarioKind::Dse(_) => "dse",
-        };
         t.row(vec![
             e.name.to_string(),
-            kind.to_string(),
+            (e.build)().kind().to_string(),
             e.summary.to_string(),
         ]);
     }
@@ -136,31 +135,23 @@ fn list() {
 }
 
 fn show(name: &str) -> Result<(), String> {
-    let reg = paper_registry();
-    let entry = reg
-        .get(name)
-        .ok_or_else(|| format!("unknown scenario '{name}' (try `chiplet-scenario list`)"))?;
-    match (entry.build)() {
-        ScenarioKind::Spec(spec) => {
-            println!("{}", spec.to_json());
-            Ok(())
+    match resolve_name(Verb::Run, name).map_err(|e| e.to_string())? {
+        ScenarioKind::Spec(spec) => println!("{}", spec.to_json()),
+        ScenarioKind::Sweep(sweep) => println!("{}", sweep.to_json()),
+        ScenarioKind::Dse(search) => println!("{}", search.to_json()),
+        ScenarioKind::Study(_) => {
+            return Err(format!(
+                "'{name}' is a composite study (it renders its own text); \
+                 only declarative spec, sweep, and dse entries have a JSON form"
+            ))
         }
-        ScenarioKind::Sweep(sweep) => {
-            println!("{}", sweep.to_json());
-            Ok(())
-        }
-        ScenarioKind::Dse(search) => {
-            println!("{}", search.to_json());
-            Ok(())
-        }
-        ScenarioKind::Study(_) => Err(format!(
-            "'{name}' is a composite study (it renders its own text); \
-             only declarative spec, sweep, and dse entries have a JSON form"
-        )),
     }
+    Ok(())
 }
 
-fn run(target: &str, opts: &Opts) -> Result<(), String> {
+/// `run`, `sweep` and `dse`: resolve the target for `verb`, run it, print
+/// the sweep or search tally to stderr and the rendered output to stdout.
+fn execute(verb: Verb, target: &str, opts: &Opts) -> Result<(), String> {
     let mut prof = if opts.profile {
         PhaseProfiler::enabled()
     } else {
@@ -171,231 +162,65 @@ fn run(target: &str, opts: &Opts) -> Result<(), String> {
     let ph_render = prof.register("cli/render");
     let ph_metrics = prof.register("cli/metrics-write");
 
-    let mut metrics = MetricsRegistry::new();
-    // A JSON file takes priority; anything else is a registry name.
-    if target.ends_with(".json") || std::path::Path::new(target).is_file() {
-        let t0 = prof.start();
-        let text = std::fs::read_to_string(target).map_err(|e| format!("reading {target}: {e}"))?;
-        let mut spec = ScenarioSpec::from_json(&text).map_err(|e| e.to_string())?;
-        if opts.profile {
-            // Engine-level phase timers land in the volatile metric
-            // families (visible via `--metrics … --metrics-all`).
+    let t0 = prof.start();
+    let mut kind = resolve(verb, target).map_err(|e| e.to_string())?;
+    match &mut kind {
+        ScenarioKind::Study(_) if opts.json => {
+            return Err(format!(
+                "'{target}' is a composite study rendering text; --json \
+                 applies to declarative spec scenarios"
+            ))
+        }
+        // Engine-level phase timers land in the volatile metric families
+        // (visible via `--metrics … --metrics-all`).
+        ScenarioKind::Spec(spec) if opts.profile => {
             spec.engine
                 .get_or_insert_with(Default::default)
                 .profile_phases = Some(true);
         }
-        prof.record(ph_resolve, t0);
-        let t0 = prof.start();
-        let report = if opts.metrics.is_some() {
-            spec.run_with_metrics(&mut metrics)
-        } else {
-            spec.run()
-        }
-        .map_err(|e| e.to_string())?;
-        prof.record(ph_run, t0);
-        let t0 = prof.start();
-        if opts.json {
-            opts.emit(&format!("{}\n", report.to_json()));
-        } else {
-            opts.emit(&render_report(&report));
-        }
-        prof.record(ph_render, t0);
-        let t0 = prof.start();
-        opts.write_metrics(&metrics)?;
-        prof.record(ph_metrics, t0);
-        emit_profile(opts, &prof);
-        return Ok(());
+        _ => {}
     }
-    let t0 = prof.start();
-    let reg = paper_registry();
     prof.record(ph_resolve, t0);
-    let t0 = prof.start();
-    let outcome = if opts.metrics.is_some() {
-        reg.run_with_metrics(target, &mut metrics)
-    } else {
-        reg.run(target)
-    }
-    .ok_or_else(|| format!("unknown scenario '{target}' (try `chiplet-scenario list`)"))?
-    .map_err(|e| e.to_string())?;
-    prof.record(ph_run, t0);
-    let t0 = prof.start();
-    match outcome {
-        ScenarioRun::Text(text) => {
-            if opts.json {
-                return Err(format!(
-                    "'{target}' is a composite study rendering text; --json \
-                     applies to declarative spec scenarios"
-                ));
-            }
-            opts.emit(&text);
-        }
-        ScenarioRun::Report(report) => {
-            if opts.json {
-                opts.emit(&format!("{}\n", report.to_json()));
-            } else {
-                opts.emit(&render_report(&report));
-            }
-        }
-        ScenarioRun::Sweep(outcome) => {
-            if opts.json {
-                opts.emit(&format!("{}\n", outcome.to_json()));
-            } else {
-                opts.emit(&render_sweep(&outcome));
-            }
-        }
-        ScenarioRun::Dse(outcome) => {
-            if opts.json {
-                opts.emit(&format!("{}\n", outcome.to_json()));
-            } else {
-                opts.emit(&render_dse(&outcome));
-            }
-        }
-    }
-    prof.record(ph_render, t0);
-    let t0 = prof.start();
-    opts.write_metrics(&metrics)?;
-    prof.record(ph_metrics, t0);
-    emit_profile(opts, &prof);
-    Ok(())
-}
-
-/// Prints the `--profile` phase table to stderr.
-fn emit_profile(opts: &Opts, prof: &PhaseProfiler) {
-    if opts.profile {
-        eprint!("{}", prof.report().table());
-    }
-}
-
-fn sweep(target: &str, opts: &Opts) -> Result<(), String> {
-    let mut prof = if opts.profile {
-        PhaseProfiler::enabled()
-    } else {
-        PhaseProfiler::disabled()
-    };
-    let ph_resolve = prof.register("cli/resolve");
-    let ph_run = prof.register("cli/run");
-    let ph_render = prof.register("cli/render");
-    let ph_metrics = prof.register("cli/metrics-write");
-
-    let t0 = prof.start();
-    let spec = if target.ends_with(".json") || std::path::Path::new(target).is_file() {
-        let text = std::fs::read_to_string(target).map_err(|e| format!("reading {target}: {e}"))?;
-        SweepSpec::from_json(&text).map_err(|e| e.to_string())?
-    } else {
-        let reg = paper_registry();
-        let entry = reg
-            .get(target)
-            .ok_or_else(|| format!("unknown sweep '{target}' (try `chiplet-scenario list`)"))?;
-        match (entry.build)() {
-            ScenarioKind::Sweep(sweep) => sweep,
-            _ => {
-                return Err(format!(
-                    "'{target}' is not a sweep; run it with `chiplet-scenario run {target}`"
-                ))
-            }
-        }
-    };
-    prof.record(ph_resolve, t0);
-    let runner = SweepRunner {
-        jobs: opts.jobs,
-        cache_dir: opts.cache.then(|| opts.cache_dir.clone()),
-    };
-    let mut metrics = MetricsRegistry::new();
-    let t0 = prof.start();
-    let (outcome, stats) = if opts.metrics.is_some() {
-        runner.run_with_metrics(&spec, &mut metrics)
-    } else {
-        runner.run(&spec)
-    }
-    .map_err(|e| e.to_string())?;
-    prof.record(ph_run, t0);
-    eprintln!(
-        "sweep {}: {} points ({} executed, {} cached)",
-        spec.name, stats.total, stats.executed, stats.cached
-    );
-    let t0 = prof.start();
-    if opts.json {
-        opts.emit(&format!("{}\n", outcome.to_json()));
-    } else {
-        opts.emit(&render_sweep(&outcome));
-    }
-    prof.record(ph_render, t0);
-    let t0 = prof.start();
-    opts.write_metrics(&metrics)?;
-    prof.record(ph_metrics, t0);
-    emit_profile(opts, &prof);
-    Ok(())
-}
-
-fn dse(target: &str, opts: &Opts) -> Result<(), String> {
-    let mut prof = if opts.profile {
-        PhaseProfiler::enabled()
-    } else {
-        PhaseProfiler::disabled()
-    };
-    let ph_resolve = prof.register("cli/resolve");
-    let ph_run = prof.register("cli/run");
-    let ph_render = prof.register("cli/render");
-    let ph_metrics = prof.register("cli/metrics-write");
-
-    let t0 = prof.start();
-    let spec = if target.ends_with(".json") || std::path::Path::new(target).is_file() {
-        let text = std::fs::read_to_string(target).map_err(|e| format!("reading {target}: {e}"))?;
-        DseSpec::from_json(&text).map_err(|e| e.to_string())?
-    } else {
-        let reg = paper_registry();
-        let entry = reg
-            .get(target)
-            .ok_or_else(|| format!("unknown search '{target}' (try `chiplet-scenario list`)"))?;
-        match (entry.build)() {
-            ScenarioKind::Dse(search) => search,
-            _ => {
-                return Err(format!(
-                    "'{target}' is not a design-space search; run it with \
-                     `chiplet-scenario run {target}`"
-                ))
-            }
-        }
-    };
-    prof.record(ph_resolve, t0);
-    let runner = DseRunner {
+    let settings = DseRunner {
         jobs: opts.jobs,
         cache_dir: opts.cache.then(|| opts.cache_dir.clone()),
         budget: opts.budget,
     };
     let mut metrics = MetricsRegistry::new();
     let t0 = prof.start();
-    let (outcome, stats) = if opts.metrics.is_some() {
-        runner.run_with_metrics(&spec, &mut metrics)
-    } else {
-        runner.run(&spec)
-    }
-    .map_err(|e| e.to_string())?;
+    let run = kind
+        .run(&settings, opts.metrics.is_some().then_some(&mut metrics))
+        .map_err(|e| e.to_string())?;
     prof.record(ph_run, t0);
-    eprintln!(
-        "dse {}: {} candidates ({} scored, {} infeasible) at {:.1} µs/design, \
-         frontier {}, escalated {} ({} executed, {} cached)",
-        spec.name,
-        stats.candidates,
-        stats.scored,
-        stats.infeasible,
-        stats.estimator_ns / 1e3,
-        stats.frontier,
-        stats.escalated,
-        stats.sweep.executed,
-        stats.sweep.cached,
-    );
-    let t0 = prof.start();
-    if opts.json {
-        opts.emit(&format!("{}\n", outcome.to_json()));
-    } else {
-        opts.emit(&render_dse(&outcome));
+    match &run {
+        ScenarioRun::Sweep(outcome, stats) => eprintln!(
+            "sweep {}: {} points ({} executed, {} cached)",
+            outcome.sweep, stats.total, stats.executed, stats.cached
+        ),
+        ScenarioRun::Dse(outcome, stats) => eprintln!(
+            "dse {}: {} candidates ({} scored, {} infeasible) at {:.1} µs/design, \
+             frontier {}, escalated {} ({} executed, {} cached)",
+            outcome.dse,
+            stats.candidates,
+            stats.scored,
+            stats.infeasible,
+            stats.estimator_ns / 1e3,
+            stats.frontier,
+            stats.escalated,
+            stats.sweep.executed,
+            stats.sweep.cached,
+        ),
+        ScenarioRun::Report(_) | ScenarioRun::Text(_) => {}
     }
+    let t0 = prof.start();
+    opts.emit(&render(&run, opts.json));
     prof.record(ph_render, t0);
     let t0 = prof.start();
     opts.write_metrics(&metrics)?;
     prof.record(ph_metrics, t0);
-    emit_profile(opts, &prof);
+    if opts.profile {
+        eprint!("{}", prof.report().table());
+    }
     Ok(())
 }
 
@@ -474,9 +299,9 @@ fn dispatch() -> Result<(), String> {
             Ok(())
         }
         ["show", name] => show(name),
-        ["run", target] => run(target, &opts),
-        ["sweep", target] => sweep(target, &opts),
-        ["dse", target] => dse(target, &opts),
+        ["run", target] => execute(Verb::Run, target, &opts),
+        ["sweep", target] => execute(Verb::Sweep, target, &opts),
+        ["dse", target] => execute(Verb::Dse, target, &opts),
         ["lint-metrics", path] => lint_metrics(path),
         _ => Err(USAGE.to_string()),
     }

@@ -26,7 +26,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use chiplet_bench::scenarios::paper_registry;
+use chiplet_bench::scenarios::{resolve, Verb};
 use chiplet_bench::serve::hammer::{hammer, HammerOptions};
 use chiplet_bench::serve::{http, obs, ServeConfig, Server};
 use chiplet_net::lint_openmetrics;
@@ -101,28 +101,18 @@ impl Default for Opts {
     }
 }
 
-/// Resolves a CLI target to either a spec or a sweep: JSON files are
-/// sniffed (sweeps have a `base`), names hit the registry.
+/// Resolves a CLI target to either a spec or a sweep: a JSON file is
+/// sniffed (a sweep has a `base`), a name hits the registry.
 enum Target {
     Spec(ScenarioSpec),
     Sweep(SweepSpec),
 }
 
 fn resolve_target(target: &str) -> Result<Target, String> {
-    if target.ends_with(".json") || std::path::Path::new(target).is_file() {
-        let text = std::fs::read_to_string(target).map_err(|e| format!("reading {target}: {e}"))?;
-        if let Ok(sweep) = SweepSpec::from_json(&text) {
-            return Ok(Target::Sweep(sweep));
-        }
-        return ScenarioSpec::from_json(&text)
-            .map(Target::Spec)
-            .map_err(|e| e.to_string());
-    }
-    let reg = paper_registry();
-    let entry = reg
-        .get(target)
-        .ok_or_else(|| format!("unknown scenario '{target}' (try `chiplet-scenario list`)"))?;
-    match (entry.build)() {
+    match resolve(Verb::Sweep, target)
+        .or_else(|_| resolve(Verb::Run, target))
+        .map_err(|e| e.to_string())?
+    {
         ScenarioKind::Spec(spec) => Ok(Target::Spec(spec)),
         ScenarioKind::Sweep(sweep) => Ok(Target::Sweep(sweep)),
         ScenarioKind::Study(_) | ScenarioKind::Dse(_) => Err(format!(

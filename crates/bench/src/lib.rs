@@ -1,13 +1,14 @@
 //! # chiplet-bench
 //!
-//! The benchmark harness of the reproduction. Two kinds of targets live
-//! here:
+//! The benchmark harness of the reproduction. Its targets:
 //!
-//! * **Regenerator binaries** (`cargo run --release -p chiplet-bench --bin
-//!   tableN|figN`) — one per table and figure of the paper's evaluation,
-//!   printing the same rows/series the paper reports, plus two ablations
-//!   (traffic-manager policies, monolithic baseline) and a NoC design-space
-//!   study;
+//! * **`chiplet-scenario`** — runs every table and figure of the paper's
+//!   evaluation by name (`chiplet-scenario run table1|fig3|…`), printing
+//!   the same rows/series the paper reports, plus the ablations
+//!   (traffic-manager policies, monolithic baseline), the extension
+//!   studies, parameter sweeps and design-space searches;
+//! * **`chiplet-serve`** and **`chiplet-trace`** — the scenario-serving
+//!   daemon and the hop-tracing / telemetry CLI;
 //! * **Criterion benches** (`cargo bench`) — micro-benchmarks of the
 //!   simulator itself (engine event throughput, NoC cycle rate, sketch
 //!   update rate, fluid solver).
@@ -15,10 +16,10 @@
 //! This library hosts the shared table-formatting helpers plus the
 //! [`scenarios`] module: the paper's experiments as entries of a
 //! [`ScenarioRegistry`](chiplet_net::scenario::ScenarioRegistry) (see
-//! [`scenarios::paper_registry`]), which every regenerator binary and the
-//! `chiplet-scenario` CLI look their work up in — and the [`serve`]
-//! module, the persistent scenario-serving daemon behind the
-//! `chiplet-serve` binary.
+//! [`scenarios::paper_registry`]), with the one resolver
+//! ([`scenarios::resolve`]) that the CLIs and the daemon look their
+//! targets up through — and the [`serve`] module, the persistent
+//! scenario-serving daemon behind the `chiplet-serve` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,9 @@
 //! The paper's built-in scenarios, one module per figure/table/study.
 //!
-//! Every module renders the exact text its former standalone binary
-//! printed; the binaries are now thin wrappers that look their name up in
-//! [`paper_registry`] (see `src/bin/`). Experiments that are a single
+//! Every module renders the exact text `chiplet-scenario run <name>`
+//! prints for it. [`resolve`] maps a command-line or HTTP target to a
+//! kind-checked [`ScenarioKind`] through [`paper_registry`], and
+//! [`render`] turns any run into its output. Experiments that are a single
 //! declarative run are registered as [`ScenarioKind::Spec`] entries
 //! (pure [`ScenarioSpec`](chiplet_net::scenario::ScenarioSpec)s, rendered
 //! generically); multi-run sweeps and comparisons are
@@ -28,9 +29,11 @@ pub mod table3;
 
 use std::fmt::Write;
 
+use chiplet_net::dse::{DseRunner, DseSpec};
 use chiplet_net::metrics::MetricsRegistry;
 use chiplet_net::scenario::{
-    ScenarioEntry, ScenarioKind, ScenarioRegistry, ScenarioReport, ScenarioRun, SweepOutcome,
+    ScenarioEntry, ScenarioKind, ScenarioRegistry, ScenarioReport, ScenarioRun, ScenarioSpec,
+    SweepOutcome, SweepSpec,
 };
 
 use crate::{f1, TextTable};
@@ -118,8 +121,95 @@ pub fn render_sweep(outcome: &SweepOutcome) -> String {
     out
 }
 
-/// Runs a registry built-in and renders it: studies return their own text,
-/// declarative specs go through [`render_report`].
+/// Renders a run as its command-line output: the structured JSON with
+/// `json`, the text tables otherwise. A study's text has no JSON form, so
+/// `json` does not apply to it.
+pub fn render(run: &ScenarioRun, json: bool) -> String {
+    match (run, json) {
+        (ScenarioRun::Text(text), _) => text.clone(),
+        (ScenarioRun::Report(report), true) => format!("{}\n", report.to_json()),
+        (ScenarioRun::Report(report), false) => render_report(report),
+        (ScenarioRun::Sweep(outcome, _), true) => format!("{}\n", outcome.to_json()),
+        (ScenarioRun::Sweep(outcome, _), false) => render_sweep(outcome),
+        (ScenarioRun::Dse(outcome, _), true) => format!("{}\n", outcome.to_json()),
+        (ScenarioRun::Dse(outcome, _), false) => dse::render_dse(outcome),
+    }
+}
+
+/// The command a target is resolved for. It picks how a JSON file parses
+/// and which registry kinds a name may be.
+#[derive(Clone, Copy, Debug)]
+pub enum Verb {
+    /// Any registry entry, or a [`ScenarioSpec`] file.
+    Run,
+    /// A sweep entry, or a [`SweepSpec`] file.
+    Sweep,
+    /// A design-space search entry, or a [`DseSpec`] file.
+    Dse,
+}
+
+/// Why a target did not resolve.
+#[derive(Debug)]
+pub enum ResolveError {
+    /// No registry entry has the name.
+    Unknown(String),
+    /// The entry is of a kind the verb does not take, or the file is
+    /// unreadable or does not parse.
+    Invalid(String),
+}
+
+impl std::fmt::Display for ResolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResolveError::Unknown(m) => write!(f, "{m} (try `chiplet-scenario list`)"),
+            ResolveError::Invalid(m) => f.write_str(m),
+        }
+    }
+}
+
+/// Resolves a target for `verb`: a path ending in `.json`, or any
+/// existing file, parses as the verb's spec type; anything else is a
+/// registry name (see [`resolve_name`]).
+pub fn resolve(verb: Verb, target: &str) -> Result<ScenarioKind, ResolveError> {
+    if !(target.ends_with(".json") || std::path::Path::new(target).is_file()) {
+        return resolve_name(verb, target);
+    }
+    let text = std::fs::read_to_string(target)
+        .map_err(|e| ResolveError::Invalid(format!("reading {target}: {e}")))?;
+    match verb {
+        Verb::Run => ScenarioSpec::from_json(&text).map(ScenarioKind::Spec),
+        Verb::Sweep => SweepSpec::from_json(&text).map(ScenarioKind::Sweep),
+        Verb::Dse => DseSpec::from_json(&text).map(ScenarioKind::Dse),
+    }
+    .map_err(|e| ResolveError::Invalid(e.to_string()))
+}
+
+/// Looks a name up in [`paper_registry`] and builds it. `run` takes every
+/// kind; `sweep` and `dse` take only their own.
+pub fn resolve_name(verb: Verb, name: &str) -> Result<ScenarioKind, ResolveError> {
+    let noun = match verb {
+        Verb::Run => "scenario",
+        Verb::Sweep => "sweep",
+        Verb::Dse => "search",
+    };
+    let build = paper_registry()
+        .get(name)
+        .ok_or_else(|| ResolveError::Unknown(format!("unknown {noun} '{name}'")))?
+        .build;
+    let kind = build();
+    match (verb, &kind) {
+        (Verb::Run, _)
+        | (Verb::Sweep, ScenarioKind::Sweep(_))
+        | (Verb::Dse, ScenarioKind::Dse(_)) => Ok(kind),
+        (Verb::Sweep, _) => Err(ResolveError::Invalid(format!("'{name}' is not a sweep"))),
+        (Verb::Dse, _) => Err(ResolveError::Invalid(format!(
+            "'{name}' is not a design-space search"
+        ))),
+    }
+}
+
+/// Runs a registry built-in with the default settings (a worker per core,
+/// no cache) and renders it as text.
 ///
 /// # Panics
 ///
@@ -138,16 +228,11 @@ pub fn render_named(name: &str) -> String {
 /// Panics on an unknown name or a spec that doesn't resolve, like
 /// [`render_named`].
 pub fn render_named_with_metrics(name: &str, metrics: &mut MetricsRegistry) -> String {
-    match paper_registry()
-        .run_with_metrics(name, metrics)
-        .unwrap_or_else(|| panic!("'{name}' is a registered scenario"))
-        .unwrap_or_else(|e| panic!("built-in scenario '{name}' resolves: {e}"))
-    {
-        ScenarioRun::Text(text) => text,
-        ScenarioRun::Report(report) => render_report(&report),
-        ScenarioRun::Sweep(outcome) => render_sweep(&outcome),
-        ScenarioRun::Dse(outcome) => dse::render_dse(&outcome),
-    }
+    let run = resolve_name(Verb::Run, name)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run(&DseRunner::default(), Some(metrics))
+        .unwrap_or_else(|e| panic!("built-in scenario '{name}' resolves: {e}"));
+    render(&run, false)
 }
 
 /// The registry of the paper's figures, tables, and companion studies.

@@ -62,7 +62,7 @@ use chiplet_net::scenario::{
 };
 use chiplet_sim::SimTime;
 
-use crate::scenarios::paper_registry;
+use crate::scenarios::{paper_registry, resolve_name, ResolveError, Verb};
 use http::{read_request, write_response, write_response_with, ChunkedResponse, Request};
 use obs::{Obs, ServeSpan};
 use queue::FairQueue;
@@ -657,15 +657,9 @@ fn handle(
                 .entries()
                 .iter()
                 .map(|e| {
-                    let kind = match (e.build)() {
-                        ScenarioKind::Spec(_) => "spec",
-                        ScenarioKind::Study(_) => "study",
-                        ScenarioKind::Sweep(_) => "sweep",
-                        ScenarioKind::Dse(_) => "dse",
-                    };
                     jobj(vec![
                         ("name", jstr(e.name)),
-                        ("kind", jstr(kind)),
+                        ("kind", jstr((e.build)().kind())),
                         ("summary", jstr(e.summary)),
                     ])
                 })
@@ -704,11 +698,7 @@ fn handle(
 /// spec entry, otherwise the body must be a spec JSON.
 fn resolve_spec(req: &Request) -> Result<ScenarioSpec, (u16, String)> {
     if let Some(name) = req.param("name") {
-        let reg = paper_registry();
-        let entry = reg
-            .get(name)
-            .ok_or_else(|| (404, format!("unknown scenario '{name}'")))?;
-        return match (entry.build)() {
+        return match resolve_name(Verb::Run, name).map_err(resolve_status)? {
             ScenarioKind::Spec(spec) => Ok(spec),
             _ => Err((
                 400,
@@ -716,32 +706,36 @@ fn resolve_spec(req: &Request) -> Result<ScenarioSpec, (u16, String)> {
             )),
         };
     }
-    let text =
-        std::str::from_utf8(&req.body).map_err(|_| (400, "body is not UTF-8".to_string()))?;
-    if text.trim().is_empty() {
-        return Err((400, "missing ?name= and empty body".to_string()));
-    }
-    ScenarioSpec::from_json(text).map_err(|e| (400, e.to_string()))
+    ScenarioSpec::from_json(body_text(req)?).map_err(|e| (400, e.to_string()))
 }
 
 /// Resolves a request to a [`SweepSpec`], mirroring [`resolve_spec`].
 fn resolve_sweep(req: &Request) -> Result<SweepSpec, (u16, String)> {
     if let Some(name) = req.param("name") {
-        let reg = paper_registry();
-        let entry = reg
-            .get(name)
-            .ok_or_else(|| (404, format!("unknown sweep '{name}'")))?;
-        return match (entry.build)() {
+        return match resolve_name(Verb::Sweep, name).map_err(resolve_status)? {
             ScenarioKind::Sweep(sweep) => Ok(sweep),
             _ => Err((400, format!("'{name}' is not a sweep"))),
         };
     }
+    SweepSpec::from_json(body_text(req)?).map_err(|e| (400, e.to_string()))
+}
+
+/// An unknown name is a 404; a name of the wrong kind is a 400.
+fn resolve_status(err: ResolveError) -> (u16, String) {
+    match err {
+        ResolveError::Unknown(m) => (404, m),
+        ResolveError::Invalid(m) => (400, m),
+    }
+}
+
+/// A spec body, which must be non-empty UTF-8.
+fn body_text(req: &Request) -> Result<&str, (u16, String)> {
     let text =
         std::str::from_utf8(&req.body).map_err(|_| (400, "body is not UTF-8".to_string()))?;
     if text.trim().is_empty() {
         return Err((400, "missing ?name= and empty body".to_string()));
     }
-    SweepSpec::from_json(text).map_err(|e| (400, e.to_string()))
+    Ok(text)
 }
 
 /// A span under construction on the connection-handler side: identity and

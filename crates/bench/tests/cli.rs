@@ -250,3 +250,28 @@ fn sweep_runs_end_to_end_with_cache() {
     assert_eq!(cold.stdout, warm.stdout, "cache must be transparent");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn run_on_a_sweep_uses_the_cache_like_sweep() {
+    // `run` and `sweep` share one execution path: `run <sweep name>` honours
+    // the cache, prints the tally, and prints the same bytes as `sweep`.
+    let dir = scratch("run-sweep-cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+
+    let run = |verb| scenario_cli(&[verb, "fig5_sweep", "--json", "--cache-dir", dir_s]);
+    let cold = run("run");
+    assert!(cold.status.success(), "{}", stderr_of(&cold));
+    let warm = run("run");
+    assert!(warm.status.success(), "{}", stderr_of(&warm));
+    assert!(
+        stderr_of(&warm).contains("0 executed"),
+        "{}",
+        stderr_of(&warm)
+    );
+    let sweep = run("sweep");
+    assert!(sweep.status.success(), "{}", stderr_of(&sweep));
+    assert_eq!(cold.stdout, sweep.stdout, "run and sweep print alike");
+    assert_eq!(warm.stdout, sweep.stdout, "cache must be transparent");
+    let _ = std::fs::remove_dir_all(&dir);
+}

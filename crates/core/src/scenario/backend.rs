@@ -41,12 +41,39 @@ impl EventEngineBackend {
     /// Builds an engine loaded with the spec's flows over a resolved
     /// topology. Exposed so callers that need the full [`RunResult`]
     /// (trace exports, telemetry dumps) still construct engines through
-    /// the scenario layer.
+    /// the scenario layer. A spec whose horizon does not exceed its
+    /// statistics warmup, or with a zero-width trace or metrics window, is
+    /// [`ScenarioError::Invalid`].
     pub fn instantiate<'t>(
         spec: &ScenarioSpec,
         topo: &'t Topology,
     ) -> Result<Engine<'t>, ScenarioError> {
-        let mut engine = Engine::new(topo, spec.engine_config());
+        Self::instantiate_with(spec, topo, spec.engine_config())
+    }
+
+    /// [`EventEngineBackend::instantiate`] under an explicit engine config.
+    fn instantiate_with<'t>(
+        spec: &ScenarioSpec,
+        topo: &'t Topology,
+        cfg: EngineConfig,
+    ) -> Result<Engine<'t>, ScenarioError> {
+        if spec.horizon.as_nanos() <= cfg.warmup.as_nanos() {
+            return Err(ScenarioError::Invalid(format!(
+                "horizon {} must exceed the statistics warmup {}",
+                spec.horizon, cfg.warmup
+            )));
+        }
+        for (field, window) in [
+            ("trace_window", cfg.trace_window),
+            ("metrics_window", cfg.metrics_window),
+        ] {
+            if window.is_some_and(|w| w.is_zero()) {
+                return Err(ScenarioError::Invalid(format!(
+                    "engine.{field} must be positive"
+                )));
+            }
+        }
+        let mut engine = Engine::new(topo, cfg);
         for flow in &spec.flows {
             engine.add_flow(spec.compile_flow(flow, topo)?);
         }
@@ -70,27 +97,7 @@ impl EventEngineBackend {
         cfg: EngineConfig,
     ) -> Result<(RunResult, Topology), ScenarioError> {
         let topo = spec.topology.resolve()?;
-        if spec.horizon.as_nanos() <= cfg.warmup.as_nanos() {
-            return Err(ScenarioError::Invalid(format!(
-                "horizon {} must exceed the statistics warmup {}",
-                spec.horizon, cfg.warmup
-            )));
-        }
-        for (field, window) in [
-            ("trace_window", cfg.trace_window),
-            ("metrics_window", cfg.metrics_window),
-        ] {
-            if window.is_some_and(|w| w.is_zero()) {
-                return Err(ScenarioError::Invalid(format!(
-                    "engine.{field} must be positive"
-                )));
-            }
-        }
-        let mut engine = Engine::new(&topo, cfg);
-        for flow in &spec.flows {
-            engine.add_flow(spec.compile_flow(flow, &topo)?);
-        }
-        let result = engine.run(spec.horizon);
+        let result = Self::instantiate_with(spec, &topo, cfg)?.run(spec.horizon);
         Ok((result, topo))
     }
 

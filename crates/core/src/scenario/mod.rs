@@ -19,9 +19,9 @@
 //! byte-identical report on every run.
 //!
 //! The [`ScenarioRegistry`] maps names to built-in scenarios (the paper's
-//! figures and tables, plus the ablation studies), so benchmark binaries
-//! shrink to thin wrappers and new experiments are JSON files rather than
-//! Rust programs.
+//! figures and tables, plus the ablation studies), and
+//! [`ScenarioKind::run`] is the one dispatch that executes any of them, so
+//! new experiments are JSON files rather than Rust programs.
 //!
 //! [demand schedules]: chiplet_sim::DemandSchedule
 

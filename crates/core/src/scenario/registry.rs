@@ -14,8 +14,8 @@
 
 use super::report::ScenarioReport;
 use super::spec::{ScenarioError, ScenarioSpec};
-use super::sweep::{SweepOutcome, SweepRunner, SweepSpec};
-use crate::dse::{DseOutcome, DseRunner, DseSpec};
+use super::sweep::{SweepOutcome, SweepRunner, SweepSpec, SweepStats};
+use crate::dse::{DseOutcome, DseRunner, DseSpec, DseStats};
 use crate::metrics::MetricsRegistry;
 
 /// What a registry entry builds.
@@ -27,7 +27,7 @@ pub enum ScenarioKind {
     Spec(ScenarioSpec),
     /// A composite study returning rendered text. The study records any
     /// telemetry it produces into the registry it's handed (a throwaway
-    /// one under [`ScenarioRegistry::run`]).
+    /// one under [`ScenarioKind::run`] without metrics).
     Study(fn(&mut MetricsRegistry) -> String),
     /// A declarative parameter sweep over a base spec.
     Sweep(SweepSpec),
@@ -53,10 +53,63 @@ pub enum ScenarioRun {
     Report(ScenarioReport),
     /// A study's rendered text.
     Text(String),
-    /// A sweep's aggregate outcome.
-    Sweep(SweepOutcome),
-    /// A design-space search's frontier report.
-    Dse(DseOutcome),
+    /// A sweep's aggregate outcome and execution stats.
+    Sweep(SweepOutcome, SweepStats),
+    /// A design-space search's frontier report and execution stats.
+    Dse(DseOutcome, DseStats),
+}
+
+impl ScenarioKind {
+    /// The entry's kind as listed by `scenario list` and
+    /// `GET /v1/scenarios`: `spec`, `study`, `sweep` or `dse`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            ScenarioKind::Spec(_) => "spec",
+            ScenarioKind::Study(_) => "study",
+            ScenarioKind::Sweep(_) => "sweep",
+            ScenarioKind::Dse(_) => "dse",
+        }
+    }
+
+    /// Runs the scenario. Sweeps and searches run with `settings`' worker
+    /// count and cache directory, and searches with its budget. With
+    /// `metrics`, the run's telemetry folds into it: specs run through the
+    /// metric-aware backends, and sweeps and searches add per-point gauges
+    /// plus volatile execution counters. Studies always record into a
+    /// registry, a throwaway one without `metrics`.
+    pub fn run(
+        self,
+        settings: &DseRunner,
+        metrics: Option<&mut MetricsRegistry>,
+    ) -> Result<ScenarioRun, ScenarioError> {
+        let sweeps = SweepRunner {
+            jobs: settings.jobs,
+            cache_dir: settings.cache_dir.clone(),
+        };
+        Ok(match self {
+            ScenarioKind::Spec(spec) => ScenarioRun::Report(match metrics {
+                Some(m) => spec.run_with_metrics(m)?,
+                None => spec.run()?,
+            }),
+            ScenarioKind::Study(f) => {
+                ScenarioRun::Text(f(metrics.unwrap_or(&mut MetricsRegistry::new())))
+            }
+            ScenarioKind::Sweep(sweep) => {
+                let (outcome, stats) = match metrics {
+                    Some(m) => sweeps.run_with_metrics(&sweep, m)?,
+                    None => sweeps.run(&sweep)?,
+                };
+                ScenarioRun::Sweep(outcome, stats)
+            }
+            ScenarioKind::Dse(search) => {
+                let (outcome, stats) = match metrics {
+                    Some(m) => settings.run_with_metrics(&search, m)?,
+                    None => settings.run(&search)?,
+                };
+                ScenarioRun::Dse(outcome, stats)
+            }
+        })
+    }
 }
 
 /// A name → scenario table.
@@ -94,45 +147,6 @@ impl ScenarioRegistry {
     pub fn get(&self, name: &str) -> Option<&ScenarioEntry> {
         self.entries.iter().find(|e| e.name == name)
     }
-
-    /// Builds and runs a named scenario. `None` = unknown name. Sweeps run
-    /// with a default runner (auto worker count, no cache); use
-    /// [`SweepRunner`] directly for cache or job control.
-    pub fn run(&self, name: &str) -> Option<Result<ScenarioRun, ScenarioError>> {
-        let entry = self.get(name)?;
-        Some(match (entry.build)() {
-            ScenarioKind::Spec(spec) => spec.run().map(ScenarioRun::Report),
-            ScenarioKind::Study(f) => Ok(ScenarioRun::Text(f(&mut MetricsRegistry::new()))),
-            ScenarioKind::Sweep(sweep) => SweepRunner::default()
-                .run(&sweep)
-                .map(|(outcome, _)| ScenarioRun::Sweep(outcome)),
-            ScenarioKind::Dse(search) => DseRunner::default()
-                .run(&search)
-                .map(|(outcome, _)| ScenarioRun::Dse(outcome)),
-        })
-    }
-
-    /// Like [`ScenarioRegistry::run`], but folds the run's telemetry into
-    /// `metrics`: specs run through the metric-aware backends, studies
-    /// record into the shared registry directly, and sweeps add per-point
-    /// gauges plus volatile execution counters.
-    pub fn run_with_metrics(
-        &self,
-        name: &str,
-        metrics: &mut MetricsRegistry,
-    ) -> Option<Result<ScenarioRun, ScenarioError>> {
-        let entry = self.get(name)?;
-        Some(match (entry.build)() {
-            ScenarioKind::Spec(spec) => spec.run_with_metrics(metrics).map(ScenarioRun::Report),
-            ScenarioKind::Study(f) => Ok(ScenarioRun::Text(f(metrics))),
-            ScenarioKind::Sweep(sweep) => SweepRunner::default()
-                .run_with_metrics(&sweep, metrics)
-                .map(|(outcome, _)| ScenarioRun::Sweep(outcome)),
-            ScenarioKind::Dse(search) => DseRunner::default()
-                .run_with_metrics(&search, metrics)
-                .map(|(outcome, _)| ScenarioRun::Dse(outcome)),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -156,11 +170,12 @@ mod tests {
         assert_eq!(reg.entries()[0].name, "a");
         assert!(reg.get("b").is_some());
         assert!(reg.get("missing").is_none());
-        match reg.run("b") {
-            Some(Ok(ScenarioRun::Text(t))) => assert_eq!(t, "B"),
+        let kind = (reg.get("b").unwrap().build)();
+        assert_eq!(kind.kind(), "study");
+        match kind.run(&DseRunner::default(), None) {
+            Ok(ScenarioRun::Text(t)) => assert_eq!(t, "B"),
             _ => panic!("study should run"),
         }
-        assert!(reg.run("missing").is_none());
     }
 
     #[test]

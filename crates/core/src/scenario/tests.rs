@@ -233,6 +233,31 @@ fn bad_specs_are_rejected_with_reasons() {
     assert!(err.to_string().contains("crosses no fluid links"), "{err}");
 }
 
+#[test]
+fn instantiate_rejects_what_run_rejects() {
+    // The public engine constructor applies the same checks as `run`, so a
+    // caller building engines itself gets a typed error instead of the
+    // engine's `horizon > warmup` assertion.
+    let topo = event_spec().topology.resolve().unwrap();
+    let mut short = event_spec();
+    short.horizon = SimTime::from_nanos(2_000);
+    let mut trace = event_spec();
+    trace.engine.as_mut().unwrap().trace_window = Some(SimDuration::ZERO);
+    let mut metrics = event_spec();
+    metrics.engine.as_mut().unwrap().metrics_window = Some(SimDuration::ZERO);
+    for (want, spec) in [
+        ("must exceed the statistics warmup", short),
+        ("engine.trace_window must be positive", trace),
+        ("engine.metrics_window must be positive", metrics),
+    ] {
+        match EventEngineBackend::instantiate(&spec, &topo) {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains(want), "{msg}"),
+            Ok(_) => panic!("{want}: instantiate accepted the spec"),
+        }
+    }
+    assert!(EventEngineBackend::instantiate(&event_spec(), &topo).is_ok());
+}
+
 mod json_roundtrip_props {
     use chiplet_fluid::FluidLink;
     use chiplet_mem::{OpKind, Pattern};
@@ -817,9 +842,11 @@ mod sweeps {
                 })
             },
         });
-        match reg.run("unit_sweep") {
-            Some(Ok(ScenarioRun::Sweep(outcome))) => {
+        let settings = crate::dse::DseRunner::default();
+        match (reg.get("unit_sweep").unwrap().build)().run(&settings, None) {
+            Ok(ScenarioRun::Sweep(outcome, stats)) => {
                 assert_eq!(outcome.points.len(), 2);
+                assert_eq!((stats.total, stats.executed), (2, 2));
                 assert!(outcome.points.iter().all(|p| p.report.outcome().is_some()));
             }
             _ => panic!("sweep entry should run"),

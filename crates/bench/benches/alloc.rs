@@ -1,58 +1,31 @@
 //! Criterion benchmarks of the allocation hot paths: the dense interned
-//! allocator against the map-based wrapper it replaced, and the
-//! incremental epoch allocator in its steady state (the fluid loop's
-//! per-tick cost when no demand breakpoint has passed).
-
-use std::collections::HashMap;
+//! allocator, and the incremental epoch allocator in its steady state (the
+//! fluid loop's per-tick cost when no demand breakpoint has passed).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use chiplet_fluid::IncrementalAllocator;
-use chiplet_net::traffic::{
-    weighted_allocate, weighted_allocate_dense, DenseAllocScratch, FlowDemand, ResourceArena,
-    ResourceKey,
-};
-
-/// A 64-flow / 16-resource instance mirroring the socket-wide policy
-/// epochs of the engine: each flow crosses two capacity points.
-fn instance() -> (Vec<FlowDemand>, HashMap<ResourceKey, f64>) {
-    let flows = (0..64u64)
-        .map(|i| FlowDemand {
-            demand: 1e9 * (1.0 + (i % 7) as f64),
-            weight: 1.0,
-            resources: vec![(i % 16, 0.5), ((i * 3) % 16, 0.5)],
-        })
-        .collect();
-    let capacities = (0..16u64).map(|r| (r, 1e9 * (20.0 + r as f64))).collect();
-    (flows, capacities)
-}
-
-fn bench_map_wrapper(c: &mut Criterion) {
-    let (flows, capacities) = instance();
-    c.bench_function("alloc/map_64_flows_16_points", |b| {
-        b.iter(|| black_box(weighted_allocate(&flows, &capacities)))
-    });
-}
+use chiplet_net::traffic::{weighted_allocate_dense, DenseAllocScratch, ResourceArena};
 
 fn bench_dense(c: &mut Criterion) {
-    let (flows, capacities) = instance();
-    // Intern once — the engine does this at flow admission.
+    // A 64-flow / 16-resource instance mirroring the socket-wide policy
+    // epochs of the engine: each flow crosses two capacity points. Keys
+    // are interned once, as the engine does at flow admission.
     let mut arena = ResourceArena::new();
-    let footprints: Vec<Vec<(u32, f64)>> = flows
-        .iter()
-        .map(|f| {
-            f.resources
-                .iter()
-                .map(|&(r, frac)| (arena.intern(r), frac))
-                .collect()
+    let footprints: Vec<Vec<(u32, f64)>> = (0..64u64)
+        .map(|i| {
+            vec![
+                (arena.intern(i % 16), 0.5),
+                (arena.intern((i * 3) % 16), 0.5),
+            ]
         })
         .collect();
-    for (&key, &cap) in &capacities {
-        arena.set_capacity(key, cap);
+    for r in 0..16u64 {
+        arena.set_capacity(r, 1e9 * (20.0 + r as f64));
     }
-    let demands: Vec<f64> = flows.iter().map(|f| f.demand).collect();
-    let weights: Vec<f64> = flows.iter().map(|f| f.weight).collect();
+    let demands: Vec<f64> = (0..64).map(|i| 1e9 * (1.0 + (i % 7) as f64)).collect();
+    let weights = vec![1.0; demands.len()];
     let footprint_refs: Vec<&[(u32, f64)]> = footprints.iter().map(Vec::as_slice).collect();
     let mut scratch = DenseAllocScratch::default();
     let mut out = Vec::new();
@@ -84,10 +57,5 @@ fn bench_incremental_steady_state(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_map_wrapper,
-    bench_dense,
-    bench_incremental_steady_state
-);
+criterion_group!(benches, bench_dense, bench_incremental_steady_state);
 criterion_main!(benches);

@@ -6,9 +6,10 @@
 //!   evaluation by name (`chiplet-scenario run table1|fig3|…`), printing
 //!   the same rows/series the paper reports, plus the ablations
 //!   (traffic-manager policies, monolithic baseline), the extension
-//!   studies, parameter sweeps and design-space searches;
-//! * **`chiplet-serve`** and **`chiplet-trace`** — the scenario-serving
-//!   daemon and the hop-tracing / telemetry CLI;
+//!   studies, parameter sweeps and design-space searches, and inspects
+//!   any event-engine spec's hop-level spans (`trace`, `critpath`,
+//!   `blame`) and telemetry dumps (`top`, `lint-metrics`);
+//! * **`chiplet-serve`** — the scenario-serving daemon;
 //! * **Criterion benches** (`cargo bench`) — micro-benchmarks of the
 //!   simulator itself (engine event throughput, NoC cycle rate, sketch
 //!   update rate, fluid solver).
@@ -93,11 +94,6 @@ impl TextTable {
             let _ = writeln!(out, "{}", fmt_row(row, &widths));
         }
         out
-    }
-
-    /// Prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

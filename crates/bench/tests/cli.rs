@@ -2,7 +2,7 @@
 //! one-line diagnostic on stderr — never a panic or a zero exit.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn scenario_cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_chiplet-scenario"))
@@ -171,11 +171,56 @@ fn sweep_unknown_name_fails_cleanly() {
 }
 
 #[test]
-fn sweep_rejects_non_sweep_entries() {
-    let out = scenario_cli(&["sweep", "fig3"]);
-    assert!(!out.status.success());
+fn verbs_reject_targets_of_the_wrong_kind() {
+    // The span views run one event-engine spec: a study, a sweep, a search
+    // or a fluid spec is a one-line typed error (exit 1).
+    let fluid = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/link_share.json"
+    );
+    for (verb, target, want) in [
+        ("sweep", "fig3", "'fig3' is not a sweep"),
+        (
+            "trace",
+            "fig3",
+            "'fig3' is a study; trace needs an event-engine spec",
+        ),
+        (
+            "critpath",
+            "fig5_sweep",
+            "'fig5_sweep' is a sweep; critpath needs an event-engine spec",
+        ),
+        (
+            "blame",
+            "dse_smoke",
+            "'dse_smoke' is a dse; blame needs an event-engine spec",
+        ),
+        ("trace", fluid, "runs on the fluid backend"),
+    ] {
+        let out = scenario_cli(&[verb, target]);
+        assert_eq!(out.status.code(), Some(1), "{verb} {target}");
+        let err = stderr_of(&out);
+        assert!(err.contains(want), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+    }
+}
+
+#[test]
+fn closed_stdout_is_a_quiet_stop() {
+    // `… | head -1`: the reader goes away while the CLI still writes. The
+    // ~700 KB dump outgrows any pipe buffer, so a write must meet the
+    // closed pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chiplet-scenario"))
+        .args(["run", "fig5", "--metrics", "-"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("chiplet-scenario spawns");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("chiplet-scenario exits");
     let err = stderr_of(&out);
-    assert!(err.contains("not a sweep"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
 }
 
 #[test]

@@ -1,26 +1,33 @@
 //! Golden and determinism checks for the latency-attribution exports.
 //!
 //! `tests/golden/critpath_fig3.json` pins the exact stdout of
-//! `chiplet-trace critpath fig3 --json`: the attribution pipeline is pure
-//! arithmetic over a seeded deterministic run, so the report must be
-//! byte-identical across invocations, machines, and build profiles.
+//! `chiplet-scenario critpath examples/scenarios/trace_fig3.json --json`:
+//! the attribution pipeline is pure arithmetic over a seeded deterministic
+//! run, so the report must be byte-identical across invocations, machines,
+//! and build profiles.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 const CRITPATH_GOLDEN: &str = include_str!("../../../tests/golden/critpath_fig3.json");
 
+/// The Figure 3 loaded-latency traffic with tracing on.
+const FIG3: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/scenarios/trace_fig3.json"
+);
+
 fn trace_cli(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_chiplet-trace"))
+    Command::new(env!("CARGO_BIN_EXE_chiplet-scenario"))
         .args(args)
         .output()
-        .expect("chiplet-trace spawns")
+        .expect("chiplet-scenario spawns")
 }
 
 fn stdout_of(out: &Output) -> String {
     assert!(
         out.status.success(),
-        "chiplet-trace failed: {}",
+        "chiplet-scenario failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stdout).into_owned()
@@ -33,8 +40,8 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn critpath_fig3_json_is_pinned_and_deterministic() {
-    let a = stdout_of(&trace_cli(&["critpath", "fig3", "--json"]));
-    let b = stdout_of(&trace_cli(&["critpath", "fig3", "--json"]));
+    let a = stdout_of(&trace_cli(&["critpath", FIG3, "--json"]));
+    let b = stdout_of(&trace_cli(&["critpath", FIG3, "--json"]));
     assert_eq!(a, b, "critpath JSON must be byte-stable across runs");
     assert_eq!(a, CRITPATH_GOLDEN, "critpath JSON drifted from the golden");
 }
@@ -43,15 +50,19 @@ fn critpath_fig3_json_is_pinned_and_deterministic() {
 fn critpath_fig3_speedscope_export_is_valid_and_stable() {
     let path = scratch("fig3.speedscope.json");
     let arg = path.to_str().unwrap();
-    stdout_of(&trace_cli(&["critpath", "fig3", "--speedscope", arg]));
+    stdout_of(&trace_cli(&["critpath", FIG3, "--speedscope", arg]));
     let first = std::fs::read_to_string(&path).unwrap();
-    stdout_of(&trace_cli(&["critpath", "fig3", "--speedscope", arg]));
+    stdout_of(&trace_cli(&["critpath", FIG3, "--speedscope", arg]));
     let second = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
     assert_eq!(first, second, "speedscope export must be byte-stable");
 
     use serde_json::Value;
     let doc: Value = serde_json::from_str(&first).expect("speedscope export parses");
+    assert_eq!(
+        doc.get("exporter").and_then(Value::as_str),
+        Some("chiplet-scenario")
+    );
     let frames = doc
         .get("shared")
         .and_then(|s| s.get("frames"))
@@ -82,9 +93,9 @@ fn critpath_fig3_speedscope_export_is_valid_and_stable() {
 fn blame_and_folded_outputs_are_deterministic() {
     let folded_path = scratch("fig3.folded");
     let arg = folded_path.to_str().unwrap();
-    let a = stdout_of(&trace_cli(&["blame", "fig3", "--folded", arg]));
+    let a = stdout_of(&trace_cli(&["blame", FIG3, "--folded", arg]));
     let first = std::fs::read_to_string(&folded_path).unwrap();
-    let b = stdout_of(&trace_cli(&["blame", "fig3", "--folded", arg]));
+    let b = stdout_of(&trace_cli(&["blame", FIG3, "--folded", arg]));
     let second = std::fs::read_to_string(&folded_path).unwrap();
     let _ = std::fs::remove_file(&folded_path);
     assert_eq!(a, b, "blame table must be byte-stable");

@@ -13,8 +13,9 @@
 //! run <name>` for the engine studies that sweep the most configurations
 //! (pointer chases, every bandwidth scope, both CXL FLIT formats, the four
 //! partitioning cases). The `examples/scenarios/*.json` files are the
-//! user-facing custom-scenario examples from the README — they must parse,
-//! run on their backend, and be seed-stable.
+//! user-facing custom-scenario examples from the README and the span-trace
+//! views — every one must parse, run on its backend, move data on every
+//! flow, and be seed-stable.
 
 use chiplet_bench::scenarios::dse::dse_smoke;
 use chiplet_bench::scenarios::{paper_registry, render_named, render_named_with_metrics};
@@ -40,7 +41,6 @@ const STUDY_GOLDENS: [(&str, &str); 4] = [
     ("fig4", include_str!("../../../tests/golden/fig4.txt")),
 ];
 const EVENT_EXAMPLE: &str = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
-const FLUID_EXAMPLE: &str = include_str!("../../../examples/scenarios/link_share.json");
 
 #[test]
 fn fig5_matches_the_pre_refactor_binary() {
@@ -158,43 +158,59 @@ fn dse_smoke_frontier_rebuilds_expand_points_by_index() {
 
 #[test]
 fn json_examples_run_on_both_backends_and_are_seed_stable() {
-    for (text, backend) in [
-        (EVENT_EXAMPLE, BackendKind::Event),
-        (FLUID_EXAMPLE, BackendKind::Fluid),
-    ] {
-        let spec = ScenarioSpec::from_json(text).expect("example parses");
-        assert_eq!(spec.backend, backend);
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples directory lists")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    let mut backends = Vec::new();
+    for path in &paths {
+        let name = path.display();
+        let text = std::fs::read_to_string(path).expect("example reads");
+        let parse = || ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let spec = parse();
+        backends.push(spec.backend);
         let a = spec.run().expect("example runs");
-        let b = ScenarioSpec::from_json(text)
-            .expect("example parses")
-            .run()
-            .expect("example runs");
-        assert_eq!(a, b, "same spec + seed ⇒ identical report");
-        assert_eq!(a.to_json(), b.to_json(), "…and identical report bytes");
+        let b = parse().run().expect("example runs");
+        assert_eq!(a, b, "{name}: same spec + seed ⇒ identical report");
+        assert_eq!(a.to_json(), b.to_json(), "{name}: …and identical bytes");
 
         // A spec that still names the removed `engine.workers` knob parses
         // (unknown fields are ignored), hashes like one that never set it,
         // and yields the same report bytes.
-        if backend == BackendKind::Event {
-            let with = |engine: &str| {
-                ScenarioSpec::from_json(&text.replacen("\"policy\"", engine, 1))
-                    .expect("example parses")
-            };
-            let plain = with("\"engine\": {}, \"policy\"");
-            let legacy = with("\"engine\": {\"workers\": 4}, \"policy\"");
-            assert_eq!(spec_hash(&legacy), spec_hash(&plain));
+        if spec.backend == BackendKind::Event {
+            let mut plain = spec.clone();
+            plain.engine.get_or_insert_with(Default::default);
+            let legacy_json = plain
+                .to_json()
+                .replacen("\"workers\": null", "\"workers\": 4", 1);
+            assert!(
+                legacy_json.contains("\"workers\": 4"),
+                "{name}: the legacy knob was written into the spec"
+            );
+            let legacy = ScenarioSpec::from_json(&legacy_json).expect("legacy spec parses");
+            assert_eq!(spec_hash(&legacy), spec_hash(&plain), "{name}");
             assert_eq!(
                 legacy.run().expect("legacy spec runs").to_json(),
-                plain.run().expect("example runs").to_json()
+                a.to_json(),
+                "{name}"
             );
         }
 
         let outcome = a.outcome().expect("example completes");
-        assert_eq!(outcome.flows.len(), 2);
+        assert_eq!(outcome.flows.len(), spec.flows.len(), "{name}");
         assert!(
             outcome.flows.iter().all(|f| f.achieved_gb_s > 0.0),
-            "every flow moves data: {:?}",
+            "{name}: every flow moves data: {:?}",
             outcome.flows
+        );
+    }
+    for backend in [BackendKind::Event, BackendKind::Fluid] {
+        assert!(
+            backends.contains(&backend),
+            "an example runs on {backend:?}"
         );
     }
 }

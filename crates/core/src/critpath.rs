@@ -474,7 +474,7 @@ pub fn to_speedscope(trace: &TraceReport, flow_names: &[String], point_names: &[
         ),
         ("shared", obj(vec![("frames", Value::Seq(frames))])),
         ("profiles", Value::Seq(profiles)),
-        ("exporter", Value::Str("chiplet-trace".into())),
+        ("exporter", Value::Str("chiplet-scenario".into())),
         ("activeProfileIndex", Value::U64(0)),
     ]);
     serde_json::to_string(&doc).expect("speedscope doc is always serializable")

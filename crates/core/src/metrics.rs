@@ -911,7 +911,8 @@ fn escape_help(v: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// OpenMetrics text parsing and linting (for `chiplet-trace top` and CI).
+// OpenMetrics text parsing and linting (for `chiplet-scenario top` and
+// `lint-metrics`, and CI).
 
 /// One parsed sample line of an OpenMetrics dump.
 #[derive(Debug, Clone, PartialEq)]

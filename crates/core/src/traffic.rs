@@ -4,9 +4,10 @@
 //! traffic-oblivious; the paper proposes materializing the flow abstraction
 //! "in a global software-based traffic manager" so allocation policy is
 //! programmable. [`TrafficPolicy`] is that manager's policy knob, and
-//! [`max_min_allocate`] / [`weighted_allocate`] are its allocators:
-//! progressive-filling water-level algorithms over the flows' shared
-//! capacity points.
+//! [`TrafficPolicy::allocate_dense`] over [`weighted_allocate_dense`] is its
+//! allocator: a progressive-filling water-level algorithm over the flows'
+//! shared capacity points, interned once per scenario in a
+//! [`ResourceArena`].
 //!
 //! The engine enforces an allocation by pacing each flow at its allocated
 //! rate at the *source* (token-bucket gating of issue), exactly how a
@@ -20,21 +21,6 @@ use serde::{Deserialize, Serialize};
 /// An opaque capacity-point key used by the allocator (the engine passes
 /// its internal stage identities).
 pub type ResourceKey = u64;
-
-/// A flow's view for allocation: its demand and the capacity points it
-/// crosses in the relevant direction, each with the *fraction* of the
-/// flow's traffic that crosses it (interleaved traffic spreads over UMC
-/// channels and core ports, so a flow at rate R loads each of T channels
-/// with only R/T).
-#[derive(Debug, Clone)]
-pub struct FlowDemand {
-    /// Requested rate; `f64::INFINITY` for unthrottled flows.
-    pub demand: f64,
-    /// Weight for weighted fairness (1.0 = plain max-min).
-    pub weight: f64,
-    /// Capacity points crossed: `(key, fraction)` with fraction in (0, 1].
-    pub resources: Vec<(ResourceKey, f64)>,
-}
 
 /// The manager's allocation policy.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -73,10 +59,10 @@ pub enum TrafficPolicy {
 /// index into a flat capacity table, built once per scenario so the
 /// per-epoch allocators index `Vec<f64>` instead of hashing keys.
 ///
-/// Uncapped points carry `f64::INFINITY` capacity — arithmetic on an
-/// infinite entry (debits, headroom ratios, exhaustion checks) behaves
-/// exactly like the old `HashMap` paths that skipped absent keys, so the
-/// dense solvers are bit-identical to the map-based ones.
+/// Uncapped points carry `f64::INFINITY` capacity: arithmetic on an
+/// infinite entry (debits, headroom ratios, exhaustion checks) never
+/// constrains a flow, so a point with no configured cap needs no special
+/// case in the solvers.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceArena {
     index: HashMap<ResourceKey, u32>,
@@ -149,18 +135,26 @@ pub struct DenseAllocScratch {
     rates: Vec<f64>,
 }
 
-/// Progressive-filling weighted max-min over dense-indexed resources — the
-/// allocation core behind [`weighted_allocate`].
+/// Progressive-filling weighted max-min over dense-indexed resources.
 ///
-/// * `demands[i]` / `weights[i]` — flow `i`'s offered rate and weight;
+/// Raises every unfrozen flow's rate at equal speed (scaled by weight)
+/// until a capacity point saturates; flows crossing it freeze at their
+/// current level; repeats until all flows are frozen or satisfied.
+/// Capacities and demands are in bytes/s (any consistent unit works).
+///
+/// * `demands[i]` / `weights[i]` — flow `i`'s offered rate
+///   (`f64::INFINITY` = unthrottled) and weight (1.0 = plain max-min);
 /// * `footprints[i]` — flow `i`'s capacity points as
-///   `(dense index, fraction)` pairs indexing `capacities`;
+///   `(dense index, fraction)` pairs indexing `capacities`, the fraction
+///   in (0, 1] being the share of the flow's traffic that crosses the
+///   point (interleaved traffic spreads over UMC channels and core ports,
+///   so a flow at rate R loads each of T channels with only R/T);
 /// * `capacities` — the flat table (`f64::INFINITY` = uncapped);
 /// * `out` — receives per-flow rates (cleared first).
 ///
-/// Rates are bit-identical to the `HashMap`-keyed path: the water-level
-/// delta is a min-reduction (order-independent and exact) and every
-/// accumulation runs in flow order over per-slot values.
+/// The water-level delta is a min-reduction (order-independent and exact)
+/// and every accumulation runs in flow order over per-slot values, so the
+/// rates do not depend on how the resources were interned.
 pub fn weighted_allocate_dense(
     demands: &[f64],
     weights: &[f64],
@@ -270,100 +264,14 @@ pub fn weighted_allocate_dense(
     }
 }
 
-/// Progressive-filling max-min allocation.
-///
-/// Raises every unfrozen flow's rate at equal speed (scaled by weight)
-/// until a capacity point saturates; flows crossing it freeze at their
-/// current level; repeats until all flows are frozen or satisfied.
-/// Returns per-flow rates in the same order as `flows`.
-///
-/// Capacities and demands are in bytes/s (any consistent unit works).
-/// This is the interning wrapper over [`weighted_allocate_dense`]: it
-/// builds a throwaway [`ResourceArena`] per call, so hot paths should
-/// intern once and call the dense entry point directly.
-pub fn weighted_allocate(flows: &[FlowDemand], capacities: &HashMap<ResourceKey, f64>) -> Vec<f64> {
-    let mut arena = ResourceArena::new();
-    let footprints: Vec<Vec<(u32, f64)>> = flows
-        .iter()
-        .map(|f| {
-            f.resources
-                .iter()
-                .map(|&(r, frac)| (arena.intern(r), frac))
-                .collect()
-        })
-        .collect();
-    for (&key, &cap) in capacities {
-        arena.set_capacity(key, cap);
-    }
-    let demands: Vec<f64> = flows.iter().map(|f| f.demand).collect();
-    let weights: Vec<f64> = flows.iter().map(|f| f.weight).collect();
-    let footprint_refs: Vec<&[(u32, f64)]> = footprints.iter().map(Vec::as_slice).collect();
-    let mut out = Vec::new();
-    weighted_allocate_dense(
-        &demands,
-        &weights,
-        &footprint_refs,
-        arena.capacities(),
-        &mut DenseAllocScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// Plain max-min (all weights 1).
-pub fn max_min_allocate(flows: &[FlowDemand], capacities: &HashMap<ResourceKey, f64>) -> Vec<f64> {
-    weighted_allocate(flows, capacities)
-}
-
 impl TrafficPolicy {
-    /// Computes per-flow enforced rates, or `None` when the policy leaves
-    /// the hardware in charge. `flows` must carry weight 1.0; weighted and
-    /// rate-limit policies override per their parameters.
-    pub fn allocate(
-        &self,
-        flows: &[FlowDemand],
-        capacities: &HashMap<ResourceKey, f64>,
-    ) -> Option<Vec<Bandwidth>> {
-        match self {
-            TrafficPolicy::HardwareDefault => None,
-            TrafficPolicy::MaxMinFair => {
-                let rates = max_min_allocate(flows, capacities);
-                Some(rates.into_iter().map(Bandwidth::from_bytes_per_s).collect())
-            }
-            TrafficPolicy::WeightedFair { weights } => {
-                let weighted: Vec<FlowDemand> = flows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| FlowDemand {
-                        weight: weights.get(i).copied().unwrap_or(1.0).max(1e-9),
-                        ..f.clone()
-                    })
-                    .collect();
-                let rates = weighted_allocate(&weighted, capacities);
-                Some(rates.into_iter().map(Bandwidth::from_bytes_per_s).collect())
-            }
-            // BdpAdaptive is a closed-loop controller: the engine drives it
-            // from runtime measurements, not from this one-shot allocator.
-            TrafficPolicy::BdpAdaptive { .. } => None,
-            TrafficPolicy::RateLimit { caps_gb_s } => Some(
-                flows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| {
-                        let cap = caps_gb_s.get(i).copied().unwrap_or(f64::INFINITY) * 1e9;
-                        Bandwidth::from_bytes_per_s(f.demand.min(cap).min(f64::MAX / 4.0))
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
-    /// The dense-path equivalent of [`TrafficPolicy::allocate`]: demands
-    /// and pre-interned footprints instead of [`FlowDemand`]s, a flat
-    /// capacity table instead of a map, reusable `scratch`, rates written
-    /// into `out`. Returns `false` (leaving `out` untouched) when the
-    /// policy leaves the hardware in charge. Rates are bit-identical to
-    /// the map-based path.
+    /// Computes per-flow enforced rates into `out` from the flows' demands
+    /// and interned footprints (see [`weighted_allocate_dense`]), reusing
+    /// `scratch`. Max-min runs with weight 1.0 per flow, weighted and
+    /// rate-limit policies per their parameters. Returns `false` (leaving
+    /// `out` untouched) when the policy leaves the hardware in charge:
+    /// `HardwareDefault`, and `BdpAdaptive`, a closed-loop controller the
+    /// engine drives from runtime measurements instead.
     pub fn allocate_dense(
         &self,
         demands: &[f64],
@@ -415,22 +323,45 @@ impl TrafficPolicy {
 mod tests {
     use super::*;
 
-    fn caps(pairs: &[(u64, f64)]) -> HashMap<ResourceKey, f64> {
-        pairs.iter().copied().collect()
+    /// A flow for the test instances: its demand and the resource keys it
+    /// crosses, each with fraction 1.
+    type Flow<'a> = (f64, &'a [u64]);
+
+    /// Runs `policy` over `flows` the way the engine does: keys interned
+    /// in a [`ResourceArena`], `caps` pinned, every other key uncapped.
+    /// Rates in bytes/s, or `None` when the hardware stays in charge.
+    fn allocate(policy: &TrafficPolicy, flows: &[Flow], caps: &[(u64, f64)]) -> Option<Vec<f64>> {
+        let mut arena = ResourceArena::new();
+        let footprints: Vec<Vec<(u32, f64)>> = flows
+            .iter()
+            .map(|&(_, keys)| keys.iter().map(|&k| (arena.intern(k), 1.0)).collect())
+            .collect();
+        for &(key, cap) in caps {
+            arena.set_capacity(key, cap);
+        }
+        let demands: Vec<f64> = flows.iter().map(|&(demand, _)| demand).collect();
+        let footprint_refs: Vec<&[(u32, f64)]> = footprints.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        policy
+            .allocate_dense(
+                &demands,
+                &footprint_refs,
+                arena.capacities(),
+                &mut DenseAllocScratch::default(),
+                &mut out,
+            )
+            .then(|| out.iter().map(|b| b.as_bytes_per_s()).collect())
     }
 
-    fn fd(demand: f64, resources: &[u64]) -> FlowDemand {
-        FlowDemand {
-            demand,
-            weight: 1.0,
-            resources: resources.iter().map(|&r| (r, 1.0)).collect(),
-        }
+    fn max_min(flows: &[Flow], caps: &[(u64, f64)]) -> Vec<f64> {
+        allocate(&TrafficPolicy::MaxMinFair, flows, caps).expect("max-min allocates")
     }
+
+    const INF: f64 = f64::INFINITY;
 
     #[test]
     fn single_bottleneck_splits_evenly() {
-        let flows = [fd(f64::INFINITY, &[1]), fd(f64::INFINITY, &[1])];
-        let rates = max_min_allocate(&flows, &caps(&[(1, 30.0)]));
+        let rates = max_min(&[(INF, &[1]), (INF, &[1])], &[(1, 30.0)]);
         assert!((rates[0] - 15.0).abs() < 1e-9);
         assert!((rates[1] - 15.0).abs() < 1e-9);
     }
@@ -439,16 +370,14 @@ mod tests {
     fn small_demand_gets_demand_rest_to_big() {
         // The defining max-min property (vs the hardware's proportional
         // sharing): the small flow is satisfied in full.
-        let flows = [fd(5.0, &[1]), fd(f64::INFINITY, &[1])];
-        let rates = max_min_allocate(&flows, &caps(&[(1, 30.0)]));
+        let rates = max_min(&[(5.0, &[1]), (INF, &[1])], &[(1, 30.0)]);
         assert!((rates[0] - 5.0).abs() < 1e-9);
         assert!((rates[1] - 25.0).abs() < 1e-9);
     }
 
     #[test]
     fn under_subscription_everyone_satisfied() {
-        let flows = [fd(8.0, &[1]), fd(10.0, &[1])];
-        let rates = max_min_allocate(&flows, &caps(&[(1, 30.0)]));
+        let rates = max_min(&[(8.0, &[1]), (10.0, &[1])], &[(1, 30.0)]);
         assert!((rates[0] - 8.0).abs() < 1e-9);
         assert!((rates[1] - 10.0).abs() < 1e-9);
     }
@@ -457,35 +386,24 @@ mod tests {
     fn multi_resource_bottleneck_chain() {
         // Flow A crosses r1 (cap 10) and r2 (cap 30); flow B crosses r2
         // only. A is limited to 10 by r1; B takes 20 on r2.
-        let flows = [fd(f64::INFINITY, &[1, 2]), fd(f64::INFINITY, &[2])];
-        let rates = max_min_allocate(&flows, &caps(&[(1, 10.0), (2, 30.0)]));
+        let rates = max_min(&[(INF, &[1, 2]), (INF, &[2])], &[(1, 10.0), (2, 30.0)]);
         assert!((rates[0] - 10.0).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 20.0).abs() < 1e-9, "{rates:?}");
     }
 
     #[test]
     fn weights_bias_the_split() {
-        let flows = [
-            FlowDemand {
-                demand: f64::INFINITY,
-                weight: 2.0,
-                resources: vec![(1, 1.0)],
-            },
-            FlowDemand {
-                demand: f64::INFINITY,
-                weight: 1.0,
-                resources: vec![(1, 1.0)],
-            },
-        ];
-        let rates = weighted_allocate(&flows, &caps(&[(1, 30.0)]));
+        let policy = TrafficPolicy::WeightedFair {
+            weights: vec![2.0, 1.0],
+        };
+        let rates = allocate(&policy, &[(INF, &[1]), (INF, &[1])], &[(1, 30.0)]).unwrap();
         assert!((rates[0] - 20.0).abs() < 1e-9);
         assert!((rates[1] - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_demand_gets_zero() {
-        let flows = [fd(0.0, &[1]), fd(f64::INFINITY, &[1])];
-        let rates = max_min_allocate(&flows, &caps(&[(1, 30.0)]));
+        let rates = max_min(&[(0.0, &[1]), (INF, &[1])], &[(1, 30.0)]);
         assert_eq!(rates[0], 0.0);
         assert!((rates[1] - 30.0).abs() < 1e-9);
     }
@@ -493,68 +411,58 @@ mod tests {
     #[test]
     fn unconstrained_flow_gets_demand() {
         // Crosses only resources with no configured cap.
-        let flows = [fd(12.0, &[99])];
-        let rates = max_min_allocate(&flows, &caps(&[(1, 30.0)]));
+        let rates = max_min(&[(12.0, &[99])], &[(1, 30.0)]);
         assert!((rates[0] - 12.0).abs() < 1e-9);
     }
 
     #[test]
     fn policy_hardware_default_is_none() {
-        let flows = [fd(1.0, &[1])];
-        assert!(TrafficPolicy::HardwareDefault
-            .allocate(&flows, &caps(&[(1, 10.0)]))
-            .is_none());
+        assert!(allocate(
+            &TrafficPolicy::HardwareDefault,
+            &[(1.0, &[1])],
+            &[(1, 10.0)]
+        )
+        .is_none());
     }
 
     #[test]
     fn policy_rate_limit_caps() {
-        let flows = [fd(f64::INFINITY, &[1]), fd(3e9, &[1])];
-        let rates = TrafficPolicy::RateLimit {
+        let policy = TrafficPolicy::RateLimit {
             caps_gb_s: vec![5.0],
-        }
-        .allocate(&flows, &caps(&[]))
-        .unwrap();
-        assert!((rates[0].as_gb_per_s() - 5.0).abs() < 1e-9);
-        assert!((rates[1].as_gb_per_s() - 3.0).abs() < 1e-9);
+        };
+        let rates = allocate(&policy, &[(INF, &[1]), (3e9, &[1])], &[]).unwrap();
+        assert!((rates[0] / 1e9 - 5.0).abs() < 1e-9);
+        assert!((rates[1] / 1e9 - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn allocation_is_feasible_and_work_conserving() {
         // Random-ish topology: verify Σ allocations on each resource ≤ cap,
         // and no flow could be raised without breaking feasibility.
-        let flows = [
-            fd(f64::INFINITY, &[1, 2]),
-            fd(f64::INFINITY, &[2, 3]),
-            fd(4.0, &[3]),
-            fd(f64::INFINITY, &[1]),
-        ];
-        let capacities = caps(&[(1, 20.0), (2, 15.0), (3, 12.0)]);
-        let rates = max_min_allocate(&flows, &capacities);
-        // Feasibility.
-        for (r, cap) in &capacities {
-            let sum: f64 = flows
+        let flows: [Flow; 4] = [(INF, &[1, 2]), (INF, &[2, 3]), (4.0, &[3]), (INF, &[1])];
+        let capacities = [(1, 20.0), (2, 15.0), (3, 12.0)];
+        let rates = max_min(&flows, &capacities);
+        let load = |r: u64| -> f64 {
+            flows
                 .iter()
                 .zip(&rates)
-                .filter(|(f, _)| f.resources.iter().any(|&(k, _)| k == *r))
+                .filter(|((_, keys), _)| keys.contains(&r))
                 .map(|(_, rate)| rate)
-                .sum();
+                .sum()
+        };
+        // Feasibility.
+        for &(r, cap) in &capacities {
+            let sum = load(r);
             assert!(sum <= cap + 1e-6, "resource {r}: {sum} > {cap}");
         }
         // Work conservation: every unsatisfied flow sits on a saturated
         // resource.
-        for (f, rate) in flows.iter().zip(&rates) {
-            if *rate < f.demand - 1e-6 {
-                let on_saturated = f.resources.iter().any(|&(r, _)| {
-                    let Some(cap) = capacities.get(&r) else {
-                        return false;
-                    };
-                    let sum: f64 = flows
+        for (&(demand, keys), rate) in flows.iter().zip(&rates) {
+            if *rate < demand - 1e-6 {
+                let on_saturated = keys.iter().any(|&r| {
+                    capacities
                         .iter()
-                        .zip(&rates)
-                        .filter(|(g, _)| g.resources.iter().any(|&(k, _)| k == r))
-                        .map(|(_, x)| x)
-                        .sum();
-                    sum >= cap - 1e-6
+                        .any(|&(k, cap)| k == r && load(r) >= cap - 1e-6)
                 });
                 assert!(on_saturated, "flow under demand but no saturated resource");
             }

@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
 use chiplet_fluid::IncrementalAllocator;
-use chiplet_net::traffic::{weighted_allocate_dense, DenseAllocScratch, ResourceArena};
+use chiplet_net::traffic::ResourceArena;
 
 fn bench_dense(c: &mut Criterion) {
     // A 64-flow / 16-resource instance mirroring the socket-wide policy
@@ -25,7 +26,6 @@ fn bench_dense(c: &mut Criterion) {
         arena.set_capacity(r, 1e9 * (20.0 + r as f64));
     }
     let demands: Vec<f64> = (0..64).map(|i| 1e9 * (1.0 + (i % 7) as f64)).collect();
-    let weights = vec![1.0; demands.len()];
     let footprint_refs: Vec<&[(u32, f64)]> = footprints.iter().map(Vec::as_slice).collect();
     let mut scratch = DenseAllocScratch::default();
     let mut out = Vec::new();
@@ -33,7 +33,7 @@ fn bench_dense(c: &mut Criterion) {
         b.iter(|| {
             weighted_allocate_dense(
                 &demands,
-                &weights,
+                |_| 1.0,
                 &footprint_refs,
                 arena.capacities(),
                 &mut scratch,

@@ -103,10 +103,36 @@ fn ccd_vs_cxl_matches_the_pinned_report_and_metrics_digest() {
     let with_metrics = spec.run_with_metrics(&mut metrics).expect("example runs");
     assert_eq!(with_metrics, report, "report is metrics-invariant");
     let dump = metrics.to_openmetrics();
-    let fnv = dump.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+    assert_eq!(len_and_fnv1a(&dump), (985_495, 0xd41b_f68a_a495_4ed6));
+}
+
+/// `(length, FNV-1a 64)` of a report too large to commit as a golden.
+fn len_and_fnv1a(text: &str) -> (usize, u64) {
+    let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     });
-    assert_eq!((dump.len(), fnv), (985_495, 0xd41b_f68a_a495_4ed6));
+    (text.len(), fnv)
+}
+
+#[test]
+fn fig5_sweep_matches_the_pinned_digest() {
+    // 12 fluid points with 1, 2 or 4 unthrottled competitors on one link:
+    // the multi-flow equilibria the two-flow fig5 goldens never reach.
+    // Pinned by length and FNV-1a 64 of `SweepRunner::run(..).to_json()`.
+    let ScenarioKind::Sweep(sweep) = (paper_registry()
+        .get("fig5_sweep")
+        .expect("registered")
+        .build)()
+    else {
+        panic!("fig5_sweep is a sweep");
+    };
+    let (outcome, _) = SweepRunner::with_jobs(2)
+        .run(&sweep)
+        .expect("fig5_sweep runs");
+    assert_eq!(
+        len_and_fnv1a(&outcome.to_json()),
+        (603_377, 0x1ceb_183e_f3ff_5b49)
+    );
 }
 
 #[test]

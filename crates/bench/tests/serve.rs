@@ -263,6 +263,71 @@ fn hostile_horizon_gets_a_400_and_every_worker_survives() {
     server.shutdown();
 }
 
+/// [`http::fetch`] that fails the test instead of hanging when the daemon
+/// never answers (a dead worker leaves its single-flight entry behind, so
+/// a resubmission of the same spec would park forever).
+fn fetch_within(addr: &str, method: &str, target: &str, body: Option<&str>) -> (u16, String) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let request = (addr.to_string(), method.to_string(), target.to_string());
+    let body = body.map(str::to_string);
+    let fetcher = std::thread::spawn(move || {
+        let (addr, method, target) = request;
+        let _ = tx.send(http::fetch(&addr, &method, &target, body.as_deref()));
+    });
+    let reply = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{method} {target}: no response within 10 s"));
+    fetcher.join().expect("fetch thread");
+    reply.expect("request")
+}
+
+#[test]
+fn malformed_schedule_gets_a_400_and_wedges_no_worker() {
+    // A demand schedule whose first piece starts after zero used to parse
+    // and then panic the worker at its first lookup, leaving the spec's
+    // hash in flight: the resubmission parked forever. Both submissions
+    // must be 400s, and the daemon must then serve a valid spec with every
+    // worker idle and nothing in flight.
+    let server = spawn(None, 4096, 4096);
+    let addr = server.addr().to_string();
+    let good = include_str!("../../../examples/scenarios/link_share.json");
+    let late = good.replacen("[[0, null]", "[[5, null]", 1);
+    assert_ne!(late, good, "the edit must land");
+    for _ in 0..2 {
+        let (status, text) = fetch_within(&addr, "POST", "/v1/run", Some(&late));
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains("schedule must start at zero"), "{text}");
+    }
+    let (status, text) = fetch_within(&addr, "POST", "/v1/run", Some(good));
+    assert_eq!(status, 200, "{text}");
+    // The worker answers before it marks itself idle, so poll (bounded)
+    // until the daemon settles.
+    let settled = |text: &str| {
+        let doc: serde_json::Value = serde_json::from_str(text).expect("status is JSON");
+        let busy = doc.get("busy_workers").and_then(|v| v.as_u64());
+        let inflight = doc
+            .get("inflight_keys")
+            .and_then(|v| v.as_array())
+            .map(<[_]>::len);
+        (busy, inflight) == (Some(0), Some(0))
+    };
+    let mut text = String::new();
+    for _ in 0..200 {
+        let (status, body) = fetch_within(&addr, "GET", "/v1/status", None);
+        assert_eq!(status, 200, "{body}");
+        text = body;
+        if settled(&text) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(
+        settled(&text),
+        "a worker stayed busy or a key in flight: {text}"
+    );
+    server.shutdown();
+}
+
 /// Reads the access log once it holds at least `want` lines (the daemon
 /// appends each line just after the response bytes reach the client, so a
 /// fresh reader can race the final append) and lints it.

@@ -12,7 +12,7 @@
 //!   equidistant, so one (source-quadrant, target-quadrant) representative
 //!   pair stands for the whole class. Class means are exact, not sampled.
 //! * **Bandwidth** is a one-shot weighted max-min over the design's
-//!   capacity points ([`weighted_allocate_dense`], the same allocator the
+//!   capacity points ([`weighted_allocate_dense`], the one max-min solver the
 //!   engine's traffic policies use per epoch). Each flow's demand is
 //!   clamped by its MLP Little bound (`issuers × effective_mlp × 64 B /
 //!   unloaded_ns`), which is how the engine's per-core slot budgets bound
@@ -28,13 +28,14 @@
 //! scenario in `crates/bench/tests/dse_validation.rs`; the documented
 //! envelope lives there and in EXPERIMENTS.md.
 
+use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
 use chiplet_mem::{AccessOutcome, CacheHierarchy, Pattern};
 use chiplet_topology::{CcdId, CoreId, DimmId, LinkKind, PlatformSpec, Topology, UmcId};
 
 use crate::engine::plan::{StagePlan, StageRef};
 use crate::flow::{FlowSpec, Target};
 use crate::scenario::{ScenarioError, ScenarioSpec};
-use crate::traffic::{weighted_allocate_dense, DenseAllocScratch, TrafficPolicy};
+use crate::traffic::TrafficPolicy;
 
 /// Cacheline size in bytes, as an f64 for rate arithmetic (GB/s ≡ bytes/ns).
 const LINE: f64 = 64.0;
@@ -400,14 +401,13 @@ pub fn estimate_on(spec: &ScenarioSpec, topo: &Topology) -> Result<DesignEstimat
     // One-shot weighted max-min over every fabric flow jointly.
     if !allocs.is_empty() {
         let demands: Vec<f64> = allocs.iter().map(|(_, a)| a.demand).collect();
-        let weights: Vec<f64> = allocs.iter().map(|(_, a)| a.weight).collect();
         let footprints: Vec<&[(u32, f64)]> =
             allocs.iter().map(|(_, a)| a.footprint.as_slice()).collect();
         let mut scratch = DenseAllocScratch::default();
         let mut rates = Vec::new();
         weighted_allocate_dense(
             &demands,
-            &weights,
+            |k| allocs[k].1.weight,
             &footprints,
             &arena.capacities,
             &mut scratch,

@@ -26,6 +26,7 @@ pub mod plan;
 use std::collections::BTreeMap;
 
 use chiplet_fabric::{Dir, DirectionalChannel, SlotLimiter};
+use chiplet_fluid::alloc::DenseAllocScratch;
 use chiplet_mem::{AccessOutcome, CacheHierarchy, DramServiceModel, Pattern};
 use chiplet_sim::stats::{BandwidthTrace, GaugeTrace, LatencyHistogram, SpanCollector};
 use chiplet_sim::time::ceil_to_u64;
@@ -40,7 +41,7 @@ use crate::telemetry::{
     CapacityPoint, DirStats, FlowTelemetry, LinkTelemetry, MatrixCell, TelemetryReport,
 };
 use crate::trace::{HopClass, TraceReport};
-use crate::traffic::{DenseAllocScratch, ResourceArena, ResourceKey, TrafficPolicy};
+use crate::traffic::{ResourceArena, ResourceKey, TrafficPolicy};
 use plan::{Stage, StagePlan, StageRef};
 
 const LINE: u64 = 64;
@@ -394,7 +395,7 @@ pub struct Engine<'t> {
 struct PolicyScratch {
     active: Vec<u32>,
     demands: Vec<f64>,
-    rates: Vec<Bandwidth>,
+    rates: Vec<f64>,
     dense: DenseAllocScratch,
     /// Active set and demand bit patterns of the last solved epoch; when
     /// both match, the equilibrium — and every gap — is unchanged.
@@ -1567,7 +1568,7 @@ impl<'t> Engine<'t> {
             for (k, &i) in active.iter().enumerate() {
                 let f = &mut self.flows[i as usize];
                 let issuers = f.spec.issuer_count() as f64;
-                let per_issuer = Bandwidth::from_bytes_per_s(rates[k].as_bytes_per_s() / issuers);
+                let per_issuer = Bandwidth::from_bytes_per_s(rates[k] / issuers);
                 // A zero allocation (zero-demand schedule piece) pauses the
                 // flow rather than unthrottling it.
                 self.flow_hot[i as usize].gap_mean_ns = if per_issuer.is_positive() {

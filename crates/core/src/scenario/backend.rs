@@ -178,9 +178,31 @@ impl FluidBackend {
         fluid.links.iter().map(|l| l.resolve()).collect()
     }
 
-    /// Builds the sim plus its effective step and sampling interval.
+    /// Builds the sim plus its effective step and sampling interval. Every
+    /// link needs a finite, positive capacity (the allocator's contract)
+    /// and any instability a finite amplitude `>= 0` and an AR(1)
+    /// correlation in `[0, 1)`.
     fn build(spec: &ScenarioSpec) -> Result<(FluidSim, SimDuration, SimDuration), ScenarioError> {
         let links = Self::links(spec)?;
+        for (i, link) in links.iter().enumerate() {
+            let cap = link.capacity.as_gb_per_s();
+            let (amplitude, correlation) = link
+                .instability
+                .map_or((0.0, 0.0), |n| (n.amplitude, n.correlation));
+            let fault = if !(cap.is_finite() && cap > 0.0) {
+                format!("capacity must be finite and positive, not {cap} GB/s")
+            } else if !(amplitude.is_finite() && amplitude >= 0.0) {
+                format!("instability amplitude must be finite and >= 0, not {amplitude}")
+            } else if !(0.0..1.0).contains(&correlation) {
+                format!("instability correlation must be in [0, 1), not {correlation}")
+            } else {
+                continue;
+            };
+            let name = &link.name;
+            return Err(ScenarioError::Invalid(format!(
+                "fluid link {i} ('{name}'): {fault}"
+            )));
+        }
         let n_links = links.len();
         let mut sim = FluidSim::new(links);
         for flow in &spec.flows {

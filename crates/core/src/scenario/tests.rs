@@ -231,6 +231,90 @@ fn bad_specs_are_rejected_with_reasons() {
     spec.flows[0].links = Vec::new();
     let err = spec.run().unwrap_err();
     assert!(err.to_string().contains("crosses no fluid links"), "{err}");
+
+    // A malformed demand schedule is a parse error on either backend, not
+    // a panic at its first lookup or a silently negative offered load.
+    for mut spec in [event_spec(), fluid_spec()] {
+        spec.flows[0].demand = None;
+        let text = spec.to_json();
+        for (pieces, want) in [
+            ("[]", "at least one piece"),
+            ("[[5, null]]", "must start at zero"),
+            ("[[0, null], [9, 1.0], [3, null]]", "strictly increasing"),
+            ("[[0, null], [0, 1.0]]", "strictly increasing"),
+            ("[[0, -5000000000.0]]", "must be finite and >= 0"),
+            ("[[0, 1e999]]", "must be finite and >= 0"),
+        ] {
+            let demand = format!("\"demand\": {{\"pieces\": {pieces}}}");
+            let bad = text.replacen("\"demand\": null", &demand, 1);
+            assert_ne!(bad, text, "the edit must land");
+            let err = ScenarioSpec::from_json(&bad).unwrap_err();
+            assert!(err.to_string().contains(want), "{pieces}: {err}");
+        }
+    }
+
+    // Inline fluid links need a finite, positive capacity (the solver's
+    // contract) and instability noise a finite amplitude >= 0 with an AR(1)
+    // correlation in [0, 1).
+    use chiplet_fluid::{FluidLink, Instability};
+    let gb = Bandwidth::from_gb_per_s;
+    let capped = |gb_s: f64| FluidLink {
+        capacity: gb(gb_s),
+        ..FluidLink::if_7302()
+    };
+    let noisy = |amplitude: f64, correlation: f64| FluidLink {
+        instability: Some(Instability {
+            amplitude,
+            correlation,
+        }),
+        ..FluidLink::if_7302()
+    };
+    let fluid_with = |link: FluidLink| {
+        let mut spec = fluid_spec();
+        spec.fluid.as_mut().unwrap().links = vec![FluidLinkSpec::Inline(link)];
+        spec
+    };
+    let capacity = "capacity must be finite and positive";
+    let amplitude = "amplitude must be finite and >= 0";
+    let correlation = "correlation must be in [0, 1)";
+    for (link, want) in [
+        (capped(-5.0), capacity),
+        (capped(0.0), capacity),
+        (capped(f64::INFINITY), capacity),
+        (noisy(-0.5, 0.7), amplitude),
+        (noisy(f64::NAN, 0.7), amplitude),
+        (noisy(0.9, 3.0), correlation),
+        (noisy(0.9, 1.0), correlation),
+        (noisy(0.9, -0.1), correlation),
+    ] {
+        let err = fluid_with(link).run().unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(want), "{err}");
+    }
+    assert!(
+        fluid_with(noisy(0.0, 0.0)).run().is_ok(),
+        "zero noise is valid"
+    );
+}
+
+#[test]
+fn fluid_presets_copy_their_platform_capacity_points() {
+    // Each named fluid link copies one capacity point of its platform's
+    // topology spec, bit for bit, so drift on either side fails here. The
+    // 9634 P-Link preset is the CXL device's `ccd_read` (24.3 GB/s, what
+    // one CCD can pull), not its `plink_read` (88.1 GB/s).
+    use chiplet_fluid::FluidLink;
+    use chiplet_topology::PlatformSpec;
+    let bits = |b: Bandwidth| b.as_bytes_per_s().to_bits();
+    let (p9634, p7302) = (PlatformSpec::epyc_9634(), PlatformSpec::epyc_7302());
+    let cxl = p9634.cxl.as_ref().expect("the 9634 has a CXL device");
+    for (name, preset, point) in [
+        ("if_9634", FluidLink::if_9634(), p9634.caps.gmi_read),
+        ("if_7302", FluidLink::if_7302(), p7302.caps.ccx_read),
+        ("plink_9634", FluidLink::plink_9634(), cxl.ccd_read),
+    ] {
+        assert_eq!(bits(preset.capacity), bits(point), "{name}");
+    }
 }
 
 #[test]

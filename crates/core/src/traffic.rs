@@ -4,10 +4,12 @@
 //! traffic-oblivious; the paper proposes materializing the flow abstraction
 //! "in a global software-based traffic manager" so allocation policy is
 //! programmable. [`TrafficPolicy`] is that manager's policy knob, and
-//! [`TrafficPolicy::allocate_dense`] over [`weighted_allocate_dense`] is its
-//! allocator: a progressive-filling water-level algorithm over the flows'
-//! shared capacity points, interned once per scenario in a
-//! [`ResourceArena`].
+//! [`TrafficPolicy::allocate_dense`] is its allocator: the flows' shared
+//! capacity points are interned once per scenario in a [`ResourceArena`],
+//! and the fair policies run [`weighted_allocate_dense`] over them. That
+//! progressive-filling solver lives in `chiplet_fluid::alloc` and is the
+//! workspace's only one: the DSE estimator and the fluid engine's max-min
+//! phase call it too.
 //!
 //! The engine enforces an allocation by pacing each flow at its allocated
 //! rate at the *source* (token-bucket gating of issue), exactly how a
@@ -15,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use chiplet_sim::Bandwidth;
+use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
 use serde::{Deserialize, Serialize};
 
 /// An opaque capacity-point key used by the allocator (the engine passes
@@ -123,199 +125,45 @@ impl ResourceArena {
     }
 }
 
-/// Reusable buffers for [`weighted_allocate_dense`]; steady-state epochs
-/// allocate nothing once these have grown to the instance size.
-#[derive(Debug, Clone, Default)]
-pub struct DenseAllocScratch {
-    frozen: Vec<bool>,
-    remaining: Vec<f64>,
-    load: Vec<f64>,
-    touched: Vec<u32>,
-    weights: Vec<f64>,
-    rates: Vec<f64>,
-}
-
-/// Progressive-filling weighted max-min over dense-indexed resources.
-///
-/// Raises every unfrozen flow's rate at equal speed (scaled by weight)
-/// until a capacity point saturates; flows crossing it freeze at their
-/// current level; repeats until all flows are frozen or satisfied.
-/// Capacities and demands are in bytes/s (any consistent unit works).
-///
-/// * `demands[i]` / `weights[i]` — flow `i`'s offered rate
-///   (`f64::INFINITY` = unthrottled) and weight (1.0 = plain max-min);
-/// * `footprints[i]` — flow `i`'s capacity points as
-///   `(dense index, fraction)` pairs indexing `capacities`, the fraction
-///   in (0, 1] being the share of the flow's traffic that crosses the
-///   point (interleaved traffic spreads over UMC channels and core ports,
-///   so a flow at rate R loads each of T channels with only R/T);
-/// * `capacities` — the flat table (`f64::INFINITY` = uncapped);
-/// * `out` — receives per-flow rates (cleared first).
-///
-/// The water-level delta is a min-reduction (order-independent and exact)
-/// and every accumulation runs in flow order over per-slot values, so the
-/// rates do not depend on how the resources were interned.
-pub fn weighted_allocate_dense(
-    demands: &[f64],
-    weights: &[f64],
-    footprints: &[&[(u32, f64)]],
-    capacities: &[f64],
-    scratch: &mut DenseAllocScratch,
-    out: &mut Vec<f64>,
-) {
-    let n = demands.len();
-    assert_eq!(n, weights.len());
-    assert_eq!(n, footprints.len());
-    let rate = out;
-    rate.clear();
-    rate.resize(n, 0.0);
-    let DenseAllocScratch {
-        frozen,
-        remaining,
-        load,
-        touched,
-        ..
-    } = scratch;
-    frozen.clear();
-    // Flows with zero demand are trivially frozen.
-    frozen.extend(demands.iter().map(|&d| d <= 0.0));
-    remaining.clear();
-    remaining.extend_from_slice(capacities);
-    load.clear();
-    load.resize(capacities.len(), 0.0);
-
-    for _round in 0..=n {
-        // Active weighted load per resource (weight × traffic fraction).
-        // `touched` lists the slots written this round (duplicates are
-        // harmless: min-reduction and re-zeroing are idempotent).
-        for &r in touched.iter() {
-            load[r as usize] = 0.0;
-        }
-        touched.clear();
-        for i in 0..n {
-            if frozen[i] {
-                continue;
-            }
-            for &(r, frac) in footprints[i] {
-                load[r as usize] += weights[i] * frac;
-                touched.push(r);
-            }
-        }
-        if touched.is_empty() {
-            break;
-        }
-
-        // The water level can rise until the first of:
-        //   (a) some active flow reaches its demand,
-        //   (b) some resource exhausts its remaining capacity.
-        let mut delta = f64::INFINITY;
-        for i in 0..n {
-            if !frozen[i] && demands[i].is_finite() {
-                delta = delta.min((demands[i] - rate[i]) / weights[i]);
-            }
-        }
-        for &r in touched.iter() {
-            let w = load[r as usize];
-            if w > 0.0 {
-                delta = delta.min(remaining[r as usize] / w);
-            }
-        }
-        if !delta.is_finite() {
-            // All remaining flows are unthrottled and cross no finite
-            // resource: they are unconstrained; leave at +inf conceptually,
-            // represented by a huge rate.
-            for i in 0..n {
-                if !frozen[i] {
-                    rate[i] = demands[i].min(f64::MAX / 4.0);
-                    frozen[i] = true;
-                }
-            }
-            break;
-        }
-        let delta = delta.max(0.0);
-
-        // Raise and debit.
-        for i in 0..n {
-            if frozen[i] {
-                continue;
-            }
-            rate[i] += delta * weights[i];
-            for &(r, frac) in footprints[i] {
-                remaining[r as usize] -= delta * weights[i] * frac;
-            }
-        }
-
-        // Freeze flows that met demand or sit on an exhausted resource.
-        for i in 0..n {
-            if frozen[i] {
-                continue;
-            }
-            let met = demands[i].is_finite() && rate[i] >= demands[i] - 1e-9;
-            let stuck = footprints[i]
-                .iter()
-                .any(|&(r, _)| remaining[r as usize] <= 1e-9);
-            if met || stuck {
-                frozen[i] = true;
-            }
-        }
-        if frozen.iter().all(|&f| f) {
-            break;
-        }
-    }
-}
-
 impl TrafficPolicy {
-    /// Computes per-flow enforced rates into `out` from the flows' demands
-    /// and interned footprints (see [`weighted_allocate_dense`]), reusing
-    /// `scratch`. Max-min runs with weight 1.0 per flow, weighted and
-    /// rate-limit policies per their parameters. Returns `false` (leaving
-    /// `out` untouched) when the policy leaves the hardware in charge:
-    /// `HardwareDefault`, and `BdpAdaptive`, a closed-loop controller the
-    /// engine drives from runtime measurements instead.
+    /// Computes per-flow enforced rates (bytes/s) into `out` from the
+    /// flows' demands and interned footprints, reusing `scratch`. Max-min
+    /// runs [`weighted_allocate_dense`] with weight 1.0 per flow, weighted
+    /// fairness with the policy's weights, and rate limits clamp each
+    /// demand to its cap. Returns `false` (leaving `out` untouched) when
+    /// the policy leaves the hardware in charge: `HardwareDefault`, and
+    /// `BdpAdaptive`, a closed-loop controller the engine drives from
+    /// runtime measurements instead.
     pub fn allocate_dense(
         &self,
         demands: &[f64],
         footprints: &[&[(u32, f64)]],
         capacities: &[f64],
         scratch: &mut DenseAllocScratch,
-        out: &mut Vec<Bandwidth>,
+        out: &mut Vec<f64>,
     ) -> bool {
-        let solve = |scratch: &mut DenseAllocScratch,
-                     out: &mut Vec<Bandwidth>,
-                     fill: &dyn Fn(usize) -> f64| {
-            let mut weights = std::mem::take(&mut scratch.weights);
-            weights.clear();
-            weights.extend((0..demands.len()).map(fill));
-            let mut rates = std::mem::take(&mut scratch.rates);
-            weighted_allocate_dense(
-                demands, &weights, footprints, capacities, scratch, &mut rates,
-            );
-            out.clear();
-            out.extend(rates.iter().copied().map(Bandwidth::from_bytes_per_s));
-            scratch.weights = weights;
-            scratch.rates = rates;
-        };
         match self {
-            TrafficPolicy::HardwareDefault | TrafficPolicy::BdpAdaptive { .. } => false,
+            TrafficPolicy::HardwareDefault | TrafficPolicy::BdpAdaptive { .. } => return false,
             TrafficPolicy::MaxMinFair => {
-                solve(scratch, out, &|_| 1.0);
-                true
+                weighted_allocate_dense(demands, |_| 1.0, footprints, capacities, scratch, out)
             }
-            TrafficPolicy::WeightedFair { weights } => {
-                solve(scratch, out, &|i| {
-                    weights.get(i).copied().unwrap_or(1.0).max(1e-9)
-                });
-                true
-            }
+            TrafficPolicy::WeightedFair { weights } => weighted_allocate_dense(
+                demands,
+                |i| weights.get(i).copied().unwrap_or(1.0).max(1e-9),
+                footprints,
+                capacities,
+                scratch,
+                out,
+            ),
             TrafficPolicy::RateLimit { caps_gb_s } => {
                 out.clear();
                 out.extend(demands.iter().enumerate().map(|(i, &d)| {
                     let cap = caps_gb_s.get(i).copied().unwrap_or(f64::INFINITY) * 1e9;
-                    Bandwidth::from_bytes_per_s(d.min(cap).min(f64::MAX / 4.0))
+                    d.min(cap).min(f64::MAX / 4.0)
                 }));
-                true
             }
         }
+        true
     }
 }
 
@@ -350,10 +198,10 @@ mod tests {
                 &mut DenseAllocScratch::default(),
                 &mut out,
             )
-            .then(|| out.iter().map(|b| b.as_bytes_per_s()).collect())
+            .then_some(out)
     }
 
-    fn max_min(flows: &[Flow], caps: &[(u64, f64)]) -> Vec<f64> {
+    fn max_min_fair(flows: &[Flow], caps: &[(u64, f64)]) -> Vec<f64> {
         allocate(&TrafficPolicy::MaxMinFair, flows, caps).expect("max-min allocates")
     }
 
@@ -361,7 +209,7 @@ mod tests {
 
     #[test]
     fn single_bottleneck_splits_evenly() {
-        let rates = max_min(&[(INF, &[1]), (INF, &[1])], &[(1, 30.0)]);
+        let rates = max_min_fair(&[(INF, &[1]), (INF, &[1])], &[(1, 30.0)]);
         assert!((rates[0] - 15.0).abs() < 1e-9);
         assert!((rates[1] - 15.0).abs() < 1e-9);
     }
@@ -370,14 +218,14 @@ mod tests {
     fn small_demand_gets_demand_rest_to_big() {
         // The defining max-min property (vs the hardware's proportional
         // sharing): the small flow is satisfied in full.
-        let rates = max_min(&[(5.0, &[1]), (INF, &[1])], &[(1, 30.0)]);
+        let rates = max_min_fair(&[(5.0, &[1]), (INF, &[1])], &[(1, 30.0)]);
         assert!((rates[0] - 5.0).abs() < 1e-9);
         assert!((rates[1] - 25.0).abs() < 1e-9);
     }
 
     #[test]
     fn under_subscription_everyone_satisfied() {
-        let rates = max_min(&[(8.0, &[1]), (10.0, &[1])], &[(1, 30.0)]);
+        let rates = max_min_fair(&[(8.0, &[1]), (10.0, &[1])], &[(1, 30.0)]);
         assert!((rates[0] - 8.0).abs() < 1e-9);
         assert!((rates[1] - 10.0).abs() < 1e-9);
     }
@@ -386,7 +234,7 @@ mod tests {
     fn multi_resource_bottleneck_chain() {
         // Flow A crosses r1 (cap 10) and r2 (cap 30); flow B crosses r2
         // only. A is limited to 10 by r1; B takes 20 on r2.
-        let rates = max_min(&[(INF, &[1, 2]), (INF, &[2])], &[(1, 10.0), (2, 30.0)]);
+        let rates = max_min_fair(&[(INF, &[1, 2]), (INF, &[2])], &[(1, 10.0), (2, 30.0)]);
         assert!((rates[0] - 10.0).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 20.0).abs() < 1e-9, "{rates:?}");
     }
@@ -403,7 +251,7 @@ mod tests {
 
     #[test]
     fn zero_demand_gets_zero() {
-        let rates = max_min(&[(0.0, &[1]), (INF, &[1])], &[(1, 30.0)]);
+        let rates = max_min_fair(&[(0.0, &[1]), (INF, &[1])], &[(1, 30.0)]);
         assert_eq!(rates[0], 0.0);
         assert!((rates[1] - 30.0).abs() < 1e-9);
     }
@@ -411,7 +259,7 @@ mod tests {
     #[test]
     fn unconstrained_flow_gets_demand() {
         // Crosses only resources with no configured cap.
-        let rates = max_min(&[(12.0, &[99])], &[(1, 30.0)]);
+        let rates = max_min_fair(&[(12.0, &[99])], &[(1, 30.0)]);
         assert!((rates[0] - 12.0).abs() < 1e-9);
     }
 
@@ -441,7 +289,7 @@ mod tests {
         // and no flow could be raised without breaking feasibility.
         let flows: [Flow; 4] = [(INF, &[1, 2]), (INF, &[2, 3]), (4.0, &[3]), (INF, &[1])];
         let capacities = [(1, 20.0), (2, 15.0), (3, 12.0)];
-        let rates = max_min(&flows, &capacities);
+        let rates = max_min_fair(&flows, &capacities);
         let load = |r: u64| -> f64 {
             flows
                 .iter()

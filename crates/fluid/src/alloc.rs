@@ -19,6 +19,14 @@
 //! repeat with the remaining flows. Restarting after every pin is what
 //! keeps each saturated link fully utilized — a one-shot scaling would
 //! strand the capacity freed by flows bottlenecked elsewhere.
+//!
+//! Step 1's max-min rates come from [`weighted_allocate_dense`], the
+//! workspace's one progressive-filling solver: the event engine's traffic
+//! manager (`chiplet_net::traffic`) and the DSE estimator call the same
+//! function over their interned `(index, fraction)` capacity points, the
+//! fluid engine over its link indices with weight 1.0 and fraction 1.0.
+
+use std::ops::Deref;
 
 /// Reusable work buffers for the allocators.
 ///
@@ -37,11 +45,7 @@ pub struct AllocScratch {
     next_active: Vec<usize>,
     weights: Vec<f64>,
     usage: Vec<f64>,
-    // max_min buffers.
-    mm_frozen: Vec<bool>,
-    mm_residual: Vec<f64>,
-    mm_active: Vec<usize>,
-    mm_count: Vec<usize>,
+    dense: DenseAllocScratch,
 }
 
 /// Computes the sender-driven equilibrium allocation.
@@ -99,21 +103,9 @@ pub fn proportional_allocate_into(
         next_active,
         weights,
         usage,
-        mm_frozen,
-        mm_residual,
-        mm_active,
-        mm_count,
+        dense,
     } = scratch;
-    max_min_into(
-        demands,
-        flow_links,
-        capacities,
-        fair,
-        mm_frozen,
-        mm_residual,
-        mm_active,
-        mm_count,
-    );
+    weighted_allocate_dense(demands, |_| 1.0, flow_links, capacities, dense, fair);
 
     // Flows satisfied at their max-min rate keep their demand.
     satisfied.clear();
@@ -213,109 +205,180 @@ pub fn proportional_allocate_into(
     }
 }
 
-/// Max-min fair rates by progressive filling (demand-capped).
-///
-/// A flow with an **empty** link list does not touch the shared fabric:
-/// a finite demand is returned verbatim and an unthrottled
-/// (infinite-demand) flow gets `0.0` — no link bounds it, so no finite
-/// "fair" rate exists, and the old `f64::MAX / 4` sentinel leaked absurd
-/// throughputs into downstream reports.
-pub fn max_min(demands: &[f64], flow_links: &[Vec<usize>], capacities: &[f64]) -> Vec<f64> {
-    let mut rate = Vec::new();
-    max_min_into(
-        demands,
-        flow_links,
-        capacities,
-        &mut rate,
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
-    rate
+/// One capacity point a flow crosses: its slot in the capacity table and
+/// the fraction of the flow's rate that loads it, in (0, 1].
+pub trait FootprintPoint: Copy {
+    /// The point's index into the capacity table.
+    fn slot(self) -> usize;
+    /// The share of the flow's rate that crosses the point.
+    fn fraction(self) -> f64;
 }
 
-/// [`max_min`] into caller-provided buffers (bit-identical rates).
-#[allow(clippy::too_many_arguments)]
-fn max_min_into(
+/// An engine/estimator point, `(dense index, fraction)`: interleaved
+/// traffic spreads a flow at rate R over T channels at R/T each.
+impl FootprintPoint for (u32, f64) {
+    fn slot(self) -> usize {
+        self.0 as usize
+    }
+    fn fraction(self) -> f64 {
+        self.1
+    }
+}
+
+/// A fluid link index: the whole flow crosses the link.
+impl FootprintPoint for usize {
+    fn slot(self) -> usize {
+        self
+    }
+    fn fraction(self) -> f64 {
+        1.0
+    }
+}
+
+/// Reusable buffers for [`weighted_allocate_dense`]; steady-state epochs
+/// allocate nothing once these have grown to the instance size.
+#[derive(Debug, Clone, Default)]
+pub struct DenseAllocScratch {
+    active: Vec<usize>,
+    remaining: Vec<f64>,
+    load: Vec<f64>,
+    touched: Vec<usize>,
+}
+
+/// Weighted max-min fair rates by progressive filling (demand-capped) —
+/// the one solver behind the event engine's traffic manager, the DSE
+/// estimator and the fluid engine's max-min phase.
+///
+/// Raises every active flow's rate at equal speed (scaled by weight)
+/// until a capacity point saturates or a demand is met, freezes the flows
+/// that met their demand or cross an exhausted point, and repeats.
+///
+/// * `demands[i]` — flow `i`'s offered rate (any consistent unit;
+///   `f64::INFINITY` = unthrottled); a demand `<= 0` gets `0.0`;
+/// * `weight(i)` — flow `i`'s positive weight (`|_| 1.0` = plain max-min);
+/// * `footprints[i]` — the points flow `i` crosses. An **empty** footprint
+///   does not touch the shared fabric: it gets its finite demand, or `0.0`
+///   if unthrottled, before the first round, never another flow's level;
+/// * `capacities` — the table the points index (`f64::INFINITY` =
+///   uncapped). Only an unthrottled flow whose points are all uncapped
+///   gets the `f64::MAX / 4` sentinel;
+/// * `out` — receives per-flow rates (cleared first).
+///
+/// The water-level delta is a min-reduction (order-independent and exact)
+/// and every accumulation runs in ascending flow order, so the rates do
+/// not depend on how the capacity points were interned.
+pub fn weighted_allocate_dense<P, F>(
     demands: &[f64],
-    flow_links: &[Vec<usize>],
+    weight: impl Fn(usize) -> f64,
+    footprints: &[F],
     capacities: &[f64],
-    rate: &mut Vec<f64>,
-    frozen: &mut Vec<bool>,
-    residual: &mut Vec<f64>,
-    active: &mut Vec<usize>,
-    count: &mut Vec<usize>,
-) {
-    assert_eq!(demands.len(), flow_links.len());
+    scratch: &mut DenseAllocScratch,
+    out: &mut Vec<f64>,
+) where
+    P: FootprintPoint,
+    F: Deref<Target = [P]>,
+{
     let n = demands.len();
+    assert_eq!(n, footprints.len());
+    let rate = out;
     rate.clear();
     rate.resize(n, 0.0);
-    frozen.clear();
-    frozen.extend(demands.iter().map(|&d| d <= 0.0));
-    residual.clear();
-    residual.extend_from_slice(capacities);
-    for i in 0..n {
-        if flow_links[i].is_empty() && !frozen[i] {
-            rate[i] = if demands[i].is_finite() {
-                demands[i]
-            } else {
-                0.0
-            };
-            frozen[i] = true;
+    let DenseAllocScratch {
+        active,
+        remaining,
+        load,
+        touched,
+    } = scratch;
+    // Zero-demand and fabric-less flows are settled before the first round;
+    // the rest form the ascending active list. Reserving up front keeps a
+    // cold scratch to one allocation per buffer.
+    active.clear();
+    active.reserve(n);
+    for (i, (&d, footprint)) in demands.iter().zip(footprints).enumerate() {
+        if d <= 0.0 {
+            continue;
+        }
+        if footprint.is_empty() {
+            rate[i] = if d.is_finite() { d } else { 0.0 };
+            continue;
+        }
+        active.push(i);
+    }
+    remaining.clear();
+    remaining.extend_from_slice(capacities);
+    // `touched` lists each point an active flow crosses, once; the set only
+    // shrinks as flows freeze, so it is built once (`load` marks the
+    // points already listed) and stale entries just carry zero load.
+    load.clear();
+    load.resize(capacities.len(), 0.0);
+    touched.clear();
+    touched.reserve(capacities.len());
+    for &i in active.iter() {
+        for &p in footprints[i].iter() {
+            let r = p.slot();
+            if load[r] == 0.0 {
+                load[r] = 1.0;
+                touched.push(r);
+            }
         }
     }
 
-    for _ in 0..=n {
-        active.clear();
-        active.extend((0..n).filter(|&i| !frozen[i]));
+    // Each round freezes at least one flow, so n rounds always suffice.
+    for _round in 0..=n {
         if active.is_empty() {
             break;
         }
-        // Count active flows per link.
-        count.clear();
-        count.resize(capacities.len(), 0);
+        // Active weighted load per point (weight × traffic fraction).
+        for &r in touched.iter() {
+            load[r] = 0.0;
+        }
         for &i in active.iter() {
-            for &l in &flow_links[i] {
-                count[l] += 1;
+            let w = weight(i);
+            for &p in footprints[i].iter() {
+                load[p.slot()] += w * p.fraction();
             }
         }
-        // The fill can rise until a demand is met or a link exhausts.
+
+        // The water level can rise until the first of:
+        //   (a) some active flow reaches its demand,
+        //   (b) some point exhausts its remaining capacity.
         let mut delta = f64::INFINITY;
         for &i in active.iter() {
             if demands[i].is_finite() {
-                delta = delta.min(demands[i] - rate[i]);
+                delta = delta.min((demands[i] - rate[i]) / weight(i));
             }
         }
-        for (l, &c) in count.iter().enumerate() {
-            if c > 0 {
-                delta = delta.min(residual[l] / c as f64);
+        for &r in touched.iter() {
+            let w = load[r];
+            if w > 0.0 {
+                delta = delta.min(remaining[r] / w);
             }
         }
         if !delta.is_finite() {
+            // Every active flow is unthrottled and crosses only uncapped
+            // points: nothing bounds it.
             for &i in active.iter() {
-                rate[i] = f64::MAX / 4.0;
-                frozen[i] = true;
+                rate[i] = demands[i].min(f64::MAX / 4.0);
             }
             break;
         }
         let delta = delta.max(0.0);
+
+        // Raise and debit.
         for &i in active.iter() {
-            rate[i] += delta;
-            for &l in &flow_links[i] {
-                residual[l] -= delta;
+            let w = weight(i);
+            rate[i] += delta * w;
+            for &p in footprints[i].iter() {
+                remaining[p.slot()] -= delta * w * p.fraction();
             }
         }
-        for &i in active.iter() {
+
+        // Freeze flows that met demand or sit on an exhausted point.
+        active.retain(|&i| {
             let met = demands[i].is_finite() && rate[i] >= demands[i] - 1e-9;
-            let stuck = flow_links[i].iter().any(|&l| residual[l] <= 1e-9);
-            if met || stuck {
-                frozen[i] = true;
-            }
-        }
-        if frozen.iter().all(|&f| f) {
-            break;
-        }
+            let stuck = footprints[i].iter().any(|p| remaining[p.slot()] <= 1e-9);
+            !(met || stuck)
+        });
     }
 }
 
@@ -482,11 +545,53 @@ mod tests {
         assert!(rates[2] <= 7.0 + 1e-9);
     }
 
+    /// One cold solve of [`weighted_allocate_dense`].
+    fn solve<P: FootprintPoint, F: Deref<Target = [P]>>(
+        demands: &[f64],
+        weight: impl Fn(usize) -> f64,
+        footprints: &[F],
+        capacities: &[f64],
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        let mut scratch = DenseAllocScratch::default();
+        weighted_allocate_dense(
+            demands,
+            weight,
+            footprints,
+            capacities,
+            &mut scratch,
+            &mut out,
+        );
+        out
+    }
+
     #[test]
-    fn max_min_basics() {
-        let rates = max_min(&[5.0, f64::INFINITY], &[vec![0], vec![0]], &[30.0]);
-        assert!((rates[0] - 5.0).abs() < 1e-9);
-        assert!((rates[1] - 25.0).abs() < 1e-9);
+    fn fabric_less_flow_does_not_inherit_the_water_level() {
+        // An unthrottled flow that crosses no point gets 0, not the level
+        // the bounded flow reaches (10); a finite one keeps its demand
+        // even after every bounded flow has frozen.
+        let footprints: [&[(u32, f64)]; 2] = [&[], &[(0, 1.0)]];
+        let inf = f64::INFINITY;
+        assert_eq!(
+            solve(&[inf, 10.0], |_| 1.0, &footprints, &[30.0]),
+            [0.0, 10.0]
+        );
+        assert_eq!(
+            solve(&[99.0, 10.0], |_| 1.0, &footprints, &[30.0]),
+            [99.0, 10.0]
+        );
+    }
+
+    #[test]
+    fn weights_and_fractions_scale_the_fill() {
+        // Weights 2:1 on a shared 30-unit point; the second flow also
+        // loads a 4-unit point with half its rate, so it freezes at 8 (the
+        // first at 16) and the first then takes the shared point's last 6.
+        let footprints: [&[(u32, f64)]; 2] = [&[(0, 1.0)], &[(0, 1.0), (1, 0.5)]];
+        let inf = f64::INFINITY;
+        let rates = solve(&[inf, inf], |i| [2.0, 1.0][i], &footprints, &[30.0, 4.0]);
+        assert!((rates[0] - 22.0).abs() < 1e-9, "{rates:?}");
+        assert!((rates[1] - 8.0).abs() < 1e-9, "{rates:?}");
     }
 
     #[test]
@@ -539,7 +644,7 @@ mod tests {
         assert_eq!(rates[1], 0.0, "{rates:?}");
         assert!((rates[2] - 10.0).abs() < 1e-6, "{rates:?}");
 
-        let fair = max_min(&demands, &links, &[10.0]);
+        let fair = solve(&demands, |_| 1.0, &links, &[10.0]);
         assert!((fair[0] - 5.0).abs() < 1e-9, "{fair:?}");
         assert_eq!(fair[1], 0.0, "{fair:?}");
         assert!(fair[2] <= 10.0 + 1e-9, "{fair:?}");

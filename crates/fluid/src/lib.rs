@@ -11,7 +11,10 @@
 //!
 //! * the **equilibrium allocator** splits each link's capacity among its
 //!   flows proportionally to demand (the sender-driven sharing the
-//!   transaction engine exhibits, §3.5);
+//!   transaction engine exhibits, §3.5). Its max-min phase is
+//!   [`alloc::weighted_allocate_dense`], the workspace's one
+//!   progressive-filling solver, which the event engine's traffic manager
+//!   and the DSE estimator in `chiplet-net` import from here;
 //! * **harvest dynamics**: a flow's achieved rate relaxes *upward* toward
 //!   its equilibrium with a per-link time constant τ (ramping in-flight
 //!   requests takes time), but follows decreases immediately (backpressure
@@ -32,7 +35,7 @@ pub mod metrics;
 pub mod sim;
 
 pub use alloc::{
-    max_min, proportional_allocate, proportional_allocate_into, AllocScratch, IncrementalAllocator,
+    proportional_allocate, proportional_allocate_into, AllocScratch, IncrementalAllocator,
 };
 pub use metrics::harvest_time_ms;
 pub use sim::{DemandSchedule, FluidFlowSpec, FluidLink, FluidSim, Instability};

@@ -40,7 +40,9 @@ pub struct FluidLink {
 }
 
 impl FluidLink {
-    /// An EPYC 9634 Infinity-Fabric-class link: ~100 ms harvesting.
+    /// An EPYC 9634 Infinity-Fabric-class link: ~100 ms harvesting. Its
+    /// capacity copies the 9634 topology spec's `caps.gmi_read` (33.2
+    /// GB/s); a test in `chiplet-net` pins the two bit for bit.
     pub fn if_9634() -> Self {
         FluidLink {
             name: "IF".into(),
@@ -50,7 +52,10 @@ impl FluidLink {
         }
     }
 
-    /// An EPYC 9634 P-Link/CXL-class link: ~500 ms harvesting.
+    /// An EPYC 9634 P-Link/CXL-class link: ~500 ms harvesting. Its
+    /// capacity copies the 9634 CXL device's `ccd_read` (24.3 GB/s, what
+    /// one CCD pulls from the device), not its `plink_read` (88.1 GB/s);
+    /// a test in `chiplet-net` pins the two bit for bit.
     pub fn plink_9634() -> Self {
         FluidLink {
             name: "P-Link".into(),
@@ -61,7 +66,9 @@ impl FluidLink {
     }
 
     /// An EPYC 7302 Infinity-Fabric-class link: harvesting with the
-    /// "drastic variation" the paper observes.
+    /// "drastic variation" the paper observes. Its capacity copies the 7302
+    /// topology spec's `caps.ccx_read` (25.1 GB/s); a test in `chiplet-net`
+    /// pins the two bit for bit.
     pub fn if_7302() -> Self {
         FluidLink {
             name: "IF".into(),

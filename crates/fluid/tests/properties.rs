@@ -4,9 +4,12 @@
 //! every link, never exceed demand, and every saturated link is *work
 //! conserving* — a flow that wants more than it got must be pinned by some
 //! fully-utilized link it crosses, never left short on a link with spare
-//! capacity.
+//! capacity. The one max-min solver, [`weighted_allocate_dense`], is
+//! checked on its own over weighted, fractional instances with uncapped
+//! points and fabric-less flows.
 
-use chiplet_fluid::{max_min, proportional_allocate, IncrementalAllocator};
+use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
+use chiplet_fluid::{proportional_allocate, IncrementalAllocator};
 use proptest::prelude::*;
 
 /// A random allocation instance: link capacities plus per-flow demands
@@ -92,22 +95,95 @@ proptest! {
         }
     }
 
-    /// The max-min phase alone is also feasible and demand-bounded, and
-    /// never emits the old f64::MAX / 4 unbounded sentinel.
+    /// The max-min solver alone, over weighted flows whose footprints carry
+    /// fractions in (0, 1], some uncapped points and some empty footprints:
+    /// Σ rate·fraction fits every finite point, no rate exceeds its demand,
+    /// a short flow sits on a saturated finite point, a fabric-less flow
+    /// gets its finite demand or 0, and a flow that a finite point bounds
+    /// never gets the f64::MAX / 4 unbounded sentinel.
     #[test]
-    fn max_min_feasible((caps, demands, links) in arb_instance()) {
-        let d: Vec<f64> = demands.iter().map(|o| o.unwrap_or(f64::INFINITY)).collect();
-        let fair = max_min(&d, &links, &caps);
-        for (i, &f) in fair.iter().enumerate() {
-            prop_assert!(f >= 0.0);
-            prop_assert!(f <= d[i] + 1e-6);
-            prop_assert!(f < 1e12, "flow {i}: unbounded sentinel {f}");
+    fn max_min_feasible((caps, flows) in arb_dense_instance()) {
+        let demands: Vec<f64> = flows.iter().map(|f| f.0).collect();
+        let weights: Vec<f64> = flows.iter().map(|f| f.1).collect();
+        let footprints: Vec<&[(u32, f64)]> = flows.iter().map(|f| f.2.as_slice()).collect();
+        let mut rates = Vec::new();
+        weighted_allocate_dense(
+            &demands,
+            |i| weights[i],
+            &footprints,
+            &caps,
+            &mut DenseAllocScratch::default(),
+            &mut rates,
+        );
+        let mut usage = vec![0.0; caps.len()];
+        for (fp, &r) in footprints.iter().zip(&rates) {
+            for &(p, frac) in fp.iter() {
+                usage[p as usize] += r * frac;
+            }
         }
-        let usage = usage_per_link(&caps, &links, &fair);
-        for (l, (&u, &c)) in usage.iter().zip(&caps).enumerate() {
-            prop_assert!(u <= c + 1e-6 * (1.0 + c), "link {l}: {u} > {c}");
+        let saturated = |p: u32| {
+            let c = caps[p as usize];
+            c.is_finite() && usage[p as usize] >= c - 1e-6 * (1.0 + c)
+        };
+        for (p, (&u, &c)) in usage.iter().zip(&caps).enumerate() {
+            prop_assert!(u <= c + 1e-6 * (1.0 + c), "point {p}: {u} > {c}");
+        }
+        for (i, (&r, fp)) in rates.iter().zip(&footprints).enumerate() {
+            let d = demands[i];
+            prop_assert!(r >= 0.0, "flow {i} negative: {r}");
+            prop_assert!(r <= d + 1e-6, "flow {i}: rate {r} above demand {d}");
+            if fp.is_empty() {
+                let want = if d.is_finite() { d } else { 0.0 };
+                prop_assert_eq!(r.to_bits(), want.to_bits(), "fabric-less flow {}", i);
+            } else if fp.iter().any(|&(p, _)| caps[p as usize].is_finite()) {
+                prop_assert!(r < 1e12, "flow {i}: unbounded sentinel {r}");
+                if r < d - 1e-6 {
+                    prop_assert!(
+                        fp.iter().any(|&(p, _)| saturated(p)),
+                        "flow {i} (demand {d}, rate {r}) is short on unsaturated points"
+                    );
+                }
+            }
         }
     }
+}
+
+/// One flow of a dense-solver instance: demand (∞ = unthrottled, 0 =
+/// idle), weight, and `(point, fraction)` footprint (possibly empty).
+type DenseFlow = (f64, f64, Vec<(u32, f64)>);
+
+/// A random dense-solver instance: capacities, about a fifth of them
+/// uncapped (∞), plus flows with weights in [0.1, 4), fractions in
+/// (0.01, 1] and zero to three points each.
+fn arb_dense_instance() -> impl Strategy<Value = (Vec<f64>, Vec<DenseFlow>)> {
+    (
+        prop::collection::vec((1.0f64..100.0, 0.0f64..1.0), 1..6),
+        prop::collection::vec(
+            (
+                prop::option::of(0.0f64..120.0),
+                0.1f64..4.0,
+                prop::collection::vec((0u32..64, 0.0f64..1.0), 0..4),
+            ),
+            1..9,
+        ),
+    )
+        .prop_map(|(raw_caps, raw_flows)| {
+            let caps: Vec<f64> = raw_caps
+                .into_iter()
+                .map(|(c, u)| if u < 0.2 { f64::INFINITY } else { c })
+                .collect();
+            let flows = raw_flows
+                .into_iter()
+                .map(|(demand, weight, raw)| {
+                    let footprint = raw
+                        .into_iter()
+                        .map(|(p, u)| (p % caps.len() as u32, 1.0 - 0.99 * u))
+                        .collect();
+                    (demand.unwrap_or(f64::INFINITY), weight, footprint)
+                })
+                .collect();
+            (caps, flows)
+        })
 }
 
 /// Maps a unit sample to an epoch demand: a quarter unthrottled (∞), a

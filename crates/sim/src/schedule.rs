@@ -6,7 +6,7 @@
 //! evaluate the same schedule type, so a scenario written once drives
 //! either backend.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::time::SimTime;
 use crate::units::Bandwidth;
@@ -14,10 +14,24 @@ use crate::units::Bandwidth;
 /// A piecewise-constant demand schedule.
 ///
 /// Pieces are `(from, demand)` with `None` = unthrottled; the schedule
-/// holds each piece until the next one starts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// holds each piece until the next one starts. Every schedule, built or
+/// parsed, starts at time zero, has strictly increasing piece starts, and
+/// demands only finite, non-negative rates.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DemandSchedule {
     pieces: Vec<(SimTime, Option<Bandwidth>)>,
+}
+
+/// Parses `{"pieces": [[from, demand], ...]}` under
+/// [`DemandSchedule::piecewise`]'s rules, so a malformed schedule in a
+/// spec is a parse error rather than a panic at its first lookup.
+impl Deserialize for DemandSchedule {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let pieces = v
+            .get("pieces")
+            .ok_or_else(|| serde::Error::missing_field("pieces"))?;
+        Self::checked(Deserialize::from_value(pieces)?).map_err(serde::Error::custom)
+    }
 }
 
 impl DemandSchedule {
@@ -28,20 +42,37 @@ impl DemandSchedule {
         }
     }
 
-    /// Builds from `(from, demand)` pieces; they must start at time zero
-    /// and be strictly increasing in time.
+    /// Builds from `(from, demand)` pieces: they must be non-empty, start
+    /// at time zero and be strictly increasing in time, and every demand
+    /// must be finite and non-negative (`None` = unthrottled).
     ///
     /// # Panics
     ///
-    /// Panics on an empty, unsorted, or non-zero-starting schedule.
+    /// Panics on pieces that break those rules.
     pub fn piecewise(pieces: Vec<(SimTime, Option<Bandwidth>)>) -> Self {
-        assert!(!pieces.is_empty(), "schedule needs at least one piece");
-        assert_eq!(pieces[0].0, SimTime::ZERO, "schedule must start at zero");
-        assert!(
-            pieces.windows(2).all(|w| w[0].0 < w[1].0),
-            "schedule pieces must be strictly increasing"
-        );
-        DemandSchedule { pieces }
+        Self::checked(pieces).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DemandSchedule::piecewise`] with the broken rule as an error.
+    fn checked(pieces: Vec<(SimTime, Option<Bandwidth>)>) -> Result<Self, String> {
+        let start = pieces.first().ok_or("schedule needs at least one piece")?.0;
+        if start != SimTime::ZERO {
+            return Err(format!("schedule must start at zero, not at {start}"));
+        }
+        if let Some(i) = (1..pieces.len()).find(|&i| pieces[i - 1].0 >= pieces[i].0) {
+            return Err(format!(
+                "schedule pieces must be strictly increasing (piece {i})"
+            ));
+        }
+        for (i, (_, demand)) in pieces.iter().enumerate() {
+            let gb_s = demand.map_or(0.0, |b| b.as_gb_per_s());
+            if !(gb_s.is_finite() && gb_s >= 0.0) {
+                return Err(format!(
+                    "schedule piece {i} demands {gb_s} GB/s (must be finite and >= 0)"
+                ));
+            }
+        }
+        Ok(DemandSchedule { pieces })
     }
 
     /// The demand at time `t`.

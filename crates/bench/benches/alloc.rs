@@ -26,7 +26,6 @@ fn bench_dense(c: &mut Criterion) {
         arena.set_capacity(r, 1e9 * (20.0 + r as f64));
     }
     let demands: Vec<f64> = (0..64).map(|i| 1e9 * (1.0 + (i % 7) as f64)).collect();
-    let footprint_refs: Vec<&[(u32, f64)]> = footprints.iter().map(Vec::as_slice).collect();
     let mut scratch = DenseAllocScratch::default();
     let mut out = Vec::new();
     c.bench_function("alloc/dense_64_flows_16_points", |b| {
@@ -34,7 +33,7 @@ fn bench_dense(c: &mut Criterion) {
             weighted_allocate_dense(
                 &demands,
                 |_| 1.0,
-                &footprint_refs,
+                |i| footprints[i].as_slice(),
                 arena.capacities(),
                 &mut scratch,
                 &mut out,

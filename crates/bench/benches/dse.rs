@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the `chiplet-dse` fast path: what one design
-//! costs to build and hash and to score analytically, what the frontier
-//! extraction costs at search scale, and — as the ratio-gate denominator —
-//! what escalating that same design to the event engine costs. The
+//! costs to score analytically, what sealing one frontier member costs,
+//! what the frontier extraction costs at search scale, and — as the
+//! ratio-gate denominator — what escalating that same design to the event
+//! engine costs. The
 //! committed baseline (`BENCH_engine.json`) carries a `dse fast-path
 //! exchange rate` ratio pinning the estimator at ≤ 1/1000 of the DES run.
 
@@ -21,7 +22,8 @@ fn bench_estimator(c: &mut Criterion) {
 fn bench_candidate(c: &mut Criterion) {
     // The middle candidate of the flagship search (an EPYC 9634 variant):
     // axis decoding, platform mutation, spec build, seed derivation and
-    // content hash — everything a search pays per design besides scoring.
+    // content hash. A search pays this once per frontier member; every
+    // other candidate pays only the platform build and the estimator.
     let search = dse_epyc();
     let space = search.candidates().expect("dse_epyc is valid");
     c.bench_function("dse/candidate_per_design", |b| {

@@ -347,10 +347,18 @@ fn check_buildable(p: &PlatformSpec) -> Result<(), ScenarioError> {
 /// design's capacity points. Returns `Err` for infeasible candidates (a
 /// workload flow that does not map onto the topology).
 pub fn estimate_design(spec: &ScenarioSpec) -> Result<DesignEstimate, ScenarioError> {
-    let platform = spec.topology.platform()?;
-    check_buildable(&platform)?;
-    let topo = Topology::build(&platform);
-    estimate_on(spec, &topo)
+    estimate_platform(spec, &spec.topology.platform()?)
+}
+
+/// [`estimate_design`] of `spec`'s workload on `platform` in place of
+/// `spec.topology`. The estimate reads only the flows and the policy, so a
+/// search scores a candidate without building its spec.
+pub fn estimate_platform(
+    spec: &ScenarioSpec,
+    platform: &PlatformSpec,
+) -> Result<DesignEstimate, ScenarioError> {
+    check_buildable(platform)?;
+    estimate_on(spec, &Topology::build(platform))
 }
 
 /// [`estimate_design`] over an already-built topology (the validation tests
@@ -401,14 +409,12 @@ pub fn estimate_on(spec: &ScenarioSpec, topo: &Topology) -> Result<DesignEstimat
     // One-shot weighted max-min over every fabric flow jointly.
     if !allocs.is_empty() {
         let demands: Vec<f64> = allocs.iter().map(|(_, a)| a.demand).collect();
-        let footprints: Vec<&[(u32, f64)]> =
-            allocs.iter().map(|(_, a)| a.footprint.as_slice()).collect();
         let mut scratch = DenseAllocScratch::default();
         let mut rates = Vec::new();
         weighted_allocate_dense(
             &demands,
             |k| allocs[k].1.weight,
-            &footprints,
+            |k| allocs[k].1.footprint.as_slice(),
             &arena.capacities,
             &mut scratch,
             &mut rates,

@@ -13,10 +13,12 @@
 //! content-cached parallel [`SweepRunner`].
 //!
 //! [`DseRunner`] never materialises the candidate list: each worker takes a
-//! flat candidate index, decodes its axis settings, builds and seals the
-//! spec, scores it, and keeps only the score and content hash. Labels and
-//! full specs are rebuilt by index for the frontier and the escalated
-//! designs alone.
+//! flat candidate index, decodes its axis settings, builds the platform,
+//! and scores the base workload on it, keeping only the scores. The
+//! frontier set does not depend on its tie-break key, so it is extracted
+//! with candidate indices as keys; only its members are then built into
+//! sealed specs, labelled, and ordered by content hash, and the escalated
+//! head reuses those specs.
 //!
 //! Determinism end to end: candidates carry the sweep layer's
 //! content-hash-derived seeds, the estimator is pure arithmetic, frontier
@@ -42,8 +44,12 @@ use crate::scenario::{
     SweepRunner, SweepStats, TopologyChoice,
 };
 
-pub use estimate::{cost_proxy, estimate_design, estimate_on, DesignEstimate, FlowEstimate};
+pub use estimate::{
+    cost_proxy, estimate_design, estimate_on, estimate_platform, DesignEstimate, FlowEstimate,
+};
 pub use pareto::{pareto_frontier, ParetoPoint};
+
+use pareto::frontier_order;
 
 /// Default cap on the number of candidates one search may expand to;
 /// override per search with [`DseSpec::max_candidates`]. Far above the
@@ -249,7 +255,7 @@ impl DseSpec {
 
     /// Parses a search back from [`DseSpec::to_json`] output.
     pub fn from_json(s: &str) -> Result<Self, ScenarioError> {
-        serde_json::from_str(s).map_err(|e| ScenarioError::Invalid(format!("JSON error: {e:?}")))
+        serde_json::from_str(s).map_err(|e| ScenarioError::Invalid(format!("JSON error: {e}")))
     }
 
     /// Expands the cartesian product of all axes into concrete candidates,
@@ -257,7 +263,8 @@ impl DseSpec {
     /// are [`SweepPoint`]s — same content-hash and derived-seed scheme as
     /// sweep expansion — so the escalation path shares the sweep cache
     /// namespace and results never depend on execution order.
-    /// [`DseRunner::run`] builds the same candidates one index at a time.
+    /// [`DseRunner::run`] builds the same candidates one index at a time,
+    /// sealing only its frontier members.
     pub fn expand(&self) -> Result<Vec<SweepPoint>, ScenarioError> {
         let space = self.candidates()?;
         Ok((0..space.len).map(|i| space.point(i)).collect())
@@ -343,29 +350,35 @@ impl<'a> Candidates<'a> {
             .join(" ")
     }
 
-    /// Builds candidate `i`: its label, its spec with the derived seed
-    /// written, and its content hash.
-    fn build(&self, i: usize) -> (String, ScenarioSpec, u64) {
+    /// The platform of candidate `i`: the base platform with each of its
+    /// axis settings applied in axis order.
+    fn platform(&self, i: usize) -> PlatformSpec {
         let mut platform = self.base_platform.clone();
         for (axis, k) in self.search.axes.iter().zip(self.settings(i)) {
             axis.apply(k, &mut platform);
         }
+        platform
+    }
+
+    /// Candidate `i` as a sweep point (its spec sealed with the derived
+    /// seed), and its content hash.
+    fn seal(&self, i: usize) -> (u64, SweepPoint) {
         let label = self.label(i);
         let mut spec = self.search.base.clone();
-        spec.topology = TopologyChoice::Inline(platform);
+        spec.topology = TopologyChoice::Inline(self.platform(i));
         spec.name = format!("{} [{label}]", self.search.name);
         let hash = seal_spec(&mut spec, self.base_seed);
-        (label, spec, hash)
+        let point = SweepPoint {
+            label,
+            spec,
+            hash: format!("{hash:016x}"),
+        };
+        (hash, point)
     }
 
     /// Candidate `i` as a sweep point: `expand()[i]`.
     pub fn point(&self, i: usize) -> SweepPoint {
-        let (label, spec, hash) = self.build(i);
-        SweepPoint {
-            label,
-            spec,
-            hash: format!("{hash:016x}"),
-        }
+        self.seal(i).1
     }
 }
 
@@ -457,59 +470,64 @@ impl DseRunner {
         }
     }
 
-    /// Expands, scores, extracts the frontier, and escalates. The outcome
-    /// is byte-identical for any worker count.
+    /// Scores every candidate from its platform, extracts the frontier,
+    /// seals only its members, and escalates the head. The outcome is
+    /// byte-identical for any worker count.
     pub fn run(&self, spec: &DseSpec) -> Result<(DseOutcome, DseStats), ScenarioError> {
         let space = spec.candidates()?;
         let candidates = self.budget.map_or(space.len, |b| b.min(space.len));
 
-        // Build, hash and score every candidate in one parallel pass, keeping
-        // only its scores and hash. Estimator failures mean the workload
+        // Score every candidate from its platform alone in one parallel
+        // pass, keyed by its index. Estimator failures mean the workload
         // does not map onto that design (e.g. a flow pinned to CCD 7 on a
         // 4-CCD candidate) — count them, don't fail the search.
         let spent_ns = AtomicU64::new(0);
         let indices: Vec<usize> = (0..candidates).collect();
         let scores = parallel_ordered(&indices, self.jobs, |_, &i| {
-            let (_, design, hash) = space.build(i);
+            let platform = space.platform(i);
             let started = std::time::Instant::now();
-            let est = estimate_design(&design);
+            let est = estimate_platform(&spec.base, &platform);
             spent_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             est.ok().map(|est| ParetoPoint {
                 latency_ns: est.latency_ns,
                 bandwidth_gb_s: est.bandwidth_gb_s,
                 cost: est.cost,
-                hash,
+                hash: i as u64,
             })
         });
-        let (scored_idx, pareto_points): (Vec<usize>, Vec<ParetoPoint>) = scores
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, p)| Some((i, p?)))
-            .unzip();
-        let scored = scored_idx.len();
+        let scored_points: Vec<ParetoPoint> = scores.into_iter().flatten().collect();
+        let scored = scored_points.len();
         let infeasible = candidates - scored;
 
-        let frontier_local = pareto_frontier(&pareto_points);
-        let frontier: Vec<FrontierEntry> = frontier_local
+        // The frontier set does not depend on the tie-break key, so only its
+        // members are sealed; their content hashes then order exact ties.
+        // The sort is stable, so equal hashes keep candidate order.
+        let mut members: Vec<(ParetoPoint, SweepPoint)> = pareto_frontier(&scored_points)
+            .into_iter()
+            .map(|k| {
+                let p = scored_points[k];
+                let (hash, point) = space.seal(p.hash as usize);
+                (ParetoPoint { hash, ..p }, point)
+            })
+            .collect();
+        members.sort_by(|(a, _), (b, _)| frontier_order(a, b));
+        let frontier: Vec<FrontierEntry> = members
             .iter()
-            .map(|&k| {
-                let p = &pareto_points[k];
-                FrontierEntry {
-                    label: space.label(scored_idx[k]),
-                    hash: format!("{:016x}", p.hash),
-                    latency_ns: p.latency_ns,
-                    bandwidth_gb_s: p.bandwidth_gb_s,
-                    cost: p.cost,
-                }
+            .map(|(p, point)| FrontierEntry {
+                label: point.label.clone(),
+                hash: point.hash.clone(),
+                latency_ns: p.latency_ns,
+                bandwidth_gb_s: p.bandwidth_gb_s,
+                cost: p.cost,
             })
             .collect();
 
         // Escalate the frontier head to full event-engine runs.
-        let escalate = spec.escalate.unwrap_or(frontier_local.len());
-        let escalated: Vec<SweepPoint> = frontier_local
-            .iter()
+        let escalate = spec.escalate.unwrap_or(members.len());
+        let escalated: Vec<SweepPoint> = members
+            .into_iter()
             .take(escalate)
-            .map(|&k| space.point(scored_idx[k]))
+            .map(|(_, point)| point)
             .collect();
         let sweep_runner = SweepRunner {
             jobs: self.jobs,
@@ -764,6 +782,141 @@ mod tests {
                 .unwrap();
             assert_eq!(outcome.escalation.points.len(), 2);
             assert_eq!(rerun, outcome.escalation);
+        }
+    }
+
+    /// The `dse_smoke` workload: a CCD 0 probe and a CCD 1 stream, both
+    /// unthrottled, reading every DIMM of a named EPYC 9634.
+    fn smoke_search(axes: Vec<DseAxis>, escalate: Option<usize>) -> DseSpec {
+        let mut base = base_spec();
+        base.name = "dse_smoke".into();
+        base.description = "latency probe vs socket-wide stream, both unthrottled".into();
+        let mut stream = base.flows[0].clone();
+        stream.name = "stream".into();
+        if let Some(engine) = &mut stream.engine {
+            engine.cores = CoreSelect::Ccd(1);
+        }
+        base.flows.push(stream);
+        DseSpec {
+            name: "dse_smoke".into(),
+            description: String::new(),
+            base,
+            axes,
+            max_candidates: None,
+            escalate,
+        }
+    }
+
+    fn platforms(names: &[&str]) -> DseAxis {
+        DseAxis::Platform {
+            values: names.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn exact_ties_order_by_content_hash_not_candidate_index() {
+        // The NIC adds nothing this workload crosses, so both candidates
+        // score exactly alike; the hash puts candidate 1 first.
+        let search = smoke_search(vec![platforms(&["epyc_9634_nic", "epyc_9634"])], Some(1));
+        let (outcome, _) = DseRunner::with_jobs(1).run(&search).unwrap();
+        let [first, second] = &outcome.frontier[..] else {
+            panic!("both tied candidates stay on the frontier: {outcome:?}");
+        };
+        assert_eq!(first.label, "platform=epyc_9634");
+        assert_eq!(second.label, "platform=epyc_9634_nic");
+        assert!(first.hash.starts_with("84e8e595"), "{}", first.hash);
+        assert!(second.hash.starts_with("a2c348a8"), "{}", second.hash);
+        for f in [first, second] {
+            assert!((f.latency_ns - 458.795).abs() < 1e-3, "{f:?}");
+            assert!((f.bandwidth_gb_s - 66.4).abs() < 1e-9, "{f:?}");
+            assert!((f.cost - 267.432).abs() < 1e-9, "{f:?}");
+        }
+        assert_eq!(
+            (first.latency_ns, first.bandwidth_gb_s, first.cost),
+            (second.latency_ns, second.bandwidth_gb_s, second.cost)
+        );
+        assert_eq!(outcome.escalation.points[0].label, first.label);
+    }
+
+    /// The reference search: every candidate expanded and sealed, scored
+    /// by `estimate_design`, the frontier taken with content hashes, and
+    /// its head run through the sweep runner.
+    fn reference_run(
+        search: &DseSpec,
+        budget: Option<usize>,
+    ) -> (Vec<FrontierEntry>, SweepOutcome) {
+        let mut points = search.expand().unwrap();
+        points.truncate(budget.unwrap_or(points.len()));
+        let scored: Vec<(&SweepPoint, ParetoPoint)> = points
+            .iter()
+            .filter_map(|p| {
+                let est = estimate_design(&p.spec).ok()?;
+                let pareto = ParetoPoint {
+                    latency_ns: est.latency_ns,
+                    bandwidth_gb_s: est.bandwidth_gb_s,
+                    cost: est.cost,
+                    hash: u64::from_str_radix(&p.hash, 16).unwrap(),
+                };
+                Some((p, pareto))
+            })
+            .collect();
+        let pareto: Vec<ParetoPoint> = scored.iter().map(|(_, p)| *p).collect();
+        let frontier: Vec<&(&SweepPoint, ParetoPoint)> = pareto_frontier(&pareto)
+            .iter()
+            .map(|&k| &scored[k])
+            .collect();
+        let entries = frontier
+            .iter()
+            .map(|(point, p)| FrontierEntry {
+                label: point.label.clone(),
+                hash: point.hash.clone(),
+                latency_ns: p.latency_ns,
+                bandwidth_gb_s: p.bandwidth_gb_s,
+                cost: p.cost,
+            })
+            .collect();
+        let head = frontier
+            .iter()
+            .take(search.escalate.unwrap_or(frontier.len()))
+            .map(|(point, _)| (*point).clone())
+            .collect();
+        let name = format!("{}/frontier", search.name);
+        let (escalation, _) = SweepRunner::default().run_points(&name, head).unwrap();
+        (entries, escalation)
+    }
+
+    #[test]
+    fn search_matches_the_expand_and_estimate_design_reference() {
+        // Ties (the NIC adds nothing this workload crosses) and infeasible
+        // candidates (a 1-CCD design has no CCD 1 for the stream).
+        let search = smoke_search(
+            vec![
+                platforms(&["epyc_9634_nic", "epyc_9634"]),
+                DseAxis::CcdCount {
+                    values: vec![1, 4, 8],
+                },
+                DseAxis::GmiScale {
+                    values: vec![0.5, 1.0],
+                },
+            ],
+            Some(3),
+        );
+        for budget in [None, Some(7)] {
+            let (frontier, escalation) = reference_run(&search, budget);
+            for jobs in [1, 4] {
+                let runner = DseRunner {
+                    jobs,
+                    cache_dir: None,
+                    budget,
+                };
+                let (outcome, stats) = runner.run(&search).unwrap();
+                assert_eq!(outcome.frontier, frontier, "jobs {jobs}, budget {budget:?}");
+                assert_eq!(
+                    outcome.escalation, escalation,
+                    "jobs {jobs}, budget {budget:?}"
+                );
+                assert_eq!(stats.infeasible, if budget.is_some() { 3 } else { 4 });
+            }
         }
     }
 

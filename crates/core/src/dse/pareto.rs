@@ -6,6 +6,13 @@
 //! comparing against the accepted frontier suffices. The sort key makes
 //! the result invariant under input permutation (property-tested), and the
 //! content hash breaks exact metric ties so reports are byte-stable.
+//!
+//! Only the frontier's *order* reads the hash: every exact tie survives
+//! and no tie-break decides a dominance, so any distinct keys yield the
+//! same frontier set (property-tested). A search extracts the set with
+//! candidate indices as keys and hashes only its members.
+
+use std::cmp::Ordering;
 
 /// One candidate's scores, as fed to [`pareto_frontier`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,7 +23,8 @@ pub struct ParetoPoint {
     pub bandwidth_gb_s: f64,
     /// Cost proxy, unitless (minimized).
     pub cost: f64,
-    /// Content hash of the candidate spec; the deterministic tie-break.
+    /// The deterministic tie-break: in reports, the content hash of the
+    /// candidate spec.
     pub hash: u64,
 }
 
@@ -45,14 +53,7 @@ pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<usize> {
             !(p.latency_ns.is_nan() || p.bandwidth_gb_s.is_nan() || p.cost.is_nan())
         })
         .collect();
-    order.sort_by(|&a, &b| {
-        let (pa, pb) = (&points[a], &points[b]);
-        pa.latency_ns
-            .total_cmp(&pb.latency_ns)
-            .then(pa.cost.total_cmp(&pb.cost))
-            .then(pb.bandwidth_gb_s.total_cmp(&pa.bandwidth_gb_s))
-            .then(pa.hash.cmp(&pb.hash))
-    });
+    order.sort_by(|&a, &b| frontier_order(&points[a], &points[b]));
     let mut frontier: Vec<usize> = Vec::new();
     for &i in &order {
         let p = &points[i];
@@ -61,6 +62,15 @@ pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<usize> {
         }
     }
     frontier
+}
+
+/// The frontier order: `(latency asc, cost asc, bandwidth desc, hash asc)`.
+pub(crate) fn frontier_order(a: &ParetoPoint, b: &ParetoPoint) -> Ordering {
+    a.latency_ns
+        .total_cmp(&b.latency_ns)
+        .then(a.cost.total_cmp(&b.cost))
+        .then(b.bandwidth_gb_s.total_cmp(&a.bandwidth_gb_s))
+        .then(a.hash.cmp(&b.hash))
 }
 
 #[cfg(test)]
@@ -121,8 +131,14 @@ mod tests {
         /// Drawn metrics snap to a coarse grid so exact ties (the hash
         /// tie-break path) actually occur in sampled inputs.
         fn arb_points() -> impl Strategy<Value = Vec<ParetoPoint>> {
+            arb_points_on(20)
+        }
+
+        /// Points on a `steps`³ metric grid; a small grid makes exact ties
+        /// on the frontier common.
+        fn arb_points_on(steps: u32) -> impl Strategy<Value = Vec<ParetoPoint>> {
             proptest::collection::vec(
-                (0u32..20, 0u32..20, 0u32..20).prop_map(|(l, b, c)| ParetoPoint {
+                (0..steps, 0..steps, 0..steps).prop_map(|(l, b, c)| ParetoPoint {
                     latency_ns: l as f64 * 10.0,
                     bandwidth_gb_s: b as f64 * 5.0,
                     cost: c as f64 * 2.0,
@@ -162,6 +178,41 @@ mod tests {
                 let permuted: Vec<u64> =
                     pareto_frontier(&perm).iter().map(|&i| perm[i].hash).collect();
                 prop_assert_eq!(base, permuted);
+            }
+
+            /// Any distinct tie-break keys select the same frontier set, and
+            /// re-keying reorders only members whose metrics tie exactly.
+            /// A search relies on this to extract the set by candidate
+            /// index and hash only its members.
+            #[test]
+            fn frontier_set_is_independent_of_the_tie_break(
+                points in arb_points_on(4),
+                seed in 0u64..u64::MAX,
+            ) {
+                // SplitMix64 is a bijection, so the new keys stay distinct.
+                let rekeyed: Vec<ParetoPoint> = points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, pt)| ParetoPoint {
+                        hash: crate::scenario::splitmix64(seed.wrapping_add(i as u64)),
+                        ..*pt
+                    })
+                    .collect();
+                let a = pareto_frontier(&points);
+                let b = pareto_frontier(&rekeyed);
+                let metrics = |f: &[usize]| -> Vec<[u64; 3]> {
+                    f.iter()
+                        .map(|&i| {
+                            let pt = &points[i];
+                            [pt.latency_ns.to_bits(), pt.cost.to_bits(), pt.bandwidth_gb_s.to_bits()]
+                        })
+                        .collect()
+                };
+                prop_assert_eq!(metrics(&a), metrics(&b));
+                let (mut sa, mut sb) = (a, b);
+                sa.sort_unstable();
+                sb.sort_unstable();
+                prop_assert_eq!(sa, sb);
             }
 
             /// Soundness and completeness: no frontier member dominates

@@ -1551,19 +1551,13 @@ impl<'t> Engine<'t> {
 
         let mut rates = std::mem::take(&mut self.policy.rates);
         let mut dense = std::mem::take(&mut self.policy.dense);
-        let solved = {
-            let footprints: Vec<&[(u32, f64)]> = active
-                .iter()
-                .map(|&i| self.flows[i as usize].footprint.as_slice())
-                .collect();
-            self.cfg.policy.allocate_dense(
-                &demands,
-                &footprints,
-                self.arena.capacities(),
-                &mut dense,
-                &mut rates,
-            )
-        };
+        let solved = self.cfg.policy.allocate_dense(
+            &demands,
+            |k| self.flows[active[k] as usize].footprint.as_slice(),
+            self.arena.capacities(),
+            &mut dense,
+            &mut rates,
+        );
         if solved {
             for (k, &i) in active.iter().enumerate() {
                 let f = &mut self.flows[i as usize];

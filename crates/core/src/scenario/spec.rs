@@ -459,7 +459,7 @@ impl ScenarioSpec {
 
     /// Parses a spec back from [`ScenarioSpec::to_json`] output.
     pub fn from_json(s: &str) -> Result<Self, ScenarioError> {
-        serde_json::from_str(s).map_err(|e| ScenarioError::Invalid(format!("JSON error: {e:?}")))
+        serde_json::from_str(s).map_err(|e| ScenarioError::Invalid(format!("JSON error: {e}")))
     }
 
     /// Runs the scenario on its configured backend.

@@ -229,7 +229,7 @@ impl SweepSpec {
 
     /// Parses a sweep back from [`SweepSpec::to_json`] output.
     pub fn from_json(s: &str) -> Result<Self, ScenarioError> {
-        serde_json::from_str(s).map_err(|e| ScenarioError::Invalid(format!("JSON error: {e:?}")))
+        serde_json::from_str(s).map_err(|e| ScenarioError::Invalid(format!("JSON error: {e}")))
     }
 
     /// Expands the cartesian product of all axes into concrete points, in

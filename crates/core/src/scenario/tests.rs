@@ -665,6 +665,24 @@ mod sweeps {
     }
 
     #[test]
+    fn malformed_spec_errors_name_line_and_column() {
+        // The message a user (or a daemon 400 body) sees is the parser's
+        // own wording, not Rust debug text.
+        let text = "{\n  \"name\": \"x\",\n  oops\n}";
+        let errors = [
+            ScenarioSpec::from_json(text).unwrap_err(),
+            SweepSpec::from_json(text).unwrap_err(),
+            crate::dse::DseSpec::from_json(text).unwrap_err(),
+        ];
+        for err in errors {
+            let msg = err.to_string();
+            assert!(msg.contains("JSON error: "), "{msg}");
+            assert!(msg.contains("at line 3 column 3"), "{msg}");
+            assert!(!msg.contains("Error {"), "{msg}");
+        }
+    }
+
+    #[test]
     fn sweep_round_trips_through_json() {
         let sweep = fluid_sweep();
         let json = sweep.to_json();

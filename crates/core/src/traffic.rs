@@ -134,10 +134,10 @@ impl TrafficPolicy {
     /// the policy leaves the hardware in charge: `HardwareDefault`, and
     /// `BdpAdaptive`, a closed-loop controller the engine drives from
     /// runtime measurements instead.
-    pub fn allocate_dense(
+    pub fn allocate_dense<'a>(
         &self,
         demands: &[f64],
-        footprints: &[&[(u32, f64)]],
+        footprint: impl Fn(usize) -> &'a [(u32, f64)],
         capacities: &[f64],
         scratch: &mut DenseAllocScratch,
         out: &mut Vec<f64>,
@@ -145,12 +145,12 @@ impl TrafficPolicy {
         match self {
             TrafficPolicy::HardwareDefault | TrafficPolicy::BdpAdaptive { .. } => return false,
             TrafficPolicy::MaxMinFair => {
-                weighted_allocate_dense(demands, |_| 1.0, footprints, capacities, scratch, out)
+                weighted_allocate_dense(demands, |_| 1.0, footprint, capacities, scratch, out)
             }
             TrafficPolicy::WeightedFair { weights } => weighted_allocate_dense(
                 demands,
                 |i| weights.get(i).copied().unwrap_or(1.0).max(1e-9),
-                footprints,
+                footprint,
                 capacities,
                 scratch,
                 out,
@@ -188,12 +188,11 @@ mod tests {
             arena.set_capacity(key, cap);
         }
         let demands: Vec<f64> = flows.iter().map(|&(demand, _)| demand).collect();
-        let footprint_refs: Vec<&[(u32, f64)]> = footprints.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
         policy
             .allocate_dense(
                 &demands,
-                &footprint_refs,
+                |i| footprints[i].as_slice(),
                 arena.capacities(),
                 &mut DenseAllocScratch::default(),
                 &mut out,

@@ -26,8 +26,6 @@
 //! function over their interned `(index, fraction)` capacity points, the
 //! fluid engine over its link indices with weight 1.0 and fraction 1.0.
 
-use std::ops::Deref;
-
 /// Reusable work buffers for the allocators.
 ///
 /// One epoch of [`proportional_allocate`] allocates roughly ten short-lived
@@ -105,7 +103,14 @@ pub fn proportional_allocate_into(
         usage,
         dense,
     } = scratch;
-    weighted_allocate_dense(demands, |_| 1.0, flow_links, capacities, dense, fair);
+    weighted_allocate_dense(
+        demands,
+        |_| 1.0,
+        |i| flow_links[i].as_slice(),
+        capacities,
+        dense,
+        fair,
+    );
 
     // Flows satisfied at their max-min rate keep their demand.
     satisfied.clear();
@@ -256,7 +261,7 @@ pub struct DenseAllocScratch {
 /// * `demands[i]` — flow `i`'s offered rate (any consistent unit;
 ///   `f64::INFINITY` = unthrottled); a demand `<= 0` gets `0.0`;
 /// * `weight(i)` — flow `i`'s positive weight (`|_| 1.0` = plain max-min);
-/// * `footprints[i]` — the points flow `i` crosses. An **empty** footprint
+/// * `footprint(i)` — the points flow `i` crosses. An **empty** footprint
 ///   does not touch the shared fabric: it gets its finite demand, or `0.0`
 ///   if unthrottled, before the first round, never another flow's level;
 /// * `capacities` — the table the points index (`f64::INFINITY` =
@@ -267,19 +272,15 @@ pub struct DenseAllocScratch {
 /// The water-level delta is a min-reduction (order-independent and exact)
 /// and every accumulation runs in ascending flow order, so the rates do
 /// not depend on how the capacity points were interned.
-pub fn weighted_allocate_dense<P, F>(
+pub fn weighted_allocate_dense<'a, P: FootprintPoint + 'a>(
     demands: &[f64],
     weight: impl Fn(usize) -> f64,
-    footprints: &[F],
+    footprint: impl Fn(usize) -> &'a [P],
     capacities: &[f64],
     scratch: &mut DenseAllocScratch,
     out: &mut Vec<f64>,
-) where
-    P: FootprintPoint,
-    F: Deref<Target = [P]>,
-{
+) {
     let n = demands.len();
-    assert_eq!(n, footprints.len());
     let rate = out;
     rate.clear();
     rate.resize(n, 0.0);
@@ -294,11 +295,11 @@ pub fn weighted_allocate_dense<P, F>(
     // cold scratch to one allocation per buffer.
     active.clear();
     active.reserve(n);
-    for (i, (&d, footprint)) in demands.iter().zip(footprints).enumerate() {
+    for (i, &d) in demands.iter().enumerate() {
         if d <= 0.0 {
             continue;
         }
-        if footprint.is_empty() {
+        if footprint(i).is_empty() {
             rate[i] = if d.is_finite() { d } else { 0.0 };
             continue;
         }
@@ -314,7 +315,7 @@ pub fn weighted_allocate_dense<P, F>(
     touched.clear();
     touched.reserve(capacities.len());
     for &i in active.iter() {
-        for &p in footprints[i].iter() {
+        for &p in footprint(i) {
             let r = p.slot();
             if load[r] == 0.0 {
                 load[r] = 1.0;
@@ -334,7 +335,7 @@ pub fn weighted_allocate_dense<P, F>(
         }
         for &i in active.iter() {
             let w = weight(i);
-            for &p in footprints[i].iter() {
+            for &p in footprint(i) {
                 load[p.slot()] += w * p.fraction();
             }
         }
@@ -368,7 +369,7 @@ pub fn weighted_allocate_dense<P, F>(
         for &i in active.iter() {
             let w = weight(i);
             rate[i] += delta * w;
-            for &p in footprints[i].iter() {
+            for &p in footprint(i) {
                 remaining[p.slot()] -= delta * w * p.fraction();
             }
         }
@@ -376,7 +377,7 @@ pub fn weighted_allocate_dense<P, F>(
         // Freeze flows that met demand or sit on an exhausted point.
         active.retain(|&i| {
             let met = demands[i].is_finite() && rate[i] >= demands[i] - 1e-9;
-            let stuck = footprints[i].iter().any(|p| remaining[p.slot()] <= 1e-9);
+            let stuck = footprint(i).iter().any(|p| remaining[p.slot()] <= 1e-9);
             !(met || stuck)
         });
     }
@@ -546,7 +547,7 @@ mod tests {
     }
 
     /// One cold solve of [`weighted_allocate_dense`].
-    fn solve<P: FootprintPoint, F: Deref<Target = [P]>>(
+    fn solve<P: FootprintPoint, F: AsRef<[P]>>(
         demands: &[f64],
         weight: impl Fn(usize) -> f64,
         footprints: &[F],
@@ -557,7 +558,7 @@ mod tests {
         weighted_allocate_dense(
             demands,
             weight,
-            footprints,
+            |i| footprints[i].as_ref(),
             capacities,
             &mut scratch,
             &mut out,

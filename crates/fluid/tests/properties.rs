@@ -110,7 +110,7 @@ proptest! {
         weighted_allocate_dense(
             &demands,
             |i| weights[i],
-            &footprints,
+            |i| footprints[i],
             &caps,
             &mut DenseAllocScratch::default(),
             &mut rates,

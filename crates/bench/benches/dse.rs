@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the `chiplet-dse` fast path: what one design
-//! costs to score analytically, what sealing one frontier member costs,
+//! costs to score analytically (whole, and as a capacity sibling of an
+//! already-built shape), what sealing one frontier member costs,
 //! what the frontier extraction costs at search scale, and — as the
 //! ratio-gate denominator — what escalating that same design to the event
 //! engine costs. The
@@ -10,12 +11,25 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use chiplet_bench::scenarios::dse::dse_epyc;
-use chiplet_net::dse::{estimate_design, pareto_frontier, ParetoPoint};
+use chiplet_net::dse::{estimate_design, pareto_frontier, DesignShape, ParetoPoint};
 
 fn bench_estimator(c: &mut Criterion) {
     let spec = dse_epyc().base;
     c.bench_function("dse/estimator_per_design", |b| {
         b.iter(|| black_box(estimate_design(black_box(&spec)).expect("stock design estimates")))
+    });
+}
+
+fn bench_sibling_score(c: &mut Criterion) {
+    // The middle candidate of the flagship search scored from a prebuilt
+    // shape: what each of a shape's capacity siblings costs in a search
+    // (capacity readout, one max-min solve, latencies, cost proxy).
+    let search = dse_epyc();
+    let space = search.candidates().expect("dse_epyc is valid");
+    let platform = space.platform(5_400);
+    let shape = DesignShape::of_platform(&search.base, &platform).expect("candidate is feasible");
+    c.bench_function("dse/sibling_score_per_design", |b| {
+        b.iter(|| black_box(shape.score(black_box(&platform))))
     });
 }
 
@@ -64,6 +78,7 @@ fn bench_des_reference(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_estimator,
+    bench_sibling_score,
     bench_candidate,
     bench_frontier,
     bench_des_reference

@@ -67,6 +67,32 @@ fn run_invalid_spec_fails_cleanly() {
 }
 
 #[test]
+fn run_degenerate_inline_platform_fails_cleanly() {
+    // An inline platform the topology builder cannot build is a typed spec
+    // error (exit 1), never a builder assertion (exit 101).
+    let example = include_str!("../../../examples/scenarios/two_flows.json");
+    let named = "{\"Named\": \"epyc_7302\"}";
+    assert!(example.contains(named));
+    let mut platform = chiplet_topology::PlatformSpec::epyc_7302();
+    platform.ccd_count = 0;
+    let inline = format!(
+        "{{\"Inline\": {}}}",
+        serde_json::to_string(&platform).unwrap()
+    );
+    let path = scratch("no-cores.json");
+    std::fs::write(&path, example.replacen(named, &inline, 1)).unwrap();
+    let out = scenario_cli(&["run", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("invalid scenario: platform has no cores"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn run_horizon_within_warmup_fails_cleanly() {
     // A horizon at or below the statistics warmup, or a zero-width engine
     // window or fluid step, is a typed spec error (exit 1), never an engine

@@ -10,6 +10,7 @@ use chiplet_bench::serve::{http, obs, ServeConfig, Server};
 use chiplet_net::scenario::{ScenarioKind, SweepRunner, SweepSpec};
 use chiplet_net::{describe_serve_metrics, lint_openmetrics, MetricsRegistry};
 use chiplet_sim::SimTime;
+use chiplet_topology::PlatformSpec;
 
 fn registered_sweep(name: &str) -> SweepSpec {
     match (paper_registry().get(name).expect("registered").build)() {
@@ -260,6 +261,64 @@ fn hostile_horizon_gets_a_400_and_every_worker_survives() {
         let (status, text) = handle.join().expect("client thread").expect("request");
         assert_eq!(status, 200, "{text}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn degenerate_inline_platform_gets_a_400_and_wedges_no_worker() {
+    // An inline platform the topology builder cannot build used to panic
+    // the worker (a 500, with the spec's hash left in flight). Every
+    // degenerate shape must be a typed 400, and the daemon must still
+    // serve a valid spec afterwards.
+    let server = spawn(None, 4096, 4096);
+    let addr = server.addr().to_string();
+    let example = include_str!("../../../examples/scenarios/two_flows.json");
+    let named = "{\"Named\": \"epyc_7302\"}";
+    assert!(example.contains(named));
+    let preset = PlatformSpec::epyc_7302;
+    let no_umcs = {
+        let mut p = preset();
+        p.mem.umc_count = 0;
+        p
+    };
+    let cases = [
+        (
+            PlatformSpec {
+                ccd_count: 0,
+                ..preset()
+            },
+            "platform has no cores",
+        ),
+        (no_umcs, "platform has no memory channels"),
+        (
+            PlatformSpec {
+                socket_count: 2,
+                ..preset()
+            },
+            "dual-socket platform has no xgmi spec",
+        ),
+        (
+            PlatformSpec {
+                quadrant_grid: (0, 1),
+                ..preset()
+            },
+            "quadrant_grid 0x1 is empty",
+        ),
+    ];
+    for (platform, want) in cases {
+        let inline = format!(
+            "{{\"Inline\": {}}}",
+            serde_json::to_string(&platform).unwrap()
+        );
+        let spec = example.replacen(named, &inline, 1);
+        for _ in 0..2 {
+            let (status, text) = fetch_within(&addr, "POST", "/v1/run", Some(&spec));
+            assert_eq!(status, 400, "{text}");
+            assert!(text.contains(want), "{text}");
+        }
+    }
+    let (status, text) = fetch_within(&addr, "POST", "/v1/run", Some(example));
+    assert_eq!(status, 200, "{text}");
     server.shutdown();
 }
 

@@ -24,6 +24,15 @@
 //! * **Cost** is a closed-form silicon proxy over the platform spec
 //!   ([`cost_proxy`]), so the Pareto frontier has a third axis to trade.
 //!
+//! An estimate runs in two passes. [`DesignShape::new`] does everything
+//! that depends on the graph only: it compiles the flows, walks the class
+//! routes, and builds footprints, demands, budgets and unloaded latencies,
+//! keeping for each capacity point a reference to where its capacity lives
+//! rather than the number. [`DesignShape::score`] then reads those
+//! capacities off a platform, runs the one max-min solve, and prices the
+//! platform. Designs that differ only in capacities (the DSE's scale axes)
+//! share one shape; [`estimate_on`] is the two passes back to back.
+//!
 //! Validated against the DES reports of every event-engine registry
 //! scenario in `crates/bench/tests/dse_validation.rs`; the documented
 //! envelope lives there and in EXPERIMENTS.md.
@@ -128,8 +137,6 @@ enum PointClass {
     CxlPort,
     /// A NIC's PCIe lane group.
     Pcie,
-    /// Any other capped link, by raw link id.
-    Other,
 }
 
 fn point_key(class: PointClass, entity: u64, write: bool) -> u64 {
@@ -143,26 +150,69 @@ fn point_key(class: PointClass, entity: u64, write: bool) -> u64 {
         PointClass::Hub => 6,
         PointClass::CxlPort => 7,
         PointClass::Pcie => 8,
-        PointClass::Other => 9,
     };
     (c << 48) | ((write as u64) << 40) | entity
 }
 
-/// One stage of a symmetry-class route template: the class, the capacity in
-/// the flow's direction (GB/s; `None` = uncapped), and the wire-byte
-/// multiplier (68/64 for FLIT-framed CXL stages).
+/// Where a capacity point's capacity lives on a platform: a link kind's
+/// caps ([`LinkKind::caps`]; the UMC channel is [`LinkKind::MemChannel`]),
+/// the socket NoC's, or the per-CCD CXL port's.
+#[derive(Debug, Clone, Copy)]
+enum CapSource {
+    Link(LinkKind),
+    Noc,
+    CxlPort,
+}
+
+/// A capacity point's capacity, by reference: its source, the flow
+/// direction, and the private-aggregate multiplier (the flow's issuing
+/// cores or CCXs for its per-core/per-CCX aggregates, 1 elsewhere). Shapes
+/// keep these instead of numbers, so one shape scores every platform that
+/// differs from it only in capacities.
+#[derive(Debug, Clone, Copy)]
+struct CapRef {
+    source: CapSource,
+    write: bool,
+    scale: f64,
+}
+
+impl CapRef {
+    /// The capacity on `p`, GB/s.
+    fn gb_s(&self, p: &PlatformSpec) -> f64 {
+        let (read, write) = match self.source {
+            CapSource::Link(kind) => kind
+                .caps(p)
+                .expect("a shape's capped link kinds stay capped on its platforms"),
+            CapSource::Noc => (p.caps.noc_read, p.caps.noc_write),
+            CapSource::CxlPort => {
+                let cxl = p
+                    .cxl
+                    .as_ref()
+                    .expect("a shape with CXL routes scores CXL platforms");
+                (cxl.ccd_read, cxl.ccd_write)
+            }
+        };
+        let cap = if self.write { write } else { read };
+        cap.as_gb_per_s() * self.scale
+    }
+}
+
+/// One stage of a symmetry-class route template: the class, where its
+/// capacity lives, and the wire-byte multiplier (68/64 for FLIT-framed CXL
+/// stages). Uncapped stages are dropped when the template is built.
 #[derive(Debug, Clone, Copy)]
 struct TemplateStage {
     class: PointClass,
     entity: u64,
-    cap_gb_s: Option<f64>,
+    cap: CapSource,
     byte_scale: f64,
 }
 
 /// Route-template memo across flows of one candidate: symmetry classes are
-/// a property of the topology, not the flow. A linear-scanned Vec — a
-/// candidate has under a dozen classes, and hashing was measurable on the
-/// estimator's hot path.
+/// a property of the topology, not the flow. Keyed by (class, direction),
+/// so each direction walks its own representative route. A linear-scanned
+/// Vec — a candidate has under a dozen classes, and hashing was measurable
+/// on the estimator's hot path.
 type TemplateMemo = Vec<((u64, u64), (f64, Vec<TemplateStage>))>;
 
 /// A linear-scan capacity-point interner: the estimator's replacement for
@@ -171,19 +221,19 @@ type TemplateMemo = Vec<((u64, u64), (f64, Vec<TemplateStage>))>;
 #[derive(Default)]
 struct PointArena {
     keys: Vec<u64>,
-    capacities: Vec<f64>,
+    caps: Vec<CapRef>,
 }
 
 impl PointArena {
     /// The dense index for `key`, interning it with `cap` on first sight
-    /// (later caps are ignored, as `ResourceArena::set_capacity`-per-flow
-    /// callers always pass the same cap for the same key).
-    fn intern(&mut self, key: u64, cap: f64) -> u32 {
+    /// (later caps are ignored: a key names one point in one direction, so
+    /// every flow passes the same capacity for it).
+    fn intern(&mut self, key: u64, cap: CapRef) -> u32 {
         match self.keys.iter().position(|&k| k == key) {
             Some(i) => i as u32,
             None => {
                 self.keys.push(key);
-                self.capacities.push(cap);
+                self.caps.push(cap);
                 (self.keys.len() - 1) as u32
             }
         }
@@ -209,65 +259,49 @@ fn memo_entry(
 /// Turns a compiled [`StagePlan`] into a class-level template. `Mem` stages
 /// are kept (the caller redistributes them per target DIMM); `Gmi` /
 /// `CxlPort` stages are tagged so the caller can redistribute them over the
-/// CCDs of the source quadrant group.
-fn template_of(topo: &Topology, plan: &StagePlan, write: bool) -> Vec<TemplateStage> {
+/// CCDs of the source quadrant group. Templates hold no capacities and no
+/// direction: both are applied when the template is spread.
+fn template_of(topo: &Topology, plan: &StagePlan) -> Vec<TemplateStage> {
     let pspec = topo.spec();
     let mut out = Vec::with_capacity(plan.stages.len());
     for s in &plan.stages {
         let byte_scale = s.bytes as f64 / LINE;
-        let stage = match s.point {
-            StageRef::SocketNoc(sk) => TemplateStage {
-                class: PointClass::Noc,
-                entity: sk as u64,
-                cap_gb_s: Some(if write {
-                    pspec.caps.noc_write.as_gb_per_s()
-                } else {
-                    pspec.caps.noc_read.as_gb_per_s()
-                }),
-                byte_scale,
-            },
-            StageRef::CxlPort(_) => TemplateStage {
-                class: PointClass::CxlPort,
-                entity: 0, // redistributed per CCD by the caller
-                cap_gb_s: pspec.cxl.as_ref().map(|c| {
-                    if write {
-                        c.ccd_write.as_gb_per_s()
-                    } else {
-                        c.ccd_read.as_gb_per_s()
-                    }
-                }),
-                byte_scale,
-            },
+        let (class, entity, cap) = match s.point {
+            StageRef::SocketNoc(sk) => (PointClass::Noc, sk as u64, CapSource::Noc),
+            // Redistributed per CCD by the caller.
+            StageRef::CxlPort(_) if pspec.cxl.is_some() => {
+                (PointClass::CxlPort, 0, CapSource::CxlPort)
+            }
+            StageRef::CxlPort(_) => continue,
             StageRef::Link(l) => {
-                let link = &topo.links()[l as usize];
-                let cap = if write { link.write_cap } else { link.read_cap };
-                let cap_gb_s = cap.map(|b| b.as_gb_per_s());
-                let (class, entity) = match link.kind {
-                    LinkKind::CoreL3 => (PointClass::PrivCore, 0),
-                    LinkKind::L3Tc => (PointClass::PrivCcx, 0),
-                    LinkKind::Gmi => (PointClass::Gmi, 0), // redistributed
-                    LinkKind::MemChannel => (PointClass::Mem, 0), // redistributed
-                    LinkKind::Xgmi => (PointClass::Xgmi, 0),
-                    LinkKind::HubRc => (PointClass::Hub, 0),
-                    LinkKind::PcieLane => (PointClass::Pcie, 0),
-                    _ => (PointClass::Other, l as u64),
+                let kind = topo.links()[l as usize].kind;
+                let class = match kind {
+                    LinkKind::CoreL3 => PointClass::PrivCore,
+                    LinkKind::L3Tc => PointClass::PrivCcx,
+                    LinkKind::Gmi => PointClass::Gmi, // redistributed
+                    LinkKind::MemChannel => PointClass::Mem, // redistributed
+                    LinkKind::Xgmi => PointClass::Xgmi,
+                    LinkKind::HubRc => PointClass::Hub,
+                    LinkKind::PcieLane => PointClass::Pcie,
+                    // Plans carry capped links only, and these kinds are
+                    // never capped.
+                    _ => continue,
                 };
-                TemplateStage {
-                    class,
-                    entity,
-                    cap_gb_s,
-                    byte_scale,
-                }
+                (class, 0, CapSource::Link(kind))
             }
         };
-        if stage.cap_gb_s.is_some() {
-            out.push(stage);
-        }
+        out.push(TemplateStage {
+            class,
+            entity,
+            cap,
+            byte_scale,
+        });
     }
     out
 }
 
-/// One flow's allocator-facing state while the estimate is assembled.
+/// One fabric flow's allocator-facing state.
+#[derive(Debug, Clone)]
 struct FlowAlloc {
     demand: f64,
     weight: f64,
@@ -318,30 +352,6 @@ fn classify(ds: &[DimmId], key_of: impl Fn(DimmId) -> u64) -> Vec<(u64, u32, Dim
     classes
 }
 
-/// Sanity bounds that keep [`Topology::build`] panic-free; candidates
-/// violating them are infeasible, not fatal.
-fn check_buildable(p: &PlatformSpec) -> Result<(), ScenarioError> {
-    if p.ccd_count == 0 || p.ccx_per_ccd == 0 || p.cores_per_ccx == 0 {
-        return invalid("candidate has no cores");
-    }
-    if p.mem.umc_count == 0 {
-        return invalid("candidate has no memory channels");
-    }
-    if !(1..=2).contains(&p.socket_count) {
-        return invalid("candidate socket count out of range");
-    }
-    let (cols, rows) = p.quadrant_grid;
-    if cols == 0 || rows == 0 {
-        return invalid("candidate has an empty NoC grid");
-    }
-    if let Some(cxl) = &p.cxl {
-        if cxl.device_count == 0 {
-            return invalid("candidate CXL spec has no devices");
-        }
-    }
-    Ok(())
-}
-
 /// Scores one candidate design: builds its topology once, walks one route
 /// per symmetry class, and runs a single max-min allocation over the
 /// design's capacity points. Returns `Err` for infeasible candidates (a
@@ -357,105 +367,156 @@ pub fn estimate_platform(
     spec: &ScenarioSpec,
     platform: &PlatformSpec,
 ) -> Result<DesignEstimate, ScenarioError> {
-    check_buildable(platform)?;
-    estimate_on(spec, &Topology::build(platform))
+    Ok(DesignShape::of_platform(spec, platform)?.score(platform))
 }
 
 /// [`estimate_design`] over an already-built topology (the validation tests
 /// reuse one build across proxies and DES runs).
 pub fn estimate_on(spec: &ScenarioSpec, topo: &Topology) -> Result<DesignEstimate, ScenarioError> {
-    let pspec = topo.spec();
-    let cache = CacheHierarchy::from_spec(&pspec.cache);
+    Ok(DesignShape::new(spec, topo)?.score(topo.spec()))
+}
 
-    let mut arena = PointArena::default();
-    let mut memo: TemplateMemo = TemplateMemo::new();
-    let mut flows: Vec<FlowEstimate> = Vec::with_capacity(spec.flows.len());
-    // Allocator inputs for fabric-bound flows: (spec index, state).
-    let mut allocs: Vec<(usize, FlowAlloc)> = Vec::new();
+/// The capacity-independent half of an estimate: a workload compiled onto
+/// one design's graph. It holds the per-flow routes' unloaded latencies,
+/// footprints, demands and in-flight budgets, and for each capacity point
+/// a reference to where its capacity lives. [`DesignShape::score`] prices
+/// it on any platform that differs from the shape's own only in
+/// capacities: the GMI, NoC and UMC read/write bandwidths the DSE's scale
+/// axes vary.
+#[derive(Debug, Clone)]
+pub struct DesignShape {
+    /// Per-flow estimates before allocation, in spec order: fabric flows at
+    /// zero bandwidth and their unloaded latency.
+    flows: Vec<FlowEstimate>,
+    /// Allocator inputs of the fabric flows: (spec index, state).
+    allocs: Vec<(usize, FlowAlloc)>,
+    /// The fabric flows' demands, in `allocs` order.
+    demands: Vec<f64>,
+    /// Interned capacity points, by dense index.
+    points: Vec<CapRef>,
+}
 
-    for (i, sflow) in spec.flows.iter().enumerate() {
-        let fs = spec.compile_flow(sflow, topo)?;
-        let outcome = AccessOutcome::resolve(&cache, fs.op, fs.working_set);
-        let offered = fs.peak_demand().map(|b| b.as_gb_per_s());
+impl DesignShape {
+    /// Compiles `spec`'s workload onto `topo`: walks one route per symmetry
+    /// class and builds every flow's allocator inputs. Returns `Err` when a
+    /// flow does not map onto the topology or there are no flows.
+    pub fn new(spec: &ScenarioSpec, topo: &Topology) -> Result<Self, ScenarioError> {
+        let cache = CacheHierarchy::from_spec(&topo.spec().cache);
+        let mut arena = PointArena::default();
+        let mut memo = TemplateMemo::new();
+        let mut flows: Vec<FlowEstimate> = Vec::with_capacity(spec.flows.len());
+        let mut allocs: Vec<(usize, FlowAlloc)> = Vec::new();
 
-        // Cache-resident core flows: the engine accounts these analytically
-        // too (one line per hit latency per core); mirror it exactly.
-        if let (AccessOutcome::CacheHit { latency_ns, .. }, None) = (outcome, fs.nic) {
-            let hw = (LINE / latency_ns) * fs.cores.len() as f64;
-            let achieved = offered.map_or(hw, |o| o.min(hw));
+        for (i, sflow) in spec.flows.iter().enumerate() {
+            let fs = spec.compile_flow(sflow, topo)?;
+            let outcome = AccessOutcome::resolve(&cache, fs.op, fs.working_set);
+            let offered = fs.peak_demand().map(|b| b.as_gb_per_s());
+
+            // Cache-resident core flows: the engine accounts these
+            // analytically too (one line per hit latency per core); mirror
+            // it exactly.
+            if let (AccessOutcome::CacheHit { latency_ns, .. }, None) = (outcome, fs.nic) {
+                let hw = (LINE / latency_ns) * fs.cores.len() as f64;
+                let achieved = offered.map_or(hw, |o| o.min(hw));
+                flows.push(FlowEstimate {
+                    name: fs.name.clone(),
+                    offered_gb_s: offered,
+                    achieved_gb_s: achieved,
+                    latency_ns,
+                    unloaded_ns: latency_ns,
+                    fabric: false,
+                });
+                continue;
+            }
+
+            let state = fabric_flow_alloc(&fs, topo, &mut arena, &mut memo, i, &spec.policy)?;
             flows.push(FlowEstimate {
                 name: fs.name.clone(),
                 offered_gb_s: offered,
-                achieved_gb_s: achieved,
-                latency_ns,
-                unloaded_ns: latency_ns,
-                fabric: false,
+                achieved_gb_s: 0.0, // filled by `score`
+                latency_ns: state.unloaded_ns,
+                unloaded_ns: state.unloaded_ns,
+                fabric: true,
             });
-            continue;
+            allocs.push((i, state));
         }
-
-        let state = fabric_flow_alloc(&fs, topo, &mut arena, &mut memo, i, &spec.policy)?;
-        flows.push(FlowEstimate {
-            name: fs.name.clone(),
-            offered_gb_s: offered,
-            achieved_gb_s: 0.0, // filled after allocation
-            latency_ns: state.unloaded_ns,
-            unloaded_ns: state.unloaded_ns,
-            fabric: true,
-        });
-        allocs.push((i, state));
+        if flows.is_empty() {
+            return invalid("scenario has no flows to estimate");
+        }
+        Ok(DesignShape {
+            flows,
+            demands: allocs.iter().map(|(_, a)| a.demand).collect(),
+            allocs,
+            points: arena.caps,
+        })
     }
 
-    // One-shot weighted max-min over every fabric flow jointly.
-    if !allocs.is_empty() {
-        let demands: Vec<f64> = allocs.iter().map(|(_, a)| a.demand).collect();
-        let mut scratch = DenseAllocScratch::default();
-        let mut rates = Vec::new();
-        weighted_allocate_dense(
-            &demands,
-            |k| allocs[k].1.weight,
-            |k| allocs[k].1.footprint.as_slice(),
-            &arena.capacities,
-            &mut scratch,
-            &mut rates,
-        );
-        for ((i, a), rate) in allocs.iter().zip(&rates) {
-            let f = &mut flows[*i];
-            f.achieved_gb_s = *rate;
-            // Demand met ⇒ unloaded latency. Congested ⇒ the whole in-flight
-            // budget queues: Little's law over the engine's budget_max.
-            f.latency_ns = if *rate + 1e-9 >= a.demand || *rate <= 0.0 {
-                a.unloaded_ns
-            } else {
-                (a.budget_lines * LINE / *rate).max(a.unloaded_ns)
-            };
-        }
+    /// [`DesignShape::new`] on `platform`'s topology, once the platform
+    /// passes [`PlatformSpec::check_buildable`].
+    pub fn of_platform(
+        spec: &ScenarioSpec,
+        platform: &PlatformSpec,
+    ) -> Result<Self, ScenarioError> {
+        platform.check_buildable()?;
+        Self::new(spec, &Topology::build(platform))
     }
 
-    let fabric_bw: f64 = flows
-        .iter()
-        .filter(|f| f.fabric)
-        .map(|f| f.achieved_gb_s)
-        .sum();
-    let latency_ns = if fabric_bw > 0.0 {
-        flows
+    /// Prices the shape on `platform`: reads each capacity point's
+    /// capacity, runs one weighted max-min over every fabric flow, derives
+    /// the loaded latencies, and adds [`cost_proxy`]. `platform` must share
+    /// the shape's structure (counts, grid, devices, latencies); only its
+    /// capacities may differ.
+    pub fn score(&self, platform: &PlatformSpec) -> DesignEstimate {
+        let mut flows = self.flows.clone();
+        if !self.allocs.is_empty() {
+            let capacities: Vec<f64> = self.points.iter().map(|c| c.gb_s(platform)).collect();
+            let mut scratch = DenseAllocScratch::default();
+            let mut rates = Vec::new();
+            weighted_allocate_dense(
+                &self.demands,
+                |k| self.allocs[k].1.weight,
+                |k| self.allocs[k].1.footprint.as_slice(),
+                &capacities,
+                &mut scratch,
+                &mut rates,
+            );
+            for ((i, a), rate) in self.allocs.iter().zip(&rates) {
+                let f = &mut flows[*i];
+                f.achieved_gb_s = *rate;
+                // Demand met ⇒ unloaded latency. Congested ⇒ the whole
+                // in-flight budget queues: Little's law over the engine's
+                // budget_max.
+                f.latency_ns = if *rate + 1e-9 >= a.demand || *rate <= 0.0 {
+                    a.unloaded_ns
+                } else {
+                    (a.budget_lines * LINE / *rate).max(a.unloaded_ns)
+                };
+            }
+        }
+
+        let fabric_bw: f64 = flows
             .iter()
             .filter(|f| f.fabric)
-            .map(|f| f.achieved_gb_s * f.latency_ns)
-            .sum::<f64>()
-            / fabric_bw
-    } else if !flows.is_empty() {
-        flows.iter().map(|f| f.latency_ns).sum::<f64>() / flows.len() as f64
-    } else {
-        return invalid("scenario has no flows to estimate");
-    };
-    let bandwidth_gb_s = flows.iter().map(|f| f.achieved_gb_s).sum();
-    Ok(DesignEstimate {
-        latency_ns,
-        bandwidth_gb_s,
-        cost: cost_proxy(pspec),
-        flows,
-    })
+            .map(|f| f.achieved_gb_s)
+            .sum();
+        let latency_ns = if fabric_bw > 0.0 {
+            flows
+                .iter()
+                .filter(|f| f.fabric)
+                .map(|f| f.achieved_gb_s * f.latency_ns)
+                .sum::<f64>()
+                / fabric_bw
+        } else {
+            flows.iter().map(|f| f.latency_ns).sum::<f64>() / flows.len() as f64
+        };
+        let bandwidth_gb_s = flows.iter().map(|f| f.achieved_gb_s).sum();
+        DesignEstimate {
+            latency_ns,
+            bandwidth_gb_s,
+            cost: cost_proxy(platform),
+            flows,
+        }
+    }
 }
 
 /// Builds one fabric-bound flow's allocator state: class-weighted unloaded
@@ -477,8 +538,8 @@ fn fabric_flow_alloc(
     // few dozen points at most), sorted by key before interning so the
     // footprint order — and thus every float summation downstream — is
     // identical to the ordered-map implementation this replaces.
-    let mut fracs: Vec<(u64, f64, f64)> = Vec::new();
-    let mut add = |key: u64, frac: f64, cap: f64| match fracs.iter_mut().find(|e| e.0 == key) {
+    let mut fracs: Vec<(u64, f64, CapRef)> = Vec::new();
+    let mut add = |key: u64, frac: f64, cap: CapRef| match fracs.iter_mut().find(|e| e.0 == key) {
         Some(e) => e.1 += frac,
         None => fracs.push((key, frac, cap)),
     };
@@ -508,7 +569,7 @@ fn fabric_flow_alloc(
                     let w = count as f64 / n_t;
                     unloaded_sum += w * plan.unloaded_ns;
                     weight_sum += w;
-                    let template = template_of(topo, &plan, write);
+                    let template = template_of(topo, &plan);
                     apply_template(&template, w, write, u32::MAX, 1, 1, flow_idx, &mut add);
                 }
             } else {
@@ -518,7 +579,7 @@ fn fabric_flow_alloc(
                     for (pair, count, rep_dimm) in classes {
                         let (unloaded, template) = memo_entry(memo, (pair, write as u64), || {
                             let plan = StagePlan::to_dimm(topo, *rep_core, rep_dimm);
-                            (plan.unloaded_ns, template_of(topo, &plan, write))
+                            (plan.unloaded_ns, template_of(topo, &plan))
                         });
                         let w = (*k_c as f64 * count as f64) / (k_total as f64 * n_t);
                         unloaded_sum += w * *unloaded;
@@ -531,16 +592,16 @@ fn fabric_flow_alloc(
             }
             // Interleave spreads the flow evenly over its target DIMMs
             // (DMA and core flows alike).
+            let umc = CapRef {
+                source: CapSource::Link(LinkKind::MemChannel),
+                write,
+                scale: 1.0,
+            };
             for &d in ds {
-                let cap = if write {
-                    pspec.mem.umc_write_bw.as_gb_per_s()
-                } else {
-                    pspec.mem.umc_read_bw.as_gb_per_s()
-                };
                 add(
                     point_key(PointClass::Mem, d.0 as u64, write),
                     1.0 / n_t,
-                    cap,
+                    umc,
                 );
             }
         }
@@ -549,7 +610,7 @@ fn fabric_flow_alloc(
                 let pair = (1u64 << 60) | quadrant_of_core(topo, *rep_core);
                 let (unloaded, template) = memo_entry(memo, (pair, write as u64), || {
                     let plan = StagePlan::to_cxl(topo, *rep_core, *dev);
-                    (plan.unloaded_ns, template_of(topo, &plan, write))
+                    (plan.unloaded_ns, template_of(topo, &plan))
                 });
                 let w = *k_c as f64 / k_total as f64;
                 unloaded_sum += w * *unloaded;
@@ -635,10 +696,11 @@ fn fabric_flow_alloc(
 }
 
 /// Spreads one class template over the entities it stands for: private
-/// core/CCX stages aggregate into per-flow keys with multiplied capacity,
-/// `Gmi`/`CxlPort` stages land on the class's CCD, `Mem` stages are skipped
-/// (redistributed analytically by the caller), and global stages (NoC,
-/// xGMI, hub, PCIe) take the class weight directly.
+/// core/CCX stages aggregate into per-flow keys whose capacity is
+/// multiplied by the flow's core/CCX count, `Gmi`/`CxlPort` stages land on
+/// the class's CCD, `Mem` stages are skipped (redistributed analytically by
+/// the caller), and global stages (NoC, xGMI, hub, PCIe) take the class
+/// weight directly.
 #[allow(clippy::too_many_arguments)]
 fn apply_template(
     template: &[TemplateStage],
@@ -648,34 +710,35 @@ fn apply_template(
     k_total: u32,
     x_total: u32,
     flow_idx: usize,
-    add: &mut impl FnMut(u64, f64, f64),
+    add: &mut impl FnMut(u64, f64, CapRef),
 ) {
     for s in template {
-        let Some(cap) = s.cap_gb_s else { continue };
         let frac = w * s.byte_scale;
+        let cap = |scale: f64| CapRef {
+            source: s.cap,
+            write,
+            scale,
+        };
         match s.class {
             // Private per-flow aggregates carry no direction bit: the key
             // already names the flow.
             PointClass::PrivCore => add(
                 point_key(PointClass::PrivCore, flow_idx as u64, false),
                 frac,
-                cap * k_total as f64,
+                cap(k_total as f64),
             ),
             PointClass::PrivCcx => add(
                 point_key(PointClass::PrivCcx, flow_idx as u64, false),
                 frac,
-                cap * x_total as f64,
+                cap(x_total as f64),
             ),
-            PointClass::Gmi => add(point_key(PointClass::Gmi, ccd as u64, write), frac, cap),
-            PointClass::CxlPort => {
-                add(point_key(PointClass::CxlPort, ccd as u64, write), frac, cap)
+            PointClass::Gmi | PointClass::CxlPort => {
+                add(point_key(s.class, ccd as u64, write), frac, cap(1.0))
             }
             PointClass::Mem => {} // redistributed per target DIMM
-            PointClass::Noc
-            | PointClass::Xgmi
-            | PointClass::Hub
-            | PointClass::Pcie
-            | PointClass::Other => add(point_key(s.class, s.entity, write), frac, cap),
+            PointClass::Noc | PointClass::Xgmi | PointClass::Hub | PointClass::Pcie => {
+                add(point_key(s.class, s.entity, write), frac, cap(1.0))
+            }
         }
     }
 }

@@ -12,13 +12,16 @@
 //! and only that frontier escalates to full event-engine runs through the
 //! content-cached parallel [`SweepRunner`].
 //!
-//! [`DseRunner`] never materialises the candidate list: each worker takes a
-//! flat candidate index, decodes its axis settings, builds the platform,
-//! and scores the base workload on it, keeping only the scores. The
-//! frontier set does not depend on its tie-break key, so it is extracted
-//! with candidate indices as keys; only its members are then built into
-//! sealed specs, labelled, and ordered by content hash, and the escalated
-//! head reuses those specs.
+//! [`DseRunner`] never materialises the candidate list. Candidates that
+//! differ only in their capacity axes ([`DseAxis::scales_capacity`]) share
+//! one graph, so the runner groups the candidates it scores by their other
+//! axis settings. Each worker takes a group, builds its
+//! [`DesignShape`](estimate::DesignShape) once from the first member's
+//! platform, and scores every member on that member's own platform, keeping
+//! only the scores. The frontier set does not depend on its tie-break key,
+//! so it is extracted with candidate indices as keys; only its members are
+//! then built into sealed specs, labelled, and ordered by content hash, and
+//! the escalated head reuses those specs.
 //!
 //! Determinism end to end: candidates carry the sweep layer's
 //! content-hash-derived seeds, the estimator is pure arithmetic, frontier
@@ -31,8 +34,10 @@
 pub mod estimate;
 pub mod pareto;
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use chiplet_sim::Bandwidth;
 use chiplet_topology::PlatformSpec;
@@ -45,7 +50,8 @@ use crate::scenario::{
 };
 
 pub use estimate::{
-    cost_proxy, estimate_design, estimate_on, estimate_platform, DesignEstimate, FlowEstimate,
+    cost_proxy, estimate_design, estimate_on, estimate_platform, DesignEstimate, DesignShape,
+    FlowEstimate,
 };
 pub use pareto::{pareto_frontier, ParetoPoint};
 
@@ -135,6 +141,16 @@ impl DseAxis {
     /// True when the axis has no settings (an invalid search).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// True for the axes that scale capacities and leave the graph alone
+    /// (`GmiScale`, `NocScale`, `UmcScale`): candidates that differ only
+    /// in these settings share one [`DesignShape`].
+    pub fn scales_capacity(&self) -> bool {
+        matches!(
+            self,
+            DseAxis::GmiScale { .. } | DseAxis::NocScale { .. } | DseAxis::UmcScale { .. }
+        )
     }
 
     /// Human-readable `key=value` label of setting `idx`.
@@ -352,12 +368,40 @@ impl<'a> Candidates<'a> {
 
     /// The platform of candidate `i`: the base platform with each of its
     /// axis settings applied in axis order.
-    fn platform(&self, i: usize) -> PlatformSpec {
+    pub fn platform(&self, i: usize) -> PlatformSpec {
         let mut platform = self.base_platform.clone();
         for (axis, k) in self.search.axes.iter().zip(self.settings(i)) {
             axis.apply(k, &mut platform);
         }
         platform
+    }
+
+    /// The first `n` candidates grouped by their settings on every axis
+    /// that does not [scale capacity](DseAxis::scales_capacity): each group
+    /// shares one graph. Groups are in order of their first member, and
+    /// members in candidate order.
+    fn shape_groups(&self, n: usize) -> Vec<Vec<usize>> {
+        let shape_key = |mut i: usize| {
+            let (mut key, mut radix) = (0, 1);
+            for axis in self.search.axes.iter().rev() {
+                if !axis.scales_capacity() {
+                    key += i % axis.len() * radix;
+                    radix *= axis.len();
+                }
+                i /= axis.len();
+            }
+            key
+        };
+        let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for i in 0..n {
+            let slot = *slot_of.entry(shape_key(i)).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[slot].push(i);
+        }
+        groups
     }
 
     /// Candidate `i` as a sweep point (its spec sealed with the derived
@@ -441,7 +485,9 @@ pub struct DseStats {
     pub frontier: usize,
     /// Designs escalated to the event engine.
     pub escalated: usize,
-    /// Mean estimator time per scored candidate, ns.
+    /// Mean scoring time per scored candidate, ns: every shape build and
+    /// every sibling score, over the scored candidates, so each shape's
+    /// cost is spread over the candidates that share it.
     pub estimator_ns: f64,
     /// Escalation sweep execution stats (cache hits show up here).
     pub sweep: SweepStats,
@@ -470,31 +516,14 @@ impl DseRunner {
         }
     }
 
-    /// Scores every candidate from its platform, extracts the frontier,
-    /// seals only its members, and escalates the head. The outcome is
-    /// byte-identical for any worker count.
+    /// Scores every candidate on its own platform, one shared shape per
+    /// group of capacity siblings, extracts the frontier, seals only its
+    /// members, and escalates the head. The outcome is byte-identical for
+    /// any worker count.
     pub fn run(&self, spec: &DseSpec) -> Result<(DseOutcome, DseStats), ScenarioError> {
         let space = spec.candidates()?;
         let candidates = self.budget.map_or(space.len, |b| b.min(space.len));
-
-        // Score every candidate from its platform alone in one parallel
-        // pass, keyed by its index. Estimator failures mean the workload
-        // does not map onto that design (e.g. a flow pinned to CCD 7 on a
-        // 4-CCD candidate) — count them, don't fail the search.
-        let spent_ns = AtomicU64::new(0);
-        let indices: Vec<usize> = (0..candidates).collect();
-        let scores = parallel_ordered(&indices, self.jobs, |_, &i| {
-            let platform = space.platform(i);
-            let started = std::time::Instant::now();
-            let est = estimate_platform(&spec.base, &platform);
-            spent_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            est.ok().map(|est| ParetoPoint {
-                latency_ns: est.latency_ns,
-                bandwidth_gb_s: est.bandwidth_gb_s,
-                cost: est.cost,
-                hash: i as u64,
-            })
-        });
+        let (scores, spent_ns) = self.score(spec, &space, candidates);
         let scored_points: Vec<ParetoPoint> = scores.into_iter().flatten().collect();
         let scored = scored_points.len();
         let infeasible = candidates - scored;
@@ -543,7 +572,7 @@ impl DseRunner {
             frontier: frontier.len(),
             escalated: escalation.points.len(),
             estimator_ns: if scored > 0 {
-                spent_ns.load(Ordering::Relaxed) as f64 / scored as f64
+                spent_ns as f64 / scored as f64
             } else {
                 0.0
             },
@@ -560,6 +589,45 @@ impl DseRunner {
             },
             stats,
         ))
+    }
+
+    /// Scores the first `n` candidates of `space`, one shape group per
+    /// parallel task, and returns each candidate's score by index (`None`
+    /// when infeasible) with the total scoring time in ns. A structural
+    /// error means the workload does not map onto that graph (e.g. a flow
+    /// pinned to CCD 7 on a 4-CCD candidate), which makes every member of
+    /// the group infeasible; it does not fail the search.
+    fn score(
+        &self,
+        spec: &DseSpec,
+        space: &Candidates<'_>,
+        n: usize,
+    ) -> (Vec<Option<ParetoPoint>>, u64) {
+        let spent_ns = AtomicU64::new(0);
+        // Workers write each member's score into its candidate's slot, so
+        // scores land in candidate order and no per-group result outlives
+        // its task (those would pin memory in the workers' allocator
+        // arenas across runs).
+        let slots: Vec<OnceLock<ParetoPoint>> = (0..n).map(|_| OnceLock::new()).collect();
+        parallel_ordered(&space.shape_groups(n), self.jobs, |_, members| {
+            let platforms: Vec<PlatformSpec> = members.iter().map(|&i| space.platform(i)).collect();
+            let started = std::time::Instant::now();
+            if let Ok(shape) = DesignShape::of_platform(&spec.base, &platforms[0]) {
+                for (&i, platform) in members.iter().zip(&platforms) {
+                    let est = shape.score(platform);
+                    let point = ParetoPoint {
+                        latency_ns: est.latency_ns,
+                        bandwidth_gb_s: est.bandwidth_gb_s,
+                        cost: est.cost,
+                        hash: i as u64,
+                    };
+                    slots[i].set(point).expect("each candidate is in one group");
+                }
+            }
+            spent_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        });
+        let scores = slots.into_iter().map(OnceLock::into_inner).collect();
+        (scores, spent_ns.into_inner())
     }
 
     /// Like [`DseRunner::run`], but instruments the search into `metrics`
@@ -596,7 +664,8 @@ impl DseRunner {
         metrics.describe_volatile(
             "dse_estimator_ns",
             MetricKind::Gauge,
-            "Mean estimator time per scored candidate, ns.",
+            "Mean scoring time per scored candidate, ns, shape builds spread over the \
+             candidates that share them.",
         );
         let labels = [("dse", outcome.dse.as_str())];
         metrics.counter_add("dse_candidates_scored_total", &labels, stats.scored as f64);
@@ -885,6 +954,59 @@ mod tests {
         (entries, escalation)
     }
 
+    /// Checks a search against the per-candidate reference at `--jobs 1`
+    /// and 4: every score the shape-grouped pass computes equals
+    /// `estimate_platform` on that candidate's platform bit for bit (and
+    /// infeasible exactly where it fails), and the frontier and escalation
+    /// bytes equal [`reference_run`]'s. Returns the infeasible count.
+    fn assert_grouped_matches_reference(search: &DseSpec, budget: Option<usize>) -> usize {
+        let bits = |p: &ParetoPoint| {
+            (
+                p.latency_ns.to_bits(),
+                p.bandwidth_gb_s.to_bits(),
+                p.cost.to_bits(),
+                p.hash,
+            )
+        };
+        let space = search.candidates().unwrap();
+        let n = budget.map_or(space.len, |b| b.min(space.len));
+        let want: Vec<_> = (0..n)
+            .map(|i| {
+                let est = estimate_platform(&search.base, &space.platform(i)).ok()?;
+                Some(bits(&ParetoPoint {
+                    latency_ns: est.latency_ns,
+                    bandwidth_gb_s: est.bandwidth_gb_s,
+                    cost: est.cost,
+                    hash: i as u64,
+                }))
+            })
+            .collect();
+        let (frontier, escalation) = reference_run(search, budget);
+        let json = |f: &[FrontierEntry]| serde_json::to_string(f).unwrap();
+        for jobs in [1, 4] {
+            let runner = DseRunner {
+                jobs,
+                cache_dir: None,
+                budget,
+            };
+            let (scores, _) = runner.score(search, &space, n);
+            let got: Vec<_> = scores.iter().map(|s| s.as_ref().map(bits)).collect();
+            assert_eq!(got, want, "jobs {jobs}, budget {budget:?}");
+            let (outcome, stats) = runner.run(search).unwrap();
+            assert_eq!(json(&outcome.frontier), json(&frontier), "jobs {jobs}");
+            assert_eq!(
+                outcome.escalation.to_json(),
+                escalation.to_json(),
+                "jobs {jobs}, budget {budget:?}"
+            );
+            assert_eq!(
+                stats.infeasible,
+                want.iter().filter(|w| w.is_none()).count()
+            );
+        }
+        want.iter().filter(|w| w.is_none()).count()
+    }
+
     #[test]
     fn search_matches_the_expand_and_estimate_design_reference() {
         // Ties (the NIC adds nothing this workload crosses) and infeasible
@@ -901,23 +1023,85 @@ mod tests {
             ],
             Some(3),
         );
-        for budget in [None, Some(7)] {
-            let (frontier, escalation) = reference_run(&search, budget);
-            for jobs in [1, 4] {
-                let runner = DseRunner {
-                    jobs,
-                    cache_dir: None,
-                    budget,
-                };
-                let (outcome, stats) = runner.run(&search).unwrap();
-                assert_eq!(outcome.frontier, frontier, "jobs {jobs}, budget {budget:?}");
-                assert_eq!(
-                    outcome.escalation, escalation,
-                    "jobs {jobs}, budget {budget:?}"
-                );
-                assert_eq!(stats.infeasible, if budget.is_some() { 3 } else { 4 });
-            }
+        assert_eq!(assert_grouped_matches_reference(&search, None), 4);
+        assert_eq!(assert_grouped_matches_reference(&search, Some(7)), 3);
+    }
+
+    #[test]
+    fn grouped_scores_equal_per_candidate_estimates() {
+        let gmi = || DseAxis::GmiScale {
+            values: vec![0.5, 1.0],
+        };
+        let noc = || DseAxis::NocScale {
+            values: vec![0.75, 1.5],
+        };
+        let umc = || DseAxis::UmcScale {
+            values: vec![1.0, 1.25],
+        };
+        // CCD count 0 fails the platform check and 1 cannot host the
+        // stream on CCD 1: both make whole shape groups infeasible.
+        let ccds = || DseAxis::CcdCount {
+            values: vec![0, 1, 4],
+        };
+        let grid = || DseAxis::QuadrantGrid {
+            values: vec![(2, 2), (3, 2)],
+        };
+        let cases: [(Vec<DseAxis>, Option<usize>, usize); 7] = [
+            // Capacity axes outermost: every group spans the whole search.
+            (vec![gmi(), noc(), ccds(), grid()], None, 16),
+            // Capacity axes innermost: groups are contiguous runs of 8.
+            (vec![ccds(), grid(), gmi(), noc(), umc()], None, 32),
+            // A budget that stops mid-group (the third group keeps 3 of 8).
+            (vec![ccds(), grid(), gmi(), noc(), umc()], Some(19), 19),
+            // A budget that cuts every group when capacity axes lead.
+            (vec![gmi(), noc(), ccds(), grid()], Some(9), 7),
+            // A platform axis after a scale axis resets the scaled caps, so
+            // the GMI siblings tie exactly.
+            (
+                vec![gmi(), platforms(&["epyc_7302", "epyc_9634"]), noc()],
+                None,
+                0,
+            ),
+            // Interleaved, like `dse_epyc`.
+            (vec![ccds(), gmi(), grid(), umc()], None, 16),
+            // No capacity axis: every candidate is its own group.
+            (
+                vec![platforms(&["epyc_9634_nic", "epyc_9634"]), ccds()],
+                None,
+                4,
+            ),
+        ];
+        for (axes, budget, infeasible) in cases {
+            let labels: Vec<String> = axes.iter().map(|a| a.label(0)).collect();
+            let search = smoke_search(axes, Some(2));
+            assert_eq!(
+                assert_grouped_matches_reference(&search, budget),
+                infeasible,
+                "{labels:?}, budget {budget:?}"
+            );
         }
+    }
+
+    #[test]
+    fn shape_groups_collect_capacity_siblings() {
+        let search = smoke_search(
+            vec![
+                DseAxis::CcdCount { values: vec![2, 4] },
+                DseAxis::GmiScale {
+                    values: vec![0.5, 1.0, 1.5],
+                },
+                DseAxis::DiagonalExpress {
+                    values: vec![false, true],
+                },
+            ],
+            None,
+        );
+        let space = search.candidates().unwrap();
+        assert_eq!(
+            space.shape_groups(space.len),
+            [vec![0, 2, 4], vec![1, 3, 5], vec![6, 8, 10], vec![7, 9, 11]]
+        );
+        assert_eq!(space.shape_groups(4), [vec![0, 2], vec![1, 3]]);
     }
 
     #[test]

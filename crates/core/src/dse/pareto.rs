@@ -128,10 +128,26 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Drawn metrics snap to a coarse grid so exact ties (the hash
-        /// tie-break path) actually occur in sampled inputs.
+        /// Points on a 20³ metric grid plus exact copies of some of them,
+        /// so frontier ties are common while dominance stays rich (on the
+        /// bare grid, exact ties almost never reach the frontier). A copy
+        /// keeps its original's key or takes a fresh one.
         fn arb_points() -> impl Strategy<Value = Vec<ParetoPoint>> {
-            arb_points_on(20)
+            (
+                arb_points_on(20),
+                proptest::collection::vec((0usize..1000, proptest::bool::ANY), 1..16),
+            )
+                .prop_map(|(mut points, copies)| {
+                    let n = points.len();
+                    for (k, (src, same_key)) in copies.into_iter().enumerate() {
+                        let mut copy = points[src % n];
+                        if !same_key {
+                            copy.hash = crate::scenario::splitmix64((n + k) as u64);
+                        }
+                        points.push(copy);
+                    }
+                    points
+                })
         }
 
         /// Points on a `steps`³ metric grid; a small grid makes exact ties
@@ -154,30 +170,38 @@ mod tests {
             })
         }
 
-        /// Deterministic Fisher–Yates driven by the drawn seed.
-        fn shuffled(points: &[ParetoPoint], seed: u64) -> Vec<ParetoPoint> {
-            let mut v = points.to_vec();
+        /// Deterministic Fisher–Yates driven by the drawn seed: the
+        /// permuted points and, for each, its index in `points`.
+        fn shuffled(points: &[ParetoPoint], seed: u64) -> (Vec<ParetoPoint>, Vec<usize>) {
+            let mut origin: Vec<usize> = (0..points.len()).collect();
             let mut state = seed;
-            for i in (1..v.len()).rev() {
+            for i in (1..origin.len()).rev() {
                 state = crate::scenario::splitmix64(state);
-                v.swap(i, (state % (i as u64 + 1)) as usize);
+                origin.swap(i, (state % (i as u64 + 1)) as usize);
             }
-            v
+            (origin.iter().map(|&i| points[i]).collect(), origin)
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The frontier is the same set in the same order no matter how
-            /// the input is permuted.
+            /// The frontier is the same set of candidates, in the same key
+            /// order, no matter how the input is permuted: copies sharing a
+            /// key and metrics all stay, whichever comes first.
             #[test]
             fn frontier_is_permutation_invariant(points in arb_points(), seed in 0u64..1000) {
-                let base: Vec<u64> =
-                    pareto_frontier(&points).iter().map(|&i| points[i].hash).collect();
-                let perm = shuffled(&points, seed);
-                let permuted: Vec<u64> =
-                    pareto_frontier(&perm).iter().map(|&i| perm[i].hash).collect();
-                prop_assert_eq!(base, permuted);
+                let base = pareto_frontier(&points);
+                let (perm, origin) = shuffled(&points, seed);
+                let permuted = pareto_frontier(&perm);
+                let keys = |f: &[usize], pts: &[ParetoPoint]| -> Vec<u64> {
+                    f.iter().map(|&i| pts[i].hash).collect()
+                };
+                prop_assert_eq!(keys(&base, &points), keys(&permuted, &perm));
+                let mut members: Vec<usize> = permuted.iter().map(|&k| origin[k]).collect();
+                members.sort_unstable();
+                let mut base = base;
+                base.sort_unstable();
+                prop_assert_eq!(base, members);
             }
 
             /// Any distinct tie-break keys select the same frontier set, and

@@ -3,7 +3,7 @@
 use chiplet_fluid::FluidLink;
 use chiplet_mem::{OpKind, Pattern};
 use chiplet_sim::{ByteSize, DemandSchedule, SimDuration, SimTime};
-use chiplet_topology::{CcdId, CoreId, PlatformSpec, Topology};
+use chiplet_topology::{CcdId, CoreId, PlatformError, PlatformSpec, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineConfig;
@@ -28,6 +28,12 @@ impl core::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl From<PlatformError> for ScenarioError {
+    fn from(e: PlatformError) -> Self {
+        ScenarioError::Invalid(e.to_string())
+    }
+}
+
 fn invalid<T>(msg: impl Into<String>) -> Result<T, ScenarioError> {
     Err(ScenarioError::Invalid(msg.into()))
 }
@@ -46,9 +52,10 @@ pub enum TopologyChoice {
 }
 
 impl TopologyChoice {
-    /// The platform spec this choice selects.
+    /// The platform spec this choice selects, once it passes
+    /// [`PlatformSpec::check_buildable`].
     pub fn platform(&self) -> Result<PlatformSpec, ScenarioError> {
-        match self {
+        let platform = match self {
             TopologyChoice::Named(name) => match name.as_str() {
                 "epyc_7302" => Ok(PlatformSpec::epyc_7302()),
                 "epyc_9634" => Ok(PlatformSpec::epyc_9634()),
@@ -63,7 +70,9 @@ impl TopologyChoice {
                 )),
             },
             TopologyChoice::Inline(spec) => Ok(spec.clone()),
-        }
+        }?;
+        platform.check_buildable()?;
+        Ok(platform)
     }
 
     /// Builds the topology.

@@ -152,6 +152,32 @@ pub enum LinkKind {
     PcieLane,
 }
 
+impl LinkKind {
+    /// The `(read, write)` capacities a link of this kind enforces on
+    /// `spec`, or `None` when the kind is not a capacity point (or the
+    /// platform lacks the device it belongs to). This is the one mapping
+    /// from link classes to the platform's calibration: the builder stamps
+    /// it on every link, and the DSE estimator reads capacities through it.
+    pub fn caps(self, spec: &PlatformSpec) -> Option<(Bandwidth, Bandwidth)> {
+        match self {
+            LinkKind::CoreL3 => Some((spec.caps.core_read, spec.caps.core_write)),
+            LinkKind::L3Tc => Some((spec.caps.ccx_read, spec.caps.ccx_write)),
+            LinkKind::Gmi => Some((spec.caps.gmi_read, spec.caps.gmi_write)),
+            LinkKind::MemChannel => Some((spec.mem.umc_read_bw, spec.mem.umc_write_bw)),
+            LinkKind::HubRc => spec.cxl.as_ref().map(|c| (c.plink_read, c.plink_write)),
+            LinkKind::Xgmi => spec.xgmi.as_ref().map(|x| (x.read_bw, x.write_bw)),
+            LinkKind::PcieLane => spec.nic.as_ref().map(|n| (n.dma_read_bw, n.dma_write_bw)),
+            LinkKind::TcGmi
+            | LinkKind::CcmSwitch
+            | LinkKind::NocMesh
+            | LinkKind::SwitchCs
+            | LinkKind::CsUmc
+            | LinkKind::SwitchHub
+            | LinkKind::CxlLane => None,
+        }
+    }
+}
+
 /// A node in the topology.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Node {
@@ -244,19 +270,13 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is structurally degenerate (zero cores or UMCs)
-    /// or requests more than two sockets (the xGMI model joins two).
+    /// Panics if the spec fails [`PlatformSpec::check_buildable`]; callers
+    /// holding untrusted specs run that check first and report its typed
+    /// error.
     pub fn build(spec: &PlatformSpec) -> Self {
-        assert!(spec.total_cores() > 0, "platform needs at least one core");
-        assert!(spec.mem.umc_count > 0, "platform needs at least one UMC");
-        assert!(
-            (1..=2).contains(&spec.socket_count),
-            "socket_count must be 1 or 2"
-        );
-        assert!(
-            spec.socket_count == 1 || spec.xgmi.is_some(),
-            "dual-socket platforms need an xGMI spec"
-        );
+        if let Err(e) = spec.check_buildable() {
+            panic!("{e}");
+        }
 
         let mut b = Builder::new(spec.clone());
         for socket in 0..spec.socket_count {
@@ -621,7 +641,7 @@ struct Builder {
 impl Builder {
     fn new(spec: PlatformSpec) -> Self {
         let (cols, rows) = spec.quadrant_grid;
-        let grid_w = cols * 2 - 1;
+        let grid_w = (cols as u16 * 2 - 1) as u8;
         // Upper-bound node count so the hot DSE path builds without
         // reallocation: switches + per-CCD subtree + per-UMC chain + I/O.
         let per_socket = grid_w as usize * rows as usize
@@ -661,24 +681,18 @@ impl Builder {
         id
     }
 
-    fn add_link(
-        &mut self,
-        kind: LinkKind,
-        a: NodeId,
-        b: NodeId,
-        latency_ns: f64,
-        read_cap: Option<Bandwidth>,
-        write_cap: Option<Bandwidth>,
-    ) -> LinkId {
+    /// Adds a link whose capacities are its kind's ([`LinkKind::caps`]).
+    fn add_link(&mut self, kind: LinkKind, a: NodeId, b: NodeId, latency_ns: f64) -> LinkId {
         let id = LinkId(self.links.len() as u32);
+        let caps = kind.caps(&self.spec);
         self.links.push(LinkSpec {
             id,
             kind,
             a,
             b,
             latency_ns,
-            read_cap,
-            write_cap,
+            read_cap: caps.map(|c| c.0),
+            write_cap: caps.map(|c| c.1),
         });
         id
     }
@@ -720,14 +734,14 @@ impl Builder {
                         self.switch_at(socket, x, y),
                         self.switch_at(socket, x + 1, y),
                     );
-                    self.add_link(LinkKind::NocMesh, a, b, 0.0, None, None);
+                    self.add_link(LinkKind::NocMesh, a, b, 0.0);
                 }
                 if y + 1 < self.grid_h {
                     let (a, b) = (
                         self.switch_at(socket, x, y),
                         self.switch_at(socket, x, y + 1),
                     );
-                    self.add_link(LinkKind::NocMesh, a, b, 0.0, None, None);
+                    self.add_link(LinkKind::NocMesh, a, b, 0.0);
                 }
             }
         }
@@ -744,12 +758,12 @@ impl Builder {
                             self.switch_at(socket, x, y),
                             self.switch_at(socket, x - 1, oy),
                         );
-                        self.add_link(LinkKind::NocMesh, a, b, 0.0, None, None);
+                        self.add_link(LinkKind::NocMesh, a, b, 0.0);
                         let (a, b) = (
                             self.switch_at(socket, x, y),
                             self.switch_at(socket, x + 1, oy),
                         );
-                        self.add_link(LinkKind::NocMesh, a, b, 0.0, None, None);
+                        self.add_link(LinkKind::NocMesh, a, b, 0.0);
                     }
                 }
             }
@@ -771,7 +785,6 @@ impl Builder {
             self.spec.cores_per_ccx,
         );
         let core_to_fabric_ns = self.spec.mem.core_to_fabric_ns;
-        let caps = self.spec.caps.clone();
         for local_ccd in 0..ccd_count {
             let ccd_i = socket * ccd_count + local_ccd;
             let ccd = CcdId(ccd_i);
@@ -780,22 +793,15 @@ impl Builder {
 
             let tc = self.add_node(NodeKind::TrafficCtrl { ccd }, 0.0, Some(quadrant));
             let gmi_port = self.add_node(NodeKind::GmiPort { ccd }, 0.0, Some(quadrant));
-            self.add_link(LinkKind::TcGmi, tc, gmi_port, 0.0, None, None);
+            self.add_link(LinkKind::TcGmi, tc, gmi_port, 0.0);
 
             // CCM on the I/O die, attached to the quadrant switch.
             let ccm = self.add_node(NodeKind::Ccm { quadrant }, 0.0, Some(quadrant));
             // The GMI link carries the entire core-to-fabric latency segment
             // and the per-CCD capacity.
-            self.add_link(
-                LinkKind::Gmi,
-                gmi_port,
-                ccm,
-                core_to_fabric_ns,
-                Some(caps.gmi_read),
-                Some(caps.gmi_write),
-            );
+            self.add_link(LinkKind::Gmi, gmi_port, ccm, core_to_fabric_ns);
             let qswitch = self.quadrant_switch(socket, quadrant);
-            self.add_link(LinkKind::CcmSwitch, ccm, qswitch, 0.0, None, None);
+            self.add_link(LinkKind::CcmSwitch, ccm, qswitch, 0.0);
 
             for ccx_local in 0..ccx_per_ccd {
                 let ccx_global = ccd_i * ccx_per_ccd + ccx_local;
@@ -808,25 +814,11 @@ impl Builder {
                     Some(quadrant),
                 );
                 // CCX-level limiter capacity rides the L3→TC link.
-                self.add_link(
-                    LinkKind::L3Tc,
-                    l3,
-                    tc,
-                    0.0,
-                    Some(caps.ccx_read),
-                    Some(caps.ccx_write),
-                );
+                self.add_link(LinkKind::L3Tc, l3, tc, 0.0);
                 for core_local in 0..cores_per_ccx {
                     let core = CoreId(ccx_global * cores_per_ccx + core_local);
                     let cnode = self.add_node(NodeKind::Core { core, ccd }, 0.0, Some(quadrant));
-                    self.add_link(
-                        LinkKind::CoreL3,
-                        cnode,
-                        l3,
-                        0.0,
-                        Some(caps.core_read),
-                        Some(caps.core_write),
-                    );
+                    self.add_link(LinkKind::CoreL3, cnode, l3, 0.0);
                     self.cores.push(cnode);
                 }
             }
@@ -849,8 +841,8 @@ impl Builder {
             let dimm_node = self.add_node(NodeKind::Dimm { dimm }, 0.0, Some(quadrant));
 
             let qswitch = self.quadrant_switch(socket, quadrant);
-            self.add_link(LinkKind::SwitchCs, qswitch, cs, 0.0, None, None);
-            self.add_link(LinkKind::CsUmc, cs, umc_node, 0.0, None, None);
+            self.add_link(LinkKind::SwitchCs, qswitch, cs, 0.0);
+            self.add_link(LinkKind::CsUmc, cs, umc_node, 0.0);
             // The memory channel carries the CS/UMC/DRAM latency segment and
             // the per-UMC capacity.
             self.add_link(
@@ -858,8 +850,6 @@ impl Builder {
                 umc_node,
                 dimm_node,
                 mem.cs_umc_dram_ns,
-                Some(mem.umc_read_bw),
-                Some(mem.umc_write_bw),
             );
             self.umcs.push(umc_node);
             self.dimms.push(dimm_node);
@@ -875,12 +865,12 @@ impl Builder {
         // grids (monolithic) attach it to the only switch.
         if self.grid_w == 1 {
             let s = self.switch_at(socket, 0, 0);
-            self.add_link(LinkKind::SwitchHub, s, hub, 0.0, None, None);
+            self.add_link(LinkKind::SwitchHub, s, hub, 0.0);
         } else {
             for y in 0..self.grid_h {
                 for x in (1..self.grid_w).step_by(2) {
                     let s = self.switch_at(socket, x, y);
-                    self.add_link(LinkKind::SwitchHub, s, hub, 0.0, None, None);
+                    self.add_link(LinkKind::SwitchHub, s, hub, 0.0);
                 }
             }
         }
@@ -901,31 +891,17 @@ impl Builder {
             // Root complex and PCIe lanes lumped into one link: the NIC's
             // DMA capacities ride its directions (read = device pulls from
             // memory, write = device pushes into memory).
-            self.add_link(
-                LinkKind::PcieLane,
-                hub,
-                node,
-                nic.latency_ns,
-                Some(nic.dma_read_bw),
-                Some(nic.dma_write_bw),
-            );
+            self.add_link(LinkKind::PcieLane, hub, node, nic.latency_ns);
             self.nics.push(node);
         }
         if let Some(cxl) = self.spec.cxl.clone() {
             let rc = self.add_node(NodeKind::RootComplex, cxl.root_complex_ns, None);
             // The shared hub→root-complex hop carries the aggregate
             // P-Link/CXL capacity.
-            self.add_link(
-                LinkKind::HubRc,
-                hub,
-                rc,
-                0.0,
-                Some(cxl.plink_read),
-                Some(cxl.plink_write),
-            );
+            self.add_link(LinkKind::HubRc, hub, rc, 0.0);
             for index in 0..cxl.device_count {
                 let dev = self.add_node(NodeKind::CxlDevice { index }, cxl.device_ns, None);
-                self.add_link(LinkKind::CxlLane, rc, dev, cxl.plink_ns, None, None);
+                self.add_link(LinkKind::CxlLane, rc, dev, cxl.plink_ns);
                 self.cxl_devices.push(dev);
             }
         }
@@ -936,17 +912,15 @@ impl Builder {
         if self.spec.socket_count < 2 {
             return;
         }
-        let xgmi = self.spec.xgmi.clone().expect("dual socket has xgmi");
+        let latency_ns = self
+            .spec
+            .xgmi
+            .as_ref()
+            .expect("dual socket has xgmi")
+            .latency_ns;
         let a = self.relay_switch(0, 0);
         let b = self.relay_switch(1, 0);
-        self.add_link(
-            LinkKind::Xgmi,
-            a,
-            b,
-            xgmi.latency_ns,
-            Some(xgmi.read_bw),
-            Some(xgmi.write_bw),
-        );
+        self.add_link(LinkKind::Xgmi, a, b, latency_ns);
     }
 
     fn finish(self) -> Topology {
@@ -991,6 +965,34 @@ impl Builder {
 mod tests {
     use super::*;
     use crate::spec::PlatformSpec;
+
+    #[test]
+    fn widest_grid_builds() {
+        let mut spec = PlatformSpec::epyc_7302();
+        spec.quadrant_grid = (128, 1);
+        let t = Topology::build(&spec);
+        assert_eq!(t.dimm_count(), 8);
+    }
+
+    #[test]
+    fn capped_links_carry_their_kinds_caps() {
+        let spec = PlatformSpec::epyc_9634().with_nic(crate::spec::NicSpec::gbe400());
+        let t = Topology::build(&spec);
+        let mut capped = std::collections::BTreeSet::new();
+        for l in t.links() {
+            let caps = l.kind.caps(&spec);
+            assert_eq!(l.read_cap, caps.map(|c| c.0), "{:?}", l.kind);
+            assert_eq!(l.write_cap, caps.map(|c| c.1), "{:?}", l.kind);
+            if caps.is_some() {
+                capped.insert(format!("{:?}", l.kind));
+            }
+        }
+        // Every capped kind but the dual-socket xGMI appears here.
+        assert_eq!(
+            capped.into_iter().collect::<Vec<_>>(),
+            ["CoreL3", "Gmi", "HubRc", "L3Tc", "MemChannel", "PcieLane"]
+        );
+    }
 
     #[test]
     fn builds_7302() {

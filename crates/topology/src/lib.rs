@@ -44,6 +44,6 @@ pub use ids::{CcdId, CoreId, DimmId, LinkId, NodeId, UmcId};
 pub use path::{Hop, RoutePath};
 pub use position::{DimmPosition, NpsMode, Quadrant};
 pub use spec::{
-    CacheSpec, CxlSpec, LevelCaps, MemSpec, MlpSpec, NicSpec, NocSpec, PlatformKind, PlatformSpec,
-    TrafficCtrlSpec, XgmiSpec,
+    CacheSpec, CxlSpec, LevelCaps, MemSpec, MlpSpec, NicSpec, NocSpec, PlatformError, PlatformKind,
+    PlatformSpec, TrafficCtrlSpec, XgmiSpec,
 };

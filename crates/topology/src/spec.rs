@@ -263,7 +263,95 @@ pub struct PlatformSpec {
     pub nic: Option<NicSpec>,
 }
 
+/// Why a [`PlatformSpec`] cannot be built into a
+/// [`Topology`](crate::Topology): the structural conditions
+/// [`Topology::build`](crate::Topology::build) would otherwise panic on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlatformError {
+    /// `ccd_count`, `ccx_per_ccd` or `cores_per_ccx` is zero.
+    NoCores,
+    /// `mem.umc_count` is zero.
+    NoMemoryChannels,
+    /// `socket_count` is not 1 or 2 (the xGMI model joins two sockets).
+    SocketCount(u32),
+    /// A dual-socket platform without an `xgmi` spec.
+    MissingXgmi,
+    /// A `quadrant_grid` with zero columns or rows.
+    EmptyGrid(u8, u8),
+    /// A `quadrant_grid` wider than the switch grid's 255 columns allow.
+    GridTooWide(u8),
+    /// A `cxl` spec with zero devices.
+    NoCxlDevices,
+}
+
+impl core::fmt::Display for PlatformError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            PlatformError::NoCores => write!(
+                f,
+                "platform has no cores (ccd_count, ccx_per_ccd and cores_per_ccx must be positive)"
+            ),
+            PlatformError::NoMemoryChannels => {
+                write!(f, "platform has no memory channels (mem.umc_count is 0)")
+            }
+            PlatformError::SocketCount(n) => {
+                write!(f, "platform socket_count {n} is out of range (1 or 2)")
+            }
+            PlatformError::MissingXgmi => write!(f, "dual-socket platform has no xgmi spec"),
+            PlatformError::EmptyGrid(cols, rows) => {
+                write!(f, "platform quadrant_grid {cols}x{rows} is empty")
+            }
+            PlatformError::GridTooWide(cols) => write!(
+                f,
+                "platform quadrant_grid has {cols} columns (at most {MAX_GRID_COLS})"
+            ),
+            PlatformError::NoCxlDevices => {
+                write!(
+                    f,
+                    "platform cxl spec has no devices (cxl.device_count is 0)"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for PlatformError {}
+
+/// Widest quadrant grid: its switch grid has `2 * cols - 1` columns, which
+/// must fit the `u8` switch coordinates.
+const MAX_GRID_COLS: u8 = 128;
+
 impl PlatformSpec {
+    /// The one structural check a platform must pass before
+    /// [`Topology::build`](crate::Topology::build): every condition that
+    /// would make the build panic, as a typed error. Capacities and
+    /// latencies are not checked here.
+    pub fn check_buildable(&self) -> Result<(), PlatformError> {
+        if self.ccd_count == 0 || self.ccx_per_ccd == 0 || self.cores_per_ccx == 0 {
+            return Err(PlatformError::NoCores);
+        }
+        if self.mem.umc_count == 0 {
+            return Err(PlatformError::NoMemoryChannels);
+        }
+        if !(1..=2).contains(&self.socket_count) {
+            return Err(PlatformError::SocketCount(self.socket_count));
+        }
+        if self.socket_count == 2 && self.xgmi.is_none() {
+            return Err(PlatformError::MissingXgmi);
+        }
+        let (cols, rows) = self.quadrant_grid;
+        if cols == 0 || rows == 0 {
+            return Err(PlatformError::EmptyGrid(cols, rows));
+        }
+        if cols > MAX_GRID_COLS {
+            return Err(PlatformError::GridTooWide(cols));
+        }
+        if self.cxl.as_ref().is_some_and(|c| c.device_count == 0) {
+            return Err(PlatformError::NoCxlDevices);
+        }
+        Ok(())
+    }
+
     /// Cores per compute chiplet.
     pub fn cores_per_ccd(&self) -> u32 {
         self.ccx_per_ccd * self.cores_per_ccx
@@ -651,6 +739,45 @@ mod tests {
             let back: PlatformSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(p, back);
         }
+    }
+
+    #[test]
+    fn check_buildable_types_every_degenerate_platform() {
+        for p in [
+            PlatformSpec::epyc_7302(),
+            PlatformSpec::epyc_9634(),
+            PlatformSpec::dual_epyc_7302(),
+            PlatformSpec::monolithic_baseline(),
+        ] {
+            assert_eq!(p.check_buildable(), Ok(()), "{}", p.name);
+        }
+        let broken = |f: fn(&mut PlatformSpec)| {
+            let mut p = PlatformSpec::epyc_9634();
+            f(&mut p);
+            p.check_buildable().unwrap_err()
+        };
+        use PlatformError::*;
+        assert_eq!(broken(|p| p.ccd_count = 0), NoCores);
+        assert_eq!(broken(|p| p.ccx_per_ccd = 0), NoCores);
+        assert_eq!(broken(|p| p.cores_per_ccx = 0), NoCores);
+        assert_eq!(broken(|p| p.mem.umc_count = 0), NoMemoryChannels);
+        assert_eq!(broken(|p| p.socket_count = 0), SocketCount(0));
+        assert_eq!(broken(|p| p.socket_count = 3), SocketCount(3));
+        assert_eq!(broken(|p| p.socket_count = 2), MissingXgmi);
+        assert_eq!(broken(|p| p.quadrant_grid = (0, 2)), EmptyGrid(0, 2));
+        assert_eq!(broken(|p| p.quadrant_grid = (2, 0)), EmptyGrid(2, 0));
+        assert_eq!(broken(|p| p.quadrant_grid = (129, 1)), GridTooWide(129));
+        let mut widest = PlatformSpec::epyc_9634();
+        widest.quadrant_grid = (MAX_GRID_COLS, 1);
+        assert_eq!(widest.check_buildable(), Ok(()));
+        assert_eq!(
+            broken(|p| p.cxl.as_mut().unwrap().device_count = 0),
+            NoCxlDevices
+        );
+        assert_eq!(
+            NoCores.to_string(),
+            "platform has no cores (ccd_count, ccx_per_ccd and cores_per_ccx must be positive)"
+        );
     }
 
     #[test]

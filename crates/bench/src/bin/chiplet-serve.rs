@@ -30,7 +30,7 @@ use chiplet_bench::scenarios::{resolve, Verb};
 use chiplet_bench::serve::hammer::{hammer, HammerOptions};
 use chiplet_bench::serve::{http, obs, ServeConfig, Server};
 use chiplet_net::lint_openmetrics;
-use chiplet_net::scenario::{ScenarioKind, ScenarioSpec, SweepSpec};
+use chiplet_net::scenario::ScenarioKind;
 
 const USAGE: &str = "usage: chiplet-serve <COMMAND>
 commands:
@@ -65,73 +65,50 @@ const DEFAULT_ADDR: &str = "127.0.0.1:8091";
 
 struct Opts {
     addr: Option<String>,
-    workers: usize,
-    cache: bool,
-    cache_dir: PathBuf,
-    cache_dir_set: bool,
-    max_pending: usize,
-    max_client_pending: usize,
+    /// The daemon `listen` boots; its flags parse straight onto it.
+    serve: ServeConfig,
+    /// `--cache-dir`, when given (hammer's in-process daemon).
+    cache_dir: Option<PathBuf>,
+    no_cache: bool,
     client: String,
     stream: bool,
     submissions: usize,
     clients: usize,
-    access_log: Option<PathBuf>,
-    recorder: usize,
     out: Option<PathBuf>,
 }
 
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            addr: None,
-            workers: 0,
-            cache: true,
-            cache_dir: PathBuf::from("results/cache"),
-            cache_dir_set: false,
-            max_pending: 4096,
-            max_client_pending: 2048,
-            client: "anon".into(),
-            stream: false,
-            submissions: 1000,
-            clients: 4,
-            access_log: None,
-            recorder: 256,
-            out: None,
-        }
+impl Opts {
+    fn addr(&self) -> &str {
+        self.addr.as_deref().unwrap_or(DEFAULT_ADDR)
     }
 }
 
-/// Resolves a CLI target to either a spec or a sweep: a JSON file is
-/// sniffed (a sweep has a `base`), a name hits the registry.
-enum Target {
-    Spec(ScenarioSpec),
-    Sweep(SweepSpec),
-}
-
-fn resolve_target(target: &str) -> Result<Target, String> {
-    match resolve(Verb::Sweep, target)
+/// Resolves a CLI target: a JSON file parses as a sweep, else as a spec;
+/// a name hits the registry.
+fn resolve_target(target: &str) -> Result<ScenarioKind, String> {
+    resolve(Verb::Sweep, target)
         .or_else(|_| resolve(Verb::Run, target))
-        .map_err(|e| e.to_string())?
-    {
-        ScenarioKind::Spec(spec) => Ok(Target::Spec(spec)),
-        ScenarioKind::Sweep(sweep) => Ok(Target::Sweep(sweep)),
-        ScenarioKind::Study(_) | ScenarioKind::Dse(_) => Err(format!(
-            "'{target}' is not a declarative spec or sweep; the daemon serves \
-             those only (run searches with `chiplet-scenario dse`)"
-        )),
-    }
+        .map_err(|e| e.to_string())
+}
+
+fn not_served(target: &str) -> String {
+    format!(
+        "'{target}' is not a declarative spec or sweep; the daemon serves \
+         those only (run searches with `chiplet-scenario dse`)"
+    )
 }
 
 fn listen(opts: &Opts) -> Result<(), String> {
-    let cfg = ServeConfig {
-        addr: opts.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.into()),
-        workers: opts.workers,
-        cache_dir: opts.cache.then(|| opts.cache_dir.clone()),
-        max_pending: opts.max_pending,
-        max_client_pending: opts.max_client_pending,
-        access_log: opts.access_log.clone(),
-        recorder: opts.recorder,
+    let mut cfg = ServeConfig {
+        addr: opts.addr().into(),
+        ..opts.serve.clone()
     };
+    if opts.cache_dir.is_some() {
+        cfg.cache_dir = opts.cache_dir.clone();
+    }
+    if opts.no_cache {
+        cfg.cache_dir = None;
+    }
     let server = Server::spawn(cfg).map_err(|e| format!("binding: {e}"))?;
     println!("listening on http://{}", server.addr());
     use std::io::Write as _;
@@ -143,20 +120,21 @@ fn listen(opts: &Opts) -> Result<(), String> {
 }
 
 fn submit(target: &str, opts: &Opts) -> Result<(), String> {
-    let addr = opts.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.into());
+    let addr = opts.addr();
     let client: String = opts.client.chars().take(64).collect();
     let (route, body) = match resolve_target(target)? {
-        Target::Spec(spec) => (format!("/v1/run?client={client}"), spec.to_json()),
-        Target::Sweep(sweep) => {
+        ScenarioKind::Spec(spec) => (format!("/v1/run?client={client}"), spec.to_json()),
+        ScenarioKind::Sweep(sweep) => {
             let stream = if opts.stream { "&stream=1" } else { "" };
             (
                 format!("/v1/sweep?client={client}{stream}"),
                 sweep.to_json(),
             )
         }
+        _ => return Err(not_served(target)),
     };
     let (status, text) =
-        http::fetch(&addr, "POST", &route, Some(&body)).map_err(|e| format!("POST {addr}: {e}"))?;
+        http::fetch(addr, "POST", &route, Some(&body)).map_err(|e| format!("POST {addr}: {e}"))?;
     if status != 200 {
         return Err(format!("daemon answered {status}: {}", text.trim_end()));
     }
@@ -166,12 +144,13 @@ fn submit(target: &str, opts: &Opts) -> Result<(), String> {
 
 fn run_hammer(target: &str, opts: &Opts) -> Result<(), String> {
     let sweep = match resolve_target(target)? {
-        Target::Sweep(sweep) => sweep,
-        Target::Spec(_) => {
+        ScenarioKind::Sweep(sweep) => sweep,
+        ScenarioKind::Spec(_) => {
             return Err(format!(
                 "'{target}' is a single spec; hammer needs a sweep to cycle points from"
             ))
         }
+        _ => return Err(not_served(target)),
     };
     let report = hammer(
         &sweep,
@@ -179,7 +158,7 @@ fn run_hammer(target: &str, opts: &Opts) -> Result<(), String> {
             submissions: opts.submissions,
             clients: opts.clients,
             addr: opts.addr.clone(),
-            cache_dir: opts.cache_dir_set.then(|| opts.cache_dir.clone()),
+            cache_dir: opts.cache_dir.clone(),
         },
     )?;
     eprintln!("{}", report.summary());
@@ -196,37 +175,27 @@ fn run_hammer(target: &str, opts: &Opts) -> Result<(), String> {
     }
 }
 
-fn metrics(opts: &Opts) -> Result<(), String> {
-    let addr = opts.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.into());
+/// `GET route` on the daemon; anything but a 200 is an error.
+fn get(opts: &Opts, route: &str) -> Result<String, String> {
+    let addr = opts.addr();
     let (status, text) =
-        http::fetch(&addr, "GET", "/metrics", None).map_err(|e| format!("GET {addr}: {e}"))?;
+        http::fetch(addr, "GET", route, None).map_err(|e| format!("GET {addr}: {e}"))?;
     if status != 200 {
         return Err(format!("daemon answered {status}"));
     }
+    Ok(text)
+}
+
+fn metrics(opts: &Opts) -> Result<(), String> {
+    let text = get(opts, "/metrics")?;
     lint_openmetrics(&text).map_err(|errs| errs.join("\n"))?;
     print!("{text}");
     eprintln!("metrics: OK ({} lines)", text.lines().count());
     Ok(())
 }
 
-fn status(opts: &Opts) -> Result<(), String> {
-    let addr = opts.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.into());
-    let (status, text) =
-        http::fetch(&addr, "GET", "/v1/status", None).map_err(|e| format!("GET {addr}: {e}"))?;
-    if status != 200 {
-        return Err(format!("daemon answered {status}"));
-    }
-    print!("{text}");
-    Ok(())
-}
-
 fn trace(opts: &Opts) -> Result<(), String> {
-    let addr = opts.addr.clone().unwrap_or_else(|| DEFAULT_ADDR.into());
-    let (status, text) =
-        http::fetch(&addr, "GET", "/v1/trace", None).map_err(|e| format!("GET {addr}: {e}"))?;
-    if status != 200 {
-        return Err(format!("daemon answered {status}"));
-    }
+    let text = get(opts, "/v1/trace")?;
     // Refuse to write a file Perfetto would reject.
     let doc: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("daemon sent invalid trace JSON: {e}"))?;
@@ -273,22 +242,31 @@ fn num_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, S
 fn dispatch() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional = Vec::new();
-    let mut opts = Opts::default();
+    let mut opts = Opts {
+        addr: None,
+        serve: ServeConfig::default(),
+        cache_dir: None,
+        no_cache: false,
+        client: "anon".into(),
+        stream: false,
+        submissions: 1000,
+        clients: 4,
+        out: None,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => {
                 opts.addr = Some(it.next().ok_or("--addr needs a value")?.clone());
             }
-            "--workers" => opts.workers = num_arg(&mut it, "--workers")?,
-            "--no-cache" => opts.cache = false,
+            "--workers" => opts.serve.workers = num_arg(&mut it, "--workers")?,
+            "--no-cache" => opts.no_cache = true,
             "--cache-dir" => {
-                opts.cache_dir = PathBuf::from(it.next().ok_or("--cache-dir needs a value")?);
-                opts.cache_dir_set = true;
+                opts.cache_dir = Some(PathBuf::from(it.next().ok_or("--cache-dir needs a value")?));
             }
-            "--max-pending" => opts.max_pending = num_arg(&mut it, "--max-pending")?,
+            "--max-pending" => opts.serve.max_pending = num_arg(&mut it, "--max-pending")?,
             "--max-client-pending" => {
-                opts.max_client_pending = num_arg(&mut it, "--max-client-pending")?;
+                opts.serve.max_client_pending = num_arg(&mut it, "--max-client-pending")?;
             }
             "--client" => {
                 opts.client = it.next().ok_or("--client needs a value")?.clone();
@@ -297,11 +275,11 @@ fn dispatch() -> Result<(), String> {
             "--submissions" => opts.submissions = num_arg(&mut it, "--submissions")?,
             "--clients" => opts.clients = num_arg(&mut it, "--clients")?,
             "--access-log" => {
-                opts.access_log = Some(PathBuf::from(
+                opts.serve.access_log = Some(PathBuf::from(
                     it.next().ok_or("--access-log needs a value")?,
                 ));
             }
-            "--recorder" => opts.recorder = num_arg(&mut it, "--recorder")?,
+            "--recorder" => opts.serve.recorder = num_arg(&mut it, "--recorder")?,
             "--out" => {
                 opts.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?));
             }
@@ -315,7 +293,7 @@ fn dispatch() -> Result<(), String> {
         ["submit", target] => submit(target, &opts),
         ["hammer", target] => run_hammer(target, &opts),
         ["metrics"] => metrics(&opts),
-        ["status"] => status(&opts),
+        ["status"] => get(&opts, "/v1/status").map(|text| print!("{text}")),
         ["trace"] => trace(&opts),
         ["lint-log", file] => lint_log(file),
         _ => Err(USAGE.to_string()),

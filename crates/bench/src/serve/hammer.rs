@@ -26,9 +26,9 @@ use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 use chiplet_net::lint_openmetrics;
-use chiplet_net::scenario::{SweepOutcome, SweepRunner, SweepSpec};
+use chiplet_net::scenario::{load_cache_entry, CacheLookup, SweepOutcome, SweepRunner, SweepSpec};
 
-use super::{http, obs, ScenarioReport, ServeConfig, Server};
+use super::{http, obs, ServeConfig, Server};
 
 /// Load-test shape.
 #[derive(Debug, Clone)]
@@ -440,12 +440,8 @@ fn count_torn(dir: &std::path::Path) -> usize {
         let name = entry.file_name().to_string_lossy().into_owned();
         if name.contains(".tmp-") {
             torn += 1;
-        } else if name.ends_with(".json") {
-            let ok = std::fs::read_to_string(entry.path())
-                .ok()
-                .and_then(|text| ScenarioReport::from_json(&text).ok())
-                .is_some();
-            if !ok {
+        } else if let Some(hash) = name.strip_suffix(".json") {
+            if !matches!(load_cache_entry(dir, hash), CacheLookup::Hit(_)) {
                 torn += 1;
             }
         }

@@ -8,8 +8,9 @@
 //! `results/cache/` store the CLI uses, and `GET /metrics` exposes the
 //! server's runtime state through the workspace's OpenMetrics encoder.
 //!
-//! Determinism carries over wholesale: a served point is executed by the
-//! very same [`ScenarioSpec::run`] path as the batch CLI and keyed by the
+//! Determinism carries over wholesale: a served point is executed and
+//! published by the very same [`run_and_publish`] step as the batch
+//! [`SweepRunner`](chiplet_net::scenario::SweepRunner) and keyed by the
 //! same content hash ([`spec_hash`]), so responses are **byte-identical**
 //! to `chiplet-scenario run/sweep --json` no matter how many clients race.
 //!
@@ -55,9 +56,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use chiplet_net::metrics::{describe_serve_metrics, MetricsRegistry};
+use chiplet_net::metrics::{MetricKind, MetricsRegistry};
 use chiplet_net::scenario::{
-    load_cache_entry, spec_hash, store_cache_entry, CacheLookup, ScenarioKind, ScenarioSpec,
+    load_cache_entry, run_and_publish, spec_hash, CacheLookup, ScenarioKind, ScenarioSpec,
     SweepOutcome, SweepPoint, SweepPointResult, SweepSpec,
 };
 use chiplet_sim::SimTime;
@@ -104,14 +105,131 @@ impl Default for ServeConfig {
     }
 }
 
-/// A successfully served point: the report's canonical JSON plus how it
-/// was produced — fresh execution, cache hit, or single-flight dedup.
-#[derive(Debug, Clone)]
+/// Describes the scenario-serving daemon's metric families: queue depth,
+/// admission rejects, result-cache traffic, per-client served points, and
+/// the request-scoped observability plane's phase/latency histograms.
+/// All are **volatile** — they reflect one server process's runtime state,
+/// so they belong in [`MetricsRegistry::to_openmetrics_with_volatile`]
+/// scrapes (the daemon's `GET /metrics`) and never in deterministic dumps.
+///
+/// The histogram families are **wall-clock-stamped**: the daemon records
+/// each observation at "nanoseconds since daemon start" in place of sim
+/// time, so the registry's [`WindowedSketch`] machinery windows them over
+/// real time and `/metrics` exposes live windowed p50/p99/p999 alongside
+/// the whole-run quantiles. Durations are reported in nanoseconds.
+///
+/// [`WindowedSketch`]: chiplet_net::metrics::WindowedSketch
+pub fn describe_serve_metrics(m: &mut MetricsRegistry) {
+    m.describe_volatile(
+        "chiplet_serve_queue_depth",
+        MetricKind::Gauge,
+        "Scenario points currently waiting in the serving daemon's queue.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_admission_rejects",
+        MetricKind::Counter,
+        "Submissions turned away because a queue capacity limit was hit.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_cache_hits",
+        MetricKind::Counter,
+        "Served points answered from the shared on-disk result cache.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_cache_misses",
+        MetricKind::Counter,
+        "Served points that required an engine execution.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_corrupt_healed",
+        MetricKind::Counter,
+        "Corrupt cache entries the daemon healed by re-executing the point.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_client_points",
+        MetricKind::Counter,
+        "Scenario points served, by submitting client.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_requests",
+        MetricKind::Counter,
+        "Completed HTTP submissions, by route and outcome.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_phase_ns",
+        MetricKind::Histogram,
+        "Wall-clock request phase durations (ns), by phase.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_queue_wait_ns",
+        MetricKind::Histogram,
+        "Wall-clock fair-queue wait per executed point (ns), by client.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_service_ns",
+        MetricKind::Histogram,
+        "Wall-clock point service time (ns), by client.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_e2e_ns",
+        MetricKind::Histogram,
+        "Wall-clock end-to-end request latency (ns), by client.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_busy_workers",
+        MetricKind::Gauge,
+        "Worker threads currently executing or probing a point.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_inflight_keys",
+        MetricKind::Gauge,
+        "Distinct point hashes currently executing (single-flight keys).",
+    );
+    m.describe_volatile(
+        "chiplet_serve_access_log_lines",
+        MetricKind::Counter,
+        "Access-log lines written.",
+    );
+    m.describe_volatile(
+        "chiplet_serve_recorder_evicted",
+        MetricKind::Counter,
+        "Completed spans evicted from the flight recorder's ring buffer.",
+    );
+}
+
+/// A point's report with its canonical JSON, shared by the single-flight
+/// leader and every submission parked behind it: `/v1/run` answers with
+/// the bytes, `/v1/sweep` assembles its outcome from the report.
+#[derive(Debug)]
+struct PointReport {
+    report: ScenarioReport,
+    json: String,
+}
+
+/// How a served point's result was produced — the span's disposition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Disposition {
+    Executed,
+    CacheHit,
+    /// Served by the single-flight leader's execution.
+    Dedup,
+}
+
+impl Disposition {
+    fn as_str(self) -> &'static str {
+        match self {
+            Disposition::Executed => "executed",
+            Disposition::CacheHit => "cache_hit",
+            Disposition::Dedup => "dedup",
+        }
+    }
+}
+
+/// A successfully served point.
+#[derive(Debug)]
 struct Served {
-    json: Arc<String>,
-    cached: bool,
-    /// `executed`, `cache_hit`, or `dedup` — the span's disposition.
-    disposition: &'static str,
+    point: Arc<PointReport>,
+    disposition: Disposition,
 }
 
 /// The worker-side phase timestamps a point's reply carries back to the
@@ -123,7 +241,19 @@ struct PointTiming {
     executed_ns: u64,
 }
 
-type Reply = mpsc::Sender<(PointTiming, Result<Served, String>)>;
+impl PointTiming {
+    /// All three stamps at `ns`: the worker-side phases collapse there.
+    fn at(ns: u64) -> PointTiming {
+        PointTiming {
+            dequeued_ns: ns,
+            probed_ns: ns,
+            executed_ns: ns,
+        }
+    }
+}
+
+/// What a worker sends back for one point.
+type PointReply = (PointTiming, Result<Served, String>);
 
 /// One queued scenario point.
 struct WorkItem {
@@ -133,11 +263,11 @@ struct WorkItem {
     /// Stamped under the queue lock by [`ServeState::admit`], so a worker
     /// can never observe a dequeue that precedes its enqueue.
     enqueued_ns: u64,
-    reply: Reply,
+    reply: mpsc::Sender<PointReply>,
 }
 
-/// A submission parked behind the single-flight leader for its hash, with
-/// the timestamps it had already accrued when it parked.
+/// A submission waiting for its point's result, with the timestamps it
+/// had accrued by then: the single-flight leader, or one parked behind it.
 struct Parked {
     item: WorkItem,
     dequeued_ns: u64,
@@ -209,7 +339,7 @@ impl ServeState {
                 timing.dequeued_ns.saturating_sub(item.enqueued_ns) as f64,
             );
             if let Ok(s) = &served {
-                if s.disposition == "executed" {
+                if s.disposition == Disposition::Executed {
                     m.observe(
                         "chiplet_serve_service_ns",
                         &[("client", &item.client)],
@@ -261,20 +391,14 @@ impl ServeState {
             match load_cache_entry(dir, &item.hash) {
                 CacheLookup::Hit(report) => {
                     self.count("chiplet_serve_cache_hits", &[], 1.0);
-                    let probed_ns = self.obs.now_ns();
-                    self.serve_point(
-                        item,
-                        PointTiming {
-                            dequeued_ns,
-                            probed_ns,
-                            executed_ns: probed_ns,
-                        },
-                        Ok(Served {
-                            json: Arc::new(report.to_json()),
-                            cached: true,
-                            disposition: "cache_hit",
-                        }),
-                    );
+                    let timing = PointTiming {
+                        dequeued_ns,
+                        ..PointTiming::at(self.obs.now_ns())
+                    };
+                    let json = report.to_json();
+                    let point = Arc::new(PointReport { report, json });
+                    let disposition = Disposition::CacheHit;
+                    self.serve_point(item, timing, Ok(Served { point, disposition }));
                     return;
                 }
                 CacheLookup::Corrupt => self.count("chiplet_serve_corrupt_healed", &[], 1.0),
@@ -299,21 +423,12 @@ impl ServeState {
             infl.insert(item.hash.clone(), Vec::new());
         }
         let probed_ns = self.obs.now_ns();
-        let hash = item.hash.clone();
-        let outcome = item.spec.run();
+        let outcome = run_and_publish(&item.spec, &item.hash, self.cache_dir.as_deref());
         let executed_ns = self.obs.now_ns();
-        let served = match outcome {
-            Ok(report) => {
-                let json = report.to_json();
-                if let Some(dir) = &self.cache_dir {
-                    // Atomic publish; a failed write degrades to uncached.
-                    let _ = store_cache_entry(dir, &hash, &json);
-                }
-                Ok(Served {
-                    json: Arc::new(json),
-                    cached: false,
-                    disposition: "executed",
-                })
+        let result = match outcome {
+            Ok((report, json)) => {
+                let json = json.unwrap_or_else(|| report.to_json());
+                Ok(Arc::new(PointReport { report, json }))
             }
             Err(e) => Err(e.to_string()),
         };
@@ -322,51 +437,31 @@ impl ServeState {
             .inflight
             .lock()
             .expect("inflight lock poisoned")
-            .remove(&hash)
+            .remove(&item.hash)
             .unwrap_or_default();
-        let timing = PointTiming {
+        let leader = Parked {
+            item,
             dequeued_ns,
             probed_ns,
-            executed_ns,
         };
-        match &served {
-            Ok(s) => {
-                let json = s.json.clone();
-                self.serve_point(item, timing, served.clone());
-                for w in waiters {
+        for (i, p) in std::iter::once(leader).chain(waiters).enumerate() {
+            let served = result.clone().map(|point| {
+                let disposition = if i == 0 {
+                    Disposition::Executed
+                } else {
                     // Dedup'd submissions count as hits: served without
                     // an execution of their own.
                     self.count("chiplet_serve_cache_hits", &[], 1.0);
-                    self.serve_point(
-                        w.item,
-                        PointTiming {
-                            dequeued_ns: w.dequeued_ns,
-                            probed_ns: w.probed_ns,
-                            executed_ns,
-                        },
-                        Ok(Served {
-                            json: json.clone(),
-                            cached: true,
-                            disposition: "dedup",
-                        }),
-                    );
-                }
-            }
-            Err(_) => {
-                let err = served.clone();
-                self.serve_point(item, timing, served);
-                for w in waiters {
-                    self.serve_point(
-                        w.item,
-                        PointTiming {
-                            dequeued_ns: w.dequeued_ns,
-                            probed_ns: w.probed_ns,
-                            executed_ns,
-                        },
-                        err.clone(),
-                    );
-                }
-            }
+                    Disposition::Dedup
+                };
+                Served { point, disposition }
+            });
+            let timing = PointTiming {
+                dequeued_ns: p.dequeued_ns,
+                probed_ns: p.probed_ns,
+                executed_ns,
+            };
+            self.serve_point(p.item, timing, served);
         }
     }
 
@@ -423,19 +518,19 @@ impl ServeState {
             .map(|s| s.to_value())
             .collect();
         jobj(vec![
-            ("uptime_ns", ju64(self.obs.now_ns())),
-            ("workers", jnum(self.workers_total)),
+            ("uptime_ns", jnum(self.obs.now_ns())),
+            ("workers", jnum(self.workers_total as u64)),
             (
                 "busy_workers",
-                jnum(self.busy_workers.load(Ordering::SeqCst)),
+                jnum(self.busy_workers.load(Ordering::SeqCst) as u64),
             ),
-            ("queue_depth", jnum(depth)),
+            ("queue_depth", jnum(depth as u64)),
             (
                 "queue_depth_by_client",
                 jobj(
                     by_client
                         .iter()
-                        .map(|(c, n)| (c.as_str(), jnum(*n)))
+                        .map(|(c, n)| (c.as_str(), jnum(*n as u64)))
                         .collect(),
                 ),
             ),
@@ -446,9 +541,9 @@ impl ServeState {
             (
                 "recorder",
                 jobj(vec![
-                    ("capacity", jnum(self.obs.recorder.capacity())),
-                    ("recorded", ju64(recorded)),
-                    ("evicted", ju64(evicted)),
+                    ("capacity", jnum(self.obs.recorder.capacity() as u64)),
+                    ("recorded", jnum(recorded)),
+                    ("evicted", jnum(evicted)),
                 ]),
             ),
             ("recent", serde_json::Value::Seq(recent)),
@@ -593,16 +688,8 @@ fn jstr(s: &str) -> serde_json::Value {
     serde_json::Value::Str(s.to_string())
 }
 
-fn jnum(n: usize) -> serde_json::Value {
-    serde_json::Value::U64(n as u64)
-}
-
-fn ju64(n: u64) -> serde_json::Value {
+fn jnum(n: u64) -> serde_json::Value {
     serde_json::Value::U64(n)
-}
-
-fn jbool(b: bool) -> serde_json::Value {
-    serde_json::Value::Bool(b)
 }
 
 fn compact(v: &serde_json::Value) -> String {
@@ -671,15 +758,11 @@ fn handle(
         }
         ("POST", "/v1/run") => handle_run(state, stream, req, accept_ns),
         ("POST", "/v1/sweep") => handle_sweep(state, stream, req, accept_ns),
-        (_, "/healthz" | "/metrics" | "/v1/scenarios" | "/v1/status" | "/v1/trace") => {
-            write_response(
-                stream,
-                405,
-                "application/json",
-                &json_error("method not allowed"),
-            )
-        }
-        (_, "/v1/run" | "/v1/sweep") => write_response(
+        (
+            _,
+            "/healthz" | "/metrics" | "/v1/scenarios" | "/v1/status" | "/v1/trace" | "/v1/run"
+            | "/v1/sweep",
+        ) => write_response(
             stream,
             405,
             "application/json",
@@ -749,6 +832,7 @@ struct SpanDraft {
     points: usize,
     accept_ns: u64,
     parsed_ns: u64,
+    admitted_ns: u64,
 }
 
 impl SpanDraft {
@@ -761,6 +845,7 @@ impl SpanDraft {
             points: 0,
             accept_ns,
             parsed_ns: accept_ns,
+            admitted_ns: accept_ns,
         }
     }
 
@@ -781,27 +866,43 @@ impl SpanDraft {
         if self.parsed_ns == self.accept_ns {
             self.parsed_ns = now;
         }
-        let outcome = if status == 429 { "rejected" } else { "error" };
+        self.admitted_ns = now;
+        self.respond(
+            state,
+            stream,
+            status,
+            &json_error(msg),
+            "none",
+            PointTiming::at(now),
+        )
+    }
+
+    /// Writes a whole JSON response that names the span in `X-Request-Id`,
+    /// then seals the span. The outcome follows from the status: `ok`,
+    /// `rejected` (429) or `error`.
+    fn respond(
+        self,
+        state: &ServeState,
+        stream: &mut TcpStream,
+        status: u16,
+        body: &str,
+        disposition: &'static str,
+        timing: PointTiming,
+    ) -> std::io::Result<()> {
         let rid = self.request_id();
         let r = write_response_with(
             stream,
             status,
             "application/json",
-            &json_error(msg),
+            body,
             &[("X-Request-Id", &rid)],
         );
-        self.finish(
-            state,
-            status,
-            outcome,
-            "none",
-            now,
-            PointTiming {
-                dequeued_ns: now,
-                probed_ns: now,
-                executed_ns: now,
-            },
-        );
+        let outcome = match status {
+            200 => "ok",
+            429 => "rejected",
+            _ => "error",
+        };
+        self.finish(state, status, outcome, disposition, timing);
         r
     }
 
@@ -814,14 +915,13 @@ impl SpanDraft {
         status: u16,
         outcome: &'static str,
         disposition: &'static str,
-        admitted_ns: u64,
         timing: PointTiming,
     ) {
         let done_ns = state.obs.now_ns();
         let mut t = [
             self.accept_ns,
             self.parsed_ns,
-            admitted_ns,
+            self.admitted_ns,
             timing.dequeued_ns,
             timing.probed_ns,
             timing.executed_ns,
@@ -873,68 +973,26 @@ fn handle_run(
         enqueued_ns: 0,
         reply: tx,
     };
-    let admitted_ns = match state.admit(&client, vec![item]) {
+    draft.admitted_ns = match state.admit(&client, vec![item]) {
         Ok(t) => t,
         Err(msg) => return draft.reject(state, stream, 429, &msg),
     };
-    let rid = draft.request_id();
-    match rx.recv() {
-        Ok((timing, Ok(served))) => {
-            let r = write_response_with(
-                stream,
-                200,
-                "application/json",
-                &format!("{}\n", served.json),
-                &[("X-Request-Id", &rid)],
-            );
-            draft.finish(state, 200, "ok", served.disposition, admitted_ns, timing);
-            r
-        }
-        Ok((timing, Err(msg))) => {
-            let r = write_response_with(
-                stream,
-                400,
-                "application/json",
-                &json_error(&msg),
-                &[("X-Request-Id", &rid)],
-            );
-            draft.finish(state, 400, "error", "none", admitted_ns, timing);
-            r
-        }
-        Err(_) => {
-            let now = state.obs.now_ns();
-            let r = write_response_with(
-                stream,
-                500,
-                "application/json",
-                &json_error("server shutting down"),
-                &[("X-Request-Id", &rid)],
-            );
-            draft.finish(
-                state,
-                500,
-                "error",
-                "none",
-                admitted_ns,
-                PointTiming {
-                    dequeued_ns: now,
-                    probed_ns: now,
-                    executed_ns: now,
-                },
-            );
-            r
-        }
-    }
-}
-
-/// A sweep span's disposition from its per-point tallies.
-fn sweep_disposition(executed: usize, cached: usize) -> &'static str {
-    match (executed, cached) {
-        (0, 0) => "none",
-        (_, 0) => "executed",
-        (0, _) => "cache_hit",
-        _ => "mixed",
-    }
+    let (status, body, disposition, timing) = match rx.recv() {
+        Ok((timing, Ok(s))) => (
+            200,
+            format!("{}\n", s.point.json),
+            s.disposition.as_str(),
+            timing,
+        ),
+        Ok((timing, Err(msg))) => (400, json_error(&msg), "none", timing),
+        Err(_) => (
+            500,
+            json_error("server shutting down"),
+            "none",
+            PointTiming::at(state.obs.now_ns()),
+        ),
+    };
+    draft.respond(state, stream, status, &body, disposition, timing)
 }
 
 fn handle_sweep(
@@ -956,187 +1014,135 @@ fn handle_sweep(
     };
     draft.points = points.len();
     draft.parsed_ns = state.obs.now_ns();
-    let stream_mode = matches!(req.param("stream"), Some("1" | "true"));
-    let mut receivers = Vec::with_capacity(points.len());
-    let mut items = Vec::with_capacity(points.len());
-    for point in &points {
-        let (tx, rx) = mpsc::channel();
-        items.push(WorkItem {
-            hash: point.hash.clone(),
-            spec: point.spec.clone(),
-            client: client.clone(),
-            enqueued_ns: 0,
-            reply: tx,
-        });
-        receivers.push(rx);
-    }
-    let admitted_ns = match state.admit(&client, items) {
+    let (items, receivers): (Vec<_>, Vec<_>) = points
+        .iter()
+        .map(|point| {
+            let (tx, rx) = mpsc::channel();
+            let item = WorkItem {
+                hash: point.hash.clone(),
+                spec: point.spec.clone(),
+                client: client.clone(),
+                enqueued_ns: 0,
+                reply: tx,
+            };
+            (item, rx)
+        })
+        .unzip();
+    draft.admitted_ns = match state.admit(&client, items) {
         Ok(t) => t,
         Err(msg) => return draft.reject(state, stream, 429, &msg),
     };
-    // A sweep's queue/probe phases are per-*point*, visible in the
-    // queue-wait/service histograms; the request-level span charges
-    // admission → last point reply to `exec`, so its phases still tile.
-    if stream_mode {
-        stream_sweep(
-            state,
-            stream,
-            &sweep,
-            &points,
-            receivers,
-            draft,
-            admitted_ns,
-        )
-    } else {
-        collect_sweep(
-            state,
-            stream,
-            &sweep,
-            &points,
-            receivers,
-            draft,
-            admitted_ns,
-        )
-    }
-}
-
-/// Non-streaming sweep: wait for every point, answer with the aggregate
-/// [`SweepOutcome`] — the same bytes `chiplet-scenario sweep --json` prints.
-#[allow(clippy::too_many_arguments)]
-fn collect_sweep(
-    state: &ServeState,
-    stream: &mut TcpStream,
-    sweep: &SweepSpec,
-    points: &[SweepPoint],
-    receivers: Vec<mpsc::Receiver<(PointTiming, Result<Served, String>)>>,
-    draft: SpanDraft,
-    admitted_ns: u64,
-) -> std::io::Result<()> {
-    let rid = draft.request_id();
-    let sweep_timing = |state: &ServeState| {
-        let now = state.obs.now_ns();
-        PointTiming {
-            dequeued_ns: admitted_ns,
-            probed_ns: admitted_ns,
-            executed_ns: now,
-        }
-    };
-    let mut results = Vec::with_capacity(points.len());
-    let (mut executed_n, mut cached_n) = (0usize, 0usize);
-    for (point, rx) in points.iter().zip(receivers) {
-        let served = match rx.recv() {
-            Ok((_, Ok(s))) => s,
-            Ok((_, Err(msg))) => {
-                let t = sweep_timing(state);
-                let r = write_response_with(
-                    stream,
-                    400,
-                    "application/json",
-                    &json_error(&msg),
-                    &[("X-Request-Id", &rid)],
-                );
-                draft.finish(
-                    state,
-                    400,
-                    "error",
-                    sweep_disposition(executed_n, cached_n),
-                    admitted_ns,
-                    t,
-                );
-                return r;
-            }
-            Err(_) => {
-                let t = sweep_timing(state);
-                let r = write_response_with(
-                    stream,
-                    500,
-                    "application/json",
-                    &json_error("server shutting down"),
-                    &[("X-Request-Id", &rid)],
-                );
-                draft.finish(
-                    state,
-                    500,
-                    "error",
-                    sweep_disposition(executed_n, cached_n),
-                    admitted_ns,
-                    t,
-                );
-                return r;
-            }
-        };
-        if served.cached {
-            cached_n += 1;
-        } else {
-            executed_n += 1;
-        }
-        let report = match ScenarioReport::from_json(&served.json) {
-            Ok(r) => r,
-            Err(e) => {
-                let t = sweep_timing(state);
-                let r = write_response_with(
-                    stream,
-                    500,
-                    "application/json",
-                    &json_error(&format!("internal report parse: {e}")),
-                    &[("X-Request-Id", &rid)],
-                );
-                draft.finish(
-                    state,
-                    500,
-                    "error",
-                    sweep_disposition(executed_n, cached_n),
-                    admitted_ns,
-                    t,
-                );
-                return r;
-            }
-        };
-        results.push(SweepPointResult {
-            label: point.label.clone(),
-            hash: point.hash.clone(),
-            report,
-        });
-    }
-    let timing = sweep_timing(state);
-    let outcome = SweepOutcome {
-        sweep: sweep.name.clone(),
-        points: results,
-    };
-    let r = write_response_with(
-        stream,
-        200,
-        "application/json",
-        &format!("{}\n", outcome.to_json()),
-        &[("X-Request-Id", &rid)],
-    );
-    draft.finish(
+    let streamed = matches!(req.param("stream"), Some("1" | "true"));
+    respond_sweep(
         state,
-        200,
-        "ok",
-        sweep_disposition(executed_n, cached_n),
-        admitted_ns,
-        timing,
-    );
-    r
+        stream,
+        &sweep.name,
+        &points,
+        receivers,
+        draft,
+        streamed,
+    )
 }
 
-/// Streaming sweep: one compact JSON line per completed point (expansion
-/// order), then a `done` line with the tallies.
-#[allow(clippy::too_many_arguments)]
-fn stream_sweep(
+/// Per-point reply tallies of one sweep request.
+#[derive(Debug, Default)]
+struct Tally {
+    executed: usize,
+    cached: usize,
+    failed: usize,
+}
+
+impl Tally {
+    /// The sweep span's disposition.
+    fn disposition(&self) -> &'static str {
+        match (self.executed, self.cached) {
+            (0, 0) => "none",
+            (_, 0) => "executed",
+            (0, _) => "cache_hit",
+            _ => "mixed",
+        }
+    }
+}
+
+/// The one receive loop of both sweep forms: waits for each point's reply
+/// in expansion order, tallies it, and hands it to `each` with its index.
+/// A failed point arrives as `(400, message)`, a reply lost to shutdown as
+/// `(500, message)`; `each` stops the loop by returning an error.
+fn receive_points<E>(
+    points: &[SweepPoint],
+    receivers: Vec<mpsc::Receiver<PointReply>>,
+    tally: &mut Tally,
+    mut each: impl FnMut(usize, &SweepPoint, Result<Served, (u16, String)>) -> Result<(), E>,
+) -> Result<(), E> {
+    for (i, (point, rx)) in points.iter().zip(receivers).enumerate() {
+        let reply = match rx.recv() {
+            Ok((_, reply)) => reply.map_err(|msg| (400, msg)),
+            Err(_) => Err((500, "server shutting down".to_string())),
+        };
+        match &reply {
+            Ok(s) if s.disposition == Disposition::Executed => tally.executed += 1,
+            Ok(_) => tally.cached += 1,
+            Err(_) => tally.failed += 1,
+        }
+        each(i, point, reply)?;
+    }
+    Ok(())
+}
+
+/// Answers an admitted sweep. By default: wait for every point and answer
+/// with the aggregate [`SweepOutcome`], assembled from the carried reports
+/// — the same bytes `chiplet-scenario sweep --json` prints — or with the
+/// first failed point's error. With `streamed`: one compact JSON line per
+/// point (expansion order), then a `done` line with the tallies.
+///
+/// A sweep's queue/probe phases are per *point*, visible in the
+/// queue-wait/service histograms; the request-level span charges
+/// admission → last point reply to `exec`, so its phases still tile.
+fn respond_sweep(
     state: &ServeState,
     stream: &mut TcpStream,
-    sweep: &SweepSpec,
+    sweep: &str,
     points: &[SweepPoint],
-    receivers: Vec<mpsc::Receiver<(PointTiming, Result<Served, String>)>>,
+    receivers: Vec<mpsc::Receiver<PointReply>>,
     draft: SpanDraft,
-    admitted_ns: u64,
+    streamed: bool,
 ) -> std::io::Result<()> {
+    let mut tally = Tally::default();
+    let replied = |executed_ns: u64| PointTiming {
+        executed_ns,
+        ..PointTiming::at(draft.admitted_ns)
+    };
+    if !streamed {
+        let mut results = Vec::with_capacity(points.len());
+        let received = receive_points(points, receivers, &mut tally, |_, point, reply| {
+            let report = match Arc::try_unwrap(reply?.point) {
+                Ok(p) => p.report,
+                Err(shared) => shared.report.clone(),
+            };
+            results.push(SweepPointResult {
+                label: point.label.clone(),
+                hash: point.hash.clone(),
+                report,
+            });
+            Ok(())
+        });
+        let timing = replied(state.obs.now_ns());
+        let (status, body) = match received {
+            Ok(()) => {
+                let outcome = SweepOutcome {
+                    sweep: sweep.to_string(),
+                    points: results,
+                };
+                (200, format!("{}\n", outcome.to_json()))
+            }
+            Err((status, msg)) => (status, json_error(&msg)),
+        };
+        let disposition = tally.disposition();
+        return draft.respond(state, stream, status, &body, disposition, timing);
+    }
     let rid = draft.request_id();
-    let total = points.len();
-    let (mut cached, mut executed, mut failed) = (0usize, 0usize, 0usize);
-    let mut executed_ns = admitted_ns;
+    let total = points.len() as u64;
+    let mut executed_ns = None;
     // The response interleaves with execution; completing the span even
     // when the client hangs up mid-stream is why the body writes live in
     // an immediately-invoked closure instead of early returns.
@@ -1147,74 +1153,46 @@ fn stream_sweep(
             "application/jsonl",
             &[("X-Request-Id", &rid)],
         )?;
-        for (i, (point, rx)) in points.iter().zip(receivers).enumerate() {
-            let head = vec![
+        receive_points(points, receivers, &mut tally, |i, point, reply| {
+            let mut fields = vec![
                 ("event", jstr("point")),
-                ("index", jnum(i)),
+                ("index", jnum(i as u64)),
                 ("total", jnum(total)),
                 ("label", jstr(&point.label)),
                 ("hash", jstr(&point.hash)),
             ];
-            let line = match rx.recv() {
-                Ok((_, Ok(s))) => {
-                    if s.cached {
-                        cached += 1;
-                    } else {
-                        executed += 1;
-                    }
-                    let mut fields = head;
-                    fields.push(("cached", jbool(s.cached)));
-                    fields.push(("ok", jbool(true)));
-                    jobj(fields)
+            match reply {
+                Ok(s) => {
+                    let cached = s.disposition != Disposition::Executed;
+                    fields.push(("cached", serde_json::Value::Bool(cached)));
+                    fields.push(("ok", serde_json::Value::Bool(true)));
                 }
-                Ok((_, Err(msg))) => {
-                    failed += 1;
-                    let mut fields = head;
-                    fields.push(("ok", jbool(false)));
+                Err((_, msg)) => {
+                    fields.push(("ok", serde_json::Value::Bool(false)));
                     fields.push(("error", jstr(&msg)));
-                    jobj(fields)
                 }
-                Err(_) => {
-                    failed += 1;
-                    let mut fields = head;
-                    fields.push(("ok", jbool(false)));
-                    fields.push(("error", jstr("server shutting down")));
-                    jobj(fields)
-                }
-            };
-            resp.chunk(&format!("{}\n", compact(&line)))?;
-        }
-        executed_ns = state.obs.now_ns();
+            }
+            resp.chunk(&format!("{}\n", compact(&jobj(fields))))
+        })?;
+        executed_ns = Some(state.obs.now_ns());
         let done = jobj(vec![
             ("event", jstr("done")),
-            ("sweep", jstr(&sweep.name)),
+            ("sweep", jstr(sweep)),
             ("total", jnum(total)),
-            ("executed", jnum(executed)),
-            ("cached", jnum(cached)),
-            ("failed", jnum(failed)),
+            ("executed", jnum(tally.executed as u64)),
+            ("cached", jnum(tally.cached as u64)),
+            ("failed", jnum(tally.failed as u64)),
         ]);
         resp.chunk(&format!("{}\n", compact(&done)))?;
         resp.finish()
     })();
-    if executed_ns == admitted_ns {
-        executed_ns = state.obs.now_ns();
-    }
-    let outcome = if failed > 0 || r.is_err() {
+    let timing = replied(executed_ns.unwrap_or_else(|| state.obs.now_ns()));
+    let outcome = if tally.failed > 0 || r.is_err() {
         "error"
     } else {
         "ok"
     };
-    draft.finish(
-        state,
-        200,
-        outcome,
-        sweep_disposition(executed, cached),
-        admitted_ns,
-        PointTiming {
-            dequeued_ns: admitted_ns,
-            probed_ns: admitted_ns,
-            executed_ns,
-        },
-    );
+    let disposition = tally.disposition();
+    draft.finish(state, 200, outcome, disposition, timing);
     r
 }

@@ -36,6 +36,8 @@ use chiplet_net::metrics::MetricsRegistry;
 use chiplet_net::trace::ChromeTraceBuilder;
 use chiplet_sim::SimTime;
 
+use super::{jnum, jobj, jstr};
+
 /// The daemon's monotonic epoch: every span timestamp is nanoseconds since
 /// this clock was created (at server boot).
 #[derive(Debug)]
@@ -76,7 +78,7 @@ impl ServeClock {
 /// | `admit`   | parsed → admitted   | admission control (cap checks, enqueue) |
 /// | `queue`   | admitted → dequeued | waiting in the fair queue |
 /// | `probe`   | dequeued → probed   | cache lookup + single-flight check |
-/// | `exec`    | probed → executed   | engine execution (or parked behind the single-flight leader / waiting for sweep points) |
+/// | `exec`    | probed → executed   | engine execution and cache publication (or parked behind the single-flight leader / waiting for sweep points) |
 /// | `respond` | executed → done     | serializing + streaming the response |
 pub const PHASES: [&str; 6] = ["parse", "admit", "queue", "probe", "exec", "respond"];
 
@@ -197,23 +199,6 @@ impl ServeSpan {
         fields.push(("e2e_ns", jnum(self.e2e_ns())));
         jobj(fields)
     }
-}
-
-fn jobj(fields: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
-    serde_json::Value::Map(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn jstr(s: &str) -> serde_json::Value {
-    serde_json::Value::Str(s.to_string())
-}
-
-fn jnum(n: u64) -> serde_json::Value {
-    serde_json::Value::U64(n)
 }
 
 /// The structured JSONL access log: one line per completed request,
@@ -720,7 +705,7 @@ mod tests {
     #[test]
     fn complete_records_histograms_and_counters() {
         let mut metrics = MetricsRegistry::new();
-        chiplet_net::metrics::describe_serve_metrics(&mut metrics);
+        crate::serve::describe_serve_metrics(&mut metrics);
         let obs = Obs::new(8, None).unwrap();
         obs.complete(span(2, 50, [1, 1, 1, 1, 1, 1]), &mut metrics);
         assert_eq!(

@@ -93,6 +93,40 @@ fn run_degenerate_inline_platform_fails_cleanly() {
 }
 
 #[test]
+fn run_overlapping_cores_fails_cleanly() {
+    // Two flows on one core, or one flow listing a core twice, is a typed
+    // spec error (exit 1), never the engine's ownership assertion (exit 101).
+    let example = include_str!("../../../examples/scenarios/two_flows.json");
+    for (name, from, to, want) in [
+        (
+            "shared-core.json",
+            "{\"Ccx\": 1}",
+            "{\"Cores\": [0]}",
+            "flows 'ccx0-read' and 'ccx1-write' both issue from core 0",
+        ),
+        (
+            "core-twice.json",
+            "{\"Ccx\": 0}",
+            "{\"Cores\": [3, 3]}",
+            "flow 'ccx0-read' lists core 3 twice",
+        ),
+    ] {
+        assert!(example.contains(from), "{name}");
+        let path = scratch(name);
+        std::fs::write(&path, example.replacen(from, to, 1)).unwrap();
+        let out = scenario_cli(&["run", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("invalid scenario: ") && err.contains(want),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
 fn run_horizon_within_warmup_fails_cleanly() {
     // A horizon at or below the statistics warmup, or a zero-width engine
     // window or fluid step, is a typed spec error (exit 1), never an engine

@@ -6,9 +6,9 @@ use std::path::{Path, PathBuf};
 
 use chiplet_bench::scenarios::paper_registry;
 use chiplet_bench::serve::hammer::{hammer, HammerOptions};
-use chiplet_bench::serve::{http, obs, ServeConfig, Server};
+use chiplet_bench::serve::{describe_serve_metrics, http, obs, ServeConfig, Server};
 use chiplet_net::scenario::{ScenarioKind, SweepRunner, SweepSpec};
-use chiplet_net::{describe_serve_metrics, lint_openmetrics, MetricsRegistry};
+use chiplet_net::{lint_openmetrics, MetricsRegistry};
 use chiplet_sim::SimTime;
 use chiplet_topology::PlatformSpec;
 
@@ -359,8 +359,14 @@ fn malformed_schedule_gets_a_400_and_wedges_no_worker() {
     }
     let (status, text) = fetch_within(&addr, "POST", "/v1/run", Some(good));
     assert_eq!(status, 200, "{text}");
-    // The worker answers before it marks itself idle, so poll (bounded)
-    // until the daemon settles.
+    wait_until_idle(&addr);
+    server.shutdown();
+}
+
+/// Polls `GET /v1/status` (bounded) until no worker is busy and no key is
+/// in flight, failing the test if the daemon never settles. The worker
+/// answers before it marks itself idle, so one read can race it.
+fn wait_until_idle(addr: &str) {
     let settled = |text: &str| {
         let doc: serde_json::Value = serde_json::from_str(text).expect("status is JSON");
         let busy = doc.get("busy_workers").and_then(|v| v.as_u64());
@@ -372,7 +378,7 @@ fn malformed_schedule_gets_a_400_and_wedges_no_worker() {
     };
     let mut text = String::new();
     for _ in 0..200 {
-        let (status, body) = fetch_within(&addr, "GET", "/v1/status", None);
+        let (status, body) = fetch_within(addr, "GET", "/v1/status", None);
         assert_eq!(status, 200, "{body}");
         text = body;
         if settled(&text) {
@@ -384,7 +390,120 @@ fn malformed_schedule_gets_a_400_and_wedges_no_worker() {
         settled(&text),
         "a worker stayed busy or a key in flight: {text}"
     );
+}
+
+#[test]
+fn overlapping_cores_get_a_400_and_wedge_no_worker() {
+    // Two flows on one core used to trip the engine's core-ownership
+    // assertion: the worker died, the first POST got a 500 "server shutting
+    // down", the resubmission parked forever behind the dead leader, and
+    // `/v1/status` kept the worker busy and the hash in flight. Each spec
+    // (distinct seeds, so single-flight cannot fold them) must be a 400
+    // twice, and the daemon must then serve valid specs with every worker
+    // idle and nothing in flight.
+    let server = spawn(None, 4096, 4096);
+    let addr = server.addr().to_string();
+    let good = include_str!("../../../examples/scenarios/two_flows.json");
+    let shared = good.replacen("{\"Ccx\": 1}", "{\"Ccx\": 0}", 1);
+    assert_ne!(shared, good, "the edit must land");
+    let with_seed =
+        |spec: &str, seed: u64| spec.replacen("\"seed\": 42", &format!("\"seed\": {seed}"), 1);
+    for seed in 0..4 {
+        for _ in 0..2 {
+            let spec = with_seed(&shared, seed);
+            let (status, text) = fetch_within(&addr, "POST", "/v1/run", Some(&spec));
+            assert_eq!(status, 400, "{text}");
+            let want = "flows 'ccx0-read' and 'ccx1-write' both issue from core 0";
+            assert!(text.contains(want), "{text}");
+        }
+    }
+    let valid: Vec<_> = (0..4)
+        .map(|seed| {
+            let (addr, spec) = (addr.clone(), with_seed(good, seed));
+            std::thread::spawn(move || fetch_within(&addr, "POST", "/v1/run", Some(&spec)))
+        })
+        .collect();
+    for handle in valid {
+        let (status, text) = handle.join().expect("client thread");
+        assert_eq!(status, 200, "{text}");
+    }
+    wait_until_idle(&addr);
     server.shutdown();
+}
+
+#[test]
+fn typed_json_errors_name_their_field_in_the_400_body() {
+    let server = spawn(None, 4096, 4096);
+    let addr = server.addr().to_string();
+    let good = include_str!("../../../examples/scenarios/two_flows.json");
+    let bad = good.replacen("{\"Ccx\": 1}", "{\"Ccx\": \"one\"}", 1);
+    assert_ne!(bad, good, "the edit must land");
+    let (status, text) = fetch_within(&addr, "POST", "/v1/run", Some(&bad));
+    assert_eq!(status, 400, "{text}");
+    assert!(
+        text.contains("JSON error: flows[1].engine.cores.Ccx: expected u32"),
+        "{text}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_identical_runs_execute_once() {
+    // Single-flight: identical submissions released together on a cold
+    // cache execute the point once. The first worker to reach it executes;
+    // every later one parks behind it (or, arriving after the publish,
+    // hits the cache). All answer with the batch report's bytes.
+    const N: usize = 8;
+    let dir = scratch_dir("single-flight");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let log = dir.join("access.jsonl");
+    let server = spawn_with_log(Some(dir.join("cache")), 4096, 4096, Some(log.clone()));
+    let addr = server.addr().to_string();
+    let point = registered_sweep("fig3_sweep")
+        .expand()
+        .expect("expand")
+        .swap_remove(0);
+    let batch = format!("{}\n", point.spec.run().expect("batch run").to_json());
+    let body = point.spec.to_json();
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(N));
+    let clients: Vec<_> = (0..N)
+        .map(|i| {
+            let (addr, body, barrier) = (addr.clone(), body.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                let route = format!("/v1/run?client=c{i}");
+                http::fetch(&addr, "POST", &route, Some(&body)).expect("POST /v1/run")
+            })
+        })
+        .collect();
+    for client in clients {
+        let (status, text) = client.join().expect("client thread");
+        assert_eq!(status, 200, "{text}");
+        assert_eq!(text, batch, "served bytes differ from the batch report");
+    }
+    let (status, metrics) = http::fetch(&addr, "GET", "/metrics", None).expect("GET /metrics");
+    assert_eq!(status, 200);
+    assert!(
+        metrics
+            .lines()
+            .any(|l| l == "chiplet_serve_cache_misses_total 1"),
+        "{metrics}"
+    );
+    let records = read_access_log(&log, N);
+    let dispositions: Vec<&str> = records.iter().map(|r| r.disposition.as_str()).collect();
+    assert_eq!(
+        dispositions.iter().filter(|&&d| d == "executed").count(),
+        1,
+        "{dispositions:?}"
+    );
+    assert!(
+        dispositions
+            .iter()
+            .all(|d| matches!(*d, "executed" | "dedup" | "cache_hit")),
+        "{dispositions:?}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Reads the access log once it holds at least `want` lines (the daemon

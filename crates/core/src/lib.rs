@@ -100,8 +100,7 @@ pub use export::export_sysfs;
 pub use flow::{FlowId, FlowSpec, Target};
 pub use matrix::TrafficMatrix;
 pub use metrics::{
-    describe_serve_metrics, lint_openmetrics, parse_openmetrics, MetricKind, MetricsRegistry,
-    WindowedSketch,
+    lint_openmetrics, parse_openmetrics, MetricKind, MetricsRegistry, WindowedSketch,
 };
 pub use profiler::{ProfileReport, Profiler};
 pub use scenario::{

@@ -1112,96 +1112,6 @@ pub fn lint_openmetrics(text: &str) -> Result<(), Vec<String>> {
     }
 }
 
-/// Describes the scenario-serving daemon's metric families: queue depth,
-/// admission rejects, result-cache traffic, per-client served points, and
-/// the request-scoped observability plane's phase/latency histograms.
-/// All are **volatile** — they reflect one server process's runtime state,
-/// so they belong in [`MetricsRegistry::to_openmetrics_with_volatile`]
-/// scrapes (the daemon's `GET /metrics`) and never in deterministic dumps.
-///
-/// The histogram families are **wall-clock-stamped**: the daemon records
-/// each observation at "nanoseconds since daemon start" in place of sim
-/// time, so the registry's [`WindowedSketch`] machinery windows them over
-/// real time and `/metrics` exposes live windowed p50/p99/p999 alongside
-/// the whole-run quantiles. Durations are reported in nanoseconds.
-pub fn describe_serve_metrics(m: &mut MetricsRegistry) {
-    m.describe_volatile(
-        "chiplet_serve_queue_depth",
-        MetricKind::Gauge,
-        "Scenario points currently waiting in the serving daemon's queue.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_admission_rejects",
-        MetricKind::Counter,
-        "Submissions turned away because a queue capacity limit was hit.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_cache_hits",
-        MetricKind::Counter,
-        "Served points answered from the shared on-disk result cache.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_cache_misses",
-        MetricKind::Counter,
-        "Served points that required an engine execution.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_corrupt_healed",
-        MetricKind::Counter,
-        "Corrupt cache entries the daemon healed by re-executing the point.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_client_points",
-        MetricKind::Counter,
-        "Scenario points served, by submitting client.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_requests",
-        MetricKind::Counter,
-        "Completed HTTP submissions, by route and outcome.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_phase_ns",
-        MetricKind::Histogram,
-        "Wall-clock request phase durations (ns), by phase.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_queue_wait_ns",
-        MetricKind::Histogram,
-        "Wall-clock fair-queue wait per executed point (ns), by client.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_service_ns",
-        MetricKind::Histogram,
-        "Wall-clock point service time (ns), by client.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_e2e_ns",
-        MetricKind::Histogram,
-        "Wall-clock end-to-end request latency (ns), by client.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_busy_workers",
-        MetricKind::Gauge,
-        "Worker threads currently executing or probing a point.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_inflight_keys",
-        MetricKind::Gauge,
-        "Distinct point hashes currently executing (single-flight keys).",
-    );
-    m.describe_volatile(
-        "chiplet_serve_access_log_lines",
-        MetricKind::Counter,
-        "Access-log lines written.",
-    );
-    m.describe_volatile(
-        "chiplet_serve_recorder_evicted",
-        MetricKind::Counter,
-        "Completed spans evicted from the flight recorder's ring buffer.",
-    );
-}
-
 /// The `# TYPE` declaration line of the family a sample name belongs to:
 /// the name itself, or the name minus one OpenMetrics sample suffix.
 fn family_of(sample_name: &str, types: &BTreeMap<String, usize>) -> Option<usize> {

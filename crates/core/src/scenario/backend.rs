@@ -74,8 +74,32 @@ impl EventEngineBackend {
             }
         }
         let mut engine = Engine::new(topo, cfg);
-        for flow in &spec.flows {
-            engine.add_flow(spec.compile_flow(flow, topo)?);
+        // Each core or NIC issues for at most one flow (the engine asserts
+        // it); which flow first claimed each issuer, by index.
+        let cores = topo.core_count() as usize;
+        let mut owner = vec![None; cores + topo.nic_count() as usize];
+        for (i, flow) in spec.flows.iter().enumerate() {
+            let compiled = spec.compile_flow(flow, topo)?;
+            let issuers = compiled.cores.iter().map(|c| c.index());
+            for issuer in issuers.chain(compiled.nic.map(|n| cores + n as usize)) {
+                let Some(first) = owner[issuer].replace(i) else {
+                    continue;
+                };
+                let what = if issuer < cores {
+                    format!("core {issuer}")
+                } else {
+                    format!("NIC {}", issuer - cores)
+                };
+                return Err(ScenarioError::Invalid(if first == i {
+                    format!("flow '{}' lists {what} twice", flow.name)
+                } else {
+                    format!(
+                        "flows '{}' and '{}' both issue from {what}",
+                        spec.flows[first].name, flow.name
+                    )
+                }));
+            }
+            engine.add_flow(compiled);
         }
         Ok(engine)
     }

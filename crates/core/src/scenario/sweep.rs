@@ -573,10 +573,8 @@ impl SweepRunner {
                         CacheLookup::Miss => {}
                     }
                 }
-                let report = point.spec.run()?;
-                if let Some(dir) = &self.cache_dir {
-                    let _ = store_cache_entry(dir, &point.hash, &report.to_json());
-                }
+                let (report, _) =
+                    run_and_publish(&point.spec, &point.hash, self.cache_dir.as_deref())?;
                 Ok((report, false))
             })();
             occupancy.fetch_sub(1, Ordering::Relaxed);
@@ -684,6 +682,26 @@ pub fn store_cache_entry(dir: &Path, hash: &str, json: &str) -> std::io::Result<
     })
 }
 
+/// Runs one point and publishes its report to the cache under `hash` —
+/// the one execution step [`SweepRunner`] and the serving daemon share.
+/// The report's canonical JSON is rendered only when there is a cache to
+/// publish it to, and is returned with the report, so a caller that also
+/// needs the bytes serializes the report once. A failed write degrades to
+/// an uncached run.
+pub fn run_and_publish(
+    spec: &ScenarioSpec,
+    hash: &str,
+    cache_dir: Option<&Path>,
+) -> Result<(ScenarioReport, Option<String>), ScenarioError> {
+    let report = spec.run()?;
+    let json = cache_dir.map(|dir| {
+        let json = report.to_json();
+        let _ = store_cache_entry(dir, hash, &json);
+        json
+    });
+    Ok((report, json))
+}
+
 /// Runs `f` over `items` on `jobs` worker threads (0 = one per core) with
 /// per-worker work-stealing deques, returning results **in input order** —
 /// the building block behind [`SweepRunner`] and the parallel studies.
@@ -758,16 +776,6 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
             return Some(i);
         }
     }
-}
-
-/// Runs a batch of scenario specs in parallel (no cache), preserving order.
-pub fn run_specs(
-    specs: &[ScenarioSpec],
-    jobs: usize,
-) -> Result<Vec<ScenarioReport>, ScenarioError> {
-    parallel_ordered(specs, jobs, |_, spec| spec.run())
-        .into_iter()
-        .collect()
 }
 
 /// Runs a batch of specs in parallel, each against a private registry, then

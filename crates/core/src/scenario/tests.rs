@@ -214,6 +214,37 @@ fn bad_specs_are_rejected_with_reasons() {
         "{err}"
     );
 
+    // Each core or NIC issues for one flow: a second flow on it, or one
+    // flow listing a core twice, is a typed error naming the flows and the
+    // issuer, not the engine's ownership assertion.
+    let mut overlap = event_spec();
+    let mut other = overlap.flows[0].clone();
+    other.name = "other".into();
+    other.engine.as_mut().unwrap().cores = CoreSelect::Cores(vec![0]);
+    overlap.flows.push(other);
+    let mut twice = event_spec();
+    twice.flows[0].engine.as_mut().unwrap().cores = CoreSelect::Cores(vec![2, 2]);
+    let mut nics = event_spec();
+    let platform = chiplet_topology::PlatformSpec::epyc_9634();
+    nics.topology = TopologyChoice::Inline(platform.with_nic(chiplet_topology::NicSpec::gbe400()));
+    nics.flows[0].engine.as_mut().unwrap().nic = Some(0);
+    let mut dma = nics.flows[0].clone();
+    dma.name = "dma".into();
+    nics.flows.push(dma);
+    for (spec, want) in [
+        (overlap, "flows 'probe' and 'other' both issue from core 0"),
+        (twice, "flow 'probe' lists core 2 twice"),
+        (nics, "flows 'probe' and 'dma' both issue from NIC 0"),
+    ] {
+        let err = spec.run().unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+        let err = spec
+            .run_with_metrics(&mut crate::metrics::MetricsRegistry::new())
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(want), "{err}");
+    }
+
     // Fluid backend needs a link table…
     let mut spec = fluid_spec();
     spec.fluid = None;
@@ -680,6 +711,48 @@ mod sweeps {
             assert!(msg.contains("at line 3 column 3"), "{msg}");
             assert!(!msg.contains("Error {"), "{msg}");
         }
+    }
+
+    #[test]
+    fn typed_json_errors_name_their_field_path() {
+        // A value of the wrong type, or a missing field, names the path to
+        // it: struct fields, enum payloads and sequence indices.
+        let text = event_spec().to_json();
+        for (from, to, want) in [
+            (
+                "\"name\": \"unit_event\"",
+                "\"name\": 5",
+                "JSON error: name: expected string",
+            ),
+            (
+                "\"Ccd\": 0",
+                "\"Ccd\": \"zero\"",
+                "JSON error: flows[0].engine.cores.Ccd: expected u32",
+            ),
+            (
+                "\"Ccd\": 0",
+                "\"Cores\": [0, -1]",
+                "JSON error: flows[0].engine.cores.Cores[1]: expected u32",
+            ),
+            (
+                "\"name\": \"probe\",",
+                "",
+                "JSON error: flows[0]: missing field `name`",
+            ),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "the edit must land: {from}");
+            let msg = ScenarioSpec::from_json(&bad).unwrap_err().to_string();
+            assert!(msg.contains(want), "{msg}");
+        }
+        let sweep = fluid_sweep()
+            .to_json()
+            .replacen("\"values\": [", "\"values\": [\"x\", ", 1);
+        let msg = SweepSpec::from_json(&sweep).unwrap_err().to_string();
+        assert!(
+            msg.contains("JSON error: axes[0].DemandGbS.values[0]: expected number"),
+            "{msg}"
+        );
     }
 
     #[test]

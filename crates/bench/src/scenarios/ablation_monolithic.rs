@@ -2,20 +2,48 @@
 //! Figure 3 loaded-latency sweep on the monolithic baseline (same cores and
 //! memory as the 7302, no chiplet partitioning) — the paper's implicit
 //! point of contrast throughout §3.
-//!
-//! The loaded comparison consumes the scenario-layer sweep report
-//! ([`chiplet_membench::scenario::loaded_latency_report`]).
 
 use std::fmt::Write;
 
 use chiplet_mem::OpKind;
-use chiplet_membench::latency::position_latencies;
-use chiplet_membench::loaded::LinkScenario;
-use chiplet_membench::scenario::loaded_latency_report;
-use chiplet_net::engine::EngineConfig;
-use chiplet_topology::{CoreId, PlatformSpec, Topology};
+use chiplet_membench::latency::{chase_latencies, latency, ChaseTarget};
+use chiplet_membench::loaded::{load_points, loaded, LinkScenario};
+use chiplet_net::scenario::ScenarioSpec;
+use chiplet_sim::ByteSize;
+use chiplet_topology::{CoreId, DimmPosition};
 
 use crate::{f1, TextTable};
+
+/// The chiplet platform and the monolithic baseline, as probe bases.
+fn bases() -> [(&'static str, ScenarioSpec); 2] {
+    [
+        ("chiplet", chiplet_membench::base("epyc_7302", true)),
+        ("monolithic", chiplet_membench::base("monolithic", true)),
+    ]
+}
+
+/// Every run of the study: 1 GiB chases from core 0 to each chiplet DIMM
+/// position and to the monolithic die's near DIMM, then 30 GB/s of GMI
+/// reads on each platform.
+pub fn specs() -> Vec<ScenarioSpec> {
+    let [(_, chiplet), (_, mono)] = bases();
+    let gib = ByteSize::from_gib(1);
+    let ladder = DimmPosition::ALL.map(|pos| (ChaseTarget::Dimm(pos), gib));
+    let near = [(ChaseTarget::Dimm(DimmPosition::Near), gib)];
+    let mut specs = latency(&chiplet, CoreId(0), &ladder).expect("the 7302 has every position");
+    specs.extend(latency(&mono, CoreId(0), &near).expect("the monolithic die has a near DIMM"));
+    for base in [chiplet, mono] {
+        let topo = base.topology.resolve().expect("preset platforms build");
+        let cap = LinkScenario::Gmi
+            .nominal_cap(&topo, OpKind::Read)
+            .as_gb_per_s();
+        specs.extend(
+            loaded(&base, LinkScenario::Gmi, OpKind::Read, &[30.0 / cap])
+                .expect("GMI runs everywhere"),
+        );
+    }
+    specs
+}
 
 /// Renders the study (identical to the former `ablation_monolithic` binary).
 pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
@@ -24,16 +52,15 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         out,
         "Ablation B: chiplet (EPYC 7302) vs monolithic baseline.\n"
     );
-    let chiplet = Topology::build(&PlatformSpec::epyc_7302());
-    let mono = Topology::build(&PlatformSpec::monolithic_baseline());
-    let cfg = EngineConfig::deterministic();
+    let reports = chiplet_membench::run(&specs());
+    let (chases, streams) = reports.split_at(DimmPosition::ALL.len() + 1);
+    let chases = chase_latencies(chases);
 
     // Latency: every DIMM position. The monolithic die has a single
     // uniform "position", so every chiplet row compares against it.
     let mut t = TextTable::new(vec!["DIMM position", "chiplet ns", "monolithic ns", "tax"]);
-    let ch = position_latencies(&chiplet, CoreId(0), &cfg);
-    let mono_uniform = position_latencies(&mono, CoreId(0), &cfg)[0].1;
-    for (pos, c) in &ch {
+    let mono_uniform = chases[DimmPosition::ALL.len()];
+    for (pos, c) in DimmPosition::ALL.iter().zip(&chases) {
         t.row(vec![
             pos.to_string(),
             f1(*c),
@@ -53,20 +80,12 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         "\nLoaded latency, 4 cores streaming reads (offered = 30 GB/s):"
     );
     let mut t = TextTable::new(vec!["platform", "achieved GB/s", "avg ns", "P999 ns"]);
-    for (name, topo) in [("chiplet", &chiplet), ("monolithic", &mono)] {
-        let fraction = 30.0
-            / LinkScenario::Gmi
-                .nominal_cap(topo, OpKind::Read)
-                .as_gb_per_s();
-        let report =
-            loaded_latency_report(topo, LinkScenario::Gmi, OpKind::Read, &[fraction], &cfg);
-        let outcome = report.outcome().expect("GMI runs everywhere");
-        let p = &outcome.flows[0];
+    for ((name, _), p) in bases().iter().zip(load_points(streams)) {
         t.row(vec![
             name.to_string(),
             f1(p.achieved_gb_s),
-            f1(p.mean_latency_ns.unwrap_or(f64::NAN)),
-            f1(p.p999_latency_ns.unwrap_or(f64::NAN)),
+            f1(p.mean_ns),
+            f1(p.p999_ns),
         ]);
     }
     for line in t.render().lines() {

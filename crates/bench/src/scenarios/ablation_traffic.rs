@@ -7,29 +7,30 @@
 use std::fmt::Write;
 
 use chiplet_mem::OpKind;
-use chiplet_membench::compete::{competing_flows, CompeteLink};
-use chiplet_net::engine::EngineConfig;
+use chiplet_membench::compete::{compete, outcomes, CompeteLink};
+use chiplet_net::scenario::ScenarioSpec;
 use chiplet_net::traffic::TrafficPolicy;
 use chiplet_topology::{PlatformSpec, Topology};
 
 use crate::{f1, TextTable};
 
-/// Renders the study (identical to the former `ablation_traffic` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Ablation A: traffic-manager policies vs hardware sender-driven \
-         partitioning (GMI link, EPYC 7302).\n"
-    );
-    let topo = Topology::build(&PlatformSpec::epyc_7302());
-    let c = CompeteLink::Gmi.capacity_gb_s(&topo);
+/// The GMI's shared read capacity on the 7302, GB/s.
+fn capacity() -> f64 {
+    CompeteLink::Gmi.capacity_gb_s(&Topology::build(&PlatformSpec::epyc_7302()))
+}
 
-    let scenarios = [
+/// The two demand cases for a link of capacity `c`: (name, demand0,
+/// demand1), GB/s.
+fn cases(c: f64) -> [(&'static str, f64, f64); 2] {
+    [
         ("one small (25%/90% of cap)", 0.25 * c, 0.90 * c),
         ("unequal big (90%/60% of cap)", 0.90 * c, 0.60 * c),
-    ];
-    let policies: [(&str, TrafficPolicy); 4] = [
+    ]
+}
+
+/// The policies, in table order.
+fn policies() -> [(&'static str, TrafficPolicy); 4] {
+    [
         ("hardware (sender-driven)", TrafficPolicy::HardwareDefault),
         ("max-min fair", TrafficPolicy::MaxMinFair),
         (
@@ -44,9 +45,41 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
                 caps_gb_s: vec![f64::INFINITY, 12.0],
             },
         ),
-    ];
+    ]
+}
 
-    for (sname, d0, d1) in scenarios {
+/// Every competition the study runs: each case under each policy.
+pub fn specs() -> Vec<ScenarioSpec> {
+    cases(capacity())
+        .iter()
+        .flat_map(|&(_, d0, d1)| {
+            policies().map(|(_, policy)| {
+                let mut base = chiplet_membench::base("epyc_7302", false);
+                base.policy = policy;
+                compete(
+                    &base,
+                    CompeteLink::Gmi,
+                    &[(Some(d0), Some(d1))],
+                    OpKind::Read,
+                )
+                .expect("the 7302 has a GMI")
+                .remove(0)
+            })
+        })
+        .collect()
+}
+
+/// Renders the study (identical to the former `ablation_traffic` binary).
+pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Ablation A: traffic-manager policies vs hardware sender-driven \
+         partitioning (GMI link, EPYC 7302).\n"
+    );
+    let c = capacity();
+    let mut results = outcomes(&chiplet_membench::run(&specs())).into_iter();
+    for (sname, d0, _) in cases(c) {
         let _ = writeln!(out, "scenario: {sname} (capacity {} GB/s)", f1(c));
         let mut t = TextTable::new(vec![
             "policy",
@@ -54,16 +87,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
             "flow1 achieved",
             "flow0 satisfied?",
         ]);
-        for (pname, policy) in &policies {
-            let cfg = EngineConfig::default().with_policy(policy.clone());
-            let o = competing_flows(
-                &topo,
-                CompeteLink::Gmi,
-                Some(d0),
-                Some(d1),
-                OpKind::Read,
-                &cfg,
-            );
+        for ((pname, _), o) in policies().iter().zip(results.by_ref()) {
             let satisfied = o.achieved0_gb_s >= d0.min(c) * 0.93;
             t.row(vec![
                 (*pname).to_string(),

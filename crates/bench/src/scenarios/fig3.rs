@@ -7,89 +7,76 @@
 //!
 //! Each panel prints one series per operation (sequential read,
 //! non-temporal write): offered load, achieved bandwidth, mean and P999
-//! latency. The sweeps route through the scenario layer
-//! ([`chiplet_membench::scenario::loaded_latency_report`]), so platform
-//! mismatches arrive as structured [`ScenarioReport::Unsupported`] rather
-//! than ad-hoc checks.
-//!
-//! [`ScenarioReport::Unsupported`]: chiplet_net::scenario::ScenarioReport::Unsupported
+//! latency. Every point is a [`loaded`] spec; the figure runs all 120 of
+//! them as one list and folds each series with [`load_points`].
 
 use std::fmt::Write;
 
 use chiplet_mem::OpKind;
-use chiplet_membench::loaded::{default_fractions, LinkScenario};
-use chiplet_membench::scenario::loaded_latency_report;
-use chiplet_net::engine::EngineConfig;
-use chiplet_net::scenario::{parallel_ordered, ScenarioReport};
-use chiplet_topology::{PlatformSpec, Topology};
+use chiplet_membench::loaded::{default_fractions, load_points, loaded, LinkScenario};
+use chiplet_net::scenario::ScenarioSpec;
 
 use crate::{f1, TextTable};
 
-fn panel(topo: &Topology, scenario: LinkScenario, label: &str) -> String {
-    let mut out = String::new();
-    let cfg = EngineConfig::default();
-    let fractions = default_fractions();
-    let mut header = false;
-    for op in [OpKind::Read, OpKind::WriteNonTemporal] {
-        let report = loaded_latency_report(topo, scenario, op, &fractions, &cfg);
-        match report {
-            ScenarioReport::Unsupported {
-                scenario, platform, ..
-            } => {
-                let _ = writeln!(out, "[{label}] {scenario} on {platform}: not supported\n");
-                return out;
-            }
-            ScenarioReport::Completed(outcome) => {
-                if !header {
-                    let _ = writeln!(
-                        out,
-                        "[{label}] {} — {scenario}: latency vs offered load",
-                        outcome.platform
-                    );
-                    header = true;
-                }
-                let mut t =
-                    TextTable::new(vec!["offered GB/s", "achieved GB/s", "avg ns", "P999 ns"]);
-                for p in &outcome.flows {
-                    t.row(vec![
-                        f1(p.offered_gb_s.unwrap_or(f64::NAN)),
-                        f1(p.achieved_gb_s),
-                        f1(p.mean_latency_ns.unwrap_or(f64::NAN)),
-                        f1(p.p999_latency_ns.unwrap_or(f64::NAN)),
-                    ]);
-                }
-                let _ = writeln!(out, "  op = {op}");
-                for line in t.render().lines() {
-                    let _ = writeln!(out, "    {line}");
-                }
-            }
-        }
-    }
-    out
+/// The panels in figure order: (platform preset, link, label).
+const PANELS: [(&str, LinkScenario, &str); 6] = [
+    ("epyc_7302", LinkScenario::IfIntraCc, "a"),
+    ("epyc_9634", LinkScenario::IfIntraCc, "b"),
+    ("epyc_7302", LinkScenario::IfInterCc, "c"),
+    ("epyc_7302", LinkScenario::Gmi, "d"),
+    ("epyc_9634", LinkScenario::Gmi, "e"),
+    ("epyc_9634", LinkScenario::PlinkCxl, "f"),
+];
+
+/// The series of every panel: sequential reads, then non-temporal writes.
+const OPS: [OpKind; 2] = [OpKind::Read, OpKind::WriteNonTemporal];
+
+/// Every point of the figure: panel by panel, series by series, load by
+/// load.
+pub fn specs() -> Vec<ScenarioSpec> {
+    PANELS
+        .iter()
+        .flat_map(|&(platform, scenario, _)| {
+            let base = chiplet_membench::base(platform, false);
+            OPS.iter().flat_map(move |&op| {
+                loaded(&base, scenario, op, &default_fractions())
+                    .expect("every Figure 3 panel runs on its platform")
+            })
+        })
+        .collect()
 }
 
 /// Renders the full figure (identical to the former `fig3` binary).
 pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let t7302 = Topology::build(&PlatformSpec::epyc_7302());
-    let t9634 = Topology::build(&PlatformSpec::epyc_9634());
-
+    let reports = chiplet_membench::run(&specs());
+    let mut series = reports.chunks(default_fractions().len());
     let mut out = String::new();
     let _ = writeln!(out, "Figure 3: interconnect latency under load.\n");
-    // Panels are independent deterministic simulations: run them across
-    // worker threads and print in figure order.
-    let jobs: Vec<(&Topology, LinkScenario, &str)> = vec![
-        (&t7302, LinkScenario::IfIntraCc, "a"),
-        (&t9634, LinkScenario::IfIntraCc, "b"),
-        (&t7302, LinkScenario::IfInterCc, "c"),
-        (&t7302, LinkScenario::Gmi, "d"),
-        (&t9634, LinkScenario::Gmi, "e"),
-        (&t9634, LinkScenario::PlinkCxl, "f"),
-    ];
-    let outputs = parallel_ordered(&jobs, 0, |_, &(topo, scenario, label)| {
-        panel(topo, scenario, label)
-    });
-    for p in outputs {
-        let _ = writeln!(out, "{p}");
+    for (_, scenario, label) in PANELS {
+        for (i, op) in OPS.iter().enumerate() {
+            let reports = series.next().expect("one series per panel and op");
+            if i == 0 {
+                let platform = &reports[0].outcome().expect("event runs complete").platform;
+                let _ = writeln!(
+                    out,
+                    "[{label}] {platform} — {scenario}: latency vs offered load"
+                );
+            }
+            let mut t = TextTable::new(vec!["offered GB/s", "achieved GB/s", "avg ns", "P999 ns"]);
+            for p in load_points(reports) {
+                t.row(vec![
+                    f1(p.offered_gb_s),
+                    f1(p.achieved_gb_s),
+                    f1(p.mean_ns),
+                    f1(p.p999_ns),
+                ]);
+            }
+            let _ = writeln!(out, "  op = {op}");
+            for line in t.render().lines() {
+                let _ = writeln!(out, "    {line}");
+            }
+        }
+        let _ = writeln!(out);
     }
 
     let _ = writeln!(

@@ -5,25 +5,58 @@
 use std::fmt::Write;
 
 use chiplet_mem::OpKind;
-use chiplet_membench::compete::{competing_flows, figure4_cases, CompeteLink};
-use chiplet_net::engine::EngineConfig;
-use chiplet_net::scenario::ScenarioReport;
-use chiplet_topology::{PlatformSpec, Topology};
+use chiplet_membench::compete::{compete, figure4_cases, outcomes, CompeteLink};
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec};
+use chiplet_topology::Topology;
 
 use crate::{f1, TextTable};
 
-fn panel(out: &mut String, topo: &Topology, link: CompeteLink) {
+/// The panels in figure order, link by link on both processors.
+fn panels() -> Vec<(&'static str, Topology, CompeteLink)> {
+    [CompeteLink::IfIntraCc, CompeteLink::Gmi, CompeteLink::PLink]
+        .into_iter()
+        .flat_map(|link| {
+            ["epyc_7302", "epyc_9634"].map(|platform| {
+                let topo = chiplet_membench::base(platform, false)
+                    .topology
+                    .resolve()
+                    .expect("preset platforms build");
+                (platform, topo, link)
+            })
+        })
+        .collect()
+}
+
+/// A panel's four case specs, or why its platform can't run it.
+fn case_specs(
+    platform: &str,
+    topo: &Topology,
+    link: CompeteLink,
+) -> Result<Vec<ScenarioSpec>, &'static str> {
     if let Some(reason) = link.unsupported_reason(topo) {
-        let report =
-            ScenarioReport::unsupported(link.to_string(), topo.spec().name.clone(), reason);
-        if let ScenarioReport::Unsupported {
-            scenario, platform, ..
-        } = &report
-        {
-            let _ = writeln!(out, "{platform} — {scenario}: not supported\n");
-        }
-        return;
+        return Err(reason);
     }
+    let demands: Vec<_> = figure4_cases(link.capacity_gb_s(topo))
+        .iter()
+        .map(|&(_, d0, d1)| (Some(d0), Some(d1)))
+        .collect();
+    compete(
+        &chiplet_membench::base(platform, false),
+        link,
+        &demands,
+        OpKind::Read,
+    )
+}
+
+/// Every competition the figure runs, panel by panel.
+pub fn specs() -> Vec<ScenarioSpec> {
+    panels()
+        .iter()
+        .flat_map(|(platform, topo, link)| case_specs(platform, topo, *link).unwrap_or_default())
+        .collect()
+}
+
+fn panel(out: &mut String, topo: &Topology, link: CompeteLink, runs: &[ScenarioReport]) {
     let c = link.capacity_gb_s(topo);
     let _ = writeln!(
         out,
@@ -32,7 +65,6 @@ fn panel(out: &mut String, topo: &Topology, link: CompeteLink) {
         f1(c),
         f1(c / 2.0)
     );
-    let cfg = EngineConfig::default();
     let mut t = TextTable::new(vec![
         "case",
         "req0",
@@ -41,8 +73,7 @@ fn panel(out: &mut String, topo: &Topology, link: CompeteLink) {
         "achieved1",
         "verdict",
     ]);
-    for (name, d0, d1) in figure4_cases(c) {
-        let o = competing_flows(topo, link, Some(d0), Some(d1), OpKind::Read, &cfg);
+    for ((name, d0, d1), o) in figure4_cases(c).into_iter().zip(outcomes(runs)) {
         let equal_share = c / 2.0;
         let verdict = if d0 + d1 <= c {
             "both satisfied"
@@ -72,16 +103,24 @@ fn panel(out: &mut String, topo: &Topology, link: CompeteLink) {
 
 /// Renders the full figure (identical to the former `fig4` binary).
 pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+    let reports = chiplet_membench::run(&specs());
+    let mut runs = reports.chunks(figure4_cases(0.0).len());
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Figure 4: sender-driven bandwidth partitioning, four cases.\n"
     );
-    let t7302 = Topology::build(&PlatformSpec::epyc_7302());
-    let t9634 = Topology::build(&PlatformSpec::epyc_9634());
-    for link in [CompeteLink::IfIntraCc, CompeteLink::Gmi, CompeteLink::PLink] {
-        panel(&mut out, &t7302, link);
-        panel(&mut out, &t9634, link);
+    for (_, topo, link) in panels() {
+        if link.unsupported_reason(&topo).is_some() {
+            let _ = writeln!(out, "{} — {link}: not supported\n", topo.spec().name);
+        } else {
+            panel(
+                &mut out,
+                &topo,
+                link,
+                runs.next().expect("one run per case"),
+            );
+        }
     }
     let _ = writeln!(
         out,

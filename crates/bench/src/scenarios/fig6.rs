@@ -6,12 +6,30 @@
 use std::fmt::Write;
 
 use chiplet_mem::OpKind;
-use chiplet_membench::interference::{interference_sweep, InterferenceDomain};
-use chiplet_net::engine::EngineConfig;
-use chiplet_net::scenario::ScenarioReport;
-use chiplet_topology::{PlatformSpec, Topology};
+use chiplet_membench::interference::{interference, interference_points, InterferenceDomain};
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec};
 
 use crate::{f1, TextTable};
+
+/// The panels in figure order.
+const DOMAINS: [InterferenceDomain; 4] = [
+    InterferenceDomain::IfIntraCc,
+    InterferenceDomain::IfInterCc,
+    InterferenceDomain::Gmi,
+    InterferenceDomain::PLink,
+];
+
+/// Background sweep: off, then fractions of a generous ceiling, then
+/// unthrottled (the onset regime).
+const LOADS: [f64; 9] = [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, f64::INFINITY];
+
+/// Each panel's (frontend, background) combinations: R-R, R-W, W-R, W-W.
+const COMBOS: [(OpKind, OpKind); 4] = [
+    (OpKind::Read, OpKind::Read),
+    (OpKind::Read, OpKind::WriteNonTemporal),
+    (OpKind::WriteNonTemporal, OpKind::Read),
+    (OpKind::WriteNonTemporal, OpKind::WriteNonTemporal),
+];
 
 fn op_letter(op: OpKind) -> &'static str {
     match op {
@@ -20,47 +38,27 @@ fn op_letter(op: OpKind) -> &'static str {
     }
 }
 
-fn panel(topo: &Topology, domain: InterferenceDomain) -> String {
-    let mut out = String::new();
-    if let Some(reason) = domain.unsupported_reason(topo) {
-        let report =
-            ScenarioReport::unsupported(domain.to_string(), topo.spec().name.clone(), reason);
-        if let ScenarioReport::Unsupported {
-            scenario, platform, ..
-        } = &report
-        {
-            let _ = writeln!(out, "{scenario}: not supported on {platform}\n");
-        }
-        return out;
-    }
-    let _ = writeln!(out, "{domain}:");
-    let cfg = EngineConfig::default();
-    // Background sweep: off, then fractions of a generous ceiling, then
-    // unthrottled (the onset regime). Sweeps run on scoped threads.
-    let loads = [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, f64::INFINITY];
-    let combos: Vec<(OpKind, OpKind)> = [OpKind::Read, OpKind::WriteNonTemporal]
-        .into_iter()
-        .flat_map(|fg| {
-            [OpKind::Read, OpKind::WriteNonTemporal]
-                .into_iter()
-                .map(move |bg| (fg, bg))
+/// Every point of the figure: domain by domain, combination by
+/// combination, load by load.
+pub fn specs() -> Vec<ScenarioSpec> {
+    let base = chiplet_membench::base("epyc_9634", false);
+    DOMAINS
+        .iter()
+        .flat_map(|&domain| COMBOS.map(|(fg, bg)| (domain, fg, bg)))
+        .flat_map(|(domain, fg, bg)| {
+            interference(&base, domain, fg, bg, &LOADS).expect("the 9634 runs every domain")
         })
-        .collect();
-    let results = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = combos
-            .iter()
-            .map(|&(fg, bg)| {
-                let cfg = cfg.clone();
-                scope.spawn(move |_| interference_sweep(topo, domain, fg, bg, &loads, &cfg))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep thread"))
-            .collect::<Vec<_>>()
-    })
-    .expect("sweep scope");
-    for ((fg, bg), pts) in combos.into_iter().zip(results) {
+        .collect()
+}
+
+fn panel(
+    out: &mut String,
+    domain: InterferenceDomain,
+    runs: &mut std::slice::Chunks<'_, ScenarioReport>,
+) {
+    let _ = writeln!(out, "{domain}:");
+    for (fg, bg) in COMBOS {
+        let pts = interference_points(&LOADS, runs.next().expect("one run per combination"));
         let mut t = TextTable::new(vec!["bg offered", "bg achieved", "X achieved"]);
         for p in &pts {
             t.row(vec![
@@ -90,21 +88,17 @@ fn panel(topo: &Topology, domain: InterferenceDomain) -> String {
             let _ = writeln!(out, "    {line}");
         }
     }
-    out
+    let _ = writeln!(out);
 }
 
 /// Renders the full figure (identical to the former `fig6` binary).
 pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+    let reports = chiplet_membench::run(&specs());
+    let mut runs = reports.chunks(LOADS.len());
     let mut out = String::new();
     let _ = writeln!(out, "Figure 6: read/write interference on the EPYC 9634.\n");
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    for domain in [
-        InterferenceDomain::IfIntraCc,
-        InterferenceDomain::IfInterCc,
-        InterferenceDomain::Gmi,
-        InterferenceDomain::PLink,
-    ] {
-        let _ = writeln!(out, "{}", panel(&topo, domain));
+    for domain in DOMAINS {
+        panel(&mut out, domain, &mut runs);
     }
     let _ = writeln!(
         out,

@@ -3,15 +3,16 @@
 //! local position spread, remote xGMI access, and the NPS (node-per-socket)
 //! interleave trade-off between latency and bandwidth.
 //!
-//! The streaming sections run as declarative [`ScenarioSpec`]s through the
-//! event backend; the latency ladder uses the pointer-chase probe helper.
+//! Every section is a list of declarative [`ScenarioSpec`]s run on the
+//! event backend: the latency ladder comes from the membench latency
+//! generator, the streaming sections are built here.
 
 use std::fmt::Write;
 
-use chiplet_net::engine::{pointer_chase_latency_ns, EngineConfig};
+use chiplet_membench::latency::{chase_latencies, latency, ChaseTarget};
 use chiplet_net::scenario::{
-    BackendKind, CoreSelect, EngineFlow, EngineOptions, ScenarioFlow, ScenarioSpec, TargetSpec,
-    TopologyChoice,
+    BackendKind, CoreSelect, EngineFlow, EngineOptions, ScenarioFlow, ScenarioReport, ScenarioSpec,
+    TargetSpec, TopologyChoice,
 };
 use chiplet_sim::{Bandwidth, ByteSize, DemandSchedule, SimTime};
 use chiplet_topology::{CoreId, DimmPosition, NpsMode, PlatformSpec, Topology};
@@ -55,14 +56,46 @@ fn stream_spec(
     }
 }
 
-fn run_stream(spec: ScenarioSpec) -> (f64, f64) {
-    let outcome = spec
-        .run()
-        .expect("numa_study specs resolve")
-        .outcome()
-        .expect("event runs complete")
-        .clone();
-    let f = &outcome.flows[0];
+/// The NPS modes of section 2, in table order.
+const NPS: [NpsMode; 3] = [NpsMode::Nps1, NpsMode::Nps2, NpsMode::Nps4];
+
+/// Section 3's issuing scopes: (label, cores).
+fn remote_scopes() -> [(&'static str, CoreSelect); 2] {
+    [
+        ("one CCD", CoreSelect::Ccd(0)),
+        ("whole socket", CoreSelect::Cores((0..16).collect())),
+    ]
+}
+
+/// Every run of the study, section by section: the chase ladder from core
+/// 0 over every DIMM position, one 20 GB/s CCD0 stream per NPS interleave
+/// scope, then each remote scope streaming to local and to remote DIMMs.
+pub fn specs() -> Vec<ScenarioSpec> {
+    let topo = Topology::build(&PlatformSpec::dual_epyc_7302());
+    let ladder =
+        DimmPosition::ALL_WITH_REMOTE.map(|pos| (ChaseTarget::Dimm(pos), ByteSize::from_gib(1)));
+    let base = chiplet_membench::base("dual_epyc_7302", true);
+    let mut specs = latency(&base, CoreId(0), &ladder).expect("the dual 7302 has every position");
+    specs.extend(NPS.map(|nps| {
+        let dimms = topo
+            .dimms_in_scope(CoreId(0), nps)
+            .into_iter()
+            .map(|d| d.0)
+            .collect();
+        let demand = DemandSchedule::constant(Some(Bandwidth::from_gb_per_s(20.0)));
+        stream_spec("nps", CoreSelect::Ccd(0), dimms, Some(demand))
+    }));
+    for (_, cores) in remote_scopes() {
+        for dimms in [(0..8).collect(), (8..16).collect()] {
+            specs.push(stream_spec("s", cores.clone(), dimms, None));
+        }
+    }
+    specs
+}
+
+/// A streaming run's (achieved GB/s, mean latency ns).
+fn stream_result(report: &ScenarioReport) -> (f64, f64) {
+    let f = &report.outcome().expect("event runs complete").flows[0];
     (f.achieved_gb_s, f.mean_latency_ns.unwrap_or(f64::NAN))
 }
 
@@ -70,7 +103,9 @@ fn run_stream(spec: ScenarioSpec) -> (f64, f64) {
 pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
     let spec = PlatformSpec::dual_epyc_7302();
     let topo = Topology::build(&spec);
-    let cfg = EngineConfig::deterministic();
+    let reports = chiplet_membench::run(&specs());
+    let (ladder, streams) = reports.split_at(DimmPosition::ALL_WITH_REMOTE.len());
+    let (nps_runs, remote_runs) = streams.split_at(NPS.len());
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -83,18 +118,9 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
     // 1. The full latency ladder including the remote socket.
     let _ = writeln!(out, "Pointer-chase latency ladder from core0:");
     let mut t = TextTable::new(vec!["position", "latency ns", "vs near"]);
-    let near = {
-        let d = topo
-            .dimm_at_position(CoreId(0), DimmPosition::Near)
-            .unwrap();
-        pointer_chase_latency_ns(&topo, CoreId(0), d, ByteSize::from_gib(1), cfg.clone())
-    };
-    for pos in DimmPosition::ALL_WITH_REMOTE {
-        let Some(dimm) = topo.dimm_at_position(CoreId(0), pos) else {
-            continue;
-        };
-        let lat =
-            pointer_chase_latency_ns(&topo, CoreId(0), dimm, ByteSize::from_gib(1), cfg.clone());
+    let ladder = chase_latencies(ladder);
+    let near = ladder[0];
+    for (pos, lat) in DimmPosition::ALL_WITH_REMOTE.iter().zip(ladder) {
         t.row(vec![
             pos.to_string(),
             f1(lat),
@@ -110,21 +136,9 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
     // queueing dominates and the position spread washes out).
     let _ = writeln!(out, "\nNPS interleave trade-off (CCD0 at 20 GB/s offered):");
     let mut t = TextTable::new(vec!["NPS mode", "DIMMs", "achieved GB/s", "mean ns"]);
-    for nps in [NpsMode::Nps1, NpsMode::Nps2, NpsMode::Nps4] {
-        let dimms: Vec<u32> = topo
-            .dimms_in_scope(CoreId(0), nps)
-            .into_iter()
-            .map(|d| d.0)
-            .collect();
-        let n = dimms.len();
-        let (achieved, mean) = run_stream(stream_spec(
-            "nps",
-            CoreSelect::Ccd(0),
-            dimms,
-            Some(DemandSchedule::constant(Some(Bandwidth::from_gb_per_s(
-                20.0,
-            )))),
-        ));
+    for (nps, report) in NPS.iter().zip(nps_runs) {
+        let n = topo.dimms_in_scope(CoreId(0), *nps).len();
+        let (achieved, mean) = stream_result(report);
         t.row(vec![nps.to_string(), n.to_string(), f1(achieved), f1(mean)]);
     }
     for line in t.render().lines() {
@@ -142,13 +156,9 @@ NPS1 spreads over all positions for the full UMC aggregate.)"
         "\nCross-socket streaming (socket 0 cores -> socket 1 DIMMs):"
     );
     let mut t = TextTable::new(vec!["scope", "local GB/s", "remote GB/s"]);
-    for (label, cores) in [
-        ("one CCD", CoreSelect::Ccd(0)),
-        ("whole socket", CoreSelect::Cores((0..16).collect())),
-    ] {
-        let run = |dimms: Vec<u32>| run_stream(stream_spec("s", cores.clone(), dimms, None)).0;
-        let local = run((0..8).collect());
-        let remote = run((8..16).collect());
+    for ((label, _), pair) in remote_scopes().iter().zip(remote_runs.chunks(2)) {
+        let local = stream_result(&pair[0]).0;
+        let remote = stream_result(&pair[1]).0;
         t.row(vec![label.to_string(), f1(local), f1(remote)]);
     }
     for line in t.render().lines() {

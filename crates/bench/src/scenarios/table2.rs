@@ -5,8 +5,8 @@
 
 use std::fmt::Write;
 
-use chiplet_membench::latency::{chase_sweep, cxl_latency, position_latencies};
-use chiplet_net::engine::EngineConfig;
+use chiplet_membench::latency::{chase_latencies, latency, ChaseTarget};
+use chiplet_net::scenario::ScenarioSpec;
 use chiplet_sim::ByteSize;
 use chiplet_topology::{CoreId, DimmPosition, PlatformSpec, Topology};
 
@@ -31,13 +31,52 @@ fn paper_value(row: &str) -> (&'static str, &'static str) {
     }
 }
 
+/// The two platforms, as probe-base preset names and built topologies.
+fn platforms() -> [(&'static str, Topology); 2] {
+    [
+        ("epyc_7302", Topology::build(&PlatformSpec::epyc_7302())),
+        ("epyc_9634", Topology::build(&PlatformSpec::epyc_9634())),
+    ]
+}
+
+/// One platform's chases from core 0: firmly inside L1, L2 and L3 (16 KiB,
+/// 256 KiB, 8 MiB to the near DIMM), then 1 GiB to each DIMM position, then
+/// 1 GiB to the CXL device when there is one.
+fn probes(topo: &Topology) -> Vec<(ChaseTarget, ByteSize)> {
+    let near = ChaseTarget::Dimm(DimmPosition::Near);
+    let gib = ByteSize::from_gib(1);
+    [
+        ByteSize::from_kib(16),
+        ByteSize::from_kib(256),
+        ByteSize::from_mib(8),
+    ]
+    .map(|ws| (near, ws))
+    .into_iter()
+    .chain(DimmPosition::ALL.map(|pos| (ChaseTarget::Dimm(pos), gib)))
+    .chain((topo.cxl_device_count() > 0).then_some((ChaseTarget::Cxl, gib)))
+    .collect()
+}
+
+/// Every chase the table runs, both platforms in order.
+pub fn specs() -> Vec<ScenarioSpec> {
+    platforms()
+        .iter()
+        .flat_map(|(name, topo)| {
+            let base = chiplet_membench::base(name, true);
+            latency(&base, CoreId(0), &probes(topo)).expect("probes target present devices")
+        })
+        .collect()
+}
+
 /// Renders the table (identical to the former `table2` binary).
 pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let cfg = EngineConfig::deterministic();
-    let platforms = [
-        Topology::build(&PlatformSpec::epyc_7302()),
-        Topology::build(&PlatformSpec::epyc_9634()),
-    ];
+    let platforms = platforms().map(|(_, topo)| topo);
+    let mut latencies = chase_latencies(&chiplet_membench::run(&specs())).into_iter();
+    // Per platform: [L1, L2, L3, near, vertical, horizontal, diagonal, CXL?].
+    let measured: Vec<Vec<f64>> = platforms
+        .iter()
+        .map(|topo| latencies.by_ref().take(probes(topo).len()).collect())
+        .collect();
 
     let mut t = TextTable::new(vec![
         "Level",
@@ -48,34 +87,15 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         "paper",
     ]);
 
-    // Cache rows via the chase sweep: pick the plateau value for each level.
-    let cache_points: Vec<Vec<f64>> = platforms
-        .iter()
-        .map(|topo| {
-            // Probe firmly inside each level: 16 KiB, 256 KiB, 8 MiB.
-            chase_sweep(
-                topo,
-                CoreId(0),
-                &[
-                    ByteSize::from_kib(16),
-                    ByteSize::from_kib(256),
-                    ByteSize::from_mib(8),
-                ],
-                &cfg,
-            )
-            .iter()
-            .map(|p| p.latency_ns)
-            .collect()
-        })
-        .collect();
+    // Cache rows: the chase's plateau value inside each level.
     for (i, label) in ["L1", "L2", "L3"].iter().enumerate() {
         let (p0, p1) = paper_value(label);
         t.row(vec![
             "Compute Chiplet".to_string(),
             (*label).to_string(),
-            format!("{:.2} ns", cache_points[0][i]),
+            format!("{:.2} ns", measured[0][i]),
             p0.to_string(),
-            format!("{:.2} ns", cache_points[1][i]),
+            format!("{:.2} ns", measured[1][i]),
             p1.to_string(),
         ]);
     }
@@ -125,10 +145,6 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
     }
 
     // Memory position rows: measured by pointer chase over a 1 GiB set.
-    let positions: Vec<Vec<(DimmPosition, f64)>> = platforms
-        .iter()
-        .map(|topo| position_latencies(topo, CoreId(0), &cfg))
-        .collect();
     for (i, pos) in DimmPosition::ALL.iter().enumerate() {
         let label = match pos {
             DimmPosition::Near => "Near",
@@ -141,24 +157,25 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         t.row(vec![
             "Memory/Device".to_string(),
             label.to_string(),
-            format!("{} ns", f1(positions[0][i].1)),
+            format!("{} ns", f1(measured[0][3 + i])),
             p0.to_string(),
-            format!("{} ns", f1(positions[1][i].1)),
+            format!("{} ns", f1(measured[1][3 + i])),
             p1.to_string(),
         ]);
     }
 
     // CXL row.
     let (p0, p1) = paper_value("CXL DIMM");
-    let cxl_cell = |topo: &Topology| {
-        cxl_latency(topo, CoreId(0), &cfg).map_or("N/A".to_string(), |v| format!("{} ns", f1(v)))
+    let cxl_cell = |m: &[f64]| {
+        m.get(7)
+            .map_or("N/A".to_string(), |v| format!("{} ns", f1(*v)))
     };
     t.row(vec![
         "Memory/Device".to_string(),
         "CXL DIMM".to_string(),
-        cxl_cell(&platforms[0]),
+        cxl_cell(&measured[0]),
         p0.to_string(),
-        cxl_cell(&platforms[1]),
+        cxl_cell(&measured[1]),
         p1.to_string(),
     ]);
 

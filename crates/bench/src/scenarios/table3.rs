@@ -4,22 +4,40 @@
 
 use std::fmt::Write;
 
-use chiplet_membench::bandwidth::{table3_column, Destination};
+use chiplet_membench::bandwidth::{bandwidth, table3_rows, Destination};
 use chiplet_membench::CoreScope;
-use chiplet_net::engine::EngineConfig;
-use chiplet_topology::{PlatformSpec, Topology};
+use chiplet_net::scenario::ScenarioSpec;
 
 use crate::{rw, TextTable};
 
+/// The table's columns: (platform preset, destination).
+const COLUMNS: [(&str, Destination); 3] = [
+    ("epyc_7302", Destination::Dimms),
+    ("epyc_9634", Destination::Dimms),
+    ("epyc_9634", Destination::Cxl),
+];
+
+/// Every bandwidth probe the table runs, column by column.
+pub fn specs() -> Vec<ScenarioSpec> {
+    COLUMNS
+        .iter()
+        .flat_map(|&(platform, dest)| {
+            bandwidth(&chiplet_membench::base(platform, true), dest)
+                .expect("every column's destination exists")
+        })
+        .collect()
+}
+
 /// Renders the table (identical to the former `table3` binary).
 pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let cfg = EngineConfig::deterministic();
-    let t7302 = Topology::build(&PlatformSpec::epyc_7302());
-    let t9634 = Topology::build(&PlatformSpec::epyc_9634());
-
-    let dimm_7302 = table3_column(&t7302, Destination::Dimms, &cfg).expect("DIMMs always present");
-    let dimm_9634 = table3_column(&t9634, Destination::Dimms, &cfg).expect("DIMMs always present");
-    let cxl_9634 = table3_column(&t9634, Destination::Cxl, &cfg).expect("9634 has CXL");
+    let reports = chiplet_membench::run(&specs());
+    let columns: Vec<_> = reports
+        .chunks(reports.len() / COLUMNS.len())
+        .map(table3_rows)
+        .collect();
+    let [dimm_7302, dimm_9634, cxl_9634] = &columns[..] else {
+        unreachable!("three columns");
+    };
 
     let mut t = TextTable::new(vec![
         "From",

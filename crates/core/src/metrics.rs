@@ -514,22 +514,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Merges a pre-built windowed sketch into a histogram series.
-    pub fn merge_histogram(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        sketch: &WindowedSketch,
-    ) {
-        let idx = self.slot_for(name, MetricKind::Histogram, labels, || {
-            SeriesValue::Histogram(WindowedSketch::new(sketch.window()))
-        });
-        match &mut self.slots[idx as usize] {
-            SeriesValue::Histogram(sk) => sk.merge(sketch),
-            _ => unreachable!("family_mut checked the kind"),
-        }
-    }
-
     fn slot(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesValue> {
         let idx = *self.families.get(name)?.series.get(&label_set(labels))?;
         Some(&self.slots[idx as usize])

@@ -17,9 +17,6 @@
 //! * [`SlotLimiter`] — the Phantom-Queue-like outstanding-request limiter
 //!   (tokens + backpressure) at the CCX/CCD boundary, with slots *shared*
 //!   between reads and writes.
-//! * [`TokenBucket`] — a byte-granularity rate limiter used both for
-//!   NOP-style offered-load control in workloads and by the software traffic
-//!   manager's policies.
 //! * [`FlitFraming`] — CXL.mem FLIT framing overhead (68/256 B FLITs carrying
 //!   64 B cachelines).
 //!
@@ -33,11 +30,9 @@
 pub mod channel;
 pub mod framing;
 pub mod limiter;
-pub mod ratelimit;
 pub mod server;
 
 pub use channel::{Dir, DirectionalChannel};
 pub use framing::FlitFraming;
 pub use limiter::SlotLimiter;
-pub use ratelimit::TokenBucket;
 pub use server::{Admission, FifoServer};

@@ -1,6 +1,6 @@
 //! Property-based tests for link and traffic-control models.
 
-use chiplet_fabric::{Dir, DirectionalChannel, FifoServer, FlitFraming, SlotLimiter, TokenBucket};
+use chiplet_fabric::{Dir, DirectionalChannel, FifoServer, FlitFraming, SlotLimiter};
 use chiplet_sim::Bandwidth;
 use proptest::prelude::*;
 
@@ -67,43 +67,6 @@ proptest! {
             }
             prop_assert!(l.in_use() <= cap);
             prop_assert_eq!(l.in_use() as i64, held);
-        }
-    }
-
-    /// Token bucket: pacing by earliest_conforming achieves the configured
-    /// rate within 5% over a long horizon.
-    #[test]
-    fn token_bucket_rate_accuracy(gb in 0.5f64..50.0, burst_lines in 1u64..32) {
-        let mut b = TokenBucket::new(Bandwidth::from_gb_per_s(gb), burst_lines * 64);
-        let horizon = 200_000.0; // 200 µs
-        let mut t = 0.0;
-        let mut sent = 0u64;
-        loop {
-            t = b.earliest_conforming(t, 64);
-            if t >= horizon {
-                break;
-            }
-            b.consume(t, 64);
-            sent += 64;
-        }
-        let rate_gb = sent as f64 / horizon;
-        prop_assert!((rate_gb - gb).abs() <= gb * 0.05 + 0.01,
-            "achieved {rate_gb} vs configured {gb}");
-    }
-
-    /// Bucket tokens never exceed burst.
-    #[test]
-    fn token_bucket_never_exceeds_burst(
-        events in proptest::collection::vec((0.0f64..10_000.0, 1u64..512), 1..100),
-        gb in 0.5f64..100.0,
-        burst in 64u64..65536,
-    ) {
-        let mut b = TokenBucket::new(Bandwidth::from_gb_per_s(gb), burst);
-        let mut sorted = events;
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for &(t, bytes) in &sorted {
-            prop_assert!(b.available(t) <= burst as f64 + 1e-9);
-            b.consume(t, bytes);
         }
     }
 

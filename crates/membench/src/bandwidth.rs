@@ -1,10 +1,8 @@
 //! Peak-bandwidth probes (Table 3).
 
 use chiplet_mem::OpKind;
-use chiplet_net::engine::{Engine, EngineConfig};
-use chiplet_net::flow::{FlowSpec, Target};
-use chiplet_sim::{Bandwidth, ByteSize, SimTime};
-use chiplet_topology::{CcdId, Topology};
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec, TargetSpec};
+use chiplet_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::scope::CoreScope;
@@ -18,37 +16,6 @@ pub enum Destination {
     Cxl,
 }
 
-/// Maximum achieved bandwidth from a core scope to a destination: AVX-style
-/// sequential reads or non-temporal writes at full throttle.
-///
-/// Returns `None` for a CXL destination on a platform without CXL.
-pub fn max_bandwidth(
-    topo: &Topology,
-    scope: CoreScope,
-    dest: Destination,
-    op: OpKind,
-    cfg: &EngineConfig,
-) -> Option<Bandwidth> {
-    let target = match dest {
-        Destination::Dimms => Target::all_dimms(topo),
-        Destination::Cxl => {
-            if topo.cxl_device_count() == 0 {
-                return None;
-            }
-            Target::Cxl(0)
-        }
-    };
-    let mut engine = Engine::new(topo, cfg.clone());
-    engine.add_flow(
-        FlowSpec::reads("bw-probe", scope.cores(topo, CcdId(0)), target)
-            .op(op)
-            .working_set(ByteSize::from_gib(1))
-            .build(topo),
-    );
-    let result = engine.run(SimTime::from_micros(40));
-    Some(result.flows[0].achieved)
-}
-
 /// One Table 3 row: scope plus read/write bandwidth, GB/s.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BandwidthRow {
@@ -60,37 +27,67 @@ pub struct BandwidthRow {
     pub write_gb_s: f64,
 }
 
-/// The full Table 3 column for one destination: all four scopes, read and
-/// write. `None` when the destination does not exist on the platform.
-pub fn table3_column(
-    topo: &Topology,
+/// Peak-bandwidth specs for one Table 3 column: for each scope of
+/// [`CoreScope::ALL`], AVX-style sequential reads then non-temporal writes
+/// at full throttle, 40 µs each. `Err` when the destination does not exist
+/// on the platform.
+pub fn bandwidth(
+    base: &ScenarioSpec,
     dest: Destination,
-    cfg: &EngineConfig,
-) -> Option<Vec<BandwidthRow>> {
+) -> Result<Vec<ScenarioSpec>, &'static str> {
+    let topo = crate::topology(base);
+    let target = match dest {
+        Destination::Dimms => TargetSpec::AllDimms,
+        Destination::Cxl if topo.cxl_device_count() == 0 => {
+            return Err("platform has no CXL device")
+        }
+        Destination::Cxl => TargetSpec::Cxl(0),
+    };
+    Ok(CoreScope::ALL
+        .iter()
+        .flat_map(|&scope| [(scope, OpKind::Read), (scope, OpKind::WriteNonTemporal)])
+        .map(|(scope, op)| {
+            let cores = scope.select(topo.spec(), 0);
+            let flow = crate::stream("bw-probe", cores, target.clone(), op, None);
+            crate::probe(
+                base,
+                format!("bandwidth {scope} {op}"),
+                "peak-bandwidth probe (Table 3)",
+                SimTime::from_micros(40),
+                vec![flow],
+            )
+        })
+        .collect())
+}
+
+/// Folds a [`bandwidth`] run into its rows: one per scope, read then write.
+pub fn table3_rows(reports: &[ScenarioReport]) -> Vec<BandwidthRow> {
     CoreScope::ALL
         .iter()
-        .map(|&scope| {
-            let read = max_bandwidth(topo, scope, dest, OpKind::Read, cfg)?;
-            let write = max_bandwidth(topo, scope, dest, OpKind::WriteNonTemporal, cfg)?;
-            Some(BandwidthRow {
-                scope,
-                read_gb_s: read.as_gb_per_s(),
-                write_gb_s: write.as_gb_per_s(),
-            })
+        .zip(reports.chunks(2))
+        .map(|(&scope, pair)| BandwidthRow {
+            scope,
+            read_gb_s: crate::flows(&pair[0])[0].achieved_gb_s,
+            write_gb_s: crate::flows(&pair[1])[0].achieved_gb_s,
         })
         .collect()
+}
+
+/// The full Table 3 column for one destination: all four scopes, read and
+/// write. `None` when the destination does not exist on the platform.
+pub fn table3_column(base: &ScenarioSpec, dest: Destination) -> Option<Vec<BandwidthRow>> {
+    let specs = bandwidth(base, dest).ok()?;
+    Some(table3_rows(&crate::run(&specs)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiplet_topology::PlatformSpec;
+    use crate::base;
 
     #[test]
     fn scopes_scale_up_bandwidth() {
-        let topo = Topology::build(&PlatformSpec::epyc_7302());
-        let cfg = EngineConfig::deterministic();
-        let rows = table3_column(&topo, Destination::Dimms, &cfg).unwrap();
+        let rows = table3_column(&base("epyc_7302", true), Destination::Dimms).unwrap();
         assert_eq!(rows.len(), 4);
         for w in rows.windows(2) {
             assert!(
@@ -106,24 +103,14 @@ mod tests {
 
     #[test]
     fn cxl_column_absent_on_7302() {
-        let topo = Topology::build(&PlatformSpec::epyc_7302());
-        assert!(table3_column(&topo, Destination::Cxl, &EngineConfig::deterministic()).is_none());
+        assert!(table3_column(&base("epyc_7302", true), Destination::Cxl).is_none());
     }
 
     #[test]
     fn cxl_slower_than_dram_on_9634() {
-        let topo = Topology::build(&PlatformSpec::epyc_9634());
-        let cfg = EngineConfig::deterministic();
-        let dram = max_bandwidth(
-            &topo,
-            CoreScope::Core,
-            Destination::Dimms,
-            OpKind::Read,
-            &cfg,
-        )
-        .unwrap();
-        let cxl =
-            max_bandwidth(&topo, CoreScope::Core, Destination::Cxl, OpKind::Read, &cfg).unwrap();
-        assert!(cxl.as_gb_per_s() < dram.as_gb_per_s() * 0.5);
+        let b = base("epyc_9634", true);
+        let dram = table3_column(&b, Destination::Dimms).unwrap()[0];
+        let cxl = table3_column(&b, Destination::Cxl).unwrap()[0];
+        assert!(cxl.read_gb_s < dram.read_gb_s * 0.5);
     }
 }

@@ -6,10 +6,9 @@
 //! two flows and reports each flow's achieved bandwidth.
 
 use chiplet_mem::OpKind;
-use chiplet_net::engine::{Engine, EngineConfig};
-use chiplet_net::flow::{FlowSpec, Target};
-use chiplet_sim::{Bandwidth, ByteSize, SimTime};
-use chiplet_topology::{CcdId, CoreId, Topology};
+use chiplet_net::scenario::{CoreSelect, ScenarioReport, ScenarioSpec, TargetSpec};
+use chiplet_sim::SimTime;
+use chiplet_topology::{CcdId, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The shared link two competing flows contend on.
@@ -25,37 +24,27 @@ pub enum CompeteLink {
 
 impl CompeteLink {
     /// Core sets for the two flows.
-    pub fn split_cores(self, topo: &Topology) -> (Vec<CoreId>, Vec<CoreId>) {
+    pub fn split_cores(self, topo: &Topology) -> (CoreSelect, CoreSelect) {
         match self {
-            CompeteLink::IfIntraCc => {
-                let cores: Vec<CoreId> = topo.cores_of_ccx(0).collect();
-                let mid = cores.len() / 2;
-                (cores[..mid].to_vec(), cores[mid..].to_vec())
-            }
-            CompeteLink::Gmi => {
-                let cores: Vec<CoreId> = topo.cores_of_ccd(CcdId(0)).collect();
-                let mid = cores.len() / 2;
-                (cores[..mid].to_vec(), cores[mid..].to_vec())
-            }
+            CompeteLink::IfIntraCc => crate::halves(topo.cores_of_ccx(0)),
+            CompeteLink::Gmi => crate::halves(topo.cores_of_ccd(CcdId(0))),
             CompeteLink::PLink => {
                 // Three chiplets per flow: a single CCD's CXL port (~24
                 // GB/s) cannot contend on the ~88 GB/s P-Link aggregate.
                 let per_flow = (topo.spec().ccd_count / 2).clamp(1, 3);
-                let grab = |from: u32| -> Vec<CoreId> {
-                    (from..from + per_flow)
-                        .flat_map(|c| topo.cores_of_ccd(CcdId(c)).collect::<Vec<_>>())
-                        .collect()
-                };
-                (grab(0), grab(per_flow))
+                (
+                    CoreSelect::Ccds((0..per_flow).collect()),
+                    CoreSelect::Ccds((per_flow..2 * per_flow).collect()),
+                )
             }
         }
     }
 
     /// The two flows' destination.
-    pub fn target(self, topo: &Topology) -> Target {
+    pub fn target(self) -> TargetSpec {
         match self {
-            CompeteLink::PLink => Target::Cxl(0),
-            _ => Target::all_dimms(topo),
+            CompeteLink::PLink => TargetSpec::Cxl(0),
+            _ => TargetSpec::AllDimms,
         }
     }
 
@@ -93,11 +82,6 @@ impl CompeteLink {
             _ => None,
         }
     }
-
-    /// Platform support check.
-    pub fn supported(self, topo: &Topology) -> bool {
-        self.unsupported_reason(topo).is_none()
-    }
 }
 
 impl core::fmt::Display for CompeteLink {
@@ -123,36 +107,73 @@ pub struct CompetitionOutcome {
     pub achieved1_gb_s: f64,
 }
 
+/// Competition specs: for each `(demand0, demand1)` pair (GB/s; `None` =
+/// unthrottled), flows `flow0` and `flow1` issue `op` over the shared
+/// link's two core sets for 80 µs. `Err` is the platform's
+/// [`CompeteLink::unsupported_reason`].
+pub fn compete(
+    base: &ScenarioSpec,
+    link: CompeteLink,
+    demands: &[(Option<f64>, Option<f64>)],
+    op: OpKind,
+) -> Result<Vec<ScenarioSpec>, &'static str> {
+    let topo = crate::topology(base);
+    if let Some(reason) = link.unsupported_reason(&topo) {
+        return Err(reason);
+    }
+    let (cores0, cores1) = link.split_cores(&topo);
+    Ok(demands
+        .iter()
+        .map(|&(demand0, demand1)| {
+            let flows = vec![
+                crate::stream("flow0", cores0.clone(), link.target(), op, demand0),
+                crate::stream("flow1", cores1.clone(), link.target(), op, demand1),
+            ];
+            crate::probe(
+                base,
+                format!("compete {link}"),
+                "two flows competing for a shared link (Figure 4)",
+                SimTime::from_micros(80),
+                flows,
+            )
+        })
+        .collect())
+}
+
+/// Folds a [`compete`] run into one outcome per demand pair.
+pub fn outcomes(reports: &[ScenarioReport]) -> Vec<CompetitionOutcome> {
+    reports
+        .iter()
+        .map(|r| {
+            let [f0, f1] = crate::flows(r) else {
+                panic!("a competition runs two flows");
+            };
+            CompetitionOutcome {
+                requested0_gb_s: f0.offered_gb_s,
+                requested1_gb_s: f1.offered_gb_s,
+                achieved0_gb_s: f0.achieved_gb_s,
+                achieved1_gb_s: f1.achieved_gb_s,
+            }
+        })
+        .collect()
+}
+
 /// Runs two competing flows with the given demands (GB/s; `None` =
 /// unthrottled) over a shared link.
+///
+/// # Panics
+///
+/// Panics when the platform cannot run the competition.
 pub fn competing_flows(
-    topo: &Topology,
+    base: &ScenarioSpec,
     link: CompeteLink,
     demand0: Option<f64>,
     demand1: Option<f64>,
     op: OpKind,
-    cfg: &EngineConfig,
 ) -> CompetitionOutcome {
-    assert!(link.supported(topo), "{link} unsupported on platform");
-    let (cores0, cores1) = link.split_cores(topo);
-    let target = link.target(topo);
-    let mut engine = Engine::new(topo, cfg.clone());
-    for (name, cores, demand) in [("flow0", cores0, demand0), ("flow1", cores1, demand1)] {
-        let mut b = FlowSpec::reads(name, cores, target.clone())
-            .op(op)
-            .working_set(ByteSize::from_gib(1));
-        if let Some(gb) = demand {
-            b = b.offered(Bandwidth::from_gb_per_s(gb));
-        }
-        engine.add_flow(b.build(topo));
-    }
-    let r = engine.run(SimTime::from_micros(80));
-    CompetitionOutcome {
-        requested0_gb_s: demand0,
-        requested1_gb_s: demand1,
-        achieved0_gb_s: r.flows[0].achieved.as_gb_per_s(),
-        achieved1_gb_s: r.flows[1].achieved.as_gb_per_s(),
-    }
+    let specs = compete(base, link, &[(demand0, demand1)], op)
+        .unwrap_or_else(|reason| panic!("{link} unsupported on platform: {reason}"));
+    outcomes(&crate::run(&specs))[0]
 }
 
 /// The paper's four Figure 4 cases for a link of capacity `c` GB/s:
@@ -170,6 +191,7 @@ pub fn figure4_cases(c: f64) -> [(&'static str, f64, f64); 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base;
     use chiplet_topology::PlatformSpec;
 
     #[test]
@@ -177,12 +199,11 @@ mod tests {
         let topo = Topology::build(&PlatformSpec::epyc_7302());
         let c = CompeteLink::Gmi.capacity_gb_s(&topo);
         let out = competing_flows(
-            &topo,
+            &base("epyc_7302", true),
             CompeteLink::Gmi,
             Some(0.75 * c),
             Some(0.75 * c),
             OpKind::Read,
-            &EngineConfig::deterministic(),
         );
         let ratio = out.achieved0_gb_s / out.achieved1_gb_s;
         assert!((0.85..=1.15).contains(&ratio), "ratio {ratio}");
@@ -194,12 +215,11 @@ mod tests {
         let topo = Topology::build(&PlatformSpec::epyc_7302());
         let c = CompeteLink::Gmi.capacity_gb_s(&topo);
         let out = competing_flows(
-            &topo,
+            &base("epyc_7302", true),
             CompeteLink::Gmi,
             Some(0.90 * c),
             Some(0.60 * c),
             OpKind::Read,
-            &EngineConfig::deterministic(),
         );
         assert!(
             out.achieved0_gb_s > c / 2.0 + 0.5,
@@ -211,14 +231,13 @@ mod tests {
     #[test]
     fn plink_competition_on_9634() {
         let topo = Topology::build(&PlatformSpec::epyc_9634());
-        assert!(CompeteLink::PLink.supported(&topo));
+        assert!(CompeteLink::PLink.unsupported_reason(&topo).is_none());
         let out = competing_flows(
-            &topo,
+            &base("epyc_9634", true),
             CompeteLink::PLink,
             None,
             None,
             OpKind::Read,
-            &EngineConfig::deterministic(),
         );
         // Two unthrottled CCDs cap at their per-CCD CXL ports (~24 GB/s
         // each), sharing evenly.

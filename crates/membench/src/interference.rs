@@ -7,10 +7,9 @@
 //! chiplet limiter — saturates.
 
 use chiplet_mem::OpKind;
-use chiplet_net::engine::{Engine, EngineConfig};
-use chiplet_net::flow::{FlowSpec, Target};
-use chiplet_sim::{Bandwidth, ByteSize, SimTime};
-use chiplet_topology::{CcdId, CoreId, DimmId, Topology};
+use chiplet_net::scenario::{CoreSelect, ScenarioReport, ScenarioSpec, TargetSpec};
+use chiplet_sim::SimTime;
+use chiplet_topology::{CcdId, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The contention domain of a Figure 6 panel.
@@ -30,42 +29,37 @@ pub enum InterferenceDomain {
 
 impl InterferenceDomain {
     /// Core split and target for (X, Y).
-    fn setup(self, topo: &Topology) -> (Vec<CoreId>, Vec<CoreId>, Target, Target) {
+    fn setup(self, topo: &Topology) -> (CoreSelect, CoreSelect, TargetSpec, TargetSpec) {
         match self {
             InterferenceDomain::IfIntraCc => {
-                let cores: Vec<CoreId> = topo.cores_of_ccx(0).collect();
-                let mid = cores.len() / 2;
-                let t = Target::all_dimms(topo);
-                (cores[..mid].to_vec(), cores[mid..].to_vec(), t.clone(), t)
+                let (x, y) = crate::halves(topo.cores_of_ccx(0));
+                (x, y, TargetSpec::AllDimms, TargetSpec::AllDimms)
             }
             InterferenceDomain::IfInterCc => {
                 // Shared destination: one DIMM, so the two chiplets contend
                 // on a path segment (the UMC channel) the way the paper's
                 // cross-CC streams contend on a shared I/O-die segment.
-                let shared = Target::dimm(DimmId(0));
                 (
-                    topo.cores_of_ccd(CcdId(0)).collect(),
-                    topo.cores_of_ccd(CcdId(1)).collect(),
-                    shared.clone(),
-                    shared,
+                    CoreSelect::Ccd(0),
+                    CoreSelect::Ccd(1),
+                    TargetSpec::Dimms(vec![0]),
+                    TargetSpec::Dimms(vec![0]),
                 )
             }
             InterferenceDomain::Gmi => {
-                let cores: Vec<CoreId> = topo.cores_of_ccd(CcdId(0)).collect();
-                let mid = cores.len() / 2;
-                let t = Target::all_dimms(topo);
-                (cores[..mid].to_vec(), cores[mid..].to_vec(), t.clone(), t)
+                let (x, y) = crate::halves(topo.cores_of_ccd(CcdId(0)));
+                (x, y, TargetSpec::AllDimms, TargetSpec::AllDimms)
             }
             InterferenceDomain::PLink => {
                 // Three chiplets per stream: one CCD's CXL port (~24 GB/s)
                 // cannot saturate the ~88 GB/s P-Link aggregate.
                 let per = (topo.spec().ccd_count / 2).clamp(1, 3);
-                let grab = |from: u32| -> Vec<CoreId> {
-                    (from..from + per)
-                        .flat_map(|c| topo.cores_of_ccd(CcdId(c)).collect::<Vec<_>>())
-                        .collect()
-                };
-                (grab(0), grab(per), Target::Cxl(0), Target::Cxl(0))
+                (
+                    CoreSelect::Ccds((0..per).collect()),
+                    CoreSelect::Ccds((per..2 * per).collect()),
+                    TargetSpec::Cxl(0),
+                    TargetSpec::Cxl(0),
+                )
             }
         }
     }
@@ -91,11 +85,6 @@ impl InterferenceDomain {
             _ => None,
         }
     }
-
-    /// Platform support check.
-    pub fn supported(self, topo: &Topology) -> bool {
-        self.unsupported_reason(topo).is_none()
-    }
 }
 
 impl core::fmt::Display for InterferenceDomain {
@@ -120,63 +109,104 @@ pub struct InterferencePoint {
     pub bg_achieved_gb_s: f64,
 }
 
-/// Runs the frontend at max rate against a swept background. A background
-/// load of `0.0` disables the background; `f64::INFINITY` runs it
-/// unthrottled.
-pub fn interference_sweep(
-    topo: &Topology,
+/// Interference specs: for each background load (GB/s), the `frontend`
+/// stream issues `fg_op` at max rate beside a `background` stream issuing
+/// `bg_op`, for 80 µs. A load of `0.0` stops the background at time zero;
+/// `f64::INFINITY` runs it unthrottled. `Err` is the platform's
+/// [`InterferenceDomain::unsupported_reason`].
+pub fn interference(
+    base: &ScenarioSpec,
     domain: InterferenceDomain,
     fg_op: OpKind,
     bg_op: OpKind,
     bg_loads_gb_s: &[f64],
-    cfg: &EngineConfig,
-) -> Vec<InterferencePoint> {
-    assert!(domain.supported(topo), "{domain} unsupported on platform");
-    let (fg_cores, bg_cores, fg_target, bg_target) = domain.setup(topo);
-    bg_loads_gb_s
+) -> Result<Vec<ScenarioSpec>, &'static str> {
+    let topo = crate::topology(base);
+    if let Some(reason) = domain.unsupported_reason(&topo) {
+        return Err(reason);
+    }
+    let (fg_cores, bg_cores, fg_target, bg_target) = domain.setup(&topo);
+    Ok(bg_loads_gb_s
         .iter()
         .map(|&bg| {
-            let mut engine = Engine::new(topo, cfg.clone());
-            engine.add_flow(
-                FlowSpec::reads("frontend", fg_cores.clone(), fg_target.clone())
-                    .op(fg_op)
-                    .working_set(ByteSize::from_gib(1))
-                    .build(topo),
+            let frontend =
+                crate::stream("frontend", fg_cores.clone(), fg_target.clone(), fg_op, None);
+            let paced = (bg.is_finite() && bg != 0.0).then_some(bg);
+            let mut background = crate::stream(
+                "background",
+                bg_cores.clone(),
+                bg_target.clone(),
+                bg_op,
+                paced,
             );
-            let mut b = FlowSpec::reads("background", bg_cores.clone(), bg_target.clone())
-                .op(bg_op)
-                .working_set(ByteSize::from_gib(1));
-            if bg == 0.0 {
-                b = b.stop(SimTime::ZERO); // zero background: never issues
-            } else if bg.is_finite() {
-                b = b.offered(Bandwidth::from_gb_per_s(bg));
-            } // infinite background: unthrottled (the paper's onset regime)
-            engine.add_flow(b.build(topo));
-            let r = engine.run(SimTime::from_micros(80));
+            // Zero background: never issues.
+            if let Some(engine) = background.engine.as_mut().filter(|_| bg == 0.0) {
+                engine.stop = Some(SimTime::ZERO);
+            }
+            let name = format!("interference {domain} {fg_op:?}-{bg_op:?}");
+            crate::probe(
+                base,
+                name,
+                "frontend stream against a background stream (Figure 6)",
+                SimTime::from_micros(80),
+                vec![frontend, background],
+            )
+        })
+        .collect())
+}
+
+/// Folds an [`interference`] run over `bg_loads_gb_s` into one point per
+/// background load.
+pub fn interference_points(
+    bg_loads_gb_s: &[f64],
+    reports: &[ScenarioReport],
+) -> Vec<InterferencePoint> {
+    bg_loads_gb_s
+        .iter()
+        .zip(reports)
+        .map(|(&bg, r)| {
+            let flows = crate::flows(r);
             InterferencePoint {
                 bg_offered_gb_s: bg,
-                fg_achieved_gb_s: r.flows[0].achieved.as_gb_per_s(),
-                bg_achieved_gb_s: r.flows[1].achieved.as_gb_per_s(),
+                fg_achieved_gb_s: flows[0].achieved_gb_s,
+                bg_achieved_gb_s: flows[1].achieved_gb_s,
             }
         })
         .collect()
 }
 
+/// Runs the frontend at max rate against a swept background. A background
+/// load of `0.0` disables the background; `f64::INFINITY` runs it
+/// unthrottled.
+///
+/// # Panics
+///
+/// Panics when the platform cannot run the domain.
+pub fn interference_sweep(
+    base: &ScenarioSpec,
+    domain: InterferenceDomain,
+    fg_op: OpKind,
+    bg_op: OpKind,
+    bg_loads_gb_s: &[f64],
+) -> Vec<InterferencePoint> {
+    let specs = interference(base, domain, fg_op, bg_op, bg_loads_gb_s)
+        .unwrap_or_else(|reason| panic!("{domain} unsupported on platform: {reason}"));
+    interference_points(bg_loads_gb_s, &crate::run(&specs))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiplet_topology::PlatformSpec;
+    use crate::base;
 
     #[test]
     fn zero_background_means_no_interference() {
-        let topo = Topology::build(&PlatformSpec::epyc_9634());
         let pts = interference_sweep(
-            &topo,
+            &base("epyc_9634", true),
             InterferenceDomain::Gmi,
             OpKind::Read,
             OpKind::Read,
             &[0.0],
-            &EngineConfig::deterministic(),
         );
         assert_eq!(pts[0].bg_achieved_gb_s, 0.0);
         assert!(pts[0].fg_achieved_gb_s > 25.0);
@@ -184,14 +214,12 @@ mod tests {
 
     #[test]
     fn read_background_degrades_read_frontend_at_gmi() {
-        let topo = Topology::build(&PlatformSpec::epyc_9634());
         let pts = interference_sweep(
-            &topo,
+            &base("epyc_9634", true),
             InterferenceDomain::Gmi,
             OpKind::Read,
             OpKind::Read,
             &[0.0, 5.0, 15.0],
-            &EngineConfig::deterministic(),
         );
         assert!(
             pts[2].fg_achieved_gb_s < pts[0].fg_achieved_gb_s - 3.0,
@@ -203,14 +231,12 @@ mod tests {
     fn write_background_spares_read_frontend_on_separate_direction() {
         // Cross-CCD flows share only UMCs; a modest write background on the
         // write direction barely moves a read frontend.
-        let topo = Topology::build(&PlatformSpec::epyc_9634());
         let pts = interference_sweep(
-            &topo,
+            &base("epyc_9634", true),
             InterferenceDomain::IfInterCc,
             OpKind::Read,
             OpKind::WriteNonTemporal,
             &[0.0, 10.0],
-            &EngineConfig::deterministic(),
         );
         let drop = pts[0].fg_achieved_gb_s - pts[1].fg_achieved_gb_s;
         assert!(
@@ -223,14 +249,12 @@ mod tests {
     fn intra_cc_read_background_starves_writes() {
         // The shared CCX limiter: a saturating read stream steals the write
         // frontend's tokens (the paper's within-CC asymmetry).
-        let topo = Topology::build(&PlatformSpec::epyc_9634());
         let pts = interference_sweep(
-            &topo,
+            &base("epyc_9634", true),
             InterferenceDomain::IfIntraCc,
             OpKind::WriteNonTemporal,
             OpKind::Read,
             &[0.0, f64::INFINITY],
-            &EngineConfig::deterministic(),
         );
         assert!(
             pts[1].fg_achieved_gb_s < pts[0].fg_achieved_gb_s * 0.9,

@@ -6,10 +6,9 @@
 //! each offered load and reads the latency distribution back.
 
 use chiplet_mem::OpKind;
-use chiplet_net::engine::{Engine, EngineConfig};
-use chiplet_net::flow::{FlowSpec, Target};
-use chiplet_sim::{Bandwidth, ByteSize, SimTime};
-use chiplet_topology::{CcdId, CoreId, Topology};
+use chiplet_net::scenario::{CoreSelect, ScenarioReport, ScenarioSpec, TargetSpec};
+use chiplet_sim::{Bandwidth, SimTime};
+use chiplet_topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Which interconnect a Figure 3 panel exercises.
@@ -29,26 +28,21 @@ pub enum LinkScenario {
 
 impl LinkScenario {
     /// The issuing cores for this scenario.
-    pub fn cores(self, topo: &Topology) -> Vec<CoreId> {
+    pub fn cores(self, topo: &Topology) -> CoreSelect {
         match self {
-            LinkScenario::IfIntraCc => topo.cores_of_ccx(0).collect(),
-            LinkScenario::IfInterCc => topo
-                .cores_of_ccd(CcdId(0))
-                .chain(topo.cores_of_ccd(CcdId(1)))
-                .collect(),
-            LinkScenario::Gmi => topo.cores_of_ccd(CcdId(0)).collect(),
+            LinkScenario::IfIntraCc => CoreSelect::Ccx(0),
+            LinkScenario::IfInterCc => CoreSelect::Ccds(vec![0, 1]),
+            LinkScenario::Gmi => CoreSelect::Ccd(0),
             // P-Link: enough chiplets to saturate the aggregate CXL path.
-            LinkScenario::PlinkCxl => (0..topo.spec().ccd_count.min(6))
-                .flat_map(|c| topo.cores_of_ccd(CcdId(c)).collect::<Vec<_>>())
-                .collect(),
+            LinkScenario::PlinkCxl => CoreSelect::Ccds((0..topo.spec().ccd_count.min(6)).collect()),
         }
     }
 
     /// The destination for this scenario.
-    pub fn target(self, topo: &Topology) -> Target {
+    pub fn target(self) -> TargetSpec {
         match self {
-            LinkScenario::PlinkCxl => Target::Cxl(0),
-            _ => Target::all_dimms(topo),
+            LinkScenario::PlinkCxl => TargetSpec::Cxl(0),
+            _ => TargetSpec::AllDimms,
         }
     }
 
@@ -92,10 +86,6 @@ impl LinkScenario {
     }
 
     /// Why the platform can't run this scenario — `None` when it can.
-    /// The single source for every "not supported" message; callers render
-    /// it through [`ScenarioReport::Unsupported`].
-    ///
-    /// [`ScenarioReport::Unsupported`]: chiplet_net::scenario::ScenarioReport::Unsupported
     pub fn unsupported_reason(self, topo: &Topology) -> Option<&'static str> {
         match self {
             LinkScenario::PlinkCxl if topo.cxl_device_count() == 0 => {
@@ -106,11 +96,6 @@ impl LinkScenario {
             }
             _ => None,
         }
-    }
-
-    /// True when the platform supports the scenario.
-    pub fn supported(self, topo: &Topology) -> bool {
-        self.unsupported_reason(topo).is_none()
     }
 }
 
@@ -138,42 +123,75 @@ pub struct LoadPoint {
     pub p999_ns: f64,
 }
 
-/// Sweeps offered load over `fractions` of the scenario's nominal capacity
-/// and returns one latency point per load.
-pub fn loaded_latency_sweep(
-    topo: &Topology,
+/// Loaded-latency specs: the scenario's cores pace `op` at each of
+/// `fractions` of its nominal capacity, 120 µs each, in order. `Err` is the
+/// platform's [`LinkScenario::unsupported_reason`].
+pub fn loaded(
+    base: &ScenarioSpec,
     scenario: LinkScenario,
     op: OpKind,
     fractions: &[f64],
-    cfg: &EngineConfig,
-) -> Vec<LoadPoint> {
-    assert!(
-        scenario.supported(topo),
-        "{scenario} unsupported on platform"
-    );
-    let cap = scenario.nominal_cap(topo, op).as_gb_per_s();
-    fractions
+) -> Result<Vec<ScenarioSpec>, &'static str> {
+    let topo = crate::topology(base);
+    if let Some(reason) = scenario.unsupported_reason(&topo) {
+        return Err(reason);
+    }
+    let cap = scenario.nominal_cap(&topo, op).as_gb_per_s();
+    Ok(fractions
         .iter()
         .map(|&frac| {
             let offered = cap * frac;
-            let mut engine = Engine::new(topo, cfg.clone());
-            engine.add_flow(
-                FlowSpec::reads("loaded", scenario.cores(topo), scenario.target(topo))
-                    .op(op)
-                    .offered(Bandwidth::from_gb_per_s(offered))
-                    .working_set(ByteSize::from_gib(1))
-                    .build(topo),
+            let flow = crate::stream(
+                "loaded",
+                scenario.cores(&topo),
+                scenario.target(),
+                op,
+                Some(offered),
             );
-            let r = engine.run(SimTime::from_micros(120));
-            let f = &r.flows[0];
+            let name = format!("{scenario} / {op:?} @ {offered:.1} GB/s");
+            let description = "latency under offered load (Figure 3)";
+            crate::probe(
+                base,
+                name,
+                description,
+                SimTime::from_micros(120),
+                vec![flow],
+            )
+        })
+        .collect())
+}
+
+/// Folds a [`loaded`] run into one latency point per offered load.
+pub fn load_points(reports: &[ScenarioReport]) -> Vec<LoadPoint> {
+    reports
+        .iter()
+        .map(|r| {
+            let f = &crate::flows(r)[0];
             LoadPoint {
-                offered_gb_s: offered,
-                achieved_gb_s: f.achieved.as_gb_per_s(),
-                mean_ns: f.mean_latency_ns(),
-                p999_ns: f.p999_latency_ns(),
+                offered_gb_s: f.offered_gb_s.expect("loaded flows are paced"),
+                achieved_gb_s: f.achieved_gb_s,
+                mean_ns: f.mean_latency_ns.expect("event runs measure latency"),
+                p999_ns: f.p999_latency_ns.expect("event runs measure latency"),
             }
         })
         .collect()
+}
+
+/// Sweeps offered load over `fractions` of the scenario's nominal capacity
+/// and returns one latency point per load.
+///
+/// # Panics
+///
+/// Panics when the platform cannot run the scenario.
+pub fn loaded_latency_sweep(
+    base: &ScenarioSpec,
+    scenario: LinkScenario,
+    op: OpKind,
+    fractions: &[f64],
+) -> Vec<LoadPoint> {
+    let specs = loaded(base, scenario, op, fractions)
+        .unwrap_or_else(|reason| panic!("{scenario} unsupported on platform: {reason}"));
+    load_points(&crate::run(&specs))
 }
 
 /// The default load grid: 10%–100% of nominal capacity.
@@ -184,17 +202,16 @@ pub fn default_fractions() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base;
     use chiplet_topology::PlatformSpec;
 
     #[test]
     fn gmi_curve_shape_7302() {
-        let topo = Topology::build(&PlatformSpec::epyc_7302());
         let pts = loaded_latency_sweep(
-            &topo,
+            &base("epyc_7302", false),
             LinkScenario::Gmi,
             OpKind::Read,
             &[0.2, 0.95],
-            &EngineConfig::default(),
         );
         // Latency grows toward saturation; achieved tracks offered at low
         // load.
@@ -207,16 +224,17 @@ mod tests {
     #[test]
     fn plink_scenario_needs_cxl() {
         let topo = Topology::build(&PlatformSpec::epyc_7302());
-        assert!(!LinkScenario::PlinkCxl.supported(&topo));
+        assert!(LinkScenario::PlinkCxl.unsupported_reason(&topo).is_some());
         let topo = Topology::build(&PlatformSpec::epyc_9634());
-        assert!(LinkScenario::PlinkCxl.supported(&topo));
+        assert!(LinkScenario::PlinkCxl.unsupported_reason(&topo).is_none());
     }
 
     #[test]
     fn scenario_core_counts() {
         let topo = Topology::build(&PlatformSpec::epyc_7302());
-        assert_eq!(LinkScenario::IfIntraCc.cores(&topo).len(), 2);
-        assert_eq!(LinkScenario::IfInterCc.cores(&topo).len(), 8);
-        assert_eq!(LinkScenario::Gmi.cores(&topo).len(), 4);
+        let count = |s: LinkScenario| s.cores(&topo).resolve(&topo).unwrap().len();
+        assert_eq!(count(LinkScenario::IfIntraCc), 2);
+        assert_eq!(count(LinkScenario::IfInterCc), 8);
+        assert_eq!(count(LinkScenario::Gmi), 4);
     }
 }

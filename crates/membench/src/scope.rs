@@ -1,6 +1,7 @@
 //! Core scopes: the paper's "from a core / CCX / CCD / CPU" rows.
 
-use chiplet_topology::{CcdId, CoreId, Topology};
+use chiplet_net::scenario::CoreSelect;
+use chiplet_topology::PlatformSpec;
 use serde::{Deserialize, Serialize};
 
 /// Which cores a probe issues from.
@@ -25,17 +26,14 @@ impl CoreScope {
         CoreScope::Cpu,
     ];
 
-    /// Resolves the scope to concrete cores, anchored at `ccd`.
-    pub fn cores(self, topo: &Topology, ccd: CcdId) -> Vec<CoreId> {
-        let spec = topo.spec();
+    /// The scope's cores as a spec core selection, anchored at CCD `ccd`
+    /// (core 0 of the CCD, CCX 0 of the CCD, the CCD, or every core).
+    pub fn select(self, spec: &PlatformSpec, ccd: u32) -> CoreSelect {
         match self {
-            CoreScope::Core => vec![CoreId(ccd.0 * spec.cores_per_ccd())],
-            CoreScope::Ccx => {
-                let ccx = ccd.0 * spec.ccx_per_ccd;
-                topo.cores_of_ccx(ccx).collect()
-            }
-            CoreScope::Ccd => topo.cores_of_ccd(ccd).collect(),
-            CoreScope::Cpu => topo.core_ids().collect(),
+            CoreScope::Core => CoreSelect::Cores(vec![ccd * spec.cores_per_ccd()]),
+            CoreScope::Ccx => CoreSelect::Ccx(ccd * spec.ccx_per_ccd),
+            CoreScope::Ccd => CoreSelect::Ccd(ccd),
+            CoreScope::Cpu => CoreSelect::All,
         }
     }
 }
@@ -54,31 +52,35 @@ impl core::fmt::Display for CoreScope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiplet_topology::PlatformSpec;
+    use chiplet_topology::{CcdId, CoreId, Topology};
+
+    fn cores(scope: CoreScope, topo: &Topology, ccd: u32) -> Vec<CoreId> {
+        scope.select(topo.spec(), ccd).resolve(topo).unwrap()
+    }
 
     #[test]
     fn scope_sizes_on_7302() {
         let topo = Topology::build(&PlatformSpec::epyc_7302());
-        assert_eq!(CoreScope::Core.cores(&topo, CcdId(0)).len(), 1);
-        assert_eq!(CoreScope::Ccx.cores(&topo, CcdId(0)).len(), 2);
-        assert_eq!(CoreScope::Ccd.cores(&topo, CcdId(0)).len(), 4);
-        assert_eq!(CoreScope::Cpu.cores(&topo, CcdId(0)).len(), 16);
+        assert_eq!(cores(CoreScope::Core, &topo, 0).len(), 1);
+        assert_eq!(cores(CoreScope::Ccx, &topo, 0).len(), 2);
+        assert_eq!(cores(CoreScope::Ccd, &topo, 0).len(), 4);
+        assert_eq!(cores(CoreScope::Cpu, &topo, 0).len(), 16);
     }
 
     #[test]
     fn scope_anchors_at_the_requested_ccd() {
         let topo = Topology::build(&PlatformSpec::epyc_7302());
-        let cores = CoreScope::Ccd.cores(&topo, CcdId(2));
-        assert!(cores.iter().all(|c| topo.ccd_of_core(*c) == CcdId(2)));
-        assert_eq!(CoreScope::Core.cores(&topo, CcdId(2)), vec![CoreId(8)]);
+        let ccd2 = cores(CoreScope::Ccd, &topo, 2);
+        assert!(ccd2.iter().all(|c| topo.ccd_of_core(*c) == CcdId(2)));
+        assert_eq!(cores(CoreScope::Core, &topo, 2), vec![CoreId(8)]);
     }
 
     #[test]
     fn scope_sizes_on_9634() {
         let topo = Topology::build(&PlatformSpec::epyc_9634());
         // One CCX per CCD on Zen 4: CCX and CCD scopes coincide.
-        assert_eq!(CoreScope::Ccx.cores(&topo, CcdId(0)).len(), 7);
-        assert_eq!(CoreScope::Ccd.cores(&topo, CcdId(0)).len(), 7);
-        assert_eq!(CoreScope::Cpu.cores(&topo, CcdId(0)).len(), 84);
+        assert_eq!(cores(CoreScope::Ccx, &topo, 0).len(), 7);
+        assert_eq!(cores(CoreScope::Ccd, &topo, 0).len(), 7);
+        assert_eq!(cores(CoreScope::Cpu, &topo, 0).len(), 84);
     }
 }

@@ -108,15 +108,6 @@ impl NocConfig {
             packet_len: 1,
         }
     }
-
-    /// The same fabric carrying 4-flit packets (a 256 B CXL FLIT on a
-    /// 64 B-phit datapath).
-    pub fn io_die_mesh_wormhole() -> Self {
-        NocConfig {
-            packet_len: 4,
-            ..Self::io_die_mesh()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -48,16 +48,6 @@ impl ByteSize {
     pub const fn as_bytes(self) -> u64 {
         self.0
     }
-
-    /// Size in fractional KiB.
-    pub fn as_kib_f64(self) -> f64 {
-        self.0 as f64 / 1024.0
-    }
-
-    /// Size in fractional MiB.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
 }
 
 impl Add for ByteSize {
@@ -141,12 +131,6 @@ impl Bandwidth {
             return SimDuration::MAX;
         }
         SimDuration::from_nanos_f64(size.as_bytes() as f64 / self.bytes_per_ns())
-    }
-
-    /// The mean inter-arrival gap that produces this rate with `size`-byte
-    /// requests. Same zero-bandwidth convention as [`Bandwidth::service_time`].
-    pub fn request_interval(self, size: ByteSize) -> SimDuration {
-        self.service_time(size)
     }
 
     /// True when this is a positive, finite rate.

@@ -189,16 +189,6 @@ impl NicSpec {
             outstanding: 256,
         }
     }
-
-    /// A 100 GbE-class NIC (~12.5 GB/s).
-    pub fn gbe100() -> Self {
-        NicSpec {
-            dma_read_bw: Bandwidth::from_gb_per_s(12.5),
-            dma_write_bw: Bandwidth::from_gb_per_s(12.5),
-            latency_ns: 180.0,
-            outstanding: 128,
-        }
-    }
 }
 
 /// Inter-socket xGMI fabric constants (dual-socket platforms).

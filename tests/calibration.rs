@@ -5,9 +5,8 @@ use server_chiplet_networking::membench::bandwidth::{table3_column, Destination}
 use server_chiplet_networking::membench::latency::{
     chase_sweep, cxl_latency, default_working_sets, position_latencies,
 };
-use server_chiplet_networking::membench::CoreScope;
-use server_chiplet_networking::net::engine::EngineConfig;
-use server_chiplet_networking::topology::{CoreId, PlatformSpec, Topology};
+use server_chiplet_networking::membench::{base, CoreScope};
+use server_chiplet_networking::topology::CoreId;
 
 fn within(value: f64, expected: f64, tol: f64) -> bool {
     (value - expected).abs() <= expected * tol
@@ -17,18 +16,16 @@ fn within(value: f64, expected: f64, tol: f64) -> bool {
 fn table2_position_latencies_both_platforms() {
     // (platform, paper rows near/vert/horiz/diag).
     let cases = [
-        (PlatformSpec::epyc_7302(), [124.0, 131.0, 141.0, 145.0]),
-        (PlatformSpec::epyc_9634(), [141.0, 145.0, 150.0, 149.0]),
+        ("epyc_7302", [124.0, 131.0, 141.0, 145.0]),
+        ("epyc_9634", [141.0, 145.0, 150.0, 149.0]),
     ];
-    for (spec, paper) in cases {
-        let topo = Topology::build(&spec);
-        let rows = position_latencies(&topo, CoreId(0), &EngineConfig::deterministic());
+    for (platform, paper) in cases {
+        let rows = position_latencies(&base(platform, true), CoreId(0));
         assert_eq!(rows.len(), 4);
         for ((pos, measured), expected) in rows.iter().zip(paper) {
             assert!(
                 within(*measured, expected, 0.04),
-                "{} {pos}: {measured} vs paper {expected}",
-                spec.name
+                "{platform} {pos}: {measured} vs paper {expected}"
             );
         }
     }
@@ -36,13 +33,7 @@ fn table2_position_latencies_both_platforms() {
 
 #[test]
 fn table2_cache_walk_matches_hierarchy() {
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    let pts = chase_sweep(
-        &topo,
-        CoreId(0),
-        &default_working_sets(),
-        &EngineConfig::deterministic(),
-    );
+    let pts = chase_sweep(&base("epyc_9634", true), CoreId(0), &default_working_sets());
     // Monotone nondecreasing, L1 at the front, DRAM at the back.
     for w in pts.windows(2) {
         assert!(w[1].latency_ns >= w[0].latency_ns - 1e-9);
@@ -54,15 +45,13 @@ fn table2_cache_walk_matches_hierarchy() {
 
 #[test]
 fn table2_cxl_row() {
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    let lat = cxl_latency(&topo, CoreId(0), &EngineConfig::deterministic()).unwrap();
+    let lat = cxl_latency(&base("epyc_9634", true), CoreId(0)).unwrap();
     assert!(within(lat, 243.0, 0.05), "CXL latency {lat}");
 }
 
 #[test]
 fn table3_dimm_column_7302() {
-    let topo = Topology::build(&PlatformSpec::epyc_7302());
-    let rows = table3_column(&topo, Destination::Dimms, &EngineConfig::deterministic()).unwrap();
+    let rows = table3_column(&base("epyc_7302", true), Destination::Dimms).unwrap();
     let paper = [
         (CoreScope::Core, 14.9, 3.6),
         (CoreScope::Ccx, 25.1, 7.1),
@@ -86,8 +75,7 @@ fn table3_dimm_column_7302() {
 
 #[test]
 fn table3_dimm_column_9634() {
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    let rows = table3_column(&topo, Destination::Dimms, &EngineConfig::deterministic()).unwrap();
+    let rows = table3_column(&base("epyc_9634", true), Destination::Dimms).unwrap();
     // CCX and CCD coincide on Zen 4; the paper's two rows bracket our GMI
     // capacity, so tolerate against the CCD row.
     let paper = [
@@ -112,8 +100,7 @@ fn table3_dimm_column_9634() {
 
 #[test]
 fn table3_cxl_column_9634() {
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    let rows = table3_column(&topo, Destination::Cxl, &EngineConfig::deterministic()).unwrap();
+    let rows = table3_column(&base("epyc_9634", true), Destination::Cxl).unwrap();
     let paper = [
         (CoreScope::Core, 5.4, 2.8),
         (CoreScope::Ccx, 23.6, 15.8),
@@ -139,10 +126,9 @@ fn paper_claim_cxl_is_slower_than_dimm_by_the_reported_factors() {
     // §3.3: single core 63.0%/22.2% lower read/write... actually the paper
     // reports CXL below local DIMM by 63.0/22.2% (core), 33.0/33.6% (CCD),
     // 78.1/69.3% (CPU) — check the ordering and rough factors for reads.
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    let cfg = EngineConfig::deterministic();
-    let dimm = table3_column(&topo, Destination::Dimms, &cfg).unwrap();
-    let cxl = table3_column(&topo, Destination::Cxl, &cfg).unwrap();
+    let base = base("epyc_9634", true);
+    let dimm = table3_column(&base, Destination::Dimms).unwrap();
+    let cxl = table3_column(&base, Destination::Cxl).unwrap();
     for (d, c) in dimm.iter().zip(&cxl) {
         assert!(
             c.read_gb_s < d.read_gb_s,

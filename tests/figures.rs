@@ -5,10 +5,10 @@ use server_chiplet_networking::fluid::{
     harvest_time_ms, DemandSchedule, FluidFlowSpec, FluidLink, FluidSim,
 };
 use server_chiplet_networking::mem::OpKind;
+use server_chiplet_networking::membench::base;
 use server_chiplet_networking::membench::compete::{competing_flows, CompeteLink};
 use server_chiplet_networking::membench::interference::{interference_sweep, InterferenceDomain};
 use server_chiplet_networking::membench::loaded::{loaded_latency_sweep, LinkScenario};
-use server_chiplet_networking::net::engine::EngineConfig;
 use server_chiplet_networking::sim::{Bandwidth, SimDuration, SimTime};
 use server_chiplet_networking::topology::{PlatformSpec, Topology};
 
@@ -16,13 +16,11 @@ use server_chiplet_networking::topology::{PlatformSpec, Topology};
 fn fig3_gmi_knee_and_tail_7302() {
     // Paper: reads 123.7/470 ns (avg/P999) at low load rising to
     // 172.5/800 ns near saturation.
-    let topo = Topology::build(&PlatformSpec::epyc_7302());
     let pts = loaded_latency_sweep(
-        &topo,
+        &base("epyc_7302", false),
         LinkScenario::Gmi,
         OpKind::Read,
         &[0.15, 1.0],
-        &EngineConfig::default(),
     );
     let (low, high) = (&pts[0], &pts[1]);
     assert!(
@@ -54,20 +52,17 @@ fn fig3_gmi_knee_and_tail_7302() {
 fn fig3_if_7302_flatter_than_9634() {
     // Paper: the 7302 provisions enough IF bandwidth (flat latency); the
     // 9634's seven-core chiplet sees a clear rise near max bandwidth.
-    let cfg = EngineConfig::deterministic();
-    let rel_rise = |spec: PlatformSpec| {
-        let topo = Topology::build(&spec);
+    let rel_rise = |platform: &str| {
         let pts = loaded_latency_sweep(
-            &topo,
+            &base(platform, true),
             LinkScenario::IfIntraCc,
             OpKind::Read,
             &[0.2, 1.0],
-            &cfg,
         );
         pts[1].mean_ns / pts[0].mean_ns
     };
-    let r7302 = rel_rise(PlatformSpec::epyc_7302());
-    let r9634 = rel_rise(PlatformSpec::epyc_9634());
+    let r7302 = rel_rise("epyc_7302");
+    let r9634 = rel_rise("epyc_9634");
     assert!(
         r9634 > r7302,
         "9634 IF should be less provisioned: rise {r9634:.3} vs {r7302:.3}"
@@ -77,17 +72,16 @@ fn fig3_if_7302_flatter_than_9634() {
 #[test]
 fn fig4_all_four_cases_on_gmi_9634() {
     let topo = Topology::build(&PlatformSpec::epyc_9634());
-    let cfg = EngineConfig::deterministic();
+    let base = base("epyc_9634", true);
     let c = CompeteLink::Gmi.capacity_gb_s(&topo);
 
     // Case 1: under-subscription — both satisfied.
     let out = competing_flows(
-        &topo,
+        &base,
         CompeteLink::Gmi,
         Some(0.3 * c),
         Some(0.4 * c),
         OpKind::Read,
-        &cfg,
     );
     assert!(
         out.achieved0_gb_s > 0.27 * c && out.achieved1_gb_s > 0.36 * c,
@@ -96,12 +90,11 @@ fn fig4_all_four_cases_on_gmi_9634() {
 
     // Case 3: equal demands — equal split.
     let out = competing_flows(
-        &topo,
+        &base,
         CompeteLink::Gmi,
         Some(0.75 * c),
         Some(0.75 * c),
         OpKind::Read,
-        &cfg,
     );
     assert!(
         (out.achieved0_gb_s / out.achieved1_gb_s - 1.0).abs() < 0.15,
@@ -110,24 +103,22 @@ fn fig4_all_four_cases_on_gmi_9634() {
 
     // Case 4: both above equal share — the aggressive flow takes more.
     let out = competing_flows(
-        &topo,
+        &base,
         CompeteLink::Gmi,
         Some(0.95 * c),
         Some(0.6 * c),
         OpKind::Read,
-        &cfg,
     );
     assert!(out.achieved0_gb_s > c / 2.0, "{out:?}");
     assert!(out.achieved0_gb_s > out.achieved1_gb_s * 1.15, "{out:?}");
 
     // Case 2: one small — the big flow exceeds its equal share.
     let out = competing_flows(
-        &topo,
+        &base,
         CompeteLink::Gmi,
         Some(0.25 * c),
         Some(0.9 * c),
         OpKind::Read,
-        &cfg,
     );
     assert!(out.achieved1_gb_s > c / 2.0, "{out:?}");
 }
@@ -180,19 +171,17 @@ fn fig5_harvest_timescales() {
 
 #[test]
 fn fig6_interference_structure_9634() {
-    let topo = Topology::build(&PlatformSpec::epyc_9634());
-    let cfg = EngineConfig::deterministic();
+    let base = base("epyc_9634", true);
 
     // Within a chiplet: a saturating read background squeezes both a read
     // and a write frontend (shared direction + shared limiter tokens)...
     for fg in [OpKind::Read, OpKind::WriteNonTemporal] {
         let pts = interference_sweep(
-            &topo,
+            &base,
             InterferenceDomain::IfIntraCc,
             fg,
             OpKind::Read,
             &[0.0, f64::INFINITY],
-            &cfg,
         );
         assert!(
             pts[1].fg_achieved_gb_s < pts[0].fg_achieved_gb_s * 0.92,
@@ -202,12 +191,11 @@ fn fig6_interference_structure_9634() {
     // ...while a saturating WRITE background barely touches a read
     // frontend (opposite directions, paper's asymmetry).
     let pts = interference_sweep(
-        &topo,
+        &base,
         InterferenceDomain::IfIntraCc,
         OpKind::Read,
         OpKind::WriteNonTemporal,
         &[0.0, f64::INFINITY],
-        &cfg,
     );
     assert!(
         pts[1].fg_achieved_gb_s > pts[0].fg_achieved_gb_s * 0.9,
@@ -217,24 +205,22 @@ fn fig6_interference_structure_9634() {
     // Across chiplets the write flow is rarely affected (paper), while
     // reads contend on the shared segment.
     let pts = interference_sweep(
-        &topo,
+        &base,
         InterferenceDomain::IfInterCc,
         OpKind::WriteNonTemporal,
         OpKind::Read,
         &[0.0, f64::INFINITY],
-        &cfg,
     );
     assert!(
         pts[1].fg_achieved_gb_s > pts[0].fg_achieved_gb_s * 0.9,
         "cross-CC write frontend should be spared: {pts:?}"
     );
     let pts = interference_sweep(
-        &topo,
+        &base,
         InterferenceDomain::IfInterCc,
         OpKind::Read,
         OpKind::Read,
         &[0.0, f64::INFINITY],
-        &cfg,
     );
     assert!(
         pts[1].fg_achieved_gb_s < pts[0].fg_achieved_gb_s * 0.7,

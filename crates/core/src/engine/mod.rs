@@ -2010,6 +2010,11 @@ fn describe_engine_metrics(m: &mut crate::metrics::MetricsRegistry) {
 
 /// Convenience: pointer-chase latency from a core to a DIMM (the Table 2
 /// methodology) without standing up flows by hand. Returns mean ns.
+///
+/// The one engine built outside `EventEngineBackend`: the criterion row
+/// `engine/table2_pointer_chase_30us` and the engine tests time and check
+/// the bare engine through it. Studies chase through the scenario layer
+/// (`chiplet_membench::latency`).
 pub fn pointer_chase_latency_ns(
     topo: &Topology,
     core: CoreId,

@@ -13,13 +13,16 @@
 //!
 //! `list` prints the registry of the paper's built-in scenarios; `run`
 //! executes any built-in by name or a [`ScenarioSpec`] JSON file and
-//! prints its output (`--json` emits the structured [`ScenarioReport`]
-//! instead); `show` prints a built-in declarative spec, sweep or search as
-//! JSON — a starting point for custom scenario files; `sweep` expands a
+//! prints its output (`--json` emits the structured [`ScenarioReport`],
+//! or a study's [`SweepOutcome`], instead); `show` prints a built-in
+//! declarative spec, sweep or search as JSON, or a study's point list — a
+//! starting point for custom scenario files; `sweep` expands a
 //! [`SweepSpec`] (built-in or JSON file) and executes its points across
 //! worker threads with an on-disk result cache (`results/cache` by
-//! default). Sweep output is byte-identical for any `--jobs` value and for
-//! cached vs fresh runs; execution stats go to stderr.
+//! default). Studies run their points through the same executor and
+//! cache. Output is byte-identical for any `--jobs` value and for cached
+//! vs fresh runs; execution stats go to stderr. The cache is keyed by
+//! spec content only, so pass `--no-cache` after changing engine code.
 //!
 //! `run`, `sweep` and `dse` share one path: the verb only picks how a JSON
 //! file parses and which registry kinds a name may be, so `run fig5_sweep`
@@ -44,6 +47,7 @@
 //! [`ScenarioSpec`]: chiplet_net::scenario::ScenarioSpec
 //! [`ScenarioReport`]: chiplet_net::scenario::ScenarioReport
 //! [`SweepSpec`]: chiplet_net::scenario::SweepSpec
+//! [`SweepOutcome`]: chiplet_net::scenario::SweepOutcome
 //! [`DseSpec`]: chiplet_net::dse::DseSpec
 
 use std::collections::BTreeMap;
@@ -58,18 +62,25 @@ use chiplet_net::critpath::{point_names, to_speedscope, CritPathReport};
 use chiplet_net::dse::DseRunner;
 use chiplet_net::export_sysfs;
 use chiplet_net::metrics::{MetricSample, MetricsRegistry};
-use chiplet_net::scenario::{BackendKind, EventEngineBackend, ScenarioKind, ScenarioRun};
+use chiplet_net::scenario::{
+    BackendKind, EventEngineBackend, ScenarioKind, ScenarioRun, SweepOutcome, SweepStats,
+};
 use chiplet_sim::PhaseProfiler;
 use chiplet_topology::descriptor::ChipletNetDescriptor;
 
 const USAGE: &str = "usage: chiplet-scenario <COMMAND>
 commands:
   list                     print the built-in scenario registry
-  show <name>              print a built-in spec, sweep or search as JSON
+  show <name>              print a built-in spec, sweep or search as JSON,
+                           or a study's point list as a JSON array of specs
   run <name|file.json>     run any built-in or a ScenarioSpec JSON file;
-                           sweep and dse built-ins take the options of
-                           `sweep` and `dse` below and print their tally
+                           study, sweep and dse built-ins take the options
+                           of `sweep` and `dse` below (a study takes --jobs,
+                           --no-cache and --cache-dir) and print their
+                           tally; they read and fill results/cache, so pass
+                           --no-cache after changing engine code
       [--json]             print the structured report instead of text
+                           (a study prints its points' SweepOutcome)
       [--metrics PATH|-]   dump OpenMetrics telemetry (with -, the human
                            report moves to stderr so stdout stays pure)
       [--metrics-all]      include volatile execution metrics in the dump
@@ -191,14 +202,11 @@ fn list() -> Result<(), String> {
 fn show(name: &str) -> Result<(), String> {
     let json = match resolve_name(Verb::Run, name).map_err(|e| e.to_string())? {
         ScenarioKind::Spec(spec) => spec.to_json(),
+        ScenarioKind::Study { specs, .. } => {
+            serde_json::to_string_pretty(&specs()).expect("specs always serialize")
+        }
         ScenarioKind::Sweep(sweep) => sweep.to_json(),
         ScenarioKind::Dse(search) => search.to_json(),
-        ScenarioKind::Study(_) => {
-            return Err(format!(
-                "'{name}' is a composite study (it renders its own text); \
-                 only declarative spec, sweep, and dse entries have a JSON form"
-            ))
-        }
     };
     out(&format!("{json}\n"))
 }
@@ -218,21 +226,14 @@ fn execute(verb: Verb, target: &str, opts: &Opts) -> Result<(), String> {
 
     let t0 = prof.start();
     let mut kind = resolve(verb, target).map_err(|e| e.to_string())?;
-    match &mut kind {
-        ScenarioKind::Study(_) if opts.json => {
-            return Err(format!(
-                "'{target}' is a composite study rendering text; --json \
-                 applies to declarative spec scenarios"
-            ))
-        }
-        // Engine-level phase timers land in the volatile metric families
-        // (visible via `--metrics … --metrics-all`).
-        ScenarioKind::Spec(spec) if opts.profile => {
+    // Engine-level phase timers land in the volatile metric families
+    // (visible via `--metrics … --metrics-all`).
+    if let ScenarioKind::Spec(spec) = &mut kind {
+        if opts.profile {
             spec.engine
                 .get_or_insert_with(Default::default)
                 .profile_phases = Some(true);
         }
-        _ => {}
     }
     prof.record(ph_resolve, t0);
     let settings = DseRunner {
@@ -246,11 +247,15 @@ fn execute(verb: Verb, target: &str, opts: &Opts) -> Result<(), String> {
         .run(&settings, opts.metrics.is_some().then_some(&mut metrics))
         .map_err(|e| e.to_string())?;
     prof.record(ph_run, t0);
-    match &run {
-        ScenarioRun::Sweep(outcome, stats) => eprintln!(
-            "sweep {}: {} points ({} executed, {} cached)",
+    let tally = |noun: &str, outcome: &SweepOutcome, stats: &SweepStats| {
+        eprintln!(
+            "{noun} {}: {} points ({} executed, {} cached)",
             outcome.sweep, stats.total, stats.executed, stats.cached
-        ),
+        )
+    };
+    match &run {
+        ScenarioRun::Study(_, outcome, stats) => tally("study", outcome, stats),
+        ScenarioRun::Sweep(outcome, stats) => tally("sweep", outcome, stats),
         ScenarioRun::Dse(outcome, stats) => eprintln!(
             "dse {}: {} candidates ({} scored, {} infeasible) at {:.1} µs/design, \
              frontier {}, escalated {} ({} executed, {} cached)",
@@ -264,7 +269,7 @@ fn execute(verb: Verb, target: &str, opts: &Opts) -> Result<(), String> {
             stats.sweep.executed,
             stats.sweep.cached,
         ),
-        ScenarioRun::Report(_) | ScenarioRun::Text(_) => {}
+        ScenarioRun::Report(_) => {}
     }
     let t0 = prof.start();
     opts.emit(&render(&run, opts.json))?;

@@ -43,10 +43,10 @@ commands:
       [--max-client-pending N]  per-client cap (default 2048)
       [--access-log F]      JSONL access log, one line per request (default: off)
       [--recorder N]        flight-recorder span capacity (default 256)
-  submit <name|file.json>   POST a spec or sweep, print the response body
+  submit <name|file.json>   POST a spec, sweep or study, print the response body
       [--addr A]            daemon address (default 127.0.0.1:8091)
       [--client ID]         fair-queue identity (default: anon)
-      [--stream]            sweeps: stream per-point progress lines
+      [--stream]            sweeps and studies: stream per-point progress lines
   hammer <name|file.json>   open-loop load test against the sweep's points
       [--addr A]            attack a running daemon (default: boot in-process)
       [--submissions N]     concurrent submissions (default 1000)
@@ -93,8 +93,8 @@ fn resolve_target(target: &str) -> Result<ScenarioKind, String> {
 
 fn not_served(target: &str) -> String {
     format!(
-        "'{target}' is not a declarative spec or sweep; the daemon serves \
-         those only (run searches with `chiplet-scenario dse`)"
+        "'{target}' is not a declarative spec, sweep or study; the daemon \
+         serves those only (run searches with `chiplet-scenario dse`)"
     )
 }
 
@@ -122,19 +122,22 @@ fn listen(opts: &Opts) -> Result<(), String> {
 fn submit(target: &str, opts: &Opts) -> Result<(), String> {
     let addr = opts.addr();
     let client: String = opts.client.chars().take(64).collect();
+    let stream = if opts.stream { "&stream=1" } else { "" };
     let (route, body) = match resolve_target(target)? {
-        ScenarioKind::Spec(spec) => (format!("/v1/run?client={client}"), spec.to_json()),
-        ScenarioKind::Sweep(sweep) => {
-            let stream = if opts.stream { "&stream=1" } else { "" };
-            (
-                format!("/v1/sweep?client={client}{stream}"),
-                sweep.to_json(),
-            )
-        }
-        _ => return Err(not_served(target)),
+        ScenarioKind::Spec(spec) => (format!("/v1/run?client={client}"), Some(spec.to_json())),
+        ScenarioKind::Sweep(sweep) => (
+            format!("/v1/sweep?client={client}{stream}"),
+            Some(sweep.to_json()),
+        ),
+        // A study has no body form: the daemon builds its points by name.
+        ScenarioKind::Study { name, .. } => (
+            format!("/v1/sweep?name={name}&client={client}{stream}"),
+            None,
+        ),
+        ScenarioKind::Dse(_) => return Err(not_served(target)),
     };
-    let (status, text) =
-        http::fetch(addr, "POST", &route, Some(&body)).map_err(|e| format!("POST {addr}: {e}"))?;
+    let (status, text) = http::fetch(addr, "POST", &route, body.as_deref())
+        .map_err(|e| format!("POST {addr}: {e}"))?;
     if status != 200 {
         return Err(format!("daemon answered {status}: {}", text.trim_end()));
     }
@@ -145,12 +148,13 @@ fn submit(target: &str, opts: &Opts) -> Result<(), String> {
 fn run_hammer(target: &str, opts: &Opts) -> Result<(), String> {
     let sweep = match resolve_target(target)? {
         ScenarioKind::Sweep(sweep) => sweep,
-        ScenarioKind::Spec(_) => {
+        ScenarioKind::Dse(_) => return Err(not_served(target)),
+        kind => {
             return Err(format!(
-                "'{target}' is a single spec; hammer needs a sweep to cycle points from"
+                "'{target}' is a {}; hammer needs a sweep to cycle points from",
+                kind.kind()
             ))
         }
-        _ => return Err(not_served(target)),
     };
     let report = hammer(
         &sweep,

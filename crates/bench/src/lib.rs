@@ -95,6 +95,14 @@ impl TextTable {
         }
         out
     }
+
+    /// Renders the table with every line prefixed by `indent`.
+    pub fn render_indented(&self, indent: &str) -> String {
+        self.render()
+            .lines()
+            .map(|l| format!("{indent}{l}\n"))
+            .collect()
+    }
 }
 
 /// Formats a float with one decimal, or "N/A" for non-finite values.

@@ -8,7 +8,7 @@ use std::fmt::Write;
 use chiplet_mem::OpKind;
 use chiplet_membench::latency::{chase_latencies, latency, ChaseTarget};
 use chiplet_membench::loaded::{load_points, loaded, LinkScenario};
-use chiplet_net::scenario::ScenarioSpec;
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec};
 use chiplet_sim::ByteSize;
 use chiplet_topology::{CoreId, DimmPosition};
 
@@ -45,14 +45,13 @@ pub fn specs() -> Vec<ScenarioSpec> {
     specs
 }
 
-/// Renders the study (identical to the former `ablation_monolithic` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the study from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Ablation B: chiplet (EPYC 7302) vs monolithic baseline.\n"
     );
-    let reports = chiplet_membench::run(&specs());
     let (chases, streams) = reports.split_at(DimmPosition::ALL.len() + 1);
     let chases = chase_latencies(chases);
 
@@ -69,9 +68,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         ]);
     }
     let _ = writeln!(out, "Unloaded memory latency:");
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
 
     // Loaded latency at the chiplet's GMI choke point vs the same cores on
     // the crossbar.
@@ -88,9 +85,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
             f1(p.p999_ns),
         ]);
     }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
 
     let _ = writeln!(
         out,

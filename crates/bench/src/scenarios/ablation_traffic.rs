@@ -8,7 +8,7 @@ use std::fmt::Write;
 
 use chiplet_mem::OpKind;
 use chiplet_membench::compete::{compete, outcomes, CompeteLink};
-use chiplet_net::scenario::ScenarioSpec;
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec};
 use chiplet_net::traffic::TrafficPolicy;
 use chiplet_topology::{PlatformSpec, Topology};
 
@@ -69,8 +69,8 @@ pub fn specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Renders the study (identical to the former `ablation_traffic` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the study from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -78,7 +78,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
          partitioning (GMI link, EPYC 7302).\n"
     );
     let c = capacity();
-    let mut results = outcomes(&chiplet_membench::run(&specs())).into_iter();
+    let mut results = outcomes(reports).into_iter();
     for (sname, d0, _) in cases(c) {
         let _ = writeln!(out, "scenario: {sname} (capacity {} GB/s)", f1(c));
         let mut t = TextTable::new(vec![
@@ -96,9 +96,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
                 if satisfied { "yes" } else { "no" }.to_string(),
             ]);
         }
-        for line in t.render().lines() {
-            let _ = writeln!(out, "  {line}");
-        }
+        out.push_str(&t.render_indented("  "));
         let _ = writeln!(out);
     }
     let _ = writeln!(

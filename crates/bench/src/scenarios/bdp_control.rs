@@ -4,13 +4,14 @@
 //!
 //! Sweeps the controller's latency target and prints the bandwidth/latency
 //! frontier against the hardware default, on both the GMI (one chiplet)
-//! and the CXL P-Link. Every point is a declarative [`ScenarioSpec`] run
-//! through the event backend.
+//! and the CXL P-Link. Every point is a declarative [`ScenarioSpec`] on the
+//! event backend; [`specs`] lists them and [`render`] folds their reports.
 
 use std::fmt::Write;
 
 use chiplet_net::scenario::{
-    BackendKind, CoreSelect, EngineFlow, ScenarioFlow, ScenarioSpec, TargetSpec, TopologyChoice,
+    BackendKind, CoreSelect, EngineFlow, ScenarioFlow, ScenarioReport, ScenarioSpec, TargetSpec,
+    TopologyChoice,
 };
 use chiplet_net::traffic::TrafficPolicy;
 use chiplet_sim::SimTime;
@@ -46,67 +47,53 @@ fn point_spec(target: TargetSpec, policy: TrafficPolicy) -> ScenarioSpec {
     }
 }
 
-fn run(target: TargetSpec, policy: TrafficPolicy) -> (f64, f64, f64) {
-    let report = point_spec(target, policy)
-        .run()
-        .expect("bdp_control specs resolve");
-    let outcome = report.outcome().expect("event runs complete");
-    let f = &outcome.flows[0];
-    (
-        f.achieved_gb_s,
-        f.mean_latency_ns.unwrap_or(f64::NAN),
-        f.p999_latency_ns.unwrap_or(f64::NAN),
-    )
-}
+/// The controller's latency targets, as factors of the unloaded latency.
+const FACTORS: [f64; 5] = [2.0, 1.5, 1.25, 1.10, 1.05];
 
-fn study(out: &mut String, label: &str, target: TargetSpec) {
-    let _ = writeln!(out, "{label}:");
-    let mut t = TextTable::new(vec!["policy", "GB/s", "mean ns", "P999 ns"]);
-    let (bw, lat, p999) = run(target.clone(), TrafficPolicy::HardwareDefault);
-    t.row(vec![
-        "hardware (full MLP)".to_string(),
-        f1(bw),
-        f1(lat),
-        f1(p999),
-    ]);
-    for factor in [2.0, 1.5, 1.25, 1.10, 1.05] {
-        let (bw, lat, p999) = run(
-            target.clone(),
+/// Every point of the study: for DRAM (GMI-bound), then CXL (port-bound),
+/// the hardware default and then the controller at every factor.
+pub fn specs() -> Vec<ScenarioSpec> {
+    let policies =
+        std::iter::once(TrafficPolicy::HardwareDefault).chain(FACTORS.map(|latency_factor| {
             TrafficPolicy::BdpAdaptive {
-                latency_factor: factor,
+                latency_factor,
                 interval_ns: 2_000,
-            },
-        );
-        t.row(vec![
-            format!("BDP-adaptive ×{factor:.2}"),
-            f1(bw),
-            f1(lat),
-            f1(p999),
-        ]);
-    }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
-    let _ = writeln!(out);
+            }
+        }));
+    [TargetSpec::AllDimms, TargetSpec::Cxl(0)]
+        .into_iter()
+        .flat_map(|target| policies.clone().map(move |p| point_spec(target.clone(), p)))
+        .collect()
 }
 
-/// Renders the study (identical to the former `bdp_control` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the study from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "BDP-adaptive traffic control: the bandwidth/latency frontier.\n"
     );
-    study(
-        &mut out,
+    let panels = [
         "EPYC 9634 — one chiplet to DRAM (GMI-bound)",
-        TargetSpec::AllDimms,
-    );
-    study(
-        &mut out,
         "EPYC 9634 — one chiplet to CXL (port-bound)",
-        TargetSpec::Cxl(0),
-    );
+    ];
+    let rows = std::iter::once("hardware (full MLP)".to_string())
+        .chain(FACTORS.map(|factor| format!("BDP-adaptive ×{factor:.2}")));
+    for (label, runs) in panels.iter().zip(reports.chunks(FACTORS.len() + 1)) {
+        let _ = writeln!(out, "{label}:");
+        let mut t = TextTable::new(vec!["policy", "GB/s", "mean ns", "P999 ns"]);
+        for (name, report) in rows.clone().zip(runs) {
+            let f = &report.outcome().expect("event runs complete").flows[0];
+            t.row(vec![
+                name,
+                f1(f.achieved_gb_s),
+                f1(f.mean_latency_ns.unwrap_or(f64::NAN)),
+                f1(f.p999_latency_ns.unwrap_or(f64::NAN)),
+            ]);
+        }
+        out.push_str(&t.render_indented("  "));
+        let _ = writeln!(out);
+    }
     let _ = writeln!(
         out,
         "Reading: the hardware default keeps the full MLP in flight and \

@@ -8,13 +8,13 @@
 //! Each panel prints one series per operation (sequential read,
 //! non-temporal write): offered load, achieved bandwidth, mean and P999
 //! latency. Every point is a [`loaded`] spec; the figure runs all 120 of
-//! them as one list and folds each series with [`load_points`].
+//! them as one point list and folds each series with [`load_points`].
 
 use std::fmt::Write;
 
 use chiplet_mem::OpKind;
 use chiplet_membench::loaded::{default_fractions, load_points, loaded, LinkScenario};
-use chiplet_net::scenario::ScenarioSpec;
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec};
 
 use crate::{f1, TextTable};
 
@@ -46,9 +46,8 @@ pub fn specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Renders the full figure (identical to the former `fig3` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let reports = chiplet_membench::run(&specs());
+/// Renders the full figure from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut series = reports.chunks(default_fractions().len());
     let mut out = String::new();
     let _ = writeln!(out, "Figure 3: interconnect latency under load.\n");
@@ -72,9 +71,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
                 ]);
             }
             let _ = writeln!(out, "  op = {op}");
-            for line in t.render().lines() {
-                let _ = writeln!(out, "    {line}");
-            }
+            out.push_str(&t.render_indented("    "));
         }
         let _ = writeln!(out);
     }

@@ -95,15 +95,12 @@ fn panel(out: &mut String, topo: &Topology, link: CompeteLink, runs: &[ScenarioR
             verdict.to_string(),
         ]);
     }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
     let _ = writeln!(out);
 }
 
-/// Renders the full figure (identical to the former `fig4` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let reports = chiplet_membench::run(&specs());
+/// Renders the full figure from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut runs = reports.chunks(figure4_cases(0.0).len());
     let mut out = String::new();
     let _ = writeln!(

@@ -5,16 +5,16 @@
 //! variation on the 7302's IF.
 //!
 //! Each panel is a pure fluid [`ScenarioSpec`] (also registered standalone
-//! as `fig5_if_9634` / `fig5_plink_9634` / `fig5_if_7302`); this module
-//! renders the figure from the three scenario reports.
+//! as `fig5_if_9634` / `fig5_plink_9634` / `fig5_if_7302`); the figure's
+//! point list is the three panels, and this module renders it from their
+//! reports.
 
 use std::fmt::Write;
 
 use chiplet_fluid::harvest_time_ms;
-use chiplet_net::metrics::MetricsRegistry;
 use chiplet_net::scenario::{
-    run_specs_with_metrics, BackendKind, FluidLinkSpec, FluidOptions, ScenarioFlow, ScenarioReport,
-    ScenarioSpec, TopologyChoice,
+    BackendKind, FluidLinkSpec, FluidOptions, ScenarioFlow, ScenarioReport, ScenarioSpec,
+    TopologyChoice,
 };
 use chiplet_sim::{Bandwidth, DemandSchedule, SimDuration, SimTime};
 
@@ -87,6 +87,11 @@ pub fn spec_if_7302() -> ScenarioSpec {
     spec("fig5 7302 IF", "epyc_7302", "if_7302")
 }
 
+/// The figure's points: the three panels in figure order.
+pub fn specs() -> Vec<ScenarioSpec> {
+    vec![spec_if_9634(), spec_plink_9634(), spec_if_7302()]
+}
+
 fn panel(out: &mut String, name: &str, report: &ScenarioReport, link: &str) {
     let cap = FluidLinkSpec::Named(link.to_string())
         .resolve()
@@ -122,19 +127,14 @@ fn panel(out: &mut String, name: &str, report: &ScenarioReport, link: &str) {
     let _ = writeln!(out);
 }
 
-/// Renders the full figure (identical to the former `fig5` binary) and
-/// records each panel's fluid-engine telemetry into `metrics`.
-pub fn render(metrics: &mut MetricsRegistry) -> String {
+/// Renders the full figure from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Figure 5: bandwidth harvesting under fluctuating demands \
          (flow 0 throttled −2 GB/s during [2,3) s and [4,5) s).\n"
     );
-    // The three panels are independent runs: execute them across worker
-    // threads, then render in figure order.
-    let specs = [spec_if_9634(), spec_plink_9634(), spec_if_7302()];
-    let reports = run_specs_with_metrics(&specs, 0, metrics).expect("fig5 specs resolve");
     panel(&mut out, "9634 IF", &reports[0], "if_9634");
     panel(&mut out, "9634 P-Link", &reports[1], "plink_9634");
     panel(&mut out, "7302 IF", &reports[2], "if_7302");

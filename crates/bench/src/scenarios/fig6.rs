@@ -84,16 +84,13 @@ fn panel(
             f1(baseline),
             f1(worst)
         );
-        for line in t.render().lines() {
-            let _ = writeln!(out, "    {line}");
-        }
+        out.push_str(&t.render_indented("    "));
     }
     let _ = writeln!(out);
 }
 
-/// Renders the full figure (identical to the former `fig6` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let reports = chiplet_membench::run(&specs());
+/// Renders the full figure from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut runs = reports.chunks(LOADS.len());
     let mut out = String::new();
     let _ = writeln!(out, "Figure 6: read/write interference on the EPYC 9634.\n");

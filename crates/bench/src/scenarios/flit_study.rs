@@ -4,25 +4,34 @@
 //! efficiency); packing a single line into a 256 B FLIT wastes 75% of the
 //! wire — the cost of a framing mismatch at the transaction layer.
 //!
-//! Each format runs as a declarative [`ScenarioSpec`] with an inline
-//! platform (the 9634 with that FLIT size) through the event backend.
+//! Each format is a declarative [`ScenarioSpec`] with an inline platform
+//! (the 9634 with that FLIT size) on the event backend; [`specs`] lists
+//! them and [`render`] folds their reports.
 
 use std::fmt::Write;
 
 use chiplet_fabric::FlitFraming;
 use chiplet_net::scenario::{
-    BackendKind, CoreSelect, EngineFlow, EngineOptions, ScenarioFlow, ScenarioSpec, TargetSpec,
-    TopologyChoice,
+    BackendKind, CoreSelect, EngineFlow, EngineOptions, ScenarioFlow, ScenarioReport, ScenarioSpec,
+    TargetSpec, TopologyChoice,
 };
 use chiplet_sim::SimTime;
 use chiplet_topology::PlatformSpec;
 
 use crate::{f1, TextTable};
 
-fn cxl_socket_bandwidth(flit_bytes: u32) -> (f64, f64) {
+/// The two FLIT formats, in table order.
+const FORMATS: [(&str, FlitFraming); 2] = [
+    ("68 B (one line/FLIT)", FlitFraming::CXL_68B),
+    ("256 B (line-granular)", FlitFraming::CXL_256B),
+];
+
+/// Six chiplets streaming cacheline CXL.mem reads on a 9634 whose CXL
+/// device uses `flit_bytes` FLITs.
+fn cxl_socket_spec(flit_bytes: u32) -> ScenarioSpec {
     let mut platform = PlatformSpec::epyc_9634();
     platform.cxl.as_mut().expect("9634 has CXL").flit_bytes = flit_bytes;
-    let spec = ScenarioSpec {
+    ScenarioSpec {
         name: format!("flit_study {flit_bytes} B"),
         description: "Six chiplets streaming cacheline CXL.mem reads".to_string(),
         topology: TopologyChoice::Inline(platform),
@@ -51,19 +60,18 @@ fn cxl_socket_bandwidth(flit_bytes: u32) -> (f64, f64) {
             }),
             links: Vec::new(),
         }],
-    };
-    let outcome = spec
-        .run()
-        .expect("flit_study specs resolve")
-        .outcome()
-        .expect("event runs complete")
-        .clone();
-    let f = &outcome.flows[0];
-    (f.achieved_gb_s, f.mean_latency_ns.unwrap_or(f64::NAN))
+    }
 }
 
-/// Renders the study (identical to the former `flit_study` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// One point per FLIT format, in table order.
+pub fn specs() -> Vec<ScenarioSpec> {
+    FORMATS
+        .map(|(_, framing)| cxl_socket_spec(framing.flit_bytes))
+        .into()
+}
+
+/// Renders the study from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -75,19 +83,16 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         "socket CXL read GB/s",
         "mean ns",
     ]);
-    for (label, framing) in [
-        ("68 B (one line/FLIT)", FlitFraming::CXL_68B),
-        ("256 B (line-granular)", FlitFraming::CXL_256B),
-    ] {
-        let (bw, lat) = cxl_socket_bandwidth(framing.flit_bytes);
+    for ((label, framing), report) in FORMATS.iter().zip(reports) {
+        let f = &report.outcome().expect("event runs complete").flows[0];
         // For single-line transactions the efficiency is payload/wire of
         // one line, not the format's best case.
         let line_eff = 64.0 / framing.wire_bytes(64) as f64;
         t.row(vec![
             label.to_string(),
             format!("{:.1}%", line_eff * 100.0),
-            f1(bw),
-            f1(lat),
+            f1(f.achieved_gb_s),
+            f1(f.mean_latency_ns.unwrap_or(f64::NAN)),
         ]);
     }
     let _ = write!(out, "{}", t.render());

@@ -4,15 +4,16 @@
 //! than a compute chiplet" — and the orchestration remedy.
 //!
 //! The contention runs are declarative [`ScenarioSpec`]s (app writes + NIC
-//! RX DMA as two flows) through the event backend on the `epyc_9634_nic`
-//! platform preset.
+//! RX DMA as two flows) on the event backend and the `epyc_9634_nic`
+//! platform preset; [`specs`] lists them and [`render`] folds their
+//! reports.
 
 use std::fmt::Write;
 
 use chiplet_mem::OpKind;
 use chiplet_net::scenario::{
-    BackendKind, CoreSelect, EngineFlow, EngineOptions, ScenarioFlow, ScenarioSpec, TargetSpec,
-    TopologyChoice,
+    BackendKind, CoreSelect, EngineFlow, EngineOptions, ScenarioFlow, ScenarioReport, ScenarioSpec,
+    TargetSpec, TopologyChoice,
 };
 use chiplet_net::traffic::TrafficPolicy;
 use chiplet_sim::SimTime;
@@ -59,21 +60,40 @@ fn storm_spec(policy: TrafficPolicy, rx_dimms: Vec<u32>) -> ScenarioSpec {
     }
 }
 
-fn run_storm(policy: TrafficPolicy, rx_dimms: Vec<u32>) -> (f64, f64) {
-    let outcome = storm_spec(policy, rx_dimms)
-        .run()
-        .expect("fused_stack specs resolve")
-        .outcome()
-        .expect("event runs complete")
-        .clone();
+/// The storm's traffic policies, in table order.
+fn policies() -> [(&'static str, TrafficPolicy); 3] {
+    [
+        ("hardware (unmanaged)", TrafficPolicy::HardwareDefault),
+        ("max-min fair", TrafficPolicy::MaxMinFair),
+        (
+            "NIC rate-capped at 25",
+            TrafficPolicy::RateLimit {
+                caps_gb_s: vec![f64::INFINITY, 25.0],
+            },
+        ),
+    ]
+}
+
+/// Every run of the study: the storm on the app's two DIMMs under each
+/// policy, then unmanaged with the RX buffers on six other DIMMs.
+pub fn specs() -> Vec<ScenarioSpec> {
+    let placed = storm_spec(TrafficPolicy::HardwareDefault, (6..12).collect());
+    let storms = policies().map(|(_, policy)| storm_spec(policy, vec![0, 1]));
+    storms.into_iter().chain([placed]).collect()
+}
+
+/// A storm's (app, NIC RX) achieved GB/s.
+fn storm_result(report: &ScenarioReport) -> (f64, f64) {
+    let outcome = report.outcome().expect("event runs complete");
     (
         outcome.flow("app").unwrap().achieved_gb_s,
         outcome.flow("nic-rx").unwrap().achieved_gb_s,
     )
 }
 
-/// Renders the study (identical to the former `fused_stack` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the study from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
+    let (storms, placed) = reports.split_at(policies().len());
     let spec = PlatformSpec::epyc_9634().with_nic(NicSpec::gbe400());
     let mut out = String::new();
     let _ = writeln!(out, "Fused-stack study: {} + 400 GbE NIC\n", spec.name);
@@ -91,9 +111,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         f1(spec.caps.gmi_write.as_gb_per_s()),
         f1(spec.caps.gmi_read.as_gb_per_s()),
     ]);
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
     let _ = writeln!(
         out,
         "  -> the inter-host fabric outruns the intra-host chiplet link \
@@ -107,30 +125,18 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         "RX DMA storm vs application writes to the same two DIMMs:"
     );
     let mut t = TextTable::new(vec!["policy", "app writes GB/s", "NIC RX GB/s"]);
-    let policies: [(&str, TrafficPolicy); 3] = [
-        ("hardware (unmanaged)", TrafficPolicy::HardwareDefault),
-        ("max-min fair", TrafficPolicy::MaxMinFair),
-        (
-            "NIC rate-capped at 25",
-            TrafficPolicy::RateLimit {
-                caps_gb_s: vec![f64::INFINITY, 25.0],
-            },
-        ),
-    ];
-    for (name, policy) in policies {
-        let (app, nic) = run_storm(policy, vec![0, 1]);
+    for ((name, _), report) in policies().iter().zip(storms) {
+        let (app, nic) = storm_result(report);
         t.row(vec![name.to_string(), f1(app), f1(nic)]);
     }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
 
     // 3. Placement as orchestration: steering the RX ring to other UMCs.
     let _ = writeln!(
         out,
         "\nPlacement orchestration: move the RX buffers off the app's DIMMs:"
     );
-    let (app, nic) = run_storm(TrafficPolicy::HardwareDefault, (6..12).collect());
+    let (app, nic) = storm_result(&placed[0]);
     let _ = writeln!(
         out,
         "  app writes {} GB/s, NIC RX {} GB/s — both at full rate.",

@@ -5,10 +5,13 @@
 //! kind-checked [`ScenarioKind`] through [`paper_registry`], and
 //! [`render`] turns any run into its output. Experiments that are a single
 //! declarative run are registered as [`ScenarioKind::Spec`] entries
-//! (pure [`ScenarioSpec`](chiplet_net::scenario::ScenarioSpec)s, rendered
-//! generically); multi-run sweeps and comparisons are
-//! [`ScenarioKind::Study`] entries that orchestrate their runs through the
-//! scenario layer and render their own tables.
+//! (pure [`ScenarioSpec`]s, rendered generically); multi-run tables,
+//! figures and comparisons are [`ScenarioKind::Study`] entries: a module's
+//! `specs()` lists its points, the sweep executor runs them (cached, on
+//! `--jobs` workers, servable), and its `render` folds the reports in list
+//! order into its tables. `table1` and `noc_study` have no points:
+//! `table1` prints preset parameters, and `noc_study` drives the NoC model
+//! itself because no backend runs it.
 
 pub mod ablation_monolithic;
 pub mod ablation_traffic;
@@ -29,8 +32,7 @@ pub mod table3;
 
 use std::fmt::Write;
 
-use chiplet_net::dse::{DseRunner, DseSpec};
-use chiplet_net::metrics::MetricsRegistry;
+use chiplet_net::dse::DseSpec;
 use chiplet_net::scenario::{
     ScenarioEntry, ScenarioKind, ScenarioRegistry, ScenarioReport, ScenarioRun, ScenarioSpec,
     SweepOutcome, SweepSpec,
@@ -122,14 +124,16 @@ pub fn render_sweep(outcome: &SweepOutcome) -> String {
 }
 
 /// Renders a run as its command-line output: the structured JSON with
-/// `json`, the text tables otherwise. A study's text has no JSON form, so
-/// `json` does not apply to it.
+/// `json` (a study's is the outcome of its points), the text tables
+/// otherwise.
 pub fn render(run: &ScenarioRun, json: bool) -> String {
     match (run, json) {
-        (ScenarioRun::Text(text), _) => text.clone(),
         (ScenarioRun::Report(report), true) => format!("{}\n", report.to_json()),
         (ScenarioRun::Report(report), false) => render_report(report),
-        (ScenarioRun::Sweep(outcome, _), true) => format!("{}\n", outcome.to_json()),
+        (ScenarioRun::Study(text, _, _), false) => text.clone(),
+        (ScenarioRun::Sweep(outcome, _) | ScenarioRun::Study(_, outcome, _), true) => {
+            format!("{}\n", outcome.to_json())
+        }
         (ScenarioRun::Sweep(outcome, _), false) => render_sweep(outcome),
         (ScenarioRun::Dse(outcome, _), true) => format!("{}\n", outcome.to_json()),
         (ScenarioRun::Dse(outcome, _), false) => dse::render_dse(outcome),
@@ -208,140 +212,115 @@ pub fn resolve_name(verb: Verb, name: &str) -> Result<ScenarioKind, ResolveError
     }
 }
 
-/// Runs a registry built-in with the default settings (a worker per core,
-/// no cache) and renders it as text.
-///
-/// # Panics
-///
-/// Panics on an unknown name or a spec that doesn't resolve — built-ins
-/// always do; the `chiplet-scenario` CLI handles user input gracefully.
-pub fn render_named(name: &str) -> String {
-    render_named_with_metrics(name, &mut MetricsRegistry::new())
-}
-
-/// [`render_named`], but folding the run's telemetry into `metrics` —
-/// specs and sweeps run through the metric-aware scenario layer, studies
-/// record whatever they instrument.
-///
-/// # Panics
-///
-/// Panics on an unknown name or a spec that doesn't resolve, like
-/// [`render_named`].
-pub fn render_named_with_metrics(name: &str, metrics: &mut MetricsRegistry) -> String {
-    let run = resolve_name(Verb::Run, name)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .run(&DseRunner::default(), Some(metrics))
-        .unwrap_or_else(|e| panic!("built-in scenario '{name}' resolves: {e}"));
-    render(&run, false)
+/// A [`ScenarioKind::Study`] entry named after its module `$m`: the
+/// module's `specs` (or the given point-list builder) and its `render`.
+macro_rules! study {
+    ($m:ident, $summary:literal) => {
+        study!($m, $m::specs, $summary)
+    };
+    ($m:ident, $specs:expr, $summary:literal) => {
+        ScenarioEntry {
+            name: stringify!($m),
+            summary: $summary,
+            build: || ScenarioKind::Study {
+                name: stringify!($m),
+                specs: $specs,
+                render: $m::render,
+            },
+        }
+    };
 }
 
 /// The registry of the paper's figures, tables, and companion studies.
 pub fn paper_registry() -> ScenarioRegistry {
     let mut reg = ScenarioRegistry::new();
-    reg.register(ScenarioEntry {
-        name: "table1",
-        summary: "Table 1: hardware specifications of the two processors",
-        build: || ScenarioKind::Study(table1::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "table2",
-        summary: "Table 2: data-path latency breakdown (pointer chasing)",
-        build: || ScenarioKind::Study(table2::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "table3",
-        summary: "Table 3: max bandwidth per core/CCX/CCD/CPU scope",
-        build: || ScenarioKind::Study(table3::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig3",
-        summary: "Figure 3: latency vs offered load on IF/GMI/P-Link",
-        build: || ScenarioKind::Study(fig3::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig4",
-        summary: "Figure 4: sender-driven bandwidth partitioning, four cases",
-        build: || ScenarioKind::Study(fig4::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig5",
-        summary: "Figure 5: bandwidth harvesting under fluctuating demands",
-        build: || ScenarioKind::Study(fig5::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig5_if_9634",
-        summary: "Figure 5 panel on the 9634 IF, as a pure fluid ScenarioSpec",
-        build: || ScenarioKind::Spec(fig5::spec_if_9634()),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig5_plink_9634",
-        summary: "Figure 5 panel on the 9634 P-Link, as a pure fluid ScenarioSpec",
-        build: || ScenarioKind::Spec(fig5::spec_plink_9634()),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig5_if_7302",
-        summary: "Figure 5 panel on the unstable 7302 IF, as a pure fluid ScenarioSpec",
-        build: || ScenarioKind::Spec(fig5::spec_if_7302()),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig6",
-        summary: "Figure 6: read/write interference on the EPYC 9634",
-        build: || ScenarioKind::Study(fig6::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "bdp_control",
-        summary: "BDP-adaptive traffic control: the bandwidth/latency frontier",
-        build: || ScenarioKind::Study(bdp_control::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "numa_study",
-        summary: "NUMA/NPS study on the dual-socket 2x EPYC 7302 testbed",
-        build: || ScenarioKind::Study(numa_study::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "ablation_traffic",
-        summary: "Ablation A: traffic-manager policies vs hardware partitioning",
-        build: || ScenarioKind::Study(ablation_traffic::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "ablation_monolithic",
-        summary: "Ablation B: the chiplet tax vs a monolithic baseline",
-        build: || ScenarioKind::Study(ablation_monolithic::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "flit_study",
-        summary: "CXL FLIT-framing ablation: 68 B vs 256 B formats",
-        build: || ScenarioKind::Study(flit_study::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "fused_stack",
-        summary: "Fused intra-/inter-host stack: 400 GbE DMA vs the chiplet network",
-        build: || ScenarioKind::Study(fused_stack::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "noc_study",
-        summary: "NoC design-space study: mesh/torus, buffered/bufferless",
-        build: || ScenarioKind::Study(noc_study::render),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig3_sweep",
-        summary: "Figure 3 load axis as a 24-point event-engine sweep",
-        build: || ScenarioKind::Sweep(sweeps::fig3_sweep()),
-    });
-    reg.register(ScenarioEntry {
-        name: "fig5_sweep",
-        summary: "Figure 5 harvesting vs capacity x flow count (fluid sweep)",
-        build: || ScenarioKind::Sweep(sweeps::fig5_sweep()),
-    });
-    reg.register(ScenarioEntry {
-        name: "dse_epyc",
-        summary: "10,800-design search over both EPYC platforms, 16 escalated",
-        build: || ScenarioKind::Dse(dse::dse_epyc()),
-    });
-    reg.register(ScenarioEntry {
-        name: "dse_smoke",
-        summary: "480-design CI smoke search (determinism probe), 8 escalated",
-        build: || ScenarioKind::Dse(dse::dse_smoke()),
-    });
+    for entry in [
+        study!(
+            table1,
+            Vec::new,
+            "Table 1: hardware specifications of the two processors"
+        ),
+        study!(
+            table2,
+            "Table 2: data-path latency breakdown (pointer chasing)"
+        ),
+        study!(table3, "Table 3: max bandwidth per core/CCX/CCD/CPU scope"),
+        study!(fig3, "Figure 3: latency vs offered load on IF/GMI/P-Link"),
+        study!(
+            fig4,
+            "Figure 4: sender-driven bandwidth partitioning, four cases"
+        ),
+        study!(
+            fig5,
+            "Figure 5: bandwidth harvesting under fluctuating demands"
+        ),
+        ScenarioEntry {
+            name: "fig5_if_9634",
+            summary: "Figure 5 panel on the 9634 IF, as a pure fluid ScenarioSpec",
+            build: || ScenarioKind::Spec(fig5::spec_if_9634()),
+        },
+        ScenarioEntry {
+            name: "fig5_plink_9634",
+            summary: "Figure 5 panel on the 9634 P-Link, as a pure fluid ScenarioSpec",
+            build: || ScenarioKind::Spec(fig5::spec_plink_9634()),
+        },
+        ScenarioEntry {
+            name: "fig5_if_7302",
+            summary: "Figure 5 panel on the unstable 7302 IF, as a pure fluid ScenarioSpec",
+            build: || ScenarioKind::Spec(fig5::spec_if_7302()),
+        },
+        study!(fig6, "Figure 6: read/write interference on the EPYC 9634"),
+        study!(
+            bdp_control,
+            "BDP-adaptive traffic control: the bandwidth/latency frontier"
+        ),
+        study!(
+            numa_study,
+            "NUMA/NPS study on the dual-socket 2x EPYC 7302 testbed"
+        ),
+        study!(
+            ablation_traffic,
+            "Ablation A: traffic-manager policies vs hardware partitioning"
+        ),
+        study!(
+            ablation_monolithic,
+            "Ablation B: the chiplet tax vs a monolithic baseline"
+        ),
+        study!(
+            flit_study,
+            "CXL FLIT-framing ablation: 68 B vs 256 B formats"
+        ),
+        study!(
+            fused_stack,
+            "Fused intra-/inter-host stack: 400 GbE DMA vs the chiplet network"
+        ),
+        study!(
+            noc_study,
+            Vec::new,
+            "NoC design-space study: mesh/torus, buffered/bufferless"
+        ),
+        ScenarioEntry {
+            name: "fig3_sweep",
+            summary: "Figure 3 load axis as a 24-point event-engine sweep",
+            build: || ScenarioKind::Sweep(sweeps::fig3_sweep()),
+        },
+        ScenarioEntry {
+            name: "fig5_sweep",
+            summary: "Figure 5 harvesting vs capacity x flow count (fluid sweep)",
+            build: || ScenarioKind::Sweep(sweeps::fig5_sweep()),
+        },
+        ScenarioEntry {
+            name: "dse_epyc",
+            summary: "10,800-design search over both EPYC platforms, 16 escalated",
+            build: || ScenarioKind::Dse(dse::dse_epyc()),
+        },
+        ScenarioEntry {
+            name: "dse_smoke",
+            summary: "480-design CI smoke search (determinism probe), 8 escalated",
+            build: || ScenarioKind::Dse(dse::dse_smoke()),
+        },
+    ] {
+        reg.register(entry);
+    }
     reg
 }

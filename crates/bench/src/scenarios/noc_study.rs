@@ -5,38 +5,40 @@
 //!
 //! This study exercises the cycle-level NoC model directly — it involves
 //! neither the event engine nor the fluid sim, so there is nothing for the
-//! scenario backends to run.
+//! scenario backends to run. It is the one study with no point list: its
+//! render drives [`NocSim`] itself, across worker threads, because no
+//! backend runs the NoC model.
 
 use std::fmt::Write;
 
-use chiplet_net::scenario::parallel_ordered;
+use chiplet_net::scenario::{parallel_ordered, ScenarioReport};
 use chiplet_noc::{NocConfig, NocSim, NocStats, NocTopology, Routing, TrafficPattern};
 use chiplet_sim::DetRng;
 
 use crate::{f1, TextTable};
 
-/// One simulation point of the study grid. Every point re-seeds its own
-/// RNG, so points are order- and thread-independent.
-fn run_point(config: NocConfig, pattern: TrafficPattern, rate: f64) -> NocStats {
+/// One simulation point of the study: a fabric, its traffic pattern and
+/// injection rate. Every point re-seeds its own RNG, so points are order-
+/// and thread-independent.
+fn run_point(&(config, pattern, rate): &(NocConfig, TrafficPattern, f64)) -> NocStats {
     let mut rng = DetRng::seed_from_u64(7);
     NocSim::run_synthetic(config, pattern, rate, 500, 5000, &mut rng)
 }
 
-/// Renders the study (identical to the former `noc_study` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the study. It has no points; the NoC runs happen here.
+pub fn render(_reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "NoC design-space study: 4x2 I/O-die fabric candidates.\n"
     );
+    let mesh = NocTopology::Mesh {
+        width: 4,
+        height: 2,
+    };
+    let buffered = Routing::BufferedXY { buffer_depth: 4 };
     let topologies = [
-        (
-            "mesh 4x2",
-            NocTopology::Mesh {
-                width: 4,
-                height: 2,
-            },
-        ),
+        ("mesh 4x2", mesh),
         (
             "torus 4x2",
             NocTopology::Torus {
@@ -46,10 +48,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         ),
     ];
     let routings = [
-        (
-            "buffered XY (4-deep)",
-            Routing::BufferedXY { buffer_depth: 4 },
-        ),
+        ("buffered XY (4-deep)", buffered),
         ("bufferless deflection", Routing::Deflection),
     ];
     let patterns = [
@@ -57,37 +56,36 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         ("hotspot@0", TrafficPattern::Hotspot { target: 0 }),
     ];
     let rates = [0.05, 0.15, 0.30, 0.45];
+    // Wormhole packet lengths, at a fixed ~0.2 flits/node/cycle.
+    let lens = [1u8, 2, 4, 8];
 
-    // Flatten the full grid, run it across worker threads, then render the
-    // per-pattern tables in grid order.
+    // Flatten the full grid plus the wormhole sweep, run it across worker
+    // threads, then render the tables in grid order.
     let mut grid = Vec::new();
-    for (pname, pattern) in patterns {
-        for (tname, topo) in topologies {
-            for (rname, routing) in routings {
+    for (_, pattern) in patterns {
+        for (_, topology) in topologies {
+            for (_, routing) in routings {
                 for &rate in &rates {
-                    grid.push((
-                        pname,
-                        pattern,
-                        format!("{tname} / {rname}"),
-                        topo,
+                    let config = NocConfig {
+                        topology,
                         routing,
-                        rate,
-                    ));
+                        packet_len: 1,
+                    };
+                    grid.push((config, pattern, rate));
                 }
             }
         }
     }
-    let results = parallel_ordered(&grid, 0, |_, (_, pattern, _, topo, routing, rate)| {
-        run_point(
-            NocConfig {
-                topology: *topo,
-                routing: *routing,
-                packet_len: 1,
-            },
-            *pattern,
-            *rate,
-        )
-    });
+    grid.extend(lens.map(|len| {
+        let config = NocConfig {
+            topology: mesh,
+            routing: buffered,
+            packet_len: len,
+        };
+        (config, TrafficPattern::UniformRandom, 0.2 / len as f64)
+    }));
+    let results = parallel_ordered(&grid, 0, |_, point| run_point(point));
+    let mut results = grid.iter().zip(&results);
     for (pname, _) in patterns {
         let _ = writeln!(out, "pattern: {pname}");
         let mut t = TextTable::new(vec![
@@ -98,21 +96,21 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
             "P999 (cyc)",
             "deflect/flit",
         ]);
-        for ((_, _, config, _, _, rate), stats) in
-            grid.iter().zip(&results).filter(|((p, ..), _)| *p == pname)
-        {
-            t.row(vec![
-                config.clone(),
-                format!("{rate:.2}"),
-                format!("{:.3}", stats.throughput()),
-                f1(stats.mean_latency()),
-                stats.p999_latency().to_string(),
-                format!("{:.2}", stats.deflection_rate()),
-            ]);
+        for (tname, _) in topologies {
+            for (rname, _) in routings {
+                for ((_, _, rate), stats) in results.by_ref().take(rates.len()) {
+                    t.row(vec![
+                        format!("{tname} / {rname}"),
+                        format!("{rate:.2}"),
+                        format!("{:.3}", stats.throughput()),
+                        f1(stats.mean_latency()),
+                        stats.p999_latency().to_string(),
+                        format!("{:.2}", stats.deflection_rate()),
+                    ]);
+                }
+            }
         }
-        for line in t.render().lines() {
-            let _ = writeln!(out, "  {line}");
-        }
+        out.push_str(&t.render_indented("  "));
         let _ = writeln!(out);
     }
     // Wormhole packet-length sweep at a fixed flit rate: longer packets
@@ -128,23 +126,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         "avg lat (cyc)",
         "P999 (cyc)",
     ]);
-    let lens = [1u8, 2, 4, 8];
-    let wormhole = parallel_ordered(&lens, 0, |_, &len| {
-        run_point(
-            NocConfig {
-                topology: NocTopology::Mesh {
-                    width: 4,
-                    height: 2,
-                },
-                routing: Routing::BufferedXY { buffer_depth: 4 },
-                packet_len: len,
-            },
-            TrafficPattern::UniformRandom,
-            0.2 / len as f64,
-        )
-    });
-    for (&len, stats) in lens.iter().zip(&wormhole) {
-        let rate = 0.2 / len as f64;
+    for (&len, ((_, _, rate), stats)) in lens.iter().zip(results) {
         t.row(vec![
             len.to_string(),
             format!("{rate:.3}"),
@@ -153,9 +135,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
             stats.p999_latency().to_string(),
         ]);
     }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
     let _ = writeln!(out);
     let _ = writeln!(
         out,

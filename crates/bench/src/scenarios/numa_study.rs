@@ -99,11 +99,10 @@ fn stream_result(report: &ScenarioReport) -> (f64, f64) {
     (f.achieved_gb_s, f.mean_latency_ns.unwrap_or(f64::NAN))
 }
 
-/// Renders the study (identical to the former `numa_study` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the study from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let spec = PlatformSpec::dual_epyc_7302();
     let topo = Topology::build(&spec);
-    let reports = chiplet_membench::run(&specs());
     let (ladder, streams) = reports.split_at(DimmPosition::ALL_WITH_REMOTE.len());
     let (nps_runs, remote_runs) = streams.split_at(NPS.len());
     let mut out = String::new();
@@ -127,9 +126,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
             format!("+{}%", f1((lat / near - 1.0) * 100.0)),
         ]);
     }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
 
     // 2. NPS modes: one chiplet at a moderate 20 GB/s, where the interleave
     // scope decides which positions the requests visit (at full saturation
@@ -141,9 +138,7 @@ pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
         let (achieved, mean) = stream_result(report);
         t.row(vec![nps.to_string(), n.to_string(), f1(achieved), f1(mean)]);
     }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
     let _ = writeln!(
         out,
         "  (NPS4 pins the interleave to the near quadrant: lowest latency; \
@@ -161,9 +156,7 @@ NPS1 spreads over all positions for the full UMC aggregate.)"
         let remote = stream_result(&pair[1]).0;
         t.row(vec![label.to_string(), f1(local), f1(remote)]);
     }
-    for line in t.render().lines() {
-        let _ = writeln!(out, "  {line}");
-    }
+    out.push_str(&t.render_indented("  "));
     let _ = writeln!(
         out,
         "\nReading: the remote rung of the NUMA ladder costs ~65% extra \

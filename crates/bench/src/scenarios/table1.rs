@@ -3,12 +3,13 @@
 
 use std::fmt::Write;
 
+use chiplet_net::scenario::ScenarioReport;
 use chiplet_topology::PlatformSpec;
 
 use crate::TextTable;
 
-/// Renders the table (identical to the former `table1` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the table. It has no points: every cell is a preset parameter.
+pub fn render(_reports: &[ScenarioReport]) -> String {
     let specs = [PlatformSpec::epyc_7302(), PlatformSpec::epyc_9634()];
     let mut t = TextTable::new(vec![
         "Parameters".to_string(),

@@ -6,7 +6,7 @@
 use std::fmt::Write;
 
 use chiplet_membench::latency::{chase_latencies, latency, ChaseTarget};
-use chiplet_net::scenario::ScenarioSpec;
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec};
 use chiplet_sim::ByteSize;
 use chiplet_topology::{CoreId, DimmPosition, PlatformSpec, Topology};
 
@@ -68,10 +68,10 @@ pub fn specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Renders the table (identical to the former `table2` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
+/// Renders the table from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let platforms = platforms().map(|(_, topo)| topo);
-    let mut latencies = chase_latencies(&chiplet_membench::run(&specs())).into_iter();
+    let mut latencies = chase_latencies(reports).into_iter();
     // Per platform: [L1, L2, L3, near, vertical, horizontal, diagonal, CXL?].
     let measured: Vec<Vec<f64>> = platforms
         .iter()

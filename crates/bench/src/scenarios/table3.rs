@@ -6,7 +6,7 @@ use std::fmt::Write;
 
 use chiplet_membench::bandwidth::{bandwidth, table3_rows, Destination};
 use chiplet_membench::CoreScope;
-use chiplet_net::scenario::ScenarioSpec;
+use chiplet_net::scenario::{ScenarioReport, ScenarioSpec};
 
 use crate::{rw, TextTable};
 
@@ -28,9 +28,8 @@ pub fn specs() -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Renders the table (identical to the former `table3` binary).
-pub fn render(_metrics: &mut chiplet_net::metrics::MetricsRegistry) -> String {
-    let reports = chiplet_membench::run(&specs());
+/// Renders the table from the reports of [`specs`].
+pub fn render(reports: &[ScenarioReport]) -> String {
     let columns: Vec<_> = reports
         .chunks(reports.len() / COLUMNS.len())
         .map(table3_rows)

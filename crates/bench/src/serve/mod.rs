@@ -1,7 +1,8 @@
 //! `chiplet-serve` — the scenario-serving daemon.
 //!
 //! Promotes the batch `chiplet-scenario sweep` runner into a persistent
-//! HTTP/JSON service: clients POST [`ScenarioSpec`]s or [`SweepSpec`]s, a
+//! HTTP/JSON service: clients POST [`ScenarioSpec`]s or [`SweepSpec`]s, or
+//! name a built-in spec, sweep or study, a
 //! bounded worker pool executes the points with **round-robin fair queuing
 //! across clients** ([`queue::FairQueue`]), identical points dedupe through
 //! an in-flight single-flight map *and* the same content-addressed
@@ -24,7 +25,7 @@
 //! | `GET /v1/status` | live introspection: queue depths, worker occupancy, in-flight keys, recent + slow requests |
 //! | `GET /v1/trace` | the flight recorder as Chrome trace-event JSON (Perfetto-ready) |
 //! | `POST /v1/run?name=N` or body spec | one scenario report |
-//! | `POST /v1/sweep?name=N` or body sweep | aggregate [`SweepOutcome`] |
+//! | `POST /v1/sweep?name=N` (sweep or study) or body sweep | aggregate [`SweepOutcome`] |
 //! | `POST /v1/sweep?...&stream=1` | chunked JSONL per-point progress |
 //!
 //! All POST routes accept `?client=<id>` for fair-queue identity (default
@@ -792,15 +793,24 @@ fn resolve_spec(req: &Request) -> Result<ScenarioSpec, (u16, String)> {
     ScenarioSpec::from_json(body_text(req)?).map_err(|e| (400, e.to_string()))
 }
 
-/// Resolves a request to a [`SweepSpec`], mirroring [`resolve_spec`].
-fn resolve_sweep(req: &Request) -> Result<SweepSpec, (u16, String)> {
-    if let Some(name) = req.param("name") {
-        return match resolve_name(Verb::Sweep, name).map_err(resolve_status)? {
-            ScenarioKind::Sweep(sweep) => Ok(sweep),
-            _ => Err((400, format!("'{name}' is not a sweep"))),
-        };
-    }
-    SweepSpec::from_json(body_text(req)?).map_err(|e| (400, e.to_string()))
+/// Resolves a request to a named point list, mirroring [`resolve_spec`]:
+/// a sweep (by name or body) expanded, or a study by name with its points
+/// as they stand ([`SweepPoint::as_is`]) — the list `chiplet-scenario run
+/// <name> --json` runs.
+fn resolve_sweep(req: &Request) -> Result<(String, Vec<SweepPoint>), (u16, String)> {
+    let sweep = match req.param("name") {
+        Some(name) => match resolve_name(Verb::Run, name).map_err(resolve_status)? {
+            ScenarioKind::Sweep(sweep) => sweep,
+            ScenarioKind::Study { name, specs, .. } => {
+                let points = specs().into_iter().map(SweepPoint::as_is).collect();
+                return Ok((name.to_string(), points));
+            }
+            _ => return Err((400, format!("'{name}' is not a sweep or study"))),
+        },
+        None => SweepSpec::from_json(body_text(req)?).map_err(|e| (400, e.to_string()))?,
+    };
+    let points = sweep.expand().map_err(|e| (400, e.to_string()))?;
+    Ok((sweep.name, points))
 }
 
 /// An unknown name is a 404; a name of the wrong kind is a 400.
@@ -1003,15 +1013,11 @@ fn handle_sweep(
 ) -> std::io::Result<()> {
     let client = client_of(req);
     let mut draft = SpanDraft::new(state, accept_ns, client.clone(), "/v1/sweep");
-    let sweep = match resolve_sweep(req) {
+    let (name, points) = match resolve_sweep(req) {
         Ok(s) => s,
         Err((status, msg)) => return draft.reject(state, stream, status, &msg),
     };
-    draft.point = format!("sweep:{}", sweep.name);
-    let points = match sweep.expand() {
-        Ok(p) => p,
-        Err(e) => return draft.reject(state, stream, 400, &e.to_string()),
-    };
+    draft.point = format!("sweep:{name}");
     draft.points = points.len();
     draft.parsed_ns = state.obs.now_ns();
     let (items, receivers): (Vec<_>, Vec<_>) = points
@@ -1033,15 +1039,7 @@ fn handle_sweep(
         Err(msg) => return draft.reject(state, stream, 429, &msg),
     };
     let streamed = matches!(req.param("stream"), Some("1" | "true"));
-    respond_sweep(
-        state,
-        stream,
-        &sweep.name,
-        &points,
-        receivers,
-        draft,
-        streamed,
-    )
+    respond_sweep(state, stream, &name, &points, receivers, draft, streamed)
 }
 
 /// Per-point reply tallies of one sweep request.

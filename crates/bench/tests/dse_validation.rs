@@ -106,7 +106,7 @@ fn estimator_tracks_the_event_engine_across_the_registry() {
                     covered += 1;
                 }
             }
-            ScenarioKind::Study(_) => {}
+            ScenarioKind::Study { .. } => {}
         }
     }
     assert!(

@@ -1,55 +1,61 @@
 //! Golden snapshots and end-to-end checks for the declarative scenario
 //! layer.
 //!
-//! The `tests/golden/*.txt` files are the exact stdout of the pre-refactor
-//! `fig3`/`fig5` binaries (default seed); the registry-driven renderers
-//! must reproduce them byte for byte. `tests/golden/dse_smoke.json` is the
-//! exact stdout of `chiplet-scenario dse dse_smoke --json --no-cache`.
-//! `tests/golden/fig3_sweep.json` and `tests/golden/ccd_vs_cxl.json` pin
-//! the event engine's bytes: the exact stdout of `chiplet-scenario sweep
-//! fig3_sweep --json --no-cache` and of `chiplet-scenario run
-//! examples/scenarios/ccd_vs_cxl.json --json`. `tests/golden/{table2,
-//! table3,flit_study,fig4}.txt` are the exact stdout of `chiplet-scenario
-//! run <name>` for the engine studies that sweep the most configurations
-//! (pointer chases, every bandwidth scope, both CXL FLIT formats, the four
-//! partitioning cases). `fig6`, the two ablations and `numa_study` are
-//! pinned to their tracked `results/<name>.txt`, the same bytes CI's
-//! every-entry diff checks. The `examples/scenarios/*.json` files are the
-//! user-facing custom-scenario examples from the README and the span-trace
-//! views — every one must parse, run on its backend, move data on every
-//! flow, and be seed-stable.
+//! Every study is pinned: `tests/golden/{fig3,fig5,table2,table3,
+//! flit_study,fig4}.txt` are the exact stdout of the pre-refactor binaries
+//! and of `chiplet-scenario run <name>`, and every other study is pinned
+//! to its tracked `results/<name>.txt`, the same bytes CI's every-entry
+//! diff checks. Studies resolve, run and render through the public path
+//! (`resolve_name` + `ScenarioKind::run` + `render`), cold and then warm
+//! from a result cache, at one worker and at eight, so a report read back
+//! from the cache must render the bytes of a fresh one.
+//! `tests/golden/dse_smoke.json` is the exact stdout of `chiplet-scenario
+//! dse dse_smoke --json --no-cache`. `tests/golden/fig3_sweep.json` and
+//! `tests/golden/ccd_vs_cxl.json` pin the event engine's bytes: the exact
+//! stdout of `chiplet-scenario sweep fig3_sweep --json --no-cache` and of
+//! `chiplet-scenario run examples/scenarios/ccd_vs_cxl.json --json`. The
+//! `examples/scenarios/*.json` files are the user-facing custom-scenario
+//! examples from the README and the span-trace views — every one must
+//! parse, run on its backend, move data on every flow, and be seed-stable.
+
+use std::path::PathBuf;
 
 use chiplet_bench::f1;
 use chiplet_bench::scenarios::dse::dse_smoke;
-use chiplet_bench::scenarios::{
-    ablation_monolithic, ablation_traffic, fig3, fig4, fig6, numa_study, paper_registry,
-    render_named, render_named_with_metrics, table2, table3,
-};
+use chiplet_bench::scenarios::{paper_registry, render, resolve_name, Verb};
 use chiplet_mem::OpKind;
 use chiplet_membench::compete::{compete, CompeteLink};
 use chiplet_net::dse::DseRunner;
 use chiplet_net::metrics::MetricsRegistry;
 use chiplet_net::scenario::{
-    spec_hash, BackendKind, EventEngineBackend, ScenarioKind, ScenarioSpec, SweepPoint, SweepRunner,
+    spec_hash, BackendKind, EventEngineBackend, FluidBackend, ScenarioKind, ScenarioRun,
+    ScenarioSpec, SweepPoint, SweepRunner, SweepStats,
 };
 
-const FIG3_GOLDEN: &str = include_str!("../../../tests/golden/fig3.txt");
 const FIG5_GOLDEN: &str = include_str!("../../../tests/golden/fig5.txt");
 const FIG5_METRICS_GOLDEN: &str = include_str!("../../../tests/golden/fig5_metrics.txt");
 const DSE_SMOKE_GOLDEN: &str = include_str!("../../../tests/golden/dse_smoke.json");
 const FIG3_SWEEP_GOLDEN: &str = include_str!("../../../tests/golden/fig3_sweep.json");
 const CCD_VS_CXL_GOLDEN: &str = include_str!("../../../tests/golden/ccd_vs_cxl.json");
-const STUDY_GOLDENS: [(&str, &str); 8] = [
+/// Every study's pin, in registry order.
+const STUDY_GOLDENS: [(&str, &str); 14] = [
+    ("table1", include_str!("../../../results/table1.txt")),
     ("table2", include_str!("../../../tests/golden/table2.txt")),
     ("table3", include_str!("../../../tests/golden/table3.txt")),
-    (
-        "flit_study",
-        include_str!("../../../tests/golden/flit_study.txt"),
-    ),
+    ("fig3", include_str!("../../../tests/golden/fig3.txt")),
     ("fig4", include_str!("../../../tests/golden/fig4.txt")),
+    ("fig5", FIG5_GOLDEN),
     // The slowest entry here (~2 s in release, ~30 s unoptimized): four
     // interference domains × four read/write combos × nine background loads.
     ("fig6", include_str!("../../../results/fig6.txt")),
+    (
+        "bdp_control",
+        include_str!("../../../results/bdp_control.txt"),
+    ),
+    (
+        "numa_study",
+        include_str!("../../../results/numa_study.txt"),
+    ),
     (
         "ablation_traffic",
         include_str!("../../../results/ablation_traffic.txt"),
@@ -59,16 +65,42 @@ const STUDY_GOLDENS: [(&str, &str); 8] = [
         include_str!("../../../results/ablation_monolithic.txt"),
     ),
     (
-        "numa_study",
-        include_str!("../../../results/numa_study.txt"),
+        "flit_study",
+        include_str!("../../../tests/golden/flit_study.txt"),
     ),
+    (
+        "fused_stack",
+        include_str!("../../../results/fused_stack.txt"),
+    ),
+    ("noc_study", include_str!("../../../results/noc_study.txt")),
 ];
 const EVENT_EXAMPLE: &str = include_str!("../../../examples/scenarios/ccd_vs_cxl.json");
 const COMPETE_EXAMPLE: &str = include_str!("../../../examples/scenarios/compete_gmi_7302.json");
 
-#[test]
-fn fig5_matches_the_pre_refactor_binary() {
-    assert_eq!(render_named("fig5"), FIG5_GOLDEN);
+/// Resolves `name` through the public path, runs it with `settings` (and
+/// `metrics`, when given) and renders its text; also returns a study's
+/// execution stats.
+fn run_named(
+    name: &str,
+    settings: &DseRunner,
+    metrics: Option<&mut MetricsRegistry>,
+) -> (String, SweepStats) {
+    let run = resolve_name(Verb::Run, name)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run(settings, metrics)
+        .unwrap_or_else(|e| panic!("built-in scenario '{name}' runs: {e}"));
+    let stats = match &run {
+        ScenarioRun::Study(_, _, stats) => *stats,
+        _ => SweepStats::default(),
+    };
+    (render(&run, false), stats)
+}
+
+/// A fresh, empty cache directory for one test run.
+fn temp_cache(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("chiplet-golden-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 #[test]
@@ -77,24 +109,69 @@ fn fig5_openmetrics_dump_is_pinned() {
     // sets are sorted before encoding and every value is sim-time-derived,
     // so the dump is byte-stable across runs, worker counts, and machines.
     let mut metrics = MetricsRegistry::new();
-    let text = render_named_with_metrics("fig5", &mut metrics);
+    let (text, stats) = run_named("fig5", &DseRunner::default(), Some(&mut metrics));
     assert_eq!(text, FIG5_GOLDEN, "report text is metrics-invariant");
+    assert_eq!((stats.total, stats.executed), (3, 3));
     let dump = metrics.to_openmetrics();
     chiplet_net::lint_openmetrics(&dump).expect("dump passes the OpenMetrics lint");
     assert_eq!(dump, FIG5_METRICS_GOLDEN);
 }
 
 #[test]
-fn fig3_matches_the_pre_refactor_binary() {
-    // The slowest snapshot (~20 s unoptimized): the full loaded-latency
-    // sweep of Figure 3 on both platforms.
-    assert_eq!(render_named("fig3"), FIG3_GOLDEN);
+fn study_metrics_dump_is_jobs_invariant() {
+    // `run flit_study --metrics` at --jobs 1 and 8: every point records
+    // into a private registry, merged in list order.
+    let dump = |jobs| {
+        let mut metrics = MetricsRegistry::new();
+        let (text, _) = run_named(
+            "flit_study",
+            &DseRunner::with_jobs(jobs),
+            Some(&mut metrics),
+        );
+        (text, metrics.to_openmetrics())
+    };
+    let (text1, dump1) = dump(1);
+    let (text8, dump8) = dump(8);
+    assert_eq!(text1, text8);
+    assert_eq!(dump1, dump8, "the dump must not depend on the worker count");
+    chiplet_net::lint_openmetrics(&dump1).expect("dump passes the OpenMetrics lint");
+    assert!(dump1.contains(r#"scenario="flit_study 256 B""#));
 }
 
 #[test]
-fn engine_studies_match_their_pinned_reports() {
-    for (name, golden) in STUDY_GOLDENS {
-        assert_eq!(render_named(name), golden, "{name}");
+fn every_study_matches_its_pin_cold_and_warm_at_jobs_1_and_8() {
+    // The slowest test here (each study executes twice, ~2 min
+    // unoptimized). Every registry study has a pin, and renders it four
+    // ways: cold into an empty cache, then warm from it, at one worker and
+    // at eight. The warm run executes nothing.
+    let studies: Vec<&str> = paper_registry()
+        .entries()
+        .iter()
+        .filter(|e| matches!((e.build)(), ScenarioKind::Study { .. }))
+        .map(|e| e.name)
+        .collect();
+    let pinned: Vec<&str> = STUDY_GOLDENS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(studies, pinned, "every study has a pin, in registry order");
+    for jobs in [1, 8] {
+        let dir = temp_cache(&format!("j{jobs}"));
+        let settings = DseRunner {
+            jobs,
+            cache_dir: Some(dir.clone()),
+            budget: None,
+        };
+        for (name, golden) in STUDY_GOLDENS {
+            let (cold, stats) = run_named(name, &settings, None);
+            assert_eq!(cold, golden, "{name} cold at --jobs {jobs}");
+            assert_eq!(stats.executed + stats.cached, stats.total, "{name}");
+            let (warm, stats) = run_named(name, &settings, None);
+            assert_eq!(warm, golden, "{name} warm at --jobs {jobs}");
+            assert_eq!(
+                (stats.cached, stats.executed),
+                (stats.total, 0),
+                "{name} warm at --jobs {jobs} is served from the cache"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -290,32 +367,38 @@ fn compete_example_is_the_generator_output_and_reproduces_its_split() {
 
 #[test]
 fn membench_study_specs_are_plain_scenario_data() {
-    // Every probe the membench-driven studies run is an ordinary spec: its
-    // JSON reads back to the same bytes, and the event backend accepts it.
-    // (Byte equality rather than `==`: non-finite floats write as `null`,
-    // so ablation_traffic's uncapped `f64::INFINITY` rate-limit entry reads
-    // back as NaN, which the policy treats as uncapped too.)
-    let studies = [
-        ("table2", table2::specs()),
-        ("table3", table3::specs()),
-        ("fig3", fig3::specs()),
-        ("fig4", fig4::specs()),
-        ("fig6", fig6::specs()),
-        ("ablation_traffic", ablation_traffic::specs()),
-        ("ablation_monolithic", ablation_monolithic::specs()),
-        ("numa_study", numa_study::specs()),
-    ];
-    for (study, specs) in studies {
-        assert!(!specs.is_empty(), "{study}");
-        for spec in specs {
+    // Every point a registry study runs is an ordinary spec: its JSON reads
+    // back to the same bytes, and its backend accepts it. (Byte equality
+    // rather than `==`: non-finite floats write as `null`, so an uncapped
+    // `f64::INFINITY` rate-limit entry reads back as NaN, which the policy
+    // treats as uncapped too.)
+    let mut points = 0;
+    for entry in paper_registry().entries() {
+        let ScenarioKind::Study { specs, .. } = (entry.build)() else {
+            continue;
+        };
+        let study = entry.name;
+        for spec in specs() {
             let json = spec.to_json();
             let back = ScenarioSpec::from_json(&json)
                 .unwrap_or_else(|e| panic!("{study} / {}: {e}", spec.name));
             assert_eq!(back.to_json(), json, "{study} / {}", spec.name);
-            let topo = back.topology.resolve().expect("probe platforms build");
-            if let Err(e) = EventEngineBackend::instantiate(&back, &topo) {
+            assert_eq!(SweepPoint::as_is(back.clone()).hash, spec_hash(&spec));
+            let accepted = match back.backend {
+                BackendKind::Event => {
+                    let topo = back.topology.resolve().expect("probe platforms build");
+                    EventEngineBackend::instantiate(&back, &topo).map(drop)
+                }
+                BackendKind::Fluid => FluidBackend::links(&back).map(drop),
+            };
+            if let Err(e) = accepted {
                 panic!("{study} / {}: {e}", spec.name);
             }
+            points += 1;
         }
     }
+    // table2 15, table3 24, fig3 120, fig4 20, fig5 3, fig6 144,
+    // bdp_control 12, numa_study 12, ablation_traffic 8,
+    // ablation_monolithic 7, flit_study 2, fused_stack 4.
+    assert_eq!(points, 371);
 }

@@ -4,10 +4,13 @@
 
 use std::path::{Path, PathBuf};
 
-use chiplet_bench::scenarios::paper_registry;
+use chiplet_bench::scenarios::{fig5, paper_registry, render, resolve_name, Verb};
 use chiplet_bench::serve::hammer::{hammer, HammerOptions};
 use chiplet_bench::serve::{describe_serve_metrics, http, obs, ServeConfig, Server};
-use chiplet_net::scenario::{ScenarioKind, SweepRunner, SweepSpec};
+use chiplet_net::dse::DseRunner;
+use chiplet_net::scenario::{
+    cache_path, spec_hash, ScenarioKind, SweepOutcome, SweepRunner, SweepSpec,
+};
 use chiplet_net::{lint_openmetrics, MetricsRegistry};
 use chiplet_sim::SimTime;
 use chiplet_topology::PlatformSpec;
@@ -82,6 +85,36 @@ fn served_sweep_bytes_match_the_batch_runner() {
         http::fetch(&addr, "POST", "/v1/sweep?name=fig5_sweep", None).expect("named sweep");
     assert_eq!(status, 200);
     assert_eq!(named, served);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn served_study_bytes_match_the_batch_runner() {
+    // A study name on /v1/sweep runs the study's points, as they stand,
+    // through the per-point queue and cache: the body is `chiplet-scenario
+    // run fig5 --json --no-cache`, and each point's cache entry is the one
+    // a /v1/run of the same spec uses.
+    let dir = scratch_dir("study");
+    let server = spawn(Some(dir.clone()), 4096, 4096);
+    let addr = server.addr().to_string();
+    let (status, served) =
+        http::fetch(&addr, "POST", "/v1/sweep?name=fig5&client=t1", None).expect("named study");
+    assert_eq!(status, 200, "{served}");
+    let batch = resolve_name(Verb::Run, "fig5")
+        .expect("registered")
+        .run(&DseRunner::default(), None)
+        .expect("batch run");
+    assert_eq!(served, render(&batch, true));
+
+    let panel = fig5::spec_if_9634();
+    assert!(cache_path(&dir, &spec_hash(&panel)).is_file());
+    let (status, single) =
+        http::fetch(&addr, "POST", "/v1/run", Some(&panel.to_json())).expect("POST /v1/run");
+    assert_eq!(status, 200, "{single}");
+    let outcome = SweepOutcome::from_json(served.trim_end()).expect("an outcome");
+    assert_eq!(single, format!("{}\n", outcome.points[0].report.to_json()));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -176,7 +209,7 @@ fn bad_submissions_fail_cleanly() {
         ("POST", "/v1/run", Some("{ not json"), 400),
         ("POST", "/v1/run", None, 400),
         ("POST", "/v1/run?name=fig99", None, 404),
-        ("POST", "/v1/sweep?name=fig3", None, 400), // a spec, not a sweep
+        ("POST", "/v1/sweep?name=fig5_if_9634", None, 400), // a spec, not a sweep
         ("GET", "/v1/nowhere", None, 404),
         ("DELETE", "/v1/run", None, 405),
     ];

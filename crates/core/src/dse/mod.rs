@@ -254,12 +254,13 @@ pub struct DseSpec {
     pub base: ScenarioSpec,
     /// The design axes (cartesian product, first axis outermost).
     pub axes: Vec<DseAxis>,
-    /// Expansion cap; `None` means [`MAX_CANDIDATES`].
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// Expansion cap; `None` means [`MAX_CANDIDATES`]. `None` serializes
+    /// as `null`, like every absent field.
+    #[serde(default)]
     pub max_candidates: Option<usize>,
     /// How many frontier designs escalate to full event-engine runs;
-    /// `None` escalates the whole frontier.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// `None` escalates the whole frontier. `None` serializes as `null`.
+    #[serde(default)]
     pub escalate: Option<usize>,
 }
 

@@ -44,8 +44,8 @@ pub use spec::{
 pub(crate) use sweep::seal_spec;
 pub use sweep::{
     cache_path, effective_jobs, effective_jobs_with, load_cache_entry, parallel_ordered,
-    run_and_publish, run_specs_with_metrics, spec_hash, store_cache_entry, CacheLookup, SweepAxis,
-    SweepOutcome, SweepPoint, SweepPointResult, SweepRunner, SweepSpec, SweepStats, MAX_POINTS,
+    run_and_publish, spec_hash, store_cache_entry, CacheLookup, SweepAxis, SweepOutcome,
+    SweepPoint, SweepPointResult, SweepRunner, SweepSpec, SweepStats, MAX_POINTS,
 };
 #[cfg(test)]
 pub(crate) use sweep::{fnv1a64, splitmix64};

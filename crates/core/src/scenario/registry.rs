@@ -1,16 +1,16 @@
 //! Named scenario registry.
 //!
 //! Maps names (`fig3`, `table1`, `bdp_control`, …) to runnable scenarios.
-//! Two kinds of entries exist:
+//! Four kinds of entries exist:
 //!
 //! * **specs** — declarative [`ScenarioSpec`]s executed through a backend;
-//! * **studies** — composite experiments (parameter sweeps, multi-run
-//!   comparisons) that orchestrate many engine runs and render their own
-//!   text, but route every run through the scenario layer.
+//! * **studies** — a point list, run as it stands by the sweep executor
+//!   ([`SweepRunner::run_study`]), plus a render over its reports;
+//! * **sweeps** ([`SweepSpec`]) and **searches** ([`DseSpec`]).
 //!
 //! The registry itself is domain-agnostic; the paper's built-ins are
 //! registered by the benchmark crate (`chiplet_bench::paper_registry`),
-//! which owns the sweep helpers and table rendering.
+//! which owns the point lists and table rendering.
 
 use super::report::ScenarioReport;
 use super::spec::{ScenarioError, ScenarioSpec};
@@ -20,15 +20,20 @@ use crate::metrics::MetricsRegistry;
 
 /// What a registry entry builds.
 // Entries are built one at a time and consumed immediately; the size gap
-// between a full spec and a study fn pointer costs nothing here.
+// between a full spec and a study's fn pointers costs nothing here.
 #[allow(clippy::large_enum_variant)]
 pub enum ScenarioKind {
     /// A declarative spec, run on its configured backend.
     Spec(ScenarioSpec),
-    /// A composite study returning rendered text. The study records any
-    /// telemetry it produces into the registry it's handed (a throwaway
-    /// one under [`ScenarioKind::run`] without metrics).
-    Study(fn(&mut MetricsRegistry) -> String),
+    /// A study: the points `specs` builds, and `render` over their reports.
+    Study {
+        /// The study's registry name.
+        name: &'static str,
+        /// Builds the point list; called only when the study runs.
+        specs: fn() -> Vec<ScenarioSpec>,
+        /// Renders the study's text from the points' reports.
+        render: fn(&[ScenarioReport]) -> String,
+    },
     /// A declarative parameter sweep over a base spec.
     Sweep(SweepSpec),
     /// A design-space search: analytical scoring, Pareto frontier, and
@@ -51,8 +56,8 @@ pub struct ScenarioEntry {
 pub enum ScenarioRun {
     /// A spec's structured report.
     Report(ScenarioReport),
-    /// A study's rendered text.
-    Text(String),
+    /// A study's rendered text, its points' outcome and execution stats.
+    Study(String, SweepOutcome, SweepStats),
     /// A sweep's aggregate outcome and execution stats.
     Sweep(SweepOutcome, SweepStats),
     /// A design-space search's frontier report and execution stats.
@@ -65,18 +70,17 @@ impl ScenarioKind {
     pub fn kind(&self) -> &'static str {
         match self {
             ScenarioKind::Spec(_) => "spec",
-            ScenarioKind::Study(_) => "study",
+            ScenarioKind::Study { .. } => "study",
             ScenarioKind::Sweep(_) => "sweep",
             ScenarioKind::Dse(_) => "dse",
         }
     }
 
-    /// Runs the scenario. Sweeps and searches run with `settings`' worker
-    /// count and cache directory, and searches with its budget. With
-    /// `metrics`, the run's telemetry folds into it: specs run through the
-    /// metric-aware backends, and sweeps and searches add per-point gauges
-    /// plus volatile execution counters. Studies always record into a
-    /// registry, a throwaway one without `metrics`.
+    /// Runs the scenario. Studies, sweeps and searches run with
+    /// `settings`' worker count and cache directory, and searches with its
+    /// budget. With `metrics`, the run's telemetry folds into it: specs and
+    /// study points run through the metric-aware backends, and sweeps and
+    /// searches add per-point gauges plus volatile execution counters.
     pub fn run(
         self,
         settings: &DseRunner,
@@ -91,8 +95,15 @@ impl ScenarioKind {
                 Some(m) => spec.run_with_metrics(m)?,
                 None => spec.run()?,
             }),
-            ScenarioKind::Study(f) => {
-                ScenarioRun::Text(f(metrics.unwrap_or(&mut MetricsRegistry::new())))
+            ScenarioKind::Study {
+                name,
+                specs,
+                render,
+            } => {
+                let (outcome, stats) = sweeps.run_study(name, specs(), metrics)?;
+                let reports: Vec<ScenarioReport> =
+                    outcome.points.iter().map(|p| p.report.clone()).collect();
+                ScenarioRun::Study(render(&reports), outcome, stats)
             }
             ScenarioKind::Sweep(sweep) => {
                 let (outcome, stats) = match metrics {
@@ -153,19 +164,23 @@ impl ScenarioRegistry {
 mod tests {
     use super::*;
 
+    fn study(name: &'static str) -> ScenarioEntry {
+        ScenarioEntry {
+            name,
+            summary: "",
+            build: || ScenarioKind::Study {
+                name: "s",
+                specs: Vec::new,
+                render: |reports| format!("{} reports", reports.len()),
+            },
+        }
+    }
+
     #[test]
     fn register_get_and_order() {
         let mut reg = ScenarioRegistry::new();
-        reg.register(ScenarioEntry {
-            name: "a",
-            summary: "first",
-            build: || ScenarioKind::Study(|_| "A".into()),
-        });
-        reg.register(ScenarioEntry {
-            name: "b",
-            summary: "second",
-            build: || ScenarioKind::Study(|_| "B".into()),
-        });
+        reg.register(study("a"));
+        reg.register(study("b"));
         assert_eq!(reg.entries().len(), 2);
         assert_eq!(reg.entries()[0].name, "a");
         assert!(reg.get("b").is_some());
@@ -173,7 +188,12 @@ mod tests {
         let kind = (reg.get("b").unwrap().build)();
         assert_eq!(kind.kind(), "study");
         match kind.run(&DseRunner::default(), None) {
-            Ok(ScenarioRun::Text(t)) => assert_eq!(t, "B"),
+            Ok(ScenarioRun::Study(text, outcome, stats)) => {
+                assert_eq!(text, "0 reports");
+                assert_eq!(outcome.sweep, "s");
+                assert!(outcome.points.is_empty());
+                assert_eq!(stats, SweepStats::default());
+            }
             _ => panic!("study should run"),
         }
     }
@@ -182,12 +202,7 @@ mod tests {
     #[should_panic(expected = "duplicate scenario")]
     fn duplicate_names_rejected() {
         let mut reg = ScenarioRegistry::new();
-        let entry = || ScenarioEntry {
-            name: "x",
-            summary: "",
-            build: || ScenarioKind::Study(|_| String::new()),
-        };
-        reg.register(entry());
-        reg.register(entry());
+        reg.register(study("x"));
+        reg.register(study("x"));
     }
 }

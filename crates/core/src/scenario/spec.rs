@@ -244,13 +244,15 @@ pub struct EngineOptions {
     #[serde(default)]
     pub trace_sampling: Option<u32>,
     /// Metrics-registry window width (sim time). Absent = no registry when
-    /// running plain, or horizon/32 when running with metrics. Skipped when
-    /// absent so older specs (and their sweep-point hashes) keep their bytes.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// running plain, or horizon/32 when running with metrics. Absent
+    /// serializes as `null`, and every spec with engine options has always
+    /// hashed that `null`, so sweep-point hashes and seeds depend on it.
+    #[serde(default)]
     pub metrics_window: Option<SimDuration>,
     /// Engine self-profiling (phase timers + queue histograms). Absent =
-    /// off; skipped when absent so older specs keep their bytes.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// off; it serializes as `null`, which hashes depend on like
+    /// `metrics_window`.
+    #[serde(default)]
     pub profile_phases: Option<bool>,
     /// The slot of a removed engine-worker setting. The vendored serializer
     /// writes every field (`None` as `null`), so every spec with engine

@@ -205,8 +205,9 @@ pub struct SweepSpec {
     pub axes: Vec<SweepAxis>,
     /// Expansion cap for this sweep; `None` means [`MAX_POINTS`]. Large
     /// escalation batches (the DSE frontier) raise it explicitly instead
-    /// of every sweep silently losing the guard rail.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// of every sweep silently losing the guard rail. `None` serializes as
+    /// `null` like every absent field.
+    #[serde(default)]
     pub max_points: Option<usize>,
 }
 
@@ -219,6 +220,20 @@ pub struct SweepPoint {
     pub spec: ScenarioSpec,
     /// Content hash of the final spec (16 hex digits) — the cache key.
     pub hash: String,
+}
+
+impl SweepPoint {
+    /// A point that runs `spec` exactly as it stands: labelled with the
+    /// spec's name and keyed by [`spec_hash`], with no seed derived. A
+    /// study's points are these, so each shares its cache entry with a
+    /// single run of the same spec.
+    pub fn as_is(spec: ScenarioSpec) -> SweepPoint {
+        SweepPoint {
+            label: spec.name.clone(),
+            hash: spec_hash(&spec),
+            spec,
+        }
+    }
 }
 
 impl SweepSpec {
@@ -433,6 +448,40 @@ impl SweepRunner {
             stats.corrupt_healed = corrupt;
             (outcome, stats)
         })
+    }
+
+    /// Runs a study's point list, every spec as it stands
+    /// ([`SweepPoint::as_is`]): without `metrics` through the cached path
+    /// of [`SweepRunner::run_points`]; with it, each point runs
+    /// metric-aware into a private registry, merged into `metrics` in list
+    /// order (so the dump is the same for any worker count), uncached.
+    pub fn run_study(
+        &self,
+        name: &str,
+        specs: Vec<ScenarioSpec>,
+        metrics: Option<&mut MetricsRegistry>,
+    ) -> Result<(SweepOutcome, SweepStats), ScenarioError> {
+        let points: Vec<SweepPoint> = specs.into_iter().map(SweepPoint::as_is).collect();
+        let Some(metrics) = metrics else {
+            return self.run_points(name, points);
+        };
+        let runs = parallel_ordered(&points, self.jobs, |_, point| {
+            let mut local = MetricsRegistry::new();
+            point
+                .spec
+                .run_with_metrics(&mut local)
+                .map(|report| (report, local))
+        });
+        let execs = runs
+            .into_iter()
+            .map(|run| {
+                run.map(|(report, local)| {
+                    metrics.merge_labeled(&local, &[]);
+                    (report, false, 0.0)
+                })
+            })
+            .collect();
+        Self::collect(name, points, execs).map(|(outcome, stats, _)| (outcome, stats))
     }
 
     /// Like [`SweepRunner::run`], but instruments the sweep into `metrics`:
@@ -704,7 +753,7 @@ pub fn run_and_publish(
 
 /// Runs `f` over `items` on `jobs` worker threads (0 = one per core) with
 /// per-worker work-stealing deques, returning results **in input order** —
-/// the building block behind [`SweepRunner`] and the parallel studies.
+/// the building block behind [`SweepRunner`] and the DSE scorer.
 ///
 /// Item indices are pre-split round-robin across the workers; each worker
 /// drains its own deque from the front and, once dry, steals from the back
@@ -776,27 +825,6 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
             return Some(i);
         }
     }
-}
-
-/// Runs a batch of specs in parallel, each against a private registry, then
-/// merges the registries into `metrics` **in input order** — the merged
-/// dump is byte-identical for any `jobs` value.
-pub fn run_specs_with_metrics(
-    specs: &[ScenarioSpec],
-    jobs: usize,
-    metrics: &mut MetricsRegistry,
-) -> Result<Vec<ScenarioReport>, ScenarioError> {
-    let results = parallel_ordered(specs, jobs, |_, spec| {
-        let mut local = MetricsRegistry::new();
-        spec.run_with_metrics(&mut local).map(|r| (r, local))
-    });
-    let mut reports = Vec::with_capacity(specs.len());
-    for result in results {
-        let (report, local) = result?;
-        metrics.merge_labeled(&local, &[]);
-        reports.push(report);
-    }
-    Ok(reports)
 }
 
 /// Worker count a runner with `jobs` actually uses on `items` work items.

@@ -1091,20 +1091,39 @@ mod metric_runs {
     }
 
     #[test]
-    fn run_specs_with_metrics_is_jobs_invariant() {
+    fn study_metrics_are_jobs_invariant() {
+        // A study's metric-aware points merge their registries in list
+        // order: the dump and the outcome are the same for any worker
+        // count, and equal the plain (cached-path) outcome.
         let mut second = fluid_spec();
         second.name = "unit_fluid_b".into();
-        let specs = vec![fluid_spec(), second];
+        let specs = vec![fluid_spec(), second.clone()];
         let dump = |jobs| {
             let mut m = MetricsRegistry::new();
-            let reports = run_specs_with_metrics(&specs, jobs, &mut m).unwrap();
-            (m.to_openmetrics(), reports)
+            let (outcome, stats) = SweepRunner::with_jobs(jobs)
+                .run_study("unit_study", specs.clone(), Some(&mut m))
+                .unwrap();
+            assert_eq!((stats.total, stats.executed, stats.cached), (2, 2, 0));
+            (m.to_openmetrics(), outcome)
         };
-        let (m1, r1) = dump(1);
-        let (m4, r4) = dump(4);
+        let (m1, o1) = dump(1);
+        let (m4, o4) = dump(4);
         assert_eq!(m1, m4, "metrics must not depend on worker count");
-        assert_eq!(r1, r4);
+        assert_eq!(o1, o4);
         assert!(m1.contains(r#"scenario="unit_fluid_b""#));
+        let (plain, _) = SweepRunner::with_jobs(2)
+            .run_study("unit_study", specs, None)
+            .unwrap();
+        assert_eq!(plain, o1, "reports are metrics-invariant");
+        // Points run as they stand: named after the spec, keyed by its
+        // content hash, on the spec's own seed.
+        assert_eq!(o1.sweep, "unit_study");
+        assert_eq!(o1.points[1].label, "unit_fluid_b");
+        assert_eq!(o1.points[1].hash, spec_hash(&second));
+        assert_eq!(
+            o1.points[1].report.outcome().unwrap().seed,
+            second.seed_or_default()
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn table3_rows(reports: &[ScenarioReport]) -> Vec<BandwidthRow> {
 /// write. `None` when the destination does not exist on the platform.
 pub fn table3_column(base: &ScenarioSpec, dest: Destination) -> Option<Vec<BandwidthRow>> {
     let specs = bandwidth(base, dest).ok()?;
-    Some(table3_rows(&crate::run(&specs)))
+    Some(table3_rows(&crate::execute(specs)))
 }
 
 #[cfg(test)]

@@ -173,7 +173,7 @@ pub fn competing_flows(
 ) -> CompetitionOutcome {
     let specs = compete(base, link, &[(demand0, demand1)], op)
         .unwrap_or_else(|reason| panic!("{link} unsupported on platform: {reason}"));
-    outcomes(&crate::run(&specs))[0]
+    outcomes(&crate::execute(specs))[0]
 }
 
 /// The paper's four Figure 4 cases for a link of capacity `c` GB/s:

@@ -191,7 +191,7 @@ pub fn interference_sweep(
 ) -> Vec<InterferencePoint> {
     let specs = interference(base, domain, fg_op, bg_op, bg_loads_gb_s)
         .unwrap_or_else(|reason| panic!("{domain} unsupported on platform: {reason}"));
-    interference_points(bg_loads_gb_s, &crate::run(&specs))
+    interference_points(bg_loads_gb_s, &crate::execute(specs))
 }
 
 #[cfg(test)]

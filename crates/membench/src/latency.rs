@@ -102,7 +102,7 @@ pub fn chase_sweep(
     let specs = latency(base, core, &probes).expect("platform has a near DIMM");
     working_sets
         .iter()
-        .zip(chase_latencies(&crate::run(&specs)))
+        .zip(chase_latencies(&crate::execute(specs)))
         .map(|(&working_set, latency_ns)| ChasePoint {
             working_set,
             latency_ns,
@@ -134,14 +134,14 @@ pub fn position_latencies(base: &ScenarioSpec, core: CoreId) -> Vec<(DimmPositio
         .unzip();
     present
         .into_iter()
-        .zip(chase_latencies(&crate::run(&specs)))
+        .zip(chase_latencies(&crate::execute(specs)))
         .collect()
 }
 
 /// Chase latency to a CXL device, ns, when the platform has one.
 pub fn cxl_latency(base: &ScenarioSpec, core: CoreId) -> Option<f64> {
     let specs = latency(base, core, &[(ChaseTarget::Cxl, ByteSize::from_gib(1))]).ok()?;
-    Some(chase_latencies(&crate::run(&specs))[0])
+    Some(chase_latencies(&crate::execute(specs))[0])
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 //!
 //! Each probe is data: a generator compiles its parameters into
 //! [`ScenarioSpec`]s that inherit platform, seed, policy and memory mode
-//! from a base spec (see [`base`]), [`run`] executes them on the event
-//! backend, and a pure reducer folds the reports into the rows the paper's
-//! tables and figures report:
+//! from a base spec (see [`base`]), the sweep executor
+//! ([`SweepRunner::run_study`]) runs them on the event backend, and a pure
+//! reducer folds the reports into the rows the paper's tables and figures
+//! report:
 //!
 //! * [`latency::latency`] — pointer-chase latency to a DIMM position or the
 //!   CXL device over a working set (Table 2's methodology);
@@ -26,7 +27,9 @@
 //!   interference (Figure 6).
 //!
 //! Every generated spec is an ordinary scenario file: `to_json` writes it,
-//! and `chiplet-scenario run` or `chiplet-serve` run it unchanged.
+//! and `chiplet-scenario run` or `chiplet-serve` run it unchanged. The
+//! one-call helpers (`chase_sweep`, `table3_column`, …) run their specs
+//! through the same executor, uncached.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,9 +45,8 @@ pub use scope::CoreScope;
 
 use chiplet_mem::OpKind;
 use chiplet_net::scenario::{
-    parallel_ordered, Backend, BackendKind, CoreSelect, EngineFlow, EngineOptions,
-    EventEngineBackend, FlowReport, ScenarioFlow, ScenarioReport, ScenarioSpec, TargetSpec,
-    TopologyChoice,
+    BackendKind, CoreSelect, EngineFlow, EngineOptions, FlowReport, ScenarioFlow, ScenarioReport,
+    ScenarioSpec, SweepRunner, TargetSpec, TopologyChoice,
 };
 use chiplet_sim::{Bandwidth, ByteSize, DemandSchedule, SimTime};
 use chiplet_topology::Topology;
@@ -72,18 +74,14 @@ pub fn base(platform: &str, deterministic_memory: bool) -> ScenarioSpec {
     }
 }
 
-/// Runs probe specs on the event engine across worker threads and returns
-/// their reports in input order.
-///
-/// # Panics
-///
-/// Panics when a spec does not resolve; generated specs always do.
-pub fn run(specs: &[ScenarioSpec]) -> Vec<ScenarioReport> {
-    parallel_ordered(specs, 0, |_, spec| {
-        EventEngineBackend
-            .run(spec)
-            .unwrap_or_else(|e| panic!("probe spec '{}': {e}", spec.name))
-    })
+/// Runs probe specs through the sweep executor, uncached, and returns their
+/// reports in input order. Panics when a spec does not resolve; generated
+/// specs always do.
+fn execute(specs: Vec<ScenarioSpec>) -> Vec<ScenarioReport> {
+    let (outcome, _) = SweepRunner::default()
+        .run_study("membench", specs, None)
+        .unwrap_or_else(|e| panic!("probe spec: {e}"));
+    outcome.points.into_iter().map(|p| p.report).collect()
 }
 
 /// The per-flow results of a completed event run.

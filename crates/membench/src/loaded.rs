@@ -191,7 +191,7 @@ pub fn loaded_latency_sweep(
 ) -> Vec<LoadPoint> {
     let specs = loaded(base, scenario, op, fractions)
         .unwrap_or_else(|reason| panic!("{scenario} unsupported on platform: {reason}"));
-    load_points(&crate::run(&specs))
+    load_points(&crate::execute(specs))
 }
 
 /// The default load grid: 10%–100% of nominal capacity.

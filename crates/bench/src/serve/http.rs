@@ -170,16 +170,8 @@ pub struct ChunkedResponse<'a> {
 }
 
 impl<'a> ChunkedResponse<'a> {
-    /// Writes the status line and headers, leaving the body open.
-    pub fn begin(
-        stream: &'a mut TcpStream,
-        status: u16,
-        content_type: &str,
-    ) -> std::io::Result<Self> {
-        Self::begin_with(stream, status, content_type, &[])
-    }
-
-    /// [`ChunkedResponse::begin`] with extra response headers.
+    /// Writes the status line and headers, plus `extra_headers`, leaving
+    /// the body open.
     pub fn begin_with(
         stream: &'a mut TcpStream,
         status: u16,
@@ -266,13 +258,8 @@ pub fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str
         .map(|(_, v)| v.as_str())
 }
 
-/// Reads a full response from the stream, decoding chunked bodies.
-pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
-    let (status, _headers, body) = read_response_with_headers(stream)?;
-    Ok((status, body))
-}
-
-/// [`read_response`], keeping the response headers (lowercased names).
+/// Reads a full response from the stream, decoding chunked bodies and
+/// keeping the response headers (lowercased names).
 pub fn read_response_with_headers(
     stream: &mut TcpStream,
 ) -> std::io::Result<(u16, Headers, String)> {
@@ -372,7 +359,8 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             let _ = read_request(&mut conn).unwrap();
-            let mut resp = ChunkedResponse::begin(&mut conn, 200, "application/jsonl").unwrap();
+            let mut resp =
+                ChunkedResponse::begin_with(&mut conn, 200, "application/jsonl", &[]).unwrap();
             resp.chunk("{\"point\":0}\n").unwrap();
             resp.chunk("{\"point\":1}\n").unwrap();
             resp.finish().unwrap();
@@ -417,7 +405,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             let _ = read_request(&mut conn).unwrap();
-            let mut resp = ChunkedResponse::begin(&mut conn, 200, "text/plain").unwrap();
+            let mut resp = ChunkedResponse::begin_with(&mut conn, 200, "text/plain", &[]).unwrap();
             resp.chunk("before").unwrap();
             resp.chunk("").unwrap();
             resp.chunk("after").unwrap();
@@ -440,7 +428,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             let _ = read_request(&mut conn).unwrap();
-            let mut resp = ChunkedResponse::begin(&mut conn, 200, "text/plain").unwrap();
+            let mut resp = ChunkedResponse::begin_with(&mut conn, 200, "text/plain", &[]).unwrap();
             resp.chunk(&payload).unwrap();
             resp.chunk("tail").unwrap();
             resp.finish().unwrap();
@@ -463,7 +451,7 @@ mod tests {
         let server = std::thread::spawn(move || -> std::io::Result<()> {
             let (mut conn, _) = listener.accept().unwrap();
             let _ = read_request(&mut conn)?;
-            let mut resp = ChunkedResponse::begin(&mut conn, 200, "text/plain")?;
+            let mut resp = ChunkedResponse::begin_with(&mut conn, 200, "text/plain", &[])?;
             // Keep writing until the peer's RST lands; a closed socket can
             // absorb a few writes into kernel buffers first.
             for _ in 0..10_000 {

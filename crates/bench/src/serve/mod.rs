@@ -113,13 +113,10 @@ impl Default for ServeConfig {
 /// so they belong in [`MetricsRegistry::to_openmetrics_with_volatile`]
 /// scrapes (the daemon's `GET /metrics`) and never in deterministic dumps.
 ///
-/// The histogram families are **wall-clock-stamped**: the daemon records
-/// each observation at "nanoseconds since daemon start" in place of sim
-/// time, so the registry's [`WindowedSketch`] machinery windows them over
-/// real time and `/metrics` exposes live windowed p50/p99/p999 alongside
-/// the whole-run quantiles. Durations are reported in nanoseconds.
-///
-/// [`WindowedSketch`]: chiplet_net::metrics::WindowedSketch
+/// The histogram families measure wall-clock durations in nanoseconds.
+/// Being volatile, each series keeps only its whole-run sketch and no
+/// time windows, so `/metrics` exposes whole-uptime p50/p90/p99/p999 and
+/// its size does not grow with uptime.
 pub fn describe_serve_metrics(m: &mut MetricsRegistry) {
     m.describe_volatile(
         "chiplet_serve_queue_depth",
@@ -795,15 +792,14 @@ fn resolve_spec(req: &Request) -> Result<ScenarioSpec, (u16, String)> {
 
 /// Resolves a request to a named point list, mirroring [`resolve_spec`]:
 /// a sweep (by name or body) expanded, or a study by name with its points
-/// as they stand ([`SweepPoint::as_is`]) — the list `chiplet-scenario run
+/// as they stand ([`SweepPoint::study`]) — the list `chiplet-scenario run
 /// <name> --json` runs.
 fn resolve_sweep(req: &Request) -> Result<(String, Vec<SweepPoint>), (u16, String)> {
     let sweep = match req.param("name") {
         Some(name) => match resolve_name(Verb::Run, name).map_err(resolve_status)? {
             ScenarioKind::Sweep(sweep) => sweep,
             ScenarioKind::Study { name, specs, .. } => {
-                let points = specs().into_iter().map(SweepPoint::as_is).collect();
-                return Ok((name.to_string(), points));
+                return Ok((name.to_string(), SweepPoint::study(specs())));
             }
             _ => return Err((400, format!("'{name}' is not a sweep or study"))),
         },

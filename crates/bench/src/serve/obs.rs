@@ -11,8 +11,8 @@
 //! Completed spans feed three sinks:
 //!
 //! * **histograms** — per-phase and per-client DDSketch latency families in
-//!   the daemon's [`MetricsRegistry`] (volatile, wall-clock-stamped, so
-//!   `GET /metrics` exposes live windowed p50/p99/p999);
+//!   the daemon's [`MetricsRegistry`] (volatile, so each series keeps one
+//!   whole-uptime sketch and `GET /metrics` exposes its p50/p99/p999);
 //! * **access log** — one structured JSON line per request
 //!   ([`AccessLog`]), linted by [`lint_access_log`];
 //! * **flight recorder** — a fixed-size in-memory ring of the last N spans
@@ -260,16 +260,6 @@ pub struct AccessRecord {
     pub t_ns: u64,
     /// Request id (`r-…`).
     pub id: String,
-    /// Client identity.
-    pub client: String,
-    /// Route.
-    pub route: String,
-    /// Point hash or `sweep:<name>`.
-    pub point: String,
-    /// Points in the submission.
-    pub points: u64,
-    /// HTTP status.
-    pub status: u64,
     /// `ok` / `error` / `rejected`.
     pub outcome: String,
     /// Result disposition.
@@ -371,15 +361,18 @@ fn parse_record(v: &serde_json::Value) -> Result<AccessRecord, String> {
             .ok_or_else(|| format!("phase '{name}' duration is not a non-negative integer"))?;
         phases.push((name.clone(), d));
     }
+    let (seq, t_ns, id) = (num("seq")?, num("t_ns")?, text("id")?);
+    // Required fields the record does not keep.
+    for k in ["client", "route", "point"] {
+        text(k)?;
+    }
+    for k in ["points", "status"] {
+        num(k)?;
+    }
     Ok(AccessRecord {
-        seq: num("seq")?,
-        t_ns: num("t_ns")?,
-        id: text("id")?,
-        client: text("client")?,
-        route: text("route")?,
-        point: text("point")?,
-        points: num("points")?,
-        status: num("status")?,
+        seq,
+        t_ns,
+        id,
         outcome: text("outcome")?,
         disposition: text("disposition")?,
         phases,

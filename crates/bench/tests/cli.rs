@@ -380,3 +380,16 @@ fn run_on_a_sweep_uses_the_cache_like_sweep() {
     assert_eq!(warm.stdout, sweep.stdout, "cache must be transparent");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn studies_without_points_create_no_cache_dir() {
+    // `table1` and `noc_study` run no scenario points, so there is nothing
+    // to cache and the cache directory must not appear.
+    for study in ["table1", "noc_study"] {
+        let dir = scratch(&format!("empty-cache-{study}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = scenario_cli(&["run", study, "--cache-dir", dir.to_str().unwrap()]);
+        assert!(out.status.success(), "{study}: {}", stderr_of(&out));
+        assert!(!dir.exists(), "{study} created {}", dir.display());
+    }
+}

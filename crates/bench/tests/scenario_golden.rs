@@ -18,6 +18,7 @@
 //! examples from the README and the span-trace views — every one must
 //! parse, run on its backend, move data on every flow, and be seed-stable.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use chiplet_bench::f1;
@@ -378,12 +379,21 @@ fn membench_study_specs_are_plain_scenario_data() {
             continue;
         };
         let study = entry.name;
-        for spec in specs() {
+        let specs = specs();
+        let labels: BTreeSet<String> = SweepPoint::study(specs.clone())
+            .into_iter()
+            .map(|p| p.label)
+            .collect();
+        assert_eq!(labels.len(), specs.len(), "{study}: point labels repeat");
+        for spec in specs {
             let json = spec.to_json();
             let back = ScenarioSpec::from_json(&json)
                 .unwrap_or_else(|e| panic!("{study} / {}: {e}", spec.name));
             assert_eq!(back.to_json(), json, "{study} / {}", spec.name);
-            assert_eq!(SweepPoint::as_is(back.clone()).hash, spec_hash(&spec));
+            assert_eq!(
+                SweepPoint::study(vec![back.clone()])[0].hash,
+                spec_hash(&spec)
+            );
             let accepted = match back.backend {
                 BackendKind::Event => {
                     let topo = back.topology.resolve().expect("probe platforms build");

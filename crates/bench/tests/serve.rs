@@ -738,6 +738,41 @@ fn serve_metric_families_stay_out_of_default_dumps() {
 }
 
 #[test]
+fn metrics_scrape_does_not_grow_with_uptime() {
+    // The daemon's latency histograms are volatile: each series keeps one
+    // whole-uptime sketch and no wall-clock windows, so once two clients'
+    // series exist, more requests from them add no scrape lines.
+    let dir = scratch_dir("scrape-bound");
+    let server = spawn(Some(dir.clone()), 4096, 4096);
+    let addr = server.addr().to_string();
+    let body = fig5_sweep()
+        .expand()
+        .expect("expand")
+        .swap_remove(0)
+        .spec
+        .to_json();
+    let mut served = 0;
+    let mut scrape_lines = |until: usize| {
+        while served < until {
+            let route = format!("/v1/run?client=c{}", served % 2);
+            let (status, text) = http::fetch(&addr, "POST", &route, Some(&body)).expect("POST");
+            assert_eq!(status, 200, "{text}");
+            served += 1;
+        }
+        wait_until_idle(&addr);
+        let (status, metrics) = http::fetch(&addr, "GET", "/metrics", None).expect("scrape");
+        assert_eq!(status, 200);
+        lint_openmetrics(&metrics).expect("scrape lints");
+        metrics.lines().count()
+    };
+    let after_50 = scrape_lines(50);
+    let after_200 = scrape_lines(200);
+    assert_eq!(after_50, after_200, "the scrape grew with uptime");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn load_test_thousand_concurrent_submissions_match_batch_bytes() {
     // The acceptance load test: ≥ 1000 concurrent single-point submissions
     // from ≥ 4 clients, byte-identical to the batch CLI, zero torn cache

@@ -42,16 +42,13 @@ use chiplet_mem::{AccessOutcome, CacheHierarchy, Pattern};
 use chiplet_topology::{CcdId, CoreId, DimmId, LinkKind, PlatformSpec, Topology, UmcId};
 
 use crate::engine::plan::{StagePlan, StageRef};
+use crate::engine::BUDGET_HEADROOM;
 use crate::flow::{FlowSpec, Target};
 use crate::scenario::{ScenarioError, ScenarioSpec};
 use crate::traffic::TrafficPolicy;
 
 /// Cacheline size in bytes, as an f64 for rate arithmetic (GB/s ≡ bytes/ns).
 const LINE: f64 = 64.0;
-
-/// The engine's default in-flight budget headroom (×BDP) for throttled
-/// flows; see `EngineConfig::budget_headroom`.
-const BUDGET_HEADROOM: f64 = 1.3;
 
 fn invalid<T>(msg: impl Into<String>) -> Result<T, ScenarioError> {
     Err(ScenarioError::Invalid(msg.into()))

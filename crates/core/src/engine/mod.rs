@@ -52,6 +52,13 @@ const TRACE_RNG_LABEL: u64 = 0x0074_7261_6365; // "trace"
 /// Completed-span cap: bounds trace memory regardless of run length.
 const SPAN_COLLECTOR_CAP: usize = 1 << 20;
 
+/// In-flight budget headroom for rate-gated flows, × offered BDP. Larger
+/// values let saturated flows queue deeper (a stronger latency rise at the
+/// Figure 3 knee) but also push per-flow budgets into the hardware-MLP
+/// clamp, which flattens Figure 4's demand-proportional sharing; 1.3
+/// balances the two. The DSE estimator sizes its budgets with it too.
+pub(crate) const BUDGET_HEADROOM: f64 = 1.3;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -59,19 +66,12 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Statistics are collected from `warmup` to the run horizon.
     pub warmup: SimDuration,
-    /// DRAM service variability; `None` selects by platform (DDR4 for the
-    /// 7302, DDR5 for the 9634, deterministic for custom/monolithic).
-    pub dram: Option<DramServiceModel>,
-    /// CXL device variability; `None` selects the CZ120-class default.
-    pub cxl: Option<DramServiceModel>,
+    /// Variability-free DRAM and CXL devices. Otherwise DRAM varies by
+    /// platform (DDR4 for the 7302, DDR5 for the 9634, deterministic for
+    /// custom/monolithic) and CXL devices are CZ120-class.
+    pub deterministic_memory: bool,
     /// Traffic-manager policy.
     pub policy: TrafficPolicy,
-    /// In-flight budget headroom for rate-gated flows, × offered BDP.
-    /// Larger values let saturated flows queue deeper (a stronger latency
-    /// rise at the Figure 3 knee) but also push per-flow budgets into the
-    /// hardware-MLP clamp, which flattens Figure 4's demand-proportional
-    /// sharing; 1.3 balances the two.
-    pub budget_headroom: f64,
     /// Attach the sketch-based profiler (§4 #5): one record per completed
     /// transaction, bounded memory, a [`crate::profiler::ProfileReport`]
     /// on the result.
@@ -109,10 +109,8 @@ impl Default for EngineConfig {
         EngineConfig {
             seed: 42,
             warmup: SimDuration::from_micros(2),
-            dram: None,
-            cxl: None,
+            deterministic_memory: false,
             policy: TrafficPolicy::HardwareDefault,
-            budget_headroom: 1.3,
             profile: false,
             trace_window: None,
             trace_sampling: None,
@@ -127,8 +125,7 @@ impl EngineConfig {
     /// calibration tests.
     pub fn deterministic() -> Self {
         EngineConfig {
-            dram: Some(DramServiceModel::deterministic()),
-            cxl: Some(DramServiceModel::deterministic()),
+            deterministic_memory: true,
             ..Default::default()
         }
     }
@@ -139,42 +136,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the traffic-manager policy (builder style).
-    pub fn with_policy(mut self, policy: TrafficPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Enables the sketch profiler (builder style).
     pub fn with_profile(mut self) -> Self {
         self.profile = true;
-        self
-    }
-
-    /// Enables per-flow bandwidth traces (builder style).
-    pub fn with_trace(mut self, window: SimDuration) -> Self {
-        self.trace_window = Some(window);
-        self
-    }
-
-    /// Enables span-level hop tracing, sampling 1 in `n` transactions
-    /// (builder style). `n` is clamped to at least 1.
-    pub fn with_trace_sampling(mut self, n: u32) -> Self {
-        self.trace_sampling = Some(n.max(1));
-        self
-    }
-
-    /// Enables the metrics registry, windowing sketches at `window` of
-    /// sim time (builder style).
-    pub fn with_metrics(mut self, window: SimDuration) -> Self {
-        self.metrics_window = Some(window);
-        self
-    }
-
-    /// Enables engine self-profiling: phase timers and queue histograms
-    /// (builder style).
-    pub fn with_phase_profile(mut self) -> Self {
-        self.profile_phases = true;
         self
     }
 }
@@ -311,8 +275,6 @@ pub struct RunResult {
     pub flows: Vec<FlowTelemetry>,
     /// The `/proc/chiplet-net` snapshot.
     pub telemetry: TelemetryReport,
-    /// The measured window (horizon − warmup).
-    pub window: SimDuration,
     /// The sketch profiler's output, when [`EngineConfig::profile`] was set.
     pub profile: Option<crate::profiler::ProfileReport>,
     /// Sampled span traces, when [`EngineConfig::trace_sampling`] was set.
@@ -475,12 +437,17 @@ impl<'t> Engine<'t> {
                 .collect()
         });
 
-        let dram_model = cfg.dram.unwrap_or(match spec.kind {
-            PlatformKind::Epyc7302 => DramServiceModel::ddr4(),
-            PlatformKind::Epyc9634 => DramServiceModel::ddr5(),
-            _ => DramServiceModel::deterministic(),
-        });
-        let cxl_model = cfg.cxl.unwrap_or(DramServiceModel::cxl());
+        let (dram_model, cxl_model) = if cfg.deterministic_memory {
+            let exact = DramServiceModel::deterministic();
+            (exact, exact)
+        } else {
+            let dram = match spec.kind {
+                PlatformKind::Epyc7302 => DramServiceModel::ddr4(),
+                PlatformKind::Epyc9634 => DramServiceModel::ddr5(),
+                _ => DramServiceModel::deterministic(),
+            };
+            (dram, DramServiceModel::cxl())
+        };
         let rng = DetRng::seed_from_u64(cfg.seed);
         let cache = CacheHierarchy::from_spec(&spec.cache);
         // The profiler's sketch hashers derive from the run seed, so the
@@ -671,7 +638,7 @@ impl<'t> Engine<'t> {
         let budget_max = match spec.peak_demand() {
             Some(bw) => {
                 let bdp_lines =
-                    (bw.as_gb_per_s() * mean_unloaded_ns * self.cfg.budget_headroom) / LINE as f64;
+                    (bw.as_gb_per_s() * mean_unloaded_ns * BUDGET_HEADROOM) / LINE as f64;
                 (bdp_lines.ceil() as u32).clamp(2, hw_budget.max(2))
             }
             None => hw_budget.max(1),
@@ -1844,7 +1811,6 @@ impl<'t> Engine<'t> {
                 matrix,
             },
             flows,
-            window,
         }
     }
 }

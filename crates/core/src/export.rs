@@ -229,8 +229,10 @@ mod tests {
         // against the in-memory report — including the per-link trace
         // series recorded by `trace_window`.
         let topo = Topology::build(&PlatformSpec::epyc_7302());
-        let cfg =
-            EngineConfig::deterministic().with_trace(chiplet_sim::SimDuration::from_micros(2));
+        let cfg = EngineConfig {
+            trace_window: Some(chiplet_sim::SimDuration::from_micros(2)),
+            ..EngineConfig::deterministic()
+        };
         let mut engine = Engine::new(&topo, cfg);
         engine.add_flow(
             FlowSpec::reads(

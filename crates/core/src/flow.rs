@@ -189,12 +189,6 @@ impl FlowBuilder {
         }
     }
 
-    /// Sets the access pattern.
-    pub fn pattern(mut self, pattern: Pattern) -> Self {
-        self.spec.pattern = pattern;
-        self
-    }
-
     /// Sets the working-set size.
     pub fn working_set(mut self, ws: ByteSize) -> Self {
         self.spec.working_set = ws;
@@ -210,24 +204,6 @@ impl FlowBuilder {
     /// Throttles the flow to a total offered load.
     pub fn offered(mut self, bw: Bandwidth) -> Self {
         self.spec.offered = Some(bw);
-        self
-    }
-
-    /// Gives the flow a time-varying demand schedule (overrides `offered`).
-    pub fn demand(mut self, schedule: DemandSchedule) -> Self {
-        self.spec.demand = Some(schedule);
-        self
-    }
-
-    /// Sets the start time.
-    pub fn start(mut self, at: SimTime) -> Self {
-        self.spec.start = at;
-        self
-    }
-
-    /// Sets the stop time.
-    pub fn stop(mut self, at: SimTime) -> Self {
-        self.spec.stop = Some(at);
         self
     }
 
@@ -342,9 +318,8 @@ mod tests {
     #[test]
     fn stop_clamps_to_horizon() {
         let t = topo();
-        let f = FlowSpec::reads("r", vec![CoreId(0)], Target::all_dimms(&t))
-            .stop(SimTime::from_micros(100))
-            .build(&t);
+        let mut f = FlowSpec::reads("r", vec![CoreId(0)], Target::all_dimms(&t)).build(&t);
+        f.stop = Some(SimTime::from_micros(100));
         assert_eq!(
             f.stop_or(SimTime::from_micros(50)),
             SimTime::from_micros(50)

@@ -48,10 +48,12 @@
 //!   than a DES run, Pareto-frontier extraction, and frontier escalation
 //!   to full event-engine runs through the content-cached sweep runner.
 //! * [`scenario`] — the **declarative scenario layer**: experiments as
-//!   JSON-serializable [`ScenarioSpec`]s run through a [`Backend`] trait by
-//!   either this crate's event engine or `chiplet_fluid`'s fluid sim, both
-//!   producing a common [`ScenarioReport`]; a [`ScenarioRegistry`] names the
-//!   built-in paper scenarios.
+//!   JSON-serializable [`ScenarioSpec`](scenario::ScenarioSpec)s run through
+//!   a [`Backend`] trait by either this crate's event engine or
+//!   `chiplet_fluid`'s fluid sim, both producing a common
+//!   [`ScenarioReport`](scenario::ScenarioReport); a
+//!   [`ScenarioRegistry`](scenario::ScenarioRegistry) names the built-in
+//!   paper scenarios.
 //!
 //! ## Quick start
 //!
@@ -92,20 +94,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod traffic;
 
-pub use bdp::BdpMonitor;
-pub use critpath::{BlameMatrix, CritPathReport, FlowCritPath};
-pub use dse::{DseAxis, DseOutcome, DseRunner, DseSpec, DseStats, FrontierEntry};
-pub use engine::{Engine, EngineConfig, RunResult};
+pub use dse::{DseOutcome, DseSpec};
 pub use export::export_sysfs;
-pub use flow::{FlowId, FlowSpec, Target};
-pub use matrix::TrafficMatrix;
-pub use metrics::{
-    lint_openmetrics, parse_openmetrics, MetricKind, MetricsRegistry, WindowedSketch,
-};
-pub use profiler::{ProfileReport, Profiler};
-pub use scenario::{
-    Backend, EventEngineBackend, FluidBackend, ScenarioRegistry, ScenarioReport, ScenarioSpec,
-};
-pub use telemetry::TelemetryReport;
-pub use trace::{HopClass, TraceReport};
-pub use traffic::TrafficPolicy;
+pub use metrics::{lint_openmetrics, parse_openmetrics, MetricsRegistry};
+pub use scenario::Backend;

@@ -38,16 +38,6 @@ impl TrafficMatrix {
         m
     }
 
-    /// Source (CCD) count.
-    pub fn rows(&self) -> u32 {
-        self.rows
-    }
-
-    /// Destination count.
-    pub fn cols(&self) -> u32 {
-        self.cols
-    }
-
     /// Adds bytes to a cell.
     pub fn add(&mut self, row: u32, col: u32, bytes: u64) {
         assert!(

@@ -14,7 +14,8 @@
 //!   their timestamp. Window boundaries are *simulated* time, never wall
 //!   clock, so dumps are byte-identical run-to-run; and because DDSketch
 //!   merging is exact bucket addition, merging all window sketches
-//!   reproduces the whole-run sketch exactly ([`WindowedSketch::merged`]).
+//!   reproduces the whole-run sketch exactly. A histogram in a volatile
+//!   family (below) keeps only its whole-run sketch.
 //!
 //! Series are keyed by sorted label sets (`flow`, `link_id`, `dir`,
 //! `backend`, `scenario`, `sweep_point`) inside `BTreeMap`s, so iteration —
@@ -33,7 +34,7 @@ use chiplet_sim::{MetricsSink, SeriesHandle, SeriesKind, SimDuration, SimTime};
 
 use crate::sketch::QuantileSketch;
 
-/// Default relative accuracy of histogram sketches.
+/// Relative accuracy of every histogram sketch.
 pub const DEFAULT_ALPHA: f64 = 0.01;
 
 /// Default histogram window when a registry is built with
@@ -84,13 +85,17 @@ fn label_set(labels: &[(&str, &str)]) -> LabelSet {
 /// Each observation lands in the whole-run sketch *and* in the sketch of
 /// the window `⌊at / window⌋` containing its timestamp. Windows hold full
 /// [`QuantileSketch`]es, so any window's quantiles can be queried after the
-/// run, and [`WindowedSketch::merged`] (the union of all windows) equals
-/// the whole-run sketch exactly — DDSketch merging is bucket-count
-/// addition, so no information is lost at window boundaries.
+/// run, and the union of all windows equals the whole-run sketch exactly —
+/// DDSketch merging is bucket-count addition, so no information is lost at
+/// window boundaries.
+///
+/// A histogram of a volatile family keeps only the whole-run sketch: its
+/// timestamps are wall clock, and one window per busy millisecond of
+/// uptime would grow without bound.
 #[derive(Debug, Clone)]
 pub struct WindowedSketch {
-    window: SimDuration,
-    alpha: f64,
+    /// `None` keeps no windows (volatile families).
+    window: Option<SimDuration>,
     /// `(window index, sketch)`, ascending by index.
     windows: Vec<(u64, QuantileSketch)>,
     total: QuantileSketch,
@@ -98,39 +103,15 @@ pub struct WindowedSketch {
 }
 
 impl WindowedSketch {
-    /// Creates a sketch with the default accuracy ([`DEFAULT_ALPHA`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window.
-    pub fn new(window: SimDuration) -> Self {
-        Self::with_alpha(window, DEFAULT_ALPHA)
-    }
-
-    /// Creates a sketch with relative accuracy `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero window or out-of-range `alpha`.
-    pub fn with_alpha(window: SimDuration, alpha: f64) -> Self {
-        assert!(!window.is_zero(), "window must be positive");
+    /// An empty sketch at [`DEFAULT_ALPHA`] windowed at `window` (the
+    /// registry guarantees it is non-zero), or whole-run only for `None`.
+    fn new(window: Option<SimDuration>) -> Self {
         WindowedSketch {
             window,
-            alpha,
             windows: Vec::new(),
-            total: QuantileSketch::new(alpha),
+            total: QuantileSketch::new(DEFAULT_ALPHA),
             sum: 0.0,
         }
-    }
-
-    /// The window width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// The configured relative accuracy.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Observations recorded.
@@ -150,57 +131,50 @@ impl WindowedSketch {
 
     /// Records one observation at sim time `at`.
     pub fn record(&mut self, at: SimTime, v: f64) {
-        let idx = at.as_nanos() / self.window.as_nanos();
+        self.total.record(v);
+        self.sum += v;
+        let Some(window) = self.window else {
+            return;
+        };
+        let idx = at.as_nanos() / window.as_nanos();
         // The common case is in-order arrival into the latest window;
         // merged registries may interleave, so fall back to binary search.
         match self.windows.last_mut() {
             Some((last, sk)) if *last == idx => sk.record(v),
             Some((last, _)) if *last < idx => {
-                let mut sk = QuantileSketch::new(self.alpha);
+                let mut sk = QuantileSketch::new(DEFAULT_ALPHA);
                 sk.record(v);
                 self.windows.push((idx, sk));
             }
             None => {
-                let mut sk = QuantileSketch::new(self.alpha);
+                let mut sk = QuantileSketch::new(DEFAULT_ALPHA);
                 sk.record(v);
                 self.windows.push((idx, sk));
             }
             Some(_) => match self.windows.binary_search_by_key(&idx, |&(i, _)| i) {
                 Ok(pos) => self.windows[pos].1.record(v),
                 Err(pos) => {
-                    let mut sk = QuantileSketch::new(self.alpha);
+                    let mut sk = QuantileSketch::new(DEFAULT_ALPHA);
                     sk.record(v);
                     self.windows.insert(pos, (idx, sk));
                 }
             },
         }
-        self.total.record(v);
-        self.sum += v;
     }
 
     /// The non-empty windows, ascending: `(window start, sketch)`.
     pub fn windows(&self) -> impl Iterator<Item = (SimTime, &QuantileSketch)> {
-        let w = self.window.as_nanos();
+        let w = self.window.map_or(0, SimDuration::as_nanos);
         self.windows
             .iter()
             .map(move |(i, sk)| (SimTime::from_nanos(i * w), sk))
     }
 
-    /// Merges every window sketch into one — provably equal to
-    /// [`WindowedSketch::total`] (same counts, same quantile answers).
-    pub fn merged(&self) -> QuantileSketch {
-        let mut out = QuantileSketch::new(self.alpha);
-        for (_, sk) in &self.windows {
-            out.merge(sk);
-        }
-        out
-    }
-
-    /// Merges another windowed sketch (same window and accuracy).
+    /// Merges another windowed sketch (same window).
     ///
     /// # Panics
     ///
-    /// Panics on mismatched windows or accuracies.
+    /// Panics on mismatched windows.
     pub fn merge(&mut self, other: &WindowedSketch) {
         assert!(
             self.window == other.window,
@@ -277,29 +251,6 @@ pub struct MetricFamily {
     series: BTreeMap<LabelSet, u32>,
 }
 
-impl MetricFamily {
-    /// What the family measures.
-    pub fn kind(&self) -> MetricKind {
-        self.kind
-    }
-
-    /// The family's help text.
-    pub fn help(&self) -> &str {
-        &self.help
-    }
-
-    /// True for execution-dependent families excluded from the
-    /// deterministic exposition.
-    pub fn is_volatile(&self) -> bool {
-        self.volatile
-    }
-
-    /// Number of series in the family.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-}
-
 /// The registry: named families of counters, gauges, and windowed
 /// histograms. See the [module docs](self) for the model.
 #[derive(Debug, Clone)]
@@ -337,26 +288,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The histogram window width new series get.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// True when no family holds any series.
-    pub fn is_empty(&self) -> bool {
-        self.families.values().all(|f| f.series.is_empty())
-    }
-
-    /// The families, by name.
-    pub fn families(&self) -> impl Iterator<Item = (&str, &MetricFamily)> {
-        self.families.iter().map(|(n, f)| (n.as_str(), f))
-    }
-
-    /// Looks a family up by name.
-    pub fn family(&self, name: &str) -> Option<&MetricFamily> {
-        self.families.get(name)
-    }
-
     /// Declares a family's kind and help text (idempotent; creating the
     /// family on first use). Samples may arrive before or after.
     ///
@@ -379,6 +310,13 @@ impl MetricsRegistry {
             .get_mut(name)
             .expect("describe created the family")
             .volatile = true;
+    }
+
+    /// The window a new histogram series of family `name` gets: none for a
+    /// volatile family, whose series keep only the whole-run sketch.
+    fn histogram_window(&self, name: &str) -> Option<SimDuration> {
+        let volatile = self.families.get(name).is_some_and(|f| f.volatile);
+        (!volatile).then_some(self.window)
     }
 
     fn family_mut(&mut self, name: &str, kind: MetricKind) -> &mut MetricFamily {
@@ -417,8 +355,8 @@ impl MetricsRegistry {
         name: &str,
         labels: &[(&str, &str)],
     ) -> SeriesHandle {
-        let window = self.window;
-        let (mk, init): (MetricKind, fn(SimDuration) -> SeriesValue) = match kind {
+        let window = self.histogram_window(name);
+        let (mk, init): (MetricKind, fn(Option<SimDuration>) -> SeriesValue) = match kind {
             SeriesKind::Counter => (MetricKind::Counter, |_| SeriesValue::Counter {
                 total: 0.0,
                 windows: CounterWindows::default(),
@@ -504,7 +442,7 @@ impl MetricsRegistry {
 
     /// Records one observation into a windowed-histogram series.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], at: SimTime, v: f64) {
-        let window = self.window;
+        let window = self.histogram_window(name);
         let idx = self.slot_for(name, MetricKind::Histogram, labels, || {
             SeriesValue::Histogram(WindowedSketch::new(window))
         });
@@ -527,14 +465,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// A gauge series' value, if it exists.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self.slot(name, labels)? {
-            SeriesValue::Gauge(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// A histogram series' windowed sketch, if it exists.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&WindowedSketch> {
         match self.slot(name, labels)? {
@@ -552,7 +482,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics when a family exists in both registries with different
-    /// kinds, or when merged histogram series disagree on window/accuracy.
+    /// kinds, or when merged histogram series disagree on window.
     pub fn merge_labeled(&mut self, other: &MetricsRegistry, extra: &[(&str, &str)]) {
         for (name, fam) in &other.families {
             let dst = self.family_mut(name, fam.kind);
@@ -575,9 +505,9 @@ impl MetricsRegistry {
                             windows: CounterWindows::default(),
                         },
                         SeriesValue::Gauge(_) => SeriesValue::Gauge(0.0),
-                        SeriesValue::Histogram(sk) => SeriesValue::Histogram(
-                            WindowedSketch::with_alpha(sk.window(), sk.alpha()),
-                        ),
+                        SeriesValue::Histogram(sk) => {
+                            SeriesValue::Histogram(WindowedSketch::new(sk.window))
+                        }
                     });
                     idx
                 });
@@ -1116,6 +1046,15 @@ fn family_of(sample_name: &str, types: &BTreeMap<String, usize>) -> Option<usize
 mod tests {
     use super::*;
 
+    /// The union of every window's sketch.
+    fn merged(sk: &WindowedSketch) -> QuantileSketch {
+        let mut out = QuantileSketch::new(DEFAULT_ALPHA);
+        for (_, window) in sk.windows() {
+            out.merge(window);
+        }
+        out
+    }
+
     #[test]
     fn counters_gauges_histograms_round_trip() {
         let mut reg = MetricsRegistry::with_window(SimDuration::from_micros(1));
@@ -1125,9 +1064,9 @@ mod tests {
         reg.gauge_set("rate", &[("flow", "a")], 12.5);
         reg.observe("lat", &[("flow", "a")], SimTime::from_nanos(10), 100.0);
         assert_eq!(reg.counter_value("bytes", &[("flow", "a")]), Some(128.0));
-        assert_eq!(reg.gauge_value("rate", &[("flow", "a")]), Some(12.5));
         assert_eq!(reg.histogram("lat", &[("flow", "a")]).unwrap().count(), 1);
         let text = reg.to_openmetrics();
+        assert!(text.contains("rate{flow=\"a\"} 12.5"));
         assert!(text.contains("# TYPE bytes counter"));
         assert!(text.contains("bytes_total{flow=\"a\"} 128"));
         assert!(text.contains("bytes_window{flow=\"a\",window_start_ns=\"0\"} 64"));
@@ -1147,12 +1086,12 @@ mod tests {
 
     #[test]
     fn windowed_sketch_windows_merge_to_total() {
-        let mut sk = WindowedSketch::new(SimDuration::from_micros(1));
+        let mut sk = WindowedSketch::new(Some(SimDuration::from_micros(1)));
         for i in 0..10_000u64 {
             sk.record(SimTime::from_nanos(i * 17), (i % 997) as f64);
         }
         assert!(sk.windows().count() > 100);
-        let merged = sk.merged();
+        let merged = merged(&sk);
         assert_eq!(merged.count(), sk.total().count());
         for q in [0.01, 0.5, 0.9, 0.99, 0.999] {
             assert_eq!(merged.quantile(q), sk.total().quantile(q), "q={q}");
@@ -1162,22 +1101,22 @@ mod tests {
     #[test]
     fn windowed_sketch_merge_is_window_aligned() {
         let w = SimDuration::from_micros(1);
-        let mut a = WindowedSketch::new(w);
-        let mut b = WindowedSketch::new(w);
+        let mut a = WindowedSketch::new(Some(w));
+        let mut b = WindowedSketch::new(Some(w));
         a.record(SimTime::from_nanos(100), 1.0);
         b.record(SimTime::from_nanos(200), 3.0);
         b.record(SimTime::from_nanos(1_200), 5.0);
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.windows().count(), 2);
-        assert_eq!(a.merged().count(), a.total().count());
+        assert_eq!(merged(&a).count(), a.total().count());
     }
 
     #[test]
     #[should_panic(expected = "different windows")]
     fn window_mismatch_rejected() {
-        let mut a = WindowedSketch::new(SimDuration::from_micros(1));
-        let b = WindowedSketch::new(SimDuration::from_micros(2));
+        let mut a = WindowedSketch::new(Some(SimDuration::from_micros(1)));
+        let b = WindowedSketch::new(Some(SimDuration::from_micros(2)));
         a.merge(&b);
     }
 
@@ -1193,11 +1132,9 @@ mod tests {
         let labels = [("flow", "a"), ("scenario", "s1"), ("backend", "event")];
         assert_eq!(outer.counter_value("bytes", &labels), Some(10.0));
         assert_eq!(outer.histogram("lat", &labels).unwrap().count(), 1);
-        assert_eq!(
-            outer.gauge_value("rate", &[("scenario", "s2"), ("backend", "event")]),
-            Some(7.0)
-        );
-        lint_openmetrics(&outer.to_openmetrics()).expect("merged registry lints clean");
+        let text = outer.to_openmetrics();
+        assert!(text.contains("rate{backend=\"event\",scenario=\"s2\"} 7"));
+        lint_openmetrics(&text).expect("merged registry lints clean");
     }
 
     #[test]
@@ -1291,13 +1228,13 @@ mod tests {
                     1..400,
                 ),
             ) {
-                let mut ws = WindowedSketch::new(SimDuration::from_nanos(window_ns));
+                let mut ws = WindowedSketch::new(Some(SimDuration::from_nanos(window_ns)));
                 let mut whole = crate::sketch::QuantileSketch::new(DEFAULT_ALPHA);
                 for &(t, v) in &samples {
                     ws.record(SimTime::from_nanos(t), v);
                     whole.record(v);
                 }
-                let merged = ws.merged();
+                let merged = super::merged(&ws);
                 prop_assert_eq!(merged.count(), whole.count());
                 for q in [0.5, 0.9, 0.99, 0.999] {
                     prop_assert_eq!(merged.quantile(q), whole.quantile(q));

@@ -103,11 +103,6 @@ impl Profiler {
         self.records
     }
 
-    /// Bytes estimate for a (source, destination) pair — never below truth.
-    pub fn bytes_estimate(&self, src: u32, dest: u32) -> u64 {
-        self.bytes_by_pair.estimate(&(src, dest))
-    }
-
     /// Finalizes into a serializable report.
     pub fn report(&self) -> ProfileReport {
         let mut flows: Vec<FlowProfile> = self
@@ -195,13 +190,6 @@ pub struct ProfileReport {
     pub memory_bytes: usize,
 }
 
-impl ProfileReport {
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report is always serializable")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +227,7 @@ mod tests {
         let r = p.report();
         assert_eq!((r.heavy_hitters[0].src, r.heavy_hitters[0].dest), (0, 0));
         // Count-Min never underestimates the elephant.
-        assert!(p.bytes_estimate(0, 0) >= 5_000 * 64);
+        assert!(p.bytes_by_pair.estimate(&(0u32, 0u32)) >= 5_000 * 64);
     }
 
     #[test]
@@ -295,7 +283,7 @@ mod tests {
                     100.0 + (i % 300) as f64,
                 );
             }
-            p.report().to_json()
+            serde_json::to_string(&p.report()).unwrap()
         };
         assert_eq!(run(42), run(42));
     }
@@ -305,7 +293,8 @@ mod tests {
         let mut p = Profiler::new();
         p.observe(FlowId(3), 1, 2, 64, 150.0);
         let r = p.report();
-        let back: ProfileReport = serde_json::from_str(&r.to_json()).unwrap();
+        let back: ProfileReport =
+            serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(back, r);
     }
 }

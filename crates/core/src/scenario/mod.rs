@@ -34,7 +34,7 @@ mod sweep;
 #[cfg(test)]
 mod tests;
 
-pub use backend::{describe_fluid_metrics, Backend, EventEngineBackend, FluidBackend};
+pub use backend::{Backend, EventEngineBackend, FluidBackend};
 pub use registry::{ScenarioEntry, ScenarioKind, ScenarioRegistry, ScenarioRun};
 pub use report::{FlowReport, ScenarioOutcome, ScenarioReport};
 pub use spec::{
@@ -43,9 +43,9 @@ pub use spec::{
 };
 pub(crate) use sweep::seal_spec;
 pub use sweep::{
-    cache_path, effective_jobs, effective_jobs_with, load_cache_entry, parallel_ordered,
-    run_and_publish, spec_hash, store_cache_entry, CacheLookup, SweepAxis, SweepOutcome,
-    SweepPoint, SweepPointResult, SweepRunner, SweepSpec, SweepStats, MAX_POINTS,
+    cache_path, effective_jobs, load_cache_entry, parallel_ordered, run_and_publish, spec_hash,
+    store_cache_entry, CacheLookup, SweepAxis, SweepOutcome, SweepPoint, SweepPointResult,
+    SweepRunner, SweepSpec, SweepStats,
 };
 #[cfg(test)]
-pub(crate) use sweep::{fnv1a64, splitmix64};
+pub(crate) use sweep::{effective_jobs_with, fnv1a64, splitmix64};

@@ -76,30 +76,12 @@ pub enum ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Builds an unsupported report.
-    pub fn unsupported(
-        scenario: impl Into<String>,
-        platform: impl Into<String>,
-        reason: impl Into<String>,
-    ) -> Self {
-        ScenarioReport::Unsupported {
-            scenario: scenario.into(),
-            platform: platform.into(),
-            reason: reason.into(),
-        }
-    }
-
     /// The outcome, when the run completed.
     pub fn outcome(&self) -> Option<&ScenarioOutcome> {
         match self {
             ScenarioReport::Completed(o) => Some(o),
             ScenarioReport::Unsupported { .. } => None,
         }
-    }
-
-    /// True for [`ScenarioReport::Unsupported`].
-    pub fn is_unsupported(&self) -> bool {
-        matches!(self, ScenarioReport::Unsupported { .. })
     }
 
     /// The canonical one-line rendering of an unsupported report.

@@ -372,10 +372,7 @@ impl ScenarioSpec {
             if let Some(w) = opts.warmup {
                 cfg.warmup = w;
             }
-            if opts.deterministic_memory {
-                cfg.dram = Some(chiplet_mem::DramServiceModel::deterministic());
-                cfg.cxl = Some(chiplet_mem::DramServiceModel::deterministic());
-            }
+            cfg.deterministic_memory = opts.deterministic_memory;
             cfg.trace_window = opts.trace_window;
             cfg.trace_sampling = opts.trace_sampling;
             cfg.metrics_window = opts.metrics_window;

@@ -203,7 +203,7 @@ pub struct SweepSpec {
     pub base: ScenarioSpec,
     /// The parameter axes (cartesian product, first axis outermost).
     pub axes: Vec<SweepAxis>,
-    /// Expansion cap for this sweep; `None` means [`MAX_POINTS`]. Large
+    /// Expansion cap for this sweep; `None` means `MAX_POINTS` (10,000). Large
     /// escalation batches (the DSE frontier) raise it explicitly instead
     /// of every sweep silently losing the guard rail. `None` serializes as
     /// `null` like every absent field.
@@ -223,16 +223,20 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// A point that runs `spec` exactly as it stands: labelled with the
-    /// spec's name and keyed by [`spec_hash`], with no seed derived. A
-    /// study's points are these, so each shares its cache entry with a
-    /// single run of the same spec.
-    pub fn as_is(spec: ScenarioSpec) -> SweepPoint {
-        SweepPoint {
-            label: spec.name.clone(),
-            hash: spec_hash(&spec),
-            spec,
-        }
+    /// A study's point list: each spec runs exactly as it stands, keyed by
+    /// [`spec_hash`] with no seed derived, so it shares its cache entry
+    /// with a single run of the same spec. Study specs often share a name,
+    /// so each label is the spec's name plus its list index (`name #i`).
+    pub fn study(specs: Vec<ScenarioSpec>) -> Vec<SweepPoint> {
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| SweepPoint {
+                label: format!("{} #{i}", spec.name),
+                hash: spec_hash(&spec),
+                spec,
+            })
+            .collect()
     }
 }
 
@@ -451,7 +455,7 @@ impl SweepRunner {
     }
 
     /// Runs a study's point list, every spec as it stands
-    /// ([`SweepPoint::as_is`]): without `metrics` through the cached path
+    /// ([`SweepPoint::study`]): without `metrics` through the cached path
     /// of [`SweepRunner::run_points`]; with it, each point runs
     /// metric-aware into a private registry, merged into `metrics` in list
     /// order (so the dump is the same for any worker count), uncached.
@@ -461,7 +465,7 @@ impl SweepRunner {
         specs: Vec<ScenarioSpec>,
         metrics: Option<&mut MetricsRegistry>,
     ) -> Result<(SweepOutcome, SweepStats), ScenarioError> {
-        let points: Vec<SweepPoint> = specs.into_iter().map(SweepPoint::as_is).collect();
+        let points = SweepPoint::study(specs);
         let Some(metrics) = metrics else {
             return self.run_points(name, points);
         };
@@ -601,8 +605,9 @@ impl SweepRunner {
         usize,
         usize,
     ) {
-        if let Some(dir) = &self.cache_dir {
+        if let (Some(dir), false) = (&self.cache_dir, points.is_empty()) {
             // Best-effort: an unwritable cache degrades to uncached runs.
+            // A run with no points (`table1`, `noc_study`) creates nothing.
             let _ = std::fs::create_dir_all(dir);
         }
         let occupancy = AtomicUsize::new(0);

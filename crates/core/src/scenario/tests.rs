@@ -132,8 +132,11 @@ fn report_round_trips_through_json() {
     let back = ScenarioReport::from_json(&report.to_json()).expect("parses");
     assert_eq!(back, report);
 
-    let unsup = ScenarioReport::unsupported("fig3e", "EPYC 7302", "platform has no CXL device");
-    assert!(unsup.is_unsupported());
+    let unsup = ScenarioReport::Unsupported {
+        scenario: "fig3e".into(),
+        platform: "EPYC 7302".into(),
+        reason: "platform has no CXL device".into(),
+    };
     assert_eq!(
         unsup.unsupported_note().as_deref(),
         Some("fig3e on EPYC 7302: not supported")
@@ -1115,10 +1118,10 @@ mod metric_runs {
             .run_study("unit_study", specs, None)
             .unwrap();
         assert_eq!(plain, o1, "reports are metrics-invariant");
-        // Points run as they stand: named after the spec, keyed by its
-        // content hash, on the spec's own seed.
+        // Points run as they stand: labelled with the spec's name and list
+        // index, keyed by its content hash, on the spec's own seed.
         assert_eq!(o1.sweep, "unit_study");
-        assert_eq!(o1.points[1].label, "unit_fluid_b");
+        assert_eq!(o1.points[1].label, "unit_fluid_b #1");
         assert_eq!(o1.points[1].hash, spec_hash(&second));
         assert_eq!(
             o1.points[1].report.outcome().unwrap().seed,

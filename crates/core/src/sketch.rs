@@ -100,11 +100,6 @@ impl QuantileSketch {
         }
     }
 
-    /// The configured relative accuracy.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     fn key_of(&self, v: f64) -> i32 {
         (v.ln() / self.gamma_ln).ceil() as i32
     }
@@ -217,11 +212,6 @@ impl CountMinSketch {
         Self::with_seed(width.max(1), depth.max(1), seed)
     }
 
-    /// Creates a sketch with explicit dimensions and the default seed 0.
-    pub fn new(width: usize, depth: usize) -> Self {
-        Self::with_seed(width, depth, 0)
-    }
-
     /// Creates a sketch with explicit dimensions, its row hashers drawn
     /// from a splitmix64 stream of `seed`.
     ///
@@ -266,11 +256,6 @@ impl CountMinSketch {
             .map(|row| self.counters[self.index(row, key)])
             .min()
             .unwrap_or(0)
-    }
-
-    /// Total count across all keys (exact).
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Counter memory in bytes.
@@ -336,11 +321,6 @@ impl<K: Ord + Clone> SpaceSaving<K> {
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
     }
-
-    /// Total count observed (exact).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +329,7 @@ mod tests {
 
     #[test]
     fn count_min_never_underestimates() {
-        let mut cm = CountMinSketch::new(64, 4);
+        let mut cm = CountMinSketch::with_seed(64, 4, 0);
         let mut truth: HashMap<u32, u64> = HashMap::new();
         for i in 0..1000u32 {
             let key = i % 97;
@@ -372,7 +352,7 @@ mod tests {
         for i in 0..10_000u32 {
             cm.update(&(i % 500), 1);
         }
-        let bound = (0.01 * cm.total() as f64) as u64;
+        let bound = (0.01 * 10_000.0) as u64;
         let mut violations = 0;
         for k in 0..500u32 {
             let true_count = 10_000 / 500;
@@ -393,7 +373,7 @@ mod tests {
 
     #[test]
     fn count_min_unknown_key_bounded_by_collisions() {
-        let mut cm = CountMinSketch::new(1024, 4);
+        let mut cm = CountMinSketch::with_seed(1024, 4, 0);
         cm.update(&1u64, 1000);
         // A different key collides with probability ~1/1024 per row.
         assert!(cm.estimate(&999_999u64) <= 1000);
@@ -446,7 +426,6 @@ mod tests {
             ss.update(i, 1);
         }
         assert!(ss.heavy_hitters().len() <= 5);
-        assert_eq!(ss.total(), 1000);
     }
 
     #[test]

@@ -29,18 +29,6 @@ pub struct DirStats {
     pub max_wait_ns: f64,
 }
 
-impl DirStats {
-    /// Achieved throughput over a window.
-    pub fn throughput(&self, window: SimDuration) -> Bandwidth {
-        let secs = window.as_secs_f64();
-        if secs <= 0.0 {
-            Bandwidth::ZERO
-        } else {
-            Bandwidth::from_bytes_per_s(self.bytes as f64 / secs)
-        }
-    }
-}
-
 /// Telemetry for one capacity point (a physical link, the socket NoC, or a
 /// per-CCD CXL port).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -199,11 +187,6 @@ impl TelemetryReport {
                 .then_with(|| b.point.sort_key().cmp(&a.point.sort_key()))
         })
     }
-
-    /// Total payload bytes completed by all flows.
-    pub fn total_bytes(&self) -> u64 {
-        self.flows.iter().map(|f| f.bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -325,17 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_from_dir_stats() {
-        let d = DirStats {
-            bytes: 64_000,
-            ..Default::default()
-        };
-        let bw = d.throughput(SimDuration::from_micros(1));
-        assert!((bw.as_gb_per_s() - 64.0).abs() < 1e-9);
-        assert_eq!(d.throughput(SimDuration::ZERO), Bandwidth::ZERO);
-    }
-
-    #[test]
     fn report_serializes() {
         let report = TelemetryReport {
             platform: "x".into(),
@@ -364,6 +336,6 @@ mod tests {
             matrix: vec![],
         };
         assert!(report.bottleneck().is_none());
-        assert_eq!(report.total_bytes(), 0);
+        assert!(report.flows.iter().all(|f| f.bytes == 0));
     }
 }

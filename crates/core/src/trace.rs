@@ -202,11 +202,6 @@ impl ChromeTraceBuilder {
         self.metadata("process_name", pid, 0, name);
     }
 
-    /// Emits a `thread_name` metadata event labelling `(pid, tid)`.
-    pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
-        self.metadata("thread_name", pid, tid, name);
-    }
-
     fn metadata(&mut self, kind: &str, pid: u64, tid: u64, name: &str) {
         use serde_json::Value;
         self.events.push(Self::obj(vec![
@@ -242,16 +237,6 @@ impl ChromeTraceBuilder {
             ("tid", Value::U64(tid)),
             ("args", Self::obj(args)),
         ]));
-    }
-
-    /// Events emitted so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no event has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Serializes the trace document (deterministic bytes).

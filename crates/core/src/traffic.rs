@@ -99,29 +99,9 @@ impl ResourceArena {
         i
     }
 
-    /// The dense index of `key`, if interned.
-    pub fn get(&self, key: ResourceKey) -> Option<u32> {
-        self.index.get(&key).copied()
-    }
-
-    /// The key behind a dense index.
-    pub fn key(&self, idx: u32) -> ResourceKey {
-        self.keys[idx as usize]
-    }
-
     /// The flat capacity table, indexed by dense index.
     pub fn capacities(&self) -> &[f64] {
         &self.capacities
-    }
-
-    /// Number of interned keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when nothing is interned.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 }
 

@@ -20,11 +20,6 @@ pub enum Dir {
     Write,
 }
 
-impl Dir {
-    /// Both directions, reads first.
-    pub const BOTH: [Dir; 2] = [Dir::Read, Dir::Write];
-}
-
 impl core::fmt::Display for Dir {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(match self {
@@ -93,26 +88,6 @@ impl DirectionalChannel {
         }
     }
 
-    /// True when `dir` has a configured capacity.
-    pub fn is_capped(&self, dir: Dir) -> bool {
-        self.server(dir).is_some()
-    }
-
-    /// Backlog an arrival in `dir` at `now_ns` would wait behind, ns.
-    pub fn backlog_ns(&self, dir: Dir, now_ns: f64) -> f64 {
-        self.server(dir).map_or(0.0, |s| s.backlog_ns(now_ns))
-    }
-
-    /// Bytes served in `dir` so far.
-    pub fn bytes_served(&self, dir: Dir) -> u64 {
-        self.server(dir).map_or(0, FifoServer::bytes_served)
-    }
-
-    /// Utilization of `dir` over `[0, horizon_ns]`; 0 for uncapped.
-    pub fn utilization(&self, dir: Dir, horizon_ns: f64) -> f64 {
-        self.server(dir).map_or(0.0, |s| s.utilization(horizon_ns))
-    }
-
     /// Resets statistics in both directions (clocks are preserved).
     pub fn reset_stats(&mut self) {
         if let Some(s) = self.read.as_mut() {
@@ -139,7 +114,7 @@ mod tests {
         for i in 0..100 {
             ch.admit(Dir::Read, i as f64 * 0.1, 64);
         }
-        assert!(ch.backlog_ns(Dir::Read, 10.0) > 50.0);
+        assert!(ch.admit(Dir::Read, 10.0, 64).wait_ns > 50.0);
         // Writes are unaffected.
         let a = ch.admit(Dir::Write, 10.0, 64);
         assert_eq!(a.wait_ns, 0.0);
@@ -148,11 +123,10 @@ mod tests {
     #[test]
     fn uncapped_direction_passes_through() {
         let mut ch = DirectionalChannel::new(Some(gb(10.0)), None);
-        assert!(!ch.is_capped(Dir::Write));
         let a = ch.admit(Dir::Write, 5.0, 4096);
         assert_eq!(a.depart_ns, 5.0);
         assert_eq!(a.service_ns, 0.0);
-        assert_eq!(ch.bytes_served(Dir::Write), 0);
+        assert!(ch.server(Dir::Write).is_none());
     }
 
     #[test]
@@ -162,13 +136,5 @@ mod tests {
         let r = ch.admit(Dir::Read, 0.0, 64);
         let w = ch.admit(Dir::Write, 0.0, 64);
         assert!(w.service_ns > r.service_ns);
-    }
-
-    #[test]
-    fn utilization_per_direction() {
-        let mut ch = DirectionalChannel::new(Some(gb(64.0)), Some(gb(64.0)));
-        ch.admit(Dir::Read, 0.0, 640); // 10 ns busy
-        assert!((ch.utilization(Dir::Read, 100.0) - 0.1).abs() < 1e-12);
-        assert_eq!(ch.utilization(Dir::Write, 100.0), 0.0);
     }
 }

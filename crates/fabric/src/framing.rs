@@ -54,11 +54,6 @@ impl FlitFraming {
     pub fn wire_bytes(&self, payload: u64) -> u64 {
         self.flits_for(payload) * self.flit_bytes as u64
     }
-
-    /// Payload efficiency: payload / wire for large transfers.
-    pub fn efficiency(&self) -> f64 {
-        self.payload_bytes as f64 / self.flit_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +65,6 @@ mod tests {
         let f = FlitFraming::CXL_68B;
         assert_eq!(f.flits_for(64), 1);
         assert_eq!(f.wire_bytes(64), 68);
-        assert!((f.efficiency() - 64.0 / 68.0).abs() < 1e-12);
     }
 
     #[test]
@@ -102,11 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_relation_between_formats() {
-        // For cacheline-granular traffic the 68 B format is the tighter fit
-        // (64/68 ≈ 0.941 vs 240/256 = 0.9375): a single line wastes 192
-        // payload bytes of a 256 B FLIT.
-        assert!(FlitFraming::CXL_68B.efficiency() > FlitFraming::CXL_256B.efficiency());
+    fn cacheline_fits_68b_flits_tighter() {
+        // A single line wastes 192 payload bytes of a 256 B FLIT.
         assert!(FlitFraming::CXL_68B.wire_bytes(64) < FlitFraming::CXL_256B.wire_bytes(64));
     }
 }

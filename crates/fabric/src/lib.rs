@@ -35,4 +35,4 @@ pub mod server;
 pub use channel::{Dir, DirectionalChannel};
 pub use framing::FlitFraming;
 pub use limiter::SlotLimiter;
-pub use server::{Admission, FifoServer};
+pub use server::FifoServer;

@@ -24,12 +24,6 @@ pub struct SlotLimiter<T> {
     capacity: u32,
     in_use: u32,
     waiters: VecDeque<T>,
-    /// Peak simultaneous waiters, for telemetry.
-    peak_waiters: usize,
-    /// Total acquisitions that had to wait.
-    stalled_acquisitions: u64,
-    /// Total acquisitions.
-    acquisitions: u64,
 }
 
 impl<T> SlotLimiter<T> {
@@ -44,9 +38,6 @@ impl<T> SlotLimiter<T> {
             capacity,
             in_use: 0,
             waiters: VecDeque::new(),
-            peak_waiters: 0,
-            stalled_acquisitions: 0,
-            acquisitions: 0,
         }
     }
 
@@ -54,14 +45,11 @@ impl<T> SlotLimiter<T> {
     /// handle joins the FIFO wait list and will be handed back by a future
     /// [`SlotLimiter::release`].
     pub fn acquire(&mut self, waiter: T) -> bool {
-        self.acquisitions += 1;
         if self.in_use < self.capacity && self.waiters.is_empty() {
             self.in_use += 1;
             true
         } else {
-            self.stalled_acquisitions += 1;
             self.waiters.push_back(waiter);
-            self.peak_waiters = self.peak_waiters.max(self.waiters.len());
             false
         }
     }
@@ -84,11 +72,6 @@ impl<T> SlotLimiter<T> {
         }
     }
 
-    /// Total slots.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
     /// Slots currently held.
     pub fn in_use(&self) -> u32 {
         self.in_use
@@ -97,20 +80,6 @@ impl<T> SlotLimiter<T> {
     /// Requests currently waiting.
     pub fn waiting(&self) -> usize {
         self.waiters.len()
-    }
-
-    /// Largest wait-list length seen.
-    pub fn peak_waiters(&self) -> usize {
-        self.peak_waiters
-    }
-
-    /// Fraction of acquisitions that had to wait.
-    pub fn stall_fraction(&self) -> f64 {
-        if self.acquisitions == 0 {
-            0.0
-        } else {
-            self.stalled_acquisitions as f64 / self.acquisitions as f64
-        }
     }
 }
 
@@ -161,16 +130,6 @@ mod tests {
     fn release_without_acquire_panics() {
         let mut l: SlotLimiter<u32> = SlotLimiter::new(1);
         let _ = l.release();
-    }
-
-    #[test]
-    fn stall_statistics() {
-        let mut l: SlotLimiter<u32> = SlotLimiter::new(1);
-        assert!(l.acquire(1));
-        assert!(!l.acquire(2));
-        assert!(!l.acquire(3));
-        assert_eq!(l.peak_waiters(), 2);
-        assert!((l.stall_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -80,14 +80,6 @@ impl FifoServer {
         Bandwidth::from_bytes_per_s(self.bytes_per_ns * 1e9)
     }
 
-    /// Replaces the capacity (used by the traffic manager's reconfiguration
-    /// path). In-flight accounting is preserved; only future service times
-    /// change.
-    pub fn set_capacity(&mut self, capacity: Bandwidth) {
-        assert!(capacity.is_positive(), "capacity must stay positive");
-        self.bytes_per_ns = capacity.bytes_per_ns();
-    }
-
     /// Admits a transaction of `bytes` arriving at `now_ns`.
     ///
     /// Arrivals must be presented in nondecreasing time order (the caller's
@@ -128,11 +120,6 @@ impl FifoServer {
         self.next_free_ns
     }
 
-    /// Current backlog an arrival at `now_ns` would wait behind, ns.
-    pub fn backlog_ns(&self, now_ns: f64) -> f64 {
-        (self.next_free_ns - now_ns).max(0.0)
-    }
-
     /// Total bytes admitted so far.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_served
@@ -164,15 +151,6 @@ impl FifoServer {
     /// Largest single queueing wait observed, ns.
     pub fn max_wait_ns(&self) -> f64 {
         self.max_wait_ns
-    }
-
-    /// Achieved throughput over `[0, horizon_ns]`.
-    pub fn throughput(&self, horizon_ns: f64) -> Bandwidth {
-        if horizon_ns <= 0.0 {
-            Bandwidth::ZERO
-        } else {
-            Bandwidth::from_bytes_per_s(self.bytes_served as f64 / (horizon_ns / 1e9))
-        }
     }
 
     /// Clears statistics but keeps the clock, for warmup-discard protocols.
@@ -228,22 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_is_capacity_when_saturated() {
-        let mut s = server(25.0);
-        // Saturate for 1 µs: offered far above capacity.
-        let mut t = 0.0;
-        while t < 1000.0 {
-            s.admit(t, 64);
-            t += 0.5; // 128 GB/s offered
-        }
-        let tp = s.throughput(s.next_free_ns());
-        assert!(
-            (tp.as_gb_per_s() - 25.0).abs() < 0.5,
-            "throughput {tp} should be ~capacity"
-        );
-    }
-
-    #[test]
     fn fifo_shares_are_proportional_to_arrival_rates() {
         // Two interleaved arrival streams at 2:1 rate ratio through a
         // saturated server: served bytes split 2:1 (sender-driven sharing).
@@ -264,14 +226,6 @@ mod tests {
         }
         let ratio = served[0] as f64 / served[1] as f64;
         assert!((1.8..=2.2).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn set_capacity_changes_future_service() {
-        let mut s = server(64.0);
-        assert_eq!(s.admit(0.0, 64).service_ns, 1.0);
-        s.set_capacity(Bandwidth::from_gb_per_s(32.0));
-        assert_eq!(s.admit(10.0, 64).service_ns, 2.0);
     }
 
     #[test]

@@ -390,9 +390,9 @@ pub fn weighted_allocate_dense<'a, P: FootprintPoint + 'a>(
 /// between demand-schedule breakpoints the demand vector — and therefore
 /// the equilibrium, a pure function of `(demands, topology)` — cannot
 /// change. This wrapper re-solves only when a demand differs **bitwise**
-/// from the previous epoch's (or after [`IncrementalAllocator::invalidate`],
-/// required whenever `flow_links`/`capacities` change), returning the
-/// cached rates otherwise. Rates are bit-identical to calling the
+/// from the previous epoch's, returning the cached rates otherwise. The
+/// memo keys on demands alone, so one allocator serves one fixed set of
+/// `flow_links` and `capacities`. Rates are bit-identical to calling the
 /// from-scratch solver every epoch; the steady state performs one `f64`
 /// comparison per flow and zero allocations.
 #[derive(Debug, Default, Clone)]
@@ -410,13 +410,6 @@ impl IncrementalAllocator {
     /// call always solves.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drops the memo: the next call re-solves unconditionally. Call this
-    /// whenever the flow set, link sets, or capacities change — the memo
-    /// keys on demands alone.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
     }
 
     /// The equilibrium rates for `demands`, re-solving only when a demand
@@ -457,7 +450,7 @@ impl IncrementalAllocator {
         self.memo_hits
     }
 
-    /// Calls that ran the full solver (demand change or invalidation).
+    /// Calls that ran the full solver (first call or demand change).
     pub fn memo_misses(&self) -> u64 {
         self.memo_misses
     }
@@ -628,9 +621,6 @@ mod tests {
         assert_eq!((alloc.memo_misses(), alloc.memo_hits()), (1, 2));
         alloc.allocate(&[5.0, 9.0], &links, &caps);
         assert_eq!((alloc.memo_misses(), alloc.memo_hits()), (2, 2));
-        alloc.invalidate();
-        alloc.allocate(&[5.0, 9.0], &links, &caps);
-        assert_eq!((alloc.memo_misses(), alloc.memo_hits()), (3, 2));
     }
 
     #[test]

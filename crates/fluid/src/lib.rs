@@ -34,8 +34,6 @@ pub mod alloc;
 pub mod metrics;
 pub mod sim;
 
-pub use alloc::{
-    proportional_allocate, proportional_allocate_into, AllocScratch, IncrementalAllocator,
-};
+pub use alloc::{proportional_allocate, IncrementalAllocator};
 pub use metrics::harvest_time_ms;
 pub use sim::{DemandSchedule, FluidFlowSpec, FluidLink, FluidSim, Instability};

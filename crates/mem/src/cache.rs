@@ -82,17 +82,6 @@ impl CacheHierarchy {
             CacheLevel::Memory => None,
         }
     }
-
-    /// Latency of a pointer-chase access over a `size`-byte working set that
-    /// stays within the hierarchy, ns; `None` once it spills to memory.
-    pub fn chase_latency_ns(&self, size: ByteSize) -> Option<f64> {
-        self.hit_latency_ns(self.level_for(size))
-    }
-
-    /// L3 slice capacity (the level whose spill produces fabric traffic).
-    pub fn l3_size(&self) -> ByteSize {
-        self.l3_size
-    }
 }
 
 #[cfg(test)]
@@ -102,6 +91,10 @@ mod tests {
 
     fn h(spec: &PlatformSpec) -> CacheHierarchy {
         CacheHierarchy::from_spec(&spec.cache)
+    }
+
+    fn chase(c: &CacheHierarchy, size: ByteSize) -> Option<f64> {
+        c.hit_latency_ns(c.level_for(size))
     }
 
     #[test]
@@ -119,15 +112,15 @@ mod tests {
     #[test]
     fn table2_cache_latencies() {
         let c = h(&PlatformSpec::epyc_7302());
-        assert_eq!(c.chase_latency_ns(ByteSize::from_kib(16)), Some(1.24));
-        assert_eq!(c.chase_latency_ns(ByteSize::from_kib(256)), Some(5.66));
-        assert_eq!(c.chase_latency_ns(ByteSize::from_mib(8)), Some(34.3));
-        assert_eq!(c.chase_latency_ns(ByteSize::from_gib(1)), None);
+        assert_eq!(chase(&c, ByteSize::from_kib(16)), Some(1.24));
+        assert_eq!(chase(&c, ByteSize::from_kib(256)), Some(5.66));
+        assert_eq!(chase(&c, ByteSize::from_mib(8)), Some(34.3));
+        assert_eq!(chase(&c, ByteSize::from_gib(1)), None);
 
         let c = h(&PlatformSpec::epyc_9634());
-        assert_eq!(c.chase_latency_ns(ByteSize::from_kib(32)), Some(1.19));
-        assert_eq!(c.chase_latency_ns(ByteSize::from_kib(768)), Some(7.51));
-        assert_eq!(c.chase_latency_ns(ByteSize::from_mib(16)), Some(40.8));
+        assert_eq!(chase(&c, ByteSize::from_kib(32)), Some(1.19));
+        assert_eq!(chase(&c, ByteSize::from_kib(768)), Some(7.51));
+        assert_eq!(chase(&c, ByteSize::from_mib(16)), Some(40.8));
     }
 
     #[test]

@@ -73,17 +73,16 @@ impl DramServiceModel {
         }
         extra
     }
-
-    /// The distribution's mean extra service time, ns (for capacity
-    /// derating in analytical checks).
-    pub fn mean_extra_ns(&self) -> f64 {
-        self.jitter_ns / 2.0 + self.slow_probability * self.slow_extra_ns
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The distribution's mean extra service time, ns.
+    fn mean_extra_ns(m: &DramServiceModel) -> f64 {
+        m.jitter_ns / 2.0 + m.slow_probability * m.slow_extra_ns
+    }
 
     #[test]
     fn deterministic_adds_nothing() {
@@ -92,7 +91,7 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(m.extra_service_ns(&mut rng), 0.0);
         }
-        assert_eq!(m.mean_extra_ns(), 0.0);
+        assert_eq!(mean_extra_ns(&m), 0.0);
     }
 
     #[test]
@@ -102,7 +101,7 @@ mod tests {
         let n = 200_000;
         let total: f64 = (0..n).map(|_| m.extra_service_ns(&mut rng)).sum();
         let sample_mean = total / n as f64;
-        let analytic = m.mean_extra_ns();
+        let analytic = mean_extra_ns(&m);
         assert!(
             (sample_mean - analytic).abs() < 0.25,
             "sample {sample_mean} vs analytic {analytic}"
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn cxl_is_worse_than_dram() {
-        assert!(DramServiceModel::cxl().mean_extra_ns() > DramServiceModel::ddr5().mean_extra_ns());
+        assert!(mean_extra_ns(&DramServiceModel::cxl()) > mean_extra_ns(&DramServiceModel::ddr5()));
     }
 
     #[test]

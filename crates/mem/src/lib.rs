@@ -23,5 +23,5 @@ pub mod cache;
 pub mod dram;
 
 pub use access::{AccessOutcome, OpKind, Pattern};
-pub use cache::{CacheHierarchy, CacheLevel};
+pub use cache::CacheHierarchy;
 pub use dram::DramServiceModel;

@@ -162,7 +162,11 @@ mod tests {
 
     #[test]
     fn base_carries_the_memory_mode() {
-        assert!(base("epyc_7302", true).engine_config().dram.is_some());
-        assert!(base("epyc_7302", false).engine_config().dram.is_none());
+        assert!(base("epyc_7302", true).engine_config().deterministic_memory);
+        assert!(
+            !base("epyc_7302", false)
+                .engine_config()
+                .deterministic_memory
+        );
     }
 }

@@ -96,20 +96,6 @@ pub struct NocConfig {
     pub packet_len: u8,
 }
 
-impl NocConfig {
-    /// A 4×2 buffered mesh: the shape of the EPYC 7302-class I/O die model.
-    pub fn io_die_mesh() -> Self {
-        NocConfig {
-            topology: NocTopology::Mesh {
-                width: 4,
-                height: 2,
-            },
-            routing: Routing::BufferedXY { buffer_depth: 4 },
-            packet_len: 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

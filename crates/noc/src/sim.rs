@@ -87,16 +87,6 @@ impl NocSim {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &NocConfig {
-        &self.config
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Statistics collected so far.
     pub fn stats(&self) -> &NocStats {
         &self.stats

@@ -74,16 +74,6 @@ impl NocStats {
             self.deflections as f64 / self.delivered as f64
         }
     }
-
-    /// Fraction of injection attempts that stalled.
-    pub fn stall_fraction(&self) -> f64 {
-        let attempts = self.injected + self.injection_stalls;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.injection_stalls as f64 / attempts as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +85,6 @@ mod tests {
         let s = NocStats::new(8);
         assert_eq!(s.throughput(), 0.0);
         assert_eq!(s.deflection_rate(), 0.0);
-        assert_eq!(s.stall_fraction(), 0.0);
         assert!(s.mean_latency().is_nan());
     }
 
@@ -119,7 +108,6 @@ mod tests {
         for _ in 0..60 {
             s.record_delivery(3);
         }
-        assert!((s.stall_fraction() - 0.2).abs() < 1e-12);
         assert!((s.deflection_rate() - 0.5).abs() < 1e-12);
     }
 }

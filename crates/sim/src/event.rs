@@ -92,15 +92,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            watermark: SimTime::ZERO,
-        }
-    }
-
     /// Schedules `payload` to fire at `at`.
     ///
     /// # Panics
@@ -132,11 +123,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -151,12 +137,6 @@ impl<E> EventQueue<E> {
     /// time from the queue's perspective).
     pub fn now(&self) -> SimTime {
         self.watermark
-    }
-
-    /// Discards all pending events but keeps the watermark and sequence
-    /// counter, preserving determinism of subsequent pushes.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -198,6 +178,7 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_nanos(10));
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(30));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -207,25 +188,5 @@ mod tests {
         q.push(SimTime::from_nanos(100), ());
         q.pop();
         q.push(SimTime::from_nanos(50), ());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(7), 'a');
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn clear_retains_watermark() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(10), ());
-        q.pop();
-        q.push(SimTime::from_nanos(20), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_nanos(10));
     }
 }

@@ -11,7 +11,7 @@
 //!   that every run with the same seed is bit-identical,
 //! * [`DetRng`] — a seedable deterministic random-number generator,
 //! * [`stats`] — streaming statistics (log-bucket latency histograms with tail
-//!   quantiles, Welford mean/variance, windowed bandwidth time series),
+//!   quantiles, hop spans, windowed bandwidth time series),
 //! * [`DemandSchedule`] — piecewise-constant offered-load schedules shared by
 //!   every engine in the workspace.
 //!
@@ -34,9 +34,9 @@ pub mod time;
 pub mod units;
 pub mod wheel;
 
-pub use event::{EventQueue, ScheduledEvent};
+pub use event::EventQueue;
 pub use metrics::{MetricsSink, NullSink, SeriesHandle, SeriesKind};
-pub use profile::{DepthHistogram, PhaseId, PhaseProfiler, PhaseReport, PhaseStat};
+pub use profile::{DepthHistogram, PhaseProfiler, PhaseReport};
 pub use rng::DetRng;
 pub use schedule::DemandSchedule;
 pub use time::{SimDuration, SimTime};

@@ -70,11 +70,6 @@ impl PhaseProfiler {
         }
     }
 
-    /// Whether the profiler is measuring.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Registers a phase name, returning its dense id. Registration is
     /// cheap but not deduplicating; call once per phase at setup.
     pub fn register(&mut self, name: &'static str) -> PhaseId {
@@ -170,21 +165,6 @@ impl PhaseReport {
         }
     }
 
-    /// Merges another report's phases into this one (matching by name;
-    /// unmatched phases are appended) and extends the wall time. Used to
-    /// fold an engine-level report into a CLI-level one.
-    pub fn absorb(&mut self, other: &PhaseReport) {
-        for p in &other.phases {
-            match self.phases.iter_mut().find(|q| q.name == p.name) {
-                Some(q) => {
-                    q.calls += p.calls;
-                    q.seconds += p.seconds;
-                }
-                None => self.phases.push(p.clone()),
-            }
-        }
-    }
-
     /// A fixed-width text table: one row per phase (sorted by descending
     /// time), the share of measured wall time, and a coverage footer.
     pub fn table(&self) -> String {
@@ -268,16 +248,6 @@ impl DepthHistogram {
         self.max = self.max.max(v);
     }
 
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest observation recorded (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// The non-empty buckets as `(lower_bound, count)` pairs, ascending.
     pub fn buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
@@ -340,45 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_by_name_and_appends_new() {
-        let mut a = PhaseReport {
-            phases: vec![PhaseStat {
-                name: "issue",
-                calls: 2,
-                seconds: 1.0,
-            }],
-            wall_seconds: 2.0,
-        };
-        let b = PhaseReport {
-            phases: vec![
-                PhaseStat {
-                    name: "issue",
-                    calls: 1,
-                    seconds: 0.5,
-                },
-                PhaseStat {
-                    name: "stage",
-                    calls: 4,
-                    seconds: 0.25,
-                },
-            ],
-            wall_seconds: 1.0,
-        };
-        a.absorb(&b);
-        assert_eq!(a.phases.len(), 2);
-        assert_eq!(a.phases[0].calls, 3);
-        assert!((a.phases[0].seconds - 1.5).abs() < 1e-12);
-        assert_eq!(a.phases[1].name, "stage");
-    }
-
-    #[test]
     fn depth_histogram_buckets_by_power_of_two() {
         let mut h = DepthHistogram::new();
         for v in [0, 1, 1, 2, 3, 4, 7, 8, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.max(), 1000);
         let b = h.buckets();
         // 0 and 1 share bucket 0; 2..3 bucket 1; 4..7 bucket 2; 8 bucket 3.
         assert_eq!(b[0], (0, 3));

@@ -24,11 +24,6 @@ impl DetRng {
         }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator. Children with distinct labels
     /// are statistically independent; the derivation is itself deterministic.
     pub fn derive(&self, label: u64) -> DetRng {
@@ -50,12 +45,6 @@ impl DetRng {
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "next_below requires a positive bound");
         self.inner.gen_range(0..bound)
-    }
-
-    /// Uniform integer in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "range requires lo < hi");
-        self.inner.gen_range(lo..hi)
     }
 
     /// Uniform float in `[0, 1)`.
@@ -83,14 +72,6 @@ impl DetRng {
         // Inverse CDF; guard the log away from 0.
         let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
         -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -134,8 +115,6 @@ mod tests {
         let mut r = DetRng::seed_from_u64(3);
         for _ in 0..10_000 {
             assert!(r.next_below(17) < 17);
-            let v = r.range(5, 10);
-            assert!((5..10).contains(&v));
             let f = r.next_f64();
             assert!((0.0..1.0).contains(&f));
         }
@@ -163,15 +142,5 @@ mod tests {
         );
         assert_eq!(r.exponential(0.0), 0.0);
         assert_eq!(r.exponential(-1.0), 0.0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::seed_from_u64(6);
-        let mut v: Vec<u32> = (0..64).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
     }
 }

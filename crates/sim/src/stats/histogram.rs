@@ -97,25 +97,9 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
     /// True when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Arithmetic mean, or `None` when empty. Exact (not bucketed).
-    pub fn mean(&self) -> Option<SimDuration> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(SimDuration::from_nanos(
-                (self.sum_ns / self.total as u128) as u64,
-            ))
-        }
     }
 
     /// Mean as fractional nanoseconds, or NaN when empty.
@@ -130,11 +114,6 @@ impl LatencyHistogram {
     /// Smallest recorded sample (exact), or `None` when empty.
     pub fn min(&self) -> Option<SimDuration> {
         (self.total > 0).then(|| SimDuration::from_nanos(self.min_ns))
-    }
-
-    /// Largest recorded sample (exact), or `None` when empty.
-    pub fn max(&self) -> Option<SimDuration> {
-        (self.total > 0).then(|| SimDuration::from_nanos(self.max_ns))
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`), or `None` when empty.
@@ -169,41 +148,9 @@ impl LatencyHistogram {
         Some(SimDuration::from_nanos(self.max_ns))
     }
 
-    /// P50 convenience accessor.
-    pub fn p50(&self) -> Option<SimDuration> {
-        self.quantile(0.50)
-    }
-
-    /// P99 convenience accessor.
-    pub fn p99(&self) -> Option<SimDuration> {
-        self.quantile(0.99)
-    }
-
     /// P999 convenience accessor (the paper's tail metric).
     pub fn p999(&self) -> Option<SimDuration> {
         self.quantile(0.999)
-    }
-
-    /// Merges another histogram into this one. All fields are integral,
-    /// so merging partial histograms in any order yields exactly the
-    /// histogram a single sequential recorder would have produced.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.total += other.total;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Clears all samples.
-    pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-        self.sum_ns = 0;
-        self.min_ns = u64::MAX;
-        self.max_ns = 0;
     }
 }
 
@@ -223,10 +170,8 @@ mod tests {
     fn empty_histogram() {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
-        assert_eq!(h.mean(), None);
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
     }
 
     #[test]
@@ -234,17 +179,9 @@ mod tests {
         // Values below SUB_BUCKETS land in exact unit buckets.
         let h = h_from(&[1, 2, 3, 4, 5]);
         assert_eq!(h.quantile(0.0).unwrap().as_nanos(), 1);
-        assert_eq!(h.p50().unwrap().as_nanos(), 3);
+        assert_eq!(h.quantile(0.5).unwrap().as_nanos(), 3);
         assert_eq!(h.quantile(1.0).unwrap().as_nanos(), 5);
-        assert_eq!(h.mean().unwrap().as_nanos(), 3);
-    }
-
-    #[test]
-    fn mean_is_exact_for_large_values() {
-        let h = h_from(&[100, 200, 300]);
-        assert_eq!(h.mean().unwrap().as_nanos(), 200);
-        assert_eq!(h.min().unwrap().as_nanos(), 100);
-        assert_eq!(h.max().unwrap().as_nanos(), 300);
+        assert_eq!(h.mean_ns_f64(), 3.0);
     }
 
     #[test]
@@ -274,7 +211,7 @@ mod tests {
         values.extend([5000u64; 20]);
         let h = h_from(&values);
         assert!(h.p999().unwrap().as_nanos() >= 4600);
-        assert!(h.p50().unwrap().as_nanos() <= 104);
+        assert!(h.quantile(0.5).unwrap().as_nanos() <= 104);
     }
 
     #[test]
@@ -317,25 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_counts() {
-        let mut a = h_from(&[10, 20]);
-        let b = h_from(&[30, 40]);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.mean().unwrap().as_nanos(), 25);
-        assert_eq!(a.max().unwrap().as_nanos(), 40);
-        assert_eq!(a.min().unwrap().as_nanos(), 10);
-    }
-
-    #[test]
-    fn reset_empties() {
-        let mut h = h_from(&[1, 2, 3]);
-        h.reset();
-        assert!(h.is_empty());
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
     fn index_monotone_in_value() {
         let mut last = 0usize;
         for v in 0..100_000u64 {
@@ -368,25 +286,5 @@ mod tests {
                 assert!(lo_prev < v, "previous edge {lo_prev} not below value {v}");
             }
         }
-    }
-    #[test]
-    fn merge_equals_sequential_recording() {
-        let samples: Vec<u64> = (0..200).map(|i| i * i % 7919 + i).collect();
-        let mut whole = LatencyHistogram::new();
-        let mut shards = [
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-        ];
-        for (i, &s) in samples.iter().enumerate() {
-            whole.record(SimDuration::from_nanos(s));
-            shards[i % 3].record(SimDuration::from_nanos(s));
-        }
-        let mut merged = LatencyHistogram::new();
-        // Merge in reverse shard order: order must not matter.
-        for sh in shards.iter().rev() {
-            merged.merge(sh);
-        }
-        assert_eq!(merged, whole);
     }
 }

@@ -7,10 +7,8 @@
 
 mod histogram;
 mod spans;
-mod summary;
 mod timeseries;
 
 pub use histogram::LatencyHistogram;
 pub use spans::{HopEvent, SpanCollector, TxnSpan};
-pub use summary::Summary;
 pub use timeseries::{BandwidthTrace, GaugePoint, GaugeTrace, TracePoint};

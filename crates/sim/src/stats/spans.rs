@@ -172,16 +172,6 @@ impl SpanCollector {
         self.free.push(handle);
     }
 
-    /// Completed spans so far, in completion order.
-    pub fn spans(&self) -> &[TxnSpan] {
-        &self.done
-    }
-
-    /// Samples dropped because the collector was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Consumes the collector: completed spans plus the dropped count.
     /// Transactions still open (in flight at the horizon) are discarded.
     pub fn into_parts(self) -> (Vec<TxnSpan>, u64) {
@@ -201,7 +191,8 @@ mod tests {
         c.hop(h, 2, 110.0, 112.0, 115.0); // 2 ns wait + 3 ns service
         c.hop(h, 9, 115.0, 115.0, 240.0); // 125 ns propagation
         c.finish(h, 240.0, 140.0);
-        let s = &c.spans()[0];
+        let (spans, _) = c.into_parts();
+        let s = &spans[0];
         assert_eq!(s.hops.len(), 3);
         assert!((s.hop_sum_ns() - s.e2e_ns).abs() < 1e-9);
         assert_eq!(s.group, 0);
@@ -217,9 +208,10 @@ mod tests {
         let h1 = c.start(1, 1, 2.0).unwrap();
         assert_eq!(h0, h1, "slot should be recycled");
         c.finish(h1, 3.0, 1.0);
-        assert_eq!(c.spans()[0].seq, 0);
-        assert_eq!(c.spans()[1].seq, 1);
-        assert_eq!(c.spans()[1].group, 1);
+        let (spans, _) = c.into_parts();
+        assert_eq!(spans[0].seq, 0);
+        assert_eq!(spans[1].seq, 1);
+        assert_eq!(spans[1].group, 1);
     }
 
     #[test]
@@ -232,7 +224,6 @@ mod tests {
         c.finish(b, 1.0, 1.0);
         // Still full: completed spans count against the cap.
         assert!(c.start(0, 3, 0.0).is_none());
-        assert_eq!(c.dropped(), 2);
         let (spans, dropped) = c.into_parts();
         assert_eq!(spans.len(), 2);
         assert_eq!(dropped, 2);

@@ -46,11 +46,6 @@ impl BandwidthTrace {
         }
     }
 
-    /// The sampling window width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     fn flush_until(&mut self, at: SimTime) {
         while at >= self.current_start + self.window {
             let bw =
@@ -74,11 +69,6 @@ impl BandwidthTrace {
     pub fn finish(mut self, end: SimTime) -> Vec<TracePoint> {
         self.flush_until(end);
         self.points
-    }
-
-    /// Windows finished so far (not including the in-progress one).
-    pub fn points(&self) -> &[TracePoint] {
-        &self.points
     }
 }
 
@@ -128,11 +118,6 @@ impl GaugeTrace {
         }
     }
 
-    /// The sampling window width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     fn flush_until(&mut self, at: SimTime) {
         while at >= self.current_start + self.window {
             let mean = if self.current_count == 0 {
@@ -166,11 +151,6 @@ impl GaugeTrace {
     pub fn finish(mut self, end: SimTime) -> Vec<GaugePoint> {
         self.flush_until(end);
         self.points
-    }
-
-    /// Windows finished so far (not including the in-progress one).
-    pub fn points(&self) -> &[GaugePoint] {
-        &self.points
     }
 }
 

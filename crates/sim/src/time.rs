@@ -30,8 +30,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of the simulated timeline.
     pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable instant; useful as an "infinity" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Constructs a time from raw nanoseconds since simulation start.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -68,18 +66,11 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference; `None` when `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The greatest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Constructs a duration from nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -96,11 +87,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Constructs a duration from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
-    }
-
     /// Constructs a duration from fractional nanoseconds, rounding to the
     /// nearest whole nanosecond. Negative inputs clamp to zero.
     pub fn from_nanos_f64(ns: f64) -> Self {
@@ -112,11 +98,6 @@ impl SimDuration {
         self.0
     }
 
-    /// This span expressed in (fractional) nanoseconds.
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64
-    }
-
     /// This span expressed in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -125,11 +106,6 @@ impl SimDuration {
     /// True when the span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction of spans.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -274,7 +250,10 @@ mod tests {
         assert_eq!(SimTime::from_secs(1), SimTime::from_nanos(1_000_000_000));
         assert_eq!(SimTime::from_millis(1), SimTime::from_nanos(1_000_000));
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
-        assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
+        assert_eq!(
+            SimDuration::from_millis(2),
+            SimDuration::from_nanos(2_000_000)
+        );
     }
 
     #[test]
@@ -291,9 +270,9 @@ mod tests {
         let early = SimTime::from_nanos(10);
         let late = SimTime::from_nanos(50);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_nanos(40)));
-        assert_eq!(SimTime::MAX + SimDuration::from_nanos(1), SimTime::MAX);
+        assert_eq!(late.saturating_since(early), SimDuration::from_nanos(40));
+        let end = SimTime::from_nanos(u64::MAX);
+        assert_eq!(end + SimDuration::from_nanos(1), end);
     }
 
     #[test]
@@ -310,7 +289,10 @@ mod tests {
         assert_eq!(SimDuration::from_nanos_f64(-5.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_nanos_f64(2.5), SimDuration::from_nanos(3));
         assert_eq!(SimDuration::from_nanos_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_nanos_f64(f64::INFINITY), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_nanos_f64(f64::INFINITY).as_nanos(),
+            u64::MAX
+        );
     }
 
     #[test]
@@ -348,7 +330,7 @@ mod tests {
         assert_eq!(SimDuration::from_nanos(12).to_string(), "12ns");
         assert_eq!(SimDuration::from_nanos(1_500).to_string(), "1.500us");
         assert_eq!(SimDuration::from_millis(2).to_string(), "2.000ms");
-        assert_eq!(SimDuration::from_secs(3).to_string(), "3.000s");
+        assert_eq!(SimDuration::from_millis(3_000).to_string(), "3.000s");
     }
 
     #[test]

@@ -10,8 +10,6 @@ use core::ops::{Add, AddAssign, Sub};
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::SimDuration;
-
 /// A data size in bytes.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -19,8 +17,6 @@ use crate::time::SimDuration;
 pub struct ByteSize(u64);
 
 impl ByteSize {
-    /// Zero bytes.
-    pub const ZERO: ByteSize = ByteSize(0);
     /// A 64-byte cacheline, the natural transfer unit of the coherent fabric.
     pub const CACHELINE: ByteSize = ByteSize(64);
 
@@ -121,18 +117,6 @@ impl Bandwidth {
         self.0 / 1e9
     }
 
-    /// Service (serialization) time for `size` bytes at this rate.
-    ///
-    /// Returns [`SimDuration::MAX`] for zero bandwidth, which a link model
-    /// treats as "never completes" — a configuration error surfaced loudly
-    /// rather than a division silently producing nonsense.
-    pub fn service_time(self, size: ByteSize) -> SimDuration {
-        if self.0 <= 0.0 {
-            return SimDuration::MAX;
-        }
-        SimDuration::from_nanos_f64(size.as_bytes() as f64 / self.bytes_per_ns())
-    }
-
     /// True when this is a positive, finite rate.
     pub fn is_positive(self) -> bool {
         self.0 > 0.0 && self.0.is_finite()
@@ -141,11 +125,6 @@ impl Bandwidth {
     /// Component-wise minimum.
     pub fn min(self, other: Bandwidth) -> Bandwidth {
         Bandwidth(self.0.min(other.0))
-    }
-
-    /// Saturating subtraction, clamped at zero.
-    pub fn saturating_sub(self, other: Bandwidth) -> Bandwidth {
-        Bandwidth((self.0 - other.0).max(0.0))
     }
 }
 
@@ -188,27 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn service_time_for_cacheline() {
-        // 64 B at 64 GB/s is exactly 1 ns.
-        let bw = Bandwidth::from_gb_per_s(64.0);
-        assert_eq!(
-            bw.service_time(ByteSize::CACHELINE),
-            SimDuration::from_nanos(1)
-        );
-        // 64 B at 32 GB/s is 2 ns.
-        let bw = Bandwidth::from_gb_per_s(32.0);
-        assert_eq!(
-            bw.service_time(ByteSize::CACHELINE),
-            SimDuration::from_nanos(2)
-        );
-    }
-
-    #[test]
-    fn zero_bandwidth_never_completes() {
-        assert_eq!(
-            Bandwidth::ZERO.service_time(ByteSize::CACHELINE),
-            SimDuration::MAX
-        );
+    fn zero_bandwidth_is_not_positive() {
         assert!(!Bandwidth::ZERO.is_positive());
     }
 
@@ -224,8 +183,6 @@ mod tests {
         let a = Bandwidth::from_gb_per_s(10.0);
         let b = Bandwidth::from_gb_per_s(4.0);
         assert!(((a + b).as_gb_per_s() - 14.0).abs() < 1e-12);
-        assert!((a.saturating_sub(b).as_gb_per_s() - 6.0).abs() < 1e-12);
-        assert_eq!(b.saturating_sub(a), Bandwidth::ZERO);
         assert_eq!(a.min(b), b);
     }
 }

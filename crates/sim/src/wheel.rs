@@ -295,25 +295,6 @@ impl<E: Copy> WheelQueue<E> {
         }
     }
 
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek().map(|(at, _, _)| at)
-    }
-
-    /// The earliest pending event's time, sequence and payload, without
-    /// popping it.
-    pub fn peek(&self) -> Option<(SimTime, u64, &E)> {
-        if self.summary != 0 {
-            let at = self.head.unwrap_or_else(|| self.ring_head_time());
-            let node = &self.nodes[self.ring[at as usize & MASK].head as usize];
-            Some((SimTime::from_nanos(at), node.seq, &node.payload))
-        } else {
-            self.overflow
-                .peek()
-                .map(|o| (SimTime::from_nanos(o.at), o.seq, &o.payload))
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -327,22 +308,6 @@ impl<E: Copy> WheelQueue<E> {
     /// The time of the most recently popped event.
     pub fn now(&self) -> SimTime {
         SimTime::from_nanos(self.watermark)
-    }
-
-    /// Discards all pending events but keeps the watermark and sequence
-    /// counter, preserving determinism of subsequent pushes.
-    pub fn clear(&mut self) {
-        self.ring.fill(Bucket {
-            head: NIL,
-            tail: NIL,
-        });
-        self.nodes.clear();
-        self.free = NIL;
-        self.occ = [0; WORDS];
-        self.summary = 0;
-        self.overflow.clear();
-        self.head = None;
-        self.len = 0;
     }
 }
 
@@ -418,28 +383,16 @@ mod tests {
     }
 
     #[test]
-    fn watermark_and_peek_match_heap_queue() {
+    fn watermark_tracks_pops() {
         let mut q = WheelQueue::new();
         q.push(SimTime::from_nanos(10), ());
         q.push(SimTime::from_nanos(30), ());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(10));
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(30));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn clear_retains_watermark() {
-        let mut q = WheelQueue::new();
-        q.push(SimTime::from_nanos(10), ());
-        q.pop();
-        q.push(SimTime::from_nanos(20), ());
-        q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_nanos(10));
     }
 
     /// Pops both queues to exhaustion, asserting identical streams, and
@@ -451,7 +404,6 @@ mod tests {
     ) -> usize {
         let mut popped = 0;
         loop {
-            assert_eq!(wheel.peek_time(), heap.peek_time());
             match (wheel.pop(), heap.pop()) {
                 (None, None) => return popped,
                 (Some(x), Some(y)) => {
@@ -501,7 +453,7 @@ mod tests {
                 let mut wheel = WheelQueue::new();
                 let mut heap = EventQueue::new();
                 let mut next_id = 0u64;
-                for _ in 0..rng.range(1, 50) {
+                for _ in 0..1 + rng.next_below(49) {
                     let t = dist(&mut rng, ring);
                     wheel.push(SimTime::from_nanos(t), next_id);
                     heap.push(SimTime::from_nanos(t), next_id);

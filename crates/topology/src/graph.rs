@@ -258,7 +258,6 @@ pub struct Topology {
     adj: Vec<(LinkId, NodeId)>,
     cores: Vec<NodeId>,
     dimms: Vec<NodeId>,
-    umcs: Vec<NodeId>,
     cxl_devices: Vec<NodeId>,
     nics: Vec<NodeId>,
     ccd_quadrant: Vec<Quadrant>,
@@ -342,11 +341,6 @@ impl Topology {
     /// The graph node of a CXL device.
     pub fn cxl_node(&self, index: u32) -> NodeId {
         self.cxl_devices[index as usize]
-    }
-
-    /// The graph node of a UMC.
-    pub fn umc_node(&self, umc: UmcId) -> NodeId {
-        self.umcs[umc.index()]
     }
 
     /// Number of NICs.
@@ -626,7 +620,6 @@ struct Builder {
     links: Vec<LinkSpec>,
     cores: Vec<NodeId>,
     dimms: Vec<NodeId>,
-    umcs: Vec<NodeId>,
     cxl_devices: Vec<NodeId>,
     nics: Vec<NodeId>,
     ccd_quadrant: Vec<Quadrant>,
@@ -658,7 +651,6 @@ impl Builder {
             links: Vec::with_capacity(cap + 8 * grid_w as usize * rows as usize),
             cores: Vec::new(),
             dimms: Vec::new(),
-            umcs: Vec::new(),
             cxl_devices: Vec::new(),
             nics: Vec::new(),
             ccd_quadrant: Vec::new(),
@@ -851,7 +843,6 @@ impl Builder {
                 dimm_node,
                 mem.cs_umc_dram_ns,
             );
-            self.umcs.push(umc_node);
             self.dimms.push(dimm_node);
         }
     }
@@ -952,7 +943,6 @@ impl Builder {
             adj,
             cores: self.cores,
             dimms: self.dimms,
-            umcs: self.umcs,
             cxl_devices: self.cxl_devices,
             nics: self.nics,
             ccd_quadrant: self.ccd_quadrant,
@@ -1123,7 +1113,7 @@ mod tests {
         let t = Topology::build(&PlatformSpec::epyc_9634());
         let a = t.route_core_to_dimm(CoreId(5), DimmId(7));
         let b = t.route_core_to_dimm(CoreId(5), DimmId(7));
-        assert_eq!(a.node_sequence(), b.node_sequence());
+        assert_eq!(a.hops, b.hops);
     }
 
     #[test]

@@ -39,11 +39,7 @@ pub mod path;
 pub mod position;
 pub mod spec;
 
-pub use graph::{LinkKind, LinkSpec, Node, NodeKind, Topology};
-pub use ids::{CcdId, CoreId, DimmId, LinkId, NodeId, UmcId};
-pub use path::{Hop, RoutePath};
+pub use graph::{LinkKind, Topology};
+pub use ids::{CcdId, CoreId, DimmId, UmcId};
 pub use position::{DimmPosition, NpsMode, Quadrant};
-pub use spec::{
-    CacheSpec, CxlSpec, LevelCaps, MemSpec, MlpSpec, NicSpec, NocSpec, PlatformError, PlatformKind,
-    PlatformSpec, TrafficCtrlSpec, XgmiSpec,
-};
+pub use spec::{CacheSpec, NicSpec, PlatformError, PlatformKind, PlatformSpec};

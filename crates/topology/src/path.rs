@@ -74,11 +74,6 @@ impl RoutePath {
         self.hops.last().expect("route is never empty").node
     }
 
-    /// Node ids along the route, origin first.
-    pub fn node_sequence(&self) -> Vec<NodeId> {
-        self.hops.iter().map(|h| h.node).collect()
-    }
-
     /// Link ids along the route, in traversal order.
     pub fn link_sequence(&self) -> Vec<LinkId> {
         self.hops.iter().filter_map(|h| h.via).collect()
@@ -103,7 +98,7 @@ mod tests {
         assert_eq!(p.source(), t.core_node(CoreId(0)));
         assert_eq!(p.destination(), t.dimm_node(DimmId(0)));
         assert_eq!(p.link_sequence().len(), p.link_count());
-        assert_eq!(p.node_sequence().len(), p.link_count() + 1);
+        assert_eq!(p.hops.len(), p.link_count() + 1);
     }
 
     #[test]

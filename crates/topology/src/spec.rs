@@ -58,13 +58,6 @@ pub struct TrafficCtrlSpec {
     pub ccd_max_queue_ns: Option<f64>,
 }
 
-impl TrafficCtrlSpec {
-    /// Worst-case total limiter delay along the compute-chiplet egress.
-    pub fn total_max_queue_ns(&self) -> f64 {
-        self.ccx_max_queue_ns + self.ccd_max_queue_ns.unwrap_or(0.0)
-    }
-}
-
 /// I/O-die NoC constants (§3.2).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NocSpec {
@@ -767,18 +760,6 @@ mod tests {
         assert_eq!(
             NoCores.to_string(),
             "platform has no cores (ccd_count, ccx_per_ccd and cores_per_ccx must be positive)"
-        );
-    }
-
-    #[test]
-    fn traffic_ctrl_totals() {
-        assert_eq!(
-            PlatformSpec::epyc_7302().traffic_ctrl.total_max_queue_ns(),
-            50.0
-        );
-        assert_eq!(
-            PlatformSpec::epyc_9634().traffic_ctrl.total_max_queue_ns(),
-            20.0
         );
     }
 }

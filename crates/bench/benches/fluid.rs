@@ -35,6 +35,7 @@ fn bench_fig5_trace(c: &mut Criterion) {
                 SimDuration::from_millis(1),
                 SimDuration::from_millis(10),
                 1,
+                None,
             ))
         })
     });

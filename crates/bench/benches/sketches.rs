@@ -47,7 +47,7 @@ fn bench_histogram(c: &mut Criterion) {
 fn bench_quantile_sketch(c: &mut Criterion) {
     c.bench_function("sketch/quantile_record_100k", |b| {
         b.iter(|| {
-            let mut q = QuantileSketch::new(0.01);
+            let mut q = QuantileSketch::new();
             for i in 0..100_000u64 {
                 q.record(100.0 + (i % 997) as f64);
             }

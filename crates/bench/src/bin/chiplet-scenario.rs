@@ -257,13 +257,12 @@ fn execute(verb: Verb, target: &str, opts: &Opts) -> Result<(), String> {
         ScenarioRun::Study(_, outcome, stats) => tally("study", outcome, stats),
         ScenarioRun::Sweep(outcome, stats) => tally("sweep", outcome, stats),
         ScenarioRun::Dse(outcome, stats) => eprintln!(
-            "dse {}: {} candidates ({} scored, {} infeasible) at {:.1} µs/design, \
+            "dse {}: {} candidates ({} scored, {} infeasible), \
              frontier {}, escalated {} ({} executed, {} cached)",
             outcome.dse,
             stats.candidates,
             stats.scored,
             stats.infeasible,
-            stats.estimator_ns / 1e3,
             stats.frontier,
             stats.escalated,
             stats.sweep.executed,

@@ -49,7 +49,7 @@ pub mod http;
 pub mod obs;
 pub mod queue;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -195,6 +195,34 @@ pub fn describe_serve_metrics(m: &mut MetricsRegistry) {
     );
 }
 
+/// Distinct clients that get their own `client` label on the per-client
+/// metric families. Every later client is counted under `other`, so the
+/// scrape stays bounded however many ids arrive; the fair queue, access
+/// log, `/v1/status` and flight recorder keep the real id.
+const MAX_CLIENT_LABELS: usize = 32;
+
+/// The daemon registry behind `GET /metrics`, with the clients that own a
+/// `client` label.
+struct ServeMetrics {
+    registry: MetricsRegistry,
+    clients: HashSet<String>,
+}
+
+impl ServeMetrics {
+    /// The `client` label of `client`: its own id for the first
+    /// [`MAX_CLIENT_LABELS`] distinct ids, `other` for every later one.
+    fn client_label<'a>(&mut self, client: &'a str) -> &'a str {
+        if self.clients.contains(client) {
+            client
+        } else if self.clients.len() < MAX_CLIENT_LABELS {
+            self.clients.insert(client.to_string());
+            client
+        } else {
+            "other"
+        }
+    }
+}
+
 /// A point's report with its canonical JSON, shared by the single-flight
 /// leader and every submission parked behind it: `/v1/run` answers with
 /// the bytes, `/v1/sweep` assembles its outcome from the report.
@@ -278,7 +306,7 @@ struct ServeState {
     work_ready: Condvar,
     /// Single-flight: hash → submissions parked behind the executing one.
     inflight: Mutex<HashMap<String, Vec<Parked>>>,
-    metrics: Mutex<MetricsRegistry>,
+    metrics: Mutex<ServeMetrics>,
     cache_dir: Option<PathBuf>,
     /// The request-scoped observability plane: clock, request ids, flight
     /// recorder, access log.
@@ -316,6 +344,7 @@ impl ServeState {
         self.metrics
             .lock()
             .expect("metrics lock poisoned")
+            .registry
             .counter_add(name, labels, v);
     }
 
@@ -323,33 +352,32 @@ impl ServeState {
     /// request-level histogram/counter families.
     fn complete_span(&self, span: ServeSpan) {
         let mut m = self.metrics.lock().expect("metrics lock poisoned");
-        self.obs.complete(span, &mut m);
+        let client = m.client_label(&span.client).to_string();
+        self.obs.complete(span, &mut m.registry, &client);
     }
 
     fn serve_point(&self, item: WorkItem, timing: PointTiming, served: Result<Served, String>) {
         {
             let mut m = self.metrics.lock().expect("metrics lock poisoned");
+            let labels = [("client", m.client_label(&item.client))];
             let at = SimTime::from_nanos(timing.executed_ns);
-            m.observe(
+            m.registry.observe(
                 "chiplet_serve_queue_wait_ns",
-                &[("client", &item.client)],
+                &labels,
                 at,
                 timing.dequeued_ns.saturating_sub(item.enqueued_ns) as f64,
             );
             if let Ok(s) = &served {
                 if s.disposition == Disposition::Executed {
-                    m.observe(
+                    m.registry.observe(
                         "chiplet_serve_service_ns",
-                        &[("client", &item.client)],
+                        &labels,
                         at,
                         timing.executed_ns.saturating_sub(timing.probed_ns) as f64,
                     );
                 }
-                m.counter_add(
-                    "chiplet_serve_client_points",
-                    &[("client", &item.client)],
-                    1.0,
-                );
+                m.registry
+                    .counter_add("chiplet_serve_client_points", &labels, 1.0);
             }
         }
         // A dropped receiver (client hung up) is fine; the work is cached.
@@ -481,11 +509,10 @@ impl ServeState {
             }
             Err((err, _returned)) => {
                 drop(q);
-                self.count(
-                    "chiplet_serve_admission_rejects",
-                    &[("client", client)],
-                    1.0,
-                );
+                let mut m = self.metrics.lock().expect("metrics lock poisoned");
+                let labels = [("client", m.client_label(client))];
+                m.registry
+                    .counter_add("chiplet_serve_admission_rejects", &labels, 1.0);
                 Err(err.to_string())
             }
         }
@@ -576,7 +603,10 @@ impl Server {
             queue: Mutex::new(FairQueue::new(cfg.max_pending, cfg.max_client_pending)),
             work_ready: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(metrics),
+            metrics: Mutex::new(ServeMetrics {
+                registry: metrics,
+                clients: HashSet::new(),
+            }),
             cache_dir: cfg.cache_dir.clone(),
             obs: Obs::new(cfg.recorder, cfg.access_log.as_deref())?,
             busy_workers: AtomicUsize::new(0),
@@ -709,7 +739,8 @@ fn handle(
         ("GET", "/metrics") => {
             let depth = state.queue.lock().expect("queue lock poisoned").len();
             let inflight = state.inflight.lock().expect("inflight lock poisoned").len();
-            let mut m = state.metrics.lock().expect("metrics lock poisoned");
+            let mut guard = state.metrics.lock().expect("metrics lock poisoned");
+            let m = &mut guard.registry;
             m.gauge_set("chiplet_serve_queue_depth", &[], depth as f64);
             m.gauge_set(
                 "chiplet_serve_busy_workers",
@@ -718,7 +749,7 @@ fn handle(
             );
             m.gauge_set("chiplet_serve_inflight_keys", &[], inflight as f64);
             let text = m.to_openmetrics_with_volatile();
-            drop(m);
+            drop(guard);
             write_response(
                 stream,
                 200,

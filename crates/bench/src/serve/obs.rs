@@ -542,8 +542,14 @@ impl Obs {
     /// Completes a span: append to the access log, push into the flight
     /// recorder, and record the request-level metric series (per-phase
     /// histograms, per-client e2e, request counters) into the
-    /// daemon registry. Returns the shared span.
-    pub fn complete(&self, span: ServeSpan, metrics: &mut MetricsRegistry) -> Arc<ServeSpan> {
+    /// daemon registry, the e2e series under `client_label`. Returns the
+    /// shared span.
+    pub fn complete(
+        &self,
+        span: ServeSpan,
+        metrics: &mut MetricsRegistry,
+        client_label: &str,
+    ) -> Arc<ServeSpan> {
         debug_assert!(span.tiles_exactly(), "span phases must tile e2e: {span:?}");
         let at = SimTime::from_nanos(span.done_ns);
         for (phase, d) in span.phases() {
@@ -551,7 +557,7 @@ impl Obs {
         }
         metrics.observe(
             "chiplet_serve_e2e_ns",
-            &[("client", &span.client)],
+            &[("client", client_label)],
             at,
             span.e2e_ns() as f64,
         );
@@ -700,7 +706,7 @@ mod tests {
         let mut metrics = MetricsRegistry::new();
         crate::serve::describe_serve_metrics(&mut metrics);
         let obs = Obs::new(8, None).unwrap();
-        obs.complete(span(2, 50, [1, 1, 1, 1, 1, 1]), &mut metrics);
+        obs.complete(span(2, 50, [1, 1, 1, 1, 1, 1]), &mut metrics, "c2");
         assert_eq!(
             metrics.counter_value(
                 "chiplet_serve_requests",

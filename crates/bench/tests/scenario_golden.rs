@@ -208,6 +208,35 @@ fn ccd_vs_cxl_matches_the_pinned_report_and_metrics_digest() {
     assert_eq!(len_and_fnv1a(&dump), (985_495, 0xd41b_f68a_a495_4ed6));
 }
 
+#[test]
+fn fig4_metrics_dump_matches_the_pinned_digest() {
+    // `run fig4 --metrics F`: every event-engine point records into its
+    // own registry, merged in list order through `run_study`.
+    let mut metrics = MetricsRegistry::new();
+    run_named("fig4", &DseRunner::default(), Some(&mut metrics));
+    let dump = metrics.to_openmetrics();
+    assert_eq!(len_and_fnv1a(&dump), (4_055_282, 0xaab1_fd15_02f1_c525));
+}
+
+#[test]
+fn fig3_sweep_gauge_dump_matches_the_pinned_digest() {
+    // `sweep fig3_sweep --metrics F`: the per-point achieved-bandwidth and
+    // latency gauges; the volatile execution families stay out of the dump.
+    let ScenarioKind::Sweep(sweep) = (paper_registry()
+        .get("fig3_sweep")
+        .expect("registered")
+        .build)()
+    else {
+        panic!("fig3_sweep is a sweep");
+    };
+    let mut metrics = MetricsRegistry::new();
+    SweepRunner::with_jobs(2)
+        .run_with_metrics(&sweep, &mut metrics)
+        .expect("fig3_sweep runs");
+    let dump = metrics.to_openmetrics();
+    assert_eq!(len_and_fnv1a(&dump), (5_438, 0xa18b_376c_430f_be0f));
+}
+
 /// `(length, FNV-1a 64)` of a report too large to commit as a golden.
 fn len_and_fnv1a(text: &str) -> (usize, u64) {
     let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {

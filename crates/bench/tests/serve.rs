@@ -737,6 +737,32 @@ fn serve_metric_families_stay_out_of_default_dumps() {
     }
 }
 
+/// POSTs the first fig5_sweep point to `/v1/run` once per request index
+/// in `requests`, as client `client(i)`, waits for the daemon to go idle,
+/// and returns the line count of a lint-clean `/metrics` scrape.
+fn scrape_lines_after(
+    addr: &str,
+    requests: std::ops::Range<usize>,
+    client: impl Fn(usize) -> String,
+) -> usize {
+    let body = fig5_sweep()
+        .expand()
+        .expect("expand")
+        .swap_remove(0)
+        .spec
+        .to_json();
+    for i in requests {
+        let route = format!("/v1/run?client={}", client(i));
+        let (status, text) = http::fetch(addr, "POST", &route, Some(&body)).expect("POST");
+        assert_eq!(status, 200, "{text}");
+    }
+    wait_until_idle(addr);
+    let (status, metrics) = http::fetch(addr, "GET", "/metrics", None).expect("scrape");
+    assert_eq!(status, 200);
+    lint_openmetrics(&metrics).expect("scrape lints");
+    metrics.lines().count()
+}
+
 #[test]
 fn metrics_scrape_does_not_grow_with_uptime() {
     // The daemon's latency histograms are volatile: each series keeps one
@@ -745,29 +771,26 @@ fn metrics_scrape_does_not_grow_with_uptime() {
     let dir = scratch_dir("scrape-bound");
     let server = spawn(Some(dir.clone()), 4096, 4096);
     let addr = server.addr().to_string();
-    let body = fig5_sweep()
-        .expand()
-        .expect("expand")
-        .swap_remove(0)
-        .spec
-        .to_json();
-    let mut served = 0;
-    let mut scrape_lines = |until: usize| {
-        while served < until {
-            let route = format!("/v1/run?client=c{}", served % 2);
-            let (status, text) = http::fetch(&addr, "POST", &route, Some(&body)).expect("POST");
-            assert_eq!(status, 200, "{text}");
-            served += 1;
-        }
-        wait_until_idle(&addr);
-        let (status, metrics) = http::fetch(&addr, "GET", "/metrics", None).expect("scrape");
-        assert_eq!(status, 200);
-        lint_openmetrics(&metrics).expect("scrape lints");
-        metrics.lines().count()
-    };
-    let after_50 = scrape_lines(50);
-    let after_200 = scrape_lines(200);
+    let two_clients = |i: usize| format!("c{}", i % 2);
+    let after_50 = scrape_lines_after(&addr, 0..50, two_clients);
+    let after_200 = scrape_lines_after(&addr, 50..200, two_clients);
     assert_eq!(after_50, after_200, "the scrape grew with uptime");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn metrics_scrape_does_not_grow_with_distinct_clients() {
+    // Only the first 32 distinct client ids get their own `client` label;
+    // every later id shares `other`, so a flood of fresh ids adds no
+    // scrape lines.
+    let dir = scratch_dir("client-bound");
+    let server = spawn(Some(dir.clone()), 4096, 4096);
+    let addr = server.addr().to_string();
+    let distinct = |i: usize| format!("c{i}");
+    let after_50 = scrape_lines_after(&addr, 0..50, distinct);
+    let after_150 = scrape_lines_after(&addr, 50..150, distinct);
+    assert_eq!(after_50, after_150, "the scrape grew with distinct clients");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

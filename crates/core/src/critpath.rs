@@ -24,12 +24,10 @@
 //! of thread count or wall-clock.
 
 use crate::sketch::QuantileSketch;
+use crate::telemetry::CapacityPoint;
 use crate::trace::{decode_hop_label, HopClass, TraceReport};
 use serde::Serialize;
 use std::collections::BTreeMap;
-
-/// Relative-error parameter for the dwell/e2e DDSketches (1% bins).
-const SKETCH_ALPHA: f64 = 0.01;
 
 /// Identity of an attribution slot: a hop class plus the concrete capacity
 /// point it was observed at (`None` for point-free hops such as the token
@@ -50,20 +48,23 @@ fn slot_label(class: Option<HopClass>, point: Option<u32>, point_names: &[String
     }
 }
 
-/// Capacity-point names in engine point-index order (links by id, then
-/// socket NoCs, then CXL ports). Matches the `link{l}` / `noc{s}` /
-/// `cxl{c}` labels the metrics registry uses. Derived structurally from
-/// the topology because telemetry only lists links that carry a channel.
+/// Capacity-point names (`link{l}`, `noc{s}`, `cxl{c}`) in engine
+/// point-index order (links by id, then socket NoCs, then CXL ports), the
+/// `link_id` labels of the metrics registry. Derived structurally from the topology
+/// because telemetry only lists links that carry a channel.
 pub fn point_names(topo: &chiplet_topology::Topology) -> Vec<String> {
     let spec = topo.spec();
-    let mut v: Vec<String> = (0..topo.links().len())
-        .map(|l| format!("link{l}"))
-        .collect();
-    v.extend((0..spec.socket_count).map(|sk| format!("noc{sk}")));
-    if spec.cxl.is_some() {
-        v.extend((0..topo.ccd_total()).map(|c| format!("cxl{c}")));
-    }
-    v
+    let cxl_ports = spec.cxl.as_ref().map_or(0, |_| topo.ccd_total());
+    let links = topo
+        .links()
+        .iter()
+        .zip(0..)
+        .map(|(l, link)| CapacityPoint::Link { link, kind: l.kind });
+    links
+        .chain((0..spec.socket_count).map(|socket| CapacityPoint::SocketNoc { socket }))
+        .chain((0..cxl_ports).map(|ccd| CapacityPoint::CxlPort { ccd }))
+        .map(|p| p.name())
+        .collect()
 }
 
 /// One slot of a flow's critical-path decomposition.
@@ -178,7 +179,7 @@ impl CritPathReport {
         point_names: &[String],
     ) -> CritPathReport {
         // Pass 1: the e2e sketch fixes the tail threshold.
-        let mut e2e_sketch = QuantileSketch::new(SKETCH_ALPHA);
+        let mut e2e_sketch = QuantileSketch::new();
         for span in &trace.spans {
             e2e_sketch.record(span.e2e_ns);
         }
@@ -220,7 +221,7 @@ impl CritPathReport {
                 }
                 dwell_sketches
                     .entry(key)
-                    .or_insert_with(|| QuantileSketch::new(SKETCH_ALPHA))
+                    .or_default()
                     .record(hop.total_ns());
             }
         }

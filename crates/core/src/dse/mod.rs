@@ -36,7 +36,6 @@ pub mod pareto;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use chiplet_sim::Bandwidth;
@@ -478,10 +477,6 @@ pub struct DseStats {
     pub frontier: usize,
     /// Designs escalated to the event engine.
     pub escalated: usize,
-    /// Mean scoring time per scored candidate, ns: every shape build and
-    /// every sibling score, over the scored candidates, so each shape's
-    /// cost is spread over the candidates that share it.
-    pub estimator_ns: f64,
     /// Escalation sweep execution stats (cache hits show up here).
     pub sweep: SweepStats,
 }
@@ -516,7 +511,7 @@ impl DseRunner {
     pub fn run(&self, spec: &DseSpec) -> Result<(DseOutcome, DseStats), ScenarioError> {
         let space = spec.candidates()?;
         let candidates = self.budget.map_or(space.len, |b| b.min(space.len));
-        let (scores, spent_ns) = self.score(spec, &space, candidates);
+        let scores = self.score(spec, &space, candidates);
         let scored_points: Vec<ParetoPoint> = scores.into_iter().flatten().collect();
         let scored = scored_points.len();
         let infeasible = candidates - scored;
@@ -564,11 +559,6 @@ impl DseRunner {
             infeasible,
             frontier: frontier.len(),
             escalated: escalation.points.len(),
-            estimator_ns: if scored > 0 {
-                spent_ns as f64 / scored as f64
-            } else {
-                0.0
-            },
             sweep: sweep_stats,
         };
         Ok((
@@ -586,17 +576,11 @@ impl DseRunner {
 
     /// Scores the first `n` candidates of `space`, one shape group per
     /// parallel task, and returns each candidate's score by index (`None`
-    /// when infeasible) with the total scoring time in ns. A structural
-    /// error means the workload does not map onto that graph (e.g. a flow
-    /// pinned to CCD 7 on a 4-CCD candidate), which makes every member of
-    /// the group infeasible; it does not fail the search.
-    fn score(
-        &self,
-        spec: &DseSpec,
-        space: &Candidates<'_>,
-        n: usize,
-    ) -> (Vec<Option<ParetoPoint>>, u64) {
-        let spent_ns = AtomicU64::new(0);
+    /// when infeasible). A structural error means the workload does not
+    /// map onto that graph (e.g. a flow pinned to CCD 7 on a 4-CCD
+    /// candidate), which makes every member of the group infeasible; it
+    /// does not fail the search.
+    fn score(&self, spec: &DseSpec, space: &Candidates<'_>, n: usize) -> Vec<Option<ParetoPoint>> {
         // Workers write each member's score into its candidate's slot, so
         // scores land in candidate order and no per-group result outlives
         // its task (those would pin memory in the workers' allocator
@@ -604,7 +588,6 @@ impl DseRunner {
         let slots: Vec<OnceLock<ParetoPoint>> = (0..n).map(|_| OnceLock::new()).collect();
         parallel_ordered(&space.shape_groups(n), self.jobs, |_, members| {
             let platforms: Vec<PlatformSpec> = members.iter().map(|&i| space.platform(i)).collect();
-            let started = std::time::Instant::now();
             if let Ok(shape) = DesignShape::of_platform(&spec.base, &platforms[0]) {
                 for (&i, platform) in members.iter().zip(&platforms) {
                     let est = shape.score(platform);
@@ -617,17 +600,15 @@ impl DseRunner {
                     slots[i].set(point).expect("each candidate is in one group");
                 }
             }
-            spent_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         });
-        let scores = slots.into_iter().map(OnceLock::into_inner).collect();
-        (scores, spent_ns.into_inner())
+        slots.into_iter().map(OnceLock::into_inner).collect()
     }
 
     /// Like [`DseRunner::run`], but instruments the search into `metrics`
     /// with **volatile** families (excluded from the default OpenMetrics
     /// dump, like all execution telemetry): `dse_candidates_scored_total`,
-    /// `dse_infeasible_total`, `dse_frontier_size`, `dse_escalated_total`,
-    /// and `dse_estimator_ns`, labelled `{dse}`.
+    /// `dse_infeasible_total`, `dse_frontier_size` and
+    /// `dse_escalated_total`, labelled `{dse}`.
     pub fn run_with_metrics(
         &self,
         spec: &DseSpec,
@@ -654,18 +635,11 @@ impl DseRunner {
             MetricKind::Counter,
             "Frontier designs escalated to full event-engine runs.",
         );
-        metrics.describe_volatile(
-            "dse_estimator_ns",
-            MetricKind::Gauge,
-            "Mean scoring time per scored candidate, ns, shape builds spread over the \
-             candidates that share them.",
-        );
         let labels = [("dse", outcome.dse.as_str())];
         metrics.counter_add("dse_candidates_scored_total", &labels, stats.scored as f64);
         metrics.counter_add("dse_infeasible_total", &labels, stats.infeasible as f64);
         metrics.gauge_set("dse_frontier_size", &labels, stats.frontier as f64);
         metrics.counter_add("dse_escalated_total", &labels, stats.escalated as f64);
-        metrics.gauge_set("dse_estimator_ns", &labels, stats.estimator_ns);
         Ok((outcome, stats))
     }
 }
@@ -982,7 +956,7 @@ mod tests {
                 cache_dir: None,
                 budget,
             };
-            let (scores, _) = runner.score(search, &space, n);
+            let scores = runner.score(search, &space, n);
             let got: Vec<_> = scores.iter().map(|s| s.as_ref().map(bits)).collect();
             assert_eq!(got, want, "jobs {jobs}, budget {budget:?}");
             let (outcome, stats) = runner.run(search).unwrap();
@@ -1193,8 +1167,7 @@ mod tests {
         assert!(dump.contains("dse_candidates_scored_total"));
         assert!(dump.contains("dse_frontier_size"));
         assert!(dump.contains("dse_escalated_total"));
-        assert!(dump.contains("dse_estimator_ns"));
         let default_dump = metrics.to_openmetrics();
-        assert!(!default_dump.contains("dse_estimator_ns"));
+        assert!(!default_dump.contains("dse_frontier_size"));
     }
 }

@@ -31,8 +31,8 @@ use chiplet_mem::{AccessOutcome, CacheHierarchy, DramServiceModel, Pattern};
 use chiplet_sim::stats::{BandwidthTrace, GaugeTrace, LatencyHistogram, SpanCollector};
 use chiplet_sim::time::ceil_to_u64;
 use chiplet_sim::{
-    Bandwidth, ByteSize, DepthHistogram, DetRng, PhaseProfiler, SeriesHandle, SeriesKind,
-    SimDuration, SimTime, WheelQueue,
+    Bandwidth, ByteSize, DepthHistogram, DetRng, MetricKind, MetricsRegistry, PhaseProfiler,
+    SeriesHandle, SimDuration, SimTime, WheelQueue,
 };
 use chiplet_topology::{CoreId, DimmId, PlatformKind, Topology};
 
@@ -89,7 +89,7 @@ pub struct EngineConfig {
     /// the same sample set. The result carries a
     /// [`crate::trace::TraceReport`].
     pub trace_sampling: Option<u32>,
-    /// Attach a [`crate::metrics::MetricsRegistry`] windowing histograms
+    /// Attach a [`MetricsRegistry`] windowing histograms
     /// at this sim-time width: per-link bytes/waits and per-flow
     /// bytes/latency/completions land in it alongside the profiler, and
     /// the result carries the registry for OpenMetrics exposition.
@@ -280,7 +280,7 @@ pub struct RunResult {
     /// Sampled span traces, when [`EngineConfig::trace_sampling`] was set.
     pub trace: Option<TraceReport>,
     /// The metrics registry, when [`EngineConfig::metrics_window`] was set.
-    pub metrics: Option<crate::metrics::MetricsRegistry>,
+    pub metrics: Option<MetricsRegistry>,
     /// The engine's own phase-timer report, when
     /// [`EngineConfig::profile_phases`] was set. Wall-clock values —
     /// execution-dependent, never part of deterministic output.
@@ -344,7 +344,7 @@ pub struct Engine<'t> {
     /// The metrics registry (`metrics_window`), fed at every admission and
     /// completion; `point_labels` names capacity points in the same
     /// link-then-socket-then-CXL order as `point_traces`.
-    metrics: Option<crate::metrics::MetricsRegistry>,
+    metrics: Option<MetricsRegistry>,
     point_labels: Vec<String>,
     /// Lazily resolved `(bytes, wait)` series handles per capacity point ×
     /// direction (`[read, write]`); empty when metrics are off.
@@ -464,17 +464,12 @@ impl<'t> Engine<'t> {
             .trace_window
             .map(|w| (0..n_points).map(|_| PointSeries::new(w)).collect());
         let metrics = cfg.metrics_window.map(|w| {
-            let mut m = crate::metrics::MetricsRegistry::with_window(w);
+            let mut m = MetricsRegistry::with_window(w);
             describe_engine_metrics(&mut m);
             m
         });
         let point_labels = if metrics.is_some() {
-            let mut v: Vec<String> = (0..topo.links().len())
-                .map(|l| format!("link{l}"))
-                .collect();
-            v.extend((0..noc.len()).map(|sk| format!("noc{sk}")));
-            v.extend((0..cxl_ports.len()).map(|c| format!("cxl{c}")));
-            v
+            crate::critpath::point_names(topo)
         } else {
             Vec::new()
         };
@@ -1199,12 +1194,7 @@ impl<'t> Engine<'t> {
         // Per-point time series: bytes admitted plus the backlog this
         // admission left behind (wait + service, ns of queued work).
         if let Some(series) = self.point_traces.as_mut() {
-            let idx = match point {
-                StageRef::Link(l) => l as usize,
-                StageRef::SocketNoc(sk) => self.channels.len() + sk as usize,
-                StageRef::CxlPort(c) => self.channels.len() + self.noc.len() + c as usize,
-            };
-            let s = &mut series[idx];
+            let s = &mut series[point.index(self.channels.len(), self.noc.len())];
             let at = SimTime::from_nanos(now_ns as u64);
             match dir {
                 Dir::Read => s.read.record(at, ByteSize::from_bytes(bytes)),
@@ -1213,11 +1203,7 @@ impl<'t> Engine<'t> {
             s.depth.record(at, adm.wait_ns + adm.service_ns);
         }
         if let Some(m) = self.metrics.as_mut() {
-            let idx = match point {
-                StageRef::Link(l) => l as usize,
-                StageRef::SocketNoc(sk) => self.channels.len() + sk as usize,
-                StageRef::CxlPort(c) => self.channels.len() + self.noc.len() + c as usize,
-            };
+            let idx = point.index(self.channels.len(), self.noc.len());
             // Resolve the point's series handles at first admission (so
             // the registry sees the same series set and creation order as
             // the string path), then record through the dense slots.
@@ -1230,8 +1216,8 @@ impl<'t> Engine<'t> {
                         ("dir", if is_write { "write" } else { "read" }),
                     ];
                     let h = (
-                        m.series_handle(SeriesKind::Counter, "chiplet_link_bytes", &labels),
-                        m.series_handle(SeriesKind::Histogram, "chiplet_link_wait_ns", &labels),
+                        m.series_handle(MetricKind::Counter, "chiplet_link_bytes", &labels),
+                        m.series_handle(MetricKind::Histogram, "chiplet_link_wait_ns", &labels),
                     );
                     self.link_handles[idx][di] = Some(h);
                     h
@@ -1247,18 +1233,13 @@ impl<'t> Engine<'t> {
         if span != u32::MAX {
             // Pack the concrete capacity point into the label so critpath
             // can blame individual links, not just classes.
-            let (class, point_idx) = match point {
-                StageRef::Link(l) => (
-                    HopClass::from_link_kind(self.topo.links()[l as usize].kind),
-                    l,
-                ),
-                StageRef::SocketNoc(sk) => (HopClass::SocketNoc, self.channels.len() as u32 + sk),
-                StageRef::CxlPort(c) => (
-                    HopClass::CxlPort,
-                    (self.channels.len() + self.noc.len()) as u32 + c,
-                ),
+            let class = match point {
+                StageRef::Link(l) => HopClass::from_link_kind(self.topo.links()[l as usize].kind),
+                StageRef::SocketNoc(_) => HopClass::SocketNoc,
+                StageRef::CxlPort(_) => HopClass::CxlPort,
             };
-            let label = crate::trace::encode_hop_label(class, Some(point_idx));
+            let idx = point.index(self.channels.len(), self.noc.len());
+            let label = crate::trace::encode_hop_label(class, Some(idx as u32));
             self.spans.as_mut().expect("span open ⇒ collector").hop(
                 span,
                 label,
@@ -1358,7 +1339,7 @@ impl<'t> Engine<'t> {
                     let at = SimTime::from_nanos(now_ns as u64);
                     let h = *f.h_completions.get_or_insert_with(|| {
                         m.series_handle(
-                            SeriesKind::Counter,
+                            MetricKind::Counter,
                             "chiplet_flow_completions",
                             &[("flow", name)],
                         )
@@ -1367,7 +1348,7 @@ impl<'t> Engine<'t> {
                     if counts_payload {
                         let h = *f.h_bytes.get_or_insert_with(|| {
                             m.series_handle(
-                                SeriesKind::Counter,
+                                MetricKind::Counter,
                                 "chiplet_flow_bytes",
                                 &[("flow", name)],
                             )
@@ -1376,7 +1357,7 @@ impl<'t> Engine<'t> {
                     }
                     let h = *f.h_latency.get_or_insert_with(|| {
                         m.series_handle(
-                            SeriesKind::Histogram,
+                            MetricKind::Histogram,
                             "chiplet_flow_latency_ns",
                             &[("flow", name)],
                         )
@@ -1727,12 +1708,15 @@ impl<'t> Engine<'t> {
                 ch,
                 window_ns,
             );
-            attach(&mut lt, n_links + sk);
+            attach(
+                &mut lt,
+                StageRef::SocketNoc(sk as u32).index(n_links, n_socks),
+            );
             links.push(lt);
         }
         for (c, ch) in self.cxl_ports.iter().enumerate() {
             let mut lt = link_telemetry(CapacityPoint::CxlPort { ccd: c as u32 }, ch, window_ns);
-            attach(&mut lt, n_links + n_socks + c);
+            attach(&mut lt, StageRef::CxlPort(c as u32).index(n_links, n_socks));
             links.push(lt);
         }
 
@@ -1769,11 +1753,7 @@ impl<'t> Engine<'t> {
                 );
             }
             for lt in &links {
-                let label = match lt.point {
-                    CapacityPoint::Link { link, .. } => format!("link{link}"),
-                    CapacityPoint::SocketNoc { socket } => format!("noc{socket}"),
-                    CapacityPoint::CxlPort { ccd } => format!("cxl{ccd}"),
-                };
+                let label = lt.point.name();
                 for (dir, stats) in [("read", &lt.read), ("write", &lt.write)] {
                     if stats.admissions > 0 {
                         m.gauge_set(
@@ -1876,8 +1856,7 @@ fn link_telemetry(point: CapacityPoint, ch: &DirectionalChannel, window_ns: f64)
 
 /// Declares the event engine's metric families (names, kinds, help text)
 /// so every dump carries the schema even for families that stay sparse.
-fn describe_engine_metrics(m: &mut crate::metrics::MetricsRegistry) {
-    use crate::metrics::MetricKind;
+fn describe_engine_metrics(m: &mut MetricsRegistry) {
     m.describe(
         "chiplet_link_bytes",
         MetricKind::Counter,

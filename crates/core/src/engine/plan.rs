@@ -21,6 +21,19 @@ pub enum StageRef {
     CxlPort(u32),
 }
 
+impl StageRef {
+    /// The point's dense index among `links` topology links and `nocs`
+    /// socket NoCs: links by id, then socket NoCs, then CXL ports. Point
+    /// traces, metric series and span hop labels all use it.
+    pub(crate) fn index(self, links: usize, nocs: usize) -> usize {
+        match self {
+            StageRef::Link(l) => l as usize,
+            StageRef::SocketNoc(sk) => links + sk as usize,
+            StageRef::CxlPort(c) => links + nocs + c as usize,
+        }
+    }
+}
+
 /// One step of a plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage {

@@ -39,9 +39,9 @@
 //!   sketch and SpaceSaving heavy hitters for bounded-memory per-flow
 //!   telemetry.
 //! * [`metrics`] — the unified **metrics registry** (§4 #5's exposition
-//!   half): counters, gauges, and windowed quantile-sketch histograms with
-//!   label sets, fed by every engine and the sweep runner, encoded as
-//!   OpenMetrics text.
+//!   half), re-exported from `chiplet-sim`: counters, gauges, and windowed
+//!   quantile-sketch histograms with label sets, fed by every engine and
+//!   the sweep runner, encoded as OpenMetrics text.
 //! * [`dse`] — **design-space exploration**: a deterministic candidate
 //!   generator over platform axes (CCD count, NoC grid, link-capacity
 //!   scales, CXL attach points), an analytical estimator ~1000x cheaper
@@ -86,7 +86,6 @@ pub mod engine;
 pub mod export;
 pub mod flow;
 pub mod matrix;
-pub mod metrics;
 pub mod profiler;
 pub mod scenario;
 pub mod sketch;
@@ -94,6 +93,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod traffic;
 
+pub use chiplet_sim::metrics;
 pub use dse::{DseOutcome, DseSpec};
 pub use export::export_sysfs;
 pub use metrics::{lint_openmetrics, parse_openmetrics, MetricsRegistry};

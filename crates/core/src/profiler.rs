@@ -64,7 +64,7 @@ impl Profiler {
         Profiler {
             bytes_by_pair: CountMinSketch::with_error_seeded(0.01, 0.01, seed),
             heavy: SpaceSaving::new(16),
-            latency: QuantileSketch::new(0.01),
+            latency: QuantileSketch::new(),
             per_flow: BTreeMap::new(),
             evicted_flows: 0,
             records: 0,
@@ -87,10 +87,7 @@ impl Profiler {
             self.per_flow.remove(&coldest);
             self.evicted_flows += 1;
         }
-        self.per_flow
-            .entry(flow)
-            .or_insert_with(|| QuantileSketch::new(0.01))
-            .record(latency_ns);
+        self.per_flow.entry(flow).or_default().record(latency_ns);
     }
 
     /// Flows evicted from the bounded per-flow sketch map so far.

@@ -308,49 +308,6 @@ impl FluidBackend {
     }
 }
 
-/// Declares the fluid engine's metric families on a registry, so an
-/// instrumented run emits `# HELP` text even for families that stay empty.
-pub fn describe_fluid_metrics(m: &mut MetricsRegistry) {
-    use crate::metrics::MetricKind;
-    m.describe(
-        "fluid_ticks",
-        MetricKind::Counter,
-        "Integration epochs the fluid engine stepped through.",
-    );
-    m.describe(
-        "fluid_flow_bytes",
-        MetricKind::Counter,
-        "Bytes a fluid flow moved, integrated from its allocated rate.",
-    );
-    m.describe(
-        "fluid_flow_rate_gb_s",
-        MetricKind::Histogram,
-        "Per-epoch allocated rate of a fluid flow, GB/s.",
-    );
-    m.describe(
-        "fluid_harvest_ramp_ticks",
-        MetricKind::Counter,
-        "Epochs a flow spent ramping toward a higher equilibrium rate.",
-    );
-    m.describe(
-        "fluid_flow_final_rate_gb_s",
-        MetricKind::Gauge,
-        "A fluid flow's allocated rate at the end of the run, GB/s.",
-    );
-    // Self-profiling families: kept volatile so the default
-    // (deterministic) dumps pinned by the scenario goldens are unchanged.
-    m.describe_volatile(
-        "fluid_alloc_memo_hits",
-        MetricKind::Counter,
-        "Integration epochs served from the allocator's demand memo.",
-    );
-    m.describe_volatile(
-        "fluid_alloc_memo_misses",
-        MetricKind::Counter,
-        "Integration epochs that re-solved the fluid equilibrium.",
-    );
-}
-
 impl Backend for FluidBackend {
     fn name(&self) -> &'static str {
         "fluid"
@@ -358,7 +315,7 @@ impl Backend for FluidBackend {
 
     fn run(&self, spec: &ScenarioSpec) -> Result<ScenarioReport, ScenarioError> {
         let (sim, dt, sample) = Self::build(spec)?;
-        let traces = sim.run(spec.horizon, dt, sample, spec.seed_or_default());
+        let traces = sim.run(spec.horizon, dt, sample, spec.seed_or_default(), None);
         Self::report(spec, traces)
     }
 
@@ -369,9 +326,13 @@ impl Backend for FluidBackend {
     ) -> Result<ScenarioReport, ScenarioError> {
         let (sim, dt, sample) = Self::build(spec)?;
         let mut inner = MetricsRegistry::with_window(sample);
-        describe_fluid_metrics(&mut inner);
-        let traces =
-            sim.run_instrumented(spec.horizon, dt, sample, spec.seed_or_default(), &mut inner);
+        let traces = sim.run(
+            spec.horizon,
+            dt,
+            sample,
+            spec.seed_or_default(),
+            Some(&mut inner),
+        );
         metrics.merge_labeled(
             &inner,
             &[("backend", self.name()), ("scenario", &spec.name)],

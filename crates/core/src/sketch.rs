@@ -11,9 +11,14 @@
 //!   `1 − δ`, in `O(ln(1/δ) · e/ε)` counters;
 //! * [`SpaceSaving`] — the top-k heavy hitters with guaranteed inclusion of
 //!   every key above `total / capacity`.
+//!
+//! The quantile sketch, [`QuantileSketch`], lives in `chiplet-sim` beside
+//! the metrics registry its histograms back, and is re-exported here.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, Hasher};
+
+pub use chiplet_sim::sketch::QuantileSketch;
 
 /// The splitmix64 finalizer — the same mixing discipline the sweep runner
 /// uses for per-point seeds.
@@ -59,120 +64,6 @@ impl Hasher for FnvHasher {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(0x1_0000_0000_01b3);
         }
-    }
-}
-
-/// A DDSketch-style quantile sketch with relative-error guarantee.
-///
-/// Values are bucketed by `⌈log_γ(v)⌉` with `γ = (1+α)/(1−α)`; any quantile
-/// query returns a value within relative error `α` of an exact order
-/// statistic. Mergeable (same α) and O(log range) buckets — the
-/// "time-series-based probabilistic and compact" latency structure §4 #5
-/// calls for.
-#[derive(Debug, Clone)]
-pub struct QuantileSketch {
-    alpha: f64,
-    gamma_ln: f64,
-    buckets: HashMap<i32, u64>,
-    zero_count: u64,
-    total: u64,
-    min: f64,
-    max: f64,
-}
-
-impl QuantileSketch {
-    /// Creates a sketch with relative accuracy `alpha` in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for out-of-range `alpha`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha in (0,1)");
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
-        QuantileSketch {
-            alpha,
-            gamma_ln: gamma.ln(),
-            buckets: HashMap::new(),
-            zero_count: 0,
-            total: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn key_of(&self, v: f64) -> i32 {
-        (v.ln() / self.gamma_ln).ceil() as i32
-    }
-
-    fn value_of(&self, key: i32) -> f64 {
-        // Bucket midpoint in log space: γ^key × 2/(γ+1) ≈ γ^(key−1/2).
-        let gamma = self.gamma_ln.exp();
-        gamma.powi(key) * 2.0 / (1.0 + gamma)
-    }
-
-    /// Adds a sample (non-negative; negatives are clamped to zero).
-    pub fn record(&mut self, v: f64) {
-        self.total += 1;
-        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        if v <= f64::MIN_POSITIVE {
-            self.zero_count += 1;
-        } else {
-            *self.buckets.entry(self.key_of(v)).or_insert(0) += 1;
-        }
-    }
-
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// The `q`-quantile, or `None` when empty. Within relative error α of
-    /// an exact order statistic.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        if rank <= self.zero_count {
-            return Some(0.0);
-        }
-        let mut keys: Vec<i32> = self.buckets.keys().copied().collect();
-        keys.sort_unstable();
-        let mut seen = self.zero_count;
-        for k in keys {
-            seen += self.buckets[&k];
-            if seen >= rank {
-                return Some(self.value_of(k).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Merges another sketch (same α).
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched accuracies.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "cannot merge sketches with different accuracies"
-        );
-        for (&k, &c) in &other.buckets {
-            *self.buckets.entry(k).or_insert(0) += c;
-        }
-        self.zero_count += other.zero_count;
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Bucket memory in bytes (excluding map overhead constants).
-    pub fn memory_bytes(&self) -> usize {
-        self.buckets.len() * (std::mem::size_of::<i32>() + std::mem::size_of::<u64>())
     }
 }
 
@@ -326,6 +217,7 @@ impl<K: Ord + Clone> SpaceSaving<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn count_min_never_underestimates() {
@@ -446,73 +338,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _: SpaceSaving<u32> = SpaceSaving::new(0);
-    }
-
-    #[test]
-    fn quantile_sketch_relative_error() {
-        let mut s = QuantileSketch::new(0.01);
-        let mut values: Vec<f64> = (1..=10_000).map(|i| (i as f64) * 0.7 + 3.0).collect();
-        for &v in &values {
-            s.record(v);
-        }
-        values.sort_by(f64::total_cmp);
-        for q in [0.01, 0.25, 0.5, 0.9, 0.99, 0.999] {
-            let rank = ((q * values.len() as f64).ceil() as usize).max(1);
-            let exact = values[rank - 1];
-            let got = s.quantile(q).unwrap();
-            let rel = (got - exact).abs() / exact;
-            assert!(rel <= 0.011, "q={q}: got {got}, exact {exact}, rel {rel}");
-        }
-    }
-
-    #[test]
-    fn quantile_sketch_merge_equals_union() {
-        let mut a = QuantileSketch::new(0.02);
-        let mut b = QuantileSketch::new(0.02);
-        let mut whole = QuantileSketch::new(0.02);
-        for i in 0..5000 {
-            let v = 10.0 + (i as f64 % 977.0);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        for q in [0.1, 0.5, 0.95] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
-        }
-    }
-
-    #[test]
-    fn quantile_sketch_handles_zeros_and_empty() {
-        let mut s = QuantileSketch::new(0.05);
-        assert_eq!(s.quantile(0.5), None);
-        s.record(0.0);
-        s.record(0.0);
-        s.record(100.0);
-        assert_eq!(s.quantile(0.5), Some(0.0));
-        let p99 = s.quantile(0.99).unwrap();
-        assert!((p99 - 100.0).abs() / 100.0 <= 0.05);
-    }
-
-    #[test]
-    fn quantile_sketch_memory_is_logarithmic() {
-        let mut s = QuantileSketch::new(0.01);
-        for i in 1..=1_000_000u64 {
-            s.record(i as f64);
-        }
-        // log_γ(1e6) ≈ 690 buckets at α=1%.
-        assert!(s.memory_bytes() < 16 * 1024, "{} bytes", s.memory_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "different accuracies")]
-    fn quantile_sketch_merge_mismatch_rejected() {
-        let mut a = QuantileSketch::new(0.01);
-        let b = QuantileSketch::new(0.02);
-        a.merge(&b);
     }
 }

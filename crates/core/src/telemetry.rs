@@ -85,6 +85,16 @@ impl CapacityPoint {
             CapacityPoint::CxlPort { ccd } => (2, ccd),
         }
     }
+
+    /// The point's name in metric labels and critpath slots: `link{l}`,
+    /// `noc{s}` or `cxl{c}`.
+    pub(crate) fn name(&self) -> String {
+        match *self {
+            CapacityPoint::Link { link, .. } => format!("link{link}"),
+            CapacityPoint::SocketNoc { socket } => format!("noc{socket}"),
+            CapacityPoint::CxlPort { ccd } => format!("cxl{ccd}"),
+        }
+    }
 }
 
 /// Per-flow results.

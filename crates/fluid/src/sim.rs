@@ -9,7 +9,7 @@
 
 use chiplet_sim::stats::TracePoint;
 use chiplet_sim::{
-    Bandwidth, DetRng, MetricsSink, NullSink, SeriesHandle, SeriesKind, SimDuration, SimTime,
+    Bandwidth, DetRng, MetricKind, MetricsRegistry, SeriesHandle, SimDuration, SimTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -123,7 +123,19 @@ impl FluidSim {
     }
 
     /// Runs to `horizon` with step `dt`, sampling every `sample` interval.
-    /// Returns one trace per flow, in addition order.
+    /// Returns one trace per flow, in addition order. With `metrics`, it
+    /// also reports per-epoch telemetry there (timestamps are sim time —
+    /// ticks, not wall clock), and the traces are the same either way:
+    ///
+    /// * `fluid_ticks` — integration epochs executed;
+    /// * `fluid_flow_bytes{flow}` — bytes delivered per epoch at the
+    ///   post-feasibility observed rate;
+    /// * `fluid_flow_rate_gb_s{flow}` — the observed-rate distribution;
+    /// * `fluid_harvest_ramp_ticks{flow}` — epochs spent ramping toward a
+    ///   higher equilibrium (τ-limited harvesting);
+    /// * `fluid_flow_final_rate_gb_s{flow}` — the rate at the horizon;
+    /// * `fluid_alloc_memo_hits` / `_misses` — volatile allocator-memo
+    ///   self-profiling.
     ///
     /// # Panics
     ///
@@ -134,31 +146,7 @@ impl FluidSim {
         dt: SimDuration,
         sample: SimDuration,
         seed: u64,
-    ) -> Vec<Vec<TracePoint>> {
-        self.run_instrumented(horizon, dt, sample, seed, &mut NullSink)
-    }
-
-    /// Like [`FluidSim::run`], additionally reporting per-epoch telemetry
-    /// into `sink` (timestamps are sim time — ticks, not wall clock):
-    ///
-    /// * `fluid_ticks` — integration epochs executed;
-    /// * `fluid_flow_bytes{flow}` — bytes delivered per epoch at the
-    ///   post-feasibility observed rate;
-    /// * `fluid_flow_rate_gb_s{flow}` — the observed-rate distribution;
-    /// * `fluid_harvest_ramp_ticks{flow}` — epochs spent ramping toward a
-    ///   higher equilibrium (τ-limited harvesting);
-    /// * `fluid_flow_final_rate_gb_s{flow}` — the rate at the horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero `dt` or `sample`.
-    pub fn run_instrumented(
-        &self,
-        horizon: SimTime,
-        dt: SimDuration,
-        sample: SimDuration,
-        seed: u64,
-        sink: &mut dyn MetricsSink,
+        mut metrics: Option<&mut MetricsRegistry>,
     ) -> Vec<Vec<TracePoint>> {
         assert!(
             !dt.is_zero() && !sample.is_zero(),
@@ -236,14 +224,15 @@ impl FluidSim {
         let mut accum_ticks = 0u64;
         let mut next_sample = SimTime::ZERO + sample;
 
-        // Per-tick series, resolved to dense sink handles lazily — at first
-        // sample, so a sink that materializes series on first touch sees
-        // the same creation order as with the string methods. `None` =
-        // unresolved; `Some(None)` = the sink takes strings only.
-        let mut h_ticks: Option<Option<SeriesHandle>> = None;
-        let mut h_ramp: Vec<Option<Option<SeriesHandle>>> = vec![None; n];
-        let mut h_bytes: Vec<Option<Option<SeriesHandle>>> = vec![None; n];
-        let mut h_rate: Vec<Option<Option<SeriesHandle>>> = vec![None; n];
+        // Per-tick series, resolved to dense registry handles at first
+        // sample.
+        let mut h_ticks: Option<SeriesHandle> = None;
+        let mut h_ramp: Vec<Option<SeriesHandle>> = vec![None; n];
+        let mut h_bytes: Vec<Option<SeriesHandle>> = vec![None; n];
+        let mut h_rate: Vec<Option<SeriesHandle>> = vec![None; n];
+        if let Some(m) = metrics.as_deref_mut() {
+            describe_fluid_metrics(m);
+        }
 
         // Demands are piecewise-constant, so the demand vector — and with it
         // the equilibrium, a pure function of (demands, topology) — can only
@@ -273,12 +262,16 @@ impl FluidSim {
                 if equilibrium[i] <= rate[i] {
                     rate[i] = equilibrium[i];
                 } else {
-                    let labels = [("flow", self.flows[i].name.as_str())];
-                    match *h_ramp[i].get_or_insert_with(|| {
-                        sink.series_handle(SeriesKind::Counter, "fluid_harvest_ramp_ticks", &labels)
-                    }) {
-                        Some(h) => sink.counter_add_at_handle(h, t, 1.0),
-                        None => sink.counter_add_at("fluid_harvest_ramp_ticks", &labels, t, 1.0),
+                    if let Some(m) = metrics.as_deref_mut() {
+                        let h = *h_ramp[i].get_or_insert_with(|| {
+                            let labels = [("flow", self.flows[i].name.as_str())];
+                            m.series_handle(
+                                MetricKind::Counter,
+                                "fluid_harvest_ramp_ticks",
+                                &labels,
+                            )
+                        });
+                        m.counter_add_at_handle(h, t, 1.0);
                     }
                     rate[i] += (equilibrium[i] - rate[i]) * ramp_k[i];
                 }
@@ -310,33 +303,26 @@ impl FluidSim {
                 }
             }
 
-            match *h_ticks
-                .get_or_insert_with(|| sink.series_handle(SeriesKind::Counter, "fluid_ticks", &[]))
-            {
-                Some(h) => sink.counter_add_handle(h, 1.0),
-                None => sink.counter_add("fluid_ticks", &[], 1.0),
+            if let Some(m) = metrics.as_deref_mut() {
+                let h = *h_ticks.get_or_insert_with(|| {
+                    m.series_handle(MetricKind::Counter, "fluid_ticks", &[])
+                });
+                m.counter_add_handle(h, 1.0);
+                for i in 0..n {
+                    let labels = [("flow", self.flows[i].name.as_str())];
+                    // GB/s sustained for dt seconds → bytes this epoch.
+                    let h = *h_bytes[i].get_or_insert_with(|| {
+                        m.series_handle(MetricKind::Counter, "fluid_flow_bytes", &labels)
+                    });
+                    m.counter_add_at_handle(h, t, observed[i] * dt_s * 1e9);
+                    let h = *h_rate[i].get_or_insert_with(|| {
+                        m.series_handle(MetricKind::Histogram, "fluid_flow_rate_gb_s", &labels)
+                    });
+                    m.observe_handle(h, t, observed[i]);
+                }
             }
             for i in 0..n {
                 accum[i] += observed[i];
-                let labels = [("flow", self.flows[i].name.as_str())];
-                // GB/s sustained for dt seconds → bytes this epoch.
-                match *h_bytes[i].get_or_insert_with(|| {
-                    sink.series_handle(SeriesKind::Counter, "fluid_flow_bytes", &labels)
-                }) {
-                    Some(h) => sink.counter_add_at_handle(h, t, observed[i] * dt_s * 1e9),
-                    None => sink.counter_add_at(
-                        "fluid_flow_bytes",
-                        &labels,
-                        t,
-                        observed[i] * dt_s * 1e9,
-                    ),
-                }
-                match *h_rate[i].get_or_insert_with(|| {
-                    sink.series_handle(SeriesKind::Histogram, "fluid_flow_rate_gb_s", &labels)
-                }) {
-                    Some(h) => sink.observe_handle(h, t, observed[i]),
-                    None => sink.observe("fluid_flow_rate_gb_s", &labels, t, observed[i]),
-                }
             }
             accum_ticks += 1;
             t += dt;
@@ -354,19 +340,63 @@ impl FluidSim {
                 next_sample += sample;
             }
         }
-        for (flow, &final_rate) in self.flows.iter().zip(rate.iter()) {
-            sink.gauge_set(
-                "fluid_flow_final_rate_gb_s",
-                &[("flow", flow.name.as_str())],
-                final_rate,
-            );
+        if let Some(m) = metrics {
+            for (flow, &final_rate) in self.flows.iter().zip(rate.iter()) {
+                m.gauge_set(
+                    "fluid_flow_final_rate_gb_s",
+                    &[("flow", flow.name.as_str())],
+                    final_rate,
+                );
+            }
+            // Allocator memo effectiveness (self-profiling): how many epochs
+            // re-solved the equilibrium vs. reused the cached rates.
+            m.counter_add("fluid_alloc_memo_hits", &[], alloc.memo_hits() as f64);
+            m.counter_add("fluid_alloc_memo_misses", &[], alloc.memo_misses() as f64);
         }
-        // Allocator memo effectiveness (self-profiling): how many epochs
-        // re-solved the equilibrium vs. reused the cached rates.
-        sink.counter_add("fluid_alloc_memo_hits", &[], alloc.memo_hits() as f64);
-        sink.counter_add("fluid_alloc_memo_misses", &[], alloc.memo_misses() as f64);
         traces
     }
+}
+
+/// Declares the fluid engine's metric families on a registry, so an
+/// instrumented run emits `# HELP` text even for families that stay empty.
+fn describe_fluid_metrics(m: &mut MetricsRegistry) {
+    m.describe(
+        "fluid_ticks",
+        MetricKind::Counter,
+        "Integration epochs the fluid engine stepped through.",
+    );
+    m.describe(
+        "fluid_flow_bytes",
+        MetricKind::Counter,
+        "Bytes a fluid flow moved, integrated from its allocated rate.",
+    );
+    m.describe(
+        "fluid_flow_rate_gb_s",
+        MetricKind::Histogram,
+        "Per-epoch allocated rate of a fluid flow, GB/s.",
+    );
+    m.describe(
+        "fluid_harvest_ramp_ticks",
+        MetricKind::Counter,
+        "Epochs a flow spent ramping toward a higher equilibrium rate.",
+    );
+    m.describe(
+        "fluid_flow_final_rate_gb_s",
+        MetricKind::Gauge,
+        "A fluid flow's allocated rate at the end of the run, GB/s.",
+    );
+    // Self-profiling families: kept volatile so the default
+    // (deterministic) dumps pinned by the scenario goldens are unchanged.
+    m.describe_volatile(
+        "fluid_alloc_memo_hits",
+        MetricKind::Counter,
+        "Integration epochs served from the allocator's demand memo.",
+    );
+    m.describe_volatile(
+        "fluid_alloc_memo_misses",
+        MetricKind::Counter,
+        "Integration epochs that re-solved the fluid equilibrium.",
+    );
 }
 
 #[cfg(test)]
@@ -419,6 +449,7 @@ mod tests {
             SimDuration::from_millis(1),
             SimDuration::from_millis(10),
             1,
+            None,
         );
         // At 1.9 s (before the throttle) both flows sit at half capacity.
         for tr in &traces {
@@ -435,6 +466,7 @@ mod tests {
             SimDuration::from_millis(1),
             SimDuration::from_millis(10),
             1,
+            None,
         );
         let flow1 = &traces[1];
         let target = cap / 2.0 + 2.0;
@@ -458,6 +490,7 @@ mod tests {
                 SimDuration::from_millis(1),
                 SimDuration::from_millis(10),
                 1,
+                None,
             );
             let target = cap / 2.0 + 2.0;
             // Time (ms after 2000) when flow 1 first reaches 95% of the
@@ -488,6 +521,7 @@ mod tests {
                 SimDuration::from_millis(1),
                 SimDuration::from_millis(10),
                 7,
+                None,
             );
             // Flow 1's variance during the second throttle window.
             let vals: Vec<f64> = traces[1]
@@ -514,6 +548,7 @@ mod tests {
             SimDuration::from_millis(1),
             SimDuration::from_millis(10),
             3,
+            None,
         );
         for (p0, p1) in traces[0].iter().zip(&traces[1]) {
             let sum = p0.bandwidth.as_gb_per_s() + p1.bandwidth.as_gb_per_s();
@@ -529,6 +564,7 @@ mod tests {
             SimDuration::from_millis(1),
             SimDuration::from_millis(10),
             9,
+            None,
         );
         let (sim2, _) = fig5(FluidLink::if_7302());
         let b = sim2.run(
@@ -536,6 +572,7 @@ mod tests {
             SimDuration::from_millis(1),
             SimDuration::from_millis(10),
             9,
+            None,
         );
         assert_eq!(a.len(), b.len());
         for (ta, tb) in a.iter().zip(&b) {
@@ -545,56 +582,44 @@ mod tests {
 
     #[test]
     fn instrumentation_counts_epochs_without_perturbing_the_run() {
-        #[derive(Default)]
-        struct Tally {
-            ticks: f64,
-            bytes: f64,
-            ramps: f64,
-            rate_samples: u64,
-            finals: usize,
-        }
-        impl MetricsSink for Tally {
-            fn counter_add(&mut self, name: &str, _labels: &[(&str, &str)], v: f64) {
-                match name {
-                    "fluid_ticks" => self.ticks += v,
-                    "fluid_flow_bytes" => self.bytes += v,
-                    "fluid_harvest_ramp_ticks" => self.ramps += v,
-                    _ => {}
-                }
-            }
-
-            fn gauge_set(&mut self, name: &str, _labels: &[(&str, &str)], _v: f64) {
-                if name == "fluid_flow_final_rate_gb_s" {
-                    self.finals += 1;
-                }
-            }
-
-            fn observe(&mut self, name: &str, _labels: &[(&str, &str)], _at: SimTime, _v: f64) {
-                if name == "fluid_flow_rate_gb_s" {
-                    self.rate_samples += 1;
-                }
-            }
-        }
-
         let (sim, cap) = fig5(FluidLink::if_9634());
         let horizon = SimTime::from_secs(2);
         let dt = SimDuration::from_millis(1);
         let sample = SimDuration::from_millis(10);
-        let mut tally = Tally::default();
-        let traces = sim.run_instrumented(horizon, dt, sample, 1, &mut tally);
-        assert_eq!(tally.ticks, 2000.0);
-        assert_eq!(tally.rate_samples, 2 * 2000);
-        assert!(tally.ramps > 0.0, "the startup ramp counts as harvesting");
-        assert_eq!(tally.finals, 2);
-        // Total delivered bytes can't exceed link capacity × elapsed time.
+        let mut metrics = MetricsRegistry::new();
+        let traces = sim.run(horizon, dt, sample, 1, Some(&mut metrics));
+        let per_flow = |name: &str| {
+            ["flow0", "flow1"]
+                .iter()
+                .map(|f| metrics.counter_value(name, &[("flow", f)]).unwrap_or(0.0))
+                .sum::<f64>()
+        };
+        assert_eq!(metrics.counter_value("fluid_ticks", &[]), Some(2000.0));
+        let rate_samples: u64 = ["flow0", "flow1"]
+            .iter()
+            .map(|f| {
+                metrics
+                    .histogram("fluid_flow_rate_gb_s", &[("flow", f)])
+                    .map_or(0, |h| h.count())
+            })
+            .sum();
+        assert_eq!(rate_samples, 2 * 2000);
         assert!(
-            tally.bytes <= cap * 2.0 * 1e9 * (1.0 + 1e-9),
-            "{}",
-            tally.bytes
+            per_flow("fluid_harvest_ramp_ticks") > 0.0,
+            "the startup ramp counts as harvesting"
         );
-        assert!(tally.bytes > cap * 1e9, "link is mostly full after ramp");
-        // The sink never perturbs results: identical traces either way.
-        assert_eq!(traces, sim.run(horizon, dt, sample, 1));
+        let finals = metrics
+            .to_openmetrics()
+            .lines()
+            .filter(|l| l.starts_with("fluid_flow_final_rate_gb_s{"))
+            .count();
+        assert_eq!(finals, 2);
+        // Total delivered bytes can't exceed link capacity × elapsed time.
+        let bytes = per_flow("fluid_flow_bytes");
+        assert!(bytes <= cap * 2.0 * 1e9 * (1.0 + 1e-9), "{bytes}");
+        assert!(bytes > cap * 1e9, "link is mostly full after ramp");
+        // The registry never perturbs results: identical traces either way.
+        assert_eq!(traces, sim.run(horizon, dt, sample, 1, None));
     }
 
     #[test]

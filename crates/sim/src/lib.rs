@@ -4,7 +4,7 @@
 //! networking reproduction.
 //!
 //! This crate deliberately contains **no domain knowledge** about chiplets; it
-//! provides the four primitives every engine in the workspace builds on:
+//! provides the primitives every engine in the workspace builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-granularity virtual time,
 //! * [`EventQueue`] — a total-order event queue with stable FIFO tie-breaking so
@@ -13,7 +13,10 @@
 //! * [`stats`] — streaming statistics (log-bucket latency histograms with tail
 //!   quantiles, hop spans, windowed bandwidth time series),
 //! * [`DemandSchedule`] — piecewise-constant offered-load schedules shared by
-//!   every engine in the workspace.
+//!   every engine in the workspace,
+//! * [`MetricsRegistry`] — the one metrics sink every engine, the phase
+//!   profiler and the harness record into, backed by [`sketch::QuantileSketch`]
+//!   histograms and dumped as OpenMetrics text.
 //!
 //! The design follows the smoltcp school: event-driven, allocation-conscious,
 //! simple and robust, with behaviour that is identical run-to-run. Simulations
@@ -29,13 +32,14 @@ pub mod metrics;
 pub mod profile;
 pub mod rng;
 pub mod schedule;
+pub mod sketch;
 pub mod stats;
 pub mod time;
 pub mod units;
 pub mod wheel;
 
 pub use event::EventQueue;
-pub use metrics::{MetricsSink, NullSink, SeriesHandle, SeriesKind};
+pub use metrics::{MetricKind, MetricsRegistry, SeriesHandle};
 pub use profile::{DepthHistogram, PhaseProfiler, PhaseReport};
 pub use rng::DetRng;
 pub use schedule::DemandSchedule;

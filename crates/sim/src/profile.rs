@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use crate::metrics::MetricsSink;
+use crate::metrics::MetricsRegistry;
 
 /// A dense identifier for a registered phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -202,21 +202,21 @@ impl PhaseReport {
         out
     }
 
-    /// Emits the report into a metrics sink as `sim_phase_seconds` /
+    /// Emits the report into a registry as `sim_phase_seconds` /
     /// `sim_phase_calls`, labelled by phase. Wall-clock values are
     /// execution-dependent: collecting registries must describe these
     /// families as **volatile** so default OpenMetrics dumps stay
     /// deterministic.
-    pub fn emit(&self, sink: &mut dyn MetricsSink) {
+    pub fn emit(&self, metrics: &mut MetricsRegistry) {
         for p in &self.phases {
             if p.calls == 0 {
                 continue;
             }
             let labels = [("phase", p.name)];
-            sink.counter_add("sim_phase_seconds", &labels, p.seconds);
-            sink.counter_add("sim_phase_calls", &labels, p.calls as f64);
+            metrics.counter_add("sim_phase_seconds", &labels, p.seconds);
+            metrics.counter_add("sim_phase_calls", &labels, p.calls as f64);
         }
-        sink.gauge_set("sim_phase_wall_seconds", &[], self.wall_seconds);
+        metrics.gauge_set("sim_phase_wall_seconds", &[], self.wall_seconds);
     }
 }
 
@@ -258,24 +258,23 @@ impl DepthHistogram {
             .collect()
     }
 
-    /// Emits the histogram into a sink as exact per-bucket counters
+    /// Emits the histogram into a registry as exact per-bucket counters
     /// (`{family}_bucket{ge="<lower>"}`) plus `{family}_max` and
     /// `{family}_count` gauges. The bucket layout is fixed, so the
     /// emission is deterministic whenever the recorded quantity is.
-    pub fn emit(&self, sink: &mut dyn MetricsSink, family: &str) {
+    pub fn emit(&self, metrics: &mut MetricsRegistry, family: &str) {
         for (lo, n) in self.buckets() {
             let lo_s = lo.to_string();
-            sink.counter_add(&format!("{family}_bucket"), &[("ge", &lo_s)], n as f64);
+            metrics.counter_add(&format!("{family}_bucket"), &[("ge", &lo_s)], n as f64);
         }
-        sink.gauge_set(&format!("{family}_max"), &[], self.max as f64);
-        sink.gauge_set(&format!("{family}_count"), &[], self.count as f64);
+        metrics.gauge_set(&format!("{family}_max"), &[], self.max as f64);
+        metrics.gauge_set(&format!("{family}_count"), &[], self.count as f64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn disabled_profiler_measures_nothing() {
@@ -326,59 +325,34 @@ mod tests {
 
     #[test]
     fn depth_histogram_emits_bucket_counters() {
-        #[derive(Default)]
-        struct Tally(Vec<(String, f64)>);
-        impl MetricsSink for Tally {
-            fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-                self.0.push((format!("{name}{labels:?}"), v));
-            }
-            fn gauge_set(&mut self, name: &str, _labels: &[(&str, &str)], v: f64) {
-                self.0.push((name.to_string(), v));
-            }
-            fn observe(&mut self, _name: &str, _labels: &[(&str, &str)], _at: SimTime, _v: f64) {}
-        }
         let mut h = DepthHistogram::new();
         for v in [1, 2, 100] {
             h.record(v);
         }
-        let mut sink = Tally::default();
-        h.emit(&mut sink, "queue_depth");
-        assert!(sink
-            .0
-            .iter()
-            .any(|(k, v)| k == "queue_depth_bucket[(\"ge\", \"64\")]" && *v == 1.0));
-        assert!(sink
-            .0
-            .iter()
-            .any(|(k, v)| k == "queue_depth_max" && *v == 100.0));
-        assert!(sink
-            .0
-            .iter()
-            .any(|(k, v)| k == "queue_depth_count" && *v == 3.0));
+        let mut metrics = MetricsRegistry::new();
+        h.emit(&mut metrics, "queue_depth");
+        assert_eq!(
+            metrics.counter_value("queue_depth_bucket", &[("ge", "64")]),
+            Some(1.0)
+        );
+        let dump = metrics.to_openmetrics();
+        assert!(dump.contains("\nqueue_depth_max 100\n"), "{dump}");
+        assert!(dump.contains("\nqueue_depth_count 3\n"), "{dump}");
     }
 
     #[test]
     fn phase_report_emits_volatile_families() {
-        #[derive(Default)]
-        struct Tally(Vec<String>);
-        impl MetricsSink for Tally {
-            fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], _v: f64) {
-                self.0.push(format!("{name}{labels:?}"));
-            }
-            fn gauge_set(&mut self, name: &str, _labels: &[(&str, &str)], _v: f64) {
-                self.0.push(name.to_string());
-            }
-            fn observe(&mut self, name: &str, _labels: &[(&str, &str)], _at: SimTime, _v: f64) {
-                self.0.push(name.to_string());
-            }
-        }
         let mut p = PhaseProfiler::enabled();
         let ph = p.register("issue");
         let t0 = p.start();
         p.record(ph, t0);
-        let mut sink = Tally::default();
-        p.report().emit(&mut sink);
-        assert!(sink.0.iter().any(|s| s.starts_with("sim_phase_seconds")));
-        assert!(sink.0.iter().any(|s| s.contains("sim_phase_wall_seconds")));
+        let mut metrics = MetricsRegistry::new();
+        p.report().emit(&mut metrics);
+        assert!(metrics
+            .counter_value("sim_phase_seconds", &[("phase", "issue")])
+            .is_some());
+        assert!(metrics
+            .to_openmetrics()
+            .contains("\nsim_phase_wall_seconds "));
     }
 }

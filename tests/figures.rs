@@ -150,6 +150,7 @@ fn fig5_harvest_timescales() {
             SimDuration::from_millis(1),
             SimDuration::from_millis(10),
             11,
+            None,
         );
         harvest_time_ms(
             &traces[1],

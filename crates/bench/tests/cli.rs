@@ -42,6 +42,25 @@ fn run_malformed_json_fails_cleanly() {
 }
 
 #[test]
+fn run_deeply_nested_json_fails_cleanly() {
+    // 200,000 nested `[` once overflowed the parser's stack: the process
+    // aborted (SIGABRT, exit 134 from a shell) instead of reporting an
+    // error. Nesting past 128 levels is now a typed JSON error, exit 1.
+    let path = scratch("deep.json");
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    std::fs::write(&path, deep).unwrap();
+    let out = scenario_cli(&["run", path.to_str().unwrap()]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("JSON error: recursion limit exceeded at line 1 column 129"),
+        "{err}"
+    );
+    assert!(!err.contains("overflow"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn run_invalid_spec_fails_cleanly() {
     // Structurally valid JSON referencing a platform that doesn't exist.
     let path = scratch("badplatform.json");

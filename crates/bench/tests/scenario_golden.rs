@@ -26,11 +26,11 @@ use chiplet_bench::scenarios::dse::dse_smoke;
 use chiplet_bench::scenarios::{paper_registry, render, resolve_name, Verb};
 use chiplet_mem::OpKind;
 use chiplet_membench::compete::{compete, CompeteLink};
-use chiplet_net::dse::DseRunner;
+use chiplet_net::dse::{DseOutcome, DseRunner};
 use chiplet_net::metrics::MetricsRegistry;
 use chiplet_net::scenario::{
     spec_hash, BackendKind, EventEngineBackend, FluidBackend, ScenarioKind, ScenarioRun,
-    ScenarioSpec, SweepPoint, SweepRunner, SweepStats,
+    ScenarioSpec, SweepOutcome, SweepPoint, SweepRunner, SweepStats,
 };
 
 const FIG5_GOLDEN: &str = include_str!("../../../tests/golden/fig5.txt");
@@ -237,8 +237,11 @@ fn fig3_sweep_gauge_dump_matches_the_pinned_digest() {
     assert_eq!(len_and_fnv1a(&dump), (5_438, 0xa18b_376c_430f_be0f));
 }
 
+/// `(length, FNV-1a 64)` of a text.
+type Digest = (usize, u64);
+
 /// `(length, FNV-1a 64)` of a report too large to commit as a golden.
-fn len_and_fnv1a(text: &str) -> (usize, u64) {
+fn len_and_fnv1a(text: &str) -> Digest {
     let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     });
@@ -440,4 +443,252 @@ fn membench_study_specs_are_plain_scenario_data() {
     // bdp_control 12, numa_study 12, ablation_traffic 8,
     // ablation_monolithic 7, flit_study 2, fused_stack 4.
     assert_eq!(points, 371);
+}
+
+/// A small spec whose fields the codec-pin cases below break one at a time.
+const PIN_SPEC: &str = r#"{
+  "name": "pin",
+  "description": "codec pin",
+  "topology": {"Named": "epyc_7302"},
+  "backend": "Event",
+  "seed": 42,
+  "horizon": 40000,
+  "policy": "HardwareDefault",
+  "flows": [
+    {"name": "r", "engine": {"cores": {"Ccx": 0}, "target": "AllDimms"}}
+  ]
+}"#;
+
+#[test]
+fn json_codec_bytes_and_errors_match_their_pins() {
+    // The JSON codec's behaviour, pinned before its tree-based form was
+    // replaced by a streaming one. Bytes: (length, FNV-1a 64) of the
+    // compact and pretty serializations of every registry entry's spec (a
+    // study's point list), the two flagship sweeps, the flagship search and
+    // one sweep and one search outcome. Errors: the exact message of every
+    // rule a reader must keep, including which error wins when a document
+    // holds several.
+    const BYTES: [(&str, Digest, Digest); 23] = [
+        (
+            "table1",
+            (2, 0x961_2b07_b5ec_b5a5),
+            (2, 0x961_2b07_b5ec_b5a5),
+        ),
+        (
+            "table2",
+            (8_327, 0x66df_97cf_7028_c182),
+            (14_450, 0xc4a1_ee67_0d6a_fedc),
+        ),
+        (
+            "table3",
+            (13_199, 0x607e_cb8e_7f8a_b46d),
+            (21_314, 0xdda9_70e9_f838_e8d3),
+        ),
+        (
+            "fig3",
+            (55_206, 0xc40f_120b_5d85_dc67),
+            (101_347, 0x9304_d7f2_4036_5803),
+        ),
+        (
+            "fig4",
+            (13_294, 0xa2bf_01f2_c600_fe00),
+            (28_135, 0x910d_d523_c08a_62f4),
+        ),
+        (
+            "fig5",
+            (1_821, 0x5662_3969_ffea_3f42),
+            (3_652, 0x12ee_5cad_7340_10c2),
+        ),
+        (
+            "fig5_if_9634",
+            (610, 0xb896_3151_8e61_b7b5),
+            (1_095, 0xbaac_90d1_9a4e_32f7),
+        ),
+        (
+            "fig5_plink_9634",
+            (607, 0x5e32_6aca_b94e_e586),
+            (1_092, 0x1cdb_cd86_f60c_bf86),
+        ),
+        (
+            "fig5_if_7302",
+            (600, 0xb47f_9140_dd9a_1317),
+            (1_085, 0xe00f_62bc_3588_f125),
+        ),
+        (
+            "fig6",
+            (98_197, 0xd544_54f2_7809_8309),
+            (192_366, 0x7a20_cd6f_b6ac_24a3),
+        ),
+        (
+            "bdp_control",
+            (5_331, 0x7eef_9a55_11a6_3d3d),
+            (9_098, 0x85d0_7248_dcab_8a87),
+        ),
+        (
+            "numa_study",
+            (6_860, 0x1fb8_e4c1_03f7_6a58),
+            (12_940, 0x894a_13d2_562e_0c88),
+        ),
+        (
+            "ablation_traffic",
+            (5_297, 0xe71a_8a6a_ec47_747b),
+            (11_254, 0x8735_f668_2116_354b),
+        ),
+        (
+            "ablation_monolithic",
+            (3_944, 0xfa54_b24c_cb07_aa8b),
+            (6_829, 0x2830_5490_b283_75d1),
+        ),
+        (
+            "flit_study",
+            (3_691, 0x7966_9ad2_73ba_d783),
+            (6_228, 0x1cc5_1914_f662_e88f),
+        ),
+        (
+            "fused_stack",
+            (3_024, 0xfc8e_4cb5_d8f7_d54f),
+            (5_742, 0x15d9_b784_bace_5bfb),
+        ),
+        (
+            "noc_study",
+            (2, 0x961_2b07_b5ec_b5a5),
+            (2, 0x961_2b07_b5ec_b5a5),
+        ),
+        (
+            "fig3_sweep",
+            (843, 0xc03_c598_6b72_7ae6),
+            (1_511, 0xea5_5f2c_5abe_6b1a),
+        ),
+        (
+            "fig5_sweep",
+            (865, 0x91ad_fc3a_402f_116e),
+            (1_681, 0x1296_0053_a56a_e4fc),
+        ),
+        (
+            "dse_epyc",
+            (1_221, 0x979d_04fd_a3c6_285d),
+            (2_563, 0x5d97_b5aa_aac7_dab3),
+        ),
+        (
+            "dse_smoke",
+            (1_118, 0xb2d0_373e_19bd_047c),
+            (2_236, 0xce93_61a3_77a1_5228),
+        ),
+        (
+            "SweepOutcome fig3_sweep",
+            (9_508, 0xda6e_5f60_be92_0352),
+            (16_648, 0x23ba_c28f_5c18_1ebe),
+        ),
+        (
+            "DseOutcome dse_smoke",
+            (3_470, 0xd355_991e_e080_9a31),
+            (5_802, 0x18c5_843c_d063_51e9),
+        ),
+    ];
+    let compact_pretty = |c: String, p: String| (len_and_fnv1a(&c), len_and_fnv1a(&p));
+    let mut got = Vec::new();
+    for entry in paper_registry().entries() {
+        let (c, p) = match (entry.build)() {
+            ScenarioKind::Spec(s) => compact_pretty(
+                serde_json::to_string(&s).unwrap(),
+                serde_json::to_string_pretty(&s).unwrap(),
+            ),
+            ScenarioKind::Study { specs, .. } => {
+                let specs = specs();
+                compact_pretty(
+                    serde_json::to_string(&specs).unwrap(),
+                    serde_json::to_string_pretty(&specs).unwrap(),
+                )
+            }
+            ScenarioKind::Sweep(s) => compact_pretty(
+                serde_json::to_string(&s).unwrap(),
+                serde_json::to_string_pretty(&s).unwrap(),
+            ),
+            ScenarioKind::Dse(d) => compact_pretty(
+                serde_json::to_string(&d).unwrap(),
+                serde_json::to_string_pretty(&d).unwrap(),
+            ),
+        };
+        got.push((entry.name, c, p));
+    }
+    let sweep: SweepOutcome = serde_json::from_str(FIG3_SWEEP_GOLDEN).unwrap();
+    let (c, p) = compact_pretty(
+        serde_json::to_string(&sweep).unwrap(),
+        serde_json::to_string_pretty(&sweep).unwrap(),
+    );
+    got.push(("SweepOutcome fig3_sweep", c, p));
+    let search: DseOutcome = serde_json::from_str(DSE_SMOKE_GOLDEN).unwrap();
+    let (c, p) = compact_pretty(
+        serde_json::to_string(&search).unwrap(),
+        serde_json::to_string_pretty(&search).unwrap(),
+    );
+    got.push(("DseOutcome dse_smoke", c, p));
+    assert_eq!(got, BYTES);
+
+    let read = |text: &str| serde_json::from_str::<ScenarioSpec>(text).map_err(|e| e.to_string());
+    let edit_in = |text: &str, from: &str, to: &str| {
+        assert!(text.contains(from), "{from}");
+        text.replacen(from, to, 1)
+    };
+    let edit = |from: &str, to: &str| edit_in(PIN_SPEC, from, to);
+    let errors: [(&str, String, &str); 9] = [
+        (
+            "syntax error",
+            edit("\"seed\": 42,", "\"seed\": 42 oops,"),
+            "expected ',' or '}' at line 6 column 14",
+        ),
+        (
+            "trailing characters",
+            format!("{PIN_SPEC}\n x"),
+            "trailing characters at line 13 column 2",
+        ),
+        (
+            "wrong type with its path",
+            edit("{\"Ccx\": 0}", "{\"Ccx\": \"zero\"}"),
+            "flows[0].engine.cores.Ccx: expected u32",
+        ),
+        (
+            "negative into u32",
+            edit("{\"Ccx\": 0}", "{\"Ccx\": -1}"),
+            "flows[0].engine.cores.Ccx: expected u32",
+        ),
+        (
+            "missing field",
+            edit("  \"horizon\": 40000,\n", ""),
+            "missing field `horizon`",
+        ),
+        (
+            "unknown variant",
+            edit("\"Event\"", "\"Quantum\""),
+            "backend: unknown variant `Quantum` of BackendKind",
+        ),
+        (
+            "two-entry enum map",
+            edit("\"Event\"", "{\"Event\": null, \"Fluid\": null}"),
+            "backend: expected enum BackendKind",
+        ),
+        (
+            "type error, then a later syntax error",
+            edit_in(&edit("\"seed\": 42,", "\"seed\": \"x\","), "]\n}", "],\n}"),
+            "expected '\"' at line 12 column 1",
+        ),
+        (
+            "two bad fields out of declaration order",
+            edit_in(
+                &edit("\"name\": \"pin\",", "\"policy\": 7, \"name\": \"pin\","),
+                "\"seed\": 42",
+                "\"seed\": \"x\"",
+            ),
+            "seed: expected u64",
+        ),
+    ];
+    for (case, text, want) in &errors {
+        assert_eq!(read(text).unwrap_err(), *want, "{case}");
+    }
+    // Accepted: a duplicate key keeps its first value, and a unit variant
+    // written as a one-entry map ignores its payload.
+    let dup = read(&edit("\"seed\": 42,", "\"seed\": 42, \"seed\": \"x\",")).unwrap();
+    assert_eq!(dup.seed, Some(42));
+    let unit = read(&edit("\"Event\"", "{\"Event\": 5}")).unwrap();
+    assert_eq!(unit.backend, BackendKind::Event);
 }

@@ -465,6 +465,27 @@ fn overlapping_cores_get_a_400_and_wedge_no_worker() {
 }
 
 #[test]
+fn deeply_nested_body_gets_a_400_and_the_daemon_keeps_serving() {
+    // A body of 200,000 nested `[` (well under the 8 MiB body cap) once
+    // overflowed the connection thread's stack, which aborted the whole
+    // daemon. It must be a 400 naming the nesting limit, and the daemon
+    // must then still answer `/v1/status` with every worker idle.
+    let server = spawn(None, 4096, 4096);
+    let addr = server.addr().to_string();
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    for target in ["/v1/run", "/v1/sweep"] {
+        let (status, text) = fetch_within(&addr, "POST", target, Some(&deep));
+        assert_eq!(status, 400, "{target}: {text}");
+        assert!(
+            text.contains("recursion limit exceeded at line 1 column 129"),
+            "{target}: {text}"
+        );
+    }
+    wait_until_idle(&addr);
+    server.shutdown();
+}
+
+#[test]
 fn typed_json_errors_name_their_field_in_the_400_body() {
     let server = spawn(None, 4096, 4096);
     let addr = server.addr().to_string();

@@ -15,13 +15,13 @@
 //! [`DseRunner`] never materialises the candidate list. Candidates that
 //! differ only in their capacity axes ([`DseAxis::scales_capacity`]) share
 //! one graph, so the runner groups the candidates it scores by their other
-//! axis settings. Each worker takes a group, builds its
-//! [`DesignShape`](estimate::DesignShape) once from the first member's
-//! platform, and scores every member on that member's own platform, keeping
-//! only the scores. The frontier set does not depend on its tie-break key,
-//! so it is extracted with candidate indices as keys; only its members are
-//! then built into sealed specs, labelled, and ordered by content hash, and
-//! the escalated head reuses those specs.
+//! axis settings. Each worker takes a group, builds its [`DesignShape`]
+//! once from the first member's platform, and scores every member on that
+//! member's own platform, keeping only the scores. The frontier set does
+//! not depend on its tie-break key, so it is extracted with candidate
+//! indices as keys; only its members are then built into sealed specs,
+//! labelled, and ordered by content hash, and the escalated head reuses
+//! those specs.
 //!
 //! Determinism end to end: candidates carry the sweep layer's
 //! content-hash-derived seeds, the estimator is pure arithmetic, frontier

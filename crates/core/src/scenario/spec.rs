@@ -269,13 +269,14 @@ pub struct EngineOptions {
 pub struct RetiredField;
 
 impl Serialize for RetiredField {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        w.null();
     }
 }
 
 impl Deserialize for RetiredField {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        r.skip();
         Ok(RetiredField)
     }
 }

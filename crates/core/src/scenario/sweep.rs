@@ -19,6 +19,7 @@
 //! making re-runs of a mostly-unchanged sweep incremental.
 
 use std::collections::VecDeque;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -705,12 +706,26 @@ pub enum CacheLookup {
     Corrupt,
 }
 
+/// The largest cache entry [`load_cache_entry`] reads, bytes. The largest
+/// report the registry's 21 entries publish is 60,706 bytes (a five-flow
+/// `fig5_sweep` point with its fluid traces), so this leaves 17× headroom
+/// while a planted multi-GB file costs at most this much memory.
+pub(crate) const MAX_CACHE_ENTRY_BYTES: u64 = 1 << 20;
+
 /// Probes the cache for `hash`, distinguishing a missing entry from a
-/// corrupt one so callers can count healing instead of hiding it.
+/// corrupt one so callers can count healing instead of hiding it. An entry
+/// over `MAX_CACHE_ENTRY_BYTES` (1 MiB) is corrupt and is not read past the
+/// bound.
 pub fn load_cache_entry(dir: &Path, hash: &str) -> CacheLookup {
-    let Ok(text) = std::fs::read_to_string(cache_path(dir, hash)) else {
+    let mut text = String::new();
+    let read = std::fs::File::open(cache_path(dir, hash))
+        .and_then(|f| f.take(MAX_CACHE_ENTRY_BYTES + 1).read_to_string(&mut text));
+    if read.is_err() {
         return CacheLookup::Miss;
-    };
+    }
+    if text.len() as u64 > MAX_CACHE_ENTRY_BYTES {
+        return CacheLookup::Corrupt;
+    }
     match ScenarioReport::from_json(&text) {
         Ok(report) => CacheLookup::Hit(report),
         Err(_) => CacheLookup::Corrupt,

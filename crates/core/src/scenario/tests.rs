@@ -815,6 +815,36 @@ mod sweeps {
     }
 
     #[test]
+    fn oversized_cache_entry_is_corrupt_and_healed() {
+        // A planted entry past the read bound is never read whole: it is
+        // Corrupt even though (padded with whitespace) it is valid JSON of
+        // the right report, and the runner re-executes and replaces it.
+        let dir = std::env::temp_dir().join(format!("chiplet-sweep-big-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = SweepRunner {
+            jobs: 1,
+            cache_dir: Some(dir.clone()),
+        };
+        let sweep = fluid_sweep();
+        let (cold, _) = runner.run(&sweep).expect("cold run");
+        let hash = &cold.points[0].hash;
+        let victim = dir.join(format!("{hash}.json"));
+        let mut planted = std::fs::read_to_string(&victim).unwrap();
+        planted.push_str(&" ".repeat(crate::scenario::sweep::MAX_CACHE_ENTRY_BYTES as usize));
+        std::fs::write(&victim, &planted).unwrap();
+        assert!(matches!(
+            ScenarioReport::from_json(&planted),
+            Ok(ref r) if r.to_json() == cold.points[0].report.to_json()
+        ));
+        assert_eq!(load_cache_entry(&dir, hash), CacheLookup::Corrupt);
+        let (healed, stats) = runner.run(&sweep).expect("heals the oversized entry");
+        assert_eq!((stats.executed, stats.corrupt_healed), (1, 1));
+        assert_eq!(healed.to_json(), cold.to_json());
+        assert!(matches!(load_cache_entry(&dir, hash), CacheLookup::Hit(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_cache_writers_never_yield_a_torn_read() {
         // Hammer one cache key from many writer threads while readers poll:
         // atomic tmp + rename publication means a reader sees Miss (before

@@ -6,7 +6,7 @@
 //! evaluate the same schedule type, so a scenario written once drives
 //! either backend.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonReader, Serialize};
 
 use crate::time::SimTime;
 use crate::units::Bandwidth;
@@ -26,11 +26,21 @@ pub struct DemandSchedule {
 /// [`DemandSchedule::piecewise`]'s rules, so a malformed schedule in a
 /// spec is a parse error rather than a panic at its first lookup.
 impl Deserialize for DemandSchedule {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let pieces = v
-            .get("pieces")
-            .ok_or_else(|| serde::Error::missing_field("pieces"))?;
-        Self::checked(Deserialize::from_value(pieces)?).map_err(serde::Error::custom)
+    fn from_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
+        // As a derived struct reads it: the first `pieces` key wins and
+        // other keys are skipped; anything but a map has no `pieces`.
+        let mut pieces = None;
+        if r.begin_map() {
+            while let Some(key) = r.next_key() {
+                if &*key == "pieces" && pieces.is_none() {
+                    pieces = Some(r.read_or_skip(Deserialize::from_json));
+                } else {
+                    r.skip();
+                }
+            }
+        }
+        let pieces = pieces.ok_or_else(|| serde::Error::missing_field("pieces"))??;
+        Self::checked(pieces).map_err(serde::Error::custom)
     }
 }
 
@@ -194,12 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_json_value() {
+    fn round_trips_through_json() {
         let s = DemandSchedule::piecewise(vec![
             (SimTime::ZERO, Some(gb(2.0))),
             (SimTime::from_secs(1), None),
         ]);
-        let back = DemandSchedule::from_value(&s.to_value()).unwrap();
+        let mut w = serde::JsonWriter::compact();
+        s.write_json(&mut w);
+        let text = w.finish();
+        let back = DemandSchedule::from_json(&mut JsonReader::new(&text).unwrap()).unwrap();
         assert_eq!(s, back);
     }
 }

@@ -9,7 +9,7 @@
 //! whichever of the two queues it executes on (property-tested against
 //! [`crate::EventQueue`]).
 //!
-//! Layout: a ring of [`RING`] one-nanosecond buckets covering the window
+//! Layout: a ring of `RING` (512) one-nanosecond buckets covering the window
 //! `[now, now + RING)`, a one-`u64`-per-64-slots occupancy bitmap with a
 //! single-word summary for O(1) next-bucket scans, and a binary-heap
 //! overflow for the rare push beyond the window. Each bucket is a FIFO

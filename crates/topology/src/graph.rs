@@ -29,7 +29,7 @@
 //! estimator, which builds and routes thousands of candidate topologies per
 //! second. Adjacency is therefore stored in CSR form (two flat arrays built
 //! in one pass) and the BFS prunes leaf subtrees that cannot lie on any
-//! simple path to the destination — see [`prune_chain`].
+//! simple path to the destination — see `prune_chain`.
 
 use chiplet_sim::Bandwidth;
 use serde::{Deserialize, Serialize};
@@ -443,7 +443,7 @@ impl Topology {
     /// Deterministic shortest route between two nodes (BFS with fixed
     /// adjacency order), or `None` when disconnected.
     ///
-    /// The BFS skips nodes whose [`prune_chain`] is neither endpoint's:
+    /// The BFS skips nodes whose `prune_chain` is neither endpoint's:
     /// those subtrees hang off the fabric by a single edge, so no simple
     /// path transits them and the surviving search discovers every live
     /// node from the same predecessor as the unpruned BFS would — routes

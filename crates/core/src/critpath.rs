@@ -48,11 +48,10 @@ fn slot_label(class: Option<HopClass>, point: Option<u32>, point_names: &[String
     }
 }
 
-/// Capacity-point names (`link{l}`, `noc{s}`, `cxl{c}`) in engine
-/// point-index order (links by id, then socket NoCs, then CXL ports), the
-/// `link_id` labels of the metrics registry. Derived structurally from the topology
-/// because telemetry only lists links that carry a channel.
-pub fn point_names(topo: &chiplet_topology::Topology) -> Vec<String> {
+/// Every capacity point in engine point-index order: links by id (capped
+/// or not), then socket NoCs, then CXL ports. Derived structurally from
+/// the topology because telemetry only lists capped points.
+pub(crate) fn capacity_points(topo: &chiplet_topology::Topology) -> Vec<CapacityPoint> {
     let spec = topo.spec();
     let cxl_ports = spec.cxl.as_ref().map_or(0, |_| topo.ccd_total());
     let links = topo
@@ -63,7 +62,15 @@ pub fn point_names(topo: &chiplet_topology::Topology) -> Vec<String> {
     links
         .chain((0..spec.socket_count).map(|socket| CapacityPoint::SocketNoc { socket }))
         .chain((0..cxl_ports).map(|ccd| CapacityPoint::CxlPort { ccd }))
-        .map(|p| p.name())
+        .collect()
+}
+
+/// Capacity-point names (`link{l}`, `noc{s}`, `cxl{c}`) in engine
+/// point-index order, the `link_id` labels of the metrics registry.
+pub fn point_names(topo: &chiplet_topology::Topology) -> Vec<String> {
+    capacity_points(topo)
+        .iter()
+        .map(CapacityPoint::name)
         .collect()
 }
 

@@ -25,7 +25,7 @@ pub mod plan;
 
 use std::collections::BTreeMap;
 
-use chiplet_fabric::{Dir, DirectionalChannel, SlotLimiter};
+use chiplet_fabric::{Dir, ServerArena, SlotLimiter};
 use chiplet_fluid::alloc::DenseAllocScratch;
 use chiplet_mem::{AccessOutcome, CacheHierarchy, DramServiceModel, Pattern};
 use chiplet_sim::stats::{BandwidthTrace, GaugeTrace, LatencyHistogram, SpanCollector};
@@ -42,9 +42,12 @@ use crate::telemetry::{
 };
 use crate::trace::{HopClass, TraceReport};
 use crate::traffic::{ResourceArena, ResourceKey, TrafficPolicy};
-use plan::{Stage, StagePlan, StageRef};
+use plan::{StagePlan, StageRef};
 
 const LINE: u64 = 64;
+
+/// [`Engine::point_slot`] of an uncapped link.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Label for the trace-sampling RNG stream derived from the seed.
 const TRACE_RNG_LABEL: u64 = 0x0074_7261_6365; // "trace"
@@ -192,7 +195,9 @@ struct CoreState {
     write_used: u32,
     read_cap: u32,
     write_cap: u32,
-    next_target: u64,
+    /// Next target element for sequential patterns; wraps at the flow's
+    /// `targets`.
+    next_target: u32,
     next_allowed_ns: f64,
     attempt_scheduled: bool,
     blocked_on_core: bool,
@@ -268,6 +273,26 @@ struct PlanInfo {
     unloaded_ns: f64,
 }
 
+/// One stage of a flattened plan: what `on_stage` needs to admit a
+/// transaction with one arena index, no branch on the point's kind and no
+/// division.
+#[derive(Debug, Clone, Copy)]
+struct FlatStage {
+    /// The point's base slot in [`Engine::servers`]; the write server is
+    /// the next slot.
+    slot: u32,
+    /// Dense capacity-point index (see [`StageRef::index`]), which point
+    /// traces, metric labels and span hop labels use.
+    point: u32,
+    /// Serialization time of `bytes`, ns, at the read and the write
+    /// server: computed once here instead of once per admission.
+    service_ns: [f64; 2],
+    /// Wire bytes the transaction occupies at the point.
+    bytes: u32,
+    /// Whether memory-device variability applies here.
+    device: bool,
+}
+
 /// Per-flow and per-link results of one run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -301,10 +326,13 @@ pub struct Engine<'t> {
     cfg: EngineConfig,
     rng: DetRng,
     queue: WheelQueue<Event>,
-    channels: Vec<Option<DirectionalChannel>>,
-    /// Per-socket NoC routing capacity.
-    noc: Vec<DirectionalChannel>,
-    cxl_ports: Vec<DirectionalChannel>,
+    /// One FIFO server per capped capacity point × direction.
+    servers: ServerArena,
+    /// Every capacity point, by dense point index (see [`StageRef::index`]).
+    points: Vec<CapacityPoint>,
+    /// Each point's base slot in `servers`, by dense point index;
+    /// [`NO_SLOT`] for an uncapped link, which no plan stages.
+    point_slot: Vec<u32>,
     ccx_limiters: Vec<SlotLimiter<u32>>,
     ccd_limiters: Option<Vec<SlotLimiter<u32>>>,
     flows: Vec<FlowRuntime>,
@@ -313,7 +341,7 @@ pub struct Engine<'t> {
     /// Flattened plan table (one entry per flow × plan), built in `run`.
     plan_infos: Vec<PlanInfo>,
     /// All plans' stages, contiguous; see [`PlanInfo::stage_base`].
-    flat_stages: Vec<Stage>,
+    flat_stages: Vec<FlatStage>,
     cores: Vec<CoreState>,
     txns: Vec<Txn>,
     free_txns: Vec<u32>,
@@ -338,12 +366,12 @@ pub struct Engine<'t> {
     /// Sampling RNG: derived from the seed, independent of `rng`, so
     /// enabling tracing never perturbs simulation results.
     trace_rng: DetRng,
-    /// Per-capacity-point bandwidth/backlog series (`trace_window`),
-    /// indexed link-id first, then sockets, then CXL ports.
+    /// Per-capacity-point bandwidth/backlog series (`trace_window`), by
+    /// dense point index.
     point_traces: Option<Vec<PointSeries>>,
     /// The metrics registry (`metrics_window`), fed at every admission and
-    /// completion; `point_labels` names capacity points in the same
-    /// link-then-socket-then-CXL order as `point_traces`.
+    /// completion; `point_labels` names capacity points by dense point
+    /// index, like `point_traces`.
     metrics: Option<MetricsRegistry>,
     point_labels: Vec<String>,
     /// Lazily resolved `(bytes, wait)` series handles per capacity point ×
@@ -388,26 +416,32 @@ impl<'t> Engine<'t> {
     /// Creates an engine over a topology.
     pub fn new(topo: &'t Topology, cfg: EngineConfig) -> Self {
         let spec = topo.spec();
-        let channels = topo
-            .links()
+        // The server arena, in dense point order; an uncapped link takes
+        // no slot.
+        let points = crate::critpath::capacity_points(topo);
+        let mut servers = ServerArena::default();
+        let point_slot = points
             .iter()
-            .map(|l| {
-                if l.read_cap.is_some() || l.write_cap.is_some() {
-                    Some(DirectionalChannel::new(l.read_cap, l.write_cap))
-                } else {
-                    None
-                }
+            .map(|&point| {
+                let caps = match point {
+                    CapacityPoint::Link { link, kind } => {
+                        let l = &topo.links()[link as usize];
+                        match (l.read_cap, l.write_cap) {
+                            (Some(read), Some(write)) => Some((read, write)),
+                            (None, None) => None,
+                            _ => panic!("a {kind:?} link is capped in one direction only"),
+                        }
+                    }
+                    CapacityPoint::SocketNoc { .. } => {
+                        Some((spec.caps.noc_read, spec.caps.noc_write))
+                    }
+                    CapacityPoint::CxlPort { .. } => {
+                        spec.cxl.as_ref().map(|cxl| (cxl.ccd_read, cxl.ccd_write))
+                    }
+                };
+                caps.map_or(NO_SLOT, |(read, write)| servers.add_point(read, write))
             })
             .collect();
-        let noc: Vec<DirectionalChannel> = (0..spec.socket_count)
-            .map(|_| DirectionalChannel::new(Some(spec.caps.noc_read), Some(spec.caps.noc_write)))
-            .collect();
-        let cxl_ports = match &spec.cxl {
-            Some(cxl) => (0..topo.ccd_total())
-                .map(|_| DirectionalChannel::new(Some(cxl.ccd_read), Some(cxl.ccd_write)))
-                .collect(),
-            None => Vec::new(),
-        };
 
         // Limiter tokens sized to the *loaded* BDP of the chiplet egress:
         // capacity × (unloaded latency + 3 × the module's max queueing
@@ -459,7 +493,7 @@ impl<'t> Engine<'t> {
         let spans = cfg
             .trace_sampling
             .map(|_| SpanCollector::new(SPAN_COLLECTOR_CAP));
-        let n_points = topo.links().len() + noc.len() + cxl_ports.len();
+        let n_points = points.len();
         let point_traces = cfg
             .trace_window
             .map(|w| (0..n_points).map(|_| PointSeries::new(w)).collect());
@@ -469,7 +503,7 @@ impl<'t> Engine<'t> {
             m
         });
         let point_labels = if metrics.is_some() {
-            crate::critpath::point_names(topo)
+            points.iter().map(CapacityPoint::name).collect()
         } else {
             Vec::new()
         };
@@ -490,9 +524,9 @@ impl<'t> Engine<'t> {
             cfg,
             rng,
             queue: WheelQueue::new(),
-            channels,
-            noc,
-            cxl_ports,
+            servers,
+            points,
+            point_slot,
             ccx_limiters,
             ccd_limiters,
             flows: Vec::new(),
@@ -721,6 +755,90 @@ impl<'t> Engine<'t> {
             horizon.as_nanos() > self.cfg.warmup.as_nanos(),
             "horizon must exceed warmup"
         );
+        self.prepare(horizon);
+
+        // Self-profiling (`profile_phases`): phase timers around every
+        // handler class plus an event-queue-depth histogram (sampled every
+        // 1024 pops) and an events-per-epoch histogram (an epoch is the
+        // stretch between policy recomputations). Disabled, `start()`
+        // returns `None` without reading the clock.
+        let mut prof = if self.cfg.profile_phases {
+            PhaseProfiler::enabled()
+        } else {
+            PhaseProfiler::disabled()
+        };
+        let ph_issue = prof.register("engine/issue");
+        let ph_stage = prof.register("engine/stage");
+        let ph_granted = prof.register("engine/granted");
+        let ph_complete = prof.register("engine/complete");
+        let ph_reset = prof.register("engine/reset-stats");
+        let ph_policy = prof.register("engine/policy");
+        let ph_demand = prof.register("engine/demand");
+        let mut queue_depth = DepthHistogram::new();
+        let mut epoch_events = DepthHistogram::new();
+        let mut in_epoch: u64 = 0;
+        let mut pops: u64 = 0;
+        // One clock read per event: `lap` charges everything since the
+        // previous lap (pop + dispatch + handler) to the handled phase.
+        let mut mark = prof.start();
+        while let Some((at, event)) = self.queue.pop() {
+            let now_ns = at.as_nanos() as f64;
+            if self.cfg.profile_phases {
+                pops += 1;
+                in_epoch += 1;
+                if pops & 1023 == 0 {
+                    queue_depth.record(self.queue.len() as u64);
+                }
+            }
+            match event {
+                Event::Issue { core } => {
+                    self.on_issue(core, now_ns);
+                    prof.lap(ph_issue, &mut mark);
+                }
+                Event::Stage { txn } => {
+                    self.on_stage(txn, now_ns);
+                    prof.lap(ph_stage, &mut mark);
+                }
+                Event::Granted { txn } => {
+                    self.on_granted(txn, now_ns);
+                    prof.lap(ph_granted, &mut mark);
+                }
+                Event::Complete { txn } => {
+                    self.on_complete(txn, now_ns);
+                    prof.lap(ph_complete, &mut mark);
+                }
+                Event::ResetStats => {
+                    self.servers.reset_stats();
+                    prof.lap(ph_reset, &mut mark);
+                }
+                Event::Policy => {
+                    self.recompute_policy(now_ns, horizon);
+                    prof.lap(ph_policy, &mut mark);
+                    if self.cfg.profile_phases {
+                        epoch_events.record(in_epoch);
+                        in_epoch = 0;
+                    }
+                }
+                Event::Demand { flow } => {
+                    self.on_demand(flow, now_ns);
+                    prof.lap(ph_demand, &mut mark);
+                }
+            }
+        }
+        if self.cfg.profile_phases && in_epoch > 0 {
+            epoch_events.record(in_epoch);
+        }
+
+        self.finish(horizon, &prof, &queue_depth, &epoch_events)
+    }
+
+    /// The run's one-time set-up: flattens the plans into the hot tables
+    /// and seeds the queue with the stats reset, the policy and demand
+    /// boundaries and every issuer's first attempt. Kept out of [`run`]
+    /// so the event loop stays small enough to hold the queue inlined.
+    ///
+    /// [`run`]: Engine::run
+    fn prepare(&mut self, horizon: SimTime) {
         self.horizon_ns = horizon.as_nanos() as f64;
         self.warmup_ns = self.cfg.warmup.as_nanos() as f64;
 
@@ -751,7 +869,23 @@ impl<'t> Engine<'t> {
                     matrix_dest: p.matrix_dest,
                     unloaded_ns: p.unloaded_ns,
                 });
-                self.flat_stages.extend_from_slice(&p.stages);
+                for s in &p.stages {
+                    let point = self.point_index(s.point);
+                    let slot = self.point_slot[point];
+                    debug_assert!(slot != NO_SLOT, "plans stage capped points only");
+                    let service = |dir| {
+                        self.servers
+                            .server(ServerArena::slot(slot, dir))
+                            .service_ns(s.bytes)
+                    };
+                    self.flat_stages.push(FlatStage {
+                        slot,
+                        point: point as u32,
+                        service_ns: [service(Dir::Read), service(Dir::Write)],
+                        bytes: u32::try_from(s.bytes).expect("stage bytes fit u32"),
+                        device: s.device,
+                    });
+                }
             }
         }
 
@@ -835,92 +969,6 @@ impl<'t> Engine<'t> {
                 }
             }
         }
-
-        // Self-profiling (`profile_phases`): phase timers around every
-        // handler class plus an event-queue-depth histogram (sampled every
-        // 1024 pops) and an events-per-epoch histogram (an epoch is the
-        // stretch between policy recomputations). Disabled, `start()`
-        // returns `None` without reading the clock.
-        let mut prof = if self.cfg.profile_phases {
-            PhaseProfiler::enabled()
-        } else {
-            PhaseProfiler::disabled()
-        };
-        let ph_issue = prof.register("engine/issue");
-        let ph_stage = prof.register("engine/stage");
-        let ph_granted = prof.register("engine/granted");
-        let ph_complete = prof.register("engine/complete");
-        let ph_reset = prof.register("engine/reset-stats");
-        let ph_policy = prof.register("engine/policy");
-        let ph_demand = prof.register("engine/demand");
-        let mut queue_depth = DepthHistogram::new();
-        let mut epoch_events = DepthHistogram::new();
-        let mut in_epoch: u64 = 0;
-        let mut pops: u64 = 0;
-        // One clock read per event: `lap` charges everything since the
-        // previous lap (pop + dispatch + handler) to the handled phase.
-        let mut mark = prof.start();
-        while let Some(ev) = self.queue.pop() {
-            let now_ns = ev.at.as_nanos() as f64;
-            if self.cfg.profile_phases {
-                pops += 1;
-                in_epoch += 1;
-                if pops & 1023 == 0 {
-                    queue_depth.record(self.queue.len() as u64);
-                }
-            }
-            match ev.payload {
-                Event::Issue { core } => {
-                    self.on_issue(core, now_ns);
-                    prof.lap(ph_issue, &mut mark);
-                }
-                Event::Stage { txn } => {
-                    self.on_stage(txn, now_ns);
-                    prof.lap(ph_stage, &mut mark);
-                }
-                Event::Granted { txn } => {
-                    self.on_granted(txn, now_ns);
-                    prof.lap(ph_granted, &mut mark);
-                }
-                Event::Complete { txn } => {
-                    self.on_complete(txn, now_ns);
-                    prof.lap(ph_complete, &mut mark);
-                }
-                Event::ResetStats => {
-                    self.reset_stats();
-                    prof.lap(ph_reset, &mut mark);
-                }
-                Event::Policy => {
-                    self.recompute_policy(now_ns, horizon);
-                    prof.lap(ph_policy, &mut mark);
-                    if self.cfg.profile_phases {
-                        epoch_events.record(in_epoch);
-                        in_epoch = 0;
-                    }
-                }
-                Event::Demand { flow } => {
-                    self.on_demand(flow, now_ns);
-                    prof.lap(ph_demand, &mut mark);
-                }
-            }
-        }
-        if self.cfg.profile_phases && in_epoch > 0 {
-            epoch_events.record(in_epoch);
-        }
-
-        self.finish(horizon, &prof, &queue_depth, &epoch_events)
-    }
-
-    fn reset_stats(&mut self) {
-        for ch in self.channels.iter_mut().flatten() {
-            ch.reset_stats();
-        }
-        for ch in &mut self.noc {
-            ch.reset_stats();
-        }
-        for ch in &mut self.cxl_ports {
-            ch.reset_stats();
-        }
     }
 
     /// Schedules `ev` at `ns` rounded up to the next whole nanosecond,
@@ -1001,17 +1049,14 @@ impl<'t> Engine<'t> {
             f.issued += 1;
             let cs = &mut self.cores[core as usize];
             let t = match f.pattern {
-                Pattern::Random => self.rng.next_below(f.targets as u64),
+                Pattern::Random => self.rng.next_below(f.targets as u64) as u32,
                 _ => {
-                    let t = cs.next_target % f.targets as u64;
-                    cs.next_target += 1;
+                    let t = cs.next_target;
+                    cs.next_target = if t + 1 == f.targets { 0 } else { t + 1 };
                     t
                 }
             };
-            (
-                f.plan_base + cs.core_pos * f.targets + t as u32,
-                f.gap_mean_ns,
-            )
+            (f.plan_base + cs.core_pos * f.targets + t, f.gap_mean_ns)
         };
 
         if op == chiplet_mem::OpKind::WriteTemporal {
@@ -1155,23 +1200,21 @@ impl<'t> Engine<'t> {
             )
         };
         let dir = if is_write { Dir::Write } else { Dir::Read };
-        let (point, bytes, device, n_stages, is_cxl, unloaded_ns) = {
+        let (stage, n_stages, is_cxl, unloaded_ns) = {
             let p = &self.plan_infos[plan_idx as usize];
-            let s = self.flat_stages[(p.stage_base + stage_idx as u32) as usize];
             (
-                s.point,
-                s.bytes,
-                s.device,
+                self.flat_stages[(p.stage_base + stage_idx as u32) as usize],
                 p.n_stages as usize,
                 p.is_cxl,
                 p.unloaded_ns,
             )
         };
+        let bytes = u64::from(stage.bytes);
         // Device variability (bank conflicts, refresh, CXL media) delays
         // the *transaction* but does not serialize the channel: banks and
         // media overlap independent accesses, so successors are not held
         // behind a slow one beyond ordinary serialization.
-        let extra = if device {
+        let extra = if stage.device {
             let model = if is_cxl {
                 self.cxl_model
             } else {
@@ -1181,20 +1224,18 @@ impl<'t> Engine<'t> {
         } else {
             0.0
         };
-        let adm = match point {
-            StageRef::Link(l) => self.channels[l as usize]
-                .as_mut()
-                .expect("stage link has a channel")
-                .admit(dir, now_ns, bytes),
-            StageRef::SocketNoc(sk) => self.noc[sk as usize].admit(dir, now_ns, bytes),
-            StageRef::CxlPort(c) => self.cxl_ports[c as usize].admit(dir, now_ns, bytes),
-        };
+        let adm = self.servers.admit(
+            ServerArena::slot(stage.slot, dir),
+            now_ns,
+            bytes,
+            stage.service_ns[usize::from(is_write)],
+        );
         let waits_ns = waits_ns + adm.wait_ns;
         let extra_ns = extra_ns + extra;
         // Per-point time series: bytes admitted plus the backlog this
         // admission left behind (wait + service, ns of queued work).
         if let Some(series) = self.point_traces.as_mut() {
-            let s = &mut series[point.index(self.channels.len(), self.noc.len())];
+            let s = &mut series[stage.point as usize];
             let at = SimTime::from_nanos(now_ns as u64);
             match dir {
                 Dir::Read => s.read.record(at, ByteSize::from_bytes(bytes)),
@@ -1203,7 +1244,7 @@ impl<'t> Engine<'t> {
             s.depth.record(at, adm.wait_ns + adm.service_ns);
         }
         if let Some(m) = self.metrics.as_mut() {
-            let idx = point.index(self.channels.len(), self.noc.len());
+            let idx = stage.point as usize;
             // Resolve the point's series handles at first admission (so
             // the registry sees the same series set and creation order as
             // the string path), then record through the dense slots.
@@ -1233,13 +1274,12 @@ impl<'t> Engine<'t> {
         if span != u32::MAX {
             // Pack the concrete capacity point into the label so critpath
             // can blame individual links, not just classes.
-            let class = match point {
-                StageRef::Link(l) => HopClass::from_link_kind(self.topo.links()[l as usize].kind),
-                StageRef::SocketNoc(_) => HopClass::SocketNoc,
-                StageRef::CxlPort(_) => HopClass::CxlPort,
+            let class = match self.points[stage.point as usize] {
+                CapacityPoint::Link { kind, .. } => HopClass::from_link_kind(kind),
+                CapacityPoint::SocketNoc { .. } => HopClass::SocketNoc,
+                CapacityPoint::CxlPort { .. } => HopClass::CxlPort,
             };
-            let idx = point.index(self.channels.len(), self.noc.len());
-            let label = crate::trace::encode_hop_label(class, Some(idx as u32));
+            let label = crate::trace::encode_hop_label(class, Some(stage.point));
             self.spans.as_mut().expect("span open ⇒ collector").hop(
                 span,
                 label,
@@ -1569,12 +1609,19 @@ impl<'t> Engine<'t> {
     }
 
     fn capacity_of(&self, point: StageRef, dir: Dir) -> Option<f64> {
-        let ch = match point {
-            StageRef::Link(l) => self.channels[l as usize].as_ref()?,
-            StageRef::SocketNoc(sk) => &self.noc[sk as usize],
-            StageRef::CxlPort(c) => &self.cxl_ports[c as usize],
-        };
-        ch.server(dir).map(|s| s.capacity().as_bytes_per_s())
+        let base = self.point_slot[self.point_index(point)];
+        (base != NO_SLOT).then(|| {
+            let server = self.servers.server(ServerArena::slot(base, dir));
+            server.capacity().as_bytes_per_s()
+        })
+    }
+
+    /// `point`'s dense index (see [`StageRef::index`]).
+    fn point_index(&self, point: StageRef) -> usize {
+        point.index(
+            self.topo.links().len(),
+            self.topo.spec().socket_count as usize,
+        )
     }
 
     fn alloc_txn(&mut self, txn: Txn) -> u32 {
@@ -1596,7 +1643,7 @@ impl<'t> Engine<'t> {
     }
 
     fn finish(
-        self,
+        mut self,
         horizon: SimTime,
         prof: &PhaseProfiler,
         queue_depth: &DepthHistogram,
@@ -1657,67 +1704,41 @@ impl<'t> Engine<'t> {
             })
             .collect();
 
-        // Per-point series, finished at the horizon; indexed links first,
-        // then sockets, then CXL ports (matching the recording side).
-        type FinishedSeries = (
-            Vec<chiplet_sim::stats::TracePoint>,
-            Vec<chiplet_sim::stats::TracePoint>,
-            Vec<chiplet_sim::stats::GaugePoint>,
-        );
-        let mut series: Option<Vec<FinishedSeries>> = self.point_traces.map(|traces| {
-            traces
-                .into_iter()
-                .map(|s| {
-                    (
-                        s.read.finish(horizon),
-                        s.write.finish(horizon),
-                        s.depth.finish(horizon),
-                    )
-                })
-                .collect()
-        });
-        let mut attach = |lt: &mut LinkTelemetry, idx: usize| {
-            if let Some(series) = series.as_mut() {
-                let (r, w, d) = std::mem::take(&mut series[idx]);
-                lt.read_trace = r;
-                lt.write_trace = w;
-                lt.depth_trace = d;
-            }
-        };
-
-        let n_links = self.channels.len();
-        let n_socks = self.noc.len();
+        // Per-point series, finished at the horizon, by dense point index
+        // (matching the recording side); one telemetry row per capped
+        // point, in the same order.
+        let mut series = self.point_traces.take().map(Vec::into_iter);
         let mut links = Vec::new();
-        for (i, ch) in self.channels.iter().enumerate() {
-            let Some(ch) = ch else { continue };
-            let kind = self.topo.links()[i].kind;
-            let mut lt = link_telemetry(
-                CapacityPoint::Link {
-                    link: i as u32,
-                    kind,
-                },
-                ch,
-                window_ns,
-            );
-            attach(&mut lt, i);
-            links.push(lt);
-        }
-        for (sk, ch) in self.noc.iter().enumerate() {
-            let mut lt = link_telemetry(
-                CapacityPoint::SocketNoc { socket: sk as u32 },
-                ch,
-                window_ns,
-            );
-            attach(
-                &mut lt,
-                StageRef::SocketNoc(sk as u32).index(n_links, n_socks),
-            );
-            links.push(lt);
-        }
-        for (c, ch) in self.cxl_ports.iter().enumerate() {
-            let mut lt = link_telemetry(CapacityPoint::CxlPort { ccd: c as u32 }, ch, window_ns);
-            attach(&mut lt, StageRef::CxlPort(c as u32).index(n_links, n_socks));
-            links.push(lt);
+        for (idx, &base) in self.point_slot.iter().enumerate() {
+            let finished = series.as_mut().and_then(Iterator::next).map(|s| {
+                (
+                    s.read.finish(horizon),
+                    s.write.finish(horizon),
+                    s.depth.finish(horizon),
+                )
+            });
+            if base == NO_SLOT {
+                continue;
+            }
+            let dir_stats = |dir| {
+                let s = self.servers.server(ServerArena::slot(base, dir));
+                DirStats {
+                    bytes: s.bytes_served(),
+                    admissions: s.admitted(),
+                    utilization: s.utilization(window_ns),
+                    mean_wait_ns: s.mean_wait_ns(),
+                    max_wait_ns: s.max_wait_ns(),
+                }
+            };
+            let (read_trace, write_trace, depth_trace) = finished.unwrap_or_default();
+            links.push(LinkTelemetry {
+                point: self.points[idx],
+                read: dir_stats(Dir::Read),
+                write: dir_stats(Dir::Write),
+                read_trace,
+                write_trace,
+                depth_trace,
+            });
         }
 
         // Row-major iteration yields cells already sorted by (ccd, dest);
@@ -1828,29 +1849,6 @@ fn demand_gap(rate: Option<Bandwidth>) -> f64 {
         None => 0.0,
         Some(bw) if bw.is_positive() => gap_from_rate(Some(bw)),
         Some(_) => f64::INFINITY,
-    }
-}
-
-fn link_telemetry(point: CapacityPoint, ch: &DirectionalChannel, window_ns: f64) -> LinkTelemetry {
-    let dir_stats = |dir: Dir| -> DirStats {
-        match ch.server(dir) {
-            Some(s) => DirStats {
-                bytes: s.bytes_served(),
-                admissions: s.admitted(),
-                utilization: s.utilization(window_ns),
-                mean_wait_ns: s.mean_wait_ns(),
-                max_wait_ns: s.max_wait_ns(),
-            },
-            None => DirStats::default(),
-        }
-    };
-    LinkTelemetry {
-        point,
-        read: dir_stats(Dir::Read),
-        write: dir_stats(Dir::Write),
-        read_trace: Vec::new(),
-        write_trace: Vec::new(),
-        depth_trace: Vec::new(),
     }
 }
 

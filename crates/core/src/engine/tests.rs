@@ -1066,3 +1066,53 @@ fn metrics_registry_captures_flows_links_and_is_deterministic() {
     assert_eq!(a, b);
     crate::metrics::lint_openmetrics(&a).expect("engine dump lints clean");
 }
+
+/// The server arena's layout: an uncapped link is not a contention point
+/// (it takes no slot and no plan stages it), every capped point owns a
+/// read and a write server, and each flattened stage carries its point's
+/// slot and, per direction, the service time its server would compute.
+#[test]
+fn uncapped_links_take_no_server_and_stages_carry_their_service_times() {
+    let topo = topo_9634();
+    let mut engine = Engine::new(&topo, EngineConfig::deterministic());
+    let ccd1 = topo.cores_of_ccd(chiplet_topology::CcdId(1)).collect();
+    engine.add_flow(
+        FlowSpec::reads("dimm", cores_of(&topo, "ccd"), Target::all_dimms(&topo)).build(&topo),
+    );
+    engine.add_flow(FlowSpec::reads("cxl", ccd1, Target::Cxl(0)).build(&topo));
+    engine.prepare(SimTime::from_micros(10));
+
+    let links = topo.links();
+    assert!(links.iter().any(|l| l.read_cap.is_none()));
+    for (i, l) in links.iter().enumerate() {
+        let point = StageRef::Link(i as u32);
+        assert_eq!(
+            engine.point_slot[i] == NO_SLOT,
+            l.read_cap.is_none(),
+            "link {i}"
+        );
+        assert_eq!(
+            engine.capacity_of(point, Dir::Read),
+            l.read_cap.map(|c| c.as_bytes_per_s())
+        );
+        assert_eq!(
+            engine.capacity_of(point, Dir::Write),
+            l.write_cap.map(|c| c.as_bytes_per_s())
+        );
+    }
+    let (mut cxl_stages, mut flit_stages) = (0, 0);
+    for stage in &engine.flat_stages {
+        assert_eq!(engine.point_slot[stage.point as usize], stage.slot);
+        for (di, dir) in [Dir::Read, Dir::Write].into_iter().enumerate() {
+            let server = engine.servers.server(ServerArena::slot(stage.slot, dir));
+            let divided = server.service_ns(u64::from(stage.bytes));
+            assert_eq!(stage.service_ns[di].to_bits(), divided.to_bits());
+        }
+        cxl_stages += usize::from(matches!(
+            engine.points[stage.point as usize],
+            CapacityPoint::CxlPort { .. }
+        ));
+        flit_stages += usize::from(stage.bytes == 68);
+    }
+    assert!(cxl_stages > 0 && flit_stages > 0);
+}

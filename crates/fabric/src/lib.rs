@@ -11,9 +11,10 @@
 //! * [`FifoServer`] — a work-conserving FIFO serializer at a fixed byte rate;
 //!   the building block of every link direction. FIFO service of interleaved
 //!   arrivals is what makes bandwidth partitioning *sender-driven* (§3.5).
-//! * [`DirectionalChannel`] — a read-direction and a write-direction server
-//!   joined as one physical link, reproducing the paper's observation that
-//!   read/write interference only occurs when one *direction* saturates (§3.5).
+//! * [`ServerArena`] — every capped point's read-direction and
+//!   write-direction servers in one dense slot array, reproducing the paper's
+//!   observation that read/write interference only occurs when one
+//!   *direction* saturates (§3.5).
 //! * [`SlotLimiter`] — the Phantom-Queue-like outstanding-request limiter
 //!   (tokens + backpressure) at the CCX/CCD boundary, with slots *shared*
 //!   between reads and writes.
@@ -32,7 +33,7 @@ pub mod framing;
 pub mod limiter;
 pub mod server;
 
-pub use channel::{Dir, DirectionalChannel};
+pub use channel::{Dir, ServerArena};
 pub use framing::FlitFraming;
 pub use limiter::SlotLimiter;
 pub use server::FifoServer;

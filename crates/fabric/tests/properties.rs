@@ -1,6 +1,6 @@
 //! Property-based tests for link and traffic-control models.
 
-use chiplet_fabric::{Dir, DirectionalChannel, FifoServer, FlitFraming, SlotLimiter};
+use chiplet_fabric::{Dir, FifoServer, FlitFraming, ServerArena, SlotLimiter};
 use chiplet_sim::Bandwidth;
 use proptest::prelude::*;
 
@@ -93,23 +93,67 @@ proptest! {
         reads in proptest::collection::vec(0.0f64..100.0, 0..50),
         writes in proptest::collection::vec(0.0f64..100.0, 1..50),
     ) {
-        let mk = || DirectionalChannel::new(
-            Some(Bandwidth::from_gb_per_s(30.0)),
-            Some(Bandwidth::from_gb_per_s(20.0)),
-        );
-        let mut with_reads = mk();
-        let mut without = mk();
+        let mk = || {
+            let mut arena = ServerArena::default();
+            let base = arena.add_point(
+                Bandwidth::from_gb_per_s(30.0),
+                Bandwidth::from_gb_per_s(20.0),
+            );
+            (arena, base)
+        };
+        let (mut with_reads, base) = mk();
+        let (mut without, _) = mk();
+        let (read, write) = (ServerArena::slot(base, Dir::Read), ServerArena::slot(base, Dir::Write));
+        let (read_service, write_service) =
+            (with_reads.server(read).service_ns(64), with_reads.server(write).service_ns(64));
         let mut rs = reads;
         rs.sort_by(f64::total_cmp);
         let mut ws = writes;
         ws.sort_by(f64::total_cmp);
         for &t in &rs {
-            with_reads.admit(Dir::Read, t, 64);
+            with_reads.admit(read, t, 64, read_service);
         }
         for &t in &ws {
-            let a = with_reads.admit(Dir::Write, t, 64);
-            let b = without.admit(Dir::Write, t, 64);
+            let a = with_reads.admit(write, t, 64, write_service);
+            let b = without.admit(write, t, 64, write_service);
             prop_assert_eq!(a.depart_ns, b.depart_ns);
         }
+    }
+
+    /// Hoisting the division: admitting with a service time computed once
+    /// per (server, size) is bit-identical to dividing at every admission,
+    /// `depart = max(arrival, previous depart) + bytes / (bytes per ns)`,
+    /// for cacheline and 68-byte FLIT transfers alike.
+    #[test]
+    fn precomputed_service_matches_division(
+        gb in 0.5f64..1000.0,
+        arrivals in proptest::collection::vec((0.0f64..20.0, prop::bool::ANY), 1..200),
+    ) {
+        let cap = Bandwidth::from_gb_per_s(gb);
+        let mut divided = FifoServer::new(cap);
+        let mut hoisted = FifoServer::new(cap);
+        let services = [hoisted.service_ns(64), hoisted.service_ns(68)];
+        let mut now = 0.0;
+        let mut next_free: f64 = 0.0;
+        for (gap, flit) in arrivals {
+            now += gap;
+            let bytes = if flit { 68 } else { 64 };
+            let a = divided.admit(now, bytes);
+            let b = hoisted.admit_with_service(now, bytes, services[usize::from(flit)]);
+            let depart = next_free.max(now) + bytes as f64 / cap.bytes_per_ns();
+            prop_assert_eq!(a.depart_ns.to_bits(), depart.to_bits());
+            for (x, y) in [
+                (a.depart_ns, b.depart_ns),
+                (a.wait_ns, b.wait_ns),
+                (a.service_ns, b.service_ns),
+            ] {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            next_free = depart;
+        }
+        prop_assert_eq!(divided.bytes_served(), hoisted.bytes_served());
+        prop_assert_eq!(divided.utilization(now).to_bits(), hoisted.utilization(now).to_bits());
+        prop_assert_eq!(divided.mean_wait_ns().to_bits(), hoisted.mean_wait_ns().to_bits());
+        prop_assert_eq!(divided.max_wait_ns().to_bits(), hoisted.max_wait_ns().to_bits());
     }
 }

@@ -33,6 +33,8 @@
 //!
 //! [OpenMetrics]: https://github.com/OpenObservability/OpenMetrics
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -80,6 +82,82 @@ fn label_set(labels: &[(&str, &str)]) -> LabelSet {
         .collect();
     v.sort();
     v
+}
+
+/// Label sets of up to this many pairs are looked up without allocating.
+const STACK_LABELS: usize = 8;
+
+/// A sorted label list, owned (a stored [`LabelSet`]) or borrowed (a
+/// caller's pairs sorted on the stack), ordered exactly like `LabelSet`:
+/// a family's `BTreeMap<LabelSet, _>` can then be searched with borrowed
+/// `&str` pairs instead of a freshly built `LabelSet`.
+trait SortedLabels {
+    fn len(&self) -> usize;
+    fn pair(&self, i: usize) -> (&str, &str);
+}
+
+impl SortedLabels for LabelSet {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    fn pair(&self, i: usize) -> (&str, &str) {
+        (self[i].0.as_str(), self[i].1.as_str())
+    }
+}
+
+/// Borrowed pairs, already sorted.
+struct SortedPairs<'a>(&'a [(&'a str, &'a str)]);
+
+impl SortedLabels for SortedPairs<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn pair(&self, i: usize) -> (&str, &str) {
+        self.0[i]
+    }
+}
+
+impl<'a> Borrow<dyn SortedLabels + 'a> for LabelSet {
+    fn borrow(&self) -> &(dyn SortedLabels + 'a) {
+        self
+    }
+}
+
+impl Ord for dyn SortedLabels + '_ {
+    /// `Vec`'s order: pairwise, then the shorter list first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (0..self.len().min(other.len()))
+            .map(|i| self.pair(i).cmp(&other.pair(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.len().cmp(&other.len()))
+    }
+}
+impl PartialOrd for dyn SortedLabels + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for dyn SortedLabels + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for dyn SortedLabels + '_ {}
+
+/// The slot of the series labelled `labels` (in any order), if it exists.
+/// Up to [`STACK_LABELS`] pairs are sorted on the stack, so looking up an
+/// existing series allocates nothing.
+fn find_series(series: &BTreeMap<LabelSet, u32>, labels: &[(&str, &str)]) -> Option<u32> {
+    let mut buf = [("", ""); STACK_LABELS];
+    match buf.get_mut(..labels.len()) {
+        Some(sorted) => {
+            sorted.copy_from_slice(labels);
+            sorted.sort_unstable();
+            let key: &dyn SortedLabels = &SortedPairs(sorted);
+            series.get(key).copied()
+        }
+        None => series.get(&label_set(labels)).copied(),
+    }
 }
 
 /// A quantile sketch with sim-time-windowed snapshots.
@@ -345,8 +423,9 @@ impl MetricsRegistry {
     }
 
     /// Resolves `(kind, name, labels)` to a dense handle, creating the
-    /// family and an empty series on first touch. A histogram series of a
-    /// volatile family keeps no time windows.
+    /// family and an empty series on first touch; resolving an existing
+    /// series allocates nothing. A histogram series of a volatile family
+    /// keeps no time windows.
     ///
     /// # Panics
     ///
@@ -358,13 +437,14 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
     ) -> SeriesHandle {
         let fam = family_mut(&mut self.families, name, kind);
+        if let Some(idx) = find_series(&fam.series, labels) {
+            return SeriesHandle(idx);
+        }
+        let idx = u32::try_from(self.slots.len()).expect("series arena overflow");
         let window = (!fam.volatile).then_some(self.window);
-        let slots = &mut self.slots;
-        SeriesHandle(*fam.series.entry(label_set(labels)).or_insert_with(|| {
-            let idx = u32::try_from(slots.len()).expect("series arena overflow");
-            slots.push(SeriesValue::empty(kind, window));
-            idx
-        }))
+        self.slots.push(SeriesValue::empty(kind, window));
+        fam.series.insert(label_set(labels), idx);
+        SeriesHandle(idx)
     }
 
     /// Adds `v` (≥ 0) to the counter series behind `h`.
@@ -432,7 +512,7 @@ impl MetricsRegistry {
     }
 
     fn slot(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesValue> {
-        let idx = *self.families.get(name)?.series.get(&label_set(labels))?;
+        let idx = find_series(&self.families.get(name)?.series, labels)?;
         Some(&self.slots[idx as usize])
     }
 
@@ -546,14 +626,19 @@ fn family_mut<'a>(
     name: &str,
     kind: MetricKind,
 ) -> &'a mut MetricFamily {
-    let fam = families
-        .entry(name.to_string())
-        .or_insert_with(|| MetricFamily {
-            kind,
-            help: String::new(),
-            volatile: false,
-            series: BTreeMap::new(),
-        });
+    // Looked up by `&str` first: only a new family allocates its name.
+    if !families.contains_key(name) {
+        families.insert(
+            name.to_string(),
+            MetricFamily {
+                kind,
+                help: String::new(),
+                volatile: false,
+                series: BTreeMap::new(),
+            },
+        );
+    }
+    let fam = families.get_mut(name).expect("inserted above");
     assert!(
         fam.kind == kind,
         "metric family '{name}' used with two kinds"

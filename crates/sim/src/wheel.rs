@@ -4,10 +4,9 @@
 //! for the event engine's workload: integer-nanosecond timestamps, dozens
 //! of events per busy nanosecond, and nearly every push landing a few
 //! hundred nanoseconds ahead. It preserves the queue's *total order*
-//! exactly — events pop in nondecreasing `(time, seq)` order, where `seq`
-//! is the monotone insertion index — so any engine run is bit-identical
-//! whichever of the two queues it executes on (property-tested against
-//! [`crate::EventQueue`]).
+//! exactly — events pop in nondecreasing time order, FIFO among equal
+//! times — so any engine run is bit-identical whichever of the two queues
+//! it executes on (property-tested against [`crate::EventQueue`]).
 //!
 //! Layout: a ring of `RING` (512) one-nanosecond buckets covering the window
 //! `[now, now + RING)`, a one-`u64`-per-64-slots occupancy bitmap with a
@@ -15,16 +14,22 @@
 //! overflow for the rare push beyond the window. Each bucket is a FIFO
 //! list threaded through one shared node slab whose free list is LIFO, so
 //! the few hundred pending events reuse the same few KiB of nodes instead
-//! of touching a buffer per bucket. Pushes append at a bucket's tail and
-//! always carry the current maximum sequence number, and overflow events
-//! migrate into the ring *eagerly* whenever the window slides, so every
-//! bucket stays sorted by `seq` without ever sorting. A popped node is
-//! recycled in place, its payload copied out, hence `E: Copy`.
+//! of touching a buffer per bucket. A node is the payload and a `u32` link
+//! and nothing else (12 bytes for the engine's 8-byte event): pushes append
+//! at a bucket's tail, and overflow events migrate into the ring *eagerly*
+//! whenever the window slides, before any later push can target their
+//! bucket, so bucket order is push order without a sequence number. Only
+//! the overflow heap, which does not keep insertion order, carries one. A
+//! popped node is recycled in place, its payload copied out, hence
+//! `E: Copy`.
+//!
+//! `push` and `pop` are `#[inline(always)]`: the engine's event loop is
+//! their one hot caller, and out-of-line calls cost it 5–10 % of its run
+//! time.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::event::ScheduledEvent;
 use crate::time::SimTime;
 
 /// Ring size in nanosecond slots. Over the scenario registry's engine
@@ -70,7 +75,7 @@ impl<E> Ord for Overflow<E> {
 const NIL: u32 = u32::MAX;
 
 /// One nanosecond's pending events: a FIFO list of slab nodes in push
-/// order (ascending `seq`), `NIL`-terminated; `head == NIL` when empty.
+/// order, `NIL`-terminated; `head == NIL` when empty.
 #[derive(Clone, Copy)]
 struct Bucket {
     head: u32,
@@ -79,7 +84,6 @@ struct Bucket {
 
 /// A slab node: a pending event, or a free-list link.
 struct Node<E> {
-    seq: u64,
     payload: E,
     next: u32,
 }
@@ -98,9 +102,9 @@ struct Node<E> {
 /// q.push(SimTime::from_nanos(10), "early");
 /// q.push(SimTime::from_nanos(10), "early-second");
 ///
-/// assert_eq!(q.pop().unwrap().payload, "early");
-/// assert_eq!(q.pop().unwrap().payload, "early-second");
-/// assert_eq!(q.pop().unwrap().payload, "late");
+/// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early")));
+/// assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "early-second")));
+/// assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "late")));
 /// assert!(q.pop().is_none());
 /// ```
 pub struct WheelQueue<E> {
@@ -122,6 +126,7 @@ pub struct WheelQueue<E> {
     /// Busy nanoseconds pop dozens of events from one bucket, so the cache
     /// turns the per-pop bitmap scan into a single load on the hot path.
     head: Option<u64>,
+    /// Insertion index of the next overflow push.
     next_seq: u64,
     len: usize,
 }
@@ -161,7 +166,7 @@ impl<E: Copy> WheelQueue<E> {
     ///
     /// Panics if `at` is earlier than the last popped event's time, like
     /// [`crate::EventQueue::push`].
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, at: SimTime, payload: E) {
         let t = at.as_nanos();
         assert!(
@@ -170,22 +175,22 @@ impl<E: Copy> WheelQueue<E> {
             at,
             SimTime::from_nanos(self.watermark)
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.len += 1;
         if t - self.watermark < RING as u64 {
-            self.insert_ring(t, seq, payload);
+            self.insert_ring(t, payload);
         } else {
-            self.overflow.push(Overflow {
-                at: t,
-                seq,
-                payload,
-            });
+            self.push_overflow(t, payload);
         }
     }
 
-    #[inline]
-    fn insert_ring(&mut self, t: u64, seq: u64, payload: E) {
+    fn push_overflow(&mut self, at: u64, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.overflow.push(Overflow { at, seq, payload });
+    }
+
+    #[inline(always)]
+    fn insert_ring(&mut self, t: u64, payload: E) {
         // Keep the head cache exact: a new event can only lower a known
         // head; an empty ring makes the sole event the head; an unknown
         // head stays unknown (the next pop recomputes it).
@@ -194,11 +199,7 @@ impl<E: Copy> WheelQueue<E> {
             None if self.summary == 0 => Some(t),
             None => None,
         };
-        let node = Node {
-            seq,
-            payload,
-            next: NIL,
-        };
+        let node = Node { payload, next: NIL };
         let id = if self.free != NIL {
             let id = self.free;
             self.free = self.nodes[id as usize].next;
@@ -222,6 +223,7 @@ impl<E: Copy> WheelQueue<E> {
 
     /// Absolute time of the earliest ring event, scanning circularly from
     /// the watermark's slot; the ring must be non-empty.
+    #[inline]
     fn ring_head_time(&self) -> u64 {
         debug_assert!(self.summary != 0, "ring_head_time on an empty ring");
         let start = self.watermark as usize & MASK;
@@ -240,8 +242,10 @@ impl<E: Copy> WheelQueue<E> {
         self.watermark + ((slot.wrapping_sub(start)) & MASK) as u64
     }
 
-    /// Removes and returns the earliest event, advancing the watermark.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    /// Removes and returns the earliest event and its time, advancing the
+    /// watermark.
+    #[inline(always)]
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
         }
@@ -255,12 +259,14 @@ impl<E: Copy> WheelQueue<E> {
         };
         if at > self.watermark {
             self.watermark = at;
-            self.slide_window();
+            if !self.overflow.is_empty() {
+                self.slide_window();
+            }
         }
         let slot = at as usize & MASK;
         let id = self.ring[slot].head;
         let node = &mut self.nodes[id as usize];
-        let (seq, payload, next) = (node.seq, node.payload, node.next);
+        let (payload, next) = (node.payload, node.next);
         node.next = self.free;
         self.free = id;
         self.ring[slot].head = next;
@@ -274,24 +280,20 @@ impl<E: Copy> WheelQueue<E> {
             self.head = Some(at);
         }
         self.len -= 1;
-        Some(ScheduledEvent {
-            at: SimTime::from_nanos(at),
-            seq,
-            payload,
-        })
+        Some((SimTime::from_nanos(at), payload))
     }
 
-    /// Migrates overflow events that now fall inside the ring window.
-    /// Runs on every watermark advance, so a bucket receives migrated
-    /// events *before* any later (higher-seq) push could target its time,
-    /// keeping every bucket ascending in `seq`.
+    /// Migrates overflow events that now fall inside the ring window, in
+    /// `(at, seq)` order. Runs on every watermark advance, so a bucket
+    /// receives migrated events *before* any later push could target its
+    /// time, keeping every bucket in push order.
     fn slide_window(&mut self) {
         while let Some(head) = self.overflow.peek() {
             if head.at - self.watermark >= RING as u64 {
                 break;
             }
-            let Overflow { at, seq, payload } = self.overflow.pop().expect("peeked");
-            self.insert_ring(at, seq, payload);
+            let Overflow { at, payload, .. } = self.overflow.pop().expect("peeked");
+            self.insert_ring(at, payload);
         }
     }
 
@@ -324,8 +326,8 @@ mod tests {
             q.push(SimTime::from_nanos(t), t);
         }
         let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push(e.payload);
+        while let Some((_, payload)) = q.pop() {
+            out.push(payload);
         }
         assert_eq!(out, vec![1, 3, 5, 7, 9]);
     }
@@ -337,7 +339,7 @@ mod tests {
         for i in 0..100 {
             q.push(t, i);
         }
-        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(popped, (0..100).collect::<Vec<_>>());
     }
 
@@ -349,10 +351,10 @@ mod tests {
         q.push(SimTime::from_nanos(10), "near");
         q.push(SimTime::from_nanos(1_000_000), "far-second");
         q.push(SimTime::from_nanos(999_999), "far-earlier");
-        assert_eq!(q.pop().unwrap().payload, "near");
-        assert_eq!(q.pop().unwrap().payload, "far-earlier");
-        assert_eq!(q.pop().unwrap().payload, "far");
-        assert_eq!(q.pop().unwrap().payload, "far-second");
+        assert_eq!(q.pop().unwrap().1, "near");
+        assert_eq!(q.pop().unwrap().1, "far-earlier");
+        assert_eq!(q.pop().unwrap().1, "far");
+        assert_eq!(q.pop().unwrap().1, "far-second");
         assert!(q.pop().is_none());
     }
 
@@ -366,10 +368,10 @@ mod tests {
                                                // Advance: watermark → `near`, the window now covers `t`,
                                                // migrating the overflow event before the next push targets its
                                                // bucket.
-        assert_eq!(q.pop().unwrap().payload, 99);
+        assert_eq!(q.pop().unwrap().1, 99);
         q.push(SimTime::from_nanos(t), 1);
         q.push(SimTime::from_nanos(t), 2);
-        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(popped, vec![0, 1, 2]);
     }
 
@@ -395,21 +397,23 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Pops both queues to exhaustion, asserting identical streams, and
-    /// lets `follow_up` schedule children of each popped event on both.
+    /// Pops both queues to exhaustion, asserting identical `(time,
+    /// payload)` streams, and lets `follow_up` schedule children of each
+    /// popped event on both. Callers push a unique payload each time, so
+    /// equal streams mean the same pop order, equal-time ties included.
     fn drain_in_lockstep(
         wheel: &mut WheelQueue<u64>,
         heap: &mut EventQueue<u64>,
-        mut follow_up: impl FnMut(&ScheduledEvent<u64>, &mut WheelQueue<u64>, &mut EventQueue<u64>),
+        mut follow_up: impl FnMut(SimTime, &mut WheelQueue<u64>, &mut EventQueue<u64>),
     ) -> usize {
         let mut popped = 0;
         loop {
             match (wheel.pop(), heap.pop()) {
                 (None, None) => return popped,
                 (Some(x), Some(y)) => {
-                    assert_eq!((x.at, x.seq, x.payload), (y.at, y.seq, y.payload));
+                    assert_eq!(x, (y.at, y.payload));
                     popped += 1;
-                    follow_up(&x, wheel, heap);
+                    follow_up(x.0, wheel, heap);
                 }
                 (a, b) => panic!("streams diverged: {a:?} vs {b:?}"),
             }
@@ -419,8 +423,8 @@ mod tests {
     }
 
     /// The decisive property: against randomized schedule-as-you-drain
-    /// workloads, the wheel's full pop stream — times, seqs, payloads — is
-    /// identical to the reference heap queue's. Each profile stresses one
+    /// workloads, the wheel's full pop stream — times and unique payloads —
+    /// is identical to the reference heap queue's. Each profile stresses one
     /// part of the wheel: same-ns bursts, push distances straddling the
     /// ring width (bucket reuse at the window edge, overflow migration),
     /// and long stretches that live only in the overflow heap.
@@ -459,12 +463,12 @@ mod tests {
                     heap.push(SimTime::from_nanos(t), next_id);
                     next_id += 1;
                 }
-                let popped = drain_in_lockstep(&mut wheel, &mut heap, |x, wheel, heap| {
+                let popped = drain_in_lockstep(&mut wheel, &mut heap, |at, wheel, heap| {
                     // Schedule follow-ups the way an engine does; the
                     // budget keeps every profile's run finite.
                     if next_id < 4000 {
                         for _ in 0..rng.next_below(3) {
-                            let t = SimTime::from_nanos(x.at.as_nanos() + dist(&mut rng, ring));
+                            let t = SimTime::from_nanos(at.as_nanos() + dist(&mut rng, ring));
                             wheel.push(t, next_id);
                             heap.push(t, next_id);
                             next_id += 1;

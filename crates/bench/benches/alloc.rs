@@ -1,4 +1,4 @@
-//! Criterion benchmarks of the allocation hot paths: the dense interned
+//! Criterion benchmarks of the allocation hot paths: the dense
 //! allocator, and the incremental epoch allocator in its steady state (the
 //! fluid loop's per-tick cost when no demand breakpoint has passed).
 
@@ -7,24 +7,19 @@ use std::hint::black_box;
 
 use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
 use chiplet_fluid::IncrementalAllocator;
-use chiplet_net::traffic::ResourceArena;
 
 fn bench_dense(c: &mut Criterion) {
-    // A 64-flow / 16-resource instance mirroring the socket-wide policy
-    // epochs of the engine: each flow crosses two capacity points. Keys
-    // are interned once, as the engine does at flow admission.
-    let mut arena = ResourceArena::new();
-    let footprints: Vec<Vec<(u32, f64)>> = (0..64u64)
-        .map(|i| {
-            vec![
-                (arena.intern(i % 16), 0.5),
-                (arena.intern((i * 3) % 16), 0.5),
-            ]
-        })
+    // A 64-flow / 16-point instance mirroring the socket-wide policy
+    // epochs of the engine: each flow crosses two capacity points, given
+    // as indexes into the capacity table (the engine's footprints index
+    // server-arena slots, resolved at admission). Point `r` has capacity
+    // 20 + r GB/s. The instance stays fixed so the row stays comparable
+    // across versions; the solver does not depend on how its points are
+    // numbered.
+    let footprints: Vec<Vec<(u32, f64)>> = (0..64u32)
+        .map(|i| vec![(i % 16, 0.5), ((i * 3) % 16, 0.5)])
         .collect();
-    for r in 0..16u64 {
-        arena.set_capacity(r, 1e9 * (20.0 + r as f64));
-    }
+    let capacities: Vec<f64> = (0..16).map(|r| 1e9 * (20.0 + r as f64)).collect();
     let demands: Vec<f64> = (0..64).map(|i| 1e9 * (1.0 + (i % 7) as f64)).collect();
     let mut scratch = DenseAllocScratch::default();
     let mut out = Vec::new();
@@ -34,7 +29,7 @@ fn bench_dense(c: &mut Criterion) {
                 &demands,
                 |_| 1.0,
                 |i| footprints[i].as_slice(),
-                arena.capacities(),
+                &capacities,
                 &mut scratch,
                 &mut out,
             );

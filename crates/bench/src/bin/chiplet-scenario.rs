@@ -400,7 +400,7 @@ fn inspect(view: View, target: &str, opts: &Opts) -> Result<(), String> {
     }
     if let Some(dir) = &opts.sysfs {
         let desc = ChipletNetDescriptor::from_topology(&topo);
-        export_sysfs(&desc, &result.telemetry, std::path::Path::new(dir))
+        export_sysfs(&desc, &result, std::path::Path::new(dir))
             .map_err(|e| format!("exporting {dir}: {e}"))?;
         out(&format!("exported sysfs/procfs tree under {dir}\n"))?;
     }

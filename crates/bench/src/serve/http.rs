@@ -6,12 +6,38 @@
 //! all `curl`, the CI smoke job, and the load-test client need.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Take, Write};
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Largest request body the daemon accepts (a hand-written sweep spec is
 /// kilobytes; anything near this limit is abuse, not an experiment).
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
+
+/// Largest request head (request line plus headers) the daemon reads. A
+/// longer head is [`HeadTooLarge`], whatever its line count, so a client
+/// that streams bytes without a newline cannot grow a line without bound.
+pub const MAX_HEAD: u64 = 64 * 1024;
+
+/// The error inside the `io::Error` that [`read_request`] returns for a
+/// head longer than [`MAX_HEAD`]; the daemon answers it with a 431.
+#[derive(Debug)]
+pub struct HeadTooLarge;
+
+impl std::fmt::Display for HeadTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "request head exceeds {MAX_HEAD} bytes")
+    }
+}
+
+impl std::error::Error for HeadTooLarge {}
+
+impl HeadTooLarge {
+    /// Whether `e` is a [`HeadTooLarge`] from [`read_request`].
+    pub fn is(e: &std::io::Error) -> bool {
+        e.get_ref().is_some_and(|inner| inner.is::<HeadTooLarge>())
+    }
+}
 
 /// A parsed request.
 #[derive(Debug)]
@@ -37,11 +63,12 @@ fn bad(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Reads one request from the stream.
+/// Reads one request from the stream. The head is read through a
+/// [`MAX_HEAD`] cap; a head the cap cuts short is a [`HeadTooLarge`] error.
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
-    let mut reader = BufReader::new(stream);
+    let mut head = BufReader::new(stream).take(MAX_HEAD);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
@@ -50,7 +77,7 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(&mut head, &mut header)? == 0 {
             return Err(bad("connection closed mid-headers"));
         }
         let header = header.trim_end();
@@ -70,7 +97,7 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
         return Err(bad(format!("body of {content_length} bytes exceeds limit")));
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    head.into_inner().read_exact(&mut body)?;
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), parse_query(q)),
         None => (target, HashMap::new()),
@@ -81,6 +108,43 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
         query,
         body,
     })
+}
+
+/// Reads one line of the request head into `line`, returning its length
+/// (0 at end of stream). A line that the [`MAX_HEAD`] cap ends before its
+/// newline, or a read with the cap spent, is [`HeadTooLarge`].
+fn read_head_line(
+    head: &mut Take<BufReader<&mut TcpStream>>,
+    line: &mut String,
+) -> std::io::Result<usize> {
+    let n = head.read_line(line)?;
+    if head.limit() == 0 && (n == 0 || !line.ends_with('\n')) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            HeadTooLarge,
+        ));
+    }
+    Ok(n)
+}
+
+/// Closes a connection whose reply went out before its request was read
+/// to the end (a [`HeadTooLarge`] head). Closing a socket with unread
+/// input resets the connection, which can destroy the reply before the
+/// client reads it. So this half-closes `stream`, then reads and discards
+/// what the client still sends, for at most [`MAX_BODY`] bytes and 2 s.
+pub fn linger_close(stream: &mut TcpStream) {
+    const LINGER: Duration = Duration::from_secs(2);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let mut buf = [0u8; 8192];
+    let mut left = MAX_BODY;
+    while left > 0 && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
 }
 
 /// Parses `a=1&b=two` with `%XX` and `+` decoding.
@@ -125,6 +189,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         _ => "",
     }

@@ -65,7 +65,10 @@ use chiplet_net::scenario::{
 use chiplet_sim::SimTime;
 
 use crate::scenarios::{paper_registry, resolve_name, ResolveError, Verb};
-use http::{read_request, write_response, write_response_with, ChunkedResponse, Request};
+use http::{
+    linger_close, read_request, write_response, write_response_with, ChunkedResponse, HeadTooLarge,
+    Request,
+};
 use obs::{Obs, ServeSpan};
 use queue::FairQueue;
 
@@ -686,8 +689,16 @@ fn accept_loop(listener: TcpListener, state: Arc<ServeState>) {
                 // picked up; reading the request counts as `parse`.
                 let accept_ns = state.obs.now_ns();
                 let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(60)));
-                if let Ok(req) = read_request(&mut stream) {
-                    let _ = handle(&state, &mut stream, &req, accept_ns);
+                match read_request(&mut stream) {
+                    Ok(req) => {
+                        let _ = handle(&state, &mut stream, &req, accept_ns);
+                    }
+                    Err(e) if HeadTooLarge::is(&e) => {
+                        let body = json_error(&e.to_string());
+                        let _ = write_response(&mut stream, 431, "application/json", &body);
+                        linger_close(&mut stream);
+                    }
+                    Err(_) => {}
                 }
             });
     }

@@ -4,7 +4,9 @@
 //! `chiplet-scenario critpath examples/scenarios/trace_fig3.json --json`:
 //! the attribution pipeline is pure arithmetic over a seeded deterministic
 //! run, so the report must be byte-identical across invocations, machines,
-//! and build profiles.
+//! and build profiles. The other views that name capacity points (`blame
+//! --json`, the Chrome trace and the sysfs tree) are pinned by length and
+//! FNV-1a 64.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -115,4 +117,98 @@ fn blame_and_folded_outputs_are_deterministic() {
             .parse::<u64>()
             .unwrap_or_else(|_| panic!("integral weight in {line}"));
     }
+}
+
+/// `(length, FNV-1a 64)` of a text.
+fn len_and_fnv1a(text: &str) -> (usize, u64) {
+    let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    (text.len(), fnv)
+}
+
+/// A directory tree as one text: every file's path relative to `root`,
+/// sorted, each followed by the file's bytes.
+fn tree_text(root: &std::path::Path) -> String {
+    fn walk(dir: &std::path::Path, files: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, files);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    walk(root, &mut files);
+    files.sort();
+    let mut text = String::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap();
+        text.push_str(&format!("{}\n", rel.display()));
+        text.push_str(&std::fs::read_to_string(&path).unwrap());
+    }
+    text
+}
+
+/// The views that name capacity points, pinned by `(length, FNV-1a 64)`:
+/// `blame --json`, the `trace` Chrome export and the `trace --sysfs` tree
+/// (sorted relative paths plus file bytes). `cxl_read.json` covers the
+/// per-CCD CXL port, P-Link and socket-NoC points besides the links.
+#[test]
+fn capacity_point_views_match_their_pins() {
+    let pins = [
+        (
+            "trace_fig3.json",
+            [
+                (10_373, 0xa938_c012_7c11_6cdd),
+                (21_688_010, 0x524f_b7b3_7b8a_7397),
+                (67_030, 0xc556_18dc_8846_98ef),
+            ],
+        ),
+        (
+            "cxl_read.json",
+            [
+                (7_932, 0x3bae_dfde_b0b8_578c),
+                (18_266_288, 0x30b7_334a_fdf0_42ea),
+                (216_389, 0x8222_ecc5_54ce_c292),
+            ],
+        ),
+    ];
+    let mut got = Vec::new();
+    for (file, _) in &pins {
+        let spec = format!(
+            "{}/../../examples/scenarios/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let blame = stdout_of(&trace_cli(&["blame", &spec, "--json"]));
+        let chrome_path = scratch(&format!("{file}.chrome.json"));
+        stdout_of(&trace_cli(&[
+            "trace",
+            &spec,
+            "--chrome",
+            chrome_path.to_str().unwrap(),
+        ]));
+        let chrome = std::fs::read_to_string(&chrome_path).unwrap();
+        let _ = std::fs::remove_file(&chrome_path);
+        let sysfs_dir = scratch(&format!("{file}.sysfs"));
+        stdout_of(&trace_cli(&[
+            "trace",
+            &spec,
+            "--sysfs",
+            sysfs_dir.to_str().unwrap(),
+        ]));
+        let sysfs = tree_text(&sysfs_dir);
+        let _ = std::fs::remove_dir_all(&sysfs_dir);
+        got.push((
+            *file,
+            [
+                len_and_fnv1a(&blame),
+                len_and_fnv1a(&chrome),
+                len_and_fnv1a(&sysfs),
+            ],
+        ));
+    }
+    assert_eq!(got, pins);
 }

@@ -24,7 +24,7 @@
 //! of thread count or wall-clock.
 
 use crate::sketch::QuantileSketch;
-use crate::telemetry::CapacityPoint;
+use crate::telemetry::{capacity_points, CapacityPoint};
 use crate::trace::{decode_hop_label, HopClass, TraceReport};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -48,25 +48,8 @@ fn slot_label(class: Option<HopClass>, point: Option<u32>, point_names: &[String
     }
 }
 
-/// Every capacity point in engine point-index order: links by id (capped
-/// or not), then socket NoCs, then CXL ports. Derived structurally from
-/// the topology because telemetry only lists capped points.
-pub(crate) fn capacity_points(topo: &chiplet_topology::Topology) -> Vec<CapacityPoint> {
-    let spec = topo.spec();
-    let cxl_ports = spec.cxl.as_ref().map_or(0, |_| topo.ccd_total());
-    let links = topo
-        .links()
-        .iter()
-        .zip(0..)
-        .map(|(l, link)| CapacityPoint::Link { link, kind: l.kind });
-    links
-        .chain((0..spec.socket_count).map(|socket| CapacityPoint::SocketNoc { socket }))
-        .chain((0..cxl_ports).map(|ccd| CapacityPoint::CxlPort { ccd }))
-        .collect()
-}
-
-/// Capacity-point names (`link{l}`, `noc{s}`, `cxl{c}`) in engine
-/// point-index order, the `link_id` labels of the metrics registry.
+/// Capacity-point names (`link{l}`, `noc{s}`, `cxl{c}`) by dense point
+/// index, the `link_id` labels of the metrics registry.
 pub fn point_names(topo: &chiplet_topology::Topology) -> Vec<String> {
     capacity_points(topo)
         .iter()

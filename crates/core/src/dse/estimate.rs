@@ -41,10 +41,11 @@ use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
 use chiplet_mem::{AccessOutcome, CacheHierarchy, Pattern};
 use chiplet_topology::{CcdId, CoreId, DimmId, LinkKind, PlatformSpec, Topology, UmcId};
 
-use crate::engine::plan::{StagePlan, StageRef};
+use crate::engine::plan::StagePlan;
 use crate::engine::BUDGET_HEADROOM;
 use crate::flow::{FlowSpec, Target};
 use crate::scenario::{ScenarioError, ScenarioSpec};
+use crate::telemetry::CapacityPoint;
 use crate::traffic::TrafficPolicy;
 
 /// Cacheline size in bytes, as an f64 for rate arithmetic (GB/s ≡ bytes/ns).
@@ -212,9 +213,10 @@ struct TemplateStage {
 /// on the estimator's hot path.
 type TemplateMemo = Vec<((u64, u64), (f64, Vec<TemplateStage>))>;
 
-/// A linear-scan capacity-point interner: the estimator's replacement for
-/// `ResourceArena` on its hot path. A candidate has a few dozen points, so
-/// scanning a flat Vec beats hashing every interning.
+/// A linear-scan capacity-point interner. The estimator builds no engine
+/// and so no server arena; it interns the points its symmetry classes
+/// name. A candidate has a few dozen points, so scanning a flat Vec beats
+/// hashing every interning.
 #[derive(Default)]
 struct PointArena {
     keys: Vec<u64>,
@@ -258,20 +260,18 @@ fn memo_entry(
 /// `CxlPort` stages are tagged so the caller can redistribute them over the
 /// CCDs of the source quadrant group. Templates hold no capacities and no
 /// direction: both are applied when the template is spread.
-fn template_of(topo: &Topology, plan: &StagePlan) -> Vec<TemplateStage> {
-    let pspec = topo.spec();
+fn template_of(plan: &StagePlan) -> Vec<TemplateStage> {
     let mut out = Vec::with_capacity(plan.stages.len());
     for s in &plan.stages {
         let byte_scale = s.bytes as f64 / LINE;
         let (class, entity, cap) = match s.point {
-            StageRef::SocketNoc(sk) => (PointClass::Noc, sk as u64, CapSource::Noc),
-            // Redistributed per CCD by the caller.
-            StageRef::CxlPort(_) if pspec.cxl.is_some() => {
-                (PointClass::CxlPort, 0, CapSource::CxlPort)
+            CapacityPoint::SocketNoc { socket } => {
+                (PointClass::Noc, u64::from(socket), CapSource::Noc)
             }
-            StageRef::CxlPort(_) => continue,
-            StageRef::Link(l) => {
-                let kind = topo.links()[l as usize].kind;
+            // Redistributed per CCD by the caller. Only CXL plans stage a
+            // CXL port, and they exist only on platforms with CXL.
+            CapacityPoint::CxlPort { .. } => (PointClass::CxlPort, 0, CapSource::CxlPort),
+            CapacityPoint::Link { kind, .. } => {
                 let class = match kind {
                     LinkKind::CoreL3 => PointClass::PrivCore,
                     LinkKind::L3Tc => PointClass::PrivCcx,
@@ -566,7 +566,7 @@ fn fabric_flow_alloc(
                     let w = count as f64 / n_t;
                     unloaded_sum += w * plan.unloaded_ns;
                     weight_sum += w;
-                    let template = template_of(topo, &plan);
+                    let template = template_of(&plan);
                     apply_template(&template, w, write, u32::MAX, 1, 1, flow_idx, &mut add);
                 }
             } else {
@@ -576,7 +576,7 @@ fn fabric_flow_alloc(
                     for (pair, count, rep_dimm) in classes {
                         let (unloaded, template) = memo_entry(memo, (pair, write as u64), || {
                             let plan = StagePlan::to_dimm(topo, *rep_core, rep_dimm);
-                            (plan.unloaded_ns, template_of(topo, &plan))
+                            (plan.unloaded_ns, template_of(&plan))
                         });
                         let w = (*k_c as f64 * count as f64) / (k_total as f64 * n_t);
                         unloaded_sum += w * *unloaded;
@@ -607,7 +607,7 @@ fn fabric_flow_alloc(
                 let pair = (1u64 << 60) | quadrant_of_core(topo, *rep_core);
                 let (unloaded, template) = memo_entry(memo, (pair, write as u64), || {
                     let plan = StagePlan::to_cxl(topo, *rep_core, *dev);
-                    (plan.unloaded_ns, template_of(topo, &plan))
+                    (plan.unloaded_ns, template_of(&plan))
                 });
                 let w = *k_c as f64 / k_total as f64;
                 unloaded_sum += w * *unloaded;

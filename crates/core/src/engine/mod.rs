@@ -41,8 +41,8 @@ use crate::telemetry::{
     CapacityPoint, DirStats, FlowTelemetry, LinkTelemetry, MatrixCell, TelemetryReport,
 };
 use crate::trace::{HopClass, TraceReport};
-use crate::traffic::{ResourceArena, ResourceKey, TrafficPolicy};
-use plan::{StagePlan, StageRef};
+use crate::traffic::TrafficPolicy;
+use plan::StagePlan;
 
 const LINE: u64 = 64;
 
@@ -212,9 +212,10 @@ struct FlowRuntime {
     spec: FlowSpec,
     plans: Vec<StagePlan>,
     outcome: AccessOutcome,
-    /// Interned resource footprint for allocator-backed policies: dense
-    /// arena index → fraction of the flow's rate crossing that point.
-    /// Built once at admission; empty under hardware/BDP policies.
+    /// Footprint for allocator-backed policies: server-arena slot →
+    /// fraction of the flow's rate crossing that point in the flow's
+    /// direction. Built once at admission; empty under hardware/BDP
+    /// policies.
     footprint: Vec<(u32, f64)>,
     /// Lazily resolved metric series handles (flow-labelled families).
     h_completions: Option<SeriesHandle>,
@@ -281,8 +282,8 @@ struct FlatStage {
     /// The point's base slot in [`Engine::servers`]; the write server is
     /// the next slot.
     slot: u32,
-    /// Dense capacity-point index (see [`StageRef::index`]), which point
-    /// traces, metric labels and span hop labels use.
+    /// Dense capacity-point index (see [`CapacityPoint::index`]), which
+    /// point traces, metric labels and span hop labels use.
     point: u32,
     /// Serialization time of `bytes`, ns, at the read and the write
     /// server: computed once here instead of once per admission.
@@ -328,7 +329,8 @@ pub struct Engine<'t> {
     queue: WheelQueue<Event>,
     /// One FIFO server per capped capacity point × direction.
     servers: ServerArena,
-    /// Every capacity point, by dense point index (see [`StageRef::index`]).
+    /// Every capacity point, by dense point index (see
+    /// [`CapacityPoint::index`]).
     points: Vec<CapacityPoint>,
     /// Each point's base slot in `servers`, by dense point index;
     /// [`NO_SLOT`] for an uncapped link, which no plan stages.
@@ -349,9 +351,9 @@ pub struct Engine<'t> {
     /// Rows are compute chiplets then NICs; columns UMCs then CXL devices.
     matrix: Vec<u64>,
     matrix_cols: usize,
-    /// Dense resource arena for the traffic-manager allocator: every
-    /// capacity point crossed by any admitted flow, interned at admission.
-    arena: ResourceArena,
+    /// The traffic manager's capacity table, bytes/s, one entry per
+    /// `servers` slot: the table flow footprints index.
+    capacities: Vec<f64>,
     /// Reusable allocator state; epochs whose active set and demand bits
     /// match the previous solve skip the solver entirely.
     policy: PolicyScratch,
@@ -418,7 +420,7 @@ impl<'t> Engine<'t> {
         let spec = topo.spec();
         // The server arena, in dense point order; an uncapped link takes
         // no slot.
-        let points = crate::critpath::capacity_points(topo);
+        let points = crate::telemetry::capacity_points(topo);
         let mut servers = ServerArena::default();
         let point_slot = points
             .iter()
@@ -441,6 +443,10 @@ impl<'t> Engine<'t> {
                 };
                 caps.map_or(NO_SLOT, |(read, write)| servers.add_point(read, write))
             })
+            .collect();
+        let capacities = servers
+            .capacities()
+            .map(Bandwidth::as_bytes_per_s)
             .collect();
 
         // Limiter tokens sized to the *loaded* BDP of the chiplet egress:
@@ -555,7 +561,7 @@ impl<'t> Engine<'t> {
             free_txns: Vec::new(),
             matrix: vec![0; matrix_rows * matrix_cols],
             matrix_cols,
-            arena: ResourceArena::new(),
+            capacities,
             policy: PolicyScratch::default(),
             dram_model,
             cxl_model,
@@ -677,8 +683,8 @@ impl<'t> Engine<'t> {
             Some(_) => demand_gap(spec.demand_per_issuer_at(spec.start)),
         };
 
-        // Allocator-backed policies: intern the flow's resource footprint
-        // into the dense arena once, here, instead of re-deriving it from
+        // Allocator-backed policies: resolve the flow's footprint to
+        // server-arena slots once, here, instead of re-deriving it from
         // plans × stages at every reallocation epoch. Interleaving spreads
         // the flow evenly over its plans, so a point crossed by k of the
         // flow's n plans carries k/n of its rate.
@@ -694,16 +700,15 @@ impl<'t> Engine<'t> {
                 let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
                 for p in &plans {
                     for s in &p.stages {
-                        if let Some(cap) = self.capacity_of(s.point, dir) {
-                            let idx = self.arena.set_capacity(resource_key(s.point, dir), cap);
-                            *counts.entry(idx).or_insert(0) += 1;
-                        }
+                        let base = self.point_slot[s.point.index(topo)];
+                        debug_assert!(base != NO_SLOT, "plans stage capped points only");
+                        *counts.entry(ServerArena::slot(base, dir)).or_insert(0) += 1;
                     }
                 }
                 let n_plans = plans.len().max(1) as f64;
                 counts
                     .into_iter()
-                    .map(|(idx, c)| (idx, c as f64 / n_plans))
+                    .map(|(slot, c)| (slot, c as f64 / n_plans))
                     .collect()
             }
             _ => Vec::new(),
@@ -870,7 +875,7 @@ impl<'t> Engine<'t> {
                     unloaded_ns: p.unloaded_ns,
                 });
                 for s in &p.stages {
-                    let point = self.point_index(s.point);
+                    let point = s.point.index(self.topo);
                     let slot = self.point_slot[point];
                     debug_assert!(slot != NO_SLOT, "plans stage capped points only");
                     let service = |dir| {
@@ -1502,8 +1507,8 @@ impl<'t> Engine<'t> {
             return;
         }
 
-        // Demand vector in active order; footprints and capacities were
-        // interned at admission, so this is the only per-epoch derivation.
+        // Demand vector in active order; footprints were resolved at
+        // admission, so this is the only per-epoch derivation.
         let mut demands = std::mem::take(&mut self.policy.demands);
         demands.clear();
         demands.extend(active.iter().map(|&i| {
@@ -1542,7 +1547,7 @@ impl<'t> Engine<'t> {
         let solved = self.cfg.policy.allocate_dense(
             &demands,
             |k| self.flows[active[k] as usize].footprint.as_slice(),
-            self.arena.capacities(),
+            &self.capacities,
             &mut dense,
             &mut rates,
         );
@@ -1606,22 +1611,6 @@ impl<'t> Engine<'t> {
                 self.schedule_at(now_ns, Event::Issue { core: issuer });
             }
         }
-    }
-
-    fn capacity_of(&self, point: StageRef, dir: Dir) -> Option<f64> {
-        let base = self.point_slot[self.point_index(point)];
-        (base != NO_SLOT).then(|| {
-            let server = self.servers.server(ServerArena::slot(base, dir));
-            server.capacity().as_bytes_per_s()
-        })
-    }
-
-    /// `point`'s dense index (see [`StageRef::index`]).
-    fn point_index(&self, point: StageRef) -> usize {
-        point.index(
-            self.topo.links().len(),
-            self.topo.spec().socket_count as usize,
-        )
     }
 
     fn alloc_txn(&mut self, txn: Txn) -> u32 {
@@ -1808,7 +1797,6 @@ impl<'t> Engine<'t> {
                 platform: self.topo.spec().name.clone(),
                 window,
                 links,
-                flows: flows.clone(),
                 matrix,
             },
             flows,
@@ -1973,18 +1961,6 @@ pub fn pointer_chase_latency_ns(
     );
     let result = engine.run(SimTime::from_micros(30));
     result.flows[0].mean_latency_ns()
-}
-
-fn resource_key(point: StageRef, dir: Dir) -> ResourceKey {
-    let d = match dir {
-        Dir::Read => 0u64,
-        Dir::Write => 1u64,
-    };
-    match point {
-        StageRef::Link(l) => (l as u64) | (d << 40),
-        StageRef::SocketNoc(sk) => (1 << 41) | (sk as u64) | (d << 40),
-        StageRef::CxlPort(c) => (1 << 42) | (c as u64) | (d << 40),
-    }
 }
 
 #[cfg(test)]

@@ -8,43 +8,40 @@
 
 use chiplet_fabric::FlitFraming;
 use chiplet_sim::ByteSize;
+use chiplet_topology::ids::LinkId;
 use chiplet_topology::{CoreId, DimmId, LinkKind, Topology};
 
-/// A capacity point a transaction crosses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageRef {
-    /// A topology link's directional channel.
-    Link(u32),
-    /// A socket's NoC routing capacity, by socket index.
-    SocketNoc(u32),
-    /// The per-CCD CXL port capacity.
-    CxlPort(u32),
-}
-
-impl StageRef {
-    /// The point's dense index among `links` topology links and `nocs`
-    /// socket NoCs: links by id, then socket NoCs, then CXL ports. Point
-    /// traces, metric series and span hop labels all use it.
-    pub(crate) fn index(self, links: usize, nocs: usize) -> usize {
-        match self {
-            StageRef::Link(l) => l as usize,
-            StageRef::SocketNoc(sk) => links + sk as usize,
-            StageRef::CxlPort(c) => links + nocs + c as usize,
-        }
-    }
-}
+use crate::telemetry::CapacityPoint;
 
 /// One step of a plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stage {
     /// Which capacity point.
-    pub point: StageRef,
+    pub point: CapacityPoint,
     /// Wire bytes this transaction occupies at the point (payload for
     /// coherent links; FLIT-framed for the CXL serial path).
     pub bytes: u64,
     /// Whether memory-device service variability applies here (the UMC
     /// channel for DRAM, the P-Link aggregate for CXL).
     pub device: bool,
+}
+
+impl Stage {
+    /// A stage that moves one cacheline of payload across `point`, with no
+    /// device variability.
+    fn line(point: CapacityPoint) -> Stage {
+        Stage {
+            point,
+            bytes: ByteSize::CACHELINE.as_bytes(),
+            device: false,
+        }
+    }
+}
+
+/// The capacity point of topology link `id`.
+fn link_point(topo: &Topology, id: LinkId) -> CapacityPoint {
+    let kind = topo.link(id).kind;
+    CapacityPoint::Link { link: id.0, kind }
 }
 
 /// A compiled itinerary for one (core, destination) pair.
@@ -81,9 +78,8 @@ impl StagePlan {
             if has_cap {
                 let device = link.kind == LinkKind::MemChannel;
                 stages.push(Stage {
-                    point: StageRef::Link(link_id.0),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
                     device,
+                    ..Stage::line(link_point(topo, link_id))
                 });
             }
             // The socket NoC capacity applies once the request enters an
@@ -95,11 +91,7 @@ impl StagePlan {
                 _ => None,
             };
             if let Some(socket) = entered_noc {
-                stages.push(Stage {
-                    point: StageRef::SocketNoc(socket),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
-                    device: false,
-                });
+                stages.push(Stage::line(CapacityPoint::SocketNoc { socket }));
             }
         }
         let ccd = topo.ccd_of_core(core);
@@ -127,25 +119,16 @@ impl StagePlan {
             let has_cap = link.read_cap.is_some() || link.write_cap.is_some();
             if has_cap {
                 stages.push(Stage {
-                    point: StageRef::Link(link_id.0),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
                     device: link.kind == LinkKind::MemChannel,
+                    ..Stage::line(link_point(topo, link_id))
                 });
             }
             // Entering the I/O die from the hub side (NICs live on socket 0).
             if link.kind == LinkKind::PcieLane {
-                stages.push(Stage {
-                    point: StageRef::SocketNoc(0),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
-                    device: false,
-                });
+                stages.push(Stage::line(CapacityPoint::SocketNoc { socket: 0 }));
             }
             if link.kind == LinkKind::Xgmi {
-                stages.push(Stage {
-                    point: StageRef::SocketNoc(1),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
-                    device: false,
-                });
+                stages.push(Stage::line(CapacityPoint::SocketNoc { socket: 1 }));
             }
         }
         StagePlan {
@@ -184,42 +167,30 @@ impl StagePlan {
                     // The serialized P-Link aggregate: FLIT framing applies,
                     // and CXL media variability is charged here.
                     stages.push(Stage {
-                        point: StageRef::Link(link_id.0),
                         bytes: wire,
                         device: true,
+                        ..Stage::line(link_point(topo, link_id))
                     });
                 }
                 _ if link.read_cap.is_some() || link.write_cap.is_some() => {
-                    stages.push(Stage {
-                        point: StageRef::Link(link_id.0),
-                        bytes: ByteSize::CACHELINE.as_bytes(),
-                        device: false,
-                    });
+                    stages.push(Stage::line(link_point(topo, link_id)));
                 }
                 _ => {}
             }
             if link.kind == LinkKind::Gmi && !inserted_noc {
-                stages.push(Stage {
-                    point: StageRef::SocketNoc(home_socket),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
-                    device: false,
-                });
+                stages.push(Stage::line(CapacityPoint::SocketNoc {
+                    socket: home_socket,
+                }));
                 // The per-CCD CXL port models the Table 3 per-chiplet CXL
                 // ceilings (a compute chiplet reaches ~24/15 GB/s to CXL,
                 // well under its GMI capacity).
-                stages.push(Stage {
-                    point: StageRef::CxlPort(ccd.0),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
-                    device: false,
-                });
+                stages.push(Stage::line(CapacityPoint::CxlPort { ccd: ccd.0 }));
                 inserted_noc = true;
             }
             if link.kind == LinkKind::Xgmi {
-                stages.push(Stage {
-                    point: StageRef::SocketNoc(1 - home_socket),
-                    bytes: ByteSize::CACHELINE.as_bytes(),
-                    device: false,
-                });
+                stages.push(Stage::line(CapacityPoint::SocketNoc {
+                    socket: 1 - home_socket,
+                }));
             }
         }
         StagePlan {
@@ -245,8 +216,14 @@ mod tests {
         let plan = StagePlan::to_dimm(&topo, CoreId(0), DimmId(0));
         // CoreL3, L3Tc, Gmi, SocketNoc, MemChannel.
         assert_eq!(plan.stages.len(), 5);
-        assert!(matches!(plan.stages[2].point, StageRef::Link(_)));
-        assert_eq!(plan.stages[3].point, StageRef::SocketNoc(0));
+        assert!(matches!(
+            plan.stages[2].point,
+            CapacityPoint::Link {
+                kind: LinkKind::Gmi,
+                ..
+            }
+        ));
+        assert_eq!(plan.stages[3].point, CapacityPoint::SocketNoc { socket: 0 });
         // Exactly one device stage, and it is last.
         let device_stages: Vec<usize> = plan
             .stages
@@ -285,7 +262,7 @@ mod tests {
         assert!(plan
             .stages
             .iter()
-            .any(|s| matches!(s.point, StageRef::CxlPort(0))));
+            .any(|s| s.point == CapacityPoint::CxlPort { ccd: 0 }));
         assert_eq!(plan.matrix_dest, spec.mem.umc_count);
     }
 

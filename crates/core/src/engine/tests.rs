@@ -376,7 +376,7 @@ fn determinism_same_seed_same_result() {
         (
             r.flows[0].bytes,
             r.flows[0].latency.quantile(0.999),
-            r.telemetry.flows.iter().map(|f| f.bytes).sum::<u64>(),
+            r.flows.iter().map(|f| f.bytes).sum::<u64>(),
         )
     };
     assert_eq!(run(7), run(7));
@@ -1085,20 +1085,18 @@ fn uncapped_links_take_no_server_and_stages_carry_their_service_times() {
     let links = topo.links();
     assert!(links.iter().any(|l| l.read_cap.is_none()));
     for (i, l) in links.iter().enumerate() {
-        let point = StageRef::Link(i as u32);
-        assert_eq!(
-            engine.point_slot[i] == NO_SLOT,
-            l.read_cap.is_none(),
-            "link {i}"
-        );
-        assert_eq!(
-            engine.capacity_of(point, Dir::Read),
-            l.read_cap.map(|c| c.as_bytes_per_s())
-        );
-        assert_eq!(
-            engine.capacity_of(point, Dir::Write),
-            l.write_cap.map(|c| c.as_bytes_per_s())
-        );
+        let base = engine.point_slot[i];
+        assert_eq!(base == NO_SLOT, l.read_cap.is_none(), "link {i}");
+        if base != NO_SLOT {
+            // The traffic manager's capacity table reads the same servers.
+            for (dir, cap) in [(Dir::Read, l.read_cap), (Dir::Write, l.write_cap)] {
+                let slot = ServerArena::slot(base, dir) as usize;
+                assert_eq!(
+                    Some(engine.capacities[slot]),
+                    cap.map(|c| c.as_bytes_per_s())
+                );
+            }
+        }
     }
     let (mut cxl_stages, mut flit_stages) = (0, 0);
     for stage in &engine.flat_stages {
@@ -1115,4 +1113,57 @@ fn uncapped_links_take_no_server_and_stages_carry_their_service_times() {
         flit_stages += usize::from(stage.bytes == 68);
     }
     assert!(cxl_stages > 0 && flit_stages > 0);
+}
+
+/// One capacity-point order: every point's dense index is its position in
+/// `capacity_points`, the derived order agrees with it, and every stage of
+/// every plan (each issuer to each target) lands on a capped point, so it
+/// owns server-arena slots the traffic manager can solve over.
+#[test]
+fn plan_stages_index_capped_points_in_one_order() {
+    use crate::telemetry::capacity_points;
+    let presets = [
+        "epyc_7302",
+        "epyc_9634",
+        "dual_epyc_7302",
+        "monolithic",
+        "epyc_9634_nic",
+    ];
+    for name in presets {
+        let spec = crate::scenario::TopologyChoice::Named(name.into())
+            .platform()
+            .expect("a named preset");
+        let topo = Topology::build(&spec);
+        let points = capacity_points(&topo);
+        for (i, p) in points.iter().enumerate() {
+            assert_eq!(p.index(&topo), i, "{}: {p:?}", spec.name);
+            assert_eq!(points[p.index(&topo)], *p);
+        }
+        assert!(points.windows(2).all(|w| w[0] < w[1]), "{}", spec.name);
+
+        let mut plans = Vec::new();
+        for core in topo.core_ids() {
+            for dimm in 0..topo.dimm_count() {
+                plans.push(StagePlan::to_dimm(&topo, core, DimmId(dimm)));
+            }
+            for device in 0..topo.cxl_device_count() {
+                plans.push(StagePlan::to_cxl(&topo, core, device));
+            }
+        }
+        for nic in 0..topo.nic_count() {
+            for dimm in 0..topo.dimm_count() {
+                plans.push(StagePlan::nic_to_dimm(&topo, nic, DimmId(dimm)));
+            }
+        }
+        let engine = Engine::new(&topo, EngineConfig::deterministic());
+        for stage in plans.iter().flat_map(|p| &p.stages) {
+            let index = stage.point.index(&topo);
+            assert_eq!(points[index], stage.point, "{}", spec.name);
+            assert_ne!(
+                engine.point_slot[index], NO_SLOT,
+                "{}: {:?}",
+                spec.name, stage.point
+            );
+        }
+    }
 }

@@ -25,15 +25,14 @@ use std::path::Path;
 
 use chiplet_topology::descriptor::ChipletNetDescriptor;
 
-use crate::telemetry::{CapacityPoint, TelemetryReport};
+use crate::engine::RunResult;
+use crate::telemetry::CapacityPoint;
 
-/// Writes the firmware descriptor and runtime telemetry as a sysfs/procfs
-/// style tree under `root`. Existing files are overwritten.
-pub fn export_sysfs(
-    desc: &ChipletNetDescriptor,
-    report: &TelemetryReport,
-    root: &Path,
-) -> io::Result<()> {
+/// Writes the firmware descriptor and a run's telemetry (its capacity
+/// points, flows and traffic matrix) as a sysfs/procfs style tree under
+/// `root`. Existing files are overwritten.
+pub fn export_sysfs(desc: &ChipletNetDescriptor, run: &RunResult, root: &Path) -> io::Result<()> {
+    let report = &run.telemetry;
     let firmware = root.join("sys/firmware/chiplet-net");
     fs::create_dir_all(&firmware)?;
     fs::write(firmware.join("platform"), format!("{}\n", desc.platform))?;
@@ -132,7 +131,7 @@ pub fn export_sysfs(
 
     let flows_dir = proc.join("flows");
     fs::create_dir_all(&flows_dir)?;
-    for flow in &report.flows {
+    for flow in &run.flows {
         let safe: String = flow
             .name
             .chars()
@@ -198,7 +197,7 @@ mod tests {
         let desc = ChipletNetDescriptor::from_topology(&topo);
 
         let root = unique_root("tree");
-        export_sysfs(&desc, &result.telemetry, &root).unwrap();
+        export_sysfs(&desc, &result, &root).unwrap();
 
         let platform = fs::read_to_string(root.join("sys/firmware/chiplet-net/platform")).unwrap();
         assert!(platform.contains("7302"));
@@ -245,7 +244,7 @@ mod tests {
         let result = engine.run(SimTime::from_micros(20));
         let desc = ChipletNetDescriptor::from_topology(&topo);
         let root = unique_root("roundtrip");
-        export_sysfs(&desc, &result.telemetry, &root).unwrap();
+        export_sysfs(&desc, &result, &root).unwrap();
 
         // Descriptor round-trips.
         let json =
@@ -291,7 +290,7 @@ mod tests {
         }
 
         // Per-flow counters round-trip.
-        for flow in &result.telemetry.flows {
+        for flow in &result.flows {
             let body =
                 fs::read_to_string(root.join("proc/chiplet-net/flows").join(&flow.name)).unwrap();
             assert_eq!(parse_field(&body, "completed") as u64, flow.completed);
@@ -317,7 +316,7 @@ mod tests {
         let result = engine.run(SimTime::from_micros(10));
         let desc = ChipletNetDescriptor::from_topology(&topo);
         let root = unique_root("sanitize");
-        export_sysfs(&desc, &result.telemetry, &root).unwrap();
+        export_sysfs(&desc, &result, &root).unwrap();
         assert!(root
             .join("proc/chiplet-net/flows/weird_name_with_spaces_")
             .exists());

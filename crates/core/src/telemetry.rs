@@ -2,14 +2,15 @@
 //!
 //! §4 #1 of the paper calls for "runtime performance telemetry statistics
 //! for each link and intermediate hop through /proc/chiplet-net". A
-//! [`TelemetryReport`] is that document: per-link utilization, throughput,
-//! and queueing statistics in both directions, per-flow achieved bandwidth
-//! and latency distribution, and the measured traffic matrix — all
-//! serializable to JSON.
+//! [`TelemetryReport`] is that document: per-capacity-point utilization,
+//! throughput, and queueing statistics in both directions, and the
+//! measured traffic matrix, serializable to JSON. Per-flow achieved
+//! bandwidth and latency distributions ([`FlowTelemetry`]) sit beside it
+//! on the run's result, once.
 
 use chiplet_sim::stats::LatencyHistogram;
 use chiplet_sim::{Bandwidth, SimDuration};
-use chiplet_topology::LinkKind;
+use chiplet_topology::{LinkKind, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::flow::FlowId;
@@ -53,8 +54,15 @@ pub struct LinkTelemetry {
     pub depth_trace: Vec<chiplet_sim::stats::GaugePoint>,
 }
 
-/// Identity of a contention point in the report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Identity of a capacity point: what plans stage, what the server arena,
+/// the traffic manager, telemetry rows, metric labels, span hop labels and
+/// the sysfs tree name.
+///
+/// Points have one dense index, `CapacityPoint::index`: links by id
+/// (capped or not), then socket NoCs, then CXL ports, the order
+/// `capacity_points` enumerates. The derived order is the same (variants
+/// in that order, a link by its id first), and telemetry ties break by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CapacityPoint {
     /// A topology link, by id and kind.
     Link {
@@ -76,13 +84,16 @@ pub enum CapacityPoint {
 }
 
 impl CapacityPoint {
-    /// A total order over capacity points: links by id, then socket NoCs,
-    /// then CXL ports. Used to break telemetry ties deterministically.
-    pub fn sort_key(&self) -> (u8, u32) {
-        match *self {
-            CapacityPoint::Link { link, .. } => (0, link),
-            CapacityPoint::SocketNoc { socket } => (1, socket),
-            CapacityPoint::CxlPort { ccd } => (2, ccd),
+    /// The point's dense index on `topo`: its position in
+    /// `capacity_points(topo)`.
+    pub(crate) fn index(self, topo: &Topology) -> usize {
+        let links = topo.links().len();
+        match self {
+            CapacityPoint::Link { link, .. } => link as usize,
+            CapacityPoint::SocketNoc { socket } => links + socket as usize,
+            CapacityPoint::CxlPort { ccd } => {
+                links + topo.spec().socket_count as usize + ccd as usize
+            }
         }
     }
 
@@ -95,6 +106,24 @@ impl CapacityPoint {
             CapacityPoint::CxlPort { ccd } => format!("cxl{ccd}"),
         }
     }
+}
+
+/// Every capacity point of `topo`, by dense index (see
+/// [`CapacityPoint::index`]): links by id (capped or not), then socket
+/// NoCs, then CXL ports. Derived structurally from the topology because
+/// telemetry only lists capped points.
+pub(crate) fn capacity_points(topo: &Topology) -> Vec<CapacityPoint> {
+    let spec = topo.spec();
+    let cxl_ports = spec.cxl.as_ref().map_or(0, |_| topo.ccd_total());
+    let links = topo
+        .links()
+        .iter()
+        .zip(0..)
+        .map(|(l, link)| CapacityPoint::Link { link, kind: l.kind });
+    links
+        .chain((0..spec.socket_count).map(|socket| CapacityPoint::SocketNoc { socket }))
+        .chain((0..cxl_ports).map(|ccd| CapacityPoint::CxlPort { ccd }))
+        .collect()
 }
 
 /// Per-flow results.
@@ -169,10 +198,9 @@ pub struct TelemetryReport {
     pub platform: String,
     /// Measured window length.
     pub window: SimDuration,
-    /// Per-capacity-point statistics.
+    /// Per-capacity-point statistics, one row per capped point in dense
+    /// point order.
     pub links: Vec<LinkTelemetry>,
-    /// Per-flow statistics.
-    pub flows: Vec<FlowTelemetry>,
     /// Ground-truth traffic matrix cells (nonzero only).
     pub matrix: Vec<MatrixCell>,
 }
@@ -186,15 +214,14 @@ impl TelemetryReport {
     /// The busiest capacity point by utilization in either direction —
     /// "identifying the bandwidth throttling path segment at runtime"
     /// (Implication #2). Ties break deterministically toward the lowest
-    /// [`CapacityPoint::sort_key`] (lowest link id first).
+    /// point in [`CapacityPoint`]'s order (lowest link id first).
     pub fn bottleneck(&self) -> Option<&LinkTelemetry> {
         self.links.iter().max_by(|a, b| {
             let ua = a.read.utilization.max(a.write.utilization);
             let ub = b.read.utilization.max(b.write.utilization);
             // `max_by` keeps the last maximal element, so on equal
-            // utilization rank the lower sort key as the greater one.
-            ua.total_cmp(&ub)
-                .then_with(|| b.point.sort_key().cmp(&a.point.sort_key()))
+            // utilization rank the lower point as the greater one.
+            ua.total_cmp(&ub).then_with(|| b.point.cmp(&a.point))
         })
     }
 }
@@ -234,7 +261,6 @@ mod tests {
                 link(LinkKind::MemChannel, 0.2, 0.9),
                 link(LinkKind::CoreL3, 0.5, 0.5),
             ],
-            flows: vec![],
             matrix: vec![],
         };
         let b = report.bottleneck().unwrap();
@@ -262,7 +288,6 @@ mod tests {
                 platform: "test".into(),
                 window: SimDuration::from_micros(10),
                 links: links.clone(),
-                flows: vec![],
                 matrix: vec![],
             };
             let b = report.bottleneck().unwrap();
@@ -285,7 +310,6 @@ mod tests {
                 },
                 link_with_id(3, LinkKind::Gmi, 0.5, 0.5),
             ],
-            flows: vec![],
             matrix: vec![],
         };
         assert_eq!(
@@ -323,7 +347,6 @@ mod tests {
             platform: "x".into(),
             window: SimDuration::from_micros(1),
             links: vec![link(LinkKind::Gmi, 0.1, 0.2)],
-            flows: vec![],
             matrix: vec![MatrixCell {
                 ccd: 0,
                 dest: 3,
@@ -342,10 +365,8 @@ mod tests {
             platform: "x".into(),
             window: SimDuration::ZERO,
             links: vec![],
-            flows: vec![],
             matrix: vec![],
         };
         assert!(report.bottleneck().is_none());
-        assert!(report.flows.iter().all(|f| f.bytes == 0));
     }
 }

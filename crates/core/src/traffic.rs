@@ -4,9 +4,11 @@
 //! traffic-oblivious; the paper proposes materializing the flow abstraction
 //! "in a global software-based traffic manager" so allocation policy is
 //! programmable. [`TrafficPolicy`] is that manager's policy knob, and
-//! [`TrafficPolicy::allocate_dense`] is its allocator: the flows' shared
-//! capacity points are interned once per scenario in a [`ResourceArena`],
-//! and the fair policies run [`weighted_allocate_dense`] over them. That
+//! [`TrafficPolicy::allocate_dense`] is its allocator. The engine solves
+//! over its server arena: the capacity table has one entry per arena slot
+//! (one per capped capacity point × direction), and each flow's footprint
+//! lists the slots it crosses, resolved once at admission. The fair
+//! policies run [`weighted_allocate_dense`] over them. That
 //! progressive-filling solver lives in `chiplet_fluid::alloc` and is the
 //! workspace's only one: the DSE estimator and the fluid engine's max-min
 //! phase call it too.
@@ -15,14 +17,8 @@
 //! rate at the *source* (token-bucket gating of issue), exactly how a
 //! software manager would have to do it on real hardware today.
 
-use std::collections::HashMap;
-
 use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
 use serde::{Deserialize, Serialize};
-
-/// An opaque capacity-point key used by the allocator (the engine passes
-/// its internal stage identities).
-pub type ResourceKey = u64;
 
 /// The manager's allocation policy.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -57,57 +53,11 @@ pub enum TrafficPolicy {
     },
 }
 
-/// A dense interner for [`ResourceKey`]s: each distinct key gets a `u32`
-/// index into a flat capacity table, built once per scenario so the
-/// per-epoch allocators index `Vec<f64>` instead of hashing keys.
-///
-/// Uncapped points carry `f64::INFINITY` capacity: arithmetic on an
-/// infinite entry (debits, headroom ratios, exhaustion checks) never
-/// constrains a flow, so a point with no configured cap needs no special
-/// case in the solvers.
-#[derive(Debug, Clone, Default)]
-pub struct ResourceArena {
-    index: HashMap<ResourceKey, u32>,
-    keys: Vec<ResourceKey>,
-    capacities: Vec<f64>,
-}
-
-impl ResourceArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The dense index for `key`, interning it (uncapped) on first sight.
-    pub fn intern(&mut self, key: ResourceKey) -> u32 {
-        match self.index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = u32::try_from(self.keys.len()).expect("resource arena overflow");
-                self.index.insert(key, i);
-                self.keys.push(key);
-                self.capacities.push(f64::INFINITY);
-                i
-            }
-        }
-    }
-
-    /// Interns `key` and pins its capacity.
-    pub fn set_capacity(&mut self, key: ResourceKey, cap: f64) -> u32 {
-        let i = self.intern(key);
-        self.capacities[i as usize] = cap;
-        i
-    }
-
-    /// The flat capacity table, indexed by dense index.
-    pub fn capacities(&self) -> &[f64] {
-        &self.capacities
-    }
-}
-
 impl TrafficPolicy {
     /// Computes per-flow enforced rates (bytes/s) into `out` from the
-    /// flows' demands and interned footprints, reusing `scratch`. Max-min
+    /// flows' demands and footprints (`(index into capacities, fraction)`
+    /// pairs), reusing `scratch`. Uncapped entries of `capacities` are
+    /// `f64::INFINITY`. Max-min
     /// runs [`weighted_allocate_dense`] with weight 1.0 per flow, weighted
     /// fairness with the policy's weights, and rate limits clamp each
     /// demand to its cap. Returns `false` (leaving `out` untouched) when
@@ -151,21 +101,26 @@ impl TrafficPolicy {
 mod tests {
     use super::*;
 
-    /// A flow for the test instances: its demand and the resource keys it
-    /// crosses, each with fraction 1.
-    type Flow<'a> = (f64, &'a [u64]);
+    /// A flow for the test instances: its demand and the capacity points
+    /// it crosses, each with fraction 1.
+    type Flow<'a> = (f64, &'a [u32]);
 
-    /// Runs `policy` over `flows` the way the engine does: keys interned
-    /// in a [`ResourceArena`], `caps` pinned, every other key uncapped.
-    /// Rates in bytes/s, or `None` when the hardware stays in charge.
-    fn allocate(policy: &TrafficPolicy, flows: &[Flow], caps: &[(u64, f64)]) -> Option<Vec<f64>> {
-        let mut arena = ResourceArena::new();
+    /// Runs `policy` over `flows`: the points in `caps` are capped, every
+    /// other point of the table is uncapped. Rates in bytes/s, or `None`
+    /// when the hardware stays in charge.
+    fn allocate(policy: &TrafficPolicy, flows: &[Flow], caps: &[(u32, f64)]) -> Option<Vec<f64>> {
         let footprints: Vec<Vec<(u32, f64)>> = flows
             .iter()
-            .map(|&(_, keys)| keys.iter().map(|&k| (arena.intern(k), 1.0)).collect())
+            .map(|&(_, points)| points.iter().map(|&p| (p, 1.0)).collect())
             .collect();
-        for &(key, cap) in caps {
-            arena.set_capacity(key, cap);
+        let points = footprints.iter().flatten().map(|&(p, _)| p);
+        let len = points
+            .chain(caps.iter().map(|&(p, _)| p))
+            .max()
+            .map_or(0, |p| p as usize + 1);
+        let mut capacities = vec![f64::INFINITY; len];
+        for &(point, cap) in caps {
+            capacities[point as usize] = cap;
         }
         let demands: Vec<f64> = flows.iter().map(|&(demand, _)| demand).collect();
         let mut out = Vec::new();
@@ -173,14 +128,14 @@ mod tests {
             .allocate_dense(
                 &demands,
                 |i| footprints[i].as_slice(),
-                arena.capacities(),
+                &capacities,
                 &mut DenseAllocScratch::default(),
                 &mut out,
             )
             .then_some(out)
     }
 
-    fn max_min_fair(flows: &[Flow], caps: &[(u64, f64)]) -> Vec<f64> {
+    fn max_min_fair(flows: &[Flow], caps: &[(u32, f64)]) -> Vec<f64> {
         allocate(&TrafficPolicy::MaxMinFair, flows, caps).expect("max-min allocates")
     }
 
@@ -269,7 +224,7 @@ mod tests {
         let flows: [Flow; 4] = [(INF, &[1, 2]), (INF, &[2, 3]), (4.0, &[3]), (INF, &[1])];
         let capacities = [(1, 20.0), (2, 15.0), (3, 12.0)];
         let rates = max_min_fair(&flows, &capacities);
-        let load = |r: u64| -> f64 {
+        let load = |r: u32| -> f64 {
             flows
                 .iter()
                 .zip(&rates)

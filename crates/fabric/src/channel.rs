@@ -80,6 +80,11 @@ impl ServerArena {
         &self.servers[slot as usize]
     }
 
+    /// Every slot's capacity, by slot.
+    pub fn capacities(&self) -> impl Iterator<Item = Bandwidth> + '_ {
+        self.servers.iter().map(FifoServer::capacity)
+    }
+
     /// Admits a transfer of `bytes` at `now_ns` to the server in `slot`,
     /// with its service time precomputed by [`FifoServer::service_ns`].
     #[inline]

@@ -23,8 +23,10 @@
 //! Step 1's max-min rates come from [`weighted_allocate_dense`], the
 //! workspace's one progressive-filling solver: the event engine's traffic
 //! manager (`chiplet_net::traffic`) and the DSE estimator call the same
-//! function over their interned `(index, fraction)` capacity points, the
-//! fluid engine over its link indices with weight 1.0 and fraction 1.0.
+//! function over `(index, fraction)` footprints (the traffic manager's
+//! index the event engine's server-arena slots, the estimator's its own
+//! interned points), the fluid engine over its link indices with weight
+//! 1.0 and fraction 1.0.
 
 /// Reusable work buffers for the allocators.
 ///
@@ -271,7 +273,9 @@ pub struct DenseAllocScratch {
 ///
 /// The water-level delta is a min-reduction (order-independent and exact)
 /// and every accumulation runs in ascending flow order, so the rates do
-/// not depend on how the capacity points were interned.
+/// not depend on how the capacity points are indexed: relabelling them, or
+/// padding `capacities` with entries no flow crosses, leaves every rate
+/// bit-identical (a property test checks both).
 pub fn weighted_allocate_dense<'a, P: FootprintPoint + 'a>(
     demands: &[f64],
     weight: impl Fn(usize) -> f64,

@@ -186,6 +186,56 @@ fn arb_dense_instance() -> impl Strategy<Value = (Vec<f64>, Vec<DenseFlow>)> {
         })
 }
 
+/// `flows` with their points relabelled into a larger table: point `p`
+/// moves to `perm[p]`, where `perm` orders the new table by `keys`, and
+/// the table's other entries take the unused capacities `pad` (`None` =
+/// ∞). Each footprint is then sorted by its new labels, as a footprint
+/// that indexes server-arena slots is. Returns the new table and flows.
+fn relabel(
+    caps: &[f64],
+    flows: &[DenseFlow],
+    keys: &[f64],
+    pad: &[Option<f64>],
+) -> (Vec<f64>, Vec<DenseFlow>) {
+    let n = caps.len() + pad.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+    let mut table = vec![0.0; n];
+    for (old, &new) in order.iter().enumerate() {
+        table[new] = match caps.get(old) {
+            Some(&c) => c,
+            None => pad[old - caps.len()].unwrap_or(f64::INFINITY),
+        };
+    }
+    let flows = flows
+        .iter()
+        .map(|(demand, weight, footprint)| {
+            let mut footprint: Vec<(u32, f64)> = footprint
+                .iter()
+                .map(|&(p, frac)| (order[p as usize] as u32, frac))
+                .collect();
+            footprint.sort_by_key(|&(p, _)| p);
+            (*demand, *weight, footprint)
+        })
+        .collect();
+    (table, flows)
+}
+
+/// [`weighted_allocate_dense`]'s rates for an instance.
+fn dense_rates(caps: &[f64], flows: &[DenseFlow]) -> Vec<f64> {
+    let demands: Vec<f64> = flows.iter().map(|f| f.0).collect();
+    let mut rates = Vec::new();
+    weighted_allocate_dense(
+        &demands,
+        |i| flows[i].1,
+        |i| flows[i].2.as_slice(),
+        caps,
+        &mut DenseAllocScratch::default(),
+        &mut rates,
+    );
+    rates
+}
+
 /// Maps a unit sample to an epoch demand: a quarter unthrottled (∞), a
 /// quarter departed/paused (0), the rest a finite offered load.
 fn demand_from_unit(u: f64) -> f64 {
@@ -233,6 +283,27 @@ proptest! {
                     i, a, b
                 );
             }
+        }
+    }
+
+    /// The solver does not depend on how points are indexed: relabelling
+    /// an instance's points by a random permutation, padding the table
+    /// with unused finite and ∞ entries and sorting each footprint by its
+    /// new labels leaves every rate bit-identical. The event engine's
+    /// traffic manager relies on it: its footprints index server-arena
+    /// slots, a table of every capped point × direction.
+    #[test]
+    fn rates_do_not_depend_on_point_indexing(
+        (caps, flows) in arb_dense_instance(),
+        keys in prop::collection::vec(0.0f64..1.0, 12..13),
+        pad in prop::collection::vec(prop::option::of(1.0f64..100.0), 0..7),
+    ) {
+        let (table, relabelled) = relabel(&caps, &flows, &keys, &pad);
+        let want = dense_rates(&caps, &flows);
+        let got = dense_rates(&table, &relabelled);
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(a.to_bits() == b.to_bits(), "flow {}: relabelled {} != {}", i, a, b);
         }
     }
 }

@@ -117,7 +117,7 @@ impl NodeKind {
 }
 
 /// The physical class of a link, which decides which capacity it enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum LinkKind {
     /// Core to its CCX L3 slice (on-die fabric). Carries the per-core caps.
     CoreL3,

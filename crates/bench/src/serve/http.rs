@@ -67,8 +67,7 @@ fn bad(msg: impl Into<String>) -> std::io::Error {
 /// [`MAX_HEAD`] cap; a head the cap cuts short is a [`HeadTooLarge`] error.
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     let mut head = BufReader::new(stream).take(MAX_HEAD);
-    let mut line = String::new();
-    read_head_line(&mut head, &mut line)?;
+    let line = read_head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
@@ -76,8 +75,8 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if read_head_line(&mut head, &mut header)? == 0 {
+        let header = read_head_line(&mut head)?;
+        if header.is_empty() {
             return Err(bad("connection closed mid-headers"));
         }
         let header = header.trim_end();
@@ -110,21 +109,21 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     })
 }
 
-/// Reads one line of the request head into `line`, returning its length
-/// (0 at end of stream). A line that the [`MAX_HEAD`] cap ends before its
-/// newline, or a read with the cap spent, is [`HeadTooLarge`].
-fn read_head_line(
-    head: &mut Take<BufReader<&mut TcpStream>>,
-    line: &mut String,
-) -> std::io::Result<usize> {
-    let n = head.read_line(line)?;
-    if head.limit() == 0 && (n == 0 || !line.ends_with('\n')) {
+/// Reads one line of the request head, newline included (empty at end of
+/// stream). A line that the [`MAX_HEAD`] cap ends before its newline, or a
+/// read with the cap spent, is [`HeadTooLarge`]. The cap is checked on the
+/// raw bytes before they are decoded, so a cap that cuts a multi-byte
+/// character is still [`HeadTooLarge`], not a UTF-8 error.
+fn read_head_line(head: &mut Take<BufReader<&mut TcpStream>>) -> std::io::Result<String> {
+    let mut line = Vec::new();
+    head.read_until(b'\n', &mut line)?;
+    if head.limit() == 0 && line.last() != Some(&b'\n') {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             HeadTooLarge,
         ));
     }
-    Ok(n)
+    String::from_utf8(line).map_err(|_| bad("request head is not UTF-8"))
 }
 
 /// Closes a connection whose reply went out before its request was read

@@ -184,21 +184,17 @@ fn capacity_point_views_match_their_pins() {
         );
         let blame = stdout_of(&trace_cli(&["blame", &spec, "--json"]));
         let chrome_path = scratch(&format!("{file}.chrome.json"));
+        let sysfs_dir = scratch(&format!("{file}.sysfs"));
         stdout_of(&trace_cli(&[
             "trace",
             &spec,
             "--chrome",
             chrome_path.to_str().unwrap(),
-        ]));
-        let chrome = std::fs::read_to_string(&chrome_path).unwrap();
-        let _ = std::fs::remove_file(&chrome_path);
-        let sysfs_dir = scratch(&format!("{file}.sysfs"));
-        stdout_of(&trace_cli(&[
-            "trace",
-            &spec,
             "--sysfs",
             sysfs_dir.to_str().unwrap(),
         ]));
+        let chrome = std::fs::read_to_string(&chrome_path).unwrap();
+        let _ = std::fs::remove_file(&chrome_path);
         let sysfs = tree_text(&sysfs_dir);
         let _ = std::fs::remove_dir_all(&sysfs_dir);
         got.push((

@@ -488,37 +488,47 @@ fn deeply_nested_body_gets_a_400_and_the_daemon_keeps_serving() {
 #[test]
 fn endless_request_line_gets_a_431_and_the_daemon_keeps_serving() {
     // 1 MiB of request line with no newline, on a socket the client keeps
-    // open: the daemon must stop reading at its head cap and answer 431,
-    // not grow the line until the 60 s read timeout.
+    // open: the daemon must stop reading at its 64 KiB head cap and answer
+    // 431, not grow the line until the 60 s read timeout. In the second
+    // row the cap lands inside a 2-byte character (5 + 2k bytes never
+    // meet 65536 on a character boundary); that is still a 431, not a
+    // UTF-8 error.
     use std::io::{Read, Write};
+    let ascii = vec![b'a'; 1 << 20];
+    let mut split = b"GET /".to_vec();
+    while split.len() < 1 << 20 {
+        split.extend_from_slice("é".as_bytes());
+    }
     let server = spawn(None, 4096, 4096);
     let addr = server.addr().to_string();
-    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
-    conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .unwrap();
-    let mut writer = conn.try_clone().expect("clone");
-    // Written from its own thread: once the daemon stops reading, the
-    // socket buffers may not hold the whole MiB. A write error after the
-    // daemon hangs up is expected.
-    let feeder = std::thread::spawn(move || {
-        let _ = writer.write_all(&vec![b'a'; 1 << 20]);
-        writer
-    });
-    let mut reply = Vec::new();
-    let read = conn.read_to_end(&mut reply);
-    let reply = String::from_utf8_lossy(&reply);
-    assert!(
-        reply.starts_with("HTTP/1.1 431 "),
-        "no 431 within 5 s ({read:?}): {reply:.200}"
-    );
-    assert!(
-        reply.contains("request head exceeds 65536 bytes"),
-        "{reply}"
-    );
-    // The client side stays open until the reply is in.
-    drop(feeder.join().expect("feeder"));
-    let (status, health) = fetch_within(&addr, "GET", "/healthz", None);
-    assert_eq!(status, 200, "{health}");
+    for (row, head) in [("ascii", ascii), ("cap inside a character", split)] {
+        let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = conn.try_clone().expect("clone");
+        // Written from its own thread: once the daemon stops reading, the
+        // socket buffers may not hold the whole MiB. A write error after
+        // the daemon hangs up is expected.
+        let feeder = std::thread::spawn(move || {
+            let _ = writer.write_all(&head);
+            writer
+        });
+        let mut reply = Vec::new();
+        let read = conn.read_to_end(&mut reply);
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(
+            reply.starts_with("HTTP/1.1 431 "),
+            "{row}: no 431 within 5 s ({read:?}): {reply:.200}"
+        );
+        assert!(
+            reply.contains("request head exceeds 65536 bytes"),
+            "{row}: {reply}"
+        );
+        // The client side stays open until the reply is in.
+        drop(feeder.join().expect("feeder"));
+        let (status, health) = fetch_within(&addr, "GET", "/healthz", None);
+        assert_eq!(status, 200, "{row}: {health}");
+    }
     server.shutdown();
 }
 

@@ -883,7 +883,8 @@ fn constant_demand_schedule_matches_offered() {
             b.offered(Bandwidth::from_gb_per_s(12.0)).build(&topo)
         };
         engine.add_flow(flow);
-        engine.run(SimTime::from_micros(40)).telemetry.to_json()
+        let r = engine.run(SimTime::from_micros(40));
+        serde_json::to_string(&(&r.telemetry, &r.flows)).unwrap()
     };
     assert_eq!(run(true), run(false));
 }
@@ -989,7 +990,8 @@ fn demand_schedule_is_deterministic_per_seed() {
         engine.add_flow(
             FlowSpec::reads("b", vec![CoreId(30)], Target::all_dimms(&topo)).build(&topo),
         );
-        engine.run(SimTime::from_micros(40)).telemetry.to_json()
+        let r = engine.run(SimTime::from_micros(40));
+        serde_json::to_string(&(&r.telemetry, &r.flows)).unwrap()
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6));

@@ -291,13 +291,21 @@ proptest! {
     /// with unused finite and ∞ entries and sorting each footprint by its
     /// new labels leaves every rate bit-identical. The event engine's
     /// traffic manager relies on it: its footprints index server-arena
-    /// slots, a table of every capped point × direction.
+    /// slots, a table of every capped point × direction. About a quarter
+    /// of the flows take weight 1e-9, the floor `WeightedFair` clamps a
+    /// zero or negative weight to.
     #[test]
     fn rates_do_not_depend_on_point_indexing(
-        (caps, flows) in arb_dense_instance(),
+        (caps, mut flows) in arb_dense_instance(),
         keys in prop::collection::vec(0.0f64..1.0, 12..13),
         pad in prop::collection::vec(prop::option::of(1.0f64..100.0), 0..7),
+        floored in prop::collection::vec(0.0f64..1.0, 8..9),
     ) {
+        for (flow, &u) in flows.iter_mut().zip(&floored) {
+            if u < 0.25 {
+                flow.1 = 1e-9;
+            }
+        }
         let (table, relabelled) = relabel(&caps, &flows, &keys, &pad);
         let want = dense_rates(&caps, &flows);
         let got = dense_rates(&table, &relabelled);

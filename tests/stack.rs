@@ -71,7 +71,7 @@ fn full_run_is_deterministic_per_seed() {
             .build(&topo),
         );
         let r = engine.run(SimTime::from_micros(25));
-        r.telemetry.to_json()
+        serde_json::to_string(&(&r.telemetry, &r.flows)).unwrap()
     };
     assert_eq!(run(3), run(3));
     assert_ne!(run(3), run(4));

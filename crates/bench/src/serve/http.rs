@@ -194,9 +194,38 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Sends one whole message with a single `write_all` and flushes, so a
+/// response head, a chunk or a request never goes out as a run of small
+/// writes (one segment each on an unbuffered socket).
+fn send(stream: &mut impl Write, message: &[u8]) -> std::io::Result<()> {
+    stream.write_all(message)?;
+    stream.flush()
+}
+
+/// A response head: the status line, `framing` (the body-length header),
+/// `Content-Type`, `Connection: close` and `extra_headers`, then the blank
+/// line.
+fn response_head(
+    status: u16,
+    content_type: &str,
+    framing: &str,
+    extra_headers: &[(&str, &str)],
+) -> Vec<u8> {
+    let mut head = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n{framing}\r\n\
+         Connection: close\r\n",
+        reason(status)
+    );
+    for (name, value) in extra_headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str("\r\n");
+    head.into_bytes()
+}
+
 /// Writes a complete response and flushes.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
@@ -206,53 +235,40 @@ pub fn write_response(
 
 /// [`write_response`] with extra response headers (e.g. `X-Request-Id`).
 pub fn write_response_with(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n",
-        reason(status),
-        body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    let framing = format!("Content-Length: {}", body.len());
+    let mut message = response_head(status, content_type, &framing, extra_headers);
+    message.extend_from_slice(body.as_bytes());
+    send(stream, &message)
 }
 
 /// A `Transfer-Encoding: chunked` response in progress — the daemon's
 /// per-point progress stream.
-pub struct ChunkedResponse<'a> {
-    stream: &'a mut TcpStream,
+pub struct ChunkedResponse<'a, W: Write> {
+    stream: &'a mut W,
 }
 
-impl<'a> ChunkedResponse<'a> {
+impl<'a, W: Write> ChunkedResponse<'a, W> {
     /// Writes the status line and headers, plus `extra_headers`, leaving
     /// the body open.
     pub fn begin_with(
-        stream: &'a mut TcpStream,
+        stream: &'a mut W,
         status: u16,
         content_type: &str,
         extra_headers: &[(&str, &str)],
     ) -> std::io::Result<Self> {
-        write!(
-            stream,
-            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
-             Transfer-Encoding: chunked\r\nConnection: close\r\n",
-            reason(status)
-        )?;
-        for (name, value) in extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
-        }
-        stream.write_all(b"\r\n")?;
-        stream.flush()?;
+        let head = response_head(
+            status,
+            content_type,
+            "Transfer-Encoding: chunked",
+            extra_headers,
+        );
+        send(stream, &head)?;
         Ok(ChunkedResponse { stream })
     }
 
@@ -264,16 +280,15 @@ impl<'a> ChunkedResponse<'a> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data.as_bytes())?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        let mut message = format!("{:x}\r\n", data.len()).into_bytes();
+        message.extend_from_slice(data.as_bytes());
+        message.extend_from_slice(b"\r\n");
+        send(self.stream, &message)
     }
 
     /// Terminates the chunked body.
     pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+        send(self.stream, b"0\r\n\r\n")
     }
 }
 
@@ -301,16 +316,23 @@ pub fn fetch_with_headers(
     body: Option<&str>,
 ) -> std::io::Result<(u16, Headers, String)> {
     let mut stream = TcpStream::connect(addr)?;
-    let body = body.unwrap_or("");
-    write!(
-        stream,
+    send(
+        &mut stream,
+        &request(addr, method, target, body.unwrap_or("")),
+    )?;
+    read_response_with_headers(&mut stream)
+}
+
+/// A whole `Connection: close` request with a `Content-Length` body.
+fn request(addr: &str, method: &str, target: &str, body: &str) -> Vec<u8> {
+    let mut message = format!(
         "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    read_response_with_headers(&mut stream)
+    )
+    .into_bytes();
+    message.extend_from_slice(body.as_bytes());
+    message
 }
 
 /// Finds a header by case-insensitive name in a [`fetch_with_headers`]
@@ -395,6 +417,71 @@ mod tests {
         assert_eq!(q["name"], "fig5_sweep");
         assert_eq!(q["x"], "/path");
         assert_eq!(q["flag"], "");
+    }
+
+    /// A sink that records each `write` call separately.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_goes_out_in_one_write() {
+        let mut w = Writes::default();
+        write_response_with(
+            &mut w,
+            200,
+            "application/json",
+            "{}",
+            &[("X-Request-Id", "7")],
+        )
+        .unwrap();
+        assert_eq!(
+            w.0,
+            [
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+               Connection: close\r\nX-Request-Id: 7\r\n\r\n{}"
+                    .to_vec()
+            ]
+        );
+
+        let mut w = Writes::default();
+        let mut resp =
+            ChunkedResponse::begin_with(&mut w, 200, "text/plain", &[("A", "b")]).unwrap();
+        resp.chunk("hello").unwrap();
+        resp.chunk("").unwrap();
+        resp.chunk("0123456789abcdef").unwrap();
+        resp.finish().unwrap();
+        let writes: Vec<&[u8]> = w.0.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            writes,
+            [
+                &b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nTransfer-Encoding: chunked\r\n\
+                   Connection: close\r\nA: b\r\n\r\n"[..],
+                b"5\r\nhello\r\n",
+                b"10\r\n0123456789abcdef\r\n",
+                b"0\r\n\r\n",
+            ]
+        );
+
+        let mut w = Writes::default();
+        send(&mut w, &request("h:1", "POST", "/v1/run", "{}")).unwrap();
+        assert_eq!(
+            w.0,
+            [
+                b"POST /v1/run HTTP/1.1\r\nHost: h:1\r\nContent-Length: 2\r\n\
+               Connection: close\r\n\r\n{}"
+                    .to_vec()
+            ]
+        );
     }
 
     #[test]

@@ -646,6 +646,12 @@ impl Server {
         self.addr
     }
 
+    /// Number of series in the registry behind `GET /metrics`.
+    pub fn metrics_series(&self) -> usize {
+        let metrics = self.state.metrics.lock().expect("metrics lock poisoned");
+        metrics.registry.series_count()
+    }
+
     /// Stops accepting, drains the workers, and joins every thread.
     pub fn shutdown(mut self) {
         self.stop();

@@ -2,6 +2,7 @@
 //! batch CLI, fair-queue admission control, streaming progress, cache
 //! integrity under concurrent load, and metrics hygiene.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use chiplet_bench::scenarios::{fig5, paper_registry, render, resolve_name, Verb};
@@ -861,6 +862,87 @@ fn metrics_scrape_does_not_grow_with_distinct_clients() {
     assert_eq!(after_50, after_150, "the scrape grew with distinct clients");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a daemon holds after serving `n` requests for one point from `n`
+/// distinct clients.
+struct Soak {
+    /// Lines of a lint-clean `/metrics` scrape.
+    scrape_lines: usize,
+    /// Series in the daemon's registry.
+    series: usize,
+    /// The scrape's family names, in exposition order.
+    families: Vec<String>,
+    /// The distinct response bodies served.
+    bodies: BTreeSet<String>,
+}
+
+fn soak(n: usize) -> Soak {
+    let dir = scratch_dir(&format!("soak-{n}"));
+    let server = spawn(Some(dir.clone()), 4096, 4096);
+    let addr = server.addr().to_string();
+    let body = fig5_sweep()
+        .expand()
+        .expect("expand")
+        .swap_remove(0)
+        .spec
+        .to_json();
+    let mut bodies = BTreeSet::new();
+    for i in 0..n {
+        let route = format!("/v1/run?client=soak{i}");
+        let (status, text) = http::fetch(&addr, "POST", &route, Some(&body)).expect("POST");
+        assert_eq!(status, 200, "{text}");
+        bodies.insert(text);
+    }
+    wait_until_idle(&addr);
+    let (status, metrics) = http::fetch(&addr, "GET", "/metrics", None).expect("scrape");
+    assert_eq!(status, 200);
+    lint_openmetrics(&metrics).expect("scrape lints");
+    let families = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|l| l.split(' ').next().expect("family name").to_string())
+        .collect();
+    let soak = Soak {
+        scrape_lines: metrics.lines().count(),
+        series: server.metrics_series(),
+        families,
+        bodies,
+    };
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    soak
+}
+
+#[test]
+fn daemon_metrics_stay_bounded_whatever_the_client_count() {
+    // The daemon's metrics state is bounded by its config, not by its
+    // traffic: the first 32 client ids get a `client` label and every
+    // later one shares `other`, and volatile histograms keep no time
+    // windows. So one bound holds the scrape and the registry at any N,
+    // and a run with four times the clients serves the same bytes under
+    // the same families in exactly as many lines and series.
+    const MAX_SCRAPE_LINES: usize = 1_000;
+    const MAX_SERIES: usize = 200;
+    let runs = [soak(40), soak(160)];
+    for (run, n) in runs.iter().zip([40, 160]) {
+        assert!(
+            run.scrape_lines <= MAX_SCRAPE_LINES,
+            "{} scrape lines after {n} clients",
+            run.scrape_lines
+        );
+        assert!(
+            run.series <= MAX_SERIES,
+            "{} series after {n} clients",
+            run.series
+        );
+        assert_eq!(run.bodies.len(), 1, "one point, one answer");
+    }
+    let [small, large] = &runs;
+    assert_eq!(small.bodies, large.bodies, "served bytes moved");
+    assert_eq!(small.families, large.families, "family names moved");
+    assert_eq!(small.scrape_lines, large.scrape_lines, "the scrape grew");
+    assert_eq!(small.series, large.series, "the registry grew");
 }
 
 #[test]

@@ -63,6 +63,7 @@ impl DramServiceModel {
     }
 
     /// Samples the extra service time of one access, ns.
+    #[inline]
     pub fn extra_service_ns(&self, rng: &mut DetRng) -> f64 {
         let mut extra = 0.0;
         if self.jitter_ns > 0.0 {

@@ -422,6 +422,11 @@ impl MetricsRegistry {
         family_mut(&mut self.families, name, kind).volatile = true;
     }
 
+    /// Number of series across every family.
+    pub fn series_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Resolves `(kind, name, labels)` to a dense handle, creating the
     /// family and an empty series on first touch; resolving an existing
     /// series allocates nothing. A histogram series of a volatile family

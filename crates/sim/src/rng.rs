@@ -42,17 +42,20 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "next_below requires a positive bound");
         self.inner.gen_range(0..bound)
     }
 
     /// Uniform float in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -65,6 +68,7 @@ impl DetRng {
 
     /// Exponentially distributed value with the given mean, for Poisson
     /// request arrivals. Returns 0 for non-positive means.
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         if mean <= 0.0 {
             return 0.0;

@@ -58,6 +58,7 @@ impl LatencyHistogram {
 
     /// Dense bucket layout: values `[0, 32)` get exact unit buckets; each
     /// binade `[2^m, 2^(m+1))` above that gets `SUB_BUCKETS / 2` sub-buckets.
+    #[inline]
     fn index_of(value: u64) -> usize {
         if value < SUB_BUCKETS as u64 {
             value as usize
@@ -87,6 +88,7 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample.
+    #[inline]
     pub fn record(&mut self, d: SimDuration) {
         let ns = d.as_nanos();
         let idx = Self::index_of(ns);

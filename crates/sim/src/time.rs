@@ -89,6 +89,7 @@ impl SimDuration {
 
     /// Constructs a duration from fractional nanoseconds, rounding to the
     /// nearest whole nanosecond. Negative inputs clamp to zero.
+    #[inline]
     pub fn from_nanos_f64(ns: f64) -> Self {
         SimDuration(round_to_u64(ns))
     }

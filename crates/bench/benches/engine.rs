@@ -4,22 +4,25 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use chiplet_net::engine::{pointer_chase_latency_ns, Engine, EngineConfig};
+use chiplet_membench::latency::{latency, ChaseTarget};
+use chiplet_net::engine::{Engine, EngineConfig};
 use chiplet_net::flow::{FlowSpec, Target};
+use chiplet_net::scenario::EventEngineBackend;
 use chiplet_sim::{Bandwidth, ByteSize, SimTime};
-use chiplet_topology::{CcdId, CoreId, PlatformSpec, Topology};
+use chiplet_topology::{CcdId, CoreId, DimmPosition, PlatformSpec, Topology};
 
 fn bench_pointer_chase(c: &mut Criterion) {
-    let topo = Topology::build(&PlatformSpec::epyc_7302());
+    // The Table 2 generator's chase: core 0 to its near DIMM (DIMM 0 on the
+    // 7302), 1 GiB working set, deterministic memory, 30 µs.
+    let base = chiplet_membench::base("epyc_7302", true);
+    let probe = [(ChaseTarget::Dimm(DimmPosition::Near), ByteSize::from_gib(1))];
+    let spec = latency(&base, CoreId(0), &probe).expect("the 7302 has a near DIMM");
+    let spec = &spec[0];
+    let topo = spec.topology.resolve().expect("a named preset");
     c.bench_function("engine/table2_pointer_chase_30us", |b| {
         b.iter(|| {
-            black_box(pointer_chase_latency_ns(
-                &topo,
-                CoreId(0),
-                chiplet_topology::DimmId(0),
-                ByteSize::from_gib(1),
-                EngineConfig::deterministic(),
-            ))
+            let engine = EventEngineBackend::instantiate(spec, &topo).expect("a valid chase");
+            black_box(engine.run(spec.horizon).flows[0].mean_latency_ns())
         })
     });
 }

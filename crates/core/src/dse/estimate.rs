@@ -17,32 +17,33 @@
 //!   clamped by its MLP Little bound (`issuers × effective_mlp × 64 B /
 //!   unloaded_ns`), which is how the engine's per-core slot budgets bound
 //!   throughput.
-//! * **Loaded latency** follows the engine's in-flight budget: a flow whose
+//! * **Loaded latency** follows the flow's in-flight budget: a flow whose
 //!   allocation meets its demand sits at its unloaded latency; a congested
 //!   flow queues its whole budget, `latency = budget_lines × 64 B / rate`
-//!   (Little's law over the engine's `budget_max` formula, headroom 1.3).
+//!   (Little's law). The MLP bound and the budget come from the same
+//!   function the engine sizes its per-core slots and `budget_max` with.
 //! * **Cost** is a closed-form silicon proxy over the platform spec
 //!   ([`cost_proxy`]), so the Pareto frontier has a third axis to trade.
 //!
 //! An estimate runs in two passes. [`DesignShape::new`] does everything
 //! that depends on the graph only: it compiles the flows, walks the class
 //! routes, and builds footprints, demands, budgets and unloaded latencies,
-//! keeping for each capacity point a reference to where its capacity lives
-//! rather than the number. [`DesignShape::score`] then reads those
-//! capacities off a platform, runs the one max-min solve, and prices the
-//! platform. Designs that differ only in capacities (the DSE's scale axes)
-//! share one shape; [`estimate_on`] is the two passes back to back.
+//! keeping for each capacity point its [`CapacityPoint`] rather than the
+//! number. [`DesignShape::score`] then reads those capacities off a
+//! platform through [`CapacityPoint::caps`], the mapping the engine sizes
+//! its servers with, runs the one max-min solve, and prices the platform.
+//! Designs that differ only in capacities (the DSE's scale axes) share one
+//! shape; [`estimate_on`] is the two passes back to back.
 //!
 //! Validated against the DES reports of every event-engine registry
 //! scenario in `crates/bench/tests/dse_validation.rs`; the documented
 //! envelope lives there and in EXPERIMENTS.md.
 
 use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
-use chiplet_mem::{AccessOutcome, CacheHierarchy, Pattern};
+use chiplet_mem::{AccessOutcome, CacheHierarchy};
 use chiplet_topology::{CcdId, CoreId, DimmId, LinkKind, PlatformSpec, Topology, UmcId};
 
 use crate::engine::plan::StagePlan;
-use crate::engine::BUDGET_HEADROOM;
 use crate::flow::{FlowSpec, Target};
 use crate::scenario::{ScenarioError, ScenarioSpec};
 use crate::telemetry::CapacityPoint;
@@ -152,24 +153,14 @@ fn point_key(class: PointClass, entity: u64, write: bool) -> u64 {
     (c << 48) | ((write as u64) << 40) | entity
 }
 
-/// Where a capacity point's capacity lives on a platform: a link kind's
-/// caps ([`LinkKind::caps`]; the UMC channel is [`LinkKind::MemChannel`]),
-/// the socket NoC's, or the per-CCD CXL port's.
-#[derive(Debug, Clone, Copy)]
-enum CapSource {
-    Link(LinkKind),
-    Noc,
-    CxlPort,
-}
-
-/// A capacity point's capacity, by reference: its source, the flow
+/// A capacity point's capacity, by reference: the point, the flow
 /// direction, and the private-aggregate multiplier (the flow's issuing
 /// cores or CCXs for its per-core/per-CCX aggregates, 1 elsewhere). Shapes
 /// keep these instead of numbers, so one shape scores every platform that
 /// differs from it only in capacities.
 #[derive(Debug, Clone, Copy)]
 struct CapRef {
-    source: CapSource,
+    point: CapacityPoint,
     write: bool,
     scale: f64,
 }
@@ -177,32 +168,23 @@ struct CapRef {
 impl CapRef {
     /// The capacity on `p`, GB/s.
     fn gb_s(&self, p: &PlatformSpec) -> f64 {
-        let (read, write) = match self.source {
-            CapSource::Link(kind) => kind
-                .caps(p)
-                .expect("a shape's capped link kinds stay capped on its platforms"),
-            CapSource::Noc => (p.caps.noc_read, p.caps.noc_write),
-            CapSource::CxlPort => {
-                let cxl = p
-                    .cxl
-                    .as_ref()
-                    .expect("a shape with CXL routes scores CXL platforms");
-                (cxl.ccd_read, cxl.ccd_write)
-            }
-        };
+        let (read, write) = self
+            .point
+            .caps(p)
+            .expect("a shape's capped points stay capped on its platforms");
         let cap = if self.write { write } else { read };
         cap.as_gb_per_s() * self.scale
     }
 }
 
-/// One stage of a symmetry-class route template: the class, where its
-/// capacity lives, and the wire-byte multiplier (68/64 for FLIT-framed CXL
+/// One stage of a symmetry-class route template: the class, the stage's
+/// capacity point, and the wire-byte multiplier (68/64 for FLIT-framed CXL
 /// stages). Uncapped stages are dropped when the template is built.
 #[derive(Debug, Clone, Copy)]
 struct TemplateStage {
     class: PointClass,
     entity: u64,
-    cap: CapSource,
+    point: CapacityPoint,
     byte_scale: f64,
 }
 
@@ -264,13 +246,10 @@ fn template_of(plan: &StagePlan) -> Vec<TemplateStage> {
     let mut out = Vec::with_capacity(plan.stages.len());
     for s in &plan.stages {
         let byte_scale = s.bytes as f64 / LINE;
-        let (class, entity, cap) = match s.point {
-            CapacityPoint::SocketNoc { socket } => {
-                (PointClass::Noc, u64::from(socket), CapSource::Noc)
-            }
-            // Redistributed per CCD by the caller. Only CXL plans stage a
-            // CXL port, and they exist only on platforms with CXL.
-            CapacityPoint::CxlPort { .. } => (PointClass::CxlPort, 0, CapSource::CxlPort),
+        let (class, entity) = match s.point {
+            CapacityPoint::SocketNoc { socket } => (PointClass::Noc, u64::from(socket)),
+            // Redistributed per CCD by the caller.
+            CapacityPoint::CxlPort { .. } => (PointClass::CxlPort, 0),
             CapacityPoint::Link { kind, .. } => {
                 let class = match kind {
                     LinkKind::CoreL3 => PointClass::PrivCore,
@@ -284,17 +263,26 @@ fn template_of(plan: &StagePlan) -> Vec<TemplateStage> {
                     // never capped.
                     _ => continue,
                 };
-                (class, 0, CapSource::Link(kind))
+                (class, 0)
             }
         };
         out.push(TemplateStage {
             class,
             entity,
-            cap,
+            point: s.point,
             byte_scale,
         });
     }
     out
+}
+
+/// A template's memory-channel point: every channel has its kind's caps,
+/// so any class's channel stands for the flow's redistributed UMC points.
+fn mem_point(template: &[TemplateStage]) -> Option<CapacityPoint> {
+    template
+        .iter()
+        .find(|s| matches!(s.class, PointClass::Mem))
+        .map(|s| s.point)
 }
 
 /// One fabric flow's allocator-facing state.
@@ -407,11 +395,11 @@ impl DesignShape {
         for (i, sflow) in spec.flows.iter().enumerate() {
             let fs = spec.compile_flow(sflow, topo)?;
             let outcome = AccessOutcome::resolve(&cache, fs.op, fs.working_set);
-            let offered = fs.peak_demand().map(|b| b.as_gb_per_s());
+            let offered = fs.demand.peak().map(|b| b.as_gb_per_s());
 
             // Cache-resident core flows: the engine accounts these
-            // analytically too (one line per hit latency per core); mirror
-            // it exactly.
+            // analytically too (one line per hit latency per core, or the
+            // demand if lower).
             if let (AccessOutcome::CacheHit { latency_ns, .. }, None) = (outcome, fs.nic) {
                 let hw = (LINE / latency_ns) * fs.cores.len() as f64;
                 let achieved = offered.map_or(hw, |o| o.min(hw));
@@ -527,9 +515,7 @@ fn fabric_flow_alloc(
     flow_idx: usize,
     policy: &TrafficPolicy,
 ) -> Result<FlowAlloc, ScenarioError> {
-    let pspec = topo.spec();
     let write = fs.op.is_write();
-    let is_cxl = fs.target.is_cxl();
 
     // `(key, fraction, cap)` accumulation: linear-scanned (a flow touches a
     // few dozen points at most), sorted by key before interning so the
@@ -552,6 +538,7 @@ fn fabric_flow_alloc(
 
     let mut unloaded_sum = 0.0;
     let mut weight_sum = 0.0;
+    let mut umc_point = None;
 
     // Walk one route per symmetry class and spread its template over the
     // entities of the class.
@@ -567,6 +554,7 @@ fn fabric_flow_alloc(
                     unloaded_sum += w * plan.unloaded_ns;
                     weight_sum += w;
                     let template = template_of(&plan);
+                    umc_point = umc_point.or_else(|| mem_point(&template));
                     apply_template(&template, w, write, u32::MAX, 1, 1, flow_idx, &mut add);
                 }
             } else {
@@ -581,6 +569,7 @@ fn fabric_flow_alloc(
                         let w = (*k_c as f64 * count as f64) / (k_total as f64 * n_t);
                         unloaded_sum += w * *unloaded;
                         weight_sum += w;
+                        umc_point = umc_point.or_else(|| mem_point(template));
                         apply_template(
                             template, w, write, ccd.0, k_total, x_total, flow_idx, &mut add,
                         );
@@ -590,7 +579,7 @@ fn fabric_flow_alloc(
             // Interleave spreads the flow evenly over its target DIMMs
             // (DMA and core flows alike).
             let umc = CapRef {
-                source: CapSource::Link(LinkKind::MemChannel),
+                point: umc_point.expect("every DIMM route crosses a memory channel"),
                 write,
                 scale: 1.0,
             };
@@ -628,38 +617,12 @@ fn fabric_flow_alloc(
         return invalid(format!("flow '{}' has no routes", fs.name));
     };
 
-    // MLP budgets — the engine's add_flow formulas verbatim.
-    let (budget_lines, mlp_bound) = {
-        let read_cap = if is_cxl {
-            pspec.mlp.cxl_core_read_outstanding
-        } else {
-            pspec.mlp.core_read_outstanding
-        };
-        let write_cap = if is_cxl {
-            let cxl = pspec.cxl.as_ref().expect("cxl target on cxl platform");
-            let lat = pspec.cxl_latency_ns().expect("cxl latency");
-            ((cxl.core_write.as_gb_per_s() * lat / LINE).ceil() as u32).max(1)
-        } else {
-            pspec.mlp.core_write_outstanding
-        };
-        let mlp = Pattern::effective_mlp(fs.pattern, read_cap);
-        let hw = if fs.nic.is_some() {
-            pspec.nic.as_ref().map(|n| n.outstanding).unwrap_or(1)
-        } else {
-            fs.cores.len() as u32 * if write { write_cap } else { mlp }
-        };
-        let budget = match fs.peak_demand() {
-            Some(bw) => {
-                let bdp = (bw.as_gb_per_s() * unloaded_ns * BUDGET_HEADROOM) / LINE;
-                (bdp.ceil() as u32).clamp(2, hw.max(2))
-            }
-            None => hw.max(1),
-        };
-        (budget as f64, hw as f64 * LINE / unloaded_ns)
-    };
-
+    let budget = fs.issue_budget(topo.spec(), unloaded_ns);
+    let budget_lines = budget.max as f64;
+    let mlp_bound = budget.hw as f64 * LINE / unloaded_ns;
     let mut demand = fs
-        .peak_demand()
+        .demand
+        .peak()
         .map(|b| b.as_gb_per_s())
         .unwrap_or(f64::INFINITY)
         .min(mlp_bound);
@@ -712,7 +675,7 @@ fn apply_template(
     for s in template {
         let frac = w * s.byte_scale;
         let cap = |scale: f64| CapRef {
-            source: s.cap,
+            point: s.point,
             write,
             scale,
         };

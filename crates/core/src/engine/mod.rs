@@ -32,10 +32,10 @@ use chiplet_mem::{AccessOutcome, CacheHierarchy, DramServiceModel, Pattern};
 use chiplet_sim::stats::{BandwidthTrace, GaugeTrace, LatencyHistogram, SpanCollector};
 use chiplet_sim::time::ceil_to_u64;
 use chiplet_sim::{
-    Bandwidth, ByteSize, DepthHistogram, DetRng, MetricKind, MetricsRegistry, PhaseProfiler,
-    SeriesHandle, SimDuration, SimTime, WheelQueue,
+    Bandwidth, ByteSize, DemandSchedule, DepthHistogram, DetRng, MetricKind, MetricsRegistry,
+    PhaseProfiler, SeriesHandle, SimDuration, SimTime, WheelQueue,
 };
-use chiplet_topology::{CoreId, DimmId, PlatformKind, Topology};
+use chiplet_topology::{PlatformKind, Topology};
 
 use crate::flow::{FlowId, FlowSpec, Target};
 use crate::telemetry::{
@@ -55,13 +55,6 @@ const TRACE_RNG_LABEL: u64 = 0x0074_7261_6365; // "trace"
 
 /// Completed-span cap: bounds trace memory regardless of run length.
 const SPAN_COLLECTOR_CAP: usize = 1 << 20;
-
-/// In-flight budget headroom for rate-gated flows, × offered BDP. Larger
-/// values let saturated flows queue deeper (a stronger latency rise at the
-/// Figure 3 knee) but also push per-flow budgets into the hardware-MLP
-/// clamp, which flattens Figure 4's demand-proportional sharing; 1.3
-/// balances the two. The DSE estimator sizes its budgets with it too.
-pub(crate) const BUDGET_HEADROOM: f64 = 1.3;
 
 thread_local! {
     /// The last finished run's event queue on this thread, cleared, which
@@ -442,23 +435,9 @@ impl<'t> Engine<'t> {
         let point_slot = points
             .iter()
             .map(|&point| {
-                let caps = match point {
-                    CapacityPoint::Link { link, kind } => {
-                        let l = &topo.links()[link as usize];
-                        match (l.read_cap, l.write_cap) {
-                            (Some(read), Some(write)) => Some((read, write)),
-                            (None, None) => None,
-                            _ => panic!("a {kind:?} link is capped in one direction only"),
-                        }
-                    }
-                    CapacityPoint::SocketNoc { .. } => {
-                        Some((spec.caps.noc_read, spec.caps.noc_write))
-                    }
-                    CapacityPoint::CxlPort { .. } => {
-                        spec.cxl.as_ref().map(|cxl| (cxl.ccd_read, cxl.ccd_write))
-                    }
-                };
-                caps.map_or(NO_SLOT, |(read, write)| servers.add_point(read, write))
+                point
+                    .caps(spec)
+                    .map_or(NO_SLOT, |(read, write)| servers.add_point(read, write))
             })
             .collect();
         let capacities = servers
@@ -603,7 +582,6 @@ impl<'t> Engine<'t> {
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         let id = FlowId(self.flows.len() as u32);
         let topo = self.topo;
-        let pspec = topo.spec();
 
         let outcome = AccessOutcome::resolve(&self.cache, spec.op, spec.working_set);
 
@@ -637,24 +615,9 @@ impl<'t> Engine<'t> {
         };
         let mean_unloaded_ns =
             plans.iter().map(|p| p.unloaded_ns).sum::<f64>() / plans.len().max(1) as f64;
-        // (mean_unloaded_ns feeds the in-flight budget below.)
 
-        // Per-core slot budgets by operation and destination class.
-        let is_cxl = spec.target.is_cxl();
-        let read_cap = if is_cxl {
-            pspec.mlp.cxl_core_read_outstanding
-        } else {
-            pspec.mlp.core_read_outstanding
-        };
-        let write_cap = if is_cxl {
-            let cxl = pspec.cxl.as_ref().expect("cxl target on cxl platform");
-            let lat = pspec.cxl_latency_ns().expect("cxl latency");
-            ((cxl.core_write.as_gb_per_s() * lat / LINE as f64).ceil() as u32).max(1)
-        } else {
-            pspec.mlp.core_write_outstanding
-        };
-        let mlp = Pattern::effective_mlp(spec.pattern, read_cap);
-
+        // Per-core slot caps and the in-flight budget.
+        let budget = spec.issue_budget(topo.spec(), mean_unloaded_ns);
         for (pos, &c) in spec.cores.iter().enumerate() {
             let cs = &mut self.cores[c.index()];
             assert!(
@@ -663,42 +626,24 @@ impl<'t> Engine<'t> {
             );
             cs.flow = Some(id.0);
             cs.core_pos = pos as u32;
-            cs.read_cap = if spec.op.is_write() { read_cap } else { mlp };
-            cs.write_cap = write_cap;
+            cs.read_cap = if spec.op.is_write() {
+                budget.read_cap
+            } else {
+                budget.mlp
+            };
+            cs.write_cap = budget.write_cap;
         }
         if let Some(nic) = spec.nic {
-            let outstanding = topo
-                .spec()
-                .nic
-                .as_ref()
-                .expect("NIC flow on NIC platform")
-                .outstanding;
+            // A DMA engine is one issuer with the flow's whole budget.
             let issuer = topo.core_count() as usize + nic as usize;
             let cs = &mut self.cores[issuer];
             assert!(cs.flow.is_none(), "NIC {nic} already belongs to a flow");
             cs.flow = Some(id.0);
             cs.core_pos = 0;
-            cs.read_cap = outstanding;
-            cs.write_cap = outstanding;
+            cs.read_cap = budget.hw;
+            cs.write_cap = budget.hw;
         }
-
-        let hw_budget = if spec.nic.is_some() {
-            topo.spec().nic.as_ref().map(|n| n.outstanding).unwrap_or(1)
-        } else {
-            spec.cores.len() as u32 * if spec.op.is_write() { write_cap } else { mlp }
-        };
-        let budget_max = match spec.peak_demand() {
-            Some(bw) => {
-                let bdp_lines =
-                    (bw.as_gb_per_s() * mean_unloaded_ns * BUDGET_HEADROOM) / LINE as f64;
-                (bdp_lines.ceil() as u32).clamp(2, hw_budget.max(2))
-            }
-            None => hw_budget.max(1),
-        };
-        let gap_mean_ns = match &spec.demand {
-            None => gap_from_rate(spec.offered_per_core()),
-            Some(_) => demand_gap(spec.demand_per_issuer_at(spec.start)),
-        };
+        let gap_mean_ns = demand_gap(spec.demand_per_issuer_at(spec.start));
 
         // Allocator-backed policies: resolve the flow's footprint to
         // server-arena slots once, here, instead of re-deriving it from
@@ -736,7 +681,7 @@ impl<'t> Engine<'t> {
             gap_mean_ns,
             plan_base: 0,
             targets,
-            budget_max,
+            budget_max: budget.max,
             in_flight: 0,
             op: spec.op,
             pattern: spec.pattern,
@@ -935,16 +880,15 @@ impl<'t> Engine<'t> {
                 .filter(|&t| t < horizon.as_nanos())
                 .collect();
             for f in &self.flows {
-                if let Some(sched) = &f.spec.demand {
-                    let stop = f.spec.stop_or(horizon).as_nanos();
-                    boundaries.extend(
-                        sched
-                            .pieces()
-                            .iter()
-                            .map(|(from, _)| from.as_nanos())
-                            .filter(|&t| t > f.spec.start.as_nanos() && t < stop),
-                    );
-                }
+                let stop = f.spec.stop_or(horizon).as_nanos();
+                boundaries.extend(
+                    f.spec
+                        .demand
+                        .pieces()
+                        .iter()
+                        .map(|(from, _)| from.as_nanos())
+                        .filter(|&t| t > f.spec.start.as_nanos() && t < stop),
+                );
             }
             boundaries.sort_unstable();
             boundaries.dedup();
@@ -959,9 +903,7 @@ impl<'t> Engine<'t> {
         let flows = &self.flows;
         let queue = &mut self.queue;
         for (fi, f) in flows.iter().enumerate() {
-            let Some(sched) = f.spec.demand.as_ref() else {
-                continue;
-            };
+            let sched = &f.spec.demand;
             let stop = f.spec.stop_or(horizon);
             let mut t = f.spec.start;
             while let Some(next) = sched.next_change_after(t) {
@@ -1481,7 +1423,8 @@ impl<'t> Engine<'t> {
                 let target = latency_factor * f.mean_unloaded_ns;
                 let demand_gb = f
                     .spec
-                    .demand_at(SimTime::from_nanos(now_ns as u64))
+                    .demand
+                    .at(SimTime::from_nanos(now_ns as u64))
                     .map_or(f64::INFINITY, |b| b.as_gb_per_s());
                 // Start from the hardware-budget-implied rate.
                 let current = f.adaptive_rate.unwrap_or_else(|| {
@@ -1494,11 +1437,7 @@ impl<'t> Engine<'t> {
                 };
                 f.adaptive_rate = Some(next);
                 let per_issuer = next / f.spec.issuer_count() as f64;
-                h.gap_mean_ns = if per_issuer > 0.0 {
-                    gap_from_rate(Some(Bandwidth::from_gb_per_s(per_issuer)))
-                } else {
-                    f64::INFINITY
-                };
+                h.gap_mean_ns = demand_gap(Some(Bandwidth::from_gb_per_s(per_issuer)));
             }
             self.policy.active = active;
             return;
@@ -1511,7 +1450,8 @@ impl<'t> Engine<'t> {
         demands.extend(active.iter().map(|&i| {
             self.flows[i as usize]
                 .spec
-                .demand_at(SimTime::from_nanos(now_ns as u64))
+                .demand
+                .at(SimTime::from_nanos(now_ns as u64))
                 .map_or(f64::INFINITY, |b| b.as_bytes_per_s())
         }));
 
@@ -1555,11 +1495,7 @@ impl<'t> Engine<'t> {
                 let per_issuer = Bandwidth::from_bytes_per_s(rates[k] / issuers);
                 // A zero allocation (zero-demand schedule piece) pauses the
                 // flow rather than unthrottling it.
-                self.flow_hot[i as usize].gap_mean_ns = if per_issuer.is_positive() {
-                    gap_from_rate(Some(per_issuer))
-                } else {
-                    f64::INFINITY
-                };
+                self.flow_hot[i as usize].gap_mean_ns = demand_gap(Some(per_issuer));
             }
         }
         let p = &mut self.policy;
@@ -1635,7 +1571,8 @@ impl<'t> Engine<'t> {
         queue_depth: &DepthHistogram,
         epoch_events: &DepthHistogram,
     ) -> RunResult {
-        let window = horizon - SimTime::from_nanos(self.cfg.warmup.as_nanos());
+        let warmup = SimTime::from_nanos(self.cfg.warmup.as_nanos());
+        let window = horizon - warmup;
         let window_ns = window.as_nanos() as f64;
         let secs = window.as_secs_f64();
 
@@ -1650,12 +1587,13 @@ impl<'t> Engine<'t> {
                 if let (AccessOutcome::CacheHit { latency_ns, .. }, None) = (f.outcome, f.spec.nic)
                 {
                     // Cache-resident: accounted analytically. One line per
-                    // hit latency per core, or the offered rate if lower.
+                    // hit latency per core, or the demand if lower, averaged
+                    // over the measured window.
                     let per_core = Bandwidth::from_gb_per_s(LINE as f64 / latency_ns);
                     let hw = Bandwidth::from_gb_per_s(
                         per_core.as_gb_per_s() * f.spec.cores.len() as f64,
                     );
-                    let achieved = f.spec.offered.map_or(hw, |o| o.min(hw));
+                    let achieved = mean_capped_demand(&f.spec.demand, hw, warmup, horizon);
                     let mut latency = LatencyHistogram::new();
                     latency.record(SimDuration::from_nanos_f64(latency_ns));
                     return FlowTelemetry {
@@ -1821,21 +1759,38 @@ fn derive_limiter_tokens(
     ((cap.as_gb_per_s() * loaded_ns / LINE as f64).ceil() as u32).max(1)
 }
 
-/// Mean inter-issue gap (ns) for a per-core offered rate; 0 = unthrottled.
-fn gap_from_rate(rate: Option<Bandwidth>) -> f64 {
-    match rate {
-        Some(bw) if bw.is_positive() => LINE as f64 / bw.bytes_per_ns(),
-        _ => 0.0,
+/// The time-average of `min(demand, hw)` over `[from, to)`, with an
+/// unthrottled piece at `hw`. A window inside one piece charges that
+/// piece's rate as it stands.
+fn mean_capped_demand(
+    demand: &DemandSchedule,
+    hw: Bandwidth,
+    from: SimTime,
+    to: SimTime,
+) -> Bandwidth {
+    let rate = |d: Option<Bandwidth>| d.map_or(hw, |d| d.min(hw));
+    if demand.next_change_after(from).is_none_or(|t| t >= to) {
+        return rate(demand.at(from));
     }
+    let pieces = demand.pieces();
+    let mut bytes_ns_per_s = 0.0;
+    for (i, &(start, d)) in pieces.iter().enumerate() {
+        let lo = start.max(from);
+        let hi = pieces.get(i + 1).map_or(to, |p| p.0.min(to));
+        if hi > lo {
+            bytes_ns_per_s += rate(d).as_bytes_per_s() * (hi - lo).as_nanos() as f64;
+        }
+    }
+    Bandwidth::from_bytes_per_s(bytes_ns_per_s / (to - from).as_nanos() as f64)
 }
 
-/// Inter-issue gap for a demand-schedule piece: `None` = unthrottled (gap
-/// 0), a positive demand paces, and a zero demand pauses the flow
-/// (infinite gap) until the next piece.
+/// Mean inter-issue gap (ns) for a per-issuer rate: `None` = unthrottled
+/// (gap 0), a positive rate paces, and a zero rate pauses the issuer
+/// (infinite gap) until the next demand piece or policy epoch.
 fn demand_gap(rate: Option<Bandwidth>) -> f64 {
     match rate {
         None => 0.0,
-        Some(bw) if bw.is_positive() => gap_from_rate(Some(bw)),
+        Some(bw) if bw.is_positive() => LINE as f64 / bw.bytes_per_ns(),
         Some(_) => f64::INFINITY,
     }
 }
@@ -1937,30 +1892,6 @@ fn describe_engine_metrics(m: &mut MetricsRegistry) {
         MetricKind::Gauge,
         "Policy epochs observed.",
     );
-}
-
-/// Convenience: pointer-chase latency from a core to a DIMM (the Table 2
-/// methodology) without standing up flows by hand. Returns mean ns.
-///
-/// The one engine built outside `EventEngineBackend`: the criterion row
-/// `engine/table2_pointer_chase_30us` and the engine tests time and check
-/// the bare engine through it. Studies chase through the scenario layer
-/// (`chiplet_membench::latency`).
-pub fn pointer_chase_latency_ns(
-    topo: &Topology,
-    core: CoreId,
-    dimm: DimmId,
-    working_set: ByteSize,
-    cfg: EngineConfig,
-) -> f64 {
-    let mut engine = Engine::new(topo, cfg);
-    engine.add_flow(
-        FlowSpec::pointer_chase("chase", core, Target::dimm(dimm))
-            .working_set(working_set)
-            .build(topo),
-    );
-    let result = engine.run(SimTime::from_micros(30));
-    result.flows[0].mean_latency_ns()
 }
 
 #[cfg(test)]

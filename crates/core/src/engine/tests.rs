@@ -6,7 +6,7 @@
 use super::*;
 use chiplet_mem::OpKind;
 use chiplet_sim::{Bandwidth, ByteSize, SimTime};
-use chiplet_topology::{DimmPosition, PlatformSpec};
+use chiplet_topology::{CoreId, DimmId, DimmPosition, PlatformSpec};
 
 fn topo_7302() -> Topology {
     Topology::build(&PlatformSpec::epyc_7302())
@@ -23,8 +23,50 @@ fn scheduled(
     schedule: chiplet_sim::DemandSchedule,
 ) -> FlowSpec {
     let mut spec = flow.build(topo);
-    spec.demand = Some(schedule);
+    spec.demand = schedule;
     spec
+}
+
+/// Mean latency of a 30 µs pointer chase from core 0 to `dimm` on a named
+/// preset with deterministic memory (the Table 2 methodology), built
+/// through the scenario layer like every other engine run.
+fn chase_latency_ns(preset: &str, dimm: DimmId, working_set: ByteSize) -> f64 {
+    use crate::scenario::{
+        BackendKind, CoreSelect, EngineFlow, EngineOptions, EventEngineBackend, ScenarioFlow,
+        ScenarioSpec, TargetSpec, TopologyChoice,
+    };
+    let spec = ScenarioSpec {
+        name: "chase".into(),
+        description: String::new(),
+        topology: TopologyChoice::Named(preset.into()),
+        backend: BackendKind::Event,
+        seed: None,
+        horizon: SimTime::from_micros(30),
+        policy: Default::default(),
+        engine: Some(EngineOptions {
+            deterministic_memory: true,
+            ..Default::default()
+        }),
+        fluid: None,
+        flows: vec![ScenarioFlow {
+            name: "chase".into(),
+            demand: None,
+            engine: Some(EngineFlow {
+                cores: CoreSelect::Cores(vec![0]),
+                nic: None,
+                target: TargetSpec::Dimms(vec![dimm.0]),
+                op: None,
+                pattern: Some(Pattern::PointerChase),
+                working_set: Some(working_set),
+                start: None,
+                stop: None,
+            }),
+            links: Vec::new(),
+        }],
+    };
+    let topo = spec.topology.resolve().unwrap();
+    let engine = EventEngineBackend::instantiate(&spec, &topo).unwrap();
+    engine.run(spec.horizon).flows[0].mean_latency_ns()
 }
 
 fn within(value: f64, expected: f64, tol_frac: f64) -> bool {
@@ -55,21 +97,17 @@ fn max_bandwidth(topo: &Topology, scope: &str, op: OpKind) -> f64 {
 
 #[test]
 fn table2_pointer_chase_near_dimm() {
-    for (topo, expected) in [(topo_7302(), 124.0), (topo_9634(), 141.0)] {
+    for (preset, topo, expected) in [
+        ("epyc_7302", topo_7302(), 124.0),
+        ("epyc_9634", topo_9634(), 141.0),
+    ] {
         let dimm = topo
             .dimm_at_position(CoreId(0), DimmPosition::Near)
             .unwrap();
-        let lat = pointer_chase_latency_ns(
-            &topo,
-            CoreId(0),
-            dimm,
-            ByteSize::from_gib(1),
-            EngineConfig::deterministic(),
-        );
+        let lat = chase_latency_ns(preset, dimm, ByteSize::from_gib(1));
         assert!(
             within(lat, expected, 0.05),
-            "{}: chase latency {lat} vs {expected}",
-            topo.spec().name
+            "{preset}: chase latency {lat} vs {expected}"
         );
     }
 }
@@ -85,13 +123,7 @@ fn table2_position_ordering_holds_under_chase() {
         DimmPosition::Diagonal,
     ] {
         let dimm = topo.dimm_at_position(CoreId(0), pos).unwrap();
-        let lat = pointer_chase_latency_ns(
-            &topo,
-            CoreId(0),
-            dimm,
-            ByteSize::from_gib(1),
-            EngineConfig::deterministic(),
-        );
+        let lat = chase_latency_ns("epyc_7302", dimm, ByteSize::from_gib(1));
         assert!(lat > last, "{pos}: {lat} not above {last}");
         last = lat;
     }
@@ -99,22 +131,9 @@ fn table2_position_ordering_holds_under_chase() {
 
 #[test]
 fn table2_cache_levels_resolve_analytically() {
-    let topo = topo_7302();
-    let lat = pointer_chase_latency_ns(
-        &topo,
-        CoreId(0),
-        DimmId(0),
-        ByteSize::from_kib(16),
-        EngineConfig::deterministic(),
-    );
+    let lat = chase_latency_ns("epyc_7302", DimmId(0), ByteSize::from_kib(16));
     assert!((lat - 1.24).abs() < 1e-6, "L1 chase {lat}");
-    let lat = pointer_chase_latency_ns(
-        &topo,
-        CoreId(0),
-        DimmId(0),
-        ByteSize::from_mib(8),
-        EngineConfig::deterministic(),
-    );
+    let lat = chase_latency_ns("epyc_7302", DimmId(0), ByteSize::from_mib(8));
     assert!((lat - 34.3).abs() < 1e-6, "L3 chase {lat}");
 }
 
@@ -863,30 +882,37 @@ fn link_time_series_cover_the_run() {
 }
 
 #[test]
-fn constant_demand_schedule_matches_offered() {
-    // A single-piece schedule must behave bit-identically to `offered`.
+fn cache_resident_flow_charges_its_demand_schedule() {
+    // Cores 0–1 of the 7302 reading an L1-resident 16 KiB working set:
+    // 2 × 64 B / 1.24 ns = 103.2 GB/s of hardware rate, charged as the
+    // window's time-average of min(demand, hardware rate).
     let topo = topo_7302();
-    let run = |schedule: bool| {
+    let achieved = |schedule| {
         let mut engine = Engine::new(&topo, EngineConfig::deterministic());
-        let b = FlowSpec::reads(
-            "f",
-            topo.cores_of_ccd(chiplet_topology::CcdId(0)).collect(),
-            Target::all_dimms(&topo),
-        );
-        let flow = if schedule {
-            scheduled(
-                b,
-                &topo,
-                chiplet_sim::DemandSchedule::constant(Some(Bandwidth::from_gb_per_s(12.0))),
-            )
-        } else {
-            b.offered(Bandwidth::from_gb_per_s(12.0)).build(&topo)
-        };
-        engine.add_flow(flow);
+        let flow = FlowSpec::reads("l1", vec![CoreId(0), CoreId(1)], Target::all_dimms(&topo))
+            .working_set(ByteSize::from_kib(16));
+        engine.add_flow(scheduled(flow, &topo, schedule));
         let r = engine.run(SimTime::from_micros(40));
-        serde_json::to_string(&(&r.telemetry, &r.flows)).unwrap()
+        assert!(r.flows[0].analytic);
+        r.flows[0].achieved.as_gb_per_s()
     };
-    assert_eq!(run(true), run(false));
+    let gb = |x| Some(Bandwidth::from_gb_per_s(x));
+    let hw = 2.0 * 64.0 / 1.24;
+    let unthrottled = achieved(DemandSchedule::constant(None));
+    assert!((unthrottled - hw).abs() < 1e-9, "unthrottled {unthrottled}");
+    assert_eq!(achieved(DemandSchedule::constant(gb(5.0))), 5.0);
+    assert_eq!(achieved(DemandSchedule::constant(gb(0.0))), 0.0);
+    // 5 GB/s until 20 µs, then nothing: 18 of the 38 µs after the 2 µs
+    // warmup at 5 GB/s.
+    let drop = DemandSchedule::piecewise(vec![
+        (SimTime::ZERO, gb(5.0)),
+        (SimTime::from_micros(20), gb(0.0)),
+    ]);
+    let varying = achieved(drop);
+    assert!(
+        (varying - 5.0 * 18.0 / 38.0).abs() < 1e-9,
+        "varying {varying}"
+    );
 }
 
 #[test]

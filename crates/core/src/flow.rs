@@ -10,7 +10,7 @@
 
 use chiplet_mem::{OpKind, Pattern};
 use chiplet_sim::{Bandwidth, ByteSize, DemandSchedule, SimTime};
-use chiplet_topology::{CoreId, DimmId, Topology};
+use chiplet_topology::{CoreId, DimmId, PlatformSpec, Topology};
 use serde::{Deserialize, Serialize};
 
 /// A flow's identity within one engine run.
@@ -69,14 +69,11 @@ pub struct FlowSpec {
     pub pattern: Pattern,
     /// Working-set size (decides cache residency).
     pub working_set: ByteSize,
-    /// Total offered load across all cores; `None` = unthrottled (issue as
-    /// fast as MLP allows — the paper's maximum-bandwidth mode).
-    pub offered: Option<Bandwidth>,
-    /// Time-varying offered load; when present it overrides `offered`.
-    /// Schedule times are absolute simulation times, and a zero-demand
-    /// piece pauses the flow until the next piece.
-    #[serde(default)]
-    pub demand: Option<DemandSchedule>,
+    /// Total offered load over time across all issuers; a `None` piece is
+    /// unthrottled (issue as fast as MLP allows — the paper's
+    /// maximum-bandwidth mode) and a zero piece pauses the flow until the
+    /// next piece. Schedule times are absolute simulation times.
+    pub demand: DemandSchedule,
     /// When the flow starts issuing.
     pub start: SimTime,
     /// When the flow stops issuing; `None` = until the run's horizon.
@@ -137,37 +134,83 @@ impl FlowSpec {
         self.stop.unwrap_or(horizon).min(horizon)
     }
 
-    /// Offered load per issuing engine, when throttled.
-    pub fn offered_per_core(&self) -> Option<Bandwidth> {
-        self.offered.map(|total| {
-            Bandwidth::from_bytes_per_s(total.as_bytes_per_s() / self.issuer_count() as f64)
-        })
-    }
-
-    /// The effective total demand at time `t`: the schedule when present,
-    /// otherwise the constant `offered` load.
-    pub fn demand_at(&self, t: SimTime) -> Option<Bandwidth> {
-        match &self.demand {
-            Some(s) => s.at(t),
-            None => self.offered,
-        }
-    }
-
-    /// The effective per-issuer demand at time `t`.
+    /// The total demand at time `t` split evenly over the issuers.
     pub fn demand_per_issuer_at(&self, t: SimTime) -> Option<Bandwidth> {
-        self.demand_at(t).map(|total| {
+        self.demand.at(t).map(|total| {
             Bandwidth::from_bytes_per_s(total.as_bytes_per_s() / self.issuer_count() as f64)
         })
     }
 
-    /// The largest demand the flow ever offers (`None` = unthrottled at
-    /// some point); sizes the in-flight budget.
-    pub fn peak_demand(&self) -> Option<Bandwidth> {
-        match &self.demand {
-            Some(s) => s.peak(),
-            None => self.offered,
+    /// The flow's issue limits on `p` when its routes average
+    /// `unloaded_ns` (see [`IssueBudget`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a CXL target on a platform without CXL.
+    pub(crate) fn issue_budget(&self, p: &PlatformSpec, unloaded_ns: f64) -> IssueBudget {
+        let is_cxl = self.target.is_cxl();
+        let read_cap = if is_cxl {
+            p.mlp.cxl_core_read_outstanding
+        } else {
+            p.mlp.core_read_outstanding
+        };
+        let write_cap = if is_cxl {
+            let cxl = p.cxl.as_ref().expect("cxl target on cxl platform");
+            let lat = p.cxl_latency_ns().expect("cxl latency");
+            ((cxl.core_write.as_gb_per_s() * lat / LINE).ceil() as u32).max(1)
+        } else {
+            p.mlp.core_write_outstanding
+        };
+        let mlp = Pattern::effective_mlp(self.pattern, read_cap);
+        let hw = if self.nic.is_some() {
+            p.nic.as_ref().map_or(1, |n| n.outstanding)
+        } else {
+            self.cores.len() as u32 * if self.op.is_write() { write_cap } else { mlp }
+        };
+        let max = match self.demand.peak() {
+            Some(bw) => {
+                let bdp_lines = (bw.as_gb_per_s() * unloaded_ns * BUDGET_HEADROOM) / LINE;
+                (bdp_lines.ceil() as u32).clamp(2, hw.max(2))
+            }
+            None => hw.max(1),
+        };
+        IssueBudget {
+            read_cap,
+            write_cap,
+            mlp,
+            hw,
+            max,
         }
     }
+}
+
+/// Cacheline size in bytes, as an f64 for rate arithmetic (GB/s ≡ bytes/ns).
+const LINE: f64 = 64.0;
+
+/// In-flight budget headroom for rate-gated flows, × offered BDP. Larger
+/// values let saturated flows queue deeper (a stronger latency rise at the
+/// Figure 3 knee) but also push per-flow budgets into the hardware-MLP
+/// clamp, which flattens Figure 4's demand-proportional sharing; 1.3
+/// balances the two.
+const BUDGET_HEADROOM: f64 = 1.3;
+
+/// A flow's issue limits, the §3.4 BDP model that the event engine
+/// enforces and the DSE estimator prices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IssueBudget {
+    /// Outstanding reads per core: the CXL or DRAM MLP.
+    pub read_cap: u32,
+    /// Outstanding posted writes per core; to CXL, the device's write
+    /// bandwidth-delay product in lines.
+    pub write_cap: u32,
+    /// `read_cap` as the flow's access pattern exploits it.
+    pub mlp: u32,
+    /// The hardware budget: every issuer's slots for the flow's operation
+    /// (a NIC's outstanding DMA requests).
+    pub hw: u32,
+    /// The flow's in-flight budget (`budget_max`): its peak demand's BDP
+    /// with headroom, clamped to `[2, hw]`, or `hw` when unthrottled.
+    pub max: u32,
 }
 
 impl FlowBuilder {
@@ -181,8 +224,7 @@ impl FlowBuilder {
                 op,
                 pattern: Pattern::Sequential,
                 working_set: ByteSize::from_gib(1),
-                offered: None,
-                demand: None,
+                demand: DemandSchedule::constant(None),
                 start: SimTime::ZERO,
                 stop: None,
             },
@@ -201,9 +243,9 @@ impl FlowBuilder {
         self
     }
 
-    /// Throttles the flow to a total offered load.
+    /// Throttles the flow to a constant total offered load.
     pub fn offered(mut self, bw: Bandwidth) -> Self {
-        self.spec.offered = Some(bw);
+        self.spec.demand = DemandSchedule::constant(Some(bw));
         self
     }
 
@@ -281,7 +323,6 @@ impl FlowBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiplet_topology::PlatformSpec;
 
     fn topo() -> Topology {
         Topology::build(&PlatformSpec::epyc_9634())
@@ -293,7 +334,7 @@ mod tests {
         let f = FlowSpec::reads("r", vec![CoreId(0)], Target::all_dimms(&t)).build(&t);
         assert_eq!(f.op, OpKind::Read);
         assert_eq!(f.pattern, Pattern::Sequential);
-        assert!(f.offered.is_none());
+        assert_eq!(f.demand, DemandSchedule::constant(None));
         assert_eq!(f.start, SimTime::ZERO);
     }
 
@@ -303,7 +344,7 @@ mod tests {
         let f = FlowSpec::reads("r", vec![CoreId(0), CoreId(1)], Target::all_dimms(&t))
             .offered(Bandwidth::from_gb_per_s(10.0))
             .build(&t);
-        let per = f.offered_per_core().unwrap();
+        let per = f.demand_per_issuer_at(SimTime::ZERO).unwrap();
         assert!((per.as_gb_per_s() - 5.0).abs() < 1e-12);
     }
 

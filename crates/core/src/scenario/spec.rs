@@ -424,7 +424,7 @@ impl ScenarioSpec {
                 return invalid(format!("flow '{}': DMA writes are non-temporal", flow.name));
             }
         }
-        let mut spec = FlowSpec {
+        let spec = FlowSpec {
             name: flow.name.clone(),
             cores,
             nic: ef.nic,
@@ -432,30 +432,15 @@ impl ScenarioSpec {
             op,
             pattern: ef.pattern.unwrap_or(Pattern::Sequential),
             working_set: ef.working_set.unwrap_or_else(|| ByteSize::from_gib(1)),
-            offered: None,
-            demand: None,
+            demand: flow
+                .demand
+                .clone()
+                .unwrap_or_else(|| DemandSchedule::constant(None)),
             start: ef.start.unwrap_or(SimTime::ZERO),
             stop: ef.stop,
         };
-        if let Some(stop) = spec.stop {
-            if stop < spec.start {
-                return invalid(format!("flow '{}' stops before it starts", flow.name));
-            }
-        }
-        match &flow.demand {
-            None => {}
-            Some(s) if s.is_constant() => {
-                // A single-piece schedule compiles to the engine's constant
-                // pacing path (bit-identical to a hand-built `offered`).
-                spec.offered = s.at(SimTime::ZERO);
-                if spec.offered.is_none() {
-                    spec.demand = None;
-                } else if !spec.offered.unwrap().is_positive() {
-                    spec.demand = Some(s.clone());
-                    spec.offered = None;
-                }
-            }
-            Some(s) => spec.demand = Some(s.clone()),
+        if spec.stop.is_some_and(|stop| stop < spec.start) {
+            return invalid(format!("flow '{}' stops before it starts", flow.name));
         }
         Ok(spec)
     }

@@ -11,14 +11,13 @@
 //!   content, so RNG streams are decorrelated across points and entirely
 //!   independent of worker count or scheduling order.
 //!
-//! [`SweepRunner`] executes the expanded points across worker threads with
-//! a work-stealing index queue ([`parallel_ordered`]); results land in
+//! [`SweepRunner`] executes the expanded points across worker threads that
+//! claim them from one shared cursor ([`parallel_ordered`]); results land in
 //! expansion order, so the aggregate [`SweepOutcome`] is **byte-identical
 //! for any `--jobs` value**. An optional on-disk cache
 //! (`results/cache/<hash>.json`) skips points whose reports already exist,
 //! making re-runs of a mostly-unchanged sweep incremental.
 
-use std::collections::VecDeque;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -771,15 +770,12 @@ pub fn run_and_publish(
     Ok((report, json))
 }
 
-/// Runs `f` over `items` on `jobs` worker threads (0 = one per core) with
-/// per-worker work-stealing deques, returning results **in input order** —
-/// the building block behind [`SweepRunner`] and the DSE scorer.
+/// Runs `f` over `items` on `jobs` worker threads (0 = one per core),
+/// returning results **in input order** — the building block behind
+/// [`SweepRunner`] and the DSE scorer.
 ///
-/// Item indices are pre-split round-robin across the workers; each worker
-/// drains its own deque from the front and, once dry, steals from the back
-/// of the fullest remaining deque. Owners and thieves thus touch opposite
-/// ends, and a worker stuck on one long point sheds the rest of its share
-/// to idle peers instead of serializing the tail.
+/// Workers claim item indices from one shared cursor, in input order, so
+/// a worker stuck on one long item leaves the rest to its idle peers.
 ///
 /// Deterministic by construction: output slot `i` holds `f(i, &items[i])`
 /// regardless of which worker ran it or when. A panicking `f` propagates.
@@ -793,19 +789,19 @@ where
     if jobs <= 1 || items.len() <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new((w..items.len()).step_by(jobs).collect()))
-        .collect();
+    // The cursor only hands out indices; results reach the caller through
+    // the slots' mutexes and the scope's join, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let (queues, slots, f) = (&queues, &slots, &f);
+        for _ in 0..jobs {
+            let (next, slots, f) = (&next, &slots, &f);
             scope.spawn(move || loop {
-                let own = queues[w].lock().expect("work deque poisoned").pop_front();
-                let Some(i) = own.or_else(|| steal(queues, w)) else {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
                     break;
                 };
-                let r = f(i, &items[i]);
+                let r = f(i, item);
                 *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
@@ -818,33 +814,6 @@ where
                 .expect("worker filled every slot")
         })
         .collect()
-}
-
-/// Steals one item index from the back of the fullest victim deque, or
-/// `None` once every deque is empty. Rescans when a victim drains between
-/// the length scan and the pop; terminates because the total item count
-/// only ever shrinks.
-fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
-    loop {
-        let mut best: Option<(usize, usize)> = None;
-        for (v, q) in queues.iter().enumerate() {
-            if v == thief {
-                continue;
-            }
-            let len = q.lock().expect("work deque poisoned").len();
-            if len > 0 && best.is_none_or(|(bl, _)| len > bl) {
-                best = Some((len, v));
-            }
-        }
-        let (_, victim) = best?;
-        if let Some(i) = queues[victim]
-            .lock()
-            .expect("work deque poisoned")
-            .pop_back()
-        {
-            return Some(i);
-        }
-    }
 }
 
 /// Worker count a runner with `jobs` actually uses on `items` work items.

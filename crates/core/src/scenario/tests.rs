@@ -1063,28 +1063,31 @@ mod sweeps {
 }
 
 #[test]
-fn constant_demand_compiles_to_the_offered_path() {
+fn demand_compiles_to_the_flow_schedule() {
     let spec = event_spec();
     let topo = spec.topology.resolve().unwrap();
     let flow = spec.compile_flow(&spec.flows[0], &topo).unwrap();
-    assert_eq!(flow.offered, Some(Bandwidth::from_gb_per_s(8.0)));
-    assert!(
-        flow.demand.is_none(),
-        "constant schedules use the fast path"
+    assert_eq!(
+        flow.demand,
+        DemandSchedule::constant(Some(Bandwidth::from_gb_per_s(8.0)))
     );
 
-    // A piecewise schedule stays a schedule.
+    // A piecewise schedule compiles as written, and no schedule is an
+    // unthrottled one.
     let mut spec = event_spec();
-    spec.flows[0].demand = Some(DemandSchedule::piecewise(vec![
+    let piecewise = DemandSchedule::piecewise(vec![
         (SimTime::ZERO, None),
         (
             SimTime::from_micros(10),
             Some(Bandwidth::from_gb_per_s(2.0)),
         ),
-    ]));
+    ]);
+    spec.flows[0].demand = Some(piecewise.clone());
     let flow = spec.compile_flow(&spec.flows[0], &topo).unwrap();
-    assert!(flow.offered.is_none());
-    assert!(flow.demand.is_some());
+    assert_eq!(flow.demand, piecewise);
+    spec.flows[0].demand = None;
+    let flow = spec.compile_flow(&spec.flows[0], &topo).unwrap();
+    assert_eq!(flow.demand, DemandSchedule::constant(None));
 }
 
 mod metric_runs {

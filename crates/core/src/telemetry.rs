@@ -10,7 +10,7 @@
 
 use chiplet_sim::stats::LatencyHistogram;
 use chiplet_sim::{Bandwidth, SimDuration};
-use chiplet_topology::{LinkKind, Topology};
+use chiplet_topology::{LinkKind, PlatformSpec, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::flow::FlowId;
@@ -94,6 +94,20 @@ impl CapacityPoint {
             CapacityPoint::CxlPort { ccd } => {
                 links + topo.spec().socket_count as usize + ccd as usize
             }
+        }
+    }
+
+    /// The point's `(read, write)` capacity on `p`, or `None` for a link
+    /// that is not a capacity point. A link reads its kind's caps
+    /// ([`LinkKind::caps`], the mapping `Topology::build` stamps on each
+    /// link), the socket NoC `caps.noc_*` and the per-CCD CXL port
+    /// `cxl.ccd_*`. The engine sizes its servers and the DSE estimator
+    /// scores its candidates from this one mapping.
+    pub fn caps(self, p: &PlatformSpec) -> Option<(Bandwidth, Bandwidth)> {
+        match self {
+            CapacityPoint::Link { kind, .. } => kind.caps(p),
+            CapacityPoint::SocketNoc { .. } => Some((p.caps.noc_read, p.caps.noc_write)),
+            CapacityPoint::CxlPort { .. } => p.cxl.as_ref().map(|c| (c.ccd_read, c.ccd_write)),
         }
     }
 

@@ -1,9 +1,13 @@
 //! Dual-socket engine behavior: remote latency, xGMI bandwidth ceiling,
 //! and cross-socket contention.
 
-use chiplet_mem::OpKind;
-use chiplet_net::engine::{pointer_chase_latency_ns, Engine, EngineConfig};
+use chiplet_mem::{OpKind, Pattern};
+use chiplet_net::engine::{Engine, EngineConfig};
 use chiplet_net::flow::{FlowSpec, Target};
+use chiplet_net::scenario::{
+    BackendKind, CoreSelect, EngineFlow, EngineOptions, EventEngineBackend, ScenarioFlow,
+    ScenarioSpec, TargetSpec, TopologyChoice,
+};
 use chiplet_sim::{ByteSize, SimTime};
 use chiplet_topology::{CcdId, CoreId, DimmId, PlatformSpec, Topology};
 
@@ -11,24 +15,48 @@ fn dual() -> Topology {
     Topology::build(&PlatformSpec::dual_epyc_7302())
 }
 
+/// Mean latency of a 30 µs pointer chase from core 0 to `dimm` of the dual
+/// 7302 with deterministic memory, built through the scenario layer.
+fn chase_latency_ns(dimm: u32) -> f64 {
+    let spec = ScenarioSpec {
+        name: "chase".into(),
+        description: String::new(),
+        topology: TopologyChoice::Named("dual_epyc_7302".into()),
+        backend: BackendKind::Event,
+        seed: None,
+        horizon: SimTime::from_micros(30),
+        policy: Default::default(),
+        engine: Some(EngineOptions {
+            deterministic_memory: true,
+            ..Default::default()
+        }),
+        fluid: None,
+        flows: vec![ScenarioFlow {
+            name: "chase".into(),
+            demand: None,
+            engine: Some(EngineFlow {
+                cores: CoreSelect::Cores(vec![0]),
+                nic: None,
+                target: TargetSpec::Dimms(vec![dimm]),
+                op: None,
+                pattern: Some(Pattern::PointerChase),
+                working_set: Some(ByteSize::from_gib(1)),
+                start: None,
+                stop: None,
+            }),
+            links: Vec::new(),
+        }],
+    };
+    let topo = spec.topology.resolve().unwrap();
+    let engine = EventEngineBackend::instantiate(&spec, &topo).unwrap();
+    engine.run(spec.horizon).flows[0].mean_latency_ns()
+}
+
 #[test]
 fn remote_chase_latency() {
-    let topo = dual();
     // Local near: 124 ns; remote: ~203+ ns.
-    let local = pointer_chase_latency_ns(
-        &topo,
-        CoreId(0),
-        DimmId(0),
-        ByteSize::from_gib(1),
-        EngineConfig::deterministic(),
-    );
-    let remote = pointer_chase_latency_ns(
-        &topo,
-        CoreId(0),
-        DimmId(8),
-        ByteSize::from_gib(1),
-        EngineConfig::deterministic(),
-    );
+    let local = chase_latency_ns(0);
+    let remote = chase_latency_ns(8);
     assert!((local - 124.0).abs() < 6.0, "local {local}");
     assert!((203.0..=235.0).contains(&remote), "remote {remote}");
 }

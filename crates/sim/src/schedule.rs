@@ -117,11 +117,6 @@ impl DemandSchedule {
         Some(best)
     }
 
-    /// True when the schedule has a single piece (demand never changes).
-    pub fn is_constant(&self) -> bool {
-        self.pieces.len() == 1
-    }
-
     /// The raw `(from, demand)` pieces, in time order.
     pub fn pieces(&self) -> &[(SimTime, Option<Bandwidth>)] {
         &self.pieces
@@ -186,16 +181,14 @@ mod tests {
     }
 
     #[test]
-    fn peak_and_constant() {
+    fn peak_is_the_largest_piece() {
         assert_eq!(DemandSchedule::constant(None).peak(), None);
-        assert!(DemandSchedule::constant(None).is_constant());
         let s = DemandSchedule::piecewise(vec![
             (SimTime::ZERO, Some(gb(2.0))),
             (SimTime::from_secs(1), Some(gb(7.0))),
             (SimTime::from_secs(2), Some(gb(3.0))),
         ]);
         assert_eq!(s.peak(), Some(gb(7.0)));
-        assert!(!s.is_constant());
         let unbounded = DemandSchedule::piecewise(vec![
             (SimTime::ZERO, Some(gb(2.0))),
             (SimTime::from_secs(1), None),

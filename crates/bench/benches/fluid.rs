@@ -4,13 +4,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use chiplet_fluid::{proportional_allocate, DemandSchedule, FluidFlowSpec, FluidLink, FluidSim};
+use chiplet_fluid::{proportional_allocate, DemandSchedule, FluidFlowSpec, FluidSim};
+use chiplet_net::scenario::FluidLinkSpec;
 use chiplet_sim::{Bandwidth, SimDuration, SimTime};
 
 fn bench_fig5_trace(c: &mut Criterion) {
+    let if_9634 = FluidLinkSpec::Named("if_9634".into())
+        .resolve()
+        .expect("preset link");
     c.bench_function("fluid/fig5_6s_trace", |b| {
         b.iter(|| {
-            let link = FluidLink::if_9634();
+            let link = if_9634.clone();
             let cap = link.capacity.as_gb_per_s();
             let mut sim = FluidSim::new(vec![link]);
             sim.add_flow(FluidFlowSpec {

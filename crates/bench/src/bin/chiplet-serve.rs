@@ -49,8 +49,8 @@ commands:
       [--stream]            sweeps and studies: stream per-point progress lines
   hammer <name|file.json>   open-loop load test against the sweep's points
       [--addr A]            attack a running daemon (default: boot in-process)
-      [--submissions N]     concurrent submissions (default 1000)
-      [--clients C]         simulated client identities (default 4)
+      [--submissions N]     submissions to fire (default 1000)
+      [--clients C]         client identities and workers (default 4)
       [--cache-dir D]       cache dir for the in-process daemon
   metrics                   scrape GET /metrics, lint it, print it
       [--addr A]            daemon address (default 127.0.0.1:8091)

@@ -20,13 +20,17 @@ use chiplet_sim::{Bandwidth, DemandSchedule, SimDuration, SimTime};
 
 use crate::f1;
 
-fn spec(name: &str, platform: &str, link: &str) -> ScenarioSpec {
-    let cap = FluidLinkSpec::Named(link.to_string())
+/// A named fluid link's capacity, GB/s.
+fn capacity_gb_s(link: &str) -> f64 {
+    FluidLinkSpec::Named(link.to_string())
         .resolve()
         .expect("preset link")
         .capacity
-        .as_gb_per_s();
-    let half = cap / 2.0;
+        .as_gb_per_s()
+}
+
+fn spec(name: &str, platform: &str, link: &str) -> ScenarioSpec {
+    let half = capacity_gb_s(link) / 2.0;
     ScenarioSpec {
         name: name.to_string(),
         description: "Figure 5 panel: flow 0 throttled −2 GB/s during [2,3) s and [4,5) s; \
@@ -93,11 +97,7 @@ pub fn specs() -> Vec<ScenarioSpec> {
 }
 
 fn panel(out: &mut String, name: &str, report: &ScenarioReport, link: &str) {
-    let cap = FluidLinkSpec::Named(link.to_string())
-        .resolve()
-        .expect("preset link")
-        .capacity
-        .as_gb_per_s();
+    let cap = capacity_gb_s(link);
     let outcome = report.outcome().expect("fluid runs complete");
     let _ = writeln!(out, "{name} (capacity {} GB/s):", f1(cap));
     let _ = writeln!(out, "  t(s)   flow0 GB/s  flow1 GB/s");

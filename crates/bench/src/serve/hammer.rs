@@ -1,8 +1,9 @@
 //! Open-loop load-test client for the serving daemon.
 //!
-//! [`hammer`] fires N concurrent single-point submissions (one thread per
-//! submission, released together — open loop, no pacing) from C simulated
-//! client identities at a daemon, then proves three things:
+//! [`hammer`] fires N single-point submissions from C simulated client
+//! identities at a daemon (as many workers as clients, each claiming the
+//! next submission as soon as its last one is answered; no pacing), then
+//! proves four things:
 //!
 //! 1. **Byte identity** — every response equals the batch runner's report
 //!    for that point, and the outcome assembled from the responses equals
@@ -22,7 +23,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use chiplet_net::lint_openmetrics;
@@ -33,9 +34,10 @@ use super::{http, obs, ServeConfig, Server};
 /// Load-test shape.
 #[derive(Debug, Clone)]
 pub struct HammerOptions {
-    /// Concurrent submissions (threads) to fire.
+    /// Submissions to fire.
     pub submissions: usize,
-    /// Simulated client identities (`client0` … `clientC-1`).
+    /// Simulated client identities (`client0` … `clientC-1`), and the
+    /// number of concurrent workers.
     pub clients: usize,
     /// Attack an external daemon instead of booting one in-process.
     pub addr: Option<String>,
@@ -152,6 +154,12 @@ fn submit_point(addr: &str, client: &str, body: &str) -> Result<(Option<String>,
     Err(format!("gave up after retries: {last}"))
 }
 
+/// The worker threads a hammer of `submissions` from `clients` identities
+/// starts: one per client, and never more than there are submissions.
+fn worker_count(submissions: usize, clients: usize) -> usize {
+    clients.max(1).min(submissions)
+}
+
 /// Runs the load test. See the module docs for what is verified.
 pub fn hammer(sweep: &SweepSpec, opts: &HammerOptions) -> Result<HammerReport, String> {
     let points = sweep.expand().map_err(|e| e.to_string())?;
@@ -211,26 +219,24 @@ pub fn hammer(sweep: &SweepSpec, opts: &HammerOptions) -> Result<HammerReport, S
 
     let bodies: Vec<String> = points.iter().map(|p| p.spec.to_json()).collect();
     let clients = opts.clients.max(1);
-    let start = Barrier::new(opts.submissions);
+    let next = AtomicUsize::new(0);
     let mismatches = AtomicUsize::new(0);
     let failures = AtomicUsize::new(0);
     let request_ids: Mutex<Vec<String>> = Mutex::new(Vec::with_capacity(opts.submissions));
     let missing_rid = AtomicUsize::new(0);
     let started = std::time::Instant::now();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(opts.submissions);
-        for i in 0..opts.submissions {
-            let (addr, start) = (&addr, &start);
-            let (bodies, expected) = (&bodies, &expected);
-            let (mismatches, failures) = (&mismatches, &failures);
-            let (request_ids, missing_rid) = (&request_ids, &missing_rid);
-            let h = std::thread::Builder::new()
+        for _ in 0..worker_count(opts.submissions, clients) {
+            std::thread::Builder::new()
                 .stack_size(256 * 1024)
-                .spawn_scoped(scope, move || {
+                .spawn_scoped(scope, || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= opts.submissions {
+                        break;
+                    }
                     let p = i % bodies.len();
                     let client = format!("client{}", i % clients);
-                    start.wait();
-                    match submit_point(addr, &client, &bodies[p]) {
+                    match submit_point(&addr, &client, &bodies[p]) {
                         Ok((rid, body)) => {
                             if body != expected[p] {
                                 mismatches.fetch_add(1, Ordering::Relaxed);
@@ -250,11 +256,7 @@ pub fn hammer(sweep: &SweepSpec, opts: &HammerOptions) -> Result<HammerReport, S
                         }
                     }
                 })
-                .expect("spawn submission thread");
-            handles.push(h);
-        }
-        for h in handles {
-            let _ = h.join();
+                .expect("spawn submission worker");
         }
     });
     let wall = started.elapsed();
@@ -447,4 +449,17 @@ fn count_torn(dir: &std::path::Path) -> usize {
         }
     }
     torn
+}
+
+#[cfg(test)]
+mod tests {
+    use super::worker_count;
+
+    #[test]
+    fn a_large_hammer_starts_one_worker_per_client() {
+        assert_eq!(worker_count(1_000_000, 40), 40);
+        assert_eq!(worker_count(1_000_000, 0), 1, "no clients is one client");
+        assert_eq!(worker_count(3, 40), 3, "never more than the submissions");
+        assert_eq!(worker_count(0, 4), 0);
+    }
 }

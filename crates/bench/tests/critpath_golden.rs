@@ -8,8 +8,12 @@
 //! --json`, the Chrome trace and the sysfs tree) are pinned by length and
 //! FNV-1a 64.
 
+mod digest;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use digest::len_and_fnv1a;
 
 const CRITPATH_GOLDEN: &str = include_str!("../../../tests/golden/critpath_fig3.json");
 
@@ -117,14 +121,6 @@ fn blame_and_folded_outputs_are_deterministic() {
             .parse::<u64>()
             .unwrap_or_else(|_| panic!("integral weight in {line}"));
     }
-}
-
-/// `(length, FNV-1a 64)` of a text.
-fn len_and_fnv1a(text: &str) -> (usize, u64) {
-    let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
-    (text.len(), fnv)
 }
 
 /// A directory tree as one text: every file's path relative to `root`,

@@ -1,11 +1,10 @@
 //! Golden snapshots and end-to-end checks for the declarative scenario
 //! layer.
 //!
-//! Every study is pinned: `tests/golden/{fig3,fig5,table2,table3,
-//! flit_study,fig4}.txt` are the exact stdout of the pre-refactor binaries
-//! and of `chiplet-scenario run <name>`, and every other study is pinned
-//! to its tracked `results/<name>.txt`, the same bytes CI's every-entry
-//! diff checks. Studies resolve, run and render through the public path
+//! Every study is pinned to its tracked `results/<name>.txt`, the exact
+//! stdout of `chiplet-scenario run <name>` and the same bytes CI's
+//! every-entry diff checks; `tests/golden/` holds only the outputs
+//! `results/` does not track. Studies resolve, run and render through the public path
 //! (`resolve_name` + `ScenarioKind::run` + `render`), cold and then warm
 //! from a result cache, at one worker and at eight, so a report read back
 //! from the cache must render the bytes of a fresh one.
@@ -17,6 +16,8 @@
 //! `examples/scenarios/*.json` files are the user-facing custom-scenario
 //! examples from the README and the span-trace views — every one must
 //! parse, run on its backend, move data on every flow, and be seed-stable.
+
+mod digest;
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -32,8 +33,9 @@ use chiplet_net::scenario::{
     spec_hash, BackendKind, EventEngineBackend, FluidBackend, ScenarioKind, ScenarioRun,
     ScenarioSpec, SweepOutcome, SweepPoint, SweepRunner, SweepStats,
 };
+use digest::len_and_fnv1a;
 
-const FIG5_GOLDEN: &str = include_str!("../../../tests/golden/fig5.txt");
+const FIG5_GOLDEN: &str = include_str!("../../../results/fig5.txt");
 const FIG5_METRICS_GOLDEN: &str = include_str!("../../../tests/golden/fig5_metrics.txt");
 const DSE_SMOKE_GOLDEN: &str = include_str!("../../../tests/golden/dse_smoke.json");
 const FIG3_SWEEP_GOLDEN: &str = include_str!("../../../tests/golden/fig3_sweep.json");
@@ -41,10 +43,10 @@ const CCD_VS_CXL_GOLDEN: &str = include_str!("../../../tests/golden/ccd_vs_cxl.j
 /// Every study's pin, in registry order.
 const STUDY_GOLDENS: [(&str, &str); 14] = [
     ("table1", include_str!("../../../results/table1.txt")),
-    ("table2", include_str!("../../../tests/golden/table2.txt")),
-    ("table3", include_str!("../../../tests/golden/table3.txt")),
-    ("fig3", include_str!("../../../tests/golden/fig3.txt")),
-    ("fig4", include_str!("../../../tests/golden/fig4.txt")),
+    ("table2", include_str!("../../../results/table2.txt")),
+    ("table3", include_str!("../../../results/table3.txt")),
+    ("fig3", include_str!("../../../results/fig3.txt")),
+    ("fig4", include_str!("../../../results/fig4.txt")),
     ("fig5", FIG5_GOLDEN),
     // The slowest entry here (~2 s in release, ~30 s unoptimized): four
     // interference domains × four read/write combos × nine background loads.
@@ -67,7 +69,7 @@ const STUDY_GOLDENS: [(&str, &str); 14] = [
     ),
     (
         "flit_study",
-        include_str!("../../../tests/golden/flit_study.txt"),
+        include_str!("../../../results/flit_study.txt"),
     ),
     (
         "fused_stack",
@@ -239,14 +241,6 @@ fn fig3_sweep_gauge_dump_matches_the_pinned_digest() {
 
 /// `(length, FNV-1a 64)` of a text.
 type Digest = (usize, u64);
-
-/// `(length, FNV-1a 64)` of a report too large to commit as a golden.
-fn len_and_fnv1a(text: &str) -> Digest {
-    let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
-    (text.len(), fnv)
-}
 
 #[test]
 fn fig5_sweep_matches_the_pinned_digest() {

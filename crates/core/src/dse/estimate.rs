@@ -22,6 +22,11 @@
 //!   flow queues its whole budget, `latency = budget_lines × 64 B / rate`
 //!   (Little's law). The MLP bound and the budget come from the same
 //!   function the engine sizes its per-core slots and `budget_max` with.
+//! * **Cache-resident flows** make no fabric traffic. Whether a flow is one
+//!   and what it achieves come from the function the engine reports such a
+//!   flow with: one line per hit latency per core, charged as the
+//!   time-average of min(demand, that rate) over the spec's measured
+//!   window, nothing outside the flow's `[start, stop)`.
 //! * **Cost** is a closed-form silicon proxy over the platform spec
 //!   ([`cost_proxy`]), so the Pareto frontier has a third axis to trade.
 //!
@@ -40,11 +45,12 @@
 //! envelope lives there and in EXPERIMENTS.md.
 
 use chiplet_fluid::alloc::{weighted_allocate_dense, DenseAllocScratch};
-use chiplet_mem::{AccessOutcome, CacheHierarchy};
+use chiplet_mem::CacheHierarchy;
+use chiplet_sim::SimTime;
 use chiplet_topology::{CcdId, CoreId, DimmId, LinkKind, PlatformSpec, Topology, UmcId};
 
 use crate::engine::plan::StagePlan;
-use crate::flow::{FlowSpec, Target};
+use crate::flow::{CacheResident, FlowSpec, Target};
 use crate::scenario::{ScenarioError, ScenarioSpec};
 use crate::telemetry::CapacityPoint;
 use crate::traffic::TrafficPolicy;
@@ -387,6 +393,7 @@ impl DesignShape {
     /// flow does not map onto the topology or there are no flows.
     pub fn new(spec: &ScenarioSpec, topo: &Topology) -> Result<Self, ScenarioError> {
         let cache = CacheHierarchy::from_spec(&topo.spec().cache);
+        let warmup = SimTime::from_nanos(spec.engine_config().warmup.as_nanos());
         let mut arena = PointArena::default();
         let mut memo = TemplateMemo::new();
         let mut flows: Vec<FlowEstimate> = Vec::with_capacity(spec.flows.len());
@@ -394,19 +401,19 @@ impl DesignShape {
 
         for (i, sflow) in spec.flows.iter().enumerate() {
             let fs = spec.compile_flow(sflow, topo)?;
-            let outcome = AccessOutcome::resolve(&cache, fs.op, fs.working_set);
             let offered = fs.demand.peak().map(|b| b.as_gb_per_s());
 
-            // Cache-resident core flows: the engine accounts these
-            // analytically too (one line per hit latency per core, or the
-            // demand if lower).
-            if let (AccessOutcome::CacheHit { latency_ns, .. }, None) = (outcome, fs.nic) {
-                let hw = (LINE / latency_ns) * fs.cores.len() as f64;
-                let achieved = offered.map_or(hw, |o| o.min(hw));
+            // Cache-resident core flows: the engine's own analytic
+            // accounting over the spec's measured window.
+            if let Some(CacheResident {
+                latency_ns,
+                achieved,
+            }) = fs.cache_resident(&cache, warmup, spec.horizon)
+            {
                 flows.push(FlowEstimate {
                     name: fs.name.clone(),
                     offered_gb_s: offered,
-                    achieved_gb_s: achieved,
+                    achieved_gb_s: achieved.as_gb_per_s(),
                     latency_ns,
                     unloaded_ns: latency_ns,
                     fabric: false,
@@ -866,6 +873,26 @@ mod tests {
         // 7 cores, one line per L1 hit latency each.
         let per_core = 64.0 / 1.19;
         assert!((f.achieved_gb_s - 7.0 * per_core).abs() < 1e-6);
+
+        // A time-varying demand on cores 0–1 of the 7302: 5 GB/s until
+        // 20 µs, then nothing. The estimate charges the measured window's
+        // time-average (18 of 38 µs at 5 GB/s), the number the event engine
+        // reports for the same spec, not the schedule's 5 GB/s peak.
+        let gb = |x| Some(Bandwidth::from_gb_per_s(x));
+        spec.topology = TopologyChoice::Named("epyc_7302".into());
+        spec.horizon = SimTime::from_micros(40);
+        spec.flows[0].demand = Some(DemandSchedule::piecewise(vec![
+            (SimTime::ZERO, gb(5.0)),
+            (SimTime::from_micros(20), gb(0.0)),
+        ]));
+        if let Some(engine) = &mut spec.flows[0].engine {
+            engine.cores = CoreSelect::Cores(vec![0, 1]);
+        }
+        let est = estimate_design(&spec).unwrap().flows[0].achieved_gb_s;
+        let report = spec.run().unwrap();
+        let des = report.outcome().unwrap().flows[0].achieved_gb_s;
+        assert_eq!(est, des);
+        assert!((est - 5.0 * 18.0 / 38.0).abs() < 1e-9, "estimate {est}");
     }
 
     #[test]

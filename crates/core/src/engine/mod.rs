@@ -28,16 +28,16 @@ use std::collections::BTreeMap;
 
 use chiplet_fabric::{Dir, ServerArena, SlotLimiter};
 use chiplet_fluid::alloc::DenseAllocScratch;
-use chiplet_mem::{AccessOutcome, CacheHierarchy, DramServiceModel, Pattern};
+use chiplet_mem::{CacheHierarchy, DramServiceModel, Pattern};
 use chiplet_sim::stats::{BandwidthTrace, GaugeTrace, LatencyHistogram, SpanCollector};
 use chiplet_sim::time::ceil_to_u64;
 use chiplet_sim::{
-    Bandwidth, ByteSize, DemandSchedule, DepthHistogram, DetRng, MetricKind, MetricsRegistry,
-    PhaseProfiler, SeriesHandle, SimDuration, SimTime, WheelQueue,
+    Bandwidth, ByteSize, DepthHistogram, DetRng, MetricKind, MetricsRegistry, PhaseProfiler,
+    SeriesHandle, SimDuration, SimTime, WheelQueue,
 };
 use chiplet_topology::{PlatformKind, Topology};
 
-use crate::flow::{FlowId, FlowSpec, Target};
+use crate::flow::{CacheResident, FlowId, FlowSpec, Target};
 use crate::telemetry::{
     CapacityPoint, DirStats, FlowTelemetry, LinkTelemetry, MatrixCell, TelemetryReport,
 };
@@ -214,7 +214,10 @@ struct CoreState {
 struct FlowRuntime {
     spec: FlowSpec,
     plans: Vec<StagePlan>,
-    outcome: AccessOutcome,
+    /// The analytic accounting of a flow the cache hierarchy serves
+    /// (`None` = it runs on the fabric); set in `run`, which knows the
+    /// measured window.
+    resident: Option<CacheResident>,
     /// Footprint for allocator-backed policies: server-arena slot →
     /// fraction of the flow's rate crossing that point in the flow's
     /// direction. Built once at admission; empty under hardware/BDP
@@ -583,8 +586,6 @@ impl<'t> Engine<'t> {
         let id = FlowId(self.flows.len() as u32);
         let topo = self.topo;
 
-        let outcome = AccessOutcome::resolve(&self.cache, spec.op, spec.working_set);
-
         // Compile plans: per issuer × target element.
         let (plans, targets): (Vec<StagePlan>, u32) = match (&spec.target, spec.nic) {
             (Target::Dimms(ds), Some(nic)) => {
@@ -700,7 +701,7 @@ impl<'t> Engine<'t> {
         self.flows.push(FlowRuntime {
             spec,
             plans,
-            outcome,
+            resident: None,
             footprint,
             h_completions: None,
             h_bytes: None,
@@ -808,6 +809,10 @@ impl<'t> Engine<'t> {
     fn prepare(&mut self, horizon: SimTime) {
         self.horizon_ns = horizon.as_nanos() as f64;
         self.warmup_ns = self.cfg.warmup.as_nanos() as f64;
+        let warmup = SimTime::from_nanos(self.cfg.warmup.as_nanos());
+        for f in &mut self.flows {
+            f.resident = f.spec.cache_resident(&self.cache, warmup, horizon);
+        }
 
         // Flatten the per-flow plan lists into the global hot tables: the
         // event handlers index `plan_infos`/`flat_stages` by `Txn::plan`
@@ -917,10 +922,7 @@ impl<'t> Engine<'t> {
 
         // Kick off issue loops (analytic cache-resident flows excluded).
         for fi in 0..self.flows.len() {
-            // DMA flows always hit the fabric regardless of working set.
-            let fabric =
-                self.flows[fi].outcome.is_fabric_bound() || self.flows[fi].spec.nic.is_some();
-            if fabric {
+            if self.flows[fi].resident.is_none() {
                 let start = self.flows[fi].spec.start.min(horizon);
                 let issuers: Vec<u32> = if let Some(nic) = self.flows[fi].spec.nic {
                     vec![self.topo.core_count() + nic]
@@ -1396,7 +1398,7 @@ impl<'t> Engine<'t> {
         active.clear();
         active.extend((0..self.flows.len() as u32).filter(|&i| {
             let f = &self.flows[i as usize];
-            (f.outcome.is_fabric_bound() || f.spec.nic.is_some())
+            f.resident.is_none()
                 && (f.spec.start.as_nanos() as f64) <= now_ns
                 && now_ns < f.spec.stop_or(horizon).as_nanos() as f64
         }));
@@ -1582,18 +1584,12 @@ impl<'t> Engine<'t> {
             .zip(&self.flow_hot)
             .enumerate()
             .map(|(i, (f, hot))| {
-                // Cache-resident core flows are accounted analytically; DMA
-                // flows always run on the fabric.
-                if let (AccessOutcome::CacheHit { latency_ns, .. }, None) = (f.outcome, f.spec.nic)
+                // Cache-resident core flows are accounted analytically.
+                if let Some(CacheResident {
+                    latency_ns,
+                    achieved,
+                }) = f.resident
                 {
-                    // Cache-resident: accounted analytically. One line per
-                    // hit latency per core, or the demand if lower, averaged
-                    // over the measured window.
-                    let per_core = Bandwidth::from_gb_per_s(LINE as f64 / latency_ns);
-                    let hw = Bandwidth::from_gb_per_s(
-                        per_core.as_gb_per_s() * f.spec.cores.len() as f64,
-                    );
-                    let achieved = mean_capped_demand(&f.spec.demand, hw, warmup, horizon);
                     let mut latency = LatencyHistogram::new();
                     latency.record(SimDuration::from_nanos_f64(latency_ns));
                     return FlowTelemetry {
@@ -1757,31 +1753,6 @@ fn derive_limiter_tokens(
     }
     let loaded_ns = base_latency_ns + 3.0 * max_queue_ns;
     ((cap.as_gb_per_s() * loaded_ns / LINE as f64).ceil() as u32).max(1)
-}
-
-/// The time-average of `min(demand, hw)` over `[from, to)`, with an
-/// unthrottled piece at `hw`. A window inside one piece charges that
-/// piece's rate as it stands.
-fn mean_capped_demand(
-    demand: &DemandSchedule,
-    hw: Bandwidth,
-    from: SimTime,
-    to: SimTime,
-) -> Bandwidth {
-    let rate = |d: Option<Bandwidth>| d.map_or(hw, |d| d.min(hw));
-    if demand.next_change_after(from).is_none_or(|t| t >= to) {
-        return rate(demand.at(from));
-    }
-    let pieces = demand.pieces();
-    let mut bytes_ns_per_s = 0.0;
-    for (i, &(start, d)) in pieces.iter().enumerate() {
-        let lo = start.max(from);
-        let hi = pieces.get(i + 1).map_or(to, |p| p.0.min(to));
-        if hi > lo {
-            bytes_ns_per_s += rate(d).as_bytes_per_s() * (hi - lo).as_nanos() as f64;
-        }
-    }
-    Bandwidth::from_bytes_per_s(bytes_ns_per_s / (to - from).as_nanos() as f64)
 }
 
 /// Mean inter-issue gap (ns) for a per-issuer rate: `None` = unthrottled

@@ -5,7 +5,7 @@
 
 use super::*;
 use chiplet_mem::OpKind;
-use chiplet_sim::{Bandwidth, ByteSize, SimTime};
+use chiplet_sim::{Bandwidth, ByteSize, DemandSchedule, SimTime};
 use chiplet_topology::{CoreId, DimmId, DimmPosition, PlatformSpec};
 
 fn topo_7302() -> Topology {
@@ -913,6 +913,23 @@ fn cache_resident_flow_charges_its_demand_schedule() {
         (varying - 5.0 * 18.0 / 38.0).abs() < 1e-9,
         "varying {varying}"
     );
+    // Nothing is charged outside the flow's [start, stop): started at
+    // 20 µs, it runs 20 of the 38 measured µs; stopped there, 18.
+    let spanned = |start: u64, stop: Option<u64>| {
+        let mut engine = Engine::new(&topo, EngineConfig::deterministic());
+        let mut flow = FlowSpec::reads("l1", vec![CoreId(0), CoreId(1)], Target::all_dimms(&topo))
+            .working_set(ByteSize::from_kib(16))
+            .build(&topo);
+        flow.start = SimTime::from_micros(start);
+        flow.stop = stop.map(SimTime::from_micros);
+        engine.add_flow(flow);
+        engine.run(SimTime::from_micros(40)).flows[0]
+            .achieved
+            .as_gb_per_s()
+    };
+    assert!((spanned(20, None) - hw * 20.0 / 38.0).abs() < 1e-9);
+    assert!((spanned(0, Some(20)) - hw * 18.0 / 38.0).abs() < 1e-9);
+    assert_eq!(spanned(0, Some(1)), 0.0, "stopped before the window");
 }
 
 #[test]

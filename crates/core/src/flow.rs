@@ -8,7 +8,7 @@
 //! (operation, pattern, working set, offered load, lifetime) for the
 //! traffic manager to reason about it.
 
-use chiplet_mem::{OpKind, Pattern};
+use chiplet_mem::{CacheHierarchy, OpKind, Pattern};
 use chiplet_sim::{Bandwidth, ByteSize, DemandSchedule, SimTime};
 use chiplet_topology::{CoreId, DimmId, PlatformSpec, Topology};
 use serde::{Deserialize, Serialize};
@@ -182,6 +182,55 @@ impl FlowSpec {
             max,
         }
     }
+
+    /// The flow's analytic accounting over the window `[from, to)` when
+    /// `cache` serves it, or `None` when it runs on the fabric. A core flow
+    /// of reads or temporal writes whose working set a cache level holds
+    /// makes no fabric traffic: each core completes one line per hit
+    /// latency, and the flow achieves the window's time-average of
+    /// min(demand, that hardware rate), counting nothing before its start
+    /// or after its stop. Non-temporal writes bypass the hierarchy and DMA
+    /// flows never enter it. The event engine reports this and the DSE
+    /// estimator prices it.
+    pub(crate) fn cache_resident(
+        &self,
+        cache: &CacheHierarchy,
+        from: SimTime,
+        to: SimTime,
+    ) -> Option<CacheResident> {
+        if self.nic.is_some() || self.op == OpKind::WriteNonTemporal {
+            return None;
+        }
+        let latency_ns = cache.hit_latency_ns(cache.level_for(self.working_set))?;
+        let per_core = Bandwidth::from_gb_per_s(LINE / latency_ns);
+        let hw = Bandwidth::from_gb_per_s(per_core.as_gb_per_s() * self.cores.len() as f64);
+        let rate = |d: Option<Bandwidth>| d.map_or(hw, |d| d.min(hw));
+        // Active through a window inside one demand piece, the flow charges
+        // that piece's rate as it stands; otherwise each piece's share of
+        // the span it is active in.
+        let (on, off) = (self.start.max(from), self.stop_or(to).min(to));
+        let demand = &self.demand;
+        let achieved =
+            if (on, off) == (from, to) && demand.next_change_after(from).is_none_or(|t| t >= to) {
+                rate(demand.at(from))
+            } else {
+                let pieces = demand.pieces();
+                let mut bytes_ns_per_s = 0.0;
+                for (i, &(start, d)) in pieces.iter().enumerate() {
+                    let lo = start.max(on);
+                    let hi = pieces.get(i + 1).map_or(off, |p| p.0.min(off));
+                    if hi > lo {
+                        bytes_ns_per_s += rate(d).as_bytes_per_s() * (hi - lo).as_nanos() as f64;
+                    }
+                }
+                // An empty window (a spec the engine rejects) charges nothing.
+                Bandwidth::from_bytes_per_s(bytes_ns_per_s / (to - from).as_nanos().max(1) as f64)
+            };
+        Some(CacheResident {
+            latency_ns,
+            achieved,
+        })
+    }
 }
 
 /// Cacheline size in bytes, as an f64 for rate arithmetic (GB/s ≡ bytes/ns).
@@ -211,6 +260,15 @@ pub(crate) struct IssueBudget {
     /// The flow's in-flight budget (`budget_max`): its peak demand's BDP
     /// with headroom, clamped to `[2, hw]`, or `hw` when unthrottled.
     pub max: u32,
+}
+
+/// A cache-resident flow's accounting (see [`FlowSpec::cache_resident`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CacheResident {
+    /// The serving level's hit latency, ns.
+    pub latency_ns: f64,
+    /// The window's time-average of min(demand, hardware rate).
+    pub achieved: Bandwidth,
 }
 
 impl FlowBuilder {
@@ -383,6 +441,49 @@ mod tests {
     fn bad_core_rejected() {
         let t = topo();
         let _ = FlowSpec::reads("r", vec![CoreId(999)], Target::all_dimms(&t)).build(&t);
+    }
+
+    #[test]
+    fn cache_resident_flows_follow_the_working_set() {
+        let t = Topology::build(&PlatformSpec::epyc_7302());
+        let cache = CacheHierarchy::from_spec(&t.spec().cache);
+        let resident = |op, ws| {
+            let f = FlowSpec::reads("r", vec![CoreId(0)], Target::all_dimms(&t))
+                .op(op)
+                .working_set(ws)
+                .build(&t);
+            f.cache_resident(&cache, SimTime::ZERO, SimTime::from_micros(10))
+                .map(|r| (r.latency_ns, r.achieved))
+        };
+        // 16 KiB sits in L1: one line per 1.24 ns hit.
+        let l1 = resident(OpKind::Read, ByteSize::from_kib(16));
+        assert_eq!(l1.map(|r| r.0), Some(1.24));
+        // Temporal writes cache like reads; 1 GiB escapes to the fabric.
+        let mib4 = ByteSize::from_mib(4);
+        assert_eq!(
+            resident(OpKind::WriteTemporal, mib4),
+            resident(OpKind::Read, mib4)
+        );
+        assert!(resident(OpKind::Read, mib4).is_some());
+        assert!(resident(OpKind::Read, ByteSize::from_gib(1)).is_none());
+    }
+
+    #[test]
+    fn nt_writes_and_dma_always_run_on_the_fabric() {
+        let t = Topology::build(
+            &PlatformSpec::epyc_9634().with_nic(chiplet_topology::NicSpec::gbe400()),
+        );
+        let cache = CacheHierarchy::from_spec(&t.spec().cache);
+        let ws = ByteSize::from_kib(4);
+        let (from, to) = (SimTime::ZERO, SimTime::from_micros(10));
+        let nt = FlowSpec::writes("w", vec![CoreId(0)], Target::all_dimms(&t))
+            .working_set(ws)
+            .build(&t);
+        assert!(nt.cache_resident(&cache, from, to).is_none());
+        let dma = FlowSpec::nic_dma_read("d", 0, Target::all_dimms(&t))
+            .working_set(ws)
+            .build(&t);
+        assert!(dma.cache_resident(&cache, from, to).is_none());
     }
 
     #[test]

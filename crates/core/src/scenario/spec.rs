@@ -1,13 +1,14 @@
 //! The serializable scenario description.
 
-use chiplet_fluid::FluidLink;
+use chiplet_fluid::{FluidLink, Instability};
 use chiplet_mem::{OpKind, Pattern};
 use chiplet_sim::{ByteSize, DemandSchedule, SimDuration, SimTime};
-use chiplet_topology::{CcdId, CoreId, PlatformError, PlatformSpec, Topology};
+use chiplet_topology::{CcdId, CoreId, LinkKind, PlatformError, PlatformSpec, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineConfig;
 use crate::flow::{FlowSpec, Target};
+use crate::telemetry::CapacityPoint;
 use crate::traffic::TrafficPolicy;
 
 /// A scenario failed to resolve against its platform or backend.
@@ -291,19 +292,49 @@ pub enum FluidLinkSpec {
 }
 
 impl FluidLinkSpec {
-    /// The concrete link.
+    /// The concrete link. A named link reads its capacity through
+    /// [`CapacityPoint::caps`] on its platform preset, the mapping the
+    /// event engine sizes its servers with, so the two fidelities cannot
+    /// drift apart (a link's id does not enter `caps`). `plink_9634` is the
+    /// per-CCD CXL port (`cxl.ccd_read`, 24.3 GB/s), not the 88.1 GB/s
+    /// P-Link: Figure 5's two flows compete on one CCD's path to the
+    /// device, and in the event engine that CCD's port binds long before
+    /// the P-Link aggregate, which only several CCDs together can fill. The
+    /// 7302's IF harvests with the AR(1) noise the paper calls "drastic
+    /// variation".
     pub fn resolve(&self) -> Result<FluidLink, ScenarioError> {
-        match self {
-            FluidLinkSpec::Named(name) => match name.as_str() {
-                "if_9634" => Ok(FluidLink::if_9634()),
-                "plink_9634" => Ok(FluidLink::plink_9634()),
-                "if_7302" => Ok(FluidLink::if_7302()),
-                other => invalid(format!(
+        let name = match self {
+            FluidLinkSpec::Named(name) => name,
+            FluidLinkSpec::Inline(link) => return Ok(link.clone()),
+        };
+        let link = |kind| CapacityPoint::Link { link: 0, kind };
+        let noisy = Instability {
+            amplitude: 0.9,
+            correlation: 0.7,
+        };
+        let cxl_port = CapacityPoint::CxlPort { ccd: 0 };
+        // Display name, platform preset, capacity point, harvest τ (ms),
+        // harvest noise.
+        let (display, platform, point, tau_ms, instability) = match name.as_str() {
+            "if_9634" => ("IF", "epyc_9634", link(LinkKind::Gmi), 33, None),
+            "plink_9634" => ("P-Link", "epyc_9634", cxl_port, 165, None),
+            "if_7302" => ("IF", "epyc_7302", link(LinkKind::L3Tc), 33, Some(noisy)),
+            other => {
+                return invalid(format!(
                     "unknown fluid link '{other}' (expected if_9634, plink_9634, or if_7302)"
-                )),
-            },
-            FluidLinkSpec::Inline(link) => Ok(link.clone()),
-        }
+                ))
+            }
+        };
+        let platform = TopologyChoice::Named(platform.into()).platform()?;
+        let (capacity, _) = point
+            .caps(&platform)
+            .expect("a fluid preset's platform has its capacity point");
+        Ok(FluidLink {
+            name: display.into(),
+            capacity,
+            harvest_tau: SimDuration::from_millis(tau_ms),
+            instability,
+        })
     }
 }
 

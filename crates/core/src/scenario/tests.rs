@@ -292,16 +292,17 @@ fn bad_specs_are_rejected_with_reasons() {
     // correlation in [0, 1).
     use chiplet_fluid::{FluidLink, Instability};
     let gb = Bandwidth::from_gb_per_s;
+    let if_7302 = FluidLinkSpec::Named("if_7302".into()).resolve().unwrap();
     let capped = |gb_s: f64| FluidLink {
         capacity: gb(gb_s),
-        ..FluidLink::if_7302()
+        ..if_7302.clone()
     };
     let noisy = |amplitude: f64, correlation: f64| FluidLink {
         instability: Some(Instability {
             amplitude,
             correlation,
         }),
-        ..FluidLink::if_7302()
+        ..if_7302.clone()
     };
     let fluid_with = |link: FluidLink| {
         let mut spec = fluid_spec();
@@ -332,26 +333,6 @@ fn bad_specs_are_rejected_with_reasons() {
 }
 
 #[test]
-fn fluid_presets_copy_their_platform_capacity_points() {
-    // Each named fluid link copies one capacity point of its platform's
-    // topology spec, bit for bit, so drift on either side fails here. The
-    // 9634 P-Link preset is the CXL device's `ccd_read` (24.3 GB/s, what
-    // one CCD can pull), not its `plink_read` (88.1 GB/s).
-    use chiplet_fluid::FluidLink;
-    use chiplet_topology::PlatformSpec;
-    let bits = |b: Bandwidth| b.as_bytes_per_s().to_bits();
-    let (p9634, p7302) = (PlatformSpec::epyc_9634(), PlatformSpec::epyc_7302());
-    let cxl = p9634.cxl.as_ref().expect("the 9634 has a CXL device");
-    for (name, preset, point) in [
-        ("if_9634", FluidLink::if_9634(), p9634.caps.gmi_read),
-        ("if_7302", FluidLink::if_7302(), p7302.caps.ccx_read),
-        ("plink_9634", FluidLink::plink_9634(), cxl.ccd_read),
-    ] {
-        assert_eq!(bits(preset.capacity), bits(point), "{name}");
-    }
-}
-
-#[test]
 fn instantiate_rejects_what_run_rejects() {
     // The public engine constructor applies the same checks as `run`, so a
     // caller building engines itself gets a typed error instead of the
@@ -377,7 +358,6 @@ fn instantiate_rejects_what_run_rejects() {
 }
 
 mod json_roundtrip_props {
-    use chiplet_fluid::FluidLink;
     use chiplet_mem::{OpKind, Pattern};
     use chiplet_sim::{Bandwidth, ByteSize, DemandSchedule, SimDuration, SimTime};
     use chiplet_topology::PlatformSpec;
@@ -551,7 +531,9 @@ mod json_roundtrip_props {
                         0 => FluidLinkSpec::Named("if_9634".into()),
                         1 => FluidLinkSpec::Named("plink_9634".into()),
                         2 => FluidLinkSpec::Named("if_7302".into()),
-                        _ => FluidLinkSpec::Inline(FluidLink::if_7302()),
+                        _ => FluidLinkSpec::Inline(
+                            FluidLinkSpec::Named("if_7302".into()).resolve().unwrap(),
+                        ),
                     })
                     .collect(),
                 dt: dt.map(SimDuration::from_nanos),

@@ -39,49 +39,6 @@ pub struct FluidLink {
     pub instability: Option<Instability>,
 }
 
-impl FluidLink {
-    /// An EPYC 9634 Infinity-Fabric-class link: ~100 ms harvesting. Its
-    /// capacity copies the 9634 topology spec's `caps.gmi_read` (33.2
-    /// GB/s); a test in `chiplet-net` pins the two bit for bit.
-    pub fn if_9634() -> Self {
-        FluidLink {
-            name: "IF".into(),
-            capacity: Bandwidth::from_gb_per_s(33.2),
-            harvest_tau: SimDuration::from_millis(33),
-            instability: None,
-        }
-    }
-
-    /// An EPYC 9634 P-Link/CXL-class link: ~500 ms harvesting. Its
-    /// capacity copies the 9634 CXL device's `ccd_read` (24.3 GB/s, what
-    /// one CCD pulls from the device), not its `plink_read` (88.1 GB/s);
-    /// a test in `chiplet-net` pins the two bit for bit.
-    pub fn plink_9634() -> Self {
-        FluidLink {
-            name: "P-Link".into(),
-            capacity: Bandwidth::from_gb_per_s(24.3),
-            harvest_tau: SimDuration::from_millis(165),
-            instability: None,
-        }
-    }
-
-    /// An EPYC 7302 Infinity-Fabric-class link: harvesting with the
-    /// "drastic variation" the paper observes. Its capacity copies the 7302
-    /// topology spec's `caps.ccx_read` (25.1 GB/s); a test in `chiplet-net`
-    /// pins the two bit for bit.
-    pub fn if_7302() -> Self {
-        FluidLink {
-            name: "IF".into(),
-            capacity: Bandwidth::from_gb_per_s(25.1),
-            harvest_tau: SimDuration::from_millis(33),
-            instability: Some(Instability {
-                amplitude: 0.9,
-                correlation: 0.7,
-            }),
-        }
-    }
-}
-
 pub use chiplet_sim::schedule::DemandSchedule;
 
 /// One flow in the fluid model.
@@ -407,6 +364,36 @@ mod tests {
         Bandwidth::from_gb_per_s(x)
     }
 
+    fn link(capacity_gb_s: f64, tau_ms: u64, instability: Option<Instability>) -> FluidLink {
+        FluidLink {
+            name: "test".into(),
+            capacity: gb(capacity_gb_s),
+            harvest_tau: SimDuration::from_millis(tau_ms),
+            instability,
+        }
+    }
+
+    // Links shaped like the named presets `chiplet-net` resolves from the
+    // platform specs; the capacities here are only test inputs.
+    fn if_9634() -> FluidLink {
+        link(33.2, 33, None)
+    }
+
+    fn plink_9634() -> FluidLink {
+        link(24.3, 165, None)
+    }
+
+    fn if_7302() -> FluidLink {
+        link(
+            25.1,
+            33,
+            Some(Instability {
+                amplitude: 0.9,
+                correlation: 0.7,
+            }),
+        )
+    }
+
     /// The Figure 5 scenario: flow 0 throttled by 2 GB/s during [2,3) s and
     /// [4,5) s; flow 1 unthrottled.
     fn fig5(link: FluidLink) -> (FluidSim, f64) {
@@ -443,7 +430,7 @@ mod tests {
 
     #[test]
     fn steady_state_is_equal_split() {
-        let (sim, cap) = fig5(FluidLink::if_9634());
+        let (sim, cap) = fig5(if_9634());
         let traces = sim.run(
             SimTime::from_secs(6),
             SimDuration::from_millis(1),
@@ -460,7 +447,7 @@ mod tests {
 
     #[test]
     fn harvesting_takes_about_100ms_on_if() {
-        let (sim, cap) = fig5(FluidLink::if_9634());
+        let (sim, cap) = fig5(if_9634());
         let traces = sim.run(
             SimTime::from_secs(6),
             SimDuration::from_millis(1),
@@ -502,8 +489,8 @@ mod tests {
                 .map(|p| p.at.as_nanos() / 1_000_000 - 2000);
             (t, target)
         };
-        let (t_if, _) = run(FluidLink::if_9634());
-        let (t_plink, _) = run(FluidLink::plink_9634());
+        let (t_if, _) = run(if_9634());
+        let (t_plink, _) = run(plink_9634());
         let t_if = t_if.expect("IF harvest completes");
         let t_plink = t_plink.expect("P-Link harvest completes");
         assert!(
@@ -532,8 +519,8 @@ mod tests {
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;
             vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64
         };
-        let stable = variance_of(FluidLink::if_9634());
-        let unstable = variance_of(FluidLink::if_7302());
+        let stable = variance_of(if_9634());
+        let unstable = variance_of(if_7302());
         assert!(
             unstable > stable * 10.0 + 0.01,
             "variance: unstable {unstable} vs stable {stable}"
@@ -542,7 +529,7 @@ mod tests {
 
     #[test]
     fn conservation_never_exceeds_capacity() {
-        let (sim, cap) = fig5(FluidLink::if_7302());
+        let (sim, cap) = fig5(if_7302());
         let traces = sim.run(
             SimTime::from_secs(6),
             SimDuration::from_millis(1),
@@ -558,7 +545,7 @@ mod tests {
 
     #[test]
     fn determinism_per_seed() {
-        let (sim, _) = fig5(FluidLink::if_7302());
+        let (sim, _) = fig5(if_7302());
         let a = sim.run(
             SimTime::from_secs(2),
             SimDuration::from_millis(1),
@@ -566,7 +553,7 @@ mod tests {
             9,
             None,
         );
-        let (sim2, _) = fig5(FluidLink::if_7302());
+        let (sim2, _) = fig5(if_7302());
         let b = sim2.run(
             SimTime::from_secs(2),
             SimDuration::from_millis(1),
@@ -582,7 +569,7 @@ mod tests {
 
     #[test]
     fn instrumentation_counts_epochs_without_perturbing_the_run() {
-        let (sim, cap) = fig5(FluidLink::if_9634());
+        let (sim, cap) = fig5(if_9634());
         let horizon = SimTime::from_secs(2);
         let dt = SimDuration::from_millis(1);
         let sample = SimDuration::from_millis(10);
@@ -625,7 +612,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad link")]
     fn bad_link_index_rejected() {
-        let mut sim = FluidSim::new(vec![FluidLink::if_9634()]);
+        let mut sim = FluidSim::new(vec![if_9634()]);
         sim.add_flow(FluidFlowSpec {
             name: "x".into(),
             demand: DemandSchedule::constant(None),

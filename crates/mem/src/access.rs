@@ -4,13 +4,10 @@
 //! (such as one or multiple concurrent cachelines, random/sequential
 //! read/write access patterns, and temporal or non-temporal writes) over a
 //! size-configurable working set" (§3.1). This module captures those
-//! semantics and the one decision the engine needs per request: does it
-//! produce fabric traffic, and at what concurrency?
+//! semantics and the concurrency each pattern sustains; whether a stream
+//! stays in the cache hierarchy is decided per flow in `chiplet-net`.
 
-use chiplet_sim::ByteSize;
 use serde::{Deserialize, Serialize};
-
-use crate::cache::{CacheHierarchy, CacheLevel};
 
 /// The operation a request performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -79,85 +76,9 @@ impl core::fmt::Display for Pattern {
     }
 }
 
-/// Where a request stream resolves: in-hierarchy or on the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AccessOutcome {
-    /// Served by a cache level at the given latency; no fabric traffic.
-    CacheHit {
-        /// Serving level.
-        level: CacheLevel,
-        /// Hit latency, ns.
-        latency_ns: f64,
-    },
-    /// Escapes the hierarchy: the engine routes it over the chiplet network.
-    FabricBound,
-}
-
-impl AccessOutcome {
-    /// Resolves a stream of `op`/`pattern` requests over `working_set`.
-    ///
-    /// Reads and temporal writes are served by the innermost level that
-    /// holds the working set. Non-temporal writes bypass the hierarchy
-    /// unconditionally.
-    pub fn resolve(cache: &CacheHierarchy, op: OpKind, working_set: ByteSize) -> AccessOutcome {
-        if op == OpKind::WriteNonTemporal {
-            return AccessOutcome::FabricBound;
-        }
-        let level = cache.level_for(working_set);
-        match cache.hit_latency_ns(level) {
-            Some(latency_ns) => AccessOutcome::CacheHit { level, latency_ns },
-            None => AccessOutcome::FabricBound,
-        }
-    }
-
-    /// True when the stream produces chiplet-network traffic.
-    pub fn is_fabric_bound(self) -> bool {
-        matches!(self, AccessOutcome::FabricBound)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiplet_topology::PlatformSpec;
-
-    fn cache() -> CacheHierarchy {
-        CacheHierarchy::from_spec(&PlatformSpec::epyc_7302().cache)
-    }
-
-    #[test]
-    fn nt_writes_always_hit_fabric() {
-        let c = cache();
-        let out = AccessOutcome::resolve(&c, OpKind::WriteNonTemporal, ByteSize::from_kib(4));
-        assert!(out.is_fabric_bound());
-    }
-
-    #[test]
-    fn small_reads_stay_in_cache() {
-        let c = cache();
-        match AccessOutcome::resolve(&c, OpKind::Read, ByteSize::from_kib(16)) {
-            AccessOutcome::CacheHit { level, latency_ns } => {
-                assert_eq!(level, CacheLevel::L1);
-                assert_eq!(latency_ns, 1.24);
-            }
-            other => panic!("expected cache hit, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn big_reads_escape_to_fabric() {
-        let c = cache();
-        let out = AccessOutcome::resolve(&c, OpKind::Read, ByteSize::from_gib(1));
-        assert!(out.is_fabric_bound());
-    }
-
-    #[test]
-    fn temporal_writes_cache_like_reads() {
-        let c = cache();
-        let r = AccessOutcome::resolve(&c, OpKind::Read, ByteSize::from_mib(4));
-        let w = AccessOutcome::resolve(&c, OpKind::WriteTemporal, ByteSize::from_mib(4));
-        assert_eq!(r, w);
-    }
 
     #[test]
     fn pointer_chase_serializes() {

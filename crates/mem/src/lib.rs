@@ -8,8 +8,8 @@
 //!   L1/L2/L3 hierarchy (the paper's pointer-chasing methodology: "gradually
 //!   increasing the working set" walks accesses down the hierarchy);
 //! * [`access`] — operation kinds (reads, temporal writes, non-temporal
-//!   writes) and access patterns (sequential, random, pointer-chase), and how
-//!   each decides whether a request produces fabric traffic at all;
+//!   writes) and access patterns (sequential, random, pointer-chase), and
+//!   the memory-level parallelism each pattern sustains;
 //! * [`DramServiceModel`] — service-time variability of DRAM and CXL media
 //!   (bank conflicts, refresh): the source of the paper's ~400–500 ns P999
 //!   tails at *low* load (Figure 3), which compound with queueing near
@@ -22,6 +22,6 @@ pub mod access;
 pub mod cache;
 pub mod dram;
 
-pub use access::{AccessOutcome, OpKind, Pattern};
+pub use access::{OpKind, Pattern};
 pub use cache::CacheHierarchy;
 pub use dram::DramServiceModel;

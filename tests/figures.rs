@@ -9,6 +9,7 @@ use server_chiplet_networking::membench::base;
 use server_chiplet_networking::membench::compete::{competing_flows, CompeteLink};
 use server_chiplet_networking::membench::interference::{interference_sweep, InterferenceDomain};
 use server_chiplet_networking::membench::loaded::{loaded_latency_sweep, LinkScenario};
+use server_chiplet_networking::net::scenario::FluidLinkSpec;
 use server_chiplet_networking::sim::{Bandwidth, SimDuration, SimTime};
 use server_chiplet_networking::topology::{PlatformSpec, Topology};
 
@@ -159,8 +160,9 @@ fn fig5_harvest_timescales() {
         )
         .expect("harvest completes")
     };
-    let t_if = run(FluidLink::if_9634());
-    let t_plink = run(FluidLink::plink_9634());
+    let preset = |name: &str| FluidLinkSpec::Named(name.into()).resolve().unwrap();
+    let t_if = run(preset("if_9634"));
+    let t_plink = run(preset("plink_9634"));
     // Paper: ~100 ms on the IF, ~500 ms on the P-Link.
     assert!((40..=220).contains(&t_if), "IF harvest {t_if} ms");
     assert!(

@@ -15,7 +15,7 @@
 //! `listen` boots the daemon (see [`chiplet_bench::serve`]) and blocks;
 //! `submit` POSTs a built-in or file spec/sweep and prints the response
 //! body — for sweeps the bytes equal `chiplet-scenario sweep --json`;
-//! `hammer` fires an open-loop load test proving byte identity, cache
+//! `hammer` fires a concurrent load test proving byte identity, cache
 //! integrity, metrics hygiene, and access-log/span integrity; `metrics`
 //! scrapes and lints `GET /metrics`; `status` pretty-prints the live
 //! `GET /v1/status` introspection document; `trace` exports the flight
@@ -47,7 +47,7 @@ commands:
       [--addr A]            daemon address (default 127.0.0.1:8091)
       [--client ID]         fair-queue identity (default: anon)
       [--stream]            sweeps and studies: stream per-point progress lines
-  hammer <name|file.json>   open-loop load test against the sweep's points
+  hammer <name|file.json>   concurrent load test against the sweep's points
       [--addr A]            attack a running daemon (default: boot in-process)
       [--submissions N]     submissions to fire (default 1000)
       [--clients C]         client identities and workers (default 4)

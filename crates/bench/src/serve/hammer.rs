@@ -1,4 +1,4 @@
-//! Open-loop load-test client for the serving daemon.
+//! Load-test client for the serving daemon.
 //!
 //! [`hammer`] fires N single-point submissions from C simulated client
 //! identities at a daemon (as many workers as clients, each claiming the
